@@ -44,8 +44,7 @@ class SimConfig:
     out: str = ""
 
     def modem_config(self) -> modem.ModemConfig:
-        return modem.ModemConfig(M=self.M, K=self.K,
-                                 frames_per_burst=self.frames_per_burst)
+        return modem.ModemConfig(M=self.M, K=self.K)
 
     def validate(self) -> None:
         if self.frames_per_burst < 3:

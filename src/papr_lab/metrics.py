@@ -24,27 +24,24 @@ class DomainError(ValueError):
     pass
 
 
-def papr_db(window: np.ndarray) -> float:
-    """10 log10(peak instantaneous power / mean power) over the window."""
-    window = np.asarray(window)
-    power = np.abs(window) ** 2
-    mean = power.mean()
-    if mean == 0.0:
+def papr_db(window: np.ndarray) -> float | np.ndarray:
+    """10 log10(peak instantaneous power / mean power) over the last axis."""
+    power = np.abs(np.asarray(window)) ** 2
+    mean = power.mean(axis=-1)
+    if not np.all(mean):
         raise DegenerateSignal("all-zero window")
-    return float(10.0 * np.log10(power.max() / mean))
+    return 10.0 * np.log10(power.max(axis=-1) / mean)
 
 
 def frame_paprs(signal: np.ndarray, M: int, Lp: int,
                 n_frames: int) -> np.ndarray:
     """Per-frame PAPR of a burst: one M-sample window centered on each
     frame's steady-state span (group delay (Lp-1)/2 accounted for)."""
-    center0 = (Lp - 1) // 2
-    out = np.empty(n_frames)
-    for l in range(n_frames):
-        start = center0 + l * M - M // 2
-        start = max(start, 0)
-        out[l] = papr_db(signal[start:start + M])
-    return out
+    starts = np.maximum((Lp - 1) // 2 + M * np.arange(n_frames) - M // 2, 0)
+    if starts.size and starts[-1] + M > len(signal):
+        raise LengthMismatch(f"{n_frames} frame windows need "
+                             f"{starts[-1] + M} samples, got {len(signal)}")
+    return papr_db(np.asarray(signal)[starts[:, None] + np.arange(M)])
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,21 @@
 """FBMC-OQAM modem: 4-QAM mapping, OQAM staggering, synthesis/analysis banks.
 
-The direct-form transmultiplexer: each sub-channel filter is the exponential
-modulation of one real linear-phase prototype designed by frequency sampling,
-g_k(m) = p(m) exp(j 2 pi k / M (m - (Lp - 1)/2)).  Sub-channel data moves at
-twice the QAM symbol rate (real/imag staggered by half a symbol), with phase
-factors j^(k+n) keeping adjacent sub-channels orthogonal.
+Sub-channel k filters with g_k(m) = p(m) exp(j 2 pi k / M (m - c)), the
+exponential modulation of one real linear-phase prototype p of length
+Lp = K M - 1 designed by frequency sampling, c = (Lp - 1)/2.  Sub-channel
+data moves at twice the QAM symbol rate (real/imag staggered by half a
+symbol), with phase factors j^(k+n) keeping adjacent sub-channels orthogonal.
+
+The banks are the polyphase network (Bellanger et al., PHYDYAS 2010): as
+exp(j 2 pi k m / M) has period M in m, grid column n adds p(m) x_n(m mod M)
+at sample n M/2 + m, x_n = M ifft_k(d[k, n] exp(-j 2 pi k c / M)).  Analysis
+is the transpose; both equal the direct form up to rounding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 
 class UnsupportedOverlap(ValueError):
@@ -55,28 +59,33 @@ def design_prototype(M: int, K: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModemConfig:
+    """Bank parameters, prototype p, and the polyphase constants derived once:
+    p zero-padded to (2K, M/2) blocks and the phase twiddles (with gain)."""
     M: int = 64
     K: int = 4
-    frames_per_burst: int = 10
     prototype: np.ndarray = field(default=None, repr=False)
+    blocks: np.ndarray = field(init=False, repr=False, compare=False)
+    synthesis_phase: np.ndarray = field(init=False, repr=False, compare=False)
+    analysis_phase: np.ndarray = field(init=False, repr=False, compare=False)
 
     @property
     def Lp(self) -> int:
         return self.K * self.M - 1
 
     def __post_init__(self):
-        if self.prototype is None:
-            object.__setattr__(self, "prototype",
-                               design_prototype(self.M, self.K))
-        self.prototype.setflags(write=False)
-
-
-def subchannel_filters(cfg: ModemConfig) -> np.ndarray:
-    """(M, Lp) complex array of synthesis filters; row 0 is the prototype."""
-    m = np.arange(cfg.Lp)
-    k = np.arange(cfg.M)[:, None]
-    phase = np.exp(2j * np.pi * k / cfg.M * (m - (cfg.Lp - 1) / 2))
-    return cfg.prototype * phase
+        p = self.prototype
+        if p is None:
+            p = design_prototype(self.M, self.K)
+        # -2 pi k c / M = -pi k (Lp - 1) / M, reduced exactly mod 2 pi
+        turns = np.arange(self.M) * (self.Lp - 1) % (2 * self.M)
+        phase = np.exp(-1j * np.pi * turns / self.M)
+        for name, value in (
+                ("prototype", p),
+                ("blocks", np.append(p, 0.0).reshape(2 * self.K, -1)),
+                ("synthesis_phase", phase),
+                ("analysis_phase", phase.conj() / np.sum(p ** 2))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 _QAM_SCALE = 1 / np.sqrt(2)
@@ -106,12 +115,12 @@ def frames_to_grid(frames: np.ndarray, M: int) -> np.ndarray:
     frames = np.atleast_2d(np.asarray(frames, dtype=np.uint8))
     if frames.shape[1] != 2 * M:
         raise LengthMismatch(f"frame length {frames.shape[1]} != {2 * M}")
-    return np.stack([qam_map(f) for f in frames], axis=1)
+    return qam_map(frames.ravel()).reshape(-1, M).T
 
 
 def grid_to_frames(grid: np.ndarray) -> np.ndarray:
     """(M, L) QAM grid -> (L, 2M) bit frames."""
-    return np.stack([qam_demap(grid[:, l]) for l in range(grid.shape[1])])
+    return qam_demap(grid.T).reshape(grid.shape[1], -1)
 
 
 def theta(M: int, n_half: int) -> np.ndarray:
@@ -148,39 +157,36 @@ def oqam_postprocess(grid: np.ndarray) -> np.ndarray:
 
 
 def synthesis(grid: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Staggered grid (M, n_half) -> baseband samples (direct form).
-
-    Each sub-channel sequence is upsampled by M/2 and filtered by its
-    modulated prototype; branches are summed.
-    """
+    """Staggered grid (M, n_half) -> (n_half - 1) M/2 + Lp baseband samples:
+    IFFT, prototype weighting and overlap-add with hop M/2."""
     M, n_half = grid.shape
     if M != cfg.M:
         raise ConfigMismatch(f"grid has {M} sub-channels, config {cfg.M}")
     hop = M // 2
-    up = np.zeros((M, (n_half - 1) * hop + 1), dtype=complex)
-    up[:, ::hop] = grid
-    branches = fftconvolve(up, subchannel_filters(cfg), mode="full", axes=1)
-    return branches.sum(axis=0)
+    x = np.fft.ifft(grid * cfg.synthesis_phase[:, None], axis=0,
+                    norm="forward").T.reshape(n_half, 2, hop)
+    out = np.zeros((n_half + 2 * cfg.K - 1, hop), dtype=complex)
+    for b, weights in enumerate(cfg.blocks):  # block b of x_n lands at n + b
+        out[b:b + n_half] += x[:, b % 2] * weights
+    return out.ravel()[:(n_half - 1) * hop + cfg.Lp]
 
 
 def analysis(signal: np.ndarray, cfg: ModemConfig, n_half: int) -> np.ndarray:
-    """Baseband samples -> (M, n_half) staggered grid, delay compensated.
-
-    The analysis filters are the time-reversed conjugates of the synthesis
-    filters (equal to them for a linear-phase prototype); the cascade's
-    Lp - 1 group delay is absorbed by the sampling offset and the gain
-    sum(p^2) is normalized out.
-    """
+    """Baseband samples -> (M, n_half) staggered grid, delay compensated:
+    column n is the FFT of samples [n M/2, n M/2 + K M) weighted by p and
+    folded to M, phase and gain corrected.  Later samples are ignored."""
     signal = np.asarray(signal, dtype=complex)
     hop = cfg.M // 2
     need = (n_half - 1) * hop + cfg.Lp
     if signal.size < need:
         raise SignalTooShort(f"need {need} samples, got {signal.size}")
-    filters = subchannel_filters(cfg)  # == analysis filters, see docstring
-    y = fftconvolve(signal[None, :], filters, mode="full", axes=1)
-    idx = cfg.Lp - 1 + hop * np.arange(n_half)
-    gain = np.sum(cfg.prototype ** 2)
-    return y[:, idx] / gain
+    # the sample under the zero padding tap of the prototype can be zero
+    blocks = np.append(signal[:need], 0.0).reshape(-1, hop)
+    folded = np.zeros((n_half, 2, hop), dtype=complex)
+    for b, weights in enumerate(cfg.blocks):
+        folded[:, b % 2] += blocks[b:b + n_half] * weights
+    y = np.fft.fft(folded.reshape(n_half, cfg.M), axis=1)
+    return y.T * cfg.analysis_phase[:, None]
 
 
 def modulate_frames(frames: np.ndarray, cfg: ModemConfig) -> np.ndarray:

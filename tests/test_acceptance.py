@@ -130,7 +130,7 @@ def test_criterion_3_codeword_density(capsys):
 
 def test_criterion_4_modem_npr(capsys):
     rng = np.random.default_rng(40)
-    cfg = modem.ModemConfig(M=64, K=4, frames_per_burst=20)
+    cfg = modem.ModemConfig(M=64, K=4)
     mse_acc = err = total = n_sym = 0
     for _ in range(10):  # 10 bursts x 20 frames x 64 symbols = 12800 symbols
         frames = rng.integers(0, 2, (20, 128)).astype(np.uint8)

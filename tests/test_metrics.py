@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from papr_lab import metrics
 
@@ -22,7 +23,7 @@ class TestPapr:
         # burst of identical frames -> identical interior PAPR values
         from papr_lab import modem
         rng = np.random.default_rng(0)
-        cfg = modem.ModemConfig(frames_per_burst=8)
+        cfg = modem.ModemConfig()
         frame = rng.integers(0, 2, 128).astype(np.uint8)
         sig = modem.modulate_frames(np.tile(frame, (8, 1)), cfg)
         vals = metrics.frame_paprs(sig, 64, cfg.Lp, 8)
@@ -31,6 +32,33 @@ class TestPapr:
         # the deep-interior frames are exactly periodic
         interior = vals[2:-2]
         assert np.ptp(interior) < 1e-9
+
+    @given(st.integers(1, 30), st.sampled_from((4, 16, 64)),
+           st.sampled_from((2, 3, 4)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_frame_paprs_match_per_window_loop(self, n_frames, M, K, seed):
+        rng = np.random.default_rng(seed)
+        Lp = K * M - 1
+        n = (2 * n_frames - 1) * M // 2 + Lp
+        sig = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ref = []
+        for l in range(n_frames):
+            start = max((Lp - 1) // 2 + l * M - M // 2, 0)
+            power = np.abs(sig[start:start + M]) ** 2
+            ref.append(10.0 * np.log10(power.max() / power.mean()))
+        assert np.array_equal(metrics.frame_paprs(sig, M, Lp, n_frames), ref)
+
+    def test_frame_paprs_reject_zero_window(self):
+        sig = np.ones(64 * 6)
+        sig[223:287] = 0.0  # the window of frame 2
+        with pytest.raises(metrics.DegenerateSignal):
+            metrics.frame_paprs(sig, 64, 255, 4)
+
+    def test_frame_paprs_reject_short_signal(self):
+        # the window of frame 3 spans samples [287, 351)
+        with pytest.raises(metrics.LengthMismatch):
+            metrics.frame_paprs(np.ones(350), 64, 255, 4)
+        assert metrics.frame_paprs(np.ones(351), 64, 255, 4).shape == (4,)
 
 
 class TestCcdf:
