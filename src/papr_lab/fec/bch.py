@@ -4,6 +4,10 @@ Narrow-sense construction: the generator is the LCM of the minimal
 polynomials of alpha^1..alpha^(2t), grown until its degree reaches
 n - k = 42 (which happens at t = 6).  Encoding is systematic; the 127
 codeword bits are suffixed with one zero pad bit to fill a 128-bit frame.
+The frame encoder goes through the binary image: the polynomial-division
+encoder builds an (85, 128) generator matrix on first use, and a frame is
+(message @ G) & 1.  Syndromes and the Chien search are the vectorized ones
+of the RS codec.
 """
 from __future__ import annotations
 
@@ -12,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import gf2m
-from ..gf2m import FieldSpec, mul, inv
-from .rs import DecodeFailure, LengthMismatch, _berlekamp_massey
+from ..gf2m import FieldSpec
+from .rs import (DecodeFailure, LengthMismatch, _berlekamp_massey,
+                 _checked_message, _chien, _encode_bits, _syndromes)
 
 
 def _gf2_poly_mul(a: int, b: int) -> int:
@@ -106,18 +111,20 @@ def _int_to_bits(v: int, width: int) -> np.ndarray:
                     dtype=np.uint8)
 
 
-def bch_encode(message: np.ndarray) -> np.ndarray:
-    """85 message bits -> 128-bit frame (127 codeword bits + 1 zero pad)."""
+def _bch_encode_algebraic(message: np.ndarray) -> np.ndarray:
+    """bch_encode by polynomial division; builds the generator matrix."""
     spec = bch_spec()
-    message = np.asarray(message, dtype=np.uint8)
-    if message.size != spec.k:
-        raise LengthMismatch(f"message length {message.size} != {spec.k}")
-    m_int = _bits_to_int(message)
-    parity = _gf2_poly_mod(m_int << spec.r, spec.generator)
+    parity = _gf2_poly_mod(_bits_to_int(message) << spec.r, spec.generator)
     frame = np.zeros(spec.n + 1, dtype=np.uint8)
     frame[:spec.k] = message
     frame[spec.k:spec.n] = _int_to_bits(parity, spec.r)
     return frame
+
+
+def bch_encode(message: np.ndarray) -> np.ndarray:
+    """85 message bits -> 128-bit frame (127 codeword bits + 1 zero pad)."""
+    bits = _checked_message(message, bch_spec().k, 2, "message bit")
+    return _encode_bits("bch", _bch_encode_algebraic, bits)
 
 
 def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
@@ -132,14 +139,7 @@ def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
     if frame.size != spec.n + 1:
         raise LengthMismatch(f"frame length {frame.size} != {spec.n + 1}")
     word = frame[:spec.n].copy()
-    # S_j = sum over set bit positions of alpha^(j * degree)
-    set_degs = [spec.n - 1 - i for i in np.flatnonzero(word)]
-    synd = []
-    for j in range(1, 2 * spec.t + 1):
-        s = 0
-        for d in set_degs:
-            s ^= gf2m.pow_alpha(fs, j * d)
-        synd.append(s)
+    synd = _syndromes(fs, word, 2 * spec.t)
     if not any(synd):
         return word[:spec.k], 0
 
@@ -147,21 +147,10 @@ def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
     nerr = gf2m.poly_deg(lam)
     if nerr > spec.t:
         raise DecodeFailure("locator degree exceeds capability")
-    flips = []
-    for pos in range(spec.n):
-        x = gf2m.pow_alpha(fs, spec.n - 1 - pos)
-        if gf2m.poly_eval(fs, lam, inv(fs, x)) == 0:
-            flips.append(pos)
+    flips = _chien(fs, spec.n, lam)
     if len(flips) != nerr:
         raise DecodeFailure("locator degree does not match root count")
-    for pos in flips:
-        word[pos] ^= 1
-    # verify
-    set_degs = [spec.n - 1 - i for i in np.flatnonzero(word)]
-    for j in range(1, 2 * spec.t + 1):
-        s = 0
-        for d in set_degs:
-            s ^= gf2m.pow_alpha(fs, j * d)
-        if s:
-            raise DecodeFailure("residual syndromes after correction")
+    word[flips] ^= 1
+    if any(_syndromes(fs, word, 2 * spec.t)):
+        raise DecodeFailure("residual syndromes after correction")
     return word[:spec.k], len(flips)

@@ -3,7 +3,10 @@
 Each of the k' transmitted message symbols is restricted to p < q bits
 (low-order bits of its q-bit field symbol), so k' p-bit message fields plus
 all r q-bit parity symbols fit the frame with a small zero pad.  The
-remaining k - k' message symbols are implicit zeros (shortening).
+remaining k - k' message symbols are implicit zeros (shortening).  The code
+is a GF(2)-linear subcode of RS(n, k), so the frame encoder goes through the
+binary image: the RS encoder builds a (k' p, frame bits) generator matrix per
+layout on first use, and a frame is (message bits @ G) & 1.
 """
 from __future__ import annotations
 
@@ -12,15 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .rs import (DecodeFailure, LengthMismatch, rs_spec, rs_encode,
-                 decode_word, _symbols_to_bits, _bits_to_symbols)
+# re-exported: callers catch crs.ConstraintViolation
+from .rs import (ConstraintViolation, DecodeFailure, LengthMismatch, rs_spec,
+                 rs_encode, decode_word, _checked_message, _encode_bits,
+                 _symbols_to_bits, _bits_to_symbols)
 
 
 class LayoutInfeasible(ValueError):
-    pass
-
-
-class ConstraintViolation(ValueError):
     pass
 
 
@@ -88,27 +89,28 @@ def crs_layout(N: int, n: int, k: int,
                           p_lower=p_lower, p_upper=p_upper)
 
 
+def _crs_encode_algebraic(layout: CrsFrameLayout,
+                          bits: np.ndarray) -> np.ndarray:
+    """crs_encode through the RS encoder; builds the generator matrix."""
+    spec = rs_spec(layout.q, layout.k)
+    shortened = [0] * (layout.k - layout.k_prime)
+    codeword = rs_encode(spec, shortened + _bits_to_symbols(bits, layout.p))
+    frame = np.zeros(layout.frame_bits, dtype=np.uint8)
+    frame[:bits.size] = bits
+    pbits = _symbols_to_bits(codeword[layout.k:], layout.q)
+    frame[bits.size:bits.size + pbits.size] = pbits
+    return frame
+
+
 def crs_encode(layout: CrsFrameLayout, message_bits: np.ndarray) -> np.ndarray:
     """k'*p message bits -> one frame_bits-long bit frame.
 
     Frame layout: [k' p-bit message fields | r q-bit parity symbols | zero pad].
     """
-    bits = np.asarray(message_bits, dtype=np.uint8)
-    if bits.size != layout.message_bits:
-        raise LengthMismatch(
-            f"message length {bits.size} != {layout.message_bits}")
-    msg_syms = _bits_to_symbols(bits, layout.p)
-    if any(s >= (1 << layout.p) for s in msg_syms):
-        raise ConstraintViolation("message symbol exceeds p bits")
-    spec = rs_spec(layout.q, layout.k)
-    shortened = [0] * (layout.k - layout.k_prime)
-    codeword = rs_encode(spec, shortened + msg_syms)
-    parity = codeword[layout.k:]
-    frame = np.zeros(layout.frame_bits, dtype=np.uint8)
-    frame[:bits.size] = bits
-    pbits = _symbols_to_bits(parity, layout.q)
-    frame[bits.size:bits.size + pbits.size] = pbits
-    return frame
+    bits = _checked_message(message_bits, layout.message_bits, 2,
+                            "message bit")
+    return _encode_bits(layout, lambda b: _crs_encode_algebraic(layout, b),
+                        bits)
 
 
 def crs_decode(layout: CrsFrameLayout,

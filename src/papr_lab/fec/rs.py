@@ -8,11 +8,19 @@ The RS(25,16) variant shortens RS(31,19) by three leading zero message
 symbols and punctures the last three parity symbols; punctured positions are
 decoded as erasures.  Its 125 payload bits are padded with three zero bits to
 fill one 128-bit multicarrier frame.
+
+Every frame codec here (RS(25,16), BCH, constrained RS) is GF(2)-linear on
+its bits, so the frame encoders go through the binary image: the algebraic
+encoder maps each unit message to one row of a binary generator matrix G,
+built on first use, and a frame is (message bits @ G) & 1.  Decoders take
+syndromes and run the Chien search with one vectorized polynomial
+evaluation each (gf2m.poly_eval_many); Berlekamp-Massey and Forney, which
+handle at most r values, stay scalar.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +34,10 @@ class LengthMismatch(ValueError):
 
 class DecodeFailure(Exception):
     """Syndromes inconsistent with any pattern inside the decoding bound."""
+
+
+class ConstraintViolation(ValueError):
+    """An encoder input outside its alphabet."""
 
 
 @dataclass(frozen=True)
@@ -77,12 +89,17 @@ def rs_encode(spec: RsCodeSpec, message: Sequence[int]) -> list[int]:
     return [int(s) for s in message] + parity[::-1]
 
 
-def _syndromes(spec: RsCodeSpec, received: Sequence[int]) -> list[int]:
-    fs = spec.field
-    # S_j = sum_i c_i * alpha^(j * deg(i)), deg(i) = n-1-i
-    rec_poly = [int(c) for c in reversed(received)]  # degree = index
-    return [poly_eval(fs, rec_poly, gf2m.pow_alpha(fs, j))
-            for j in range(1, spec.r + 1)]
+def _syndromes(fs: FieldSpec, received: Sequence[int],
+               count: int) -> list[int]:
+    """S_j = received(alpha^j), j = 1..count; position i has degree n-1-i."""
+    return gf2m.poly_eval_many(fs, np.asarray(received)[::-1],
+                               fs.exp_table[1:count + 1]).tolist()
+
+
+def _chien(fs: FieldSpec, n: int, locator: list[int]) -> list[int]:
+    """Positions pos whose inverse locator alpha^-(n-1-pos) is a root."""
+    xinv = fs.exp_table[(np.arange(n) + 1 - n) % fs.order]
+    return np.flatnonzero(gf2m.poly_eval_many(fs, locator, xinv) == 0).tolist()
 
 
 def _berlekamp_massey(fs: FieldSpec, syndromes: list[int]) -> list[int]:
@@ -139,7 +156,7 @@ def decode_word(spec: RsCodeSpec, received: Sequence[int],
         raise DecodeFailure("more erasures than parity symbols")
 
     word = [int(c) for c in received]
-    synd = _syndromes(spec, word)
+    synd = _syndromes(fs, word, r)
     if not any(synd) and not erasures:
         return word, []
 
@@ -162,14 +179,7 @@ def decode_word(spec: RsCodeSpec, received: Sequence[int],
     if not psi:
         raise DecodeFailure("degenerate locator")
 
-    # Chien search over all positions
-    roots_pos = []
-    roots_x = []
-    for pos in range(n):
-        x = gf2m.pow_alpha(fs, n - 1 - pos)
-        if poly_eval(fs, psi, inv(fs, x)) == 0:
-            roots_pos.append(pos)
-            roots_x.append(x)
+    roots_pos = _chien(fs, n, psi)
     if len(roots_pos) != gf2m.poly_deg(psi):
         raise DecodeFailure("locator degree does not match root count")
 
@@ -178,8 +188,8 @@ def decode_word(spec: RsCodeSpec, received: Sequence[int],
     psi_prime = [c if i % 2 == 0 else 0
                  for i, c in enumerate(psi[1:])]  # formal derivative
     touched = []
-    for pos, x in zip(roots_pos, roots_x):
-        xi = inv(fs, x)
+    for pos in roots_pos:
+        xi = gf2m.pow_alpha(fs, pos + 1 - n)
         denom = poly_eval(fs, psi_prime, xi)
         if denom == 0:
             raise DecodeFailure("Forney denominator vanished")
@@ -188,9 +198,57 @@ def decode_word(spec: RsCodeSpec, received: Sequence[int],
             word[pos] ^= mag
             touched.append(pos)
 
-    if any(_syndromes(spec, word)):
+    if any(_syndromes(fs, word, r)):
         raise DecodeFailure("residual syndromes after correction")
     return word, touched
+
+
+# --- bit frames: packing, encoder input checks, binary-image encoding --------
+
+def _symbols_to_bits(symbols: Sequence[int], q: int) -> np.ndarray:
+    """Low q bits of each symbol, most significant first."""
+    s = np.asarray(symbols, dtype=np.int64).reshape(-1, 1)
+    return ((s >> np.arange(q - 1, -1, -1)) & 1).astype(np.uint8).ravel()
+
+
+def _bits_to_symbols(bits: np.ndarray, q: int) -> list[int]:
+    """Whole q-bit fields of bits, most significant first; a short tail is
+    dropped."""
+    n = len(bits) // q
+    fields = np.asarray(bits[:n * q], dtype=np.int64).reshape(n, q)
+    return (fields @ (1 << np.arange(q - 1, -1, -1))).tolist()
+
+
+def _checked_message(values, count: int, size: int,
+                     what: str) -> np.ndarray:
+    """An encoder's message as uint8.  LengthMismatch unless it has count
+    entries; ConstraintViolation names the first entry that is not an
+    integer in [0, size)."""
+    a = np.asarray(values)
+    if a.size != count:
+        raise LengthMismatch(f"message length {a.size} != {count}")
+    v = a.astype(np.uint8)
+    bad = np.flatnonzero((v != a) | (v >= size))
+    if bad.size:
+        i = bad[0]
+        raise ConstraintViolation(
+            f"{what} {a.flat[i]} at index {i} outside 0..{size - 1}")
+    return v
+
+
+_GENERATORS: dict[Hashable, np.ndarray] = {}
+
+
+def _encode_bits(code: Hashable, encode: Callable[[np.ndarray], np.ndarray],
+                 bits: np.ndarray) -> np.ndarray:
+    """(bits @ G) & 1 for the binary generator matrix G of `encode`, a
+    GF(2)-linear bit encoder: row i of G is the frame of the i-th unit
+    message.  G is built on the first call for `code` and memoized."""
+    G = _GENERATORS.get(code)
+    if G is None:
+        G = _GENERATORS[code] = np.stack(
+            [encode(e) for e in np.eye(bits.size, dtype=np.uint8)])
+    return (bits @ G) & 1  # uint8 sums wrap mod 256, which keeps parity
 
 
 # --- punctured/shortened RS(25,16) frame codec -------------------------------
@@ -200,24 +258,6 @@ _RS2516_PUNCTURE = 3      # trailing parity symbols, not transmitted
 _RS2516_PAD_BITS = 3      # 25 symbols * 5 bits = 125 -> 128-bit frame
 RS2516_MESSAGE_SYMBOLS = 16
 RS2516_FRAME_BITS = 128
-
-
-def _symbols_to_bits(symbols: Sequence[int], q: int) -> np.ndarray:
-    bits = np.zeros(len(symbols) * q, dtype=np.uint8)
-    for i, s in enumerate(symbols):
-        for j in range(q):
-            bits[i * q + j] = (s >> (q - 1 - j)) & 1
-    return bits
-
-
-def _bits_to_symbols(bits: np.ndarray, q: int) -> list[int]:
-    out = []
-    for i in range(len(bits) // q):
-        v = 0
-        for j in range(q):
-            v = (v << 1) | int(bits[i * q + j])
-        out.append(v)
-    return out
 
 
 def rs2516_encode(message: Sequence[int]) -> list[int]:
@@ -231,10 +271,18 @@ def rs2516_encode(message: Sequence[int]) -> list[int]:
     return full[_RS2516_SHORTEN:spec.n - _RS2516_PUNCTURE]
 
 
+def _rs2516_frame_algebraic(bits: np.ndarray) -> np.ndarray:
+    """rs2516_frame on 80 message bits through rs2516_encode; builds G."""
+    cw = _symbols_to_bits(rs2516_encode(_bits_to_symbols(bits, 5)), 5)
+    return np.concatenate([cw, np.zeros(_RS2516_PAD_BITS, dtype=np.uint8)])
+
+
 def rs2516_frame(message: Sequence[int]) -> np.ndarray:
     """Encode and pack to one 128-bit frame (125 payload bits + 3 zero pad)."""
-    bits = _symbols_to_bits(rs2516_encode(message), 5)
-    return np.concatenate([bits, np.zeros(_RS2516_PAD_BITS, dtype=np.uint8)])
+    symbols = _checked_message(message, RS2516_MESSAGE_SYMBOLS, 32,
+                               "message symbol")
+    return _encode_bits("rs2516", _rs2516_frame_algebraic,
+                        _symbols_to_bits(symbols, 5))
 
 
 def rs2516_decode(frame: np.ndarray) -> tuple[list[int], int]:

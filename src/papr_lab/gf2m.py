@@ -6,7 +6,8 @@ the zero polynomial is the empty list (degree -1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +34,10 @@ class FieldSpec:
     primitive_poly: int
     exp_table: np.ndarray  # exp_table[i] = alpha^i, length 2^m (wraps at order)
     log_table: np.ndarray  # log_table[alpha^i] = i, log_table[0] = -1
+    # Python-int copies for the scalar operations, which index one element at
+    # a time; exp_ints runs over two periods so a sum of two logs needs no mod
+    exp_ints: tuple = field(init=False, repr=False, compare=False)
+    log_ints: tuple = field(init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -46,6 +51,9 @@ class FieldSpec:
     def __post_init__(self):
         self.exp_table.setflags(write=False)
         self.log_table.setflags(write=False)
+        exp = self.exp_table[:self.order].tolist()
+        object.__setattr__(self, "exp_ints", tuple(exp + exp))
+        object.__setattr__(self, "log_ints", tuple(self.log_table.tolist()))
 
 
 def field_new(m: int, primitive_poly: int) -> FieldSpec:
@@ -91,13 +99,13 @@ def add(a: int, b: int) -> int:
 def mul(fs: FieldSpec, a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
-    return int(fs.exp_table[(fs.log_table[a] + fs.log_table[b]) % fs.order])
+    return fs.exp_ints[fs.log_ints[a] + fs.log_ints[b]]
 
 
 def inv(fs: FieldSpec, a: int) -> int:
     if a == 0:
         raise DivisionByZero("inverse of 0")
-    return int(fs.exp_table[(fs.order - fs.log_table[a]) % fs.order])
+    return fs.exp_ints[fs.order - fs.log_ints[a]]
 
 
 def div(fs: FieldSpec, a: int, b: int) -> int:
@@ -105,12 +113,12 @@ def div(fs: FieldSpec, a: int, b: int) -> int:
         raise DivisionByZero("division by 0")
     if a == 0:
         return 0
-    return int(fs.exp_table[(fs.log_table[a] - fs.log_table[b]) % fs.order])
+    return fs.exp_ints[fs.log_ints[a] - fs.log_ints[b] + fs.order]
 
 
 def pow_alpha(fs: FieldSpec, e: int) -> int:
     """alpha^e for any integer exponent."""
-    return int(fs.exp_table[e % fs.order])
+    return fs.exp_ints[e % fs.order]
 
 
 def arr_mul(fs: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,16 +167,25 @@ def poly_mul(fs: FieldSpec, p: list[int], q: list[int]) -> list[int]:
     return poly_trim(out)
 
 
-def poly_scale(fs: FieldSpec, p: list[int], c: int) -> list[int]:
-    return poly_trim([mul(fs, a, c) for a in p])
-
-
 def poly_eval(fs: FieldSpec, p: list[int], x: int) -> int:
     """Horner evaluation of p at x."""
     acc = 0
     for c in reversed(p):
         acc = mul(fs, acc, x) ^ c
     return acc
+
+
+def poly_eval_many(fs: FieldSpec, p: Sequence[int],
+                   xs: np.ndarray) -> np.ndarray:
+    """p(x) for every x in xs at once: each term c_d x^d is one antilog
+    lookup of log c_d + d log x, and the terms are XOR-reduced."""
+    c = np.asarray(p, dtype=np.int64)
+    xs = np.asarray(xs, dtype=np.int64)
+    degs = np.flatnonzero(c)
+    logs = fs.log_table[c[degs]] + np.multiply.outer(fs.log_table[xs], degs)
+    out = np.bitwise_xor.reduce(fs.exp_table[logs % fs.order], axis=-1)
+    # at x = 0 only the constant term survives (log 0 is a placeholder)
+    return np.where(xs == 0, c[0] if c.size else 0, out)
 
 
 def poly_divmod(fs: FieldSpec, p: list[int],

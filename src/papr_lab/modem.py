@@ -123,11 +123,13 @@ def grid_to_frames(grid: np.ndarray) -> np.ndarray:
     return qam_demap(grid.T).reshape(grid.shape[1], -1)
 
 
+_J_POWERS = np.array([1, 1j, -1, -1j])
+
+
 def theta(M: int, n_half: int) -> np.ndarray:
-    """(M, n_half) phase grid j^(k+n)."""
-    k = np.arange(M)[:, None]
-    n = np.arange(n_half)[None, :]
-    return 1j ** ((k + n) % 4)
+    """(M, n_half) phase grid j^(k+n) = j^k j^n, looked up mod 4."""
+    return np.outer(_J_POWERS[np.arange(M) % 4],
+                    _J_POWERS[np.arange(n_half) % 4])
 
 
 def oqam_preprocess(grid: np.ndarray) -> np.ndarray:

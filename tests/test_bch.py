@@ -75,6 +75,15 @@ def test_all_ones_message_gives_all_ones_codeword():
     assert frame[:SPEC.n].all()
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+def test_encode_rejects_non_binary_bits(bad):
+    msg = [0] * SPEC.k
+    msg[7] = bad
+    with pytest.raises(rs.ConstraintViolation,
+                       match=f"message bit {bad} at index 7"):
+        bch.bch_encode(msg)
+
+
 def test_length_checks():
     with pytest.raises(rs.LengthMismatch):
         bch.bch_encode(np.zeros(84, dtype=np.uint8))

@@ -85,6 +85,17 @@ def test_constraint_flag_reports_escape():
     assert ok2 and corrected == 1
 
 
+def test_encode_rejects_non_binary_bits():
+    # the 2 sits in the low bits of a 4-bit field, where the old symbol-level
+    # check could not see it
+    msg = np.zeros(64, dtype=np.uint8)
+    msg[3] = 2
+    with pytest.raises(crs.ConstraintViolation,
+                       match="message bit 2 at index 3"):
+        crs.crs_encode(LAYOUT, msg)
+    assert crs.ConstraintViolation is rs.ConstraintViolation
+
+
 def test_encode_rejects_bad_lengths():
     with pytest.raises(rs.LengthMismatch):
         crs.crs_encode(LAYOUT, np.zeros(63, dtype=np.uint8))

@@ -146,6 +146,13 @@ def test_rs2516_corrects_up_to_four_symbol_errors(data):
     assert corrected == e or corrected <= e  # erasure fills not counted
 
 
+@pytest.mark.parametrize("bad", [32, -1])
+def test_rs2516_frame_rejects_symbols_outside_gf32(bad):
+    with pytest.raises(rs.ConstraintViolation,
+                       match=f"message symbol {bad} at index 15"):
+        rs.rs2516_frame([0] * 15 + [bad])
+
+
 def test_bit_symbol_packing_roundtrip():
     rng = np.random.default_rng(6)
     syms = [int(v) for v in rng.integers(0, 32, 40)]
