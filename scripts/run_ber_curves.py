@@ -3,7 +3,7 @@
 fading profiles (and an AWGN reference), one CSV per channel."""
 import argparse
 
-from papr_lab import harness
+from papr_lab import cli, harness
 
 SCHEMES = ("none", "rs2516", "crs31_19")
 
@@ -13,26 +13,21 @@ def main():
     ap.add_argument("--channels", nargs="+",
                     default=["awgn", "pedestrian_b", "vehicular_a"])
     ap.add_argument("--snr", default="0:2:20",
-                    help="start:step:stop, inclusive")
+                    help="start:step:stop (inclusive) or comma list")
     ap.add_argument("--bits", type=int, default=1_000_000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--prefix", default="ber")
     args = ap.parse_args()
 
-    start, step, stop = (float(x) for x in args.snr.split(":"))
-    snrs = []
-    v = start
-    while v <= stop + 1e-9:
-        snrs.append(v)
-        v += step
+    snrs = cli._parse_snr(args.snr)
 
     for channel in args.channels:
         records = []
         for scheme in SCHEMES:
             compand = scheme != "none"
             cfg = harness.SimConfig(scheme=scheme, companding=compand,
-                                    channel=channel, snr_list_db=tuple(snrs),
+                                    channel=channel, snr_list_db=snrs,
                                     bits=args.bits, master_seed=args.seed,
                                     workers=args.workers)
             recs = harness.run_ber_sweep(cfg)

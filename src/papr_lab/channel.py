@@ -7,6 +7,7 @@ per tap, power profile normalized to unit total average power.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,15 +61,11 @@ class ChannelRealization:
         self.fir_taps.setflags(write=False)
 
 
-def realize(profile: ChannelProfile, sample_rate: float,
-            rng: np.random.Generator | None = None) -> ChannelRealization:
-    """Draw one quasi-static realization of the profile.
-
-    Block-Rayleigh profiles need an rng; tap delays are rounded to the
-    nearest sample, colliding taps merge with power addition.
-    """
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
+@functools.cache
+def _tap_powers(profile: ChannelProfile,
+                sample_rate: float) -> tuple[np.ndarray, bool]:
+    """Average power per sample-spaced tap, normalized to unit total, and
+    whether delays collided onto one sample.  Fixed per (profile, rate)."""
     powers_lin = 10.0 ** (np.asarray(profile.tap_powers_db) / 10.0)
     powers_lin = powers_lin / powers_lin.sum()  # unit average channel power
     idx = np.rint(np.asarray(profile.tap_delays_ns) * 1e-9 * sample_rate)
@@ -78,11 +75,26 @@ def realize(profile: ChannelProfile, sample_rate: float,
     tap_power = np.zeros(span)
     for i, p in zip(idx, powers_lin):
         tap_power[i] += p
+    tap_power.setflags(write=False)
+    return tap_power, merged
+
+
+def realize(profile: ChannelProfile, sample_rate: float,
+            rng: np.random.Generator | None = None) -> ChannelRealization:
+    """Draw one quasi-static realization of the profile.
+
+    Block-Rayleigh profiles need an rng; tap delays are rounded to the
+    nearest sample, colliding taps merge with power addition.
+    """
+    if sample_rate <= 0:
+        raise ValueError("sample_rate must be positive")
+    tap_power, merged = _tap_powers(profile, sample_rate)
     if profile.fading == "none":
         taps = np.sqrt(tap_power).astype(complex)
     else:
         if rng is None:
             raise ValueError("fading profile requires an rng")
+        span = tap_power.size
         g = rng.standard_normal(span) + 1j * rng.standard_normal(span)
         taps = np.sqrt(tap_power / 2.0) * g
     if not np.any(taps):
@@ -114,11 +126,19 @@ def apply(signal: np.ndarray, ch: ChannelRealization, snr_db: float,
 SINGULAR_THRESHOLD = 1e-6
 
 
+@functools.cache
+def _dft_kernel(M: int, span: int) -> np.ndarray:
+    """exp(-2 pi i k t / M) for M sub-channels k and span taps t."""
+    t = np.arange(span)
+    k = np.arange(M)[:, None]
+    kernel = np.exp(-2j * np.pi * k * t / M)
+    kernel.setflags(write=False)
+    return kernel
+
+
 def frequency_response(ch: ChannelRealization, M: int) -> np.ndarray:
     """Channel response at the M sub-channel center frequencies 2 pi k / M."""
-    t = np.arange(ch.fir_taps.size)
-    k = np.arange(M)[:, None]
-    return (ch.fir_taps * np.exp(-2j * np.pi * k * t / M)).sum(axis=1)
+    return (ch.fir_taps * _dft_kernel(M, ch.fir_taps.size)).sum(axis=1)
 
 
 def equalize(grid: np.ndarray, ch: ChannelRealization,

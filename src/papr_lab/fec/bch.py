@@ -6,8 +6,9 @@ n - k = 42 (which happens at t = 6).  Encoding is systematic; the 127
 codeword bits are suffixed with one zero pad bit to fill a 128-bit frame.
 The frame encoder goes through the binary image: the polynomial-division
 encoder builds an (85, 128) generator matrix on first use, and a frame is
-(message @ G) & 1.  Syndromes and the Chien search are the vectorized ones
-of the RS codec.
+(message @ G) mod 2.  The decoder takes its syndromes through the matching
+parity-check matrix, (word @ H) mod 2, and shares BM and the Chien search
+with the RS codec.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ import numpy as np
 from .. import gf2m
 from ..gf2m import FieldSpec
 from .rs import (DecodeFailure, LengthMismatch, _berlekamp_massey,
-                 _checked_message, _chien, _encode_bits, _syndromes)
+                 _binary_syndromes, _checked_message, _chien, _encode_bits,
+                 _syndromes)
 
 
 def _gf2_poly_mul(a: int, b: int) -> int:
@@ -127,6 +129,15 @@ def bch_encode(message: np.ndarray) -> np.ndarray:
     return _encode_bits("bch", _bch_encode_algebraic, bits)
 
 
+def _bch_syndromes(word: np.ndarray) -> list[int]:
+    """Syndromes S_1..S_2t of a 127-bit word through its parity-check
+    matrix."""
+    spec = bch_spec()
+    return _binary_syndromes(
+        "bch", lambda w: _syndromes(spec.field, w, 2 * spec.t), word,
+        spec.field.m)
+
+
 def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
     """128-bit frame -> (85 message bits, corrected bit count).
 
@@ -139,7 +150,7 @@ def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
     if frame.size != spec.n + 1:
         raise LengthMismatch(f"frame length {frame.size} != {spec.n + 1}")
     word = frame[:spec.n].copy()
-    synd = _syndromes(fs, word, 2 * spec.t)
+    synd = _bch_syndromes(word)
     if not any(synd):
         return word[:spec.k], 0
 
@@ -151,6 +162,6 @@ def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
     if len(flips) != nerr:
         raise DecodeFailure("locator degree does not match root count")
     word[flips] ^= 1
-    if any(_syndromes(fs, word, 2 * spec.t)):
+    if any(_bch_syndromes(word)):
         raise DecodeFailure("residual syndromes after correction")
     return word[:spec.k], len(flips)

@@ -6,7 +6,8 @@ all r q-bit parity symbols fit the frame with a small zero pad.  The
 remaining k - k' message symbols are implicit zeros (shortening).  The code
 is a GF(2)-linear subcode of RS(n, k), so the frame encoder goes through the
 binary image: the RS encoder builds a (k' p, frame bits) generator matrix per
-layout on first use, and a frame is (message bits @ G) & 1.
+layout on first use, and a frame is (message bits @ G) mod 2.  The decoder
+takes its syndromes through the layout's parity-check matrix in the same way.
 """
 from __future__ import annotations
 
@@ -17,8 +18,9 @@ import numpy as np
 
 # re-exported: callers catch crs.ConstraintViolation
 from .rs import (ConstraintViolation, DecodeFailure, LengthMismatch, rs_spec,
-                 rs_encode, decode_word, _checked_message, _encode_bits,
-                 _symbols_to_bits, _bits_to_symbols)
+                 rs_encode, _binary_syndromes, _checked_message, _correct,
+                 _encode_bits, _error_locator, _symbols_to_bits,
+                 _bits_to_symbols, _syndromes)
 
 
 class LayoutInfeasible(ValueError):
@@ -113,6 +115,24 @@ def crs_encode(layout: CrsFrameLayout, message_bits: np.ndarray) -> np.ndarray:
                         bits)
 
 
+def _crs_word(layout: CrsFrameLayout, frame: np.ndarray) -> list[int]:
+    """The RS(n, k) word of a frame: shortened zeros, the k' p-bit message
+    fields and the r parity symbols."""
+    nm = layout.message_bits
+    msg_syms = _bits_to_symbols(frame[:nm], layout.p)
+    parity = _bits_to_symbols(frame[nm:nm + layout.r * layout.q], layout.q)
+    return ([0] * (layout.k - layout.k_prime)) + msg_syms + parity
+
+
+def _crs_syndromes(layout: CrsFrameLayout, frame: np.ndarray) -> list[int]:
+    """Syndromes of a frame's word through the layout's parity-check
+    matrix."""
+    spec = rs_spec(layout.q, layout.k)
+    return _binary_syndromes(
+        layout, lambda f: _syndromes(spec.field, _crs_word(layout, f), spec.r),
+        frame, layout.q)
+
+
 def crs_decode(layout: CrsFrameLayout,
                frame: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Decode one frame -> (message bits, corrected symbols, constraint_ok).
@@ -125,14 +145,15 @@ def crs_decode(layout: CrsFrameLayout,
     if frame.size != layout.frame_bits:
         raise LengthMismatch(f"frame length {frame.size} != {layout.frame_bits}")
     spec = rs_spec(layout.q, layout.k)
-    nm = layout.message_bits
-    msg_syms = _bits_to_symbols(frame[:nm], layout.p)
-    parity = _bits_to_symbols(frame[nm:nm + layout.r * layout.q], layout.q)
-    word = ([0] * (layout.k - layout.k_prime)) + msg_syms + parity
-    decoded, positions = decode_word(spec, word)
-    if any(decoded[:layout.k - layout.k_prime]):
+    synd = _crs_syndromes(layout, frame)
+    if not any(synd):
+        return frame[:layout.message_bits].copy(), 0, True
+    lam = _error_locator(spec.field, synd)
+    word = _crs_word(layout, frame)
+    positions = _correct(spec, word, synd, lam, [1])
+    if any(word[:layout.k - layout.k_prime]):
         raise DecodeFailure("shortened prefix decoded nonzero")
-    out_syms = decoded[layout.k - layout.k_prime:layout.k]
+    out_syms = word[layout.k - layout.k_prime:layout.k]
     constraint_ok = all(s < (1 << layout.p) for s in out_syms)
     low = [s & ((1 << layout.p) - 1) for s in out_syms]
     return _symbols_to_bits(low, layout.p), len(positions), constraint_ok

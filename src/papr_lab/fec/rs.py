@@ -12,20 +12,23 @@ fill one 128-bit multicarrier frame.
 Every frame codec here (RS(25,16), BCH, constrained RS) is GF(2)-linear on
 its bits, so the frame encoders go through the binary image: the algebraic
 encoder maps each unit message to one row of a binary generator matrix G,
-built on first use, and a frame is (message bits @ G) & 1.  Decoders take
-syndromes and run the Chien search with one vectorized polynomial
-evaluation each (gf2m.poly_eval_many); Berlekamp-Massey and Forney, which
-handle at most r values, stay scalar.
+built on first use, and a frame is (message bits @ G) mod 2.  The frame
+decoders take their syndromes the same way: the scalar syndrome map builds
+a binary parity-check matrix H, and the syndromes are (frame bits @ H) mod 2
+packed to field symbols.  Only a frame whose syndromes are not explained by
+its erasures goes on to Berlekamp-Massey, and only one that passes BM's
+degree bound to the Chien search (gf2m.poly_eval_many) and Forney.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .. import gf2m
-from ..gf2m import FieldSpec, mul, inv, poly_eval, poly_mul, poly_divmod
+from ..gf2m import FieldSpec, poly_eval, poly_mul, poly_divmod
 
 
 class LengthMismatch(ValueError):
@@ -104,6 +107,7 @@ def _chien(fs: FieldSpec, n: int, locator: list[int]) -> list[int]:
 
 def _berlekamp_massey(fs: FieldSpec, syndromes: list[int]) -> list[int]:
     """Error locator from a (possibly erasure-modified) syndrome sequence."""
+    exp, log, order = fs.exp_ints, fs.log_ints, fs.order
     C = [1]
     B = [1]
     L = 0
@@ -111,16 +115,21 @@ def _berlekamp_massey(fs: FieldSpec, syndromes: list[int]) -> list[int]:
     b = 1
     for i, s in enumerate(syndromes):
         d = s
-        for j in range(1, L + 1):
-            if j < len(C):
-                d ^= mul(fs, C[j], syndromes[i - j])
+        for j in range(1, min(L, len(C) - 1) + 1):
+            c, sj = C[j], syndromes[i - j]
+            if c and sj:
+                d ^= exp[log[c] + log[sj]]
         if d == 0:
             shift += 1
             continue
-        coef = mul(fs, d, inv(fs, b))
+        lcoef = (log[d] - log[b]) % order  # log of d / b
         T = list(C)
-        adj = [0] * shift + [mul(fs, coef, c) for c in B]
-        C = gf2m.poly_add(C, adj)
+        # C += (d / b) x^shift B, in place; C is never B, and trailing
+        # zeros only lengthen the loop above by zero terms
+        C += [0] * (shift + len(B) - len(C))
+        for j, c in enumerate(B):
+            if c:
+                C[shift + j] ^= exp[lcoef + log[c]]
         if 2 * L <= i:
             L = i + 1 - L
             B = T
@@ -128,7 +137,70 @@ def _berlekamp_massey(fs: FieldSpec, syndromes: list[int]) -> list[int]:
             shift = 1
         else:
             shift += 1
-    return C
+    return gf2m.poly_trim(C)
+
+
+def _erasure_locator(fs: FieldSpec, n: int,
+                     erasures: Iterable[int]) -> list[int]:
+    """Gamma(x) = prod (1 - X_i x) over the erased positions,
+    X_i = alpha^(n-1-pos)."""
+    gamma = [1]
+    for pos in erasures:
+        gamma = poly_mul(fs, gamma, [1, gf2m.pow_alpha(fs, n - 1 - pos)])
+    return gamma
+
+
+def _modified_syndromes(fs: FieldSpec, synd: list[int],
+                        gamma: Sequence[int], r: int) -> list[int]:
+    """Coefficients f..r-1 of S(x)*Gamma(x), f = deg Gamma.  They form a pure
+    exponential sum over the error locators (erasure terms cancel), so BM on
+    this length r-f sequence recovers the error locator alone; they are all
+    zero exactly when the erasures alone explain the syndromes."""
+    product = poly_mul(fs, synd, gamma)
+    product += [0] * (r - len(product))
+    return product[len(gamma) - 1:r]
+
+
+def _error_locator(fs: FieldSpec, modified: list[int]) -> list[int]:
+    """BM on the modified syndromes; DecodeFailure past the error bound."""
+    lam = _berlekamp_massey(fs, modified)
+    if gf2m.poly_deg(lam) > len(modified) // 2:
+        raise DecodeFailure("error locator exceeds capability")
+    return lam
+
+
+def _correct(spec: RsCodeSpec, word: list[int], synd: list[int],
+             lam: list[int], gamma: Sequence[int]) -> list[int]:
+    """Chien search and Forney on the combined locator Lambda * Gamma; fixes
+    word in place and returns the positions it changed."""
+    fs = spec.field
+    n, r = spec.n, spec.r
+    psi = poly_mul(fs, lam, gamma)  # combined locator
+    if not psi:
+        raise DecodeFailure("degenerate locator")
+
+    roots_pos = _chien(fs, n, psi)
+    if len(roots_pos) != gf2m.poly_deg(psi):
+        raise DecodeFailure("locator degree does not match root count")
+
+    # Forney: Omega = S * psi mod x^r; e_j = Omega(X_j^-1) / psi'(X_j^-1)
+    omega = poly_mul(fs, synd, psi)[:r]
+    psi_prime = [c if i % 2 == 0 else 0
+                 for i, c in enumerate(psi[1:])]  # formal derivative
+    touched = []
+    for pos in roots_pos:
+        xi = gf2m.pow_alpha(fs, pos + 1 - n)
+        denom = poly_eval(fs, psi_prime, xi)
+        if denom == 0:
+            raise DecodeFailure("Forney denominator vanished")
+        mag = gf2m.div(fs, poly_eval(fs, omega, xi), denom)
+        if mag:
+            word[pos] ^= mag
+            touched.append(pos)
+
+    if any(_syndromes(fs, word, r)):
+        raise DecodeFailure("residual syndromes after correction")
+    return touched
 
 
 def rs_decode(spec: RsCodeSpec, received: Sequence[int],
@@ -159,48 +231,9 @@ def decode_word(spec: RsCodeSpec, received: Sequence[int],
     synd = _syndromes(fs, word, r)
     if not any(synd) and not erasures:
         return word, []
-
-    # erasure locator Gamma(x) = prod (1 - X_i x), X_i = alpha^(n-1-pos)
-    gamma = [1]
-    for pos in erasures:
-        gamma = poly_mul(fs, gamma, [1, gf2m.pow_alpha(fs, n - 1 - pos)])
-    # Modified syndromes: coefficients f..r-1 of S(x)*Gamma(x) form a pure
-    # exponential sum over the error locators (erasure terms cancel), so BM
-    # on this length r-f sequence recovers the error locator alone.
-    f = len(erasures)
-    product = poly_mul(fs, synd, gamma)
-    product += [0] * (r - len(product))
-    modified = product[f:r]
-
-    lam = _berlekamp_massey(fs, modified)
-    if gf2m.poly_deg(lam) > (r - f) // 2:
-        raise DecodeFailure("error locator exceeds capability")
-    psi = poly_mul(fs, lam, gamma)  # combined locator
-    if not psi:
-        raise DecodeFailure("degenerate locator")
-
-    roots_pos = _chien(fs, n, psi)
-    if len(roots_pos) != gf2m.poly_deg(psi):
-        raise DecodeFailure("locator degree does not match root count")
-
-    # Forney: Omega = S * psi mod x^r; e_j = Omega(X_j^-1) / psi'(X_j^-1)
-    omega = poly_mul(fs, synd, psi)[:r]
-    psi_prime = [c if i % 2 == 0 else 0
-                 for i, c in enumerate(psi[1:])]  # formal derivative
-    touched = []
-    for pos in roots_pos:
-        xi = gf2m.pow_alpha(fs, pos + 1 - n)
-        denom = poly_eval(fs, psi_prime, xi)
-        if denom == 0:
-            raise DecodeFailure("Forney denominator vanished")
-        mag = gf2m.div(fs, poly_eval(fs, omega, xi), denom)
-        if mag:
-            word[pos] ^= mag
-            touched.append(pos)
-
-    if any(_syndromes(fs, word, r)):
-        raise DecodeFailure("residual syndromes after correction")
-    return word, touched
+    gamma = _erasure_locator(fs, n, erasures)
+    lam = _error_locator(fs, _modified_syndromes(fs, synd, gamma, r))
+    return word, _correct(spec, word, synd, lam, gamma)
 
 
 # --- bit frames: packing, encoder input checks, binary-image encoding --------
@@ -237,18 +270,42 @@ def _checked_message(values, count: int, size: int,
 
 
 _GENERATORS: dict[Hashable, np.ndarray] = {}
+_PARITY_CHECKS: dict[Hashable, np.ndarray] = {}
+
+
+def _gf2_linear(cache: dict, code: Hashable,
+                linear: Callable[[np.ndarray], np.ndarray],
+                bits: np.ndarray) -> np.ndarray:
+    """linear(bits) for a GF(2)-linear bit map, as (bits @ A) mod 2: row i
+    of the binary matrix A is the image of the i-th unit vector.  A is built
+    on the first call for `code`, memoized in `cache` and kept in float32,
+    so the product runs through BLAS; its sums count at most one per row of
+    A, and no matrix here has more than 128 rows, so they are exact and fit
+    a uint8."""
+    A = cache.get(code)
+    if A is None:
+        A = cache[code] = np.stack(
+            [linear(e) for e in np.eye(bits.size, dtype=np.uint8)]
+        ).astype(np.float32)
+    return (bits @ A).astype(np.uint8) & 1
 
 
 def _encode_bits(code: Hashable, encode: Callable[[np.ndarray], np.ndarray],
                  bits: np.ndarray) -> np.ndarray:
-    """(bits @ G) & 1 for the binary generator matrix G of `encode`, a
-    GF(2)-linear bit encoder: row i of G is the frame of the i-th unit
-    message.  G is built on the first call for `code` and memoized."""
-    G = _GENERATORS.get(code)
-    if G is None:
-        G = _GENERATORS[code] = np.stack(
-            [encode(e) for e in np.eye(bits.size, dtype=np.uint8)])
-    return (bits @ G) & 1  # uint8 sums wrap mod 256, which keeps parity
+    """encode(bits) through the binary generator matrix G of `encode`, a
+    GF(2)-linear bit encoder."""
+    return _gf2_linear(_GENERATORS, code, encode, bits)
+
+
+def _binary_syndromes(code: Hashable,
+                      syndromes: Callable[[np.ndarray], list[int]],
+                      bits: np.ndarray, m: int) -> list[int]:
+    """syndromes(bits), the field syndromes of a received frame, through the
+    binary parity-check matrix H of that scalar map, packed to m-bit
+    symbols: row i of H holds the syndrome bits of the i-th unit frame."""
+    return _bits_to_symbols(_gf2_linear(
+        _PARITY_CHECKS, code, lambda e: _symbols_to_bits(syndromes(e), m),
+        bits), m)
 
 
 # --- punctured/shortened RS(25,16) frame codec -------------------------------
@@ -285,18 +342,48 @@ def rs2516_frame(message: Sequence[int]) -> np.ndarray:
                         _symbols_to_bits(symbols, 5))
 
 
+def _rs2516_word(frame: np.ndarray) -> list[int]:
+    """The RS(31,19) word of a frame: shortened zeros, the 25 received
+    symbols, zero fills at the punctured positions."""
+    return ([0] * _RS2516_SHORTEN + _bits_to_symbols(frame[:125], 5)
+            + [0] * _RS2516_PUNCTURE)
+
+
+def _rs2516_syndromes(frame: np.ndarray) -> list[int]:
+    """Syndromes of a frame's word through its parity-check matrix."""
+    spec = rs_spec(5, 19)
+    return _binary_syndromes(
+        "rs2516", lambda f: _syndromes(spec.field, _rs2516_word(f), spec.r),
+        frame, 5)
+
+
+@functools.cache
+def _rs2516_erasure_locator() -> tuple:
+    """Erasure locator of the punctured positions, which never change."""
+    spec = rs_spec(5, 19)
+    return tuple(_erasure_locator(
+        spec.field, spec.n, range(spec.n - _RS2516_PUNCTURE, spec.n)))
+
+
 def rs2516_decode(frame: np.ndarray) -> tuple[list[int], int]:
     """Decode one 128-bit frame; punctured parity treated as erasures."""
     frame = np.asarray(frame, dtype=np.uint8)
     if frame.size != RS2516_FRAME_BITS:
         raise LengthMismatch(f"frame length {frame.size} != {RS2516_FRAME_BITS}")
     spec = rs_spec(5, 19)
-    symbols = _bits_to_symbols(frame[:125], 5)
-    word = [0] * _RS2516_SHORTEN + symbols + [0] * _RS2516_PUNCTURE
-    erasures = range(spec.n - _RS2516_PUNCTURE, spec.n)
-    decoded, positions = decode_word(spec, word, erasures)
-    if any(decoded[:_RS2516_SHORTEN]):
+    fs = spec.field
+    synd = _rs2516_syndromes(frame)
+    gamma = _rs2516_erasure_locator()
+    modified = _modified_syndromes(fs, synd, gamma, spec.r)
+    if not any(modified):
+        # the erasures alone explain the syndromes: correction would only
+        # fill the punctured parity, so the message arrived intact
+        return _bits_to_symbols(frame[:5 * RS2516_MESSAGE_SYMBOLS], 5), 0
+    lam = _error_locator(fs, modified)
+    word = _rs2516_word(frame)
+    positions = _correct(spec, word, synd, lam, gamma)
+    if any(word[:_RS2516_SHORTEN]):
         raise DecodeFailure("shortened prefix decoded nonzero")
     # erasure fills at the punctured tail are reconstruction, not correction
     corrected = sum(1 for p in positions if p < spec.n - _RS2516_PUNCTURE)
-    return decoded[_RS2516_SHORTEN:spec.k], corrected
+    return word[_RS2516_SHORTEN:spec.k], corrected

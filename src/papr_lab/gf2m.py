@@ -30,10 +30,14 @@ class DivisionByZero(GfError):
 
 @dataclass(frozen=True)
 class FieldSpec:
+    """A field is identified by (m, primitive_poly): equality and hash ignore
+    the tables derived from them, so specs built on a field can be keys."""
     m: int
     primitive_poly: int
-    exp_table: np.ndarray  # exp_table[i] = alpha^i, length 2^m (wraps at order)
-    log_table: np.ndarray  # log_table[alpha^i] = i, log_table[0] = -1
+    # exp_table[i] = alpha^i, length 2^m (wraps at order)
+    exp_table: np.ndarray = field(compare=False, repr=False)
+    # log_table[alpha^i] = i, log_table[0] = -1
+    log_table: np.ndarray = field(compare=False, repr=False)
     # Python-int copies for the scalar operations, which index one element at
     # a time; exp_ints runs over two periods so a sum of two logs needs no mod
     exp_ints: tuple = field(init=False, repr=False, compare=False)
@@ -158,12 +162,15 @@ def poly_add(p: list[int], q: list[int]) -> list[int]:
 def poly_mul(fs: FieldSpec, p: list[int], q: list[int]) -> list[int]:
     if not p or not q:
         return []
+    exp, log = fs.exp_ints, fs.log_ints
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
+        la = log[a]
         for j, b in enumerate(q):
-            out[i + j] ^= mul(fs, a, b)
+            if b:
+                out[i + j] ^= exp[la + log[b]]
     return poly_trim(out)
 
 

@@ -47,6 +47,14 @@ class SimConfig:
         return modem.ModemConfig(M=self.M, K=self.K)
 
     def validate(self) -> None:
+        for flag, value in (("--frames", self.frames), ("--bits", self.bits),
+                            ("--workers", self.workers)):
+            if value < 1:
+                raise ConfigError(f"{flag} must be at least 1, got {value}")
+        # +inf is the noiseless point; channel.apply would take -inf for it
+        for snr in self.snr_list_db:
+            if np.isnan(snr) or snr == -np.inf:
+                raise ConfigError(f"--snr {snr} is not a dB value or inf")
         if self.frames_per_burst < 3:
             raise ConfigError("frames_per_burst must be >= 3 "
                               "(first and last frame are warm-up)")

@@ -89,3 +89,12 @@ def test_length_checks():
         bch.bch_encode(np.zeros(84, dtype=np.uint8))
     with pytest.raises(rs.LengthMismatch):
         bch.bch_decode(np.zeros(127, dtype=np.uint8))
+
+
+def test_equal_specs_compare_and_hash_equal():
+    a = bch.bch_spec()
+    b = bch.BchCodeSpec(field=gf2m.field_new(7, 0b10001001), n=a.n, k=a.k,
+                        t=a.t, generator=a.generator)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1

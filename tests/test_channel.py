@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from papr_lab import channel as chan
 
@@ -110,3 +111,49 @@ def test_equalizer_shape_check():
     ch = chan.realize(chan.make_profile("awgn"), 10e6)
     with pytest.raises(ValueError):
         chan.equalize(np.ones((32, 2), dtype=complex), ch, 64)
+
+
+# --- memoized constants against the expressions they replaced ---------------
+
+def direct_realize(profile, sample_rate, rng=None):
+    """channel.realize with the tap powers recomputed on every call."""
+    powers_lin = 10.0 ** (np.asarray(profile.tap_powers_db) / 10.0)
+    powers_lin = powers_lin / powers_lin.sum()
+    idx = np.rint(np.asarray(profile.tap_delays_ns) * 1e-9 * sample_rate)
+    idx = idx.astype(int)
+    span = int(idx.max()) + 1
+    merged = len(np.unique(idx)) != len(idx)
+    tap_power = np.zeros(span)
+    for i, p in zip(idx, powers_lin):
+        tap_power[i] += p
+    if profile.fading == "none":
+        taps = np.sqrt(tap_power).astype(complex)
+    else:
+        g = rng.standard_normal(span) + 1j * rng.standard_normal(span)
+        taps = np.sqrt(tap_power / 2.0) * g
+    if not np.any(taps):
+        taps[0] = 1.0
+    return taps, merged
+
+
+def direct_frequency_response(taps, M):
+    """channel.frequency_response with the DFT kernel rebuilt per call."""
+    t = np.arange(taps.size)
+    k = np.arange(M)[:, None]
+    return (taps * np.exp(-2j * np.pi * k * t / M)).sum(axis=1)
+
+
+@pytest.mark.parametrize("name", ["awgn", "pedestrian_b", "vehicular_a"])
+@pytest.mark.parametrize("M", [4, 8, 16, 64])
+@given(seed=st.integers(0, 2**32 - 1),
+       sample_rate=st.sampled_from([chan.DEFAULT_SAMPLE_RATE, 1e6, 30.72e6]))
+@settings(max_examples=15, deadline=None)
+def test_memoized_constants_are_bit_identical(name, M, seed, sample_rate):
+    profile = chan.make_profile(name)
+    ch = chan.realize(profile, sample_rate, np.random.default_rng(seed))
+    taps, merged = direct_realize(profile, sample_rate,
+                                  np.random.default_rng(seed))
+    assert np.array_equal(ch.fir_taps, taps)
+    assert ch.merged_taps == merged
+    assert np.array_equal(chan.frequency_response(ch, M),
+                          direct_frequency_response(taps, M))

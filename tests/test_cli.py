@@ -109,3 +109,17 @@ def test_fec_bad_size(tmp_path, capsys):
               "--in", src, "--out", tmp_path / "x.bin"])
     assert rc == 1
     assert "frame size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["papr", "--frames", 0], "--frames"),
+    (["ber", "--bits", 0, "--snr", "10"], "--bits"),
+    (["papr", "--workers", 0, "--frames", 150], "--workers"),
+    (["ber", "--snr", "nan", "--bits", 1000], "--snr"),
+])
+def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
+    rc = run(argv + ["--out", tmp_path / "x.csv"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "papr-lab: error:" in err and flag in err
+    assert not (tmp_path / "x.csv").exists()

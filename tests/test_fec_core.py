@@ -1,13 +1,18 @@
 """The GF(2)-linear codec core against the scalar algorithms it replaced.
 
-The encoders multiply message bits by a binary generator matrix; the
-decoders take syndromes and run the Chien search with one vectorized
-polynomial evaluation.  The references below are the original per-point
-loops: Horner evaluation, syndromes one power of alpha at a time, the Chien
-search one position at a time, and the per-bit symbol packing.  Decoders are
-compared on whole outcomes (message, corrected count, constraint flag, or
-the DecodeFailure raised), past the correction radius on purpose, since the
-failure path is most of what a faded RS(25,16) link decodes.
+The encoders multiply message bits by a binary generator matrix G and the
+decoders take their syndromes through a binary parity-check matrix H, both
+in float32 through BLAS; the RS(25,16) decoder builds its erasure locator
+once and skips BM when the erasures alone explain the syndromes;
+Berlekamp-Massey and poly_mul index the field tables directly.  The
+references below are the original per-point loops: Horner evaluation,
+syndromes one power of alpha at a time, products and BM one gf2m.mul per
+term, the Chien search one position at a time, the per-bit symbol packing,
+and the frame decoders that built the whole word and ran the full erasure
+path.  Decoders are compared on whole outcomes (message, corrected count,
+constraint flag, or the DecodeFailure raised), past the correction radius
+on purpose, since the failure path is most of what a faded RS(25,16) link
+decodes.
 """
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,16 +28,63 @@ from papr_lab.fec import bch, crs, rs
 
 # --- scalar references -------------------------------------------------------
 
-def scalar_syndromes(spec, received):
-    fs = spec.field
+def horner_syndromes(fs, received, count):
     rec_poly = [int(c) for c in reversed(received)]
     return [gf2m.poly_eval(fs, rec_poly, gf2m.pow_alpha(fs, j))
-            for j in range(1, spec.r + 1)]
+            for j in range(1, count + 1)]
+
+
+def scalar_syndromes(spec, received):
+    return horner_syndromes(spec.field, received, spec.r)
+
+
+def scalar_poly_mul(fs, p, q):
+    """gf2m.poly_mul with one gf2m.mul call per term."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] ^= gf2m.mul(fs, a, b)
+    return gf2m.poly_trim(out)
+
+
+def scalar_berlekamp_massey(fs, syndromes):
+    """rs._berlekamp_massey with one gf2m.mul call per term and a trimmed
+    poly_add per update."""
+    C = [1]
+    B = [1]
+    L = 0
+    shift = 1
+    b = 1
+    for i, s in enumerate(syndromes):
+        d = s
+        for j in range(1, L + 1):
+            if j < len(C):
+                d ^= gf2m.mul(fs, C[j], syndromes[i - j])
+        if d == 0:
+            shift += 1
+            continue
+        coef = gf2m.mul(fs, d, gf2m.inv(fs, b))
+        T = list(C)
+        adj = [0] * shift + [gf2m.mul(fs, coef, c) for c in B]
+        C = gf2m.poly_add(C, adj)
+        if 2 * L <= i:
+            L = i + 1 - L
+            B = T
+            b = d
+            shift = 1
+        else:
+            shift += 1
+    return C
 
 
 def scalar_decode_word(spec, received, erasures=()):
-    """rs.decode_word with Horner syndromes and a per-position Chien search
-    (the input checks left out)."""
+    """rs.decode_word with Horner syndromes, scalar BM and products, the
+    erasure locator rebuilt per call and a per-position Chien search (the
+    input checks left out)."""
     fs = spec.field
     n, r = spec.n, spec.r
     erasures = sorted(set(int(e) for e in erasures))
@@ -44,14 +96,15 @@ def scalar_decode_word(spec, received, erasures=()):
         return word, []
     gamma = [1]
     for pos in erasures:
-        gamma = gf2m.poly_mul(fs, gamma, [1, gf2m.pow_alpha(fs, n - 1 - pos)])
+        gamma = scalar_poly_mul(fs, gamma,
+                                [1, gf2m.pow_alpha(fs, n - 1 - pos)])
     f = len(erasures)
-    product = gf2m.poly_mul(fs, synd, gamma)
+    product = scalar_poly_mul(fs, synd, gamma)
     product += [0] * (r - len(product))
-    lam = rs._berlekamp_massey(fs, product[f:r])
+    lam = scalar_berlekamp_massey(fs, product[f:r])
     if gf2m.poly_deg(lam) > (r - f) // 2:
         raise rs.DecodeFailure("error locator exceeds capability")
-    psi = gf2m.poly_mul(fs, lam, gamma)
+    psi = scalar_poly_mul(fs, lam, gamma)
     if not psi:
         raise rs.DecodeFailure("degenerate locator")
     roots_pos, roots_x = [], []
@@ -62,7 +115,7 @@ def scalar_decode_word(spec, received, erasures=()):
             roots_x.append(x)
     if len(roots_pos) != gf2m.poly_deg(psi):
         raise rs.DecodeFailure("locator degree does not match root count")
-    omega = gf2m.poly_mul(fs, synd, psi)[:r]
+    omega = scalar_poly_mul(fs, synd, psi)[:r]
     psi_prime = [c if i % 2 == 0 else 0 for i, c in enumerate(psi[1:])]
     touched = []
     for pos, x in zip(roots_pos, roots_x):
@@ -77,6 +130,42 @@ def scalar_decode_word(spec, received, erasures=()):
     if any(scalar_syndromes(spec, word)):
         raise rs.DecodeFailure("residual syndromes after correction")
     return word, touched
+
+
+def rs2516_word(frame):
+    return [0] * 3 + loop_bits_to_symbols(frame[:125], 5) + [0] * 3
+
+
+def scalar_rs2516_decode(frame):
+    """rs.rs2516_decode through the whole word and the full erasure path."""
+    frame = np.asarray(frame, dtype=np.uint8)
+    spec = rs.rs_spec(5, 19)
+    decoded, positions = scalar_decode_word(spec, rs2516_word(frame),
+                                            range(28, 31))
+    if any(decoded[:3]):
+        raise rs.DecodeFailure("shortened prefix decoded nonzero")
+    return decoded[3:19], sum(1 for p in positions if p < 28)
+
+
+def crs_word(layout, frame):
+    nm = layout.message_bits
+    return ([0] * (layout.k - layout.k_prime)
+            + loop_bits_to_symbols(frame[:nm], layout.p)
+            + loop_bits_to_symbols(frame[nm:nm + layout.r * layout.q],
+                                   layout.q))
+
+
+def scalar_crs_decode(layout, frame):
+    """crs.crs_decode through the whole word and the scalar decode_word."""
+    frame = np.asarray(frame, dtype=np.uint8)
+    spec = rs.rs_spec(layout.q, layout.k)
+    decoded, positions = scalar_decode_word(spec, crs_word(layout, frame))
+    if any(decoded[:layout.k - layout.k_prime]):
+        raise rs.DecodeFailure("shortened prefix decoded nonzero")
+    out_syms = decoded[layout.k - layout.k_prime:layout.k]
+    constraint_ok = all(s < (1 << layout.p) for s in out_syms)
+    low = [s & ((1 << layout.p) - 1) for s in out_syms]
+    return loop_symbols_to_bits(low, layout.p), len(positions), constraint_ok
 
 
 def scalar_bch_decode(frame):
@@ -98,7 +187,7 @@ def scalar_bch_decode(frame):
     synd = syndromes()
     if not any(synd):
         return word[:spec.k], 0
-    lam = rs._berlekamp_massey(fs, synd)
+    lam = scalar_berlekamp_massey(fs, synd)
     nerr = gf2m.poly_deg(lam)
     if nerr > spec.t:
         raise rs.DecodeFailure("locator degree exceeds capability")
@@ -245,23 +334,23 @@ def test_rs2516_decode_matches_scalar(seed, e):
     rng = np.random.default_rng(seed)
     frame = rs.rs2516_frame([int(v) for v in rng.integers(0, 32, 16)])
     frame = _symbol_errors(rng, frame, [5] * 25, e)
-    with mock.patch.object(rs, "decode_word", scalar_decode_word):
-        want = outcome(rs.rs2516_decode, frame)
-    assert outcome(rs.rs2516_decode, frame) == want
+    assert outcome(rs.rs2516_decode, frame) == outcome(scalar_rs2516_decode,
+                                                       frame)
 
 
-@given(seed=st.integers(0, 2**32 - 1), e=st.integers(0, 6 + 3))
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_crs_decode_matches_scalar(seed, e):
-    layout = crs.crs_layout(6, 31, 19)
+def test_crs_decode_matches_scalar(seed, data):
+    layout = crs.crs_layout(
+        6, 31, data.draw(st.sampled_from(harness.DEFAULT_KSWEEP)))
+    e = data.draw(st.integers(0, layout.r // 2 + 3))
     rng = np.random.default_rng(seed)
     frame = crs.crs_encode(
         layout, rng.integers(0, 2, layout.message_bits, dtype=np.uint8))
     widths = [layout.p] * layout.k_prime + [layout.q] * layout.r
     frame = _symbol_errors(rng, frame, widths, e)
-    with mock.patch.object(crs, "decode_word", scalar_decode_word):
-        want = outcome(crs.crs_decode, layout, frame)
-    assert outcome(crs.crs_decode, layout, frame) == want
+    assert (outcome(crs.crs_decode, layout, frame)
+            == outcome(scalar_crs_decode, layout, frame))
 
 
 @given(seed=st.integers(0, 2**32 - 1), e=st.integers(0, 6 + 3))
@@ -271,3 +360,163 @@ def test_bch_decode_matches_scalar(seed, e):
     frame = bch.bch_encode(rng.integers(0, 2, 85, dtype=np.uint8))
     frame[rng.choice(127, size=e, replace=False)] ^= 1
     assert outcome(bch.bch_decode, frame) == outcome(scalar_bch_decode, frame)
+
+
+# --- parity-check matrices, table-local BM, the clean-frame shortcut ---------
+
+def _frames(rng, code, errors):
+    """(word, field, syndrome count, syndromes through H) of a random frame
+    of `code` with `errors` corrupted bits (BCH) or symbol fields (RS)."""
+    if code == "bch":
+        spec = bch.bch_spec()
+        frame = bch.bch_encode(rng.integers(0, 2, spec.k, dtype=np.uint8))
+        frame[rng.choice(spec.n, size=errors, replace=False)] ^= 1
+        word = frame[:spec.n]
+        return word, spec.field, 2 * spec.t, bch._bch_syndromes(word)
+    if code == "rs2516":
+        frame = rs.rs2516_frame([int(v) for v in rng.integers(0, 32, 16)])
+        frame = _symbol_errors(rng, frame, [5] * 25, min(errors, 25))
+        frame[125:] = rng.integers(0, 2, 3)  # the pad is not part of the word
+        return (rs2516_word(frame), rs.rs_spec(5, 19).field, 12,
+                rs._rs2516_syndromes(frame))
+    layout = crs.crs_layout(6, 31, int(code.split("_")[1]))
+    frame = crs.crs_encode(
+        layout, rng.integers(0, 2, layout.message_bits, dtype=np.uint8))
+    widths = [layout.p] * layout.k_prime + [layout.q] * layout.r
+    frame = _symbol_errors(rng, frame, widths, min(errors, len(widths)))
+    return (crs_word(layout, frame), rs.rs_spec(5, layout.k).field, layout.r,
+            crs._crs_syndromes(layout, frame))
+
+
+@pytest.mark.parametrize(
+    "code", ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP])
+@given(seed=st.integers(0, 2**32 - 1), errors=st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_parity_check_syndromes_equal_horner(code, seed, errors):
+    word, fs, count, got = _frames(np.random.default_rng(seed), code, errors)
+    assert got == horner_syndromes(fs, word, count)
+
+
+@pytest.mark.parametrize("m", [5, 7])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_table_berlekamp_massey_equals_scalar(m, data):
+    fs = gf2m.cached_field(m)
+    synd = data.draw(st.lists(st.integers(0, fs.order), max_size=16))
+    assert rs._berlekamp_massey(fs, synd) == scalar_berlekamp_massey(fs, synd)
+
+
+@pytest.mark.parametrize("m", [5, 7])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_table_poly_mul_equals_scalar(m, data):
+    fs = gf2m.cached_field(m)
+    p, q = (data.draw(st.lists(st.integers(0, fs.order), max_size=14))
+            for _ in range(2))
+    assert gf2m.poly_mul(fs, p, q) == scalar_poly_mul(fs, p, q)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_rs2516_clean_shortcut_equals_erasure_path(seed):
+    """A punctured codeword has zero modified syndromes, so rs2516_decode
+    returns before BM; the full erasure path must give the same result."""
+    rng = np.random.default_rng(seed)
+    frame = rs.rs2516_frame([int(v) for v in rng.integers(0, 32, 16)])
+    frame[125:] = rng.integers(0, 2, 3)
+    spec = rs.rs_spec(5, 19)
+    modified = rs._modified_syndromes(spec.field, rs._rs2516_syndromes(frame),
+                                      rs._rs2516_erasure_locator(), spec.r)
+    assert not any(modified)
+    assert outcome(rs.rs2516_decode, frame) == outcome(scalar_rs2516_decode,
+                                                       frame)
+
+
+def gf2_solve(A, y):
+    """Some x with (x @ A) mod 2 == y, by Gauss-Jordan elimination on the
+    transposed system; A must have full column rank."""
+    M = np.concatenate([A.T, y[:, None]], axis=1).astype(np.uint8)
+    pivots = []
+    for col in range(A.shape[0]):
+        rows = np.flatnonzero(M[len(pivots):, col])
+        if rows.size == 0:
+            continue
+        r = len(pivots) + rows[0]
+        M[[len(pivots), r]] = M[[r, len(pivots)]]
+        hit = np.flatnonzero(M[:, col])
+        hit = hit[hit != len(pivots)]
+        M[hit] ^= M[len(pivots)]
+        pivots.append(col)
+        if len(pivots) == M.shape[0]:
+            break
+    x = np.zeros(A.shape[0], dtype=np.uint8)
+    x[pivots] = M[:len(pivots), -1]
+    return x
+
+
+def rs2516_modified(frame):
+    """Coefficients 3..11 of S(x) Gamma(x) for the punctured positions."""
+    fs = rs.rs_spec(5, 19).field
+    gamma = [1]
+    for pos in range(28, 31):
+        gamma = scalar_poly_mul(fs, gamma, [1, gf2m.pow_alpha(fs, 30 - pos)])
+    product = scalar_poly_mul(
+        fs, horner_syndromes(fs, rs2516_word(frame), 12), gamma)
+    return (product + [0] * 12)[3:12]
+
+
+@given(seed=st.integers(0, 2**32 - 1), at=st.integers(0, 8),
+       value=st.integers(1, 31))
+@settings(max_examples=60, deadline=None)
+def test_rs2516_one_modified_syndrome_takes_the_full_path(seed, at, value):
+    """A frame whose modified syndromes are zero but for one symbol must not
+    take the clean-frame shortcut."""
+    rows = [loop_symbols_to_bits(rs2516_modified(e), 5)
+            for e in np.eye(128, dtype=np.uint8)]
+    target = [0] * 9
+    target[at] = value
+    offset = gf2_solve(np.array(rows), loop_symbols_to_bits(target, 5))
+    rng = np.random.default_rng(seed)
+    frame = rs.rs2516_frame([int(v) for v in rng.integers(0, 32, 16)])
+    frame ^= offset
+    assert rs2516_modified(frame) == target
+    assert outcome(rs.rs2516_decode, frame) == outcome(scalar_rs2516_decode,
+                                                       frame)
+
+
+@pytest.mark.parametrize(
+    "code", ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_float32_generator_product_equals_uint8(code, seed):
+    matrix, _, k_bits = _encoders(code)
+    bits = np.random.default_rng(seed).integers(0, 2, k_bits, dtype=np.uint8)
+    frame = matrix(bits)
+    key = (code if code in ("bch", "rs2516")
+           else crs.crs_layout(6, 31, int(code.split("_")[1])))
+    G = rs._GENERATORS[key]
+    assert G.dtype == np.float32
+    assert np.array_equal(frame, (bits @ G.astype(np.uint8)) & 1)
+
+
+def test_racing_first_decodes_agree():
+    """Burst threads may build the same parity-check matrix at once; every
+    decode must still equal the scalar one."""
+    layout = crs.crs_layout(6, 31, 21)
+    rng = np.random.default_rng(5)
+    widths = [layout.p] * layout.k_prime + [layout.q] * layout.r
+    frames = [_symbol_errors(rng, crs.crs_encode(layout, m), widths,
+                             int(rng.integers(0, 8)))
+              for m in rng.integers(0, 2, (64, layout.message_bits),
+                                    dtype=np.uint8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.dict(rs._PARITY_CHECKS, clear=True), \
+                ThreadPoolExecutor(max_workers=8) as ex:
+            got = list(ex.map(lambda f: outcome(crs.crs_decode, layout, f),
+                              frames, timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    for out, frame in zip(got, frames):
+        assert out == outcome(scalar_crs_decode, layout, frame)

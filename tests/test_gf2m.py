@@ -110,3 +110,13 @@ def test_canonical_moduli():
     assert GF32.primitive_poly == 0b100101
     assert GF128.primitive_poly == 0b10001001
     assert gf2m.cached_field(5) is GF32  # shared instance
+
+
+def test_fields_compare_and_hash_by_modulus():
+    a = gf2m.field_new(5, 37)
+    b = gf2m.field_new(5, 37)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a == GF32 and a != GF128
+    assert a != gf2m.field_new(5, 0b111101)  # another primitive modulus
+    assert len({a, b, GF32}) == 1

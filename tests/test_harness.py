@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from papr_lab import harness
+from papr_lab.fec import bch, crs, rs
 from papr_lab.harness import SimConfig
 
 
@@ -32,6 +35,12 @@ class TestSchemes:
 
 class TestConfig:
     def test_validation(self):
+        for bad in (dict(frames=0), dict(bits=0), dict(workers=0),
+                    dict(snr_list_db=(4.0, float("nan"))),
+                    dict(snr_list_db=(-np.inf,))):
+            with pytest.raises(harness.ConfigError):
+                SimConfig(**bad).validate()
+        SimConfig(snr_list_db=(np.inf,)).validate()  # the noiseless point
         with pytest.raises(harness.ConfigError):
             SimConfig(frames_per_burst=2).validate()
         with pytest.raises(harness.ConfigError):
@@ -138,3 +147,33 @@ class TestCsv:
     def test_unwritable_path(self):
         with pytest.raises(IOError):
             harness.emit_ber_csv([], "/nonexistent-dir/x.csv")
+
+
+class TestBenchmarkContract:
+    """perfbench counts and radius-checks each decode by wrapping the
+    per-frame codec functions by module attribute.  A batched path that
+    bypassed them would silently drop those counts, so the harness must call
+    each of them once per frame."""
+
+    CODEC = {"bch": ("bch_encode", "bch_decode", 85),
+             "rs2516": ("rs2516_frame", "rs2516_decode", 80),
+             "crs31_19": ("crs_encode", "crs_decode", 64)}
+
+    @pytest.mark.parametrize("scheme", sorted(CODEC))
+    def test_codec_called_once_per_frame(self, monkeypatch, scheme):
+        calls = Counter()
+        for mod, name in ((bch, "bch_encode"), (rs, "rs2516_frame"),
+                          (crs, "crs_encode"), (bch, "bch_decode"),
+                          (rs, "rs2516_decode"), (crs, "crs_decode")):
+            def counted(*args, _fn=getattr(mod, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(mod, name, counted)
+        encode, decode, payload = self.CODEC[scheme]
+        bursts = 2
+        cfg = SimConfig(scheme=scheme, channel="awgn", snr_list_db=(4.0,),
+                        bits=bursts * 8 * payload, master_seed=1)
+        rec = harness.run_ber_sweep(cfg)[0]
+        assert rec.bits_total == bursts * 8 * payload
+        # 10 frames per burst are encoded, the 8 measured ones decoded
+        assert calls == {encode: bursts * 10, decode: bursts * 8}

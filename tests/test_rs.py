@@ -159,3 +159,13 @@ def test_bit_symbol_packing_roundtrip():
     assert rs._bits_to_symbols(rs._symbols_to_bits(syms, 5), 5) == syms
     # MSB-first convention
     assert list(rs._symbols_to_bits([0b10011], 5)) == [1, 0, 0, 1, 1]
+
+
+def test_equal_specs_compare_and_hash_equal():
+    a = rs.rs_spec(5, 19)
+    b = rs.RsCodeSpec(field=gf2m.field_new(5, 37), n=31, k=19,
+                      generator=a.generator)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != rs.rs_spec(5, 21)
+    assert {a: 1}[b] == 1
