@@ -54,7 +54,9 @@ def make_profile(name: str) -> ChannelProfile:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    fir_taps: np.ndarray  # complex, at the simulation sample rate
+    # complex, at the simulation sample rate; (bursts, span) stacks the
+    # realizations of several bursts for equalize
+    fir_taps: np.ndarray
     merged_taps: bool = False  # True when delays collided onto one sample
 
     def __post_init__(self):
@@ -107,12 +109,14 @@ def apply(signal: np.ndarray, ch: ChannelRealization, snr_db: float,
     """Convolve with the channel taps and add complex white Gaussian noise.
 
     Noise power is set against the empirical power of the faded signal so
-    the received SNR over the full band equals snr_db.  snr_db = inf (or
-    None) skips the noise entirely.
+    the received SNR over the full band equals snr_db.  snr_db = +inf (or
+    None) skips the noise entirely; NaN and -inf raise ValueError.
     """
+    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
+        raise ValueError(f"snr_db {snr_db} is not a dB value or +inf")
     signal = np.asarray(signal, dtype=complex)
     faded = np.convolve(signal, ch.fir_taps)
-    if snr_db is None or math.isinf(snr_db):
+    if snr_db is None or snr_db == math.inf:
         return faded
     if rng is None:
         raise ValueError("finite snr requires an rng")
@@ -137,21 +141,24 @@ def _dft_kernel(M: int, span: int) -> np.ndarray:
 
 
 def frequency_response(ch: ChannelRealization, M: int) -> np.ndarray:
-    """Channel response at the M sub-channel center frequencies 2 pi k / M."""
-    return (ch.fir_taps * _dft_kernel(M, ch.fir_taps.size)).sum(axis=1)
+    """Channel response at the M sub-channel center frequencies 2 pi k / M,
+    (..., M) for taps (..., span)."""
+    taps = ch.fir_taps[..., None, :]
+    return (taps * _dft_kernel(M, taps.shape[-1])).sum(axis=-1)
 
 
 def equalize(grid: np.ndarray, ch: ChannelRealization,
              M: int) -> tuple[np.ndarray, np.ndarray]:
     """One-tap zero-forcing per sub-channel with genie channel knowledge.
 
-    Returns (equalized grid, singular-subchannel mask); sub-channels whose
+    grid is (..., M, n) and ch holds the matching (..., span) taps.  Returns
+    (equalized grid, singular-subchannel mask (..., M)); sub-channels whose
     response magnitude is below the threshold pass through unequalized and
     are flagged.
     """
-    if grid.shape[0] != M:
-        raise ValueError(f"grid has {grid.shape[0]} sub-channels, expected {M}")
+    if grid.shape[-2] != M:
+        raise ValueError(f"grid has {grid.shape[-2]} sub-channels, expected {M}")
     H = frequency_response(ch, M)
     singular = np.abs(H) < SINGULAR_THRESHOLD
     Hsafe = np.where(singular, 1.0, H)
-    return grid / Hsafe[:, None], singular
+    return grid / Hsafe[..., None], singular

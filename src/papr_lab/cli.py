@@ -154,16 +154,6 @@ def _cmd_ksweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _frame_to_bits(block: bytes) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(block, dtype=np.uint8))
-
-
-def _bits_to_frame(bits: np.ndarray) -> bytes:
-    padded = np.zeros(8 * FRAME_BYTES, dtype=np.uint8)
-    padded[:bits.size] = bits
-    return np.packbits(padded).tobytes()
-
-
 def _cmd_fec(args: argparse.Namespace) -> int:
     scheme = harness.get_scheme(args.scheme)
     with open(args.infile, "rb") as fh:
@@ -171,17 +161,17 @@ def _cmd_fec(args: argparse.Namespace) -> int:
     if len(data) % FRAME_BYTES:
         raise ValueError(f"{args.infile}: size {len(data)} is not a multiple "
                          f"of the {FRAME_BYTES}-byte frame size")
-    out_blocks = []
-    for off in range(0, len(data), FRAME_BYTES):
-        bits = _frame_to_bits(data[off:off + FRAME_BYTES])
-        if args.mode == "encode":
-            out_bits = scheme.encode(bits[:scheme.payload_bits])
-        else:
-            out_bits = scheme.decode(bits)
-        out_blocks.append(_bits_to_frame(np.asarray(out_bits, dtype=np.uint8)))
+    frames = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).reshape(
+        -1, 8 * FRAME_BYTES)
+    if args.mode == "encode":
+        out_bits = scheme.encode(frames[:, :scheme.payload_bits])
+    else:
+        out_bits = scheme.decode(frames)
+    padded = np.zeros_like(frames)
+    padded[:, :out_bits.shape[1]] = out_bits
     with open(args.outfile, "wb") as fh:
-        fh.write(b"".join(out_blocks))
-    print(f"{args.mode}d {len(out_blocks)} frame(s) with {args.scheme} "
+        fh.write(np.packbits(padded, axis=1).tobytes())
+    print(f"{args.mode}d {len(frames)} frame(s) with {args.scheme} "
           f"-> {args.outfile}")
     return 0
 

@@ -3,6 +3,7 @@
 Forward: F(y) = sgn(y) ln(1 + mu |y|) / ln(1 + mu) on peak-normalized
 components; inverse: F^-1(r) = sgn(r) (1/mu) ((1 + mu)^|r| - 1), then the
 peak scale is restored.  The scale is treated as known at the receiver.
+Each row of a stacked signal (..., samples) is one burst with its own scale.
 """
 from __future__ import annotations
 
@@ -10,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import DegenerateSignal  # noqa: F401  (re-exported)
+
 CLAMP_TOLERANCE = 1e-6
-
-
-class DegenerateSignal(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -34,31 +33,35 @@ def _inverse(r: np.ndarray, mu: float) -> np.ndarray:
     return np.sign(r) * (np.expm1(np.abs(r) * np.log1p(mu))) / mu
 
 
-def mu_compress(signal: np.ndarray,
-                cfg: CompanderConfig = CompanderConfig()) -> tuple[np.ndarray, float]:
+def mu_compress(signal: np.ndarray, cfg: CompanderConfig = CompanderConfig()
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Compand a complex signal; returns (companded signal, peak scale).
 
-    The scale is the largest absolute real or imaginary component; both
-    components are normalized by it before the transform, so outputs lie in
-    [-1, 1] per component.  An all-zero signal passes through with scale 1.
+    The scale of each row (the last axis) is its largest absolute real or
+    imaginary component, a float for a 1-D signal and an array of the
+    leading shape for a stack; both components are normalized by it before
+    the transform, so outputs lie in [-1, 1] per component.  An all-zero row
+    passes through with scale 1.
     """
     signal = np.asarray(signal, dtype=complex)
     if signal.size == 0:
         raise DegenerateSignal("empty signal")
-    scale = max(np.max(np.abs(signal.real)), np.max(np.abs(signal.imag)))
-    if scale == 0.0:
-        return signal.copy(), 1.0
-    out = (_forward(signal.real / scale, cfg.mu)
-           + 1j * _forward(signal.imag / scale, cfg.mu))
-    return out, float(scale)
+    scale = np.maximum(np.abs(signal.real).max(axis=-1),
+                       np.abs(signal.imag).max(axis=-1))
+    scale = np.where(scale == 0.0, 1.0, scale)[()]
+    rows = np.asarray(scale)[..., None]
+    out = (_forward(signal.real / rows, cfg.mu)
+           + 1j * _forward(signal.imag / rows, cfg.mu))
+    return out, scale
 
 
-def mu_expand(signal: np.ndarray, scale: float,
+def mu_expand(signal: np.ndarray, scale,
               cfg: CompanderConfig = CompanderConfig()) -> tuple[np.ndarray, int]:
     """Invert mu_compress; returns (signal, saturation count).
 
-    Components outside [-1, 1] (noise overshoot) are clamped; the count of
-    clamped components beyond the tolerance is reported.
+    scale is mu_compress's, one per row.  Components outside [-1, 1] (noise
+    overshoot) are clamped; the count of clamped components beyond the
+    tolerance, over all rows, is reported.
     """
     signal = np.asarray(signal, dtype=complex)
     re, im = signal.real, signal.imag
@@ -66,5 +69,6 @@ def mu_expand(signal: np.ndarray, scale: float,
                     + np.sum(np.abs(im) > 1 + CLAMP_TOLERANCE))
     re = np.clip(re, -1.0, 1.0)
     im = np.clip(im, -1.0, 1.0)
-    out = (_inverse(re, cfg.mu) + 1j * _inverse(im, cfg.mu)) * scale
+    out = ((_inverse(re, cfg.mu) + 1j * _inverse(im, cfg.mu))
+           * np.asarray(scale)[..., None])
     return out, saturated

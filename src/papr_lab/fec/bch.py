@@ -124,7 +124,8 @@ def _bch_encode_algebraic(message: np.ndarray) -> np.ndarray:
 
 
 def bch_encode(message: np.ndarray) -> np.ndarray:
-    """85 message bits -> 128-bit frame (127 codeword bits + 1 zero pad)."""
+    """85 message bits -> 128-bit frame (127 codeword bits + 1 zero pad);
+    a (..., 85) stack gives (..., 128) frames."""
     bits = _checked_message(message, bch_spec().k, 2, "message bit")
     return _encode_bits("bch", _bch_encode_algebraic, bits)
 

@@ -105,7 +105,8 @@ def _crs_encode_algebraic(layout: CrsFrameLayout,
 
 
 def crs_encode(layout: CrsFrameLayout, message_bits: np.ndarray) -> np.ndarray:
-    """k'*p message bits -> one frame_bits-long bit frame.
+    """k'*p message bits -> one frame_bits-long bit frame; a (..., k'*p)
+    stack gives (..., frame_bits) frames.
 
     Frame layout: [k' p-bit message fields | r q-bit parity symbols | zero pad].
     """

@@ -29,10 +29,7 @@ import numpy as np
 
 from .. import gf2m
 from ..gf2m import FieldSpec, poly_eval, poly_mul, poly_divmod
-
-
-class LengthMismatch(ValueError):
-    pass
+from ..metrics import LengthMismatch  # noqa: F401  (re-exported)
 
 
 class DecodeFailure(Exception):
@@ -239,33 +236,44 @@ def decode_word(spec: RsCodeSpec, received: Sequence[int],
 # --- bit frames: packing, encoder input checks, binary-image encoding --------
 
 def _symbols_to_bits(symbols: Sequence[int], q: int) -> np.ndarray:
-    """Low q bits of each symbol, most significant first."""
-    s = np.asarray(symbols, dtype=np.int64).reshape(-1, 1)
-    return ((s >> np.arange(q - 1, -1, -1)) & 1).astype(np.uint8).ravel()
+    """Low q bits of each symbol, most significant first; (..., n) symbols
+    give (..., n q) bits."""
+    s = np.asarray(symbols, dtype=np.int64)
+    bits = (s[..., None] >> np.arange(q - 1, -1, -1)) & 1
+    return bits.astype(np.uint8).reshape(*s.shape[:-1], -1)
+
+
+def _pack_symbols(bits: np.ndarray, q: int) -> np.ndarray:
+    """Whole q-bit fields of the last axis of bits, most significant first;
+    a short tail is dropped."""
+    bits = np.asarray(bits)
+    n = bits.shape[-1] // q
+    fields = bits[..., :n * q].astype(np.int64).reshape(*bits.shape[:-1], n, q)
+    return fields @ (1 << np.arange(q - 1, -1, -1))
 
 
 def _bits_to_symbols(bits: np.ndarray, q: int) -> list[int]:
-    """Whole q-bit fields of bits, most significant first; a short tail is
-    dropped."""
-    n = len(bits) // q
-    fields = np.asarray(bits[:n * q], dtype=np.int64).reshape(n, q)
-    return (fields @ (1 << np.arange(q - 1, -1, -1))).tolist()
+    """_pack_symbols of one bit vector, as a list."""
+    return _pack_symbols(bits, q).tolist()
 
 
 def _checked_message(values, count: int, size: int,
                      what: str) -> np.ndarray:
-    """An encoder's message as uint8.  LengthMismatch unless it has count
-    entries; ConstraintViolation names the first entry that is not an
-    integer in [0, size)."""
+    """An encoder's message, or a (..., count) stack of them, as uint8.
+    LengthMismatch unless the last axis has count entries;
+    ConstraintViolation names the first entry that is not an integer in
+    [0, size) and its index in the message (and in the stack)."""
     a = np.asarray(values)
-    if a.size != count:
-        raise LengthMismatch(f"message length {a.size} != {count}")
+    if a.shape[-1:] != (count,):
+        raise LengthMismatch(
+            f"message length {a.shape[-1] if a.ndim else a.size} != {count}")
     v = a.astype(np.uint8)
-    bad = np.flatnonzero((v != a) | (v >= size))
+    bad = np.argwhere((v != a) | (v >= size))
     if bad.size:
-        i = bad[0]
+        i = tuple(bad[0])
+        where = i[0] if len(i) == 1 else i
         raise ConstraintViolation(
-            f"{what} {a.flat[i]} at index {i} outside 0..{size - 1}")
+            f"{what} {a[i]} at index {where} outside 0..{size - 1}")
     return v
 
 
@@ -276,16 +284,19 @@ _PARITY_CHECKS: dict[Hashable, np.ndarray] = {}
 def _gf2_linear(cache: dict, code: Hashable,
                 linear: Callable[[np.ndarray], np.ndarray],
                 bits: np.ndarray) -> np.ndarray:
-    """linear(bits) for a GF(2)-linear bit map, as (bits @ A) mod 2: row i
-    of the binary matrix A is the image of the i-th unit vector.  A is built
-    on the first call for `code`, memoized in `cache` and kept in float32,
-    so the product runs through BLAS; its sums count at most one per row of
-    A, and no matrix here has more than 128 rows, so they are exact and fit
-    a uint8."""
+    """linear(bits) for a GF(2)-linear bit map, as (bits @ A) mod 2, on one
+    bit vector or a (..., n) stack of them: row i of the binary matrix A is
+    the image of the i-th unit vector.  A is built on the first call for
+    `code`, memoized in `cache` and kept in float32, so the product runs
+    through BLAS; its sums count at most one per row of A, and no matrix
+    here has more than 128 rows, so they are exact and fit a uint8.  A
+    (bursts, frames, n) stack goes to BLAS as one product per burst; for
+    10-frame bursts each is small enough that BLAS stays on the calling
+    thread."""
     A = cache.get(code)
     if A is None:
         A = cache[code] = np.stack(
-            [linear(e) for e in np.eye(bits.size, dtype=np.uint8)]
+            [linear(e) for e in np.eye(bits.shape[-1], dtype=np.uint8)]
         ).astype(np.float32)
     return (bits @ A).astype(np.uint8) & 1
 
@@ -335,7 +346,8 @@ def _rs2516_frame_algebraic(bits: np.ndarray) -> np.ndarray:
 
 
 def rs2516_frame(message: Sequence[int]) -> np.ndarray:
-    """Encode and pack to one 128-bit frame (125 payload bits + 3 zero pad)."""
+    """Encode and pack to one 128-bit frame (125 payload bits + 3 zero pad);
+    a (..., 16) stack of messages gives (..., 128) frames."""
     symbols = _checked_message(message, RS2516_MESSAGE_SYMBOLS, 32,
                                "message symbol")
     return _encode_bits("rs2516", _rs2516_frame_algebraic,

@@ -4,8 +4,10 @@ sweeps, and CSV emission.
 Reproducibility: every burst gets its own RNG streams derived from
 (master_seed, scenario key, burst index, role), role in {payload, fading,
 noise}.  Paired comparisons across schemes therefore share payload and
-channel randomness.  Bursts are independent work units; results are merged
-in burst order so output is byte-identical at any worker count.
+channel randomness.  Bursts run in fixed chunks of consecutive bursts, each
+chunk stacked through encoder, modem, compander and equalizer as one array;
+chunks are the work units of the worker threads, and results are merged in
+burst order, so output is byte-identical at any worker count.
 """
 from __future__ import annotations
 
@@ -23,6 +25,16 @@ from .metrics import BerRecord, CcdfCurve
 
 class ConfigError(ValueError):
     pass
+
+
+# A BER burst peaks at about 10 KiB per frame (tracemalloc: 10.6 KiB in
+# 10-frame bursts, 9.2 KiB in one 1,000-frame burst, rs2516 + mu-law).
+# Frames per chunk of bursts: a 10-frame burst costs about 100 us of numpy
+# and Python call overhead alone, so bursts run stacked, in chunks that keep
+# the working set near 1 MiB.  A burst longer than this is a chunk of one.
+CHUNK_FRAMES = 100
+# One burst is one stack, so this bounds its working set at about 100 MiB.
+MAX_FRAMES_PER_BURST = 10_000
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,11 @@ class SimConfig:
         return modem.ModemConfig(M=self.M, K=self.K)
 
     def validate(self) -> None:
+        if not 3 <= self.frames_per_burst <= MAX_FRAMES_PER_BURST:
+            raise ConfigError(
+                f"--frames-per-burst must be in 3..{MAX_FRAMES_PER_BURST} "
+                f"(first and last frame are warm-up), "
+                f"got {self.frames_per_burst}")
         for flag, value in (("--frames", self.frames), ("--bits", self.bits),
                             ("--workers", self.workers)):
             if value < 1:
@@ -55,9 +72,6 @@ class SimConfig:
         for snr in self.snr_list_db:
             if np.isnan(snr) or snr == -np.inf:
                 raise ConfigError(f"--snr {snr} is not a dB value or inf")
-        if self.frames_per_burst < 3:
-            raise ConfigError("frames_per_burst must be >= 3 "
-                              "(first and last frame are warm-up)")
         if self.load not in ("random", "full"):
             raise ConfigError(f"unknown load {self.load!r}")
         get_scheme(self.scheme, self.M)  # raises on unknown/infeasible
@@ -68,7 +82,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Scheme:
-    """One frame-level coding scheme: payload bits in, 2M-bit frame out."""
+    """One frame-level coding scheme: encode maps (..., payload bits) to
+    (..., 2M-bit frames) in one call; decode maps (..., 2M) frames to
+    (..., payload bits), calling the frame decoder once per frame."""
     name: str
     payload_bits: int
     encode: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -80,42 +96,51 @@ def _none_scheme(frame_bits: int) -> Scheme:
     return Scheme("none", frame_bits, ident, ident)
 
 
-def _bch_scheme() -> Scheme:
-    spec = bch.bch_spec()
-
-    def decode(frame):
+def _decode_each(frames: np.ndarray, decode: Callable, k: int,
+                 unpack: Callable = np.asarray) -> np.ndarray:
+    """decode(frame) for each frame of (..., frame bits), the results
+    stacked through unpack into k payload bits each; a frame whose decode
+    fails keeps its k raw systematic bits."""
+    frames = np.asarray(frames, dtype=np.uint8)
+    out = frames[..., :k].copy()
+    flat = out.reshape(-1, k)  # a view: rows written below land in out
+    done, decoded = [], []
+    for i, frame in enumerate(frames.reshape(-1, frames.shape[-1])):
         try:
-            return bch.bch_decode(frame)[0]
+            decoded.append(decode(frame))
         except rs.DecodeFailure:
-            return np.asarray(frame[:spec.k], dtype=np.uint8)
-    return Scheme("bch", spec.k, bch.bch_encode, decode)
+            continue
+        done.append(i)
+    if done:
+        flat[done] = unpack(decoded)
+    return out
+
+
+def _bch_scheme() -> Scheme:
+    k = bch.bch_spec().k
+    return Scheme("bch", k, bch.bch_encode, lambda frames: _decode_each(
+        frames, lambda f: bch.bch_decode(f)[0], k))
 
 
 def _rs2516_scheme() -> Scheme:
+    # payload bits <-> message symbols once per chunk
     def encode(payload):
-        return rs.rs2516_frame(rs._bits_to_symbols(
-            np.asarray(payload, dtype=np.uint8), 5))
+        return rs.rs2516_frame(rs._pack_symbols(payload, 5))
 
-    def decode(frame):
-        try:
-            syms, _ = rs.rs2516_decode(frame)
-            return rs._symbols_to_bits(syms, 5)
-        except rs.DecodeFailure:
-            return np.asarray(frame[:80], dtype=np.uint8)
+    def decode(frames):
+        return _decode_each(frames, lambda f: rs.rs2516_decode(f)[0], 80,
+                            lambda syms: rs._symbols_to_bits(syms, 5))
     return Scheme("rs2516", 80, encode, decode)
 
 
 def _crs_scheme(k: int, M: int) -> Scheme:
     N = int(np.log2(M))
     layout = crs.crs_layout(N, 31, k)
-
-    def decode(frame):
-        try:
-            return crs.crs_decode(layout, frame)[0]
-        except rs.DecodeFailure:
-            return np.asarray(frame[:layout.message_bits], dtype=np.uint8)
     return Scheme(f"crs31_{k}", layout.message_bits,
-                  lambda b: crs.crs_encode(layout, b), decode)
+                  lambda b: crs.crs_encode(layout, b),
+                  lambda frames: _decode_each(
+                      frames, lambda f: crs.crs_decode(layout, f)[0],
+                      layout.message_bits))
 
 
 def get_scheme(name: str, M: int = 64) -> Scheme:
@@ -172,22 +197,20 @@ class PaprResult:
         return metrics.papr_at_probability(self.curve, prob)
 
 
-def _payload_frames(scheme: Scheme, cfg: SimConfig,
-                    rng: np.random.Generator | None) -> np.ndarray:
-    fpb = cfg.frames_per_burst
-    if cfg.load == "full":
-        payloads = np.ones((fpb, scheme.payload_bits), dtype=np.uint8)
-    else:
-        payloads = rng.integers(0, 2, (fpb, scheme.payload_bits)).astype(np.uint8)
-    return payloads
-
-
-def _encode_burst(scheme: Scheme, payloads: np.ndarray) -> np.ndarray:
-    return np.stack([scheme.encode(p) for p in payloads])
+def _payloads(scheme: Scheme, cfg: SimConfig, key: int,
+              bursts: range) -> np.ndarray:
+    """(bursts, frames_per_burst, payload bits), each burst drawn from its
+    own payload stream."""
+    shape = (cfg.frames_per_burst, scheme.payload_bits)
+    return np.stack([
+        _rng(cfg.master_seed, key, b, _ROLE_PAYLOAD).integers(0, 2, shape)
+        for b in bursts]).astype(np.uint8)
 
 
 def _tx_burst(cfg: SimConfig, mcfg: modem.ModemConfig,
-              frames: np.ndarray) -> tuple[np.ndarray, float]:
+              frames: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """Frames (..., L, 2M) -> transmitted bursts (..., samples) and their
+    compander scales (1 without companding)."""
     sig = modem.modulate_frames(frames, mcfg)
     scale = 1.0
     if cfg.companding:
@@ -196,22 +219,30 @@ def _tx_burst(cfg: SimConfig, mcfg: modem.ModemConfig,
     return sig, scale
 
 
-def _papr_burst(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
-                burst: int) -> np.ndarray:
-    rng = _rng(cfg.master_seed, 0, burst, _ROLE_PAYLOAD)
-    payloads = _payload_frames(scheme, cfg, rng)
-    frames = _encode_burst(scheme, payloads)
+def _papr_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
+                bursts: range) -> np.ndarray:
+    if cfg.load == "full":
+        payloads = np.ones((len(bursts), cfg.frames_per_burst,
+                            scheme.payload_bits), dtype=np.uint8)
+    else:
+        payloads = _payloads(scheme, cfg, 0, bursts)
+    frames = scheme.encode(payloads)
     sig, _ = _tx_burst(cfg, mcfg, frames)
     vals = metrics.frame_paprs(sig, cfg.M, mcfg.Lp, cfg.frames_per_burst)
-    return vals[1:-1]  # warm-up frames excluded
+    return vals[:, 1:-1].ravel()  # warm-up frames excluded
 
 
-def _run_bursts(n_bursts: int, worker: Callable[[int], object],
-                workers: int) -> list:
-    if workers <= 1:
-        return [worker(b) for b in range(n_bursts)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(worker, range(n_bursts)))
+def _run_bursts(n_bursts: int, cfg: SimConfig,
+                worker: Callable[[range], object]) -> list:
+    """worker(chunk) for each chunk of consecutive bursts, in burst order.
+    The chunk layout depends on frames_per_burst alone, not on workers."""
+    size = max(1, CHUNK_FRAMES // cfg.frames_per_burst)
+    chunks = [range(b, min(b + size, n_bursts))
+              for b in range(0, n_bursts, size)]
+    if cfg.workers <= 1:
+        return [worker(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
+        return list(ex.map(worker, chunks))
 
 
 def run_papr_experiment(cfg: SimConfig) -> PaprResult:
@@ -224,12 +255,11 @@ def run_papr_experiment(cfg: SimConfig) -> PaprResult:
     n_bursts = -(-cfg.frames // per_burst)
     if cfg.load == "full":
         # full load is deterministic: one burst, repeated
-        vals = _papr_burst(cfg, scheme, mcfg, 0)
+        vals = _papr_chunk(cfg, scheme, mcfg, range(1))
         samples = np.tile(vals, n_bursts)[:cfg.frames]
     else:
         chunks = _run_bursts(
-            n_bursts, lambda b: _papr_burst(cfg, scheme, mcfg, b),
-            cfg.workers)
+            n_bursts, cfg, lambda c: _papr_chunk(cfg, scheme, mcfg, c))
         samples = np.concatenate(chunks)[:cfg.frames]
     curve = metrics.ccdf(samples) if samples.size >= 100 else None
     return PaprResult(scheme=cfg.scheme, companding=cfg.companding,
@@ -273,36 +303,33 @@ def run_crs_k_sweep(k_list: Sequence[int] = DEFAULT_KSWEEP,
 
 # --- BER sweep ---------------------------------------------------------------
 
-def _ber_burst(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
+def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
                profile: chan.ChannelProfile, snr_db: float,
-               burst: int) -> tuple[int, int]:
+               bursts: range) -> tuple[int, int]:
     key = _snr_key(snr_db)
-    payload_rng = _rng(cfg.master_seed, key, burst, _ROLE_PAYLOAD)
-    payloads = payload_rng.integers(
-        0, 2, (cfg.frames_per_burst, scheme.payload_bits)).astype(np.uint8)
-    frames = _encode_burst(scheme, payloads)
-    sig, scale = _tx_burst(cfg, mcfg, frames)
+    payloads = _payloads(scheme, cfg, key, bursts)
+    sig, scale = _tx_burst(cfg, mcfg, scheme.encode(payloads))
 
-    fading_rng = _rng(cfg.master_seed, key, burst, _ROLE_FADING)
-    noise_rng = _rng(cfg.master_seed, key, burst, _ROLE_NOISE)
-    ch = chan.realize(profile, cfg.sample_rate,
-                      fading_rng if profile.fading != "none" else None)
-    rx = chan.apply(sig, ch, snr_db, noise_rng)
+    # each burst has its own fading and noise streams
+    channels = [chan.realize(profile, cfg.sample_rate,
+                             _rng(cfg.master_seed, key, b, _ROLE_FADING)
+                             if profile.fading != "none" else None)
+                for b in bursts]
+    rx = np.stack([chan.apply(burst_sig, ch, snr_db,
+                              _rng(cfg.master_seed, key, b, _ROLE_NOISE))
+                   for b, burst_sig, ch in zip(bursts, sig, channels)])
+    del sig  # each chunk-sized array is dropped once used
 
     if cfg.companding:
         rx, _ = compander.mu_expand(rx, scale,
                                     compander.CompanderConfig(mu=cfg.mu))
     grid = modem.analysis(rx, mcfg, 2 * cfg.frames_per_burst)
-    grid, _ = chan.equalize(grid, ch, cfg.M)
+    del rx
+    taps = chan.ChannelRealization(np.stack([ch.fir_taps for ch in channels]))
+    grid, _ = chan.equalize(grid, taps, cfg.M)
     rx_frames = modem.grid_to_frames(modem.oqam_postprocess(grid))
-
-    errs = total = 0
-    for l in range(1, cfg.frames_per_burst - 1):  # skip warm-up frames
-        decoded = scheme.decode(rx_frames[l])
-        e, t = metrics.ber(payloads[l], decoded)
-        errs += e
-        total += t
-    return errs, total
+    # warm-up frames are neither decoded nor counted
+    return metrics.ber(payloads[:, 1:-1], scheme.decode(rx_frames[:, 1:-1]))
 
 
 def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
@@ -319,9 +346,8 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     records = []
     for snr_db in cfg.snr_list_db:
         results = _run_bursts(
-            n_bursts,
-            lambda b: _ber_burst(cfg, scheme, mcfg, profile, snr_db, b),
-            cfg.workers)
+            n_bursts, cfg,
+            lambda c: _ber_chunk(cfg, scheme, mcfg, profile, snr_db, c))
         errs = sum(r[0] for r in results)
         total = sum(r[1] for r in results)
         records.append(BerRecord(snr_db=snr_db, scheme=cfg.scheme,

@@ -1,5 +1,8 @@
 """Measurement helpers: PAPR, empirical CCDF, BER counting, information
-content of a codeword-probability."""
+content of a codeword-probability.
+
+LengthMismatch and DegenerateSignal are defined here once; modem, compander
+and fec.rs re-export them."""
 from __future__ import annotations
 
 import math
@@ -26,7 +29,9 @@ class DomainError(ValueError):
 
 def papr_db(window: np.ndarray) -> float | np.ndarray:
     """10 log10(peak instantaneous power / mean power) over the last axis."""
-    power = np.abs(np.asarray(window)) ** 2
+    # C order, so each window's mean sums in the same order however the
+    # windows were gathered or stacked
+    power = np.abs(np.ascontiguousarray(window)) ** 2
     mean = power.mean(axis=-1)
     if not np.all(mean):
         raise DegenerateSignal("all-zero window")
@@ -35,13 +40,16 @@ def papr_db(window: np.ndarray) -> float | np.ndarray:
 
 def frame_paprs(signal: np.ndarray, M: int, Lp: int,
                 n_frames: int) -> np.ndarray:
-    """Per-frame PAPR of a burst: one M-sample window centered on each
-    frame's steady-state span (group delay (Lp-1)/2 accounted for)."""
+    """Per-frame PAPR of a burst (..., samples) -> (..., n_frames): one
+    M-sample window centered on each frame's steady-state span (group delay
+    (Lp-1)/2 accounted for).  Leading axes stack bursts."""
+    signal = np.asarray(signal)
     starts = np.maximum((Lp - 1) // 2 + M * np.arange(n_frames) - M // 2, 0)
-    if starts.size and starts[-1] + M > len(signal):
+    if starts.size and starts[-1] + M > signal.shape[-1]:
         raise LengthMismatch(f"{n_frames} frame windows need "
-                             f"{starts[-1] + M} samples, got {len(signal)}")
-    return papr_db(np.asarray(signal)[starts[:, None] + np.arange(M)])
+                             f"{starts[-1] + M} samples, "
+                             f"got {signal.shape[-1]}")
+    return papr_db(signal[..., starts[:, None] + np.arange(M)])
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ The banks are the polyphase network (Bellanger et al., PHYDYAS 2010): as
 exp(j 2 pi k m / M) has period M in m, grid column n adds p(m) x_n(m mod M)
 at sample n M/2 + m, x_n = M ifft_k(d[k, n] exp(-j 2 pi k c / M)).  Analysis
 is the transpose; both equal the direct form up to rounding.
+
+Every function takes leading batch axes: a stack of bursts goes through each
+stage as one array, and each burst comes out as it would alone.
 """
 from __future__ import annotations
 
@@ -17,12 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import LengthMismatch  # noqa: F401  (re-exported)
+
 
 class UnsupportedOverlap(ValueError):
-    pass
-
-
-class LengthMismatch(ValueError):
     pass
 
 
@@ -92,35 +93,39 @@ _QAM_SCALE = 1 / np.sqrt(2)
 
 
 def qam_map(bits: np.ndarray) -> np.ndarray:
-    """2M bits -> M Gray-mapped unit-energy 4-QAM symbols (bit 0 -> +)."""
+    """(..., 2M) bits -> (..., M) Gray-mapped unit-energy 4-QAM symbols
+    (bit 0 -> +)."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size % 2:
+    if bits.shape[-1] % 2:
         raise LengthMismatch("bit count must be even")
-    re = 1.0 - 2.0 * bits[0::2]
-    im = 1.0 - 2.0 * bits[1::2]
+    re = 1.0 - 2.0 * bits[..., 0::2]
+    im = 1.0 - 2.0 * bits[..., 1::2]
     return (re + 1j * im) * _QAM_SCALE
 
 
 def qam_demap(symbols: np.ndarray) -> np.ndarray:
-    """Hard-decision nearest-point demapping, scale invariant."""
+    """(..., M) symbols -> (..., 2M) bits: hard-decision nearest-point
+    demapping, scale invariant."""
     symbols = np.asarray(symbols)
-    bits = np.empty(2 * symbols.size, dtype=np.uint8)
-    bits[0::2] = (symbols.real < 0).astype(np.uint8).ravel()
-    bits[1::2] = (symbols.imag < 0).astype(np.uint8).ravel()
+    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],),
+                    dtype=np.uint8)
+    bits[..., 0::2] = symbols.real < 0
+    bits[..., 1::2] = symbols.imag < 0
     return bits
 
 
 def frames_to_grid(frames: np.ndarray, M: int) -> np.ndarray:
-    """(L, 2M) bit frames -> (M, L) QAM grid, one frame per column."""
+    """(..., L, 2M) bit frames -> (..., M, L) QAM grid, one frame per
+    column."""
     frames = np.atleast_2d(np.asarray(frames, dtype=np.uint8))
-    if frames.shape[1] != 2 * M:
-        raise LengthMismatch(f"frame length {frames.shape[1]} != {2 * M}")
-    return qam_map(frames.ravel()).reshape(-1, M).T
+    if frames.shape[-1] != 2 * M:
+        raise LengthMismatch(f"frame length {frames.shape[-1]} != {2 * M}")
+    return np.swapaxes(qam_map(frames), -1, -2)
 
 
 def grid_to_frames(grid: np.ndarray) -> np.ndarray:
-    """(M, L) QAM grid -> (L, 2M) bit frames."""
-    return qam_demap(grid.T).reshape(grid.shape[1], -1)
+    """(..., M, L) QAM grid -> (..., L, 2M) bit frames."""
+    return qam_demap(np.swapaxes(grid, -1, -2))
 
 
 _J_POWERS = np.array([1, 1j, -1, -1j])
@@ -133,66 +138,73 @@ def theta(M: int, n_half: int) -> np.ndarray:
 
 
 def oqam_preprocess(grid: np.ndarray) -> np.ndarray:
-    """(M, L) complex QAM grid -> (M, 2L) staggered grid with j^(k+n) phases.
+    """(..., M, L) complex QAM grid -> (..., M, 2L) staggered grid with
+    j^(k+n) phases.
 
     Even sub-channels transmit the real part first, odd ones the imaginary
     part; the half-symbol stagger doubles the time axis.
     """
-    M, L = grid.shape
-    d = np.empty((M, 2 * L))
-    d[0::2, 0::2] = grid[0::2].real
-    d[0::2, 1::2] = grid[0::2].imag
-    d[1::2, 0::2] = grid[1::2].imag
-    d[1::2, 1::2] = grid[1::2].real
+    *lead, M, L = grid.shape
+    d = np.empty((*lead, M, 2 * L))
+    d[..., 0::2, 0::2] = grid[..., 0::2, :].real
+    d[..., 0::2, 1::2] = grid[..., 0::2, :].imag
+    d[..., 1::2, 0::2] = grid[..., 1::2, :].imag
+    d[..., 1::2, 1::2] = grid[..., 1::2, :].real
     return d * theta(M, 2 * L)
 
 
 def oqam_postprocess(grid: np.ndarray) -> np.ndarray:
     """Inverse of oqam_preprocess: conjugate phases, take the real part,
     recombine staggered pairs into complex QAM estimates."""
-    M, n_half = grid.shape
+    *lead, M, n_half = grid.shape
     d = (grid * np.conj(theta(M, n_half))).real
-    out = np.empty((M, n_half // 2), dtype=complex)
-    out[0::2] = d[0::2, 0::2] + 1j * d[0::2, 1::2]
-    out[1::2] = d[1::2, 1::2] + 1j * d[1::2, 0::2]
+    out = np.empty((*lead, M, n_half // 2), dtype=complex)
+    out[..., 0::2, :] = d[..., 0::2, 0::2] + 1j * d[..., 0::2, 1::2]
+    out[..., 1::2, :] = d[..., 1::2, 1::2] + 1j * d[..., 1::2, 0::2]
     return out
 
 
 def synthesis(grid: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Staggered grid (M, n_half) -> (n_half - 1) M/2 + Lp baseband samples:
-    IFFT, prototype weighting and overlap-add with hop M/2."""
-    M, n_half = grid.shape
+    """Staggered grid (..., M, n_half) -> (..., (n_half - 1) M/2 + Lp)
+    baseband samples: IFFT, prototype weighting and overlap-add with hop
+    M/2."""
+    *lead, M, n_half = grid.shape
     if M != cfg.M:
         raise ConfigMismatch(f"grid has {M} sub-channels, config {cfg.M}")
     hop = M // 2
-    x = np.fft.ifft(grid * cfg.synthesis_phase[:, None], axis=0,
-                    norm="forward").T.reshape(n_half, 2, hop)
-    out = np.zeros((n_half + 2 * cfg.K - 1, hop), dtype=complex)
+    x = np.fft.ifft(grid * cfg.synthesis_phase[:, None], axis=-2,
+                    norm="forward")
+    out = np.zeros((*lead, n_half + 2 * cfg.K - 1, hop), dtype=complex)
     for b, weights in enumerate(cfg.blocks):  # block b of x_n lands at n + b
-        out[b:b + n_half] += x[:, b % 2] * weights
-    return out.ravel()[:(n_half - 1) * hop + cfg.Lp]
+        half = x[..., (b % 2) * hop:(b % 2 + 1) * hop, :]
+        out[..., b:b + n_half, :] += np.swapaxes(half, -1, -2) * weights
+    return out.reshape(*lead, -1)[..., :(n_half - 1) * hop + cfg.Lp]
 
 
 def analysis(signal: np.ndarray, cfg: ModemConfig, n_half: int) -> np.ndarray:
-    """Baseband samples -> (M, n_half) staggered grid, delay compensated:
-    column n is the FFT of samples [n M/2, n M/2 + K M) weighted by p and
-    folded to M, phase and gain corrected.  Later samples are ignored."""
+    """Baseband samples (..., samples) -> (..., M, n_half) staggered grid,
+    delay compensated: column n is the FFT of samples [n M/2, n M/2 + K M)
+    weighted by p and folded to M, phase and gain corrected.  Later samples
+    are ignored."""
     signal = np.asarray(signal, dtype=complex)
+    *lead, size = signal.shape
     hop = cfg.M // 2
     need = (n_half - 1) * hop + cfg.Lp
-    if signal.size < need:
-        raise SignalTooShort(f"need {need} samples, got {signal.size}")
+    if size < need:
+        raise SignalTooShort(f"need {need} samples, got {size}")
     # the sample under the zero padding tap of the prototype can be zero
-    blocks = np.append(signal[:need], 0.0).reshape(-1, hop)
-    folded = np.zeros((n_half, 2, hop), dtype=complex)
+    blocks = np.zeros((*lead, need + 1), dtype=complex)
+    blocks[..., :need] = signal[..., :need]
+    blocks = blocks.reshape(*lead, -1, hop)
+    folded = np.zeros((*lead, n_half, 2, hop), dtype=complex)
     for b, weights in enumerate(cfg.blocks):
-        folded[:, b % 2] += blocks[b:b + n_half] * weights
-    y = np.fft.fft(folded.reshape(n_half, cfg.M), axis=1)
-    return y.T * cfg.analysis_phase[:, None]
+        folded[..., b % 2, :] += blocks[..., b:b + n_half, :] * weights
+    y = np.fft.fft(folded.reshape(*lead, n_half, cfg.M), axis=-1)
+    return np.swapaxes(y, -1, -2) * cfg.analysis_phase[:, None]
 
 
 def modulate_frames(frames: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Bit frames (L, 2M) -> baseband burst."""
+    """Bit frames (..., L, 2M) -> baseband bursts (..., samples)."""
     return synthesis(oqam_preprocess(frames_to_grid(frames, cfg.M)), cfg)
 
 

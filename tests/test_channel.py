@@ -157,3 +157,31 @@ def test_memoized_constants_are_bit_identical(name, M, seed, sample_rate):
     assert ch.merged_taps == merged
     assert np.array_equal(chan.frequency_response(ch, M),
                           direct_frequency_response(taps, M))
+
+
+@pytest.mark.parametrize("snr_db", [float("nan"), -np.inf])
+def test_apply_rejects_nan_and_minus_inf_snr(snr_db):
+    """Only +inf (or None) is the noiseless point; NaN and -inf used to run
+    noiseless as well."""
+    ch = chan.realize(chan.make_profile("awgn"), chan.DEFAULT_SAMPLE_RATE)
+    with pytest.raises(ValueError, match="snr"):
+        chan.apply(np.ones(8, dtype=complex), ch, snr_db,
+                   np.random.default_rng(0))
+
+
+@given(st.sampled_from(("awgn", "pedestrian_b", "vehicular_a")),
+       st.integers(1, 7), st.sampled_from((4, 16, 64)),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_equalize_stacked_taps_equals_per_burst(name, bursts, M, seed):
+    rng = np.random.default_rng(seed)
+    profile = chan.make_profile(name)
+    chans = [chan.realize(profile, chan.DEFAULT_SAMPLE_RATE, rng)
+             for _ in range(bursts)]
+    grid = (rng.standard_normal((bursts, M, 6))
+            + 1j * rng.standard_normal((bursts, M, 6)))
+    stacked = chan.ChannelRealization(np.stack([c.fir_taps for c in chans]))
+    eq, singular = chan.equalize(grid, stacked, M)
+    alone = [chan.equalize(g, c, M) for g, c in zip(grid, chans)]
+    assert np.array_equal(eq, np.stack([e for e, _ in alone]))
+    assert np.array_equal(singular, np.stack([s for _, s in alone]))

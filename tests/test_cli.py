@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from papr_lab import cli
+from papr_lab import cli, harness
 
 
 def run(argv):
@@ -116,6 +116,9 @@ def test_fec_bad_size(tmp_path, capsys):
     (["ber", "--bits", 0, "--snr", "10"], "--bits"),
     (["papr", "--workers", 0, "--frames", 150], "--workers"),
     (["ber", "--snr", "nan", "--bits", 1000], "--snr"),
+    (["papr", "--frames-per-burst", 2, "--frames", 150], "--frames-per-burst"),
+    (["papr", "--frames-per-burst", harness.MAX_FRAMES_PER_BURST + 1,
+      "--frames", 150], "--frames-per-burst"),
 ])
 def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
     rc = run(argv + ["--out", tmp_path / "x.csv"])

@@ -89,3 +89,26 @@ def test_degenerate_inputs():
     assert not out.any()
     with pytest.raises(ValueError):
         CompanderConfig(mu=-1.0)
+
+
+@given(st.integers(1, 7), st.integers(1, 50), st.integers(0, 2**32 - 1),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stacked_rows_equal_per_row_calls(rows, n, seed, zero_row):
+    """A (rows, n) stack companded and expanded in one call equals each row
+    alone: its own scale, the same samples, the clamp counts summed."""
+    rng = np.random.default_rng(seed)
+    sig = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    if zero_row:
+        sig[rng.integers(rows)] = 0.0
+    comp, scale = mu_compress(sig, CFG)
+    singles = [mu_compress(s, CFG) for s in sig]
+    assert scale.shape == (rows,)
+    assert np.array_equal(scale, [s for _, s in singles])
+    assert np.array_equal(comp, np.stack([c for c, _ in singles]))
+    noisy = comp * 1.1  # pushes some components past the clamp
+    back, clamped = mu_expand(noisy, scale, CFG)
+    alone = [mu_expand(x, s, CFG) for x, s in zip(noisy, scale)]
+    assert np.array_equal(back, np.stack([b for b, _ in alone]))
+    assert isinstance(clamped, int)
+    assert clamped == sum(c for _, c in alone)

@@ -520,3 +520,39 @@ def test_racing_first_decodes_agree():
         sys.setswitchinterval(old)
     for out, frame in zip(got, frames):
         assert out == outcome(scalar_crs_decode, layout, frame)
+
+
+def _syndrome_bits(code):
+    """The bit map whose unit-frame images build the code's H."""
+    if code == "bch":
+        spec = bch.bch_spec()
+        return lambda f: rs._symbols_to_bits(
+            rs._syndromes(spec.field, f[:spec.n], 2 * spec.t), spec.field.m)
+    if code == "rs2516":
+        spec = rs.rs_spec(5, 19)
+        return lambda f: rs._symbols_to_bits(
+            rs._syndromes(spec.field, rs._rs2516_word(f), spec.r), 5)
+    layout = crs.crs_layout(6, 31, int(code.split("_")[1]))
+    spec = rs.rs_spec(layout.q, layout.k)
+    return lambda f: rs._symbols_to_bits(
+        rs._syndromes(spec.field, crs._crs_word(layout, f), spec.r), layout.q)
+
+
+@pytest.mark.parametrize(
+    "code", ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP])
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12))
+@settings(max_examples=10, deadline=None)
+def test_stacked_products_on_cold_cache_equal_per_row(code, seed, rows):
+    """A (rows, n) stack as the first product of a code builds G or H from
+    n unit vectors, not rows * n, and gives each row's own result."""
+    _, algebraic, k_bits = _encoders(code)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, (rows, k_bits), dtype=np.uint8)
+    with mock.patch.dict(rs._GENERATORS, clear=True):
+        frames = rs._encode_bits(code, algebraic, bits)
+    assert np.array_equal(frames, np.stack([algebraic(b) for b in bits]))
+    received = frames ^ (rng.random(frames.shape) < 0.05)
+    syndromes = _syndrome_bits(code)
+    with mock.patch.dict(rs._PARITY_CHECKS, clear=True):
+        got = rs._gf2_linear(rs._PARITY_CHECKS, code, syndromes, received)
+    assert np.array_equal(got, np.stack([syndromes(f) for f in received]))

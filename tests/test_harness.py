@@ -1,4 +1,6 @@
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,8 +154,10 @@ class TestCsv:
 class TestBenchmarkContract:
     """perfbench counts and radius-checks each decode by wrapping the
     per-frame codec functions by module attribute.  A batched path that
-    bypassed them would silently drop those counts, so the harness must call
-    each of them once per frame."""
+    bypassed them would silently drop those counts, so every frame must
+    reach them: the encoders take a whole chunk of bursts as one stack, and
+    the frames they see are counted as rows; the decoders are called once
+    per frame."""
 
     CODEC = {"bch": ("bch_encode", "bch_decode", 85),
              "rs2516": ("rs2516_frame", "rs2516_decode", 80),
@@ -161,12 +165,15 @@ class TestBenchmarkContract:
 
     @pytest.mark.parametrize("scheme", sorted(CODEC))
     def test_codec_called_once_per_frame(self, monkeypatch, scheme):
-        calls = Counter()
+        frames = Counter()
         for mod, name in ((bch, "bch_encode"), (rs, "rs2516_frame"),
                           (crs, "crs_encode"), (bch, "bch_decode"),
                           (rs, "rs2516_decode"), (crs, "crs_decode")):
             def counted(*args, _fn=getattr(mod, name), _name=name):
-                calls[_name] += 1
+                # an encoder's messages are its last argument, one per row;
+                # a decoder call is one frame
+                frames[_name] += (1 if _name.endswith("_decode")
+                                  else np.asarray(args[-1])[..., 0].size)
                 return _fn(*args)
             monkeypatch.setattr(mod, name, counted)
         encode, decode, payload = self.CODEC[scheme]
@@ -176,4 +183,63 @@ class TestBenchmarkContract:
         rec = harness.run_ber_sweep(cfg)[0]
         assert rec.bits_total == bursts * 8 * payload
         # 10 frames per burst are encoded, the 8 measured ones decoded
-        assert calls == {encode: bursts * 10, decode: bursts * 8}
+        assert frames == {encode: bursts * 10, decode: bursts * 8}
+
+
+class TestChunks:
+    """Bursts run stacked, in chunks of consecutive bursts; neither the chunk
+    size nor the worker count may change an output."""
+
+    BURSTS = 5
+
+    def _all_layouts(self, monkeypatch, run, cfg):
+        outs = []
+        for per_chunk in range(1, self.BURSTS + 1):
+            monkeypatch.setattr(harness, "CHUNK_FRAMES",
+                                per_chunk * cfg.frames_per_burst)
+            for workers in (1, 3):
+                outs.append(run(replace(cfg, workers=workers)))
+        return outs
+
+    def test_ber_sweep(self, monkeypatch):
+        cfg = SimConfig(scheme="rs2516", companding=True,
+                        channel="pedestrian_b", snr_list_db=(16.0, np.inf),
+                        bits=self.BURSTS * 8 * 80, master_seed=2)
+        first, *rest = self._all_layouts(monkeypatch, harness.run_ber_sweep,
+                                         cfg)
+        assert first[0].bits_total == self.BURSTS * 8 * 80
+        assert all(out == first for out in rest)
+
+    def test_papr_experiment(self, monkeypatch):
+        cfg = SimConfig(scheme="crs31_19", companding=True, frames_per_burst=7,
+                        frames=self.BURSTS * 5, master_seed=2)
+        first, *rest = self._all_layouts(
+            monkeypatch, lambda c: harness.run_papr_experiment(c).samples_db,
+            cfg)
+        assert first.size == self.BURSTS * 5
+        assert all(np.array_equal(out, first) for out in rest)
+
+    def test_layout_ignores_workers(self):
+        size = harness.CHUNK_FRAMES // 10
+        for workers in (1, 3):
+            seen = harness._run_bursts(2 * size + 3, SimConfig(workers=workers),
+                                       lambda c: (c.start, c.stop))
+            assert seen == [(0, size), (size, 2 * size),
+                            (2 * size, 2 * size + 3)]
+
+    def test_memory_flat_in_bits(self):
+        """A chunk's arrays are freed before the next chunk runs, so peak
+        memory does not grow with the number of chunks."""
+        def peak(chunks):
+            cfg = SimConfig(scheme="rs2516", companding=True,
+                            channel="pedestrian_b", snr_list_db=(16.0,),
+                            bits=chunks * harness.CHUNK_FRAMES // 10 * 8 * 80)
+            harness.run_ber_sweep(cfg)  # builds the codec matrices
+            tracemalloc.start()
+            try:
+                harness.run_ber_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        one, eight = peak(1), peak(8)
+        assert eight < 1.1 * one + 64 * 2**10

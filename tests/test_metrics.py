@@ -122,3 +122,11 @@ class TestInformation:
             metrics.information(0.0)
         with pytest.raises(metrics.DomainError):
             metrics.information(1.5)
+
+
+def test_each_error_kind_is_one_class():
+    from papr_lab import compander, modem
+    from papr_lab.fec import rs
+    assert modem.LengthMismatch is metrics.LengthMismatch
+    assert rs.LengthMismatch is metrics.LengthMismatch
+    assert compander.DegenerateSignal is metrics.DegenerateSignal

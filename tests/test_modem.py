@@ -249,3 +249,30 @@ def test_frames_grid_roundtrip():
     grid = modem.frames_to_grid(frames, 64)
     assert grid.shape == (64, 5)
     assert np.array_equal(modem.grid_to_frames(grid), frames)
+
+
+@given(st.integers(1, 7), st.integers(1, 12), st.sampled_from((4, 16, 64)),
+       st.sampled_from((2, 3, 4)), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stacked_chain_equals_per_burst_calls(bursts, n_frames, M, K, seed):
+    """Each stage on a (bursts, ...) stack gives, bit for bit, what it gives
+    on each burst alone."""
+    cfg = modem.ModemConfig(M=M, K=K)
+    rng = np.random.default_rng(seed)
+    frames = rng.integers(0, 2, (bursts, n_frames, 2 * M)).astype(np.uint8)
+    grid = modem.frames_to_grid(frames, M)
+    staggered = modem.oqam_preprocess(grid)
+    sig = modem.synthesis(staggered, cfg)
+    noisy = sig + 0.05 * (rng.standard_normal(sig.shape)
+                          + 1j * rng.standard_normal(sig.shape))
+    rx = modem.analysis(noisy, cfg, 2 * n_frames)
+    qam = modem.oqam_postprocess(rx)
+    for stacked, fn, inputs in (
+            (grid, lambda f: modem.frames_to_grid(f, M), frames),
+            (staggered, modem.oqam_preprocess, grid),
+            (sig, lambda g: modem.synthesis(g, cfg), staggered),
+            (sig, lambda f: modem.modulate_frames(f, cfg), frames),
+            (rx, lambda s: modem.analysis(s, cfg, 2 * n_frames), noisy),
+            (qam, modem.oqam_postprocess, rx),
+            (modem.grid_to_frames(qam), modem.grid_to_frames, qam)):
+        assert np.array_equal(stacked, np.stack([fn(x) for x in inputs]))
