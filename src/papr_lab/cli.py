@@ -12,6 +12,7 @@ Every option can also come from a flat `key = value` config file passed via
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -32,6 +33,8 @@ def _parse_snr(text: str) -> tuple:
         if step <= 0:
             raise ValueError("snr step must be positive")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
+        if n < 1:
+            raise ValueError(f"--snr range {text!r} is empty")
         return tuple(start + i * step for i in range(n))
     return tuple(float(p) for p in text.split(","))
 
@@ -84,69 +87,69 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     return merged
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, draws: bool = True) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int, dest="master_seed",
-                   help="master RNG seed")
-    p.add_argument("--workers", type=int, help="concurrent burst workers")
+    if draws:  # only subcommands that draw random bursts
+        p.add_argument("--seed", type=int, dest="master_seed",
+                       help="master RNG seed")
+        p.add_argument("--workers", type=int, help="concurrent burst workers")
     p.add_argument("--frames-per-burst", type=int, dest="frames_per_burst")
     p.add_argument("--out", help="output CSV path")
 
 
-_PAPR_DEFAULTS = dict(scheme="none", companding=False, mu=25.0, load="random",
-                      frames=1000, master_seed=0, frames_per_burst=10,
-                      workers=1, out="papr_ccdf.csv")
+_SIM_DEFAULTS = dataclasses.asdict(harness.SimConfig())
 
-_BER_DEFAULTS = dict(scheme="none", companding=False, mu=25.0, channel="awgn",
-                     snr="0:2:20", bits=1_000_000, master_seed=0,
-                     frames_per_burst=10, workers=1, out="ber.csv")
 
-_KSWEEP_DEFAULTS = dict(master_seed=0, frames_per_burst=10,
-                        out="ksweep.csv")
+def _defaults(*keys: str, **cli_only) -> dict:
+    """SimConfig defaults of keys, plus keys the CLI alone reads."""
+    return {**{key: _SIM_DEFAULTS[key] for key in keys}, **cli_only}
+
+
+_PAPR_DEFAULTS = _defaults("scheme", "companding", "mu", "load", "frames",
+                           "master_seed", "frames_per_burst", "workers",
+                           out="papr_ccdf.csv")
+
+_BER_DEFAULTS = _defaults("scheme", "companding", "mu", "channel", "bits",
+                          "master_seed", "frames_per_burst", "workers",
+                          snr="0:2:20", out="ber.csv")
+
+_KSWEEP_DEFAULTS = _defaults("frames_per_burst", out="ksweep.csv")
+
+
+def _sim_config(values: dict, **fields) -> harness.SimConfig:
+    """The SimConfig of merged CLI values, with fields set on top."""
+    return harness.SimConfig(**{key: val for key, val in values.items()
+                                if key in _SIM_DEFAULTS}, **fields)
 
 
 def _cmd_papr(args: argparse.Namespace) -> int:
     cfg_vals = _merge_config(args, _PAPR_DEFAULTS)
-    cfg = harness.SimConfig(
-        scheme=cfg_vals["scheme"], companding=cfg_vals["companding"],
-        mu=cfg_vals["mu"], load=cfg_vals["load"], frames=cfg_vals["frames"],
-        master_seed=cfg_vals["master_seed"],
-        frames_per_burst=cfg_vals["frames_per_burst"],
-        workers=cfg_vals["workers"], out=cfg_vals["out"])
-    result = harness.run_papr_experiment(cfg)
+    out = cfg_vals["out"]
+    result = harness.run_papr_experiment(_sim_config(cfg_vals))
     if result.curve is None:
         raise harness.ConfigError(
             "too few frames for a CCDF; use --frames >= 100")
-    harness.emit_ccdf_csv(result.curve, cfg.out)
+    harness.emit_ccdf_csv(result.curve, out)
     print(f"{result.scheme} load={result.load} compand={int(result.companding)}"
-          f" max_papr_db={result.max_papr_db:.2f} -> {cfg.out}")
+          f" max_papr_db={result.max_papr_db:.2f} -> {out}")
     return 0
 
 
 def _cmd_ber(args: argparse.Namespace) -> int:
     cfg_vals = _merge_config(args, _BER_DEFAULTS)
-    cfg = harness.SimConfig(
-        scheme=cfg_vals["scheme"], companding=cfg_vals["companding"],
-        mu=cfg_vals["mu"], channel=cfg_vals["channel"],
-        snr_list_db=_parse_snr(cfg_vals["snr"]), bits=cfg_vals["bits"],
-        master_seed=cfg_vals["master_seed"],
-        frames_per_burst=cfg_vals["frames_per_burst"],
-        workers=cfg_vals["workers"], out=cfg_vals["out"])
+    cfg = _sim_config(cfg_vals, snr_list_db=_parse_snr(cfg_vals["snr"]))
     records = harness.run_ber_sweep(cfg)
-    harness.emit_ber_csv(records, cfg.out)
+    harness.emit_ber_csv(records, cfg_vals["out"])
     for r in records:
         print(f"snr={r.snr_db:g} dB ber={r.ber:.3e} "
               f"({r.bits_error}/{r.bits_total})")
-    print(f"-> {cfg.out}")
+    print(f"-> {cfg_vals['out']}")
     return 0
 
 
 def _cmd_ksweep(args: argparse.Namespace) -> int:
     cfg_vals = _merge_config(args, _KSWEEP_DEFAULTS)
-    cfg = harness.SimConfig(load="full",
-                            master_seed=cfg_vals["master_seed"],
-                            frames_per_burst=cfg_vals["frames_per_burst"])
-    rows = harness.run_crs_k_sweep(cfg=cfg)
+    rows = harness.run_crs_k_sweep(cfg=_sim_config(cfg_vals, load="full"))
     harness.emit_ksweep_csv(rows, cfg_vals["out"])
     for k, crs_db, rs_db in rows:
         print(f"k={k} crs={crs_db:.2f} dB rs={rs_db:.2f} dB")
@@ -208,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ksweep",
                        help="CRS(31,k) vs conventional RS(31,k) full-load PAPR")
-    _add_common(p)
+    _add_common(p, draws=False)
     p.set_defaults(func=_cmd_ksweep)
 
     p = sub.add_parser("fec", help="encode/decode raw 16-byte frame files")

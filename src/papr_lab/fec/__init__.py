@@ -1,17 +1,19 @@
-"""Block codecs: Reed-Solomon over GF(2^m), binary BCH, constrained RS framing."""
+"""Block codecs: Reed-Solomon over GF(2^m) and its bit-frame layouts
+(RS(25,16), constrained RS), binary BCH."""
 
-from .rs import (RsCodeSpec, DecodeFailure, LengthMismatch,
-                 ConstraintViolation, rs_spec, rs_encode, rs_decode,
-                 rs2516_encode, rs2516_frame, rs2516_decode)
+from .rs import (RsCodeSpec, RsFrameLayout, RS2516, DecodeFailure,
+                 LengthMismatch, ConstraintViolation, rs_spec, rs_encode,
+                 rs_decode, frame_encode, frame_decode, rs2516_frame,
+                 rs2516_decode)
 from .bch import BchCodeSpec, bch_spec, bch_encode, bch_decode
-from .crs import (CrsFrameLayout, LayoutInfeasible, UnknownScheme,
-                  crs_layout, crs_encode, crs_decode, codeword_density)
+from .crs import (LayoutInfeasible, UnknownScheme, crs_layout, crs_encode,
+                  crs_decode, codeword_density)
 
 __all__ = [
-    "RsCodeSpec", "DecodeFailure", "LengthMismatch", "rs_spec", "rs_encode",
-    "rs_decode", "rs2516_encode", "rs2516_frame", "rs2516_decode",
+    "RsCodeSpec", "RsFrameLayout", "RS2516", "DecodeFailure",
+    "LengthMismatch", "rs_spec", "rs_encode", "rs_decode", "frame_encode",
+    "frame_decode", "rs2516_frame", "rs2516_decode",
     "BchCodeSpec", "bch_spec", "bch_encode", "bch_decode",
-    "CrsFrameLayout", "LayoutInfeasible", "ConstraintViolation",
-    "UnknownScheme", "crs_layout", "crs_encode", "crs_decode",
-    "codeword_density",
+    "LayoutInfeasible", "ConstraintViolation", "UnknownScheme",
+    "crs_layout", "crs_encode", "crs_decode", "codeword_density",
 ]

@@ -4,20 +4,23 @@ Codewords are sequences of field elements in transmitted order
 [message | parity]; position i corresponds to polynomial degree n-1-i, so the
 locator of position i is alpha^(n-1-i).  Generator roots are alpha^1..alpha^r.
 
-The RS(25,16) variant shortens RS(31,19) by three leading zero message
-symbols and punctures the last three parity symbols; punctured positions are
-decoded as erasures.  Its 125 payload bits are padded with three zero bits to
-fill one 128-bit multicarrier frame.
+Every RS frame scheme is one RsFrameLayout: the binary image of an
+RS(2^q - 1, k) codeword in a bit frame, with some leading message symbols
+shortened, some trailing parity symbols punctured (decoded as erasures) and
+message symbols restricted to p <= q bits.  RS(25,16) (RS2516) shortens and
+punctures RS(31,19) by three symbols each; the constrained RS layouts of
+fec.crs and the conventional RS(31,k) framing of the k-sweep are further
+instances.  One encoder and one decoder serve them all.
 
-Every frame codec here (RS(25,16), BCH, constrained RS) is GF(2)-linear on
-its bits, so the frame encoders go through the binary image: the algebraic
-encoder maps each unit message to one row of a binary generator matrix G,
-built on first use, and a frame is (message bits @ G) mod 2.  The frame
-decoders take their syndromes the same way: the scalar syndrome map builds
-a binary parity-check matrix H, and the syndromes are (frame bits @ H) mod 2
-packed to field symbols.  Only a frame whose syndromes are not explained by
-its erasures goes on to Berlekamp-Massey, and only one that passes BM's
-degree bound to the Chien search (gf2m.poly_eval_many) and Forney.
+Every frame codec here (RS frame layouts, BCH) is GF(2)-linear on its bits,
+so the frame encoders go through the binary image: the algebraic encoder
+maps each unit message to one row of a binary generator matrix G, built on
+first use, and a frame is (message bits @ G) mod 2.  The frame decoders take
+their syndromes the same way: the scalar syndrome map builds a binary
+parity-check matrix H, and the syndromes are (frame bits @ H) mod 2 packed to
+field symbols.  Only a frame whose syndromes are not explained by its
+erasures goes on to Berlekamp-Massey, and only one that passes BM's degree
+bound to the Chien search (gf2m.poly_eval_many) and Forney.
 """
 from __future__ import annotations
 
@@ -288,8 +291,9 @@ def _gf2_linear(cache: dict, code: Hashable,
     bit vector or a (..., n) stack of them: row i of the binary matrix A is
     the image of the i-th unit vector.  A is built on the first call for
     `code`, memoized in `cache` and kept in float32, so the product runs
-    through BLAS; its sums count at most one per row of A, and no matrix
-    here has more than 128 rows, so they are exact and fit a uint8.  A
+    through BLAS; its sums count at most one per row of A, and no G here
+    has more than 150 rows (the message bits of a conventional RS(31,30)
+    frame) nor any H more than 128, so they are exact and fit a uint8.  A
     (bursts, frames, n) stack goes to BLAS as one product per burst; for
     10-frame bursts each is small enough that BLAS stays on the calling
     thread."""
@@ -319,83 +323,155 @@ def _binary_syndromes(code: Hashable,
         bits), m)
 
 
-# --- punctured/shortened RS(25,16) frame codec -------------------------------
+# --- RS bit frames: shortened, punctured, constrained -------------------------
 
-_RS2516_SHORTEN = 3       # leading zero message symbols, not transmitted
-_RS2516_PUNCTURE = 3      # trailing parity symbols, not transmitted
-_RS2516_PAD_BITS = 3      # 25 symbols * 5 bits = 125 -> 128-bit frame
-RS2516_MESSAGE_SYMBOLS = 16
-RS2516_FRAME_BITS = 128
+@dataclass(frozen=True)
+class RsFrameLayout:
+    """The binary image of an RS(2^q - 1, k) codeword in one bit frame:
+    [k' p-bit message fields | r - punctured q-bit parity symbols | zero pad].
+    The k - k' leading message symbols are shortened (implicit zeros), the
+    last `punctured` parity symbols are not sent and decode as erasures, and
+    p < q restricts each message symbol to its low p bits."""
+    q: int           # bits per field symbol; n = 2^q - 1
+    k: int           # RS message symbols
+    k_prime: int     # transmitted message symbols
+    p: int           # bits per transmitted message symbol
+    punctured: int   # trailing parity symbols not transmitted
+    frame_bits: int
+
+    @property
+    def n(self) -> int:
+        return (1 << self.q) - 1
+
+    @property
+    def r(self) -> int:
+        return self.n - self.k
+
+    @property
+    def spec(self) -> RsCodeSpec:
+        return rs_spec(self.q, self.k)
+
+    @property
+    def message_bits(self) -> int:
+        return self.k_prime * self.p
+
+    @property
+    def parity_bits(self) -> int:
+        return (self.r - self.punctured) * self.q
+
+    @property
+    def pad_bits(self) -> int:
+        return self.frame_bits - self.message_bits - self.parity_bits
+
+    @property
+    def p_lower(self) -> float:
+        """Open lower bound of the feasible p: the bound at k' = k."""
+        return (self.frame_bits - self.parity_bits) / self.k
+
+    @property
+    def p_upper(self) -> float:
+        """Closed upper bound of the feasible p: k' fields beside the parity."""
+        return (self.frame_bits - self.parity_bits) / self.k_prime
 
 
-def rs2516_encode(message: Sequence[int]) -> list[int]:
-    """16 GF(32) symbols -> 25 transmitted symbols (16 message + 9 parity)."""
-    if len(message) != RS2516_MESSAGE_SYMBOLS:
-        raise LengthMismatch(
-            f"message length {len(message)} != {RS2516_MESSAGE_SYMBOLS}")
-    spec = rs_spec(5, 19)
-    full = rs_encode(spec, [0] * _RS2516_SHORTEN + list(message))
-    # drop the shortened zeros and the last punctured parity symbols
-    return full[_RS2516_SHORTEN:spec.n - _RS2516_PUNCTURE]
+# RS(31,19) shortened by 3 message symbols and punctured by 3 parity symbols:
+# 25 symbols, 125 bits plus 3 zero pad bits
+RS2516 = RsFrameLayout(q=5, k=19, k_prime=16, p=5, punctured=3,
+                       frame_bits=128)
 
 
-def _rs2516_frame_algebraic(bits: np.ndarray) -> np.ndarray:
-    """rs2516_frame on 80 message bits through rs2516_encode; builds G."""
-    cw = _symbols_to_bits(rs2516_encode(_bits_to_symbols(bits, 5)), 5)
-    return np.concatenate([cw, np.zeros(_RS2516_PAD_BITS, dtype=np.uint8)])
+def _frame_algebraic(layout: RsFrameLayout, bits: np.ndarray) -> np.ndarray:
+    """frame_encode of one message bit vector through rs_encode; builds G."""
+    codeword = rs_encode(layout.spec, [0] * (layout.k - layout.k_prime)
+                         + _bits_to_symbols(bits, layout.p))
+    parity = _symbols_to_bits(codeword[layout.k:layout.n - layout.punctured],
+                              layout.q)
+    frame = np.zeros(layout.frame_bits, dtype=np.uint8)
+    frame[:bits.size] = bits
+    frame[bits.size:bits.size + parity.size] = parity
+    return frame
 
 
-def rs2516_frame(message: Sequence[int]) -> np.ndarray:
-    """Encode and pack to one 128-bit frame (125 payload bits + 3 zero pad);
-    a (..., 16) stack of messages gives (..., 128) frames."""
-    symbols = _checked_message(message, RS2516_MESSAGE_SYMBOLS, 32,
-                               "message symbol")
-    return _encode_bits("rs2516", _rs2516_frame_algebraic,
-                        _symbols_to_bits(symbols, 5))
+def frame_encode(layout: RsFrameLayout,
+                 message_bits: np.ndarray) -> np.ndarray:
+    """k' p message bits -> one frame_bits-long frame; a (..., k' p) stack
+    gives (..., frame_bits) frames."""
+    bits = _checked_message(message_bits, layout.message_bits, 2,
+                            "message bit")
+    return _encode_bits(layout, lambda b: _frame_algebraic(layout, b), bits)
 
 
-def _rs2516_word(frame: np.ndarray) -> list[int]:
-    """The RS(31,19) word of a frame: shortened zeros, the 25 received
-    symbols, zero fills at the punctured positions."""
-    return ([0] * _RS2516_SHORTEN + _bits_to_symbols(frame[:125], 5)
-            + [0] * _RS2516_PUNCTURE)
+def _frame_word(layout: RsFrameLayout, frame: np.ndarray) -> list[int]:
+    """The RS(n, k) word of a frame: shortened zeros, the k' p-bit message
+    fields, the sent q-bit parity, zero fills at the punctured positions."""
+    nm = layout.message_bits
+    return ([0] * (layout.k - layout.k_prime)
+            + _bits_to_symbols(frame[:nm], layout.p)
+            + _bits_to_symbols(frame[nm:nm + layout.parity_bits], layout.q)
+            + [0] * layout.punctured)
 
 
-def _rs2516_syndromes(frame: np.ndarray) -> list[int]:
-    """Syndromes of a frame's word through its parity-check matrix."""
-    spec = rs_spec(5, 19)
+def _frame_syndromes(layout: RsFrameLayout, frame: np.ndarray) -> list[int]:
+    """Syndromes of a frame's word through the layout's parity-check
+    matrix."""
+    spec = layout.spec
     return _binary_syndromes(
-        "rs2516", lambda f: _syndromes(spec.field, _rs2516_word(f), spec.r),
-        frame, 5)
+        layout, lambda f: _syndromes(spec.field, _frame_word(layout, f),
+                                     spec.r),
+        frame, layout.q)
 
 
 @functools.cache
-def _rs2516_erasure_locator() -> tuple:
+def _punctured_locator(layout: RsFrameLayout) -> tuple:
     """Erasure locator of the punctured positions, which never change."""
-    spec = rs_spec(5, 19)
-    return tuple(_erasure_locator(
-        spec.field, spec.n, range(spec.n - _RS2516_PUNCTURE, spec.n)))
+    return tuple(_erasure_locator(layout.spec.field, layout.n,
+                                  range(layout.n - layout.punctured,
+                                        layout.n)))
 
 
-def rs2516_decode(frame: np.ndarray) -> tuple[list[int], int]:
-    """Decode one 128-bit frame; punctured parity treated as erasures."""
+def frame_decode(layout: RsFrameLayout,
+                 frame: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Decode one frame -> (message bits, corrected symbols, constraint_ok).
+
+    Punctured parity decodes as erasures, and filling it is not counted as
+    a correction.  constraint_ok is False when a corrected message symbol
+    has nonzero bits above its low p, i.e. the error pattern left the
+    constrained alphabet; the low p bits are still returned.
+    """
     frame = np.asarray(frame, dtype=np.uint8)
-    if frame.size != RS2516_FRAME_BITS:
-        raise LengthMismatch(f"frame length {frame.size} != {RS2516_FRAME_BITS}")
-    spec = rs_spec(5, 19)
-    fs = spec.field
-    synd = _rs2516_syndromes(frame)
-    gamma = _rs2516_erasure_locator()
-    modified = _modified_syndromes(fs, synd, gamma, spec.r)
+    if frame.size != layout.frame_bits:
+        raise LengthMismatch(
+            f"frame length {frame.size} != {layout.frame_bits}")
+    spec = layout.spec
+    synd = _frame_syndromes(layout, frame)
+    gamma = _punctured_locator(layout)
+    modified = _modified_syndromes(spec.field, synd, gamma, spec.r)
     if not any(modified):
         # the erasures alone explain the syndromes: correction would only
         # fill the punctured parity, so the message arrived intact
-        return _bits_to_symbols(frame[:5 * RS2516_MESSAGE_SYMBOLS], 5), 0
-    lam = _error_locator(fs, modified)
-    word = _rs2516_word(frame)
+        return frame[:layout.message_bits].copy(), 0, True
+    lam = _error_locator(spec.field, modified)
+    word = _frame_word(layout, frame)
     positions = _correct(spec, word, synd, lam, gamma)
-    if any(word[:_RS2516_SHORTEN]):
+    shortened = layout.k - layout.k_prime
+    if any(word[:shortened]):
         raise DecodeFailure("shortened prefix decoded nonzero")
-    # erasure fills at the punctured tail are reconstruction, not correction
-    corrected = sum(1 for p in positions if p < spec.n - _RS2516_PUNCTURE)
-    return word[_RS2516_SHORTEN:spec.k], corrected
+    symbols = word[shortened:layout.k]
+    constraint_ok = all(s < (1 << layout.p) for s in symbols)
+    low = [s & ((1 << layout.p) - 1) for s in symbols]
+    corrected = sum(1 for pos in positions
+                    if pos < layout.n - layout.punctured)
+    return _symbols_to_bits(low, layout.p), corrected, constraint_ok
+
+
+def rs2516_frame(message: Sequence[int]) -> np.ndarray:
+    """16 GF(32) message symbols -> one RS2516 frame; a (..., 16) stack of
+    messages gives (..., 128) frames."""
+    symbols = _checked_message(message, RS2516.k_prime, 32, "message symbol")
+    return frame_encode(RS2516, _symbols_to_bits(symbols, 5))
+
+
+def rs2516_decode(frame: np.ndarray) -> tuple[list[int], int]:
+    """frame_decode of one RS2516 frame, its message as 16 symbols."""
+    bits, corrected, _ = frame_decode(RS2516, frame)
+    return _bits_to_symbols(bits, 5), corrected

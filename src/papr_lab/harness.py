@@ -53,7 +53,6 @@ class SimConfig:
     frames_per_burst: int = 10
     sample_rate: float = chan.DEFAULT_SAMPLE_RATE
     workers: int = 1
-    out: str = ""
 
     def modem_config(self) -> modem.ModemConfig:
         return modem.ModemConfig(M=self.M, K=self.K)
@@ -68,6 +67,9 @@ class SimConfig:
                             ("--workers", self.workers)):
             if value < 1:
                 raise ConfigError(f"{flag} must be at least 1, got {value}")
+        if not (np.isfinite(self.mu) and self.mu > 0):
+            raise ConfigError(f"--mu must be finite and positive, "
+                              f"got {self.mu}")
         # +inf is the noiseless point; channel.apply would take -inf for it
         for snr in self.snr_list_db:
             if np.isnan(snr) or snr == -np.inf:
@@ -272,15 +274,12 @@ DEFAULT_KSWEEP = (19, 21, 23, 25, 27, 29)
 
 
 def _rs_fullload_frames(k: int, fpb: int) -> np.ndarray:
-    """Conventional RS(31,k) framing under full load: each codeword's 155
-    bits span two 128-bit frames (zero padded)."""
-    spec = rs.rs_spec(5, k)
-    cw = rs.rs_encode(spec, [31] * k)  # all-ones message symbols
-    bits = rs._symbols_to_bits(cw, 5)
-    block = np.zeros(256, dtype=np.uint8)
-    block[:bits.size] = bits
-    reps = -(-fpb // 2)
-    return np.tile(block, reps)[:fpb * 128].reshape(fpb, 128)
+    """Conventional RS(31,k) framing under full load: each codeword's 5 * 31
+    bits, zero padded, span two 128-bit frames."""
+    layout = rs.RsFrameLayout(q=5, k=k, k_prime=k, p=5, punctured=0,
+                              frame_bits=256)
+    block = rs.frame_encode(layout, np.ones(layout.message_bits, np.uint8))
+    return np.tile(block, -(-fpb // 2))[:fpb * 128].reshape(fpb, 128)
 
 
 def run_crs_k_sweep(k_list: Sequence[int] = DEFAULT_KSWEEP,

@@ -80,6 +80,15 @@ def test_ksweep_subcommand(tmp_path):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("flag", ["--workers", "--seed"])
+def test_ksweep_rejects_flags_it_would_ignore(tmp_path, flag):
+    # a full-load sweep draws no random numbers and runs on one thread
+    with pytest.raises(SystemExit) as ex:
+        run(["ksweep", flag, 2, "--out", tmp_path / "t1.csv"])
+    assert ex.value.code == 2
+    assert not (tmp_path / "t1.csv").exists()
+
+
 @pytest.mark.parametrize("scheme,payload_bytes", [("rs2516", 10),
                                                   ("crs31_19", 8)])
 def test_fec_roundtrip(tmp_path, scheme, payload_bytes):
@@ -119,6 +128,10 @@ def test_fec_bad_size(tmp_path, capsys):
     (["papr", "--frames-per-burst", 2, "--frames", 150], "--frames-per-burst"),
     (["papr", "--frames-per-burst", harness.MAX_FRAMES_PER_BURST + 1,
       "--frames", 150], "--frames-per-burst"),
+    (["papr", "--compand", "--mu", "nan", "--frames", 150], "--mu"),
+    (["papr", "--compand", "--mu", "inf", "--frames", 150], "--mu"),
+    (["papr", "--compand", "--mu", 0, "--frames", 150], "--mu"),
+    (["ber", "--snr", "0:1:-5", "--bits", 1000], "--snr"),
 ])
 def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
     rc = run(argv + ["--out", tmp_path / "x.csv"])

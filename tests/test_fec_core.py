@@ -2,14 +2,16 @@
 
 The encoders multiply message bits by a binary generator matrix G and the
 decoders take their syndromes through a binary parity-check matrix H, both
-in float32 through BLAS; the RS(25,16) decoder builds its erasure locator
-once and skips BM when the erasures alone explain the syndromes;
+in float32 through BLAS; the RS frame decoder builds the erasure locator
+of a layout's punctured positions once and skips BM when the erasures alone
+explain the syndromes;
 Berlekamp-Massey and poly_mul index the field tables directly.  The
 references below are the original per-point loops: Horner evaluation,
 syndromes one power of alpha at a time, products and BM one gf2m.mul per
 term, the Chien search one position at a time, the per-bit symbol packing,
-and the frame decoders that built the whole word and ran the full erasure
-path.  Decoders are compared on whole outcomes (message, corrected count,
+the frame decoders that built the whole word and ran the full erasure
+path, and the conventional RS(31,k) framing of the k-sweep through
+rs_encode.  Decoders are compared on whole outcomes (message, corrected count,
 constraint flag, or the DecodeFailure raised), past the correction radius
 on purpose, since the failure path is most of what a faded RS(25,16) link
 decodes.
@@ -262,10 +264,10 @@ def _encoders(code):
         return bch.bch_encode, bch._bch_encode_algebraic, bch.bch_spec().k
     if code == "rs2516":
         return (lambda b: rs.rs2516_frame(rs._bits_to_symbols(b, 5)),
-                rs._rs2516_frame_algebraic, 80)
+                lambda b: rs._frame_algebraic(rs.RS2516, b), 80)
     layout = crs.crs_layout(6, 31, int(code.split("_")[1]))
     return (lambda b: crs.crs_encode(layout, b),
-            lambda b: crs._crs_encode_algebraic(layout, b),
+            lambda b: rs._frame_algebraic(layout, b),
             layout.message_bits)
 
 
@@ -277,6 +279,33 @@ def test_matrix_encode_equals_algebraic(code, seed):
     matrix, algebraic, k_bits = _encoders(code)
     bits = np.random.default_rng(seed).integers(0, 2, k_bits, dtype=np.uint8)
     assert np.array_equal(matrix(bits), algebraic(bits))
+
+
+def scalar_conventional_frames(message, fpb):
+    """fpb 128-bit frames of the conventional RS(31,k) framing: the
+    rs_encode codeword of k message symbols, packed to bits, zero padded
+    to 256 bits and tiled."""
+    spec = rs.rs_spec(5, len(message))
+    bits = rs._symbols_to_bits(rs.rs_encode(spec, message), 5)
+    block = np.zeros(256, dtype=np.uint8)
+    block[:bits.size] = bits
+    reps = -(-fpb // 2)
+    return np.tile(block, reps)[:fpb * 128].reshape(fpb, 128)
+
+
+@pytest.mark.parametrize("k", harness.DEFAULT_KSWEEP)
+@given(seed=st.integers(0, 2**32 - 1), fpb=st.integers(3, 12))
+@settings(max_examples=30, deadline=None)
+def test_conventional_layout_equals_rs_encode(k, seed, fpb):
+    layout = rs.RsFrameLayout(q=5, k=k, k_prime=k, p=5, punctured=0,
+                              frame_bits=256)
+    msg = [int(v) for v in np.random.default_rng(seed).integers(0, 32, k)]
+    got = rs.frame_encode(layout, rs._symbols_to_bits(msg, 5))
+    assert np.array_equal(got.reshape(2, 128),
+                          scalar_conventional_frames(msg, 2))
+    # the k-sweep's full load: all-ones message symbols
+    assert np.array_equal(harness._rs_fullload_frames(k, fpb),
+                          scalar_conventional_frames([31] * k, fpb))
 
 
 def test_racing_first_encodes_agree():
@@ -295,7 +324,7 @@ def test_racing_first_encodes_agree():
     finally:
         sys.setswitchinterval(old)
     for frame, m in zip(got, msgs):
-        assert np.array_equal(frame, crs._crs_encode_algebraic(layout, m))
+        assert np.array_equal(frame, rs._frame_algebraic(layout, m))
 
 
 # --- vectorized decode == scalar decode --------------------------------------
@@ -378,14 +407,14 @@ def _frames(rng, code, errors):
         frame = _symbol_errors(rng, frame, [5] * 25, min(errors, 25))
         frame[125:] = rng.integers(0, 2, 3)  # the pad is not part of the word
         return (rs2516_word(frame), rs.rs_spec(5, 19).field, 12,
-                rs._rs2516_syndromes(frame))
+                rs._frame_syndromes(rs.RS2516, frame))
     layout = crs.crs_layout(6, 31, int(code.split("_")[1]))
     frame = crs.crs_encode(
         layout, rng.integers(0, 2, layout.message_bits, dtype=np.uint8))
     widths = [layout.p] * layout.k_prime + [layout.q] * layout.r
     frame = _symbol_errors(rng, frame, widths, min(errors, len(widths)))
     return (crs_word(layout, frame), rs.rs_spec(5, layout.k).field, layout.r,
-            crs._crs_syndromes(layout, frame))
+            rs._frame_syndromes(layout, frame))
 
 
 @pytest.mark.parametrize(
@@ -425,8 +454,9 @@ def test_rs2516_clean_shortcut_equals_erasure_path(seed):
     frame = rs.rs2516_frame([int(v) for v in rng.integers(0, 32, 16)])
     frame[125:] = rng.integers(0, 2, 3)
     spec = rs.rs_spec(5, 19)
-    modified = rs._modified_syndromes(spec.field, rs._rs2516_syndromes(frame),
-                                      rs._rs2516_erasure_locator(), spec.r)
+    modified = rs._modified_syndromes(
+        spec.field, rs._frame_syndromes(rs.RS2516, frame),
+        rs._punctured_locator(rs.RS2516), spec.r)
     assert not any(modified)
     assert outcome(rs.rs2516_decode, frame) == outcome(scalar_rs2516_decode,
                                                        frame)
@@ -492,7 +522,7 @@ def test_float32_generator_product_equals_uint8(code, seed):
     matrix, _, k_bits = _encoders(code)
     bits = np.random.default_rng(seed).integers(0, 2, k_bits, dtype=np.uint8)
     frame = matrix(bits)
-    key = (code if code in ("bch", "rs2516")
+    key = (code if code == "bch" else rs.RS2516 if code == "rs2516"
            else crs.crs_layout(6, 31, int(code.split("_")[1])))
     G = rs._GENERATORS[key]
     assert G.dtype == np.float32
@@ -531,11 +561,13 @@ def _syndrome_bits(code):
     if code == "rs2516":
         spec = rs.rs_spec(5, 19)
         return lambda f: rs._symbols_to_bits(
-            rs._syndromes(spec.field, rs._rs2516_word(f), spec.r), 5)
+            rs._syndromes(spec.field, rs._frame_word(rs.RS2516, f), spec.r),
+            5)
     layout = crs.crs_layout(6, 31, int(code.split("_")[1]))
     spec = rs.rs_spec(layout.q, layout.k)
     return lambda f: rs._symbols_to_bits(
-        rs._syndromes(spec.field, crs._crs_word(layout, f), spec.r), layout.q)
+        rs._syndromes(spec.field, rs._frame_word(layout, f), spec.r),
+        layout.q)
 
 
 @pytest.mark.parametrize(

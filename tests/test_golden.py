@@ -1,7 +1,8 @@
 """Golden outputs of the simulator at fixed seeds.
 
 The values were captured from the scalar codecs before the GF(2)-linear core
-replaced them.  A change meant to keep the simulator's numbers must keep
+replaced them; the k-sweep pins were captured before the RS(25,16),
+constrained RS and conventional RS(31,k) framings became one RsFrameLayout.  A change meant to keep the simulator's numbers must keep
 these exactly: BER error counts and bit totals, the bytes of the PAPR
 samples, and the bits of encoded frames.  A change that only reorders
 floating-point work in the modem may move PAPR samples in the last digits
@@ -29,6 +30,14 @@ PAPR_SHA256 = "aa63efca167afbe52c70d5375c9de62289d9a31eed196aa4c56c4b9fdf92e2b5"
 # 50 rounds of bch, rs2516 and crs31_k (k-sweep) frames of random messages
 FRAMES_SHA256 = \
     "a0e440f4bd97cc8011ecda7b476d67fef8b7ad2e0109c27b6d4f793a2a190124"
+# rows (k, crs_db, rs_db) of the default k-sweep, as a float64 array
+KSWEEP_SHA256 = \
+    "e64a9834e31e30f63c18b39e3488c0512c2afd9dc8e01c5d4c7ff47ccd726191"
+# the 10 conventional RS(31,k) full-load frames of each k-sweep point; an
+# all-ones message encodes to the all-ones word at every k
+RS_FULLLOAD_SHA256 = dict.fromkeys(
+    harness.DEFAULT_KSWEEP,
+    "164a096459dc69300f216f0a8e2282f7da358ad948148b59f8b38305938eade8")
 
 
 @pytest.mark.parametrize("point", list(GOLDEN_BER))
@@ -62,3 +71,15 @@ def test_encoded_frames():
             h.update(crs.crs_encode(lay, rng.integers(
                 0, 2, lay.message_bits).astype(np.uint8)).tobytes())
     assert h.hexdigest() == FRAMES_SHA256
+
+
+def test_ksweep_rows():
+    rows = np.array(harness.run_crs_k_sweep())
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == KSWEEP_SHA256
+
+
+@pytest.mark.parametrize("k", harness.DEFAULT_KSWEEP)
+def test_rs_fullload_frames(k):
+    frames = harness._rs_fullload_frames(k, 10)
+    assert hashlib.sha256(frames.tobytes()).hexdigest() == \
+        RS_FULLLOAD_SHA256[k]

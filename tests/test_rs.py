@@ -113,11 +113,11 @@ def test_length_checks():
 
 def test_rs2516_shape():
     msg = list(range(16))
-    tx = rs.rs2516_encode(msg)
-    assert len(tx) == 25
-    assert tx[:16] == msg
     frame = rs.rs2516_frame(msg)
     assert frame.size == 128
+    # 16 message symbols, then RS(31,19) parity 0..8 of the shortened word
+    parity = rs.rs_encode(rs.rs_spec(5, 19), [0] * 3 + msg)[19:28]
+    assert rs._bits_to_symbols(frame[:125], 5) == msg + parity
     assert not frame[125:].any()  # zero pad
 
 
