@@ -25,18 +25,23 @@ FRAME_BYTES = 16  # 128-bit frames on disk
 
 def _parse_snr(text: str) -> tuple:
     """Accept either 'start:step:stop' (inclusive) or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad snr range {text!r}, expected start:step:stop")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("snr step must be positive")
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
-        if n < 1:
-            raise ValueError(f"--snr range {text!r} is empty")
-        return tuple(start + i * step for i in range(n))
-    return tuple(float(p) for p in text.split(","))
+    is_range = ":" in text
+    try:
+        values = [float(p) for p in text.split(":" if is_range else ",")]
+    except ValueError as ex:
+        raise ValueError(f"--snr {text!r}: {ex}") from None
+    if not is_range:
+        return tuple(values)
+    if len(values) != 3:
+        raise ValueError(f"--snr {text!r}: expected start:step:stop")
+    start, step, stop = values
+    if not (np.isfinite(start) and np.isfinite(stop) and step > 0):
+        raise ValueError(f"--snr {text!r}: start and stop must be finite "
+                         f"and step positive")
+    n = int(np.floor((stop - start) / step + 1e-9)) + 1
+    if n < 1:
+        raise ValueError(f"--snr range {text!r} is empty")
+    return tuple(start + i * step for i in range(n))
 
 
 def _read_config_file(path: str) -> dict:

@@ -4,23 +4,24 @@ Narrow-sense construction: the generator is the LCM of the minimal
 polynomials of alpha^1..alpha^(2t), grown until its degree reaches
 n - k = 42 (which happens at t = 6).  Encoding is systematic; the 127
 codeword bits are suffixed with one zero pad bit to fill a 128-bit frame.
-The frame encoder goes through the binary image: the polynomial-division
-encoder builds an (85, 128) generator matrix on first use, and a frame is
-(message @ G) mod 2.  The decoder takes its syndromes through the matching
-parity-check matrix, (word @ H) mod 2, and shares BM and the Chien search
-with the RS codec.
+The code's binary generator matrix G (85, 128) and parity-check matrix H
+(127, 2t m) are cached functions, _generator and _parity_check, built on
+first use from the polynomial-division encoder and the scalar syndromes.  A
+frame is (message @ G) mod 2, its syndromes are (word @ H) mod 2, and the
+decoder shares BM, its error bound and the Chien search with the RS codec.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import gf2m
 from ..gf2m import FieldSpec
-from .rs import (DecodeFailure, LengthMismatch, _berlekamp_massey,
-                 _binary_syndromes, _checked_message, _chien, _encode_bits,
-                 _syndromes)
+from .rs import (DecodeFailure, LengthMismatch, _binary_matrix,
+                 _bits_to_symbols, _checked_message, _chien, _error_locator,
+                 _gf2, _symbols_to_bits, _syndromes)
 
 
 def _gf2_poly_mul(a: int, b: int) -> int:
@@ -73,14 +74,9 @@ class BchCodeSpec:
         return self.n - self.k
 
 
-_SPEC: BchCodeSpec | None = None
-
-
+@functools.cache
 def bch_spec() -> BchCodeSpec:
     """The BCH(127,85) spec; t is resolved from the generator degree."""
-    global _SPEC
-    if _SPEC is not None:
-        return _SPEC
     fs = gf2m.cached_field(7)
     n = fs.order
     gen = 1
@@ -96,8 +92,7 @@ def bch_spec() -> BchCodeSpec:
     deg = gen.bit_length() - 1
     if deg != 42:
         raise AssertionError(f"generator degree {deg} != 42")
-    _SPEC = BchCodeSpec(field=fs, n=n, k=n - deg, t=t, generator=gen)
-    return _SPEC
+    return BchCodeSpec(field=fs, n=n, k=n - deg, t=t, generator=gen)
 
 
 def _bits_to_int(bits: np.ndarray) -> int:
@@ -114,7 +109,7 @@ def _int_to_bits(v: int, width: int) -> np.ndarray:
 
 
 def _bch_encode_algebraic(message: np.ndarray) -> np.ndarray:
-    """bch_encode by polynomial division; builds the generator matrix."""
+    """bch_encode of one message by polynomial division."""
     spec = bch_spec()
     parity = _gf2_poly_mod(_bits_to_int(message) << spec.r, spec.generator)
     frame = np.zeros(spec.n + 1, dtype=np.uint8)
@@ -123,20 +118,32 @@ def _bch_encode_algebraic(message: np.ndarray) -> np.ndarray:
     return frame
 
 
+@functools.cache
+def _generator() -> np.ndarray:
+    """The (k, n + 1) generator matrix G of the 128-bit frame."""
+    return _binary_matrix(_bch_encode_algebraic, bch_spec().k)
+
+
+@functools.cache
+def _parity_check() -> np.ndarray:
+    """The (n, 2t m) parity-check matrix H of the 127-bit word: row i holds
+    the bits of S_1..S_2t of the i-th unit word."""
+    spec = bch_spec()
+    return _binary_matrix(lambda w: _symbols_to_bits(
+        _syndromes(spec.field, w, 2 * spec.t), spec.field.m), spec.n)
+
+
 def bch_encode(message: np.ndarray) -> np.ndarray:
     """85 message bits -> 128-bit frame (127 codeword bits + 1 zero pad);
     a (..., 85) stack gives (..., 128) frames."""
     bits = _checked_message(message, bch_spec().k, 2, "message bit")
-    return _encode_bits("bch", _bch_encode_algebraic, bits)
+    return _gf2(bits, _generator())
 
 
 def _bch_syndromes(word: np.ndarray) -> list[int]:
     """Syndromes S_1..S_2t of a 127-bit word through its parity-check
     matrix."""
-    spec = bch_spec()
-    return _binary_syndromes(
-        "bch", lambda w: _syndromes(spec.field, w, 2 * spec.t), word,
-        spec.field.m)
+    return _bits_to_symbols(_gf2(word, _parity_check()), bch_spec().field.m)
 
 
 def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
@@ -155,12 +162,9 @@ def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
     if not any(synd):
         return word[:spec.k], 0
 
-    lam = _berlekamp_massey(fs, synd)
-    nerr = gf2m.poly_deg(lam)
-    if nerr > spec.t:
-        raise DecodeFailure("locator degree exceeds capability")
+    lam = _error_locator(fs, synd)  # 2t syndromes: degree bound t
     flips = _chien(fs, spec.n, lam)
-    if len(flips) != nerr:
+    if len(flips) != gf2m.poly_deg(lam):
         raise DecodeFailure("locator degree does not match root count")
     word[flips] ^= 1
     if any(_bch_syndromes(word)):

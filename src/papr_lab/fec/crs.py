@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bch import bch_spec
 # re-exported: callers catch crs.ConstraintViolation
-from .rs import (ConstraintViolation, RsFrameLayout,  # noqa: F401
+from .rs import (RS2516, ConstraintViolation, RsFrameLayout,  # noqa: F401
                  frame_decode, frame_encode)
 
 
@@ -63,20 +64,15 @@ crs_decode = frame_decode
 
 # --- codeword density --------------------------------------------------------
 
-_DENSITIES = {
-    # scheme -> (message bits, transmitted bits)
-    "bch": (85, 128),
-    "rs31_19_raw": (95, 155),
-    "rs2516": (80, 128),
-    "crs31_19": (64, 128),
-}
-
-
 def codeword_density(scheme: str) -> int:
     """log2 of the probability that a random transmitted frame is a valid
-    codeword: message bits minus transmitted bits."""
-    try:
-        msg, tx = _DENSITIES[scheme]
-    except KeyError:
-        raise UnknownScheme(f"unknown scheme {scheme!r}") from None
-    return msg - tx
+    codeword: message bits minus transmitted bits.  rs31_19_raw is the
+    unshortened RS(31,19) codeword sent as its 155 bits."""
+    if scheme == "bch":
+        spec = bch_spec()
+        return spec.k - (spec.n + 1)  # the frame's pad bit is sent too
+    layouts = {"rs31_19_raw": RsFrameLayout(5, 19, 19, 5, 0, 155),
+               "rs2516": RS2516, "crs31_19": crs_layout(6, 31, 19)}
+    if scheme not in layouts:
+        raise UnknownScheme(f"unknown scheme {scheme!r}")
+    return layouts[scheme].message_bits - layouts[scheme].frame_bits

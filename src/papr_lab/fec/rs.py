@@ -13,20 +13,22 @@ fec.crs and the conventional RS(31,k) framing of the k-sweep are further
 instances.  One encoder and one decoder serve them all.
 
 Every frame codec here (RS frame layouts, BCH) is GF(2)-linear on its bits,
-so the frame encoders go through the binary image: the algebraic encoder
-maps each unit message to one row of a binary generator matrix G, built on
-first use, and a frame is (message bits @ G) mod 2.  The frame decoders take
-their syndromes the same way: the scalar syndrome map builds a binary
-parity-check matrix H, and the syndromes are (frame bits @ H) mod 2 packed to
-field symbols.  Only a frame whose syndromes are not explained by its
-erasures goes on to Berlekamp-Massey, and only one that passes BM's degree
-bound to the Chien search (gf2m.poly_eval_many) and Forney.
+so each code is described by a binary generator matrix G and a binary
+parity-check matrix H, cached functions of the code (_frame_generator and
+_frame_parity_check of a layout, bch._generator and bch._parity_check)
+built on first use by _binary_matrix: row i of G is the algebraic encoding
+of the i-th unit message, row i of H the syndrome bits of the i-th unit
+frame.  A frame is (message bits @ G) mod 2 and its syndromes are
+(frame bits @ H) mod 2 packed to field symbols, both through _gf2.  Only a
+frame whose syndromes are not explained by its erasures goes on to
+Berlekamp-Massey, and only one that passes BM's degree bound to the Chien
+search (gf2m.poly_eval_many) and Forney.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -59,14 +61,9 @@ class RsCodeSpec:
         return self.r // 2
 
 
-_SPEC_CACHE: dict[tuple[int, int], RsCodeSpec] = {}
-
-
+@functools.cache
 def rs_spec(m: int, k: int) -> RsCodeSpec:
     """RS(2^m - 1, k) over the canonical GF(2^m), roots alpha^1..alpha^r."""
-    key = (m, k)
-    if key in _SPEC_CACHE:
-        return _SPEC_CACHE[key]
     fs = gf2m.cached_field(m)
     n = fs.order
     if not 0 < k < n:
@@ -74,9 +71,7 @@ def rs_spec(m: int, k: int) -> RsCodeSpec:
     g = [1]
     for j in range(1, n - k + 1):
         g = poly_mul(fs, g, [gf2m.pow_alpha(fs, j), 1])
-    spec = RsCodeSpec(field=fs, n=n, k=k, generator=tuple(g))
-    _SPEC_CACHE[key] = spec
-    return spec
+    return RsCodeSpec(field=fs, n=n, k=k, generator=tuple(g))
 
 
 def rs_encode(spec: RsCodeSpec, message: Sequence[int]) -> list[int]:
@@ -280,47 +275,27 @@ def _checked_message(values, count: int, size: int,
     return v
 
 
-_GENERATORS: dict[Hashable, np.ndarray] = {}
-_PARITY_CHECKS: dict[Hashable, np.ndarray] = {}
+def _binary_matrix(linear: Callable[[np.ndarray], np.ndarray],
+                   n: int) -> np.ndarray:
+    """The binary matrix A of a GF(2)-linear map on n bits, so that
+    linear(bits) = _gf2(bits, A): row i is the image of the i-th unit
+    vector.  A is read-only, since every caller of a cached A shares it,
+    and float32, so the product runs through BLAS; its sums count at most
+    one per row of A, and no G here has more than 150 rows (the message
+    bits of a conventional RS(31,30) frame) nor any H more than 128, so they
+    are exact and fit a uint8."""
+    A = np.stack([linear(e) for e in np.eye(n, dtype=np.uint8)]
+                 ).astype(np.float32)
+    A.setflags(write=False)
+    return A
 
 
-def _gf2_linear(cache: dict, code: Hashable,
-                linear: Callable[[np.ndarray], np.ndarray],
-                bits: np.ndarray) -> np.ndarray:
-    """linear(bits) for a GF(2)-linear bit map, as (bits @ A) mod 2, on one
-    bit vector or a (..., n) stack of them: row i of the binary matrix A is
-    the image of the i-th unit vector.  A is built on the first call for
-    `code`, memoized in `cache` and kept in float32, so the product runs
-    through BLAS; its sums count at most one per row of A, and no G here
-    has more than 150 rows (the message bits of a conventional RS(31,30)
-    frame) nor any H more than 128, so they are exact and fit a uint8.  A
+def _gf2(bits: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """(bits @ A) mod 2 for one bit vector or a (..., n) stack of them.  A
     (bursts, frames, n) stack goes to BLAS as one product per burst; for
     10-frame bursts each is small enough that BLAS stays on the calling
     thread."""
-    A = cache.get(code)
-    if A is None:
-        A = cache[code] = np.stack(
-            [linear(e) for e in np.eye(bits.shape[-1], dtype=np.uint8)]
-        ).astype(np.float32)
     return (bits @ A).astype(np.uint8) & 1
-
-
-def _encode_bits(code: Hashable, encode: Callable[[np.ndarray], np.ndarray],
-                 bits: np.ndarray) -> np.ndarray:
-    """encode(bits) through the binary generator matrix G of `encode`, a
-    GF(2)-linear bit encoder."""
-    return _gf2_linear(_GENERATORS, code, encode, bits)
-
-
-def _binary_syndromes(code: Hashable,
-                      syndromes: Callable[[np.ndarray], list[int]],
-                      bits: np.ndarray, m: int) -> list[int]:
-    """syndromes(bits), the field syndromes of a received frame, through the
-    binary parity-check matrix H of that scalar map, packed to m-bit
-    symbols: row i of H holds the syndrome bits of the i-th unit frame."""
-    return _bits_to_symbols(_gf2_linear(
-        _PARITY_CHECKS, code, lambda e: _symbols_to_bits(syndromes(e), m),
-        bits), m)
 
 
 # --- RS bit frames: shortened, punctured, constrained -------------------------
@@ -381,7 +356,7 @@ RS2516 = RsFrameLayout(q=5, k=19, k_prime=16, p=5, punctured=3,
 
 
 def _frame_algebraic(layout: RsFrameLayout, bits: np.ndarray) -> np.ndarray:
-    """frame_encode of one message bit vector through rs_encode; builds G."""
+    """frame_encode of one message bit vector through rs_encode."""
     codeword = rs_encode(layout.spec, [0] * (layout.k - layout.k_prime)
                          + _bits_to_symbols(bits, layout.p))
     parity = _symbols_to_bits(codeword[layout.k:layout.n - layout.punctured],
@@ -392,13 +367,20 @@ def _frame_algebraic(layout: RsFrameLayout, bits: np.ndarray) -> np.ndarray:
     return frame
 
 
+@functools.cache
+def _frame_generator(layout: RsFrameLayout) -> np.ndarray:
+    """The layout's (message bits, frame bits) generator matrix G."""
+    return _binary_matrix(lambda b: _frame_algebraic(layout, b),
+                          layout.message_bits)
+
+
 def frame_encode(layout: RsFrameLayout,
                  message_bits: np.ndarray) -> np.ndarray:
     """k' p message bits -> one frame_bits-long frame; a (..., k' p) stack
     gives (..., frame_bits) frames."""
     bits = _checked_message(message_bits, layout.message_bits, 2,
                             "message bit")
-    return _encode_bits(layout, lambda b: _frame_algebraic(layout, b), bits)
+    return _gf2(bits, _frame_generator(layout))
 
 
 def _frame_word(layout: RsFrameLayout, frame: np.ndarray) -> list[int]:
@@ -411,14 +393,14 @@ def _frame_word(layout: RsFrameLayout, frame: np.ndarray) -> list[int]:
             + [0] * layout.punctured)
 
 
-def _frame_syndromes(layout: RsFrameLayout, frame: np.ndarray) -> list[int]:
-    """Syndromes of a frame's word through the layout's parity-check
-    matrix."""
+@functools.cache
+def _frame_parity_check(layout: RsFrameLayout) -> np.ndarray:
+    """The layout's (frame bits, r q) parity-check matrix H: row i holds the
+    syndrome bits of the word of the i-th unit frame."""
     spec = layout.spec
-    return _binary_syndromes(
-        layout, lambda f: _syndromes(spec.field, _frame_word(layout, f),
-                                     spec.r),
-        frame, layout.q)
+    return _binary_matrix(lambda f: _symbols_to_bits(
+        _syndromes(spec.field, _frame_word(layout, f), spec.r), layout.q),
+        layout.frame_bits)
 
 
 @functools.cache
@@ -443,7 +425,8 @@ def frame_decode(layout: RsFrameLayout,
         raise LengthMismatch(
             f"frame length {frame.size} != {layout.frame_bits}")
     spec = layout.spec
-    synd = _frame_syndromes(layout, frame)
+    synd = _bits_to_symbols(_gf2(frame, _frame_parity_check(layout)),
+                            layout.q)
     gamma = _punctured_locator(layout)
     modified = _modified_syndromes(spec.field, synd, gamma, spec.r)
     if not any(modified):

@@ -6,6 +6,7 @@ the zero polynomial is the empty list (degree -1).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -149,16 +150,6 @@ def poly_deg(p: list[int]) -> int:
     return len(p) - 1
 
 
-def poly_add(p: list[int], q: list[int]) -> list[int]:
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, c in enumerate(p):
-        out[i] ^= c
-    for i, c in enumerate(q):
-        out[i] ^= c
-    return poly_trim(out)
-
-
 def poly_mul(fs: FieldSpec, p: list[int], q: list[int]) -> list[int]:
     if not p or not q:
         return []
@@ -220,14 +211,8 @@ def poly_divmod(fs: FieldSpec, p: list[int],
 PRIM_POLY_GF32 = 0b100101
 PRIM_POLY_GF128 = 0b10001001
 
-_FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
 
-
-def cached_field(m: int, primitive_poly: int | None = None) -> FieldSpec:
+@functools.cache
+def cached_field(m: int) -> FieldSpec:
     """Shared immutable field instances for the standard moduli."""
-    if primitive_poly is None:
-        primitive_poly = {5: PRIM_POLY_GF32, 7: PRIM_POLY_GF128}[m]
-    key = (m, primitive_poly)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = field_new(m, primitive_poly)
-    return _FIELD_CACHE[key]
+    return field_new(m, {5: PRIM_POLY_GF32, 7: PRIM_POLY_GF128}[m])

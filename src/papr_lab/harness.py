@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -48,11 +48,11 @@ class SimConfig:
     bits: int = 1_000_000         # payload bits per SNR point for BER runs
     load: str = "random"          # random | full
     master_seed: int = 0
-    M: int = 64
-    K: int = 4
     frames_per_burst: int = 10
-    sample_rate: float = chan.DEFAULT_SAMPLE_RATE
     workers: int = 1
+    # the chain's filter bank: sub-channels and overlap factor
+    M: ClassVar[int] = 64
+    K: ClassVar[int] = 4
 
     def modem_config(self) -> modem.ModemConfig:
         return modem.ModemConfig(M=self.M, K=self.K)
@@ -310,7 +310,7 @@ def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
     sig, scale = _tx_burst(cfg, mcfg, scheme.encode(payloads))
 
     # each burst has its own fading and noise streams
-    channels = [chan.realize(profile, cfg.sample_rate,
+    channels = [chan.realize(profile, chan.DEFAULT_SAMPLE_RATE,
                              _rng(cfg.master_seed, key, b, _ROLE_FADING)
                              if profile.fading != "none" else None)
                 for b in bursts]

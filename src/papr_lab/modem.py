@@ -60,11 +60,12 @@ def design_prototype(M: int, K: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModemConfig:
-    """Bank parameters, prototype p, and the polyphase constants derived once:
-    p zero-padded to (2K, M/2) blocks and the phase twiddles (with gain)."""
+    """Bank parameters and the constants derived from them once: the
+    prototype p, p zero-padded to (2K, M/2) blocks and the phase twiddles
+    (with gain)."""
     M: int = 64
     K: int = 4
-    prototype: np.ndarray = field(default=None, repr=False)
+    prototype: np.ndarray = field(init=False, repr=False, compare=False)
     blocks: np.ndarray = field(init=False, repr=False, compare=False)
     synthesis_phase: np.ndarray = field(init=False, repr=False, compare=False)
     analysis_phase: np.ndarray = field(init=False, repr=False, compare=False)
@@ -74,9 +75,7 @@ class ModemConfig:
         return self.K * self.M - 1
 
     def __post_init__(self):
-        p = self.prototype
-        if p is None:
-            p = design_prototype(self.M, self.K)
+        p = design_prototype(self.M, self.K)
         # -2 pi k c / M = -pi k (Lp - 1) / M, reduced exactly mod 2 pi
         turns = np.arange(self.M) * (self.Lp - 1) % (2 * self.M)
         phase = np.exp(-1j * np.pi * turns / self.M)
@@ -206,10 +205,3 @@ def analysis(signal: np.ndarray, cfg: ModemConfig, n_half: int) -> np.ndarray:
 def modulate_frames(frames: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Bit frames (..., L, 2M) -> baseband bursts (..., samples)."""
     return synthesis(oqam_preprocess(frames_to_grid(frames, cfg.M)), cfg)
-
-
-def demodulate_burst(signal: np.ndarray, cfg: ModemConfig,
-                     n_frames: int) -> np.ndarray:
-    """Baseband burst -> recovered bit frames (L, 2M)."""
-    grid = analysis(signal, cfg, 2 * n_frames)
-    return grid_to_frames(oqam_postprocess(grid))

@@ -132,6 +132,11 @@ def test_fec_bad_size(tmp_path, capsys):
     (["papr", "--compand", "--mu", "inf", "--frames", 150], "--mu"),
     (["papr", "--compand", "--mu", 0, "--frames", 150], "--mu"),
     (["ber", "--snr", "0:1:-5", "--bits", 1000], "--snr"),
+    (["ber", "--snr", "", "--bits", 1000], "--snr"),
+    (["ber", "--snr", "1,,2", "--bits", 1000], "--snr"),
+    (["ber", "--snr", "1:x:3", "--bits", 1000], "--snr"),
+    (["ber", "--snr", "0:0:5", "--bits", 1000], "--snr"),
+    (["ber", "--snr", "0:1:inf", "--bits", 1000], "--snr"),
 ])
 def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
     rc = run(argv + ["--out", tmp_path / "x.csv"])

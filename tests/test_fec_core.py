@@ -2,9 +2,9 @@
 
 The encoders multiply message bits by a binary generator matrix G and the
 decoders take their syndromes through a binary parity-check matrix H, both
-in float32 through BLAS; the RS frame decoder builds the erasure locator
-of a layout's punctured positions once and skips BM when the erasures alone
-explain the syndromes;
+cached per code, read-only and in float32 through BLAS; the RS frame
+decoder builds the erasure locator of a layout's punctured positions once
+and skips BM when the erasures alone explain the syndromes;
 Berlekamp-Massey and poly_mul index the field tables directly.  The
 references below are the original per-point loops: Horner evaluation,
 syndromes one power of alpha at a time, products and BM one gf2m.mul per
@@ -18,7 +18,7 @@ decodes.
 """
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -28,7 +28,51 @@ from papr_lab import gf2m, harness
 from papr_lab.fec import bch, crs, rs
 
 
+CODES = ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP]
+
+# every cache of the FEC core; gf2m.cached_field stays warm, because tests
+# hold its field instances by identity
+FEC_CACHES = (rs.rs_spec, rs._punctured_locator, rs._frame_generator,
+              rs._frame_parity_check, bch.bch_spec, bch._generator,
+              bch._parity_check)
+
+
+def clear_fec_caches():
+    """Empty every FEC cache, so the next call of each builds afresh."""
+    for cached in FEC_CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture
+def cold_fec_caches():
+    clear_fec_caches()
+
+
+def _layout(code):
+    return (rs.RS2516 if code == "rs2516"
+            else crs.crs_layout(6, 31, int(code.split("_")[1])))
+
+
+def _matrices(code):
+    """The cached (G, H) of a code."""
+    if code == "bch":
+        return bch._generator(), bch._parity_check()
+    layout = _layout(code)
+    return rs._frame_generator(layout), rs._frame_parity_check(layout)
+
+
+def h_syndromes(layout, frame):
+    """A frame's syndromes through the layout's cached H."""
+    return rs._bits_to_symbols(
+        rs._gf2(frame, rs._frame_parity_check(layout)), layout.q)
+
+
 # --- scalar references -------------------------------------------------------
+
+def poly_add(p, q):
+    """Trimmed coefficient-wise sum of two polynomials."""
+    return gf2m.poly_trim([a ^ b for a, b in zip_longest(p, q, fillvalue=0)])
+
 
 def horner_syndromes(fs, received, count):
     rec_poly = [int(c) for c in reversed(received)]
@@ -72,7 +116,7 @@ def scalar_berlekamp_massey(fs, syndromes):
         coef = gf2m.mul(fs, d, gf2m.inv(fs, b))
         T = list(C)
         adj = [0] * shift + [gf2m.mul(fs, coef, c) for c in B]
-        C = gf2m.poly_add(C, adj)
+        C = poly_add(C, adj)
         if 2 * L <= i:
             L = i + 1 - L
             B = T
@@ -192,7 +236,7 @@ def scalar_bch_decode(frame):
     lam = scalar_berlekamp_massey(fs, synd)
     nerr = gf2m.poly_deg(lam)
     if nerr > spec.t:
-        raise rs.DecodeFailure("locator degree exceeds capability")
+        raise rs.DecodeFailure("error locator exceeds capability")
     flips = [pos for pos in range(spec.n)
              if gf2m.poly_eval(fs, lam, gf2m.inv(
                  fs, gf2m.pow_alpha(fs, spec.n - 1 - pos))) == 0]
@@ -265,14 +309,13 @@ def _encoders(code):
     if code == "rs2516":
         return (lambda b: rs.rs2516_frame(rs._bits_to_symbols(b, 5)),
                 lambda b: rs._frame_algebraic(rs.RS2516, b), 80)
-    layout = crs.crs_layout(6, 31, int(code.split("_")[1]))
+    layout = _layout(code)
     return (lambda b: crs.crs_encode(layout, b),
             lambda b: rs._frame_algebraic(layout, b),
             layout.message_bits)
 
 
-@pytest.mark.parametrize(
-    "code", ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP])
+@pytest.mark.parametrize("code", CODES)
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_matrix_encode_equals_algebraic(code, seed):
@@ -308,7 +351,7 @@ def test_conventional_layout_equals_rs_encode(k, seed, fpb):
                           scalar_conventional_frames([31] * k, fpb))
 
 
-def test_racing_first_encodes_agree():
+def test_racing_first_encodes_agree(cold_fec_caches):
     """Burst threads may build the same generator matrix at once; every
     frame must still equal the algebraic encoding."""
     layout = crs.crs_layout(6, 31, 21)
@@ -317,8 +360,7 @@ def test_racing_first_encodes_agree():
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.dict(rs._GENERATORS, clear=True), \
-                ThreadPoolExecutor(max_workers=8) as ex:
+        with ThreadPoolExecutor(max_workers=8) as ex:
             got = list(ex.map(lambda m: crs.crs_encode(layout, m), msgs,
                               timeout=60))
     finally:
@@ -407,18 +449,17 @@ def _frames(rng, code, errors):
         frame = _symbol_errors(rng, frame, [5] * 25, min(errors, 25))
         frame[125:] = rng.integers(0, 2, 3)  # the pad is not part of the word
         return (rs2516_word(frame), rs.rs_spec(5, 19).field, 12,
-                rs._frame_syndromes(rs.RS2516, frame))
-    layout = crs.crs_layout(6, 31, int(code.split("_")[1]))
+                h_syndromes(rs.RS2516, frame))
+    layout = _layout(code)
     frame = crs.crs_encode(
         layout, rng.integers(0, 2, layout.message_bits, dtype=np.uint8))
     widths = [layout.p] * layout.k_prime + [layout.q] * layout.r
     frame = _symbol_errors(rng, frame, widths, min(errors, len(widths)))
     return (crs_word(layout, frame), rs.rs_spec(5, layout.k).field, layout.r,
-            rs._frame_syndromes(layout, frame))
+            h_syndromes(layout, frame))
 
 
-@pytest.mark.parametrize(
-    "code", ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP])
+@pytest.mark.parametrize("code", CODES)
 @given(seed=st.integers(0, 2**32 - 1), errors=st.integers(0, 40))
 @settings(max_examples=40, deadline=None)
 def test_parity_check_syndromes_equal_horner(code, seed, errors):
@@ -455,7 +496,7 @@ def test_rs2516_clean_shortcut_equals_erasure_path(seed):
     frame[125:] = rng.integers(0, 2, 3)
     spec = rs.rs_spec(5, 19)
     modified = rs._modified_syndromes(
-        spec.field, rs._frame_syndromes(rs.RS2516, frame),
+        spec.field, h_syndromes(rs.RS2516, frame),
         rs._punctured_locator(rs.RS2516), spec.r)
     assert not any(modified)
     assert outcome(rs.rs2516_decode, frame) == outcome(scalar_rs2516_decode,
@@ -514,22 +555,29 @@ def test_rs2516_one_modified_syndrome_takes_the_full_path(seed, at, value):
                                                        frame)
 
 
-@pytest.mark.parametrize(
-    "code", ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP])
+@pytest.mark.parametrize("code", CODES)
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_float32_generator_product_equals_uint8(code, seed):
     matrix, _, k_bits = _encoders(code)
     bits = np.random.default_rng(seed).integers(0, 2, k_bits, dtype=np.uint8)
     frame = matrix(bits)
-    key = (code if code == "bch" else rs.RS2516 if code == "rs2516"
-           else crs.crs_layout(6, 31, int(code.split("_")[1])))
-    G = rs._GENERATORS[key]
+    G = _matrices(code)[0]
     assert G.dtype == np.float32
     assert np.array_equal(frame, (bits @ G.astype(np.uint8)) & 1)
 
 
-def test_racing_first_decodes_agree():
+@pytest.mark.parametrize("code", CODES)
+def test_cached_matrices_are_read_only(code):
+    """Every caller of a code shares its one cached G and H, so none may
+    write to them."""
+    for cached, A in zip(_matrices(code), _matrices(code)):
+        assert cached is A and not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 1
+
+
+def test_racing_first_decodes_agree(cold_fec_caches):
     """Burst threads may build the same parity-check matrix at once; every
     decode must still equal the scalar one."""
     layout = crs.crs_layout(6, 31, 21)
@@ -542,8 +590,7 @@ def test_racing_first_decodes_agree():
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.dict(rs._PARITY_CHECKS, clear=True), \
-                ThreadPoolExecutor(max_workers=8) as ex:
+        with ThreadPoolExecutor(max_workers=8) as ex:
             got = list(ex.map(lambda f: outcome(crs.crs_decode, layout, f),
                               frames, timeout=60))
     finally:
@@ -563,28 +610,29 @@ def _syndrome_bits(code):
         return lambda f: rs._symbols_to_bits(
             rs._syndromes(spec.field, rs._frame_word(rs.RS2516, f), spec.r),
             5)
-    layout = crs.crs_layout(6, 31, int(code.split("_")[1]))
+    layout = _layout(code)
     spec = rs.rs_spec(layout.q, layout.k)
     return lambda f: rs._symbols_to_bits(
         rs._syndromes(spec.field, rs._frame_word(layout, f), spec.r),
         layout.q)
 
 
-@pytest.mark.parametrize(
-    "code", ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP])
+@pytest.mark.parametrize("code", CODES)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12))
 @settings(max_examples=10, deadline=None)
 def test_stacked_products_on_cold_cache_equal_per_row(code, seed, rows):
-    """A (rows, n) stack as the first product of a code builds G or H from
-    n unit vectors, not rows * n, and gives each row's own result."""
-    _, algebraic, k_bits = _encoders(code)
+    """A (rows, n) stack as the first product of a code, through a G or H
+    built from the code rather than from the stack's shape, gives each
+    row's own result."""
+    matrix, algebraic, k_bits = _encoders(code)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, (rows, k_bits), dtype=np.uint8)
-    with mock.patch.dict(rs._GENERATORS, clear=True):
-        frames = rs._encode_bits(code, algebraic, bits)
+    clear_fec_caches()
+    frames = matrix(bits)
     assert np.array_equal(frames, np.stack([algebraic(b) for b in bits]))
     received = frames ^ (rng.random(frames.shape) < 0.05)
     syndromes = _syndrome_bits(code)
-    with mock.patch.dict(rs._PARITY_CHECKS, clear=True):
-        got = rs._gf2_linear(rs._PARITY_CHECKS, code, syndromes, received)
+    clear_fec_caches()
+    H = _matrices(code)[1]
+    got = rs._gf2(received[:, :H.shape[0]], H)
     assert np.array_equal(got, np.stack([syndromes(f) for f in received]))

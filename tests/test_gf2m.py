@@ -1,3 +1,5 @@
+from itertools import zip_longest
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,11 @@ FIELDS = [GF32, GF128]
 
 def elems(fs):
     return st.integers(min_value=0, max_value=fs.order)
+
+
+def poly_add(p, q):
+    """Trimmed coefficient-wise sum of two polynomials."""
+    return gf2m.poly_trim([a ^ b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 @pytest.mark.parametrize("fs", FIELDS, ids=["gf32", "gf128"])
@@ -92,7 +99,7 @@ def test_poly_divmod_roundtrip(fs, data):
     if not gf2m.poly_trim(list(q)):
         q = [1]
     quot, rem = gf2m.poly_divmod(fs, p, q)
-    back = gf2m.poly_add(gf2m.poly_mul(fs, quot, q), rem)
+    back = poly_add(gf2m.poly_mul(fs, quot, q), rem)
     assert back == gf2m.poly_trim(list(p))
     assert gf2m.poly_deg(rem) < gf2m.poly_deg(gf2m.poly_trim(list(q)))
 
