@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -105,26 +106,46 @@ def realize(profile: ChannelProfile, sample_rate: float,
 
 
 def apply(signal: np.ndarray, ch: ChannelRealization, snr_db: float,
-          rng: np.random.Generator | None = None) -> np.ndarray:
+          rng: np.random.Generator | Sequence[np.random.Generator] | None
+          = None) -> np.ndarray:
     """Convolve with the channel taps and add complex white Gaussian noise.
 
-    Noise power is set against the empirical power of the faded signal so
-    the received SNR over the full band equals snr_db.  snr_db = +inf (or
-    None) skips the noise entirely; NaN and -inf raise ValueError.
+    signal is one burst (samples,) or a stack (..., samples), and ch holds
+    the matching taps, (span,) or (..., span) as in equalize; the output is
+    the full convolution (..., samples + span - 1), one multiply-add per
+    nonzero tap delay over the whole stack.  Noise power is set per burst
+    against the empirical power of its faded signal, so each burst's
+    received SNR over the full band equals snr_db; rng is a Generator per
+    burst (a sequence over the flattened leading axes; one Generator for
+    one burst), and each burst's noise is drawn from its own.  snr_db =
+    +inf (or None) skips the noise entirely; NaN and -inf raise ValueError.
     """
     if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
         raise ValueError(f"snr_db {snr_db} is not a dB value or +inf")
     signal = np.asarray(signal, dtype=complex)
-    faded = np.convolve(signal, ch.fir_taps)
+    taps = ch.fir_taps
+    n, span = signal.shape[-1], taps.shape[-1]
+    lead = np.broadcast_shapes(signal.shape[:-1], taps.shape[:-1])
+    faded = np.zeros(lead + (n + span - 1,), dtype=complex)
+    for d in np.flatnonzero(np.any(taps.reshape(-1, span), axis=0)):
+        faded[..., d:d + n] += taps[..., d, None] * signal
     if snr_db is None or snr_db == math.inf:
         return faded
     if rng is None:
         raise ValueError("finite snr requires an rng")
-    sig_power = np.mean(np.abs(faded) ** 2)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if len(rngs) != math.prod(lead):
+        raise ValueError(f"{len(rngs)} rngs for {math.prod(lead)} bursts")
+    sig_power = np.mean(np.abs(faded) ** 2, axis=-1)
     noise_power = sig_power / (10.0 ** (snr_db / 10.0))
-    noise = (rng.standard_normal(faded.size)
-             + 1j * rng.standard_normal(faded.size))
-    return faded + np.sqrt(noise_power / 2.0) * noise
+    # per burst: faded.shape[-1] real parts, then as many imaginary parts
+    noise = np.empty((len(rngs), 2, faded.shape[-1]))
+    for burst_rng, burst in zip(rngs, noise):
+        burst_rng.standard_normal(out=burst)
+    noise *= np.sqrt(noise_power / 2.0).reshape(-1, 1, 1)
+    parts = faded.view(float).reshape(len(rngs), -1, 2)  # re, im per sample
+    parts += noise.transpose(0, 2, 1)
+    return faded
 
 
 SINGULAR_THRESHOLD = 1e-6

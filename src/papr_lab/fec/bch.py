@@ -6,9 +6,12 @@ n - k = 42 (which happens at t = 6).  Encoding is systematic; the 127
 codeword bits are suffixed with one zero pad bit to fill a 128-bit frame.
 The code's binary generator matrix G (85, 128) and parity-check matrix H
 (127, 2t m) are cached functions, _generator and _parity_check, built on
-first use from the polynomial-division encoder and the scalar syndromes.  A
-frame is (message @ G) mod 2, its syndromes are (word @ H) mod 2, and the
-decoder shares BM, its error bound and the Chien search with the RS codec.
+first use from the polynomial-division encoder and rs._syndromes.  A
+frame is (message @ G) mod 2.  Its syndromes are one lookup per frame byte
+in the XOR tables built from H (rs._byte_tables); the decoder shares BM,
+its error bound and the packed Chien search with the RS codec, skipping the
+steps of BM whose discrepancy is zero for a binary word, and checks the
+residual by adding the syndromes of each flipped bit to the frame's.
 """
 from __future__ import annotations
 
@@ -20,8 +23,9 @@ import numpy as np
 from .. import gf2m
 from ..gf2m import FieldSpec
 from .rs import (DecodeFailure, LengthMismatch, _binary_matrix,
-                 _bits_to_symbols, _checked_message, _chien, _error_locator,
-                 _gf2, _symbols_to_bits, _syndromes)
+                 _byte_tables, _checked_message, _error_locator, _evaluate,
+                 _evaluation_tables, _gf2, _lookup, _pack_symbols, _roots,
+                 _symbols_to_bits, _syndromes, _unpack)
 
 
 def _gf2_poly_mul(a: int, b: int) -> int:
@@ -50,10 +54,7 @@ def _minimal_poly(fs: FieldSpec, i: int) -> int:
         coset.append(c)
         c = (2 * c) % fs.order
     # product of (x - alpha^j) over the coset, coefficients collapse to GF(2)
-    poly = [1]
-    for j in coset:
-        root = gf2m.pow_alpha(fs, j)
-        poly = gf2m.poly_mul(fs, poly, [root, 1])
+    poly = gf2m.poly_from_roots(fs, [gf2m.pow_alpha(fs, j) for j in coset])
     assert all(c in (0, 1) for c in poly)
     out = 0
     for d, c in enumerate(poly):
@@ -140,10 +141,11 @@ def bch_encode(message: np.ndarray) -> np.ndarray:
     return _gf2(bits, _generator())
 
 
-def _bch_syndromes(word: np.ndarray) -> list[int]:
-    """Syndromes S_1..S_2t of a 127-bit word through its parity-check
-    matrix."""
-    return _bits_to_symbols(_gf2(word, _parity_check()), bch_spec().field.m)
+@functools.cache
+def _syndrome_tables() -> tuple[list[int], ...]:
+    """rs._byte_tables of S_1..S_2t over the 128-bit frame, from H; the pad
+    bit's image is zero."""
+    return _byte_tables(_pack_symbols(_parity_check(), bch_spec().field.m))
 
 
 def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
@@ -157,16 +159,23 @@ def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
     frame = np.asarray(frame, dtype=np.uint8)
     if frame.size != spec.n + 1:
         raise LengthMismatch(f"frame length {frame.size} != {spec.n + 1}")
-    word = frame[:spec.n].copy()
-    synd = _bch_syndromes(word)
-    if not any(synd):
-        return word[:spec.k], 0
+    tables = _syndrome_tables()
+    value = _lookup(tables, frame)
+    message = frame[:spec.k].copy()
+    if not value:
+        return message, 0
 
-    lam = _error_locator(fs, synd)  # 2t syndromes: degree bound t
-    flips = _chien(fs, spec.n, lam)
+    lam = _error_locator(fs, _unpack(value, 2 * spec.t),
+                         binary=True)  # degree bound t
+    flips = _roots(_evaluate(_evaluation_tables(fs, spec.n, spec.t), lam,
+                             spec.n))
     if len(flips) != gf2m.poly_deg(lam):
         raise DecodeFailure("locator degree does not match root count")
-    word[flips] ^= 1
-    if any(_bch_syndromes(word)):
+    # the flipped word's syndromes: those of the frame plus those of the
+    # flipped bits alone
+    for i in flips:
+        value ^= tables[i >> 3][0x80 >> (i & 7)]
+    if value:
         raise DecodeFailure("residual syndromes after correction")
-    return word[:spec.k], len(flips)
+    message[[i for i in flips if i < spec.k]] ^= 1
+    return message, len(flips)

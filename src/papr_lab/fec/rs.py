@@ -18,11 +18,24 @@ parity-check matrix H, cached functions of the code (_frame_generator and
 _frame_parity_check of a layout, bch._generator and bch._parity_check)
 built on first use by _binary_matrix: row i of G is the algebraic encoding
 of the i-th unit message, row i of H the syndrome bits of the i-th unit
-frame.  A frame is (message bits @ G) mod 2 and its syndromes are
-(frame bits @ H) mod 2 packed to field symbols, both through _gf2.  Only a
-frame whose syndromes are not explained by its erasures goes on to
-Berlekamp-Massey, and only one that passes BM's degree bound to the Chien
-search (gf2m.poly_eval_many) and Forney.
+frame.  A frame is (message bits @ G) mod 2, through _gf2.
+
+Decoding is table-driven (syndrome table lookup, Lin & Costello, Error
+Control Coding, ch. 6-7).  Vectors of field symbols travel packed in one
+Python int, one byte per symbol (_pack), so adding two vectors is one XOR.
+From H each code builds per-byte XOR tables (_byte_tables, cached as
+_syndrome_tables): a frame's syndromes are np.packbits of the frame and one
+lookup per byte.  A punctured layout's tables also give its modified
+syndromes, the syndromes composed with the fixed erasure locator Gamma of
+the punctured positions, so a frame whose modified syndromes are zero is
+clean and returns at once, and every other frame goes straight to
+Berlekamp-Massey.  BM and poly_mul run on the field's cached multiplication
+table.  Only a locator within BM's degree bound goes on: the Chien search
+and both Forney polynomials are evaluated at every position at once, one
+XOR of a packed table entry per coefficient (_evaluation_tables), and the
+residual check adds the packed syndromes of each correction
+(_correction_syndromes) to those of the frame instead of re-evaluating the
+corrected word.
 """
 from __future__ import annotations
 
@@ -33,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .. import gf2m
-from ..gf2m import FieldSpec, poly_eval, poly_mul, poly_divmod
+from ..gf2m import FieldSpec, poly_mul, poly_divmod
 from ..metrics import LengthMismatch  # noqa: F401  (re-exported)
 
 
@@ -68,9 +81,8 @@ def rs_spec(m: int, k: int) -> RsCodeSpec:
     n = fs.order
     if not 0 < k < n:
         raise LengthMismatch(f"k = {k} outside (0, {n})")
-    g = [1]
-    for j in range(1, n - k + 1):
-        g = poly_mul(fs, g, [gf2m.pow_alpha(fs, j), 1])
+    g = gf2m.poly_from_roots(fs, [gf2m.pow_alpha(fs, j)
+                                  for j in range(1, n - k + 1)])
     return RsCodeSpec(field=fs, n=n, k=k, generator=tuple(g))
 
 
@@ -89,49 +101,119 @@ def rs_encode(spec: RsCodeSpec, message: Sequence[int]) -> list[int]:
 
 def _syndromes(fs: FieldSpec, received: Sequence[int],
                count: int) -> list[int]:
-    """S_j = received(alpha^j), j = 1..count; position i has degree n-1-i."""
-    return gf2m.poly_eval_many(fs, np.asarray(received)[::-1],
-                               fs.exp_table[1:count + 1]).tolist()
+    """S_j = received(alpha^j), j = 1..count; position i has degree n-1-i.
+    All terms received[i] alpha^((n-1-i) j) are one gather."""
+    terms = gf2m.mul_table(fs)[np.asarray(received, dtype=np.intp)[:, None],
+                               _syndrome_powers(fs, len(received), count)]
+    return np.bitwise_xor.reduce(terms, axis=0).tolist()
 
 
-def _chien(fs: FieldSpec, n: int, locator: list[int]) -> list[int]:
-    """Positions pos whose inverse locator alpha^-(n-1-pos) is a root."""
-    xinv = fs.exp_table[(np.arange(n) + 1 - n) % fs.order]
-    return np.flatnonzero(gf2m.poly_eval_many(fs, locator, xinv) == 0).tolist()
+def _syndrome_powers(fs: FieldSpec, n: int, count: int) -> np.ndarray:
+    """(n, count) array of alpha^((n-1-pos) j), j = 1..count: row pos
+    holds the syndrome terms of a unit symbol at position pos."""
+    return _powers(fs, n - 1 - np.arange(n), np.arange(1, count + 1))
 
 
-def _berlekamp_massey(fs: FieldSpec, syndromes: list[int]) -> list[int]:
-    """Error locator from a (possibly erasure-modified) syndrome sequence."""
-    exp, log, order = fs.exp_ints, fs.log_ints, fs.order
-    C = [1]
+def _powers(fs: FieldSpec, logs: np.ndarray,
+            exponents: np.ndarray) -> np.ndarray:
+    """alpha^(log e) for every log (rows) and exponent e (columns)."""
+    return fs.exp_table[np.multiply.outer(logs, exponents) % fs.order]
+
+
+# --- packed symbols: one Python int holds a vector of field symbols ----------
+# Symbol i is byte i (little-endian), which holds a symbol of every field
+# here (m <= 8).  XOR of two packed ints adds their vectors.
+
+def _pack(symbols: Iterable[int]) -> int:
+    return int.from_bytes(bytes(symbols), "little")
+
+
+def _unpack(value: int, count: int) -> bytes:
+    """The count symbols of a packed value; indexing gives ints."""
+    return value.to_bytes(count, "little")
+
+
+@functools.cache
+def _evaluation_tables(fs: FieldSpec, n: int,
+                       degree: int) -> tuple[list[int], ...]:
+    """table[d][c] packs c x^d at the inverse locator x = alpha^-(n-1-pos)
+    of every position pos of a length-n word, symbol pos.  A polynomial of
+    degree <= `degree` evaluated at every position is then the XOR of one
+    entry per coefficient (_evaluate)."""
+    log_x = np.arange(n) + 1 - n
+    return _product_tables(fs, _powers(fs, np.arange(degree + 1), log_x))
+
+
+def _evaluate(tables: tuple[list[int], ...], poly: Sequence[int],
+              n: int) -> bytes:
+    """poly at the inverse locator of every position of a length-n word,
+    one symbol per position, through _evaluation_tables(fs, n, degree)."""
+    if len(poly) > len(tables):
+        raise ValueError(f"degree {len(poly) - 1} above the tables' "
+                         f"{len(tables) - 1}")
+    value = 0
+    for table, c in zip(tables, poly):
+        value ^= table[c]
+    return _unpack(value, n)
+
+
+def _roots(values: bytes) -> list[int]:
+    """Positions of the zero symbols of an _evaluate result."""
+    roots = []
+    pos = values.find(0)
+    while pos >= 0:
+        roots.append(pos)
+        pos = values.find(0, pos + 1)
+    return roots
+
+
+@functools.cache
+def _correction_syndromes(fs: FieldSpec, n: int,
+                          count: int) -> tuple[list[int], ...]:
+    """table[pos][v] packs S_1..S_count of the length-n word that is v at
+    pos and zero elsewhere."""
+    return _product_tables(fs, _syndrome_powers(fs, n, count))
+
+
+def _product_tables(fs: FieldSpec,
+                    vectors: np.ndarray) -> tuple[list[int], ...]:
+    """table[i][v] packs v times row i of vectors, for every field
+    element v."""
+    mul = gf2m.mul_table(fs)
+    return tuple([_pack(p) for p in mul[:, row].tolist()] for row in vectors)
+
+
+def _berlekamp_massey(fs: FieldSpec, syndromes: Sequence[int],
+                      binary: bool = False) -> list[int]:
+    """Error locator from a (possibly erasure-modified) syndrome sequence.
+    binary: the syndromes are S_1..S_2t of a binary word, whose every
+    second discrepancy (at S_2, S_4, ...) is zero, so those steps are
+    skipped."""
+    rows = gf2m.mul_rows(fs)
+    C = [1]  # holds at least L + 1 coefficients
     B = [1]
     L = 0
     shift = 1
-    b = 1
-    for i, s in enumerate(syndromes):
-        d = s
-        for j in range(1, min(L, len(C) - 1) + 1):
-            c, sj = C[j], syndromes[i - j]
-            if c and sj:
-                d ^= exp[log[c] + log[sj]]
-        if d == 0:
-            shift += 1
-            continue
-        lcoef = (log[d] - log[b]) % order  # log of d / b
-        T = list(C)
-        # C += (d / b) x^shift B, in place; C is never B, and trailing
-        # zeros only lengthen the loop above by zero terms
-        C += [0] * (shift + len(B) - len(C))
-        for j, c in enumerate(B):
-            if c:
-                C[shift + j] ^= exp[lcoef + log[c]]
-        if 2 * L <= i:
-            L = i + 1 - L
-            B = T
-            b = d
-            shift = 1
-        else:
-            shift += 1
+    b_inv = 1  # inverse of the discrepancy at the last length change
+    for i in range(0, len(syndromes), 1 + binary):
+        d = syndromes[i]
+        for j in range(1, L + 1):
+            d ^= rows[C[j]][syndromes[i - j]]
+        if d:
+            # C += (d / b) x^shift B; trailing zeros of C and B only add
+            # zero terms
+            times_coef = rows[rows[d][b_inv]]
+            T = C
+            C = C + [0] * (shift + len(B) - len(C))
+            for j, c in enumerate(B, shift):
+                C[j] ^= times_coef[c]
+            if 2 * L <= i:
+                L = i + 1 - L
+                C += [0] * (L + 1 - len(C))
+                B = T
+                b_inv = gf2m.inv(fs, d)
+                shift = 0
+        shift += 1 + binary
     return gf2m.poly_trim(C)
 
 
@@ -151,51 +233,51 @@ def _modified_syndromes(fs: FieldSpec, synd: list[int],
     exponential sum over the error locators (erasure terms cancel), so BM on
     this length r-f sequence recovers the error locator alone; they are all
     zero exactly when the erasures alone explain the syndromes."""
-    product = poly_mul(fs, synd, gamma)
+    product = poly_mul(fs, synd, gamma, r)
     product += [0] * (r - len(product))
     return product[len(gamma) - 1:r]
 
 
-def _error_locator(fs: FieldSpec, modified: list[int]) -> list[int]:
+def _error_locator(fs: FieldSpec, modified: list[int],
+                   binary: bool = False) -> list[int]:
     """BM on the modified syndromes; DecodeFailure past the error bound."""
-    lam = _berlekamp_massey(fs, modified)
+    lam = _berlekamp_massey(fs, modified, binary)
     if gf2m.poly_deg(lam) > len(modified) // 2:
         raise DecodeFailure("error locator exceeds capability")
     return lam
 
 
-def _correct(spec: RsCodeSpec, word: list[int], synd: list[int],
-             lam: list[int], gamma: Sequence[int]) -> list[int]:
-    """Chien search and Forney on the combined locator Lambda * Gamma; fixes
-    word in place and returns the positions it changed."""
-    fs = spec.field
-    n, r = spec.n, spec.r
-    psi = poly_mul(fs, lam, gamma)  # combined locator
-    if not psi:
-        raise DecodeFailure("degenerate locator")
-
-    roots_pos = _chien(fs, n, psi)
+def _corrections(fs: FieldSpec, n: int, synd: list[int], lam: list[int],
+                 gamma: Sequence[int]) -> list[tuple[int, int]]:
+    """Chien search and Forney on the combined locator Lambda * Gamma:
+    (position, magnitude) of every nonzero correction of a length-n word
+    with syndromes synd.  DecodeFailure unless the corrections cancel
+    every syndrome, which is checked on the corrections alone."""
+    r = len(synd)
+    psi = poly_mul(fs, lam, gamma)  # combined locator, degree <= r
+    tables = _evaluation_tables(fs, n, r)
+    roots_pos = _roots(_evaluate(tables, psi, n))
     if len(roots_pos) != gf2m.poly_deg(psi):
         raise DecodeFailure("locator degree does not match root count")
 
     # Forney: Omega = S * psi mod x^r; e_j = Omega(X_j^-1) / psi'(X_j^-1)
-    omega = poly_mul(fs, synd, psi)[:r]
-    psi_prime = [c if i % 2 == 0 else 0
-                 for i, c in enumerate(psi[1:])]  # formal derivative
-    touched = []
+    omega = _evaluate(tables, poly_mul(fs, synd, psi, r), n)
+    psi_prime = _evaluate(tables, [c if i % 2 == 0 else 0
+                                   for i, c in enumerate(psi[1:])], n)
+    correction = _correction_syndromes(fs, n, r)
+    fixes = []
+    residual = _pack(synd)
     for pos in roots_pos:
-        xi = gf2m.pow_alpha(fs, pos + 1 - n)
-        denom = poly_eval(fs, psi_prime, xi)
-        if denom == 0:
+        if psi_prime[pos] == 0:
             raise DecodeFailure("Forney denominator vanished")
-        mag = gf2m.div(fs, poly_eval(fs, omega, xi), denom)
+        mag = gf2m.div(fs, omega[pos], psi_prime[pos])
         if mag:
-            word[pos] ^= mag
-            touched.append(pos)
-
-    if any(_syndromes(fs, word, r)):
+            fixes.append((pos, mag))
+            residual ^= correction[pos][mag]
+    # the corrected word's syndromes: synd plus those of the corrections
+    if residual:
         raise DecodeFailure("residual syndromes after correction")
-    return touched
+    return fixes
 
 
 def rs_decode(spec: RsCodeSpec, received: Sequence[int],
@@ -228,7 +310,10 @@ def decode_word(spec: RsCodeSpec, received: Sequence[int],
         return word, []
     gamma = _erasure_locator(fs, n, erasures)
     lam = _error_locator(fs, _modified_syndromes(fs, synd, gamma, r))
-    return word, _correct(spec, word, synd, lam, gamma)
+    fixes = _corrections(fs, n, synd, lam, gamma)
+    for pos, mag in fixes:
+        word[pos] ^= mag
+    return word, [pos for pos, _ in fixes]
 
 
 # --- bit frames: packing, encoder input checks, binary-image encoding --------
@@ -296,6 +381,32 @@ def _gf2(bits: np.ndarray, A: np.ndarray) -> np.ndarray:
     10-frame bursts each is small enough that BLAS stays on the calling
     thread."""
     return (bits @ A).astype(np.uint8) & 1
+
+
+def _byte_tables(symbols: np.ndarray) -> tuple[list[int], ...]:
+    """Per-byte XOR tables of a GF(2)-linear map from frame bits to field
+    symbols, given as its (frame bits, count) symbol image of each unit
+    frame.  Table j maps packed byte j of a frame (np.packbits order) to
+    the _pack of the XOR of the images of the bits it sets, so the frame's
+    image is the XOR of one lookup per byte (_lookup), and the image of
+    frame bit i alone is tables[i // 8][0x80 >> i % 8]."""
+    rows = [_pack(row) for row in symbols.tolist()]
+    rows += [0] * (-len(rows) % 8)
+    tables = []
+    for j in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[j:j + 8]:  # first bit of the byte is its MSB
+            table = [v ^ w for v in table for w in (0, row)]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _lookup(tables: tuple[list[int], ...], frame: np.ndarray) -> int:
+    """The packed image of a frame under _byte_tables."""
+    value = 0
+    for table, byte in zip(tables, np.packbits(frame).tolist()):
+        value ^= table[byte]
+    return value
 
 
 # --- RS bit frames: shortened, punctured, constrained -------------------------
@@ -411,6 +522,21 @@ def _punctured_locator(layout: RsFrameLayout) -> tuple:
                                         layout.n)))
 
 
+@functools.cache
+def _syndrome_tables(layout: RsFrameLayout) -> tuple[list[int], ...]:
+    """_byte_tables of the layout's r syndromes (from its H) followed, when
+    it punctures, by its r - f modified syndromes: these are GF(2)-linear
+    in the syndromes, since the punctured locator Gamma is fixed."""
+    spec = layout.spec
+    synd = _pack_symbols(_frame_parity_check(layout), layout.q)
+    if layout.punctured:
+        gamma = _punctured_locator(layout)
+        synd = np.array([row + _modified_syndromes(spec.field, row, gamma,
+                                                   spec.r)
+                         for row in synd.tolist()])
+    return _byte_tables(synd)
+
+
 def frame_decode(layout: RsFrameLayout,
                  frame: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Decode one frame -> (message bits, corrected symbols, constraint_ok).
@@ -424,27 +550,31 @@ def frame_decode(layout: RsFrameLayout,
     if frame.size != layout.frame_bits:
         raise LengthMismatch(
             f"frame length {frame.size} != {layout.frame_bits}")
-    spec = layout.spec
-    synd = _bits_to_symbols(_gf2(frame, _frame_parity_check(layout)),
-                            layout.q)
-    gamma = _punctured_locator(layout)
-    modified = _modified_syndromes(spec.field, synd, gamma, spec.r)
+    r, f, p = layout.r, layout.punctured, layout.p
+    symbols = _unpack(_lookup(_syndrome_tables(layout), frame),
+                      2 * r - f if f else r)
+    synd, modified = symbols[:r], symbols[r:] if f else symbols
     if not any(modified):
         # the erasures alone explain the syndromes: correction would only
         # fill the punctured parity, so the message arrived intact
         return frame[:layout.message_bits].copy(), 0, True
-    lam = _error_locator(spec.field, modified)
-    word = _frame_word(layout, frame)
-    positions = _correct(spec, word, synd, lam, gamma)
+    fs = layout.spec.field
+    lam = _error_locator(fs, modified)
+    fixes = _corrections(fs, layout.n, synd, lam, _punctured_locator(layout))
     shortened = layout.k - layout.k_prime
-    if any(word[:shortened]):
+    if any(pos < shortened for pos, _ in fixes):
         raise DecodeFailure("shortened prefix decoded nonzero")
-    symbols = word[shortened:layout.k]
-    constraint_ok = all(s < (1 << layout.p) for s in symbols)
-    low = [s & ((1 << layout.p) - 1) for s in symbols]
-    corrected = sum(1 for pos in positions
-                    if pos < layout.n - layout.punctured)
-    return _symbols_to_bits(low, layout.p), corrected, constraint_ok
+    # message symbols arrive as p-bit fields: a correction flips the bits
+    # of its low p, and it keeps the alphabet exactly when its magnitude
+    # has no higher bits
+    message = [(pos, mag) for pos, mag in fixes if pos < layout.k]
+    flips = [(pos - shortened) * p + b for pos, mag in message
+             for b in range(p) if mag >> (p - 1 - b) & 1]
+    bits = frame[:layout.message_bits].copy()
+    bits[flips] ^= 1
+    constraint_ok = all(mag >> p == 0 for _, mag in message)
+    corrected = sum(1 for pos, _ in fixes if pos < layout.n - f)
+    return bits, corrected, constraint_ok
 
 
 def rs2516_frame(message: Sequence[int]) -> np.ndarray:

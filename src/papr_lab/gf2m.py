@@ -3,6 +3,12 @@
 Field elements are plain ints in [0, 2^m), interpreted as GF(2) coefficient
 vectors.  Polynomials over the field are lists of ints, lowest degree first;
 the zero polynomial is the empty list (degree -1).
+
+The scalar operations (mul, inv, div, pow_alpha) go through the log/antilog
+tables one element at a time.  The polynomial routines the decoders run per
+frame use the field's full multiplication table, cached and built on first
+use (mul_table, and mul_rows as Python ints); building a code's generator
+(poly_from_roots) does not need it.
 """
 from __future__ import annotations
 
@@ -150,40 +156,57 @@ def poly_deg(p: list[int]) -> int:
     return len(p) - 1
 
 
-def poly_mul(fs: FieldSpec, p: list[int], q: list[int]) -> list[int]:
+@functools.cache
+def mul_table(fs: FieldSpec) -> np.ndarray:
+    """(size, size) read-only table of every product: mul_table(fs)[a, b] is
+    a * b, so an array of products is one gather."""
+    e = np.arange(fs.size)
+    table = arr_mul(fs, e[:, None], e)
+    table.setflags(write=False)
+    return table
+
+
+@functools.cache
+def mul_rows(fs: FieldSpec) -> tuple:
+    """mul_table as Python ints, one list per row: mul_rows(fs)[a] is the
+    map b -> a * b, for loops that multiply by one element many times."""
+    return tuple(mul_table(fs).tolist())
+
+
+def poly_mul(fs: FieldSpec, p: Sequence[int], q: Sequence[int],
+             limit: int | None = None) -> list[int]:
+    """p q, or with a limit only its coefficients below degree limit."""
     if not p or not q:
         return []
-    exp, log = fs.exp_ints, fs.log_ints
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        la = log[a]
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] ^= exp[la + log[b]]
+    size = len(p) + len(q) - 1
+    if limit is not None:
+        size = min(size, limit)
+    rows = mul_rows(fs)
+    out = [0] * size
+    for i, a in enumerate(p[:size]):
+        if a:
+            row = rows[a]
+            for j, b in enumerate(q[:size - i], i):
+                out[j] ^= row[b]
     return poly_trim(out)
 
 
-def poly_eval(fs: FieldSpec, p: list[int], x: int) -> int:
+def poly_from_roots(fs: FieldSpec, roots: Sequence[int]) -> list[int]:
+    """prod (x + a) over the roots a, through the scalar operations, so
+    that building a code's generator builds no table."""
+    p = [1]
+    for a in roots:
+        p = [mul(fs, a, c) ^ prev for c, prev in zip(p + [0], [0] + p)]
+    return p
+
+
+def poly_eval(fs: FieldSpec, p: Sequence[int], x: int) -> int:
     """Horner evaluation of p at x."""
+    times_x = mul_rows(fs)[x]
     acc = 0
     for c in reversed(p):
-        acc = mul(fs, acc, x) ^ c
+        acc = times_x[acc] ^ c
     return acc
-
-
-def poly_eval_many(fs: FieldSpec, p: Sequence[int],
-                   xs: np.ndarray) -> np.ndarray:
-    """p(x) for every x in xs at once: each term c_d x^d is one antilog
-    lookup of log c_d + d log x, and the terms are XOR-reduced."""
-    c = np.asarray(p, dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.int64)
-    degs = np.flatnonzero(c)
-    logs = fs.log_table[c[degs]] + np.multiply.outer(fs.log_table[xs], degs)
-    out = np.bitwise_xor.reduce(fs.exp_table[logs % fs.order], axis=-1)
-    # at x = 0 only the constant term survives (log 0 is a placeholder)
-    return np.where(xs == 0, c[0] if c.size else 0, out)
 
 
 def poly_divmod(fs: FieldSpec, p: list[int],

@@ -69,7 +69,10 @@ def ccdf(samples_db: np.ndarray) -> CcdfCurve:
     lo = np.floor(samples_db.min() / CCDF_GRID_STEP_DB) * CCDF_GRID_STEP_DB
     hi = np.ceil(samples_db.max() / CCDF_GRID_STEP_DB) * CCDF_GRID_STEP_DB
     grid = np.arange(lo, hi + CCDF_GRID_STEP_DB / 2, CCDF_GRID_STEP_DB)
-    probs = np.array([(samples_db > g).mean() for g in grid])
+    # the share of samples above g: those right of g in sorted order
+    above = samples_db.size - np.searchsorted(np.sort(samples_db), grid,
+                                              side="right")
+    probs = above / samples_db.size
     return CcdfCurve(thresholds_db=grid, probabilities=probs)
 
 

@@ -185,3 +185,46 @@ def test_equalize_stacked_taps_equals_per_burst(name, bursts, M, seed):
     alone = [chan.equalize(g, c, M) for g, c in zip(grid, chans)]
     assert np.array_equal(eq, np.stack([e for e, _ in alone]))
     assert np.array_equal(singular, np.stack([s for _, s in alone]))
+
+
+def convolve_apply(signal, taps, snr_db, rng):
+    """One burst through np.convolve and the noise draws the stacked apply
+    makes: the real parts, then the imaginary parts, from the burst's rng."""
+    faded = np.convolve(signal, taps)
+    if snr_db == np.inf:
+        return faded
+    noise_power = np.mean(np.abs(faded) ** 2) / 10.0 ** (snr_db / 10.0)
+    noise = (rng.standard_normal(faded.size)
+             + 1j * rng.standard_normal(faded.size))
+    return faded + np.sqrt(noise_power / 2.0) * noise
+
+
+@given(st.sampled_from(("awgn", "pedestrian_b", "vehicular_a")),
+       st.integers(1, 6), st.integers(1, 300),
+       st.sampled_from((-5.0, 0.0, 16.0, np.inf)), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stacked_apply_equals_per_burst_convolve(name, bursts, samples,
+                                                 snr_db, seed):
+    rng = np.random.default_rng(seed)
+    profile = chan.make_profile(name)
+    taps = np.stack([chan.realize(profile, chan.DEFAULT_SAMPLE_RATE,
+                                  rng).fir_taps for _ in range(bursts)])
+    sig = (rng.standard_normal((bursts, samples))
+           + 1j * rng.standard_normal((bursts, samples)))
+    seeds = rng.integers(0, 2**32, bursts)
+    got = chan.apply(sig, chan.ChannelRealization(taps), snr_db,
+                     [np.random.default_rng(s) for s in seeds])
+    want = np.stack([convolve_apply(s, t, snr_db, np.random.default_rng(k))
+                     for s, t, k in zip(sig, taps, seeds)])
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+def test_stacked_apply_needs_one_rng_per_burst():
+    ch = chan.ChannelRealization(np.ones((3, 1), dtype=complex))
+    sig = np.ones((3, 8), dtype=complex)
+    with pytest.raises(ValueError, match="rngs"):
+        chan.apply(sig, ch, 10.0, [np.random.default_rng(0)] * 2)
+    with pytest.raises(ValueError, match="rngs"):
+        chan.apply(sig, ch, 10.0, np.random.default_rng(0))

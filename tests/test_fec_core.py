@@ -1,17 +1,21 @@
 """The GF(2)-linear codec core against the scalar algorithms it replaced.
 
-The encoders multiply message bits by a binary generator matrix G and the
-decoders take their syndromes through a binary parity-check matrix H, both
-cached per code, read-only and in float32 through BLAS; the RS frame
-decoder builds the erasure locator of a layout's punctured positions once
-and skips BM when the erasures alone explain the syndromes;
-Berlekamp-Massey and poly_mul index the field tables directly.  The
-references below are the original per-point loops: Horner evaluation,
-syndromes one power of alpha at a time, products and BM one gf2m.mul per
-term, the Chien search one position at a time, the per-bit symbol packing,
-the frame decoders that built the whole word and ran the full erasure
-path, and the conventional RS(31,k) framing of the k-sweep through
-rs_encode.  Decoders are compared on whole outcomes (message, corrected count,
+The encoders multiply message bits by a binary generator matrix G, cached
+per code, read-only and in float32 through BLAS.  The frame decoders take
+their syndromes (and, for a punctured RS layout, the modified syndromes of
+its fixed erasure locator) as one lookup per frame byte in XOR tables built
+from the code's parity-check matrix H, and skip BM when the erasures alone
+explain the syndromes.  Berlekamp-Massey, poly_mul and Horner use the
+field's multiplication table; the Chien search and Forney evaluate each
+polynomial at every position at once from packed per-coefficient tables;
+the residual check adds the syndromes of the corrections to those of the
+frame.  The references below are the original per-point loops: Horner
+evaluation, syndromes one power of alpha at a time, products and BM one
+gf2m.mul per term, the log-domain evaluator poly_eval_many, the Chien
+search one position at a time, the per-bit symbol packing, syndromes
+through H and the modified syndromes through poly_mul, the frame decoders
+that built the whole word and ran the full erasure path, and the
+conventional RS(31,k) framing of the k-sweep through rs_encode.  Decoders are compared on whole outcomes (message, corrected count,
 constraint flag, or the DecodeFailure raised), past the correction radius
 on purpose, since the failure path is most of what a faded RS(25,16) link
 decodes.
@@ -33,8 +37,10 @@ CODES = ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP]
 # every cache of the FEC core; gf2m.cached_field stays warm, because tests
 # hold its field instances by identity
 FEC_CACHES = (rs.rs_spec, rs._punctured_locator, rs._frame_generator,
-              rs._frame_parity_check, bch.bch_spec, bch._generator,
-              bch._parity_check)
+              rs._frame_parity_check, rs._syndrome_tables,
+              rs._evaluation_tables, rs._correction_syndromes, bch.bch_spec,
+              bch._generator, bch._parity_check, bch._syndrome_tables,
+              gf2m.mul_table, gf2m.mul_rows)
 
 
 def clear_fec_caches():
@@ -67,7 +73,32 @@ def h_syndromes(layout, frame):
         rs._gf2(frame, rs._frame_parity_check(layout)), layout.q)
 
 
+def bch_h_syndromes(word):
+    """S_1..S_2t of a 127-bit word through the cached H."""
+    return rs._bits_to_symbols(rs._gf2(word, bch._parity_check()), 7)
+
+
 # --- scalar references -------------------------------------------------------
+
+def poly_eval_many(fs, p, xs):
+    """p(x) for every x in xs at once: each term c_d x^d is one antilog
+    lookup of log c_d + d log x, and the terms are XOR-reduced."""
+    c = np.asarray(p, dtype=np.int64)
+    xs = np.asarray(xs, dtype=np.int64)
+    degs = np.flatnonzero(c)
+    logs = fs.log_table[c[degs]] + np.multiply.outer(fs.log_table[xs], degs)
+    out = np.bitwise_xor.reduce(fs.exp_table[logs % fs.order], axis=-1)
+    # at x = 0 only the constant term survives (log 0 is a placeholder)
+    return np.where(xs == 0, c[0] if c.size else 0, out)
+
+
+def scalar_poly_eval(fs, p, x):
+    """Horner evaluation with one gf2m.mul per step."""
+    acc = 0
+    for c in reversed(p):
+        acc = gf2m.mul(fs, acc, x) ^ c
+    return acc
+
 
 def poly_add(p, q):
     """Trimmed coefficient-wise sum of two polynomials."""
@@ -285,7 +316,7 @@ def test_poly_eval_many_matches_poly_eval(m, data):
     fs = gf2m.cached_field(m)
     p = data.draw(st.lists(st.integers(0, fs.order), max_size=20))
     points = np.arange(fs.size)
-    got = gf2m.poly_eval_many(fs, p, points)
+    got = poly_eval_many(fs, p, points)
     assert got.tolist() == [gf2m.poly_eval(fs, p, int(x)) for x in points]
 
 
@@ -443,7 +474,7 @@ def _frames(rng, code, errors):
         frame = bch.bch_encode(rng.integers(0, 2, spec.k, dtype=np.uint8))
         frame[rng.choice(spec.n, size=errors, replace=False)] ^= 1
         word = frame[:spec.n]
-        return word, spec.field, 2 * spec.t, bch._bch_syndromes(word)
+        return word, spec.field, 2 * spec.t, bch_h_syndromes(word)
     if code == "rs2516":
         frame = rs.rs2516_frame([int(v) for v in rng.integers(0, 32, 16)])
         frame = _symbol_errors(rng, frame, [5] * 25, min(errors, 25))
@@ -577,6 +608,23 @@ def test_cached_matrices_are_read_only(code):
             A[0, 0] = 1
 
 
+DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, rs._syndrome_tables,
+                 rs._evaluation_tables, rs._correction_syndromes,
+                 bch._syndrome_tables)
+
+
+def test_schemes_build_no_decode_table(cold_fec_caches):
+    """The decoders' tables are built on the first decode, not when a run
+    builds its scheme."""
+    for name in ["none"] + CODES:
+        harness.get_scheme(name)
+    assert all(t.cache_info().currsize == 0 for t in DECODE_TABLES)
+    bch.bch_decode(np.zeros(128, dtype=np.uint8))
+    rs.rs2516_decode(np.zeros(128, dtype=np.uint8))
+    assert bch._syndrome_tables.cache_info().currsize == 1
+    assert rs._syndrome_tables.cache_info().currsize == 1
+
+
 def test_racing_first_decodes_agree(cold_fec_caches):
     """Burst threads may build the same parity-check matrix at once; every
     decode must still equal the scalar one."""
@@ -636,3 +684,156 @@ def test_stacked_products_on_cold_cache_equal_per_row(code, seed, rows):
     H = _matrices(code)[1]
     got = rs._gf2(received[:, :H.shape[0]], H)
     assert np.array_equal(got, np.stack([syndromes(f) for f in received]))
+
+
+# --- byte-table syndromes, packed evaluation, correction residuals -----------
+
+@pytest.mark.parametrize("code", CODES)
+@given(seed=st.integers(0, 2**32 - 1), errors=st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_byte_table_syndromes_equal_parity_check(code, seed, errors):
+    """One lookup per frame byte gives the syndromes through H and, for a
+    punctured layout, the modified syndromes of its erasure locator."""
+    rng = np.random.default_rng(seed)
+    if code == "bch":
+        frame = bch.bch_encode(rng.integers(0, 2, 85, dtype=np.uint8))
+        frame ^= (rng.random(128) < errors / 128).astype(np.uint8)
+        got = rs._lookup(bch._syndrome_tables(), frame)
+        assert rs._unpack(got, 12) == bytes(bch_h_syndromes(frame[:127]))
+        return
+    layout = _layout(code)
+    frame = rs.frame_encode(layout, rng.integers(
+        0, 2, layout.message_bits, dtype=np.uint8))
+    frame ^= (rng.random(frame.size) < errors / 128).astype(np.uint8)
+    synd = h_syndromes(layout, frame)
+    want = synd
+    if layout.punctured:
+        want = synd + rs._modified_syndromes(
+            layout.spec.field, synd, rs._punctured_locator(layout), layout.r)
+    got = rs._lookup(rs._syndrome_tables(layout), frame)
+    assert rs._unpack(got, len(want)) == bytes(want)
+
+
+@pytest.mark.parametrize("m", [5, 7])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_table_poly_eval_equals_scalar(m, data):
+    fs = gf2m.cached_field(m)
+    p = data.draw(st.lists(st.integers(0, fs.order), max_size=14))
+    x = data.draw(st.integers(0, fs.order))
+    assert gf2m.poly_eval(fs, p, x) == scalar_poly_eval(fs, p, x)
+
+
+@pytest.mark.parametrize("m", [5, 7])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_truncated_poly_mul_equals_scalar_prefix(m, data):
+    fs = gf2m.cached_field(m)
+    p, q = (data.draw(st.lists(st.integers(0, fs.order), max_size=14))
+            for _ in range(2))
+    limit = data.draw(st.integers(0, 30))
+    want = gf2m.poly_trim(scalar_poly_mul(fs, p, q)[:limit])
+    assert gf2m.poly_mul(fs, p, q, limit) == want
+
+
+@given(seed=st.integers(0, 2**32 - 1), errors=st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_binary_berlekamp_massey_equals_scalar(seed, errors):
+    """On the syndromes of a binary word, skipping every second step (whose
+    discrepancy is zero) gives the full scalar BM's locator."""
+    word = np.zeros(127, dtype=np.uint8)
+    word[np.random.default_rng(seed).choice(127, errors, replace=False)] = 1
+    synd = bch_h_syndromes(word)
+    fs = bch.bch_spec().field
+    assert (rs._berlekamp_massey(fs, synd, binary=True)
+            == scalar_berlekamp_massey(fs, synd))
+
+
+@pytest.mark.parametrize("m", [5, 7])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_chien_equals_poly_eval_many(m, data):
+    """_evaluate gives the polynomial at every position's inverse locator,
+    and _roots its zeros, as the log-domain evaluator finds them."""
+    fs = gf2m.cached_field(m)
+    n = fs.order
+    degree = data.draw(st.integers(0, 12))
+    p = data.draw(st.lists(st.integers(0, fs.order), max_size=degree + 1))
+    xinv = fs.exp_table[(np.arange(n) + 1 - n) % fs.order]
+    want = poly_eval_many(fs, p, xinv)
+    got = rs._evaluate(rs._evaluation_tables(fs, n, degree), p, n)
+    assert list(got) == want.tolist()
+    assert rs._roots(got) == np.flatnonzero(want == 0).tolist()
+
+
+@given(seed=st.integers(0, 2**32 - 1), fixes=st.integers(0, 12),
+       k=st.sampled_from(harness.DEFAULT_KSWEEP))
+@settings(max_examples=100, deadline=None)
+def test_correction_residual_equals_word_syndromes(seed, fixes, k):
+    """A word's syndromes plus those of some corrections are the syndromes
+    of the corrected word."""
+    spec = rs.rs_spec(5, k)
+    fs, n, r = spec.field, spec.n, spec.r
+    rng = np.random.default_rng(seed)
+    word = [int(v) for v in rng.integers(0, 32, n)]
+    assert rs._syndromes(fs, word, r) == horner_syndromes(fs, word, r)
+    table = rs._correction_syndromes(fs, n, r)
+    packed = rs._pack(rs._syndromes(fs, word, r))
+    for pos in rng.choice(n, size=fixes, replace=False):
+        mag = int(rng.integers(1, 32))
+        word[pos] ^= mag
+        packed ^= table[pos][mag]
+    assert rs._unpack(packed, r) == bytes(horner_syndromes(fs, word, r))
+
+
+def test_bch_byte_table_bit_images_equal_parity_check_rows():
+    """bch_decode's residual adds the image of each flipped bit alone."""
+    tables = bch._syndrome_tables()
+    for i, unit in enumerate(np.eye(127, dtype=np.uint8)):
+        got = tables[i >> 3][0x80 >> (i & 7)]
+        assert rs._unpack(got, 12) == bytes(bch_h_syndromes(unit))
+
+
+# frames of the hypothesis tests' constructions, (seed, errors), found by a
+# seeded search; each fails (or miscorrects) where random draws seldom go
+BCH_RARE = {
+    "error locator exceeds capability": [(33, 7), (245, 7), (127, 8),
+                                         (153, 8)],
+    None: [(546, 7), (1701, 8), (185, 9)],  # decoded to another codeword
+}
+RS2516_RARE = {
+    "locator degree does not match root count": [(1, 5), (18, 5), (20, 6),
+                                                 (48, 6)],
+    "residual syndromes after correction": [(408, 5), (793, 6)],
+    "shortened prefix decoded nonzero": [(2059, 7)],
+    None: [(712, 6), (2647, 7)],
+}
+
+
+@pytest.mark.parametrize("message,seed,e", [
+    (msg, seed, e) for msg, cases in BCH_RARE.items() for seed, e in cases])
+def test_bch_rare_outcomes_match_scalar(message, seed, e):
+    rng = np.random.default_rng(seed)
+    frame = bch.bch_encode(rng.integers(0, 2, 85, dtype=np.uint8))
+    frame[rng.choice(127, size=e, replace=False)] ^= 1
+    got = outcome(bch.bch_decode, frame)
+    assert got == outcome(scalar_bch_decode, frame)
+    if message:
+        assert got == ("DecodeFailure", message)
+    else:
+        assert got[0] != "DecodeFailure"
+
+
+@pytest.mark.parametrize("message,seed,e", [
+    (msg, seed, e) for msg, cases in RS2516_RARE.items()
+    for seed, e in cases])
+def test_rs2516_rare_outcomes_match_scalar(message, seed, e):
+    rng = np.random.default_rng(seed)
+    frame = rs.rs2516_frame([int(v) for v in rng.integers(0, 32, 16)])
+    frame = _symbol_errors(rng, frame, [5] * 25, e)
+    got = outcome(rs.rs2516_decode, frame)
+    assert got == outcome(scalar_rs2516_decode, frame)
+    if message:
+        assert got == ("DecodeFailure", message)
+    else:
+        assert got[0] != "DecodeFailure"

@@ -24,6 +24,12 @@ GOLDEN_BER = {
         [(12800, 1083), (12800, 1203), (12800, 1228)],
     ("bch", "awgn", 4.0, False, 10880):
         [(10880, 73), (10880, 73), (10880, 86)],
+    # captured before the table-driven decoders and the stacked sparse-tap
+    # channel: CRS decoding, Vehicular A taps, and BCH on a fading channel
+    ("crs31_19", "vehicular_a", 16.0, True, 12800):
+        [(12800, 790), (12800, 626), (12800, 722)],
+    ("bch", "pedestrian_b", 16.0, False, 10880):
+        [(10880, 54), (10880, 111), (10880, 90)],
 }
 # crs31_19 + mu-law, random load, 400 frames, master seed 1
 PAPR_SHA256 = "aa63efca167afbe52c70d5375c9de62289d9a31eed196aa4c56c4b9fdf92e2b5"

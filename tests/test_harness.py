@@ -146,9 +146,40 @@ class TestCsv:
         harness.emit_ccdf_csv(harness.run_papr_experiment(cfg).curve, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_ccdf_bytes_equal_loop_ccdf(self, tmp_path):
+        """The sorted ccdf writes the bytes the per-threshold loop wrote."""
+        from test_metrics import loop_ccdf
+        samples = harness.run_papr_experiment(SimConfig(
+            scheme="crs31_19", companding=True, frames=400,
+            master_seed=1)).samples_db
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        harness.emit_ccdf_csv(harness.metrics.ccdf(samples), str(p1))
+        harness.emit_ccdf_csv(loop_ccdf(samples), str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_unwritable_path(self):
         with pytest.raises(IOError):
             harness.emit_ber_csv([], "/nonexistent-dir/x.csv")
+
+
+class TestRng:
+    """_rng builds its SeedSequence from uint32 entropy words; the streams
+    must be those of the SeedSequence of the int list, whose master seed
+    numpy splits into one or two words."""
+
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+                                        -1])
+    @pytest.mark.parametrize("key", [harness._snr_key(16.0),
+                                     harness._snr_key(np.inf)])
+    def test_streams_equal_int_list_seed_sequence(self, master, key):
+        for burst, role in ((0, 0), (7, 2), (2**31, 1)):
+            want = np.random.default_rng(np.random.SeedSequence(
+                [master & (2**64 - 1), key, burst, role]))
+            got = harness._rng(master, key, burst, role)
+            assert np.array_equal(got.integers(0, 2**63, 8),
+                                  want.integers(0, 2**63, 8))
+            assert np.array_equal(got.standard_normal(8),
+                                  want.standard_normal(8))
 
 
 class TestBenchmarkContract:

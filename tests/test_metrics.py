@@ -94,6 +94,31 @@ class TestCcdf:
         assert (samples > th - 0.1).mean() > 1e-1
 
 
+def loop_ccdf(samples_db):
+    """metrics.ccdf with one (samples > g).mean() per grid point."""
+    samples_db = np.asarray(samples_db, dtype=float)
+    step = metrics.CCDF_GRID_STEP_DB
+    lo = np.floor(samples_db.min() / step) * step
+    hi = np.ceil(samples_db.max() / step) * step
+    grid = np.arange(lo, hi + step / 2, step)
+    probs = np.array([(samples_db > g).mean() for g in grid])
+    return metrics.CcdfCurve(thresholds_db=grid, probabilities=probs)
+
+
+@given(st.integers(100, 5000), st.sampled_from((None, 1, 2)),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sorted_ccdf_equals_loop(size, decimals, seed):
+    """One sort and a binary search per grid point give the loop's
+    probabilities bit for bit, ties and samples on grid points included."""
+    samples = np.random.default_rng(seed).uniform(3.0, 12.0, size)
+    if decimals is not None:
+        samples = np.round(samples, decimals)
+    got, want = metrics.ccdf(samples), loop_ccdf(samples)
+    assert np.array_equal(got.thresholds_db, want.thresholds_db)
+    assert np.array_equal(got.probabilities, want.probabilities)
+
+
 class TestBer:
     def test_counts(self):
         tx = np.array([0, 1, 1, 0, 1])
