@@ -16,7 +16,6 @@ def main():
                     help="start:step:stop (inclusive) or comma list")
     ap.add_argument("--bits", type=int, default=1_000_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--prefix", default="ber")
     args = ap.parse_args()
 
@@ -28,8 +27,7 @@ def main():
             compand = scheme != "none"
             cfg = harness.SimConfig(scheme=scheme, companding=compand,
                                     channel=channel, snr_list_db=snrs,
-                                    bits=args.bits, master_seed=args.seed,
-                                    workers=args.workers)
+                                    bits=args.bits, master_seed=args.seed)
             recs = harness.run_ber_sweep(cfg)
             records.extend(recs)
             for r in recs:

@@ -97,7 +97,7 @@ def _add_common(p: argparse.ArgumentParser, draws: bool = True) -> None:
     if draws:  # only subcommands that draw random bursts
         p.add_argument("--seed", type=int, dest="master_seed",
                        help="master RNG seed")
-        p.add_argument("--workers", type=int, help="concurrent burst workers")
+        p.add_argument("--workers", type=int, help="no effect (at least 1)")
     p.add_argument("--frames-per-burst", type=int, dest="frames_per_burst")
     p.add_argument("--out", help="output CSV path")
 

@@ -21,8 +21,8 @@ class CompanderConfig:
     mu: float = 25.0
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not (np.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
 
 
 def _forward(y: np.ndarray, mu: float) -> np.ndarray:

@@ -5,13 +5,11 @@ Reproducibility: every burst gets its own RNG streams derived from
 (master_seed, scenario key, burst index, role), role in {payload, fading,
 noise}.  Paired comparisons across schemes therefore share payload and
 channel randomness.  Bursts run in fixed chunks of consecutive bursts, each
-chunk stacked through encoder, modem, compander and equalizer as one array;
-chunks are the work units of the worker threads, and results are merged in
-burst order, so output is byte-identical at any worker count.
+chunk stacked through encoder, modem, compander and equalizer as one array,
+one chunk after another on the calling thread, in burst order.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Sequence
 
@@ -49,7 +47,7 @@ class SimConfig:
     load: str = "random"          # random | full
     master_seed: int = 0
     frames_per_burst: int = 10
-    workers: int = 1
+    workers: int = 1              # validated (>= 1) but has no effect
     # the chain's filter bank: sub-channels and overlap factor
     M: ClassVar[int] = 64
     K: ClassVar[int] = 4
@@ -241,15 +239,11 @@ def _papr_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
 
 def _run_bursts(n_bursts: int, cfg: SimConfig,
                 worker: Callable[[range], object]) -> list:
-    """worker(chunk) for each chunk of consecutive bursts, in burst order.
-    The chunk layout depends on frames_per_burst alone, not on workers."""
+    """worker(chunk) for each chunk of consecutive bursts, in burst order, on
+    the calling thread; the layout depends on frames_per_burst alone."""
     size = max(1, CHUNK_FRAMES // cfg.frames_per_burst)
-    chunks = [range(b, min(b + size, n_bursts))
-              for b in range(0, n_bursts, size)]
-    if cfg.workers <= 1:
-        return [worker(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-        return list(ex.map(worker, chunks))
+    return [worker(range(b, min(b + size, n_bursts)))
+            for b in range(0, n_bursts, size)]
 
 
 def run_papr_experiment(cfg: SimConfig) -> PaprResult:
@@ -314,12 +308,15 @@ def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
     payloads = _payloads(scheme, cfg, key, bursts)
     sig, scale = _tx_burst(cfg, mcfg, scheme.encode(payloads))
 
-    # each burst has its own fading and noise streams
-    taps = chan.ChannelRealization(np.stack([
-        chan.realize(profile, chan.DEFAULT_SAMPLE_RATE,
-                     _rng(cfg.master_seed, key, b, _ROLE_FADING)
-                     if profile.fading != "none" else None).fir_taps
-        for b in bursts]))
+    # each burst has its own fading and noise streams; without fading, one
+    # (span,) realization broadcasts over the chunk in apply and equalize
+    if profile.fading == "none":
+        taps = chan.realize(profile, chan.DEFAULT_SAMPLE_RATE)
+    else:
+        taps = chan.ChannelRealization(np.stack([
+            chan.realize(profile, chan.DEFAULT_SAMPLE_RATE,
+                         _rng(cfg.master_seed, key, b, _ROLE_FADING)).fir_taps
+            for b in bursts]))
     noise = (None if np.isinf(snr_db) else
              [_rng(cfg.master_seed, key, b, _ROLE_NOISE) for b in bursts])
     rx = chan.apply(sig, taps, snr_db, noise)

@@ -87,8 +87,9 @@ def test_degenerate_inputs():
     out, scale = mu_compress(np.zeros(4, dtype=complex), CFG)
     assert scale == 1.0
     assert not out.any()
-    with pytest.raises(ValueError):
-        CompanderConfig(mu=-1.0)
+    for mu in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            CompanderConfig(mu=mu)
 
 
 @given(st.integers(1, 7), st.integers(1, 50), st.integers(0, 2**32 - 1),

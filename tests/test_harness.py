@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -257,6 +258,20 @@ class TestChunks:
                                        lambda c: (c.start, c.stop))
             assert seen == [(0, size), (size, 2 * size),
                             (2 * size, 2 * size + 3)]
+
+    def test_chunks_run_on_calling_thread(self, monkeypatch):
+        """Any worker count runs every chunk on the calling thread."""
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(harness, "CHUNK_FRAMES", 20)  # 2 bursts a chunk
+        ber = SimConfig(scheme="bch", channel="awgn", snr_list_db=(4.0,),
+                        bits=self.BURSTS * 8 * 85, master_seed=3, workers=4)
+        assert harness.run_ber_sweep(ber)[0].bits_total == self.BURSTS * 8 * 85
+        papr = SimConfig(scheme="none", frames=self.BURSTS * 8, master_seed=3,
+                         workers=4)
+        samples = harness.run_papr_experiment(papr).samples_db
+        assert samples.size == self.BURSTS * 8
 
     def test_memory_flat_in_bits(self):
         """A chunk's arrays are freed before the next chunk runs, so peak
