@@ -118,9 +118,9 @@ def apply(signal: np.ndarray, ch: ChannelRealization, snr_db: float,
     received SNR over the full band equals snr_db; rng is a Generator per
     burst (a sequence over the flattened leading axes; one Generator for
     one burst), and each burst's noise is drawn from its own.  snr_db =
-    +inf (or None) skips the noise entirely; NaN and -inf raise ValueError.
+    +inf skips the noise entirely; NaN and -inf raise ValueError.
     """
-    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
+    if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db {snr_db} is not a dB value or +inf")
     signal = np.asarray(signal, dtype=complex)
     taps = ch.fir_taps
@@ -129,7 +129,7 @@ def apply(signal: np.ndarray, ch: ChannelRealization, snr_db: float,
     faded = np.zeros(lead + (n + span - 1,), dtype=complex)
     for d in np.flatnonzero(np.any(taps.reshape(-1, span), axis=0)):
         faded[..., d:d + n] += taps[..., d, None] * signal
-    if snr_db is None or snr_db == math.inf:
+    if snr_db == math.inf:
         return faded
     if rng is None:
         raise ValueError("finite snr requires an rng")

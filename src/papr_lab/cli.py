@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .fec import bch, crs, rs
+from .fec import rs
 
 FRAME_BYTES = 16  # 128-bit frames on disk
 
@@ -130,10 +130,10 @@ def _sim_config(values: dict, **fields) -> harness.SimConfig:
 def _cmd_papr(args: argparse.Namespace) -> int:
     cfg_vals = _merge_config(args, _PAPR_DEFAULTS)
     out = cfg_vals["out"]
-    result = harness.run_papr_experiment(_sim_config(cfg_vals))
-    if result.curve is None:
+    if cfg_vals["frames"] < 100:
         raise harness.ConfigError(
             "too few frames for a CCDF; use --frames >= 100")
+    result = harness.run_papr_experiment(_sim_config(cfg_vals))
     harness.emit_ccdf_csv(result.curve, out)
     print(f"{result.scheme} load={result.load} compand={int(result.companding)}"
           f" max_papr_db={result.max_papr_db:.2f} -> {out}")
@@ -163,7 +163,10 @@ def _cmd_ksweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fec(args: argparse.Namespace) -> int:
-    scheme = harness.get_scheme(args.scheme)
+    try:
+        scheme = harness.get_scheme(args.scheme)
+    except ValueError as ex:
+        raise ValueError(f"--scheme: {ex}") from None
     with open(args.infile, "rb") as fh:
         data = fh.read()
     if len(data) % FRAME_BYTES:
@@ -234,8 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError,
-            rs.DecodeFailure, crs.LayoutInfeasible) as ex:
+    except (ValueError, OSError, rs.DecodeFailure) as ex:
         print(f"papr-lab: error: {ex}", file=sys.stderr)
         return 1
 

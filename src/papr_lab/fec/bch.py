@@ -1,17 +1,18 @@
 """Binary BCH(127,85) codec over GF(2^7).
 
-Narrow-sense construction: the generator is the LCM of the minimal
-polynomials of alpha^1..alpha^(2t), grown until its degree reaches
+Narrow-sense construction: the generator is the product of (x + alpha^j)
+over the cyclotomic cosets of alpha^1..alpha^(2t), the same roots-to-
+polynomial step as the RS generators, with t grown until its degree reaches
 n - k = 42 (which happens at t = 6).  Encoding is systematic; the 127
 codeword bits are suffixed with one zero pad bit to fill a 128-bit frame.
-The code's binary generator matrix G (85, 128) and parity-check matrix H
-(127, 2t m) are cached functions, _generator and _parity_check, built on
-first use from the polynomial-division encoder and rs._syndromes.  A
+The code's binary generator matrix G (85, 128) is a cached function,
+_generator, built on first use from the polynomial-division encoder.  A
 frame is (message @ G) mod 2.  Its syndromes are one lookup per frame byte
-in the XOR tables built from H (rs._byte_tables); the decoder shares BM,
-its error bound and the packed Chien search with the RS codec, skipping the
-steps of BM whose discrepancy is zero for a binary word, and checks the
-residual by adding the syndromes of each flipped bit to the frame's.
+in XOR tables (rs._byte_tables) built from the syndromes of each unit word;
+the decoder shares BM, its error bound and the packed Chien search with the
+RS codec, skipping the steps of BM whose discrepancy is zero for a binary
+word, and checks the residual by adding the syndromes of each flipped bit
+to the frame's.
 """
 from __future__ import annotations
 
@@ -24,18 +25,8 @@ from .. import gf2m
 from ..gf2m import FieldSpec
 from .rs import (DecodeFailure, LengthMismatch, _binary_matrix,
                  _byte_tables, _checked_message, _error_locator, _evaluate,
-                 _evaluation_tables, _gf2, _lookup, _pack_symbols, _roots,
-                 _symbols_to_bits, _syndromes, _unpack)
-
-
-def _gf2_poly_mul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
+                 _evaluation_tables, _gf2, _lookup, _roots, _syndrome_powers,
+                 _unpack)
 
 
 def _gf2_poly_mod(a: int, m: int) -> int:
@@ -43,23 +34,6 @@ def _gf2_poly_mod(a: int, m: int) -> int:
     while a.bit_length() - 1 >= dm:
         a ^= m << (a.bit_length() - 1 - dm)
     return a
-
-
-def _minimal_poly(fs: FieldSpec, i: int) -> int:
-    """Minimal polynomial of alpha^i over GF(2), as a bit-encoded polynomial."""
-    # conjugacy class {i, 2i, 4i, ...} mod (2^m - 1)
-    coset = []
-    c = i % fs.order
-    while c not in coset:
-        coset.append(c)
-        c = (2 * c) % fs.order
-    # product of (x - alpha^j) over the coset, coefficients collapse to GF(2)
-    poly = gf2m.poly_from_roots(fs, [gf2m.pow_alpha(fs, j) for j in coset])
-    assert all(c in (0, 1) for c in poly)
-    out = 0
-    for d, c in enumerate(poly):
-        out |= c << d
-    return out
 
 
 @dataclass(frozen=True)
@@ -80,20 +54,18 @@ def bch_spec() -> BchCodeSpec:
     """The BCH(127,85) spec; t is resolved from the generator degree."""
     fs = gf2m.cached_field(7)
     n = fs.order
-    gen = 1
-    seen = set()
+    roots = set()  # exponents j of the generator's roots alpha^j
     t = 0
-    while gen.bit_length() - 1 < 42:
+    while len(roots) < 42:
         t += 1
-        for i in range(2 * t - 1, 2 * t + 1):
-            mp = _minimal_poly(fs, i)
-            if mp not in seen:
-                seen.add(mp)
-                gen = _gf2_poly_mul(gen, mp)
-    deg = gen.bit_length() - 1
-    if deg != 42:
-        raise AssertionError(f"generator degree {deg} != 42")
-    return BchCodeSpec(field=fs, n=n, k=n - deg, t=t, generator=gen)
+        for i in (2 * t - 1, 2 * t):  # the coset {i, 2i, 4i, ...} mod n
+            roots.update((i << s) % n for s in range(fs.m))
+    if len(roots) != 42:
+        raise AssertionError(f"generator degree {len(roots)} != 42")
+    # a product over whole cosets has binary coefficients
+    poly = gf2m.poly_from_roots(fs, [gf2m.pow_alpha(fs, j) for j in roots])
+    return BchCodeSpec(field=fs, n=n, k=n - len(roots), t=t,
+                       generator=sum(c << d for d, c in enumerate(poly)))
 
 
 def _bits_to_int(bits: np.ndarray) -> int:
@@ -125,15 +97,6 @@ def _generator() -> np.ndarray:
     return _binary_matrix(_bch_encode_algebraic, bch_spec().k)
 
 
-@functools.cache
-def _parity_check() -> np.ndarray:
-    """The (n, 2t m) parity-check matrix H of the 127-bit word: row i holds
-    the bits of S_1..S_2t of the i-th unit word."""
-    spec = bch_spec()
-    return _binary_matrix(lambda w: _symbols_to_bits(
-        _syndromes(spec.field, w, 2 * spec.t), spec.field.m), spec.n)
-
-
 def bch_encode(message: np.ndarray) -> np.ndarray:
     """85 message bits -> 128-bit frame (127 codeword bits + 1 zero pad);
     a (..., 85) stack gives (..., 128) frames."""
@@ -143,9 +106,12 @@ def bch_encode(message: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _syndrome_tables() -> tuple[list[int], ...]:
-    """rs._byte_tables of S_1..S_2t over the 128-bit frame, from H; the pad
-    bit's image is zero."""
-    return _byte_tables(_pack_symbols(_parity_check(), bch_spec().field.m))
+    """rs._byte_tables of S_1..S_2t over the 128-bit frame: the syndromes
+    of the unit word at position i are row i of rs._syndrome_powers; the
+    pad bit's image is zero."""
+    spec = bch_spec()
+    return _byte_tables(
+        _syndrome_powers(spec.field, spec.n, 2 * spec.t).tolist())
 
 
 def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:

@@ -13,29 +13,27 @@ fec.crs and the conventional RS(31,k) framing of the k-sweep are further
 instances.  One encoder and one decoder serve them all.
 
 Every frame codec here (RS frame layouts, BCH) is GF(2)-linear on its bits,
-so each code is described by a binary generator matrix G and a binary
-parity-check matrix H, cached functions of the code (_frame_generator and
-_frame_parity_check of a layout, bch._generator and bch._parity_check)
-built on first use by _binary_matrix: row i of G is the algebraic encoding
-of the i-th unit message, row i of H the syndrome bits of the i-th unit
-frame.  A frame is (message bits @ G) mod 2, through _gf2.
+so each code encodes through a binary generator matrix G, a cached function
+of the code (_frame_generator of a layout, bch._generator) built on first
+use by _binary_matrix: row i of G is the algebraic encoding of the i-th unit
+message.  A frame is (message bits @ G) mod 2, through _gf2.
 
 Decoding is table-driven (syndrome table lookup, Lin & Costello, Error
 Control Coding, ch. 6-7).  Vectors of field symbols travel packed in one
 Python int, one byte per symbol (_pack), so adding two vectors is one XOR.
-From H each code builds per-byte XOR tables (_byte_tables, cached as
-_syndrome_tables): a frame's syndromes are np.packbits of the frame and one
-lookup per byte.  A punctured layout's tables also give its modified
-syndromes, the syndromes composed with the fixed erasure locator Gamma of
-the punctured positions, so a frame whose modified syndromes are zero is
-clean and returns at once, and every other frame goes straight to
-Berlekamp-Massey.  BM and poly_mul run on the field's cached multiplication
-table.  Only a locator within BM's degree bound goes on: the Chien search
-and both Forney polynomials are evaluated at every position at once, one
-XOR of a packed table entry per coefficient (_evaluation_tables), and the
-residual check adds the packed syndromes of each correction
-(_correction_syndromes) to those of the frame instead of re-evaluating the
-corrected word.
+From the syndromes of each unit frame each code builds per-byte XOR tables
+(_byte_tables, cached as _syndrome_tables): a frame's syndromes are
+np.packbits of the frame and one lookup per byte.  A punctured layout's
+tables also give its modified syndromes, the syndromes composed with the
+fixed erasure locator Gamma of the punctured positions, so a frame whose
+modified syndromes are zero is clean and returns at once, and every other
+frame goes straight to Berlekamp-Massey.  BM and poly_mul run on the
+field's cached multiplication table.  Only a locator within BM's degree
+bound goes on: the Chien search and both Forney polynomials are evaluated
+at every position at once, one XOR of a packed table entry per coefficient
+(_evaluation_tables), and the residual check adds the packed syndromes of
+each correction (_correction_syndromes) to those of the frame instead of
+re-evaluating the corrected word.
 """
 from __future__ import annotations
 
@@ -367,8 +365,8 @@ def _binary_matrix(linear: Callable[[np.ndarray], np.ndarray],
     vector.  A is read-only, since every caller of a cached A shares it,
     and float32, so the product runs through BLAS; its sums count at most
     one per row of A, and no G here has more than 150 rows (the message
-    bits of a conventional RS(31,30) frame) nor any H more than 128, so they
-    are exact and fit a uint8."""
+    bits of a conventional RS(31,30) frame), so they are exact and fit a
+    uint8."""
     A = np.stack([linear(e) for e in np.eye(n, dtype=np.uint8)]
                  ).astype(np.float32)
     A.setflags(write=False)
@@ -383,14 +381,15 @@ def _gf2(bits: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (bits @ A).astype(np.uint8) & 1
 
 
-def _byte_tables(symbols: np.ndarray) -> tuple[list[int], ...]:
+def _byte_tables(symbols: list[list[int]]) -> tuple[list[int], ...]:
     """Per-byte XOR tables of a GF(2)-linear map from frame bits to field
-    symbols, given as its (frame bits, count) symbol image of each unit
-    frame.  Table j maps packed byte j of a frame (np.packbits order) to
-    the _pack of the XOR of the images of the bits it sets, so the frame's
-    image is the XOR of one lookup per byte (_lookup), and the image of
-    frame bit i alone is tables[i // 8][0x80 >> i % 8]."""
-    rows = [_pack(row) for row in symbols.tolist()]
+    symbols, given as the symbol image of each unit frame, one row per
+    frame bit; missing trailing rows are zero.  Table j maps packed byte j
+    of a frame (np.packbits order) to the _pack of the XOR of the images of
+    the bits it sets, so the frame's image is the XOR of one lookup per byte
+    (_lookup), and the image of frame bit i alone is
+    tables[i // 8][0x80 >> i % 8]."""
+    rows = [_pack(row) for row in symbols]
     rows += [0] * (-len(rows) % 8)
     tables = []
     for j in range(0, len(rows), 8):
@@ -505,16 +504,6 @@ def _frame_word(layout: RsFrameLayout, frame: np.ndarray) -> list[int]:
 
 
 @functools.cache
-def _frame_parity_check(layout: RsFrameLayout) -> np.ndarray:
-    """The layout's (frame bits, r q) parity-check matrix H: row i holds the
-    syndrome bits of the word of the i-th unit frame."""
-    spec = layout.spec
-    return _binary_matrix(lambda f: _symbols_to_bits(
-        _syndromes(spec.field, _frame_word(layout, f), spec.r), layout.q),
-        layout.frame_bits)
-
-
-@functools.cache
 def _punctured_locator(layout: RsFrameLayout) -> tuple:
     """Erasure locator of the punctured positions, which never change."""
     return tuple(_erasure_locator(layout.spec.field, layout.n,
@@ -524,17 +513,19 @@ def _punctured_locator(layout: RsFrameLayout) -> tuple:
 
 @functools.cache
 def _syndrome_tables(layout: RsFrameLayout) -> tuple[list[int], ...]:
-    """_byte_tables of the layout's r syndromes (from its H) followed, when
-    it punctures, by its r - f modified syndromes: these are GF(2)-linear
-    in the syndromes, since the punctured locator Gamma is fixed."""
-    spec = layout.spec
-    synd = _pack_symbols(_frame_parity_check(layout), layout.q)
-    if layout.punctured:
-        gamma = _punctured_locator(layout)
-        synd = np.array([row + _modified_syndromes(spec.field, row, gamma,
-                                                   spec.r)
-                         for row in synd.tolist()])
-    return _byte_tables(synd)
+    """_byte_tables of the r syndromes of each unit frame's word followed,
+    when the layout punctures, by its r - f modified syndromes: these are
+    GF(2)-linear in the syndromes, since the punctured locator Gamma is
+    fixed.  Pad bits are not in the word, so their images are zero."""
+    fs, r = layout.spec.field, layout.r
+    rows = []
+    for unit in np.eye(layout.frame_bits, dtype=np.uint8):
+        synd = _syndromes(fs, _frame_word(layout, unit), r)
+        if layout.punctured:
+            synd += _modified_syndromes(fs, synd, _punctured_locator(layout),
+                                        r)
+        rows.append(synd)
+    return _byte_tables(rows)
 
 
 def frame_decode(layout: RsFrameLayout,

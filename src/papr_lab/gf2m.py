@@ -102,11 +102,6 @@ def field_new(m: int, primitive_poly: int) -> FieldSpec:
                      log_table=log)
 
 
-def add(a: int, b: int) -> int:
-    """Characteristic-2 addition (XOR); also subtraction."""
-    return a ^ b
-
-
 def mul(fs: FieldSpec, a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
@@ -198,15 +193,6 @@ def poly_from_roots(fs: FieldSpec, roots: Sequence[int]) -> list[int]:
     for a in roots:
         p = [mul(fs, a, c) ^ prev for c, prev in zip(p + [0], [0] + p)]
     return p
-
-
-def poly_eval(fs: FieldSpec, p: Sequence[int], x: int) -> int:
-    """Horner evaluation of p at x."""
-    times_x = mul_rows(fs)[x]
-    acc = 0
-    for c in reversed(p):
-        acc = times_x[acc] ^ c
-    return acc
 
 
 def poly_divmod(fs: FieldSpec, p: list[int],

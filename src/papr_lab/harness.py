@@ -74,7 +74,10 @@ class SimConfig:
                 raise ConfigError(f"--snr {snr} is not a dB value or inf")
         if self.load not in ("random", "full"):
             raise ConfigError(f"unknown load {self.load!r}")
-        get_scheme(self.scheme, self.M)  # raises on unknown/infeasible
+        try:
+            get_scheme(self.scheme, self.M)
+        except ValueError as ex:  # unknown name, k out of range, infeasible
+            raise ConfigError(f"--scheme: {ex}") from None
         chan.make_profile(self.channel)
 
 
@@ -177,7 +180,7 @@ def _rng(master_seed: int, scenario_key: int, burst: int,
 
 
 def _snr_key(snr_db: float) -> int:
-    if snr_db is None or np.isinf(snr_db):
+    if np.isinf(snr_db):
         return 2_000_000_000  # noiseless sentinel (inf SNR skips noise)
     return int(round(snr_db * 1000)) + 1_000_000
 

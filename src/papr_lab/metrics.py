@@ -1,11 +1,9 @@
-"""Measurement helpers: PAPR, empirical CCDF, BER counting, information
-content of a codeword-probability.
+"""Measurement helpers: PAPR, empirical CCDF, BER counting.
 
 LengthMismatch and DegenerateSignal are defined here once; modem, compander
 and fec.rs re-export them."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +18,6 @@ class TooFewSamples(ValueError):
 
 
 class LengthMismatch(ValueError):
-    pass
-
-
-class DomainError(ValueError):
     pass
 
 
@@ -106,10 +100,3 @@ def ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> tuple[int, int]:
         raise LengthMismatch(
             f"stream lengths differ: {tx_bits.size} vs {rx_bits.size}")
     return int(np.count_nonzero(tx_bits != rx_bits)), int(tx_bits.size)
-
-
-def information(p: float) -> float:
-    """Information content in bits of an outcome with probability p."""
-    if not 0.0 < p <= 1.0:
-        raise DomainError(f"probability {p} outside (0, 1]")
-    return -math.log2(p)

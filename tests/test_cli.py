@@ -137,10 +137,29 @@ def test_fec_bad_size(tmp_path, capsys):
     (["ber", "--snr", "1:x:3", "--bits", 1000], "--snr"),
     (["ber", "--snr", "0:0:5", "--bits", 1000], "--snr"),
     (["ber", "--snr", "0:1:inf", "--bits", 1000], "--snr"),
+    (["papr", "--scheme", "foo", "--frames", 150], "--scheme"),
+    (["papr", "--scheme", "crs31_40", "--frames", 150], "--scheme"),
+    (["ber", "--scheme", "crs31_x", "--bits", 1000, "--snr", "10"],
+     "--scheme"),
+    (["papr", "--scheme", "crs31_5", "--frames", 150], "--scheme"),
+    (["fec", "encode", "--scheme", "foo", "--in", "unread.bin"], "--scheme"),
 ])
 def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
     rc = run(argv + ["--out", tmp_path / "x.csv"])
     assert rc == 1
     err = capsys.readouterr().err
     assert "papr-lab: error:" in err and flag in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_too_few_papr_frames_rejected_before_running(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("run_papr_experiment called")
+    monkeypatch.setattr(harness, "run_papr_experiment", no_run)
+    rc = run(["papr", "--frames", 99, "--frames-per-burst", 10_000,
+              "--out", tmp_path / "x.csv"])
+    assert rc == 1
+    assert ("papr-lab: error: too few frames for a CCDF; use --frames >= 100"
+            in capsys.readouterr().err)
     assert not (tmp_path / "x.csv").exists()

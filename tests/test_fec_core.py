@@ -4,18 +4,20 @@ The encoders multiply message bits by a binary generator matrix G, cached
 per code, read-only and in float32 through BLAS.  The frame decoders take
 their syndromes (and, for a punctured RS layout, the modified syndromes of
 its fixed erasure locator) as one lookup per frame byte in XOR tables built
-from the code's parity-check matrix H, and skip BM when the erasures alone
-explain the syndromes.  Berlekamp-Massey, poly_mul and Horner use the
-field's multiplication table; the Chien search and Forney evaluate each
+from the syndromes of each unit frame, and skip BM when the erasures alone
+explain the syndromes.  Berlekamp-Massey and poly_mul use the field's
+multiplication table; the Chien search and Forney evaluate each
 polynomial at every position at once from packed per-coefficient tables;
 the residual check adds the syndromes of the corrections to those of the
 frame.  The references below are the original per-point loops: Horner
 evaluation, syndromes one power of alpha at a time, products and BM one
 gf2m.mul per term, the log-domain evaluator poly_eval_many, the Chien
-search one position at a time, the per-bit symbol packing, syndromes
-through H and the modified syndromes through poly_mul, the frame decoders
-that built the whole word and ran the full erasure path, and the
-conventional RS(31,k) framing of the k-sweep through rs_encode.  Decoders are compared on whole outcomes (message, corrected count,
+search one position at a time, the per-bit symbol packing, the modified
+syndromes through poly_mul, the frame decoders that built the whole word
+and ran the full erasure path, and the conventional RS(31,k) framing of the
+k-sweep through rs_encode.  scalar_poly_eval (Horner, one gf2m.mul per
+step) is also the polynomial evaluator of test_rs and test_bch.
+Decoders are compared on whole outcomes (message, corrected count,
 constraint flag, or the DecodeFailure raised), past the correction radius
 on purpose, since the failure path is most of what a faded RS(25,16) link
 decodes.
@@ -37,10 +39,9 @@ CODES = ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP]
 # every cache of the FEC core; gf2m.cached_field stays warm, because tests
 # hold its field instances by identity
 FEC_CACHES = (rs.rs_spec, rs._punctured_locator, rs._frame_generator,
-              rs._frame_parity_check, rs._syndrome_tables,
-              rs._evaluation_tables, rs._correction_syndromes, bch.bch_spec,
-              bch._generator, bch._parity_check, bch._syndrome_tables,
-              gf2m.mul_table, gf2m.mul_rows)
+              rs._syndrome_tables, rs._evaluation_tables,
+              rs._correction_syndromes, bch.bch_spec, bch._generator,
+              bch._syndrome_tables, gf2m.mul_table, gf2m.mul_rows)
 
 
 def clear_fec_caches():
@@ -59,23 +60,10 @@ def _layout(code):
             else crs.crs_layout(6, 31, int(code.split("_")[1])))
 
 
-def _matrices(code):
-    """The cached (G, H) of a code."""
-    if code == "bch":
-        return bch._generator(), bch._parity_check()
-    layout = _layout(code)
-    return rs._frame_generator(layout), rs._frame_parity_check(layout)
-
-
-def h_syndromes(layout, frame):
-    """A frame's syndromes through the layout's cached H."""
-    return rs._bits_to_symbols(
-        rs._gf2(frame, rs._frame_parity_check(layout)), layout.q)
-
-
-def bch_h_syndromes(word):
-    """S_1..S_2t of a 127-bit word through the cached H."""
-    return rs._bits_to_symbols(rs._gf2(word, bch._parity_check()), 7)
+def _generator(code):
+    """The cached generator matrix G of a code."""
+    return (bch._generator() if code == "bch"
+            else rs._frame_generator(_layout(code)))
 
 
 # --- scalar references -------------------------------------------------------
@@ -107,8 +95,20 @@ def poly_add(p, q):
 
 def horner_syndromes(fs, received, count):
     rec_poly = [int(c) for c in reversed(received)]
-    return [gf2m.poly_eval(fs, rec_poly, gf2m.pow_alpha(fs, j))
+    return [scalar_poly_eval(fs, rec_poly, gf2m.pow_alpha(fs, j))
             for j in range(1, count + 1)]
+
+
+def bch_syndromes(word):
+    """S_1..S_2t of a 127-bit word by Horner."""
+    return horner_syndromes(bch.bch_spec().field, word, 12)
+
+
+def frame_syndromes(layout, frame):
+    """The r syndromes of an RS layout's frame by Horner on its word."""
+    word = (rs2516_word(frame) if layout == rs.RS2516
+            else crs_word(layout, frame))
+    return horner_syndromes(layout.spec.field, word, layout.r)
 
 
 def scalar_syndromes(spec, received):
@@ -187,7 +187,7 @@ def scalar_decode_word(spec, received, erasures=()):
     roots_pos, roots_x = [], []
     for pos in range(n):
         x = gf2m.pow_alpha(fs, n - 1 - pos)
-        if gf2m.poly_eval(fs, psi, gf2m.inv(fs, x)) == 0:
+        if scalar_poly_eval(fs, psi, gf2m.inv(fs, x)) == 0:
             roots_pos.append(pos)
             roots_x.append(x)
     if len(roots_pos) != gf2m.poly_deg(psi):
@@ -197,10 +197,10 @@ def scalar_decode_word(spec, received, erasures=()):
     touched = []
     for pos, x in zip(roots_pos, roots_x):
         xi = gf2m.inv(fs, x)
-        denom = gf2m.poly_eval(fs, psi_prime, xi)
+        denom = scalar_poly_eval(fs, psi_prime, xi)
         if denom == 0:
             raise rs.DecodeFailure("Forney denominator vanished")
-        mag = gf2m.div(fs, gf2m.poly_eval(fs, omega, xi), denom)
+        mag = gf2m.div(fs, scalar_poly_eval(fs, omega, xi), denom)
         if mag:
             word[pos] ^= mag
             touched.append(pos)
@@ -269,7 +269,7 @@ def scalar_bch_decode(frame):
     if nerr > spec.t:
         raise rs.DecodeFailure("error locator exceeds capability")
     flips = [pos for pos in range(spec.n)
-             if gf2m.poly_eval(fs, lam, gf2m.inv(
+             if scalar_poly_eval(fs, lam, gf2m.inv(
                  fs, gf2m.pow_alpha(fs, spec.n - 1 - pos))) == 0]
     if len(flips) != nerr:
         raise rs.DecodeFailure("locator degree does not match root count")
@@ -317,7 +317,7 @@ def test_poly_eval_many_matches_poly_eval(m, data):
     p = data.draw(st.lists(st.integers(0, fs.order), max_size=20))
     points = np.arange(fs.size)
     got = poly_eval_many(fs, p, points)
-    assert got.tolist() == [gf2m.poly_eval(fs, p, int(x)) for x in points]
+    assert got.tolist() == [scalar_poly_eval(fs, p, int(x)) for x in points]
 
 
 @given(q=st.integers(1, 8), data=st.data())
@@ -464,36 +464,43 @@ def test_bch_decode_matches_scalar(seed, e):
     assert outcome(bch.bch_decode, frame) == outcome(scalar_bch_decode, frame)
 
 
-# --- parity-check matrices, table-local BM, the clean-frame shortcut ---------
+# --- word syndromes, table-local BM, the clean-frame shortcut ----------------
 
 def _frames(rng, code, errors):
-    """(word, field, syndrome count, syndromes through H) of a random frame
-    of `code` with `errors` corrupted bits (BCH) or symbol fields (RS)."""
+    """(word, field, syndrome count, rs._syndromes of rs._frame_word) of a
+    random frame of `code` with `errors` corrupted bits (BCH) or symbol
+    fields (RS); the word is built by the loops above."""
     if code == "bch":
         spec = bch.bch_spec()
         frame = bch.bch_encode(rng.integers(0, 2, spec.k, dtype=np.uint8))
         frame[rng.choice(spec.n, size=errors, replace=False)] ^= 1
         word = frame[:spec.n]
-        return word, spec.field, 2 * spec.t, bch_h_syndromes(word)
+        return (word, spec.field, 2 * spec.t,
+                rs._syndromes(spec.field, word, 2 * spec.t))
     if code == "rs2516":
+        layout = rs.RS2516
         frame = rs.rs2516_frame([int(v) for v in rng.integers(0, 32, 16)])
         frame = _symbol_errors(rng, frame, [5] * 25, min(errors, 25))
         frame[125:] = rng.integers(0, 2, 3)  # the pad is not part of the word
-        return (rs2516_word(frame), rs.rs_spec(5, 19).field, 12,
-                h_syndromes(rs.RS2516, frame))
-    layout = _layout(code)
-    frame = crs.crs_encode(
-        layout, rng.integers(0, 2, layout.message_bits, dtype=np.uint8))
-    widths = [layout.p] * layout.k_prime + [layout.q] * layout.r
-    frame = _symbol_errors(rng, frame, widths, min(errors, len(widths)))
-    return (crs_word(layout, frame), rs.rs_spec(5, layout.k).field, layout.r,
-            h_syndromes(layout, frame))
+        word = rs2516_word(frame)
+    else:
+        layout = _layout(code)
+        frame = crs.crs_encode(
+            layout, rng.integers(0, 2, layout.message_bits, dtype=np.uint8))
+        widths = [layout.p] * layout.k_prime + [layout.q] * layout.r
+        frame = _symbol_errors(rng, frame, widths, min(errors, len(widths)))
+        word = crs_word(layout, frame)
+    fs = layout.spec.field
+    return (word, fs, layout.r,
+            rs._syndromes(fs, rs._frame_word(layout, frame), layout.r))
 
 
 @pytest.mark.parametrize("code", CODES)
 @given(seed=st.integers(0, 2**32 - 1), errors=st.integers(0, 40))
 @settings(max_examples=40, deadline=None)
 def test_parity_check_syndromes_equal_horner(code, seed, errors):
+    """rs._syndromes of rs._frame_word, from which the byte tables are
+    built, equal Horner's syndromes of the word the loops build."""
     word, fs, count, got = _frames(np.random.default_rng(seed), code, errors)
     assert got == horner_syndromes(fs, word, count)
 
@@ -527,7 +534,7 @@ def test_rs2516_clean_shortcut_equals_erasure_path(seed):
     frame[125:] = rng.integers(0, 2, 3)
     spec = rs.rs_spec(5, 19)
     modified = rs._modified_syndromes(
-        spec.field, h_syndromes(rs.RS2516, frame),
+        spec.field, frame_syndromes(rs.RS2516, frame),
         rs._punctured_locator(rs.RS2516), spec.r)
     assert not any(modified)
     assert outcome(rs.rs2516_decode, frame) == outcome(scalar_rs2516_decode,
@@ -593,19 +600,19 @@ def test_float32_generator_product_equals_uint8(code, seed):
     matrix, _, k_bits = _encoders(code)
     bits = np.random.default_rng(seed).integers(0, 2, k_bits, dtype=np.uint8)
     frame = matrix(bits)
-    G = _matrices(code)[0]
+    G = _generator(code)
     assert G.dtype == np.float32
     assert np.array_equal(frame, (bits @ G.astype(np.uint8)) & 1)
 
 
 @pytest.mark.parametrize("code", CODES)
 def test_cached_matrices_are_read_only(code):
-    """Every caller of a code shares its one cached G and H, so none may
-    write to them."""
-    for cached, A in zip(_matrices(code), _matrices(code)):
-        assert cached is A and not A.flags.writeable
-        with pytest.raises(ValueError):
-            A[0, 0] = 1
+    """Every caller of a code shares its one cached G, so none may write
+    to it."""
+    G = _generator(code)
+    assert G is _generator(code) and not G.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 1
 
 
 DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, rs._syndrome_tables,
@@ -626,7 +633,7 @@ def test_schemes_build_no_decode_table(cold_fec_caches):
 
 
 def test_racing_first_decodes_agree(cold_fec_caches):
-    """Burst threads may build the same parity-check matrix at once; every
+    """Burst threads may build the same syndrome tables at once; every
     decode must still equal the scalar one."""
     layout = crs.crs_layout(6, 31, 21)
     rng = np.random.default_rng(5)
@@ -647,43 +654,19 @@ def test_racing_first_decodes_agree(cold_fec_caches):
         assert out == outcome(scalar_crs_decode, layout, frame)
 
 
-def _syndrome_bits(code):
-    """The bit map whose unit-frame images build the code's H."""
-    if code == "bch":
-        spec = bch.bch_spec()
-        return lambda f: rs._symbols_to_bits(
-            rs._syndromes(spec.field, f[:spec.n], 2 * spec.t), spec.field.m)
-    if code == "rs2516":
-        spec = rs.rs_spec(5, 19)
-        return lambda f: rs._symbols_to_bits(
-            rs._syndromes(spec.field, rs._frame_word(rs.RS2516, f), spec.r),
-            5)
-    layout = _layout(code)
-    spec = rs.rs_spec(layout.q, layout.k)
-    return lambda f: rs._symbols_to_bits(
-        rs._syndromes(spec.field, rs._frame_word(layout, f), spec.r),
-        layout.q)
-
-
 @pytest.mark.parametrize("code", CODES)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12))
 @settings(max_examples=10, deadline=None)
 def test_stacked_products_on_cold_cache_equal_per_row(code, seed, rows):
-    """A (rows, n) stack as the first product of a code, through a G or H
-    built from the code rather than from the stack's shape, gives each
-    row's own result."""
+    """A (rows, n) stack as the first product of a code, through a G built
+    from the code rather than from the stack's shape, gives each row's own
+    result."""
     matrix, algebraic, k_bits = _encoders(code)
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, (rows, k_bits), dtype=np.uint8)
+    bits = np.random.default_rng(seed).integers(0, 2, (rows, k_bits),
+                                                dtype=np.uint8)
     clear_fec_caches()
     frames = matrix(bits)
     assert np.array_equal(frames, np.stack([algebraic(b) for b in bits]))
-    received = frames ^ (rng.random(frames.shape) < 0.05)
-    syndromes = _syndrome_bits(code)
-    clear_fec_caches()
-    H = _matrices(code)[1]
-    got = rs._gf2(received[:, :H.shape[0]], H)
-    assert np.array_equal(got, np.stack([syndromes(f) for f in received]))
 
 
 # --- byte-table syndromes, packed evaluation, correction residuals -----------
@@ -692,36 +675,27 @@ def test_stacked_products_on_cold_cache_equal_per_row(code, seed, rows):
 @given(seed=st.integers(0, 2**32 - 1), errors=st.integers(0, 40))
 @settings(max_examples=40, deadline=None)
 def test_byte_table_syndromes_equal_parity_check(code, seed, errors):
-    """One lookup per frame byte gives the syndromes through H and, for a
-    punctured layout, the modified syndromes of its erasure locator."""
+    """One lookup per frame byte gives the syndromes of the frame's word
+    and, for a punctured layout, the modified syndromes of its erasure
+    locator."""
     rng = np.random.default_rng(seed)
     if code == "bch":
         frame = bch.bch_encode(rng.integers(0, 2, 85, dtype=np.uint8))
         frame ^= (rng.random(128) < errors / 128).astype(np.uint8)
         got = rs._lookup(bch._syndrome_tables(), frame)
-        assert rs._unpack(got, 12) == bytes(bch_h_syndromes(frame[:127]))
+        assert rs._unpack(got, 12) == bytes(bch_syndromes(frame[:127]))
         return
     layout = _layout(code)
     frame = rs.frame_encode(layout, rng.integers(
         0, 2, layout.message_bits, dtype=np.uint8))
     frame ^= (rng.random(frame.size) < errors / 128).astype(np.uint8)
-    synd = h_syndromes(layout, frame)
+    synd = frame_syndromes(layout, frame)
     want = synd
     if layout.punctured:
         want = synd + rs._modified_syndromes(
             layout.spec.field, synd, rs._punctured_locator(layout), layout.r)
     got = rs._lookup(rs._syndrome_tables(layout), frame)
     assert rs._unpack(got, len(want)) == bytes(want)
-
-
-@pytest.mark.parametrize("m", [5, 7])
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_table_poly_eval_equals_scalar(m, data):
-    fs = gf2m.cached_field(m)
-    p = data.draw(st.lists(st.integers(0, fs.order), max_size=14))
-    x = data.draw(st.integers(0, fs.order))
-    assert gf2m.poly_eval(fs, p, x) == scalar_poly_eval(fs, p, x)
 
 
 @pytest.mark.parametrize("m", [5, 7])
@@ -743,7 +717,7 @@ def test_binary_berlekamp_massey_equals_scalar(seed, errors):
     discrepancy is zero) gives the full scalar BM's locator."""
     word = np.zeros(127, dtype=np.uint8)
     word[np.random.default_rng(seed).choice(127, errors, replace=False)] = 1
-    synd = bch_h_syndromes(word)
+    synd = bch_syndromes(word)
     fs = bch.bch_spec().field
     assert (rs._berlekamp_massey(fs, synd, binary=True)
             == scalar_berlekamp_massey(fs, synd))
@@ -787,11 +761,12 @@ def test_correction_residual_equals_word_syndromes(seed, fixes, k):
 
 
 def test_bch_byte_table_bit_images_equal_parity_check_rows():
-    """bch_decode's residual adds the image of each flipped bit alone."""
+    """bch_decode's residual adds the image of each flipped bit alone: the
+    syndromes of the unit word, a row of the code's parity-check matrix."""
     tables = bch._syndrome_tables()
     for i, unit in enumerate(np.eye(127, dtype=np.uint8)):
         got = tables[i >> 3][0x80 >> (i & 7)]
-        assert rs._unpack(got, 12) == bytes(bch_h_syndromes(unit))
+        assert rs._unpack(got, 12) == bytes(bch_syndromes(unit))
 
 
 # frames of the hypothesis tests' constructions, (seed, errors), found by a

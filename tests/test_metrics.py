@@ -136,19 +136,6 @@ class TestBer:
         assert r.ber == 0.025
 
 
-class TestInformation:
-    def test_values(self):
-        assert metrics.information(1.0) == 0.0
-        assert metrics.information(0.5) == 1.0
-        assert metrics.information(2.0 ** -64) == pytest.approx(64.0)
-
-    def test_domain(self):
-        with pytest.raises(metrics.DomainError):
-            metrics.information(0.0)
-        with pytest.raises(metrics.DomainError):
-            metrics.information(1.5)
-
-
 def test_each_error_kind_is_one_class():
     from papr_lab import compander, modem
     from papr_lab.fec import rs
