@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import harness
+from . import harness, metrics
 from .fec import rs
 
 FRAME_BYTES = 16  # 128-bit frames on disk
@@ -70,10 +70,13 @@ def _coerce(key: str, val: str, template):
         if low in _BOOL_FALSE:
             return False
         raise ValueError(f"config key {key}: bad boolean {val!r}")
-    if isinstance(template, int):
-        return int(val)
-    if isinstance(template, float):
-        return float(val)
+    if isinstance(template, (int, float)):
+        kind = type(template)
+        try:
+            return kind(val)
+        except ValueError:
+            raise ValueError(f"config key {key}: bad {kind.__name__} "
+                             f"{val!r}") from None
     return val
 
 
@@ -130,9 +133,9 @@ def _sim_config(values: dict, **fields) -> harness.SimConfig:
 def _cmd_papr(args: argparse.Namespace) -> int:
     cfg_vals = _merge_config(args, _PAPR_DEFAULTS)
     out = cfg_vals["out"]
-    if cfg_vals["frames"] < 100:
-        raise harness.ConfigError(
-            "too few frames for a CCDF; use --frames >= 100")
+    if cfg_vals["frames"] < metrics.CCDF_MIN_SAMPLES:
+        raise harness.ConfigError(f"too few frames for a CCDF; use "
+                                  f"--frames >= {metrics.CCDF_MIN_SAMPLES}")
     result = harness.run_papr_experiment(_sim_config(cfg_vals))
     harness.emit_ccdf_csv(result.curve, out)
     print(f"{result.scheme} load={result.load} compand={int(result.companding)}"

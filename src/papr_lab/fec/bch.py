@@ -6,13 +6,14 @@ polynomial step as the RS generators, with t grown until its degree reaches
 n - k = 42 (which happens at t = 6).  Encoding is systematic; the 127
 codeword bits are suffixed with one zero pad bit to fill a 128-bit frame.
 The code's binary generator matrix G (85, 128) is a cached function,
-_generator, built on first use from the polynomial-division encoder.  A
-frame is (message @ G) mod 2.  Its syndromes are one lookup per frame byte
-in XOR tables (rs._byte_tables) built from the syndromes of each unit word;
-the decoder shares BM, its error bound and the packed Chien search with the
-RS codec, skipping the steps of BM whose discrepancy is zero for a binary
-word, and checks the residual by adding the syndromes of each flipped bit
-to the frame's.
+_generator, built on first use from the systematic division rs_encode runs
+(gf2m.poly_divmod), with the generator's 0/1 coefficients taken as elements
+of GF(128).  A frame is (message @ G) mod 2.  Its syndromes are one lookup
+per frame byte in XOR tables (rs._byte_tables) built from the syndromes of
+each unit word; the decoder shares BM, its error bound and the packed Chien
+search with the RS codec, skipping the steps of BM whose discrepancy is zero
+for a binary word, and checks the residual by adding the syndromes of each
+flipped bit to the frame's.
 """
 from __future__ import annotations
 
@@ -27,13 +28,6 @@ from .rs import (DecodeFailure, LengthMismatch, _binary_matrix,
                  _byte_tables, _checked_message, _error_locator, _evaluate,
                  _evaluation_tables, _gf2, _lookup, _roots, _syndrome_powers,
                  _unpack)
-
-
-def _gf2_poly_mod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
 
 
 @dataclass(frozen=True)
@@ -68,26 +62,17 @@ def bch_spec() -> BchCodeSpec:
                        generator=sum(c << d for d, c in enumerate(poly)))
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    # bits[0] is the highest-degree coefficient (first transmitted)
-    v = 0
-    for b in bits:
-        v = (v << 1) | int(b)
-    return v
-
-
-def _int_to_bits(v: int, width: int) -> np.ndarray:
-    return np.array([(v >> (width - 1 - i)) & 1 for i in range(width)],
-                    dtype=np.uint8)
-
-
 def _bch_encode_algebraic(message: np.ndarray) -> np.ndarray:
-    """bch_encode of one message by polynomial division."""
+    """bch_encode of one message by gf2m.poly_divmod, the systematic
+    division of rs_encode: the generator's coefficients are 0 and 1 in
+    GF(128), so the remainder's are too.  message[0] has degree n - 1."""
     spec = bch_spec()
-    parity = _gf2_poly_mod(_bits_to_int(message) << spec.r, spec.generator)
+    generator = [(spec.generator >> d) & 1 for d in range(spec.r + 1)]
+    shifted = [0] * spec.r + message[::-1].tolist()
+    _, rem = gf2m.poly_divmod(spec.field, shifted, generator)
     frame = np.zeros(spec.n + 1, dtype=np.uint8)
     frame[:spec.k] = message
-    frame[spec.k:spec.n] = _int_to_bits(parity, spec.r)
+    frame[spec.k:spec.n] = (rem + [0] * (spec.r - len(rem)))[::-1]
     return frame
 
 

@@ -218,11 +218,9 @@ def _berlekamp_massey(fs: FieldSpec, syndromes: Sequence[int],
 def _erasure_locator(fs: FieldSpec, n: int,
                      erasures: Iterable[int]) -> list[int]:
     """Gamma(x) = prod (1 - X_i x) over the erased positions,
-    X_i = alpha^(n-1-pos)."""
-    gamma = [1]
-    for pos in erasures:
-        gamma = poly_mul(fs, gamma, [1, gf2m.pow_alpha(fs, n - 1 - pos)])
-    return gamma
+    X_i = alpha^(n-1-pos): the coefficients of prod (x + X_i) reversed."""
+    return gf2m.poly_from_roots(
+        fs, [gf2m.pow_alpha(fs, n - 1 - pos) for pos in erasures])[::-1]
 
 
 def _modified_syndromes(fs: FieldSpec, synd: list[int],

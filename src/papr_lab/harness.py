@@ -10,7 +10,7 @@ one chunk after another on the calling thread, in burst order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -73,12 +73,15 @@ class SimConfig:
             if np.isnan(snr) or snr == -np.inf:
                 raise ConfigError(f"--snr {snr} is not a dB value or inf")
         if self.load not in ("random", "full"):
-            raise ConfigError(f"unknown load {self.load!r}")
+            raise ConfigError(f"--load: unknown load {self.load!r}")
         try:
             get_scheme(self.scheme, self.M)
         except ValueError as ex:  # unknown name, k out of range, infeasible
             raise ConfigError(f"--scheme: {ex}") from None
-        chan.make_profile(self.channel)
+        try:
+            chan.make_profile(self.channel)
+        except chan.UnknownProfile as ex:
+            raise ConfigError(f"--channel: {ex}") from None
 
 
 # --- scheme registry ---------------------------------------------------------
@@ -157,9 +160,9 @@ def get_scheme(name: str, M: int = 64) -> Scheme:
         try:
             k = int(name.split("_", 1)[1])
         except ValueError:
-            raise ConfigError(f"bad scheme name {name!r}") from None
+            raise crs.UnknownScheme(f"bad scheme name {name!r}") from None
         return _crs_scheme(k, M)
-    raise ConfigError(f"unknown scheme {name!r}")
+    raise crs.UnknownScheme(f"unknown scheme {name!r}")
 
 
 # --- seeding -----------------------------------------------------------------
@@ -227,17 +230,20 @@ def _tx_burst(cfg: SimConfig, mcfg: modem.ModemConfig,
     return sig, scale
 
 
-def _papr_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
-                bursts: range) -> np.ndarray:
-    if cfg.load == "full":
-        payloads = np.ones((len(bursts), cfg.frames_per_burst,
-                            scheme.payload_bits), dtype=np.uint8)
-    else:
-        payloads = _payloads(scheme, cfg, 0, bursts)
-    frames = scheme.encode(payloads)
+def _measured_paprs(cfg: SimConfig, mcfg: modem.ModemConfig,
+                    frames: np.ndarray) -> np.ndarray:
+    """Frames (..., L, 2M) -> the PAPR of each transmitted frame but the
+    first and last, which are warm-up, (..., L - 2)."""
     sig, _ = _tx_burst(cfg, mcfg, frames)
-    vals = metrics.frame_paprs(sig, cfg.M, mcfg.Lp, cfg.frames_per_burst)
-    return vals[:, 1:-1].ravel()  # warm-up frames excluded
+    return metrics.frame_paprs(sig, cfg.M, mcfg.Lp,
+                               cfg.frames_per_burst)[..., 1:-1]
+
+
+def _full_load_paprs(cfg: SimConfig, scheme: Scheme,
+                     mcfg: modem.ModemConfig) -> np.ndarray:
+    """_measured_paprs of one burst of all-ones payloads."""
+    ones = np.ones((cfg.frames_per_burst, scheme.payload_bits), np.uint8)
+    return _measured_paprs(cfg, mcfg, scheme.encode(ones))
 
 
 def _run_bursts(n_bursts: int, cfg: SimConfig,
@@ -259,13 +265,14 @@ def run_papr_experiment(cfg: SimConfig) -> PaprResult:
     n_bursts = -(-cfg.frames // per_burst)
     if cfg.load == "full":
         # full load is deterministic: one burst, repeated
-        vals = _papr_chunk(cfg, scheme, mcfg, range(1))
-        samples = np.tile(vals, n_bursts)[:cfg.frames]
+        samples = np.tile(_full_load_paprs(cfg, scheme, mcfg),
+                          n_bursts)[:cfg.frames]
     else:
-        chunks = _run_bursts(
-            n_bursts, cfg, lambda c: _papr_chunk(cfg, scheme, mcfg, c))
+        chunks = _run_bursts(n_bursts, cfg, lambda c: _measured_paprs(
+            cfg, mcfg, scheme.encode(_payloads(scheme, cfg, 0, c))).ravel())
         samples = np.concatenate(chunks)[:cfg.frames]
-    curve = metrics.ccdf(samples) if samples.size >= 100 else None
+    curve = (metrics.ccdf(samples)
+             if samples.size >= metrics.CCDF_MIN_SAMPLES else None)
     return PaprResult(scheme=cfg.scheme, companding=cfg.companding,
                       load=cfg.load, samples_db=samples, curve=curve)
 
@@ -289,16 +296,15 @@ def run_crs_k_sweep(k_list: Sequence[int] = DEFAULT_KSWEEP,
     """Full-load max PAPR at the modem output for CRS(31,k) and for
     conventional RS(31,k) framing.  Returns rows (k, crs_db, rs_db)."""
     cfg = cfg or SimConfig(load="full")
+    cfg.validate()
     mcfg = cfg.modem_config()
     rows = []
     for k in k_list:
-        crs_cfg = replace(cfg, scheme=f"crs31_{k}", load="full")
-        crs_db = run_papr_experiment(crs_cfg).max_papr_db
-        rs_frames = _rs_fullload_frames(k, cfg.frames_per_burst)
-        sig, _ = _tx_burst(cfg, mcfg, rs_frames)
-        rs_db = float(metrics.frame_paprs(
-            sig, cfg.M, mcfg.Lp, cfg.frames_per_burst)[1:-1].max())
-        rows.append((k, crs_db, rs_db))
+        crs_paprs = _full_load_paprs(cfg, get_scheme(f"crs31_{k}", cfg.M),
+                                     mcfg)
+        rs_paprs = _measured_paprs(
+            cfg, mcfg, _rs_fullload_frames(k, cfg.frames_per_burst))
+        rows.append((k, float(crs_paprs.max()), float(rs_paprs.max())))
     return rows
 
 

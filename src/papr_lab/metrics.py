@@ -53,13 +53,15 @@ class CcdfCurve:
 
 
 CCDF_GRID_STEP_DB = 0.1
+CCDF_MIN_SAMPLES = 100  # fewer samples make no CCDF
 
 
 def ccdf(samples_db: np.ndarray) -> CcdfCurve:
     """Empirical complementary CDF of PAPR samples on a 0.1 dB grid."""
     samples_db = np.asarray(samples_db, dtype=float)
-    if samples_db.size < 100:
-        raise TooFewSamples(f"need >= 100 samples, got {samples_db.size}")
+    if samples_db.size < CCDF_MIN_SAMPLES:
+        raise TooFewSamples(f"need >= {CCDF_MIN_SAMPLES} samples, "
+                            f"got {samples_db.size}")
     lo = np.floor(samples_db.min() / CCDF_GRID_STEP_DB) * CCDF_GRID_STEP_DB
     hi = np.ceil(samples_db.max() / CCDF_GRID_STEP_DB) * CCDF_GRID_STEP_DB
     grid = np.arange(lo, hi + CCDF_GRID_STEP_DB / 2, CCDF_GRID_STEP_DB)

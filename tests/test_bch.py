@@ -9,6 +9,24 @@ from test_fec_core import scalar_poly_eval
 SPEC = bch.bch_spec()
 
 
+# GF(2) polynomials as Python ints (bit d = coefficient of x^d): the
+# reference the encoder's division in GF(128)[x] is checked against
+
+def gf2_poly_mod(a: int, m: int) -> int:
+    dm = m.bit_length() - 1
+    while a.bit_length() - 1 >= dm:
+        a ^= m << (a.bit_length() - 1 - dm)
+    return a
+
+
+def bits_to_int(bits: np.ndarray) -> int:
+    # bits[0] is the highest-degree coefficient (first transmitted)
+    v = 0
+    for b in bits:
+        v = (v << 1) | int(b)
+    return v
+
+
 def test_code_parameters():
     assert (SPEC.n, SPEC.k, SPEC.t) == (127, 85, 6)
     assert SPEC.generator.bit_length() - 1 == 42
@@ -26,7 +44,7 @@ def test_generator_has_designed_roots():
 def test_generator_divides_x_n_minus_1():
     # x^127 + 1 mod g = 0
     x_n_1 = (1 << SPEC.n) | 1
-    assert bch._gf2_poly_mod(x_n_1, SPEC.generator) == 0
+    assert gf2_poly_mod(x_n_1, SPEC.generator) == 0
 
 
 def test_encode_systematic_and_divisible():
@@ -37,8 +55,8 @@ def test_encode_systematic_and_divisible():
     assert np.array_equal(frame[:SPEC.k], msg)
     assert frame[SPEC.n] == 0  # pad bit
     # codeword polynomial divisible by the generator
-    cw_int = bch._bits_to_int(frame[:SPEC.n])
-    assert bch._gf2_poly_mod(cw_int, SPEC.generator) == 0
+    cw_int = bits_to_int(frame[:SPEC.n])
+    assert gf2_poly_mod(cw_int, SPEC.generator) == 0
 
 
 def test_linearity():

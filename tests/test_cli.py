@@ -65,6 +65,23 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,line,flag", [
+    ("ber", "channel = foo", "--channel"),
+    ("papr", "load = half", "--load"),
+    ("papr", "frames = abc", "config key frames"),
+    ("papr", "mu = x", "config key mu"),
+])
+def test_bad_config_value_names_the_flag(tmp_path, capsys, command, line,
+                                         flag):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    rc = run([command, "--config", cfg, "--out", tmp_path / "x.csv"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "papr-lab: error:" in err and flag in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_bad_scheme_exit_code(capsys):
     rc = run(["papr", "--scheme", "nope", "--frames", 120])
     assert rc == 1

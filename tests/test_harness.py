@@ -24,9 +24,9 @@ class TestSchemes:
         assert np.array_equal(scheme.decode(frame), bits)
 
     def test_unknown_scheme(self):
-        with pytest.raises(harness.ConfigError):
+        with pytest.raises(crs.UnknownScheme):
             harness.get_scheme("turbo")
-        with pytest.raises(harness.ConfigError):
+        with pytest.raises(crs.UnknownScheme):
             harness.get_scheme("crs31_x")
 
     def test_decode_failure_falls_back_to_systematic_bits(self):

@@ -1,0 +1,31 @@
+"""Smoke runs of the experiment scripts in scripts/ at small sizes."""
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *map(str, args)])
+    runpy.run_path(str(SCRIPTS / name))["main"]()
+
+
+def csv_lines(path):
+    return path.read_text().strip().split("\n")
+
+
+def test_run_table2(tmp_path, monkeypatch):
+    out = tmp_path / "table2.csv"
+    run_script(monkeypatch, "run_table2.py", "--frames", 100, "--out", out)
+    lines = csv_lines(out)
+    assert lines[0] == "scheme,companding,load,max_papr_db,papr_at_1e3_db"
+    assert len(lines) == 1 + 8 * 2  # 8 rows of the matrix at two loads
+
+
+def test_run_ber_curves(tmp_path, monkeypatch):
+    run_script(monkeypatch, "run_ber_curves.py", "--channels", "awgn",
+               "--snr", 10, "--bits", 2000, "--prefix", tmp_path / "ber")
+    lines = csv_lines(tmp_path / "ber_awgn.csv")
+    assert lines[0] == "snr_db,scheme,channel,companding,bits,errors,ber"
+    assert len(lines) == 1 + 3  # one SNR point for each of three schemes
