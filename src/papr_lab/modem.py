@@ -8,8 +8,11 @@ symbol), with phase factors j^(k+n) keeping adjacent sub-channels orthogonal.
 
 The banks are the polyphase network (Bellanger et al., PHYDYAS 2010): as
 exp(j 2 pi k m / M) has period M in m, grid column n adds p(m) x_n(m mod M)
-at sample n M/2 + m, x_n = M ifft_k(d[k, n] exp(-j 2 pi k c / M)).  Analysis
-is the transpose; both equal the direct form up to rounding.
+at sample n M/2 + m, x_n = M ifft_k(d[k, n] exp(-j 2 pi k c / M)).  As
+2 c = K M - 2, that phase shifts x_n circularly by one sample, plus M/2 for
+odd K, so the banks weight the plain IFFT with [0, p], one sample's delay of
+p, and swap the halves of x_n for odd K.  Analysis is the transpose; both
+equal the direct form up to rounding.
 
 Every function takes leading batch axes: a stack of bursts goes through each
 stage as one array, and each burst comes out as it would alone.
@@ -19,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .metrics import LengthMismatch  # noqa: F401  (re-exported)
+from .metrics import DegenerateSignal, LengthMismatch  # noqa: F401  (re-exported)
 
 
 class UnsupportedOverlap(ValueError):
@@ -61,14 +65,14 @@ def design_prototype(M: int, K: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ModemConfig:
     """Bank parameters and the constants derived from them once: the
-    prototype p, p zero-padded to (2K, M/2) blocks and the phase twiddles
-    (with gain)."""
+    prototype p and the bank weights, [0, p] cut into (K, 2 halves, M)
+    floats, each tap twice for a sample's real and imaginary part; the
+    analysis weights carry the gain 1 / sum(p^2)."""
     M: int = 64
     K: int = 4
     prototype: np.ndarray = field(init=False, repr=False, compare=False)
     blocks: np.ndarray = field(init=False, repr=False, compare=False)
-    synthesis_phase: np.ndarray = field(init=False, repr=False, compare=False)
-    analysis_phase: np.ndarray = field(init=False, repr=False, compare=False)
+    analysis_blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     @property
     def Lp(self) -> int:
@@ -76,14 +80,9 @@ class ModemConfig:
 
     def __post_init__(self):
         p = design_prototype(self.M, self.K)
-        # -2 pi k c / M = -pi k (Lp - 1) / M, reduced exactly mod 2 pi
-        turns = np.arange(self.M) * (self.Lp - 1) % (2 * self.M)
-        phase = np.exp(-1j * np.pi * turns / self.M)
-        for name, value in (
-                ("prototype", p),
-                ("blocks", np.append(p, 0.0).reshape(2 * self.K, -1)),
-                ("synthesis_phase", phase),
-                ("analysis_phase", phase.conj() / np.sum(p ** 2))):
+        blocks = np.repeat(np.append(0.0, p), 2).reshape(self.K, 2, self.M)
+        for name, value in (("prototype", p), ("blocks", blocks),
+                            ("analysis_blocks", blocks / np.sum(p ** 2))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -170,36 +169,43 @@ def synthesis(grid: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     *lead, M, n_half = grid.shape
     if M != cfg.M:
         raise ConfigMismatch(f"grid has {M} sub-channels, config {cfg.M}")
-    hop = M // 2
-    x = np.fft.ifft(grid * cfg.synthesis_phase[:, None], axis=-2,
-                    norm="forward")
-    out = np.zeros((*lead, n_half + 2 * cfg.K - 1, hop), dtype=complex)
-    for b, weights in enumerate(cfg.blocks):  # block b of x_n lands at n + b
-        half = x[..., (b % 2) * hop:(b % 2 + 1) * hop, :]
-        out[..., b:b + n_half, :] += np.swapaxes(half, -1, -2) * weights
-    return out.reshape(*lead, -1)[..., :(n_half - 1) * hop + cfg.Lp]
+    if n_half < 1:
+        raise DegenerateSignal(f"empty grid: {n_half} half-symbol columns")
+    pad = 2 * cfg.K - 1
+    x = np.zeros((*lead, n_half + 2 * pad, M), dtype=complex)
+    np.fft.ifft(np.swapaxes(grid, -1, -2), axis=-1, norm="forward",
+                out=x[..., pad:pad + n_half, :])
+    x = x[..., pad:, :].view(float).reshape(*lead, -1, 2, M)[
+        ..., ::(-1) ** cfg.K, :]  # odd K swaps the halves
+    # output half-row r sums weight [i, h] times half h of x row r - 2i - h
+    *s, row, half, tap = x.strides
+    x = as_strided(x, (*lead, n_half + pad, cfg.K, 2, M),
+                   (*s, row, -2 * row, half - row, tap), writeable=False)
+    out = np.einsum("...rihj,ihj->...rj", x, cfg.blocks).view(complex)
+    return out.reshape(*lead, -1)[..., 1:]
 
 
 def analysis(signal: np.ndarray, cfg: ModemConfig, n_half: int) -> np.ndarray:
     """Baseband samples (..., samples) -> (..., M, n_half) staggered grid,
     delay compensated: column n is the FFT of samples [n M/2, n M/2 + K M)
-    weighted by p and folded to M, phase and gain corrected.  Later samples
-    are ignored."""
+    weighted by p and folded to M, with the bank's gain removed.  Later
+    samples are ignored."""
     signal = np.asarray(signal, dtype=complex)
     *lead, size = signal.shape
-    hop = cfg.M // 2
-    need = (n_half - 1) * hop + cfg.Lp
+    if n_half < 1:
+        raise DegenerateSignal(f"empty grid: {n_half} half-symbol columns")
+    need = (n_half - 1) * cfg.M // 2 + cfg.Lp
     if size < need:
         raise SignalTooShort(f"need {need} samples, got {size}")
-    # the sample under the zero padding tap of the prototype can be zero
-    blocks = np.zeros((*lead, need + 1), dtype=complex)
-    blocks[..., :need] = signal[..., :need]
-    blocks = blocks.reshape(*lead, -1, hop)
-    folded = np.zeros((*lead, n_half, 2, hop), dtype=complex)
-    for b, weights in enumerate(cfg.blocks):
-        folded[..., b % 2, :] += blocks[..., b:b + n_half, :] * weights
-    y = np.fft.fft(folded.reshape(*lead, n_half, cfg.M), axis=-1)
-    return np.swapaxes(y, -1, -2) * cfg.analysis_phase[:, None]
+    x = np.zeros((*lead, n_half - 1 + 2 * cfg.K, cfg.M))
+    x.reshape(*lead, -1).view(complex)[..., 1:need + 1] = signal[..., :need]
+    # half h of window n sums weight [i, h] times half-row n + 2i + h
+    x = sliding_window_view(x, 2 * cfg.K, axis=-2)
+    x = x.reshape(*lead, n_half, cfg.M, cfg.K, 2)
+    y = np.einsum("...njih,ihj->...nhj", x, cfg.analysis_blocks)
+    y = y[..., ::(-1) ** cfg.K, :].view(complex)  # odd K swaps the halves
+    y = np.fft.fft(y.reshape(*lead, n_half, cfg.M), axis=-1)
+    return np.swapaxes(y, -1, -2)
 
 
 def modulate_frames(frames: np.ndarray, cfg: ModemConfig) -> np.ndarray:

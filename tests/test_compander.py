@@ -113,3 +113,90 @@ def test_stacked_rows_equal_per_row_calls(rows, n, seed, zero_row):
     assert np.array_equal(back, np.stack([b for b, _ in alone]))
     assert isinstance(clamped, int)
     assert clamped == sum(c for _, c in alone)
+
+
+# --- the per-component formula the in-place passes replaced: the oracle -----
+
+def _forward(y, mu):
+    return np.sign(y) * np.log1p(mu * np.abs(y)) / np.log1p(mu)
+
+
+def _inverse(r, mu):
+    return np.sign(r) * (np.expm1(np.abs(r) * np.log1p(mu))) / mu
+
+
+def reference_compress(signal, mu):
+    signal = np.asarray(signal, dtype=complex)
+    scale = np.maximum(np.abs(signal.real).max(axis=-1),
+                       np.abs(signal.imag).max(axis=-1))
+    scale = np.where(scale == 0.0, 1.0, scale)[()]
+    rows = np.asarray(scale)[..., None]
+    return (_forward(signal.real / rows, mu)
+            + 1j * _forward(signal.imag / rows, mu)), scale
+
+
+def reference_expand(signal, scale, mu):
+    signal = np.asarray(signal, dtype=complex)
+    re, im = signal.real, signal.imag
+    saturated = int(np.sum(np.abs(re) > 1 + compander.CLAMP_TOLERANCE)
+                    + np.sum(np.abs(im) > 1 + compander.CLAMP_TOLERANCE))
+    out = ((_inverse(np.clip(re, -1.0, 1.0), mu)
+            + 1j * _inverse(np.clip(im, -1.0, 1.0), mu))
+           * np.asarray(scale)[..., None])
+    return out, saturated
+
+
+@given(st.integers(0, 3), st.integers(1, 5), st.integers(2, 40),
+       st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+       st.sampled_from((0.5, 25.0, 255.0)))
+@settings(max_examples=150, deadline=None)
+def test_in_place_passes_match_per_component_formula(
+        ndim, rows, n, seed, zero_row, sliced, mu):
+    """Compress and expand on the interleaved floats equal the old
+    per-component formula to rounding, on 1-D signals and stacks with zero
+    rows and [..., 1:] views, with the same scales and clamp counts, and
+    leave their inputs untouched."""
+    cfg = CompanderConfig(mu=mu)
+    rng = np.random.default_rng(seed)
+    shape = (rows,) * ndim + (n,)
+    sig = 3.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if zero_row and ndim:
+        sig[(0,) * ndim] = 0.0
+    if sliced:
+        sig = sig[..., 1:]
+    before = sig.copy()
+    comp, scale = mu_compress(sig, cfg)
+    ref, ref_scale = reference_compress(sig, mu)
+    assert np.array_equal(sig, before)
+    assert np.shape(scale) == sig.shape[:-1]
+    assert np.array_equal(scale, ref_scale)
+    assert np.allclose(comp, ref, rtol=0, atol=1e-15)
+    noisy = comp * 1.1  # pushes some components past the clamp
+    before = noisy.copy()
+    back, clamped = mu_expand(noisy, scale, cfg)
+    ref_back, ref_clamped = reference_expand(noisy, scale, mu)
+    assert np.array_equal(noisy, before)
+    assert clamped == ref_clamped
+    assert np.allclose(back, ref_back, rtol=1e-14,
+                       atol=1e-14 * np.max(np.abs(sig)))
+
+
+def test_non_finite_peak_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        sig = np.ones((3, 8), dtype=complex)
+        sig[1, 4] = complex(1.0, bad)
+        with pytest.raises(compander.DegenerateSignal):
+            mu_compress(sig, CFG)
+        with pytest.raises(compander.DegenerateSignal):
+            mu_compress(sig[1], CFG)
+
+
+def test_expand_rejects_scale_of_another_shape():
+    comp, _ = mu_compress(np.ones(8, dtype=complex), CFG)
+    with pytest.raises(compander.LengthMismatch, match=r"\(3,\).*\(\)"):
+        mu_expand(comp, np.ones(3), CFG)
+    rows, scale = mu_compress(np.ones((3, 8), dtype=complex), CFG)
+    with pytest.raises(compander.LengthMismatch, match=r"\(3, 1\).*\(3,\)"):
+        mu_expand(rows, scale[:, None], CFG)
+    with pytest.raises(compander.LengthMismatch):
+        mu_expand(rows, 1.0, CFG)

@@ -288,3 +288,90 @@ def test_stacked_chain_equals_per_burst_calls(bursts, n_frames, M, K, seed):
             (qam, modem.oqam_postprocess, rx),
             (modem.grid_to_frames(qam), modem.grid_to_frames, qam)):
         assert np.array_equal(stacked, np.stack([fn(x) for x in inputs]))
+
+
+# --- the phase-multiply polyphase banks the phase-free ones replaced --------
+
+def phase_twiddles(cfg):
+    """exp(-j pi k (Lp - 1) / M), reduced exactly mod 2 pi."""
+    turns = np.arange(cfg.M) * (cfg.Lp - 1) % (2 * cfg.M)
+    return np.exp(-1j * np.pi * turns / cfg.M)
+
+
+def phase_synthesis(grid, cfg):
+    M, n_half = grid.shape
+    hop = M // 2
+    blocks = np.append(cfg.prototype, 0.0).reshape(2 * cfg.K, hop)
+    x = np.fft.ifft(grid * phase_twiddles(cfg)[:, None], axis=0,
+                    norm="forward")
+    out = np.zeros((n_half + 2 * cfg.K - 1, hop), dtype=complex)
+    for b, weights in enumerate(blocks):
+        out[b:b + n_half] += x[(b % 2) * hop:(b % 2 + 1) * hop].T * weights
+    return out.ravel()[:(n_half - 1) * hop + cfg.Lp]
+
+
+def phase_analysis(signal, cfg, n_half):
+    hop = cfg.M // 2
+    need = (n_half - 1) * hop + cfg.Lp
+    blocks = np.append(cfg.prototype, 0.0).reshape(2 * cfg.K, hop)
+    padded = np.append(signal[:need], 0.0).reshape(-1, hop)
+    folded = np.zeros((n_half, 2, hop), dtype=complex)
+    for b, weights in enumerate(blocks):
+        folded[:, b % 2] += padded[b:b + n_half] * weights
+    y = np.fft.fft(folded.reshape(n_half, cfg.M), axis=-1).T
+    return y * (phase_twiddles(cfg).conj() / np.sum(cfg.prototype ** 2))[:, None]
+
+
+@given(bank_cases(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_phase_free_banks_match_phase_multiply(case, seed):
+    """The one-sample delay of [0, p] (and the half swap of odd K) equals
+    the old IFFT-column phase multiply to rounding."""
+    cfg, grid = case
+    n_half = grid.shape[1]
+    got = modem.synthesis(grid, cfg)
+    ref = phase_synthesis(grid, cfg)
+    assert got.shape == ref.shape
+    assert relative_error(got, ref) < 1e-13
+    rng = np.random.default_rng(seed)
+    noisy = ref + 0.1 * (rng.standard_normal(ref.size)
+                         + 1j * rng.standard_normal(ref.size))
+    got = modem.analysis(noisy, cfg, n_half)
+    assert relative_error(got, phase_analysis(noisy, cfg, n_half)) < 1e-13
+
+
+def test_empty_grid_rejected():
+    cfg = modem.ModemConfig()
+    with pytest.raises(modem.DegenerateSignal):
+        modem.synthesis(np.zeros((64, 0), dtype=complex), cfg)
+    with pytest.raises(modem.DegenerateSignal):
+        modem.synthesis(np.zeros((3, 64, 0), dtype=complex), cfg)
+    for n_half in (0, -1):
+        with pytest.raises(modem.DegenerateSignal):
+            modem.analysis(np.zeros(1000, dtype=complex), cfg, n_half)
+
+
+@given(st.integers(1, 5), st.integers(1, 24), st.sampled_from((4, 16, 64)),
+       st.sampled_from((2, 3, 4)), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_banks_keep_inputs_and_take_strided_stacks(bursts, n_half, M, K,
+                                                   seed):
+    """Both banks leave their input unmodified, and a non-contiguous stack
+    (a transposed grid, a [..., 1:] signal view) gives, bit for bit, what
+    each burst gives alone."""
+    cfg = modem.ModemConfig(M=M, K=K)
+    rng = np.random.default_rng(seed)
+    shape = (bursts, n_half, M)
+    grid = np.swapaxes(rng.standard_normal(shape)
+                       + 1j * rng.standard_normal(shape), -1, -2)
+    before = grid.copy()
+    sig = modem.synthesis(grid, cfg)
+    assert np.array_equal(grid, before)
+    assert np.array_equal(sig, np.stack([modem.synthesis(g, cfg)
+                                         for g in grid]))
+    wide = np.concatenate([np.ones((bursts, 1)), sig], axis=-1)[..., 1:]
+    before = wide.copy()
+    rx = modem.analysis(wide, cfg, n_half)
+    assert np.array_equal(wide, before)
+    assert np.array_equal(rx, np.stack([modem.analysis(s, cfg, n_half)
+                                        for s in wide]))
