@@ -6,7 +6,8 @@ Reproducibility: every burst gets its own RNG streams derived from
 noise}.  Paired comparisons across schemes therefore share payload and
 channel randomness.  Bursts run in fixed chunks of consecutive bursts, each
 chunk stacked through encoder, modem, compander and equalizer as one array,
-one chunk after another on the calling thread, in burst order.
+one chunk after another on the calling thread, in burst order.  An
+uncompanded PAPR burst longer than a chunk is measured in blocks of frames.
 """
 from __future__ import annotations
 
@@ -29,9 +30,11 @@ class ConfigError(ValueError):
 # 10-frame bursts, 9.2 KiB in one 1,000-frame burst, rs2516 + mu-law).
 # Frames per chunk of bursts: a 10-frame burst costs about 100 us of numpy
 # and Python call overhead alone, so bursts run stacked, in chunks that keep
-# the working set near 1 MiB.  A burst longer than this is a chunk of one.
+# the working set near 1 MiB.  A burst longer than this is a chunk of one,
+# and an uncompanded PAPR burst goes in blocks of this many measured frames.
 CHUNK_FRAMES = 100
-# One burst is one stack, so this bounds its working set at about 100 MiB.
+# A BER burst and a companded PAPR burst are one stack, so this bounds their
+# working set at about 100 MiB; a whole other PAPR run peaks under 4 MiB.
 MAX_FRAMES_PER_BURST = 10_000
 
 
@@ -211,11 +214,16 @@ class PaprResult:
 def _payloads(scheme: Scheme, cfg: SimConfig, key: int,
               bursts: range) -> np.ndarray:
     """(bursts, frames_per_burst, payload bits), each burst drawn from its
-    own payload stream."""
-    shape = (cfg.frames_per_burst, scheme.payload_bits)
-    return np.stack([
-        _rng(cfg.master_seed, key, b, _ROLE_PAYLOAD).integers(0, 2, shape)
-        for b in bursts]).astype(np.uint8)
+    own payload stream in draws of at most CHUNK_FRAMES frames, which
+    continue the stream as one draw would."""
+    out = np.empty((len(bursts), cfg.frames_per_burst, scheme.payload_bits),
+                   np.uint8)
+    for burst, b in zip(out, bursts):
+        rng = _rng(cfg.master_seed, key, b, _ROLE_PAYLOAD)
+        for s in range(0, cfg.frames_per_burst, CHUNK_FRAMES):
+            draw = burst[s:s + CHUNK_FRAMES]
+            draw[:] = rng.integers(0, 2, draw.shape)
+    return out
 
 
 def _tx_burst(cfg: SimConfig, mcfg: modem.ModemConfig,
@@ -231,19 +239,35 @@ def _tx_burst(cfg: SimConfig, mcfg: modem.ModemConfig,
 
 
 def _measured_paprs(cfg: SimConfig, mcfg: modem.ModemConfig,
-                    frames: np.ndarray) -> np.ndarray:
-    """Frames (..., L, 2M) -> the PAPR of each transmitted frame but the
-    first and last, which are warm-up, (..., L - 2)."""
-    sig, _ = _tx_burst(cfg, mcfg, frames)
-    return metrics.frame_paprs(sig, cfg.M, mcfg.Lp,
-                               cfg.frames_per_burst)[..., 1:-1]
+                    payloads: np.ndarray,
+                    encode: Callable = np.asarray) -> np.ndarray:
+    """Payloads (..., L, bits) -> the PAPR of each transmitted frame of
+    encode(payloads) but the first and last, which are warm-up, (..., L - 2).
+    Uncompanded, a burst goes in blocks of at most CHUNK_FRAMES measured
+    frames, each sent with the frames that reach into its windows; the
+    mu-law scale is the peak of a whole burst, so a companded one is one
+    block."""
+    L = payloads.shape[-2]
+    step = L if cfg.companding else CHUNK_FRAMES
+    # frame j's samples span [j M, j M + M/2 + Lp), frame l's window
+    # [c + l M - M/2, c + l M + M/2), c = (Lp - 1)/2: they meet only for
+    # |l - j| <= ceil(c / M) (2 for K = 4)
+    reach = -(-(mcfg.Lp - 1) // (2 * cfg.M))
+    blocks = []
+    for s in range(1, L - 1, step):
+        e = min(s + step, L - 1)
+        b0, b1 = max(s - reach, 0), min(e + reach, L)
+        sig, _ = _tx_burst(cfg, mcfg, encode(payloads[..., b0:b1, :]))
+        blocks.append(metrics.frame_paprs(sig, cfg.M, mcfg.Lp,
+                                          e - b0)[..., s - b0:])
+    return np.concatenate(blocks, axis=-1)
 
 
 def _full_load_paprs(cfg: SimConfig, scheme: Scheme,
                      mcfg: modem.ModemConfig) -> np.ndarray:
     """_measured_paprs of one burst of all-ones payloads."""
     ones = np.ones((cfg.frames_per_burst, scheme.payload_bits), np.uint8)
-    return _measured_paprs(cfg, mcfg, scheme.encode(ones))
+    return _measured_paprs(cfg, mcfg, ones, scheme.encode)
 
 
 def _run_bursts(n_bursts: int, cfg: SimConfig,
@@ -269,7 +293,7 @@ def run_papr_experiment(cfg: SimConfig) -> PaprResult:
                           n_bursts)[:cfg.frames]
     else:
         chunks = _run_bursts(n_bursts, cfg, lambda c: _measured_paprs(
-            cfg, mcfg, scheme.encode(_payloads(scheme, cfg, 0, c))).ravel())
+            cfg, mcfg, _payloads(scheme, cfg, 0, c), scheme.encode).ravel())
         samples = np.concatenate(chunks)[:cfg.frames]
     curve = (metrics.ccdf(samples)
              if samples.size >= metrics.CCDF_MIN_SAMPLES else None)

@@ -19,6 +19,7 @@ stage as one array, and each burst comes out as it would alone.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,29 +88,25 @@ class ModemConfig:
             object.__setattr__(self, name, value)
 
 
-_QAM_SCALE = 1 / np.sqrt(2)
+# the 4-QAM level of bit 0 and of bit 1
+_QAM_LEVELS = np.array([1.0, -1.0]) / np.sqrt(2)
 
 
 def qam_map(bits: np.ndarray) -> np.ndarray:
     """(..., 2M) bits -> (..., M) Gray-mapped unit-energy 4-QAM symbols
-    (bit 0 -> +)."""
+    (bit 0 -> +): bit 2i is the real part of symbol i, bit 2i + 1 its
+    imaginary part, so the levels are the symbols' interleaved floats."""
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape[-1] % 2:
         raise LengthMismatch("bit count must be even")
-    re = 1.0 - 2.0 * bits[..., 0::2]
-    im = 1.0 - 2.0 * bits[..., 1::2]
-    return (re + 1j * im) * _QAM_SCALE
+    return _QAM_LEVELS.take(bits).view(complex)
 
 
 def qam_demap(symbols: np.ndarray) -> np.ndarray:
     """(..., M) symbols -> (..., 2M) bits: hard-decision nearest-point
-    demapping, scale invariant."""
-    symbols = np.asarray(symbols)
-    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],),
-                    dtype=np.uint8)
-    bits[..., 0::2] = symbols.real < 0
-    bits[..., 1::2] = symbols.imag < 0
-    return bits
+    demapping, scale invariant; the sign of each interleaved float."""
+    symbols = np.ascontiguousarray(symbols, dtype=complex)
+    return (symbols.view(float) < 0).view(np.uint8)
 
 
 def frames_to_grid(frames: np.ndarray, M: int) -> np.ndarray:
@@ -126,40 +123,58 @@ def grid_to_frames(grid: np.ndarray) -> np.ndarray:
     return qam_demap(np.swapaxes(grid, -1, -2))
 
 
-_J_POWERS = np.array([1, 1j, -1, -1j])
-
-
-def theta(M: int, n_half: int) -> np.ndarray:
-    """(M, n_half) phase grid j^(k+n) = j^k j^n, looked up mod 4."""
-    return np.outer(_J_POWERS[np.arange(M) % 4],
-                    _J_POWERS[np.arange(n_half) % 4])
+@functools.cache
+def _stagger_signs(M: int) -> np.ndarray:
+    """(l mod 2, t, 2k + slot) table of the OQAM stage: half-symbol column
+    n = 2l + t of sub-channel k carries slot (k + n) mod 2 (0 real, 1
+    imaginary part) of symbol (k, l) times j^(k+n), which keeps that slot
+    and gives it the sign (-1)^floor(((k + n) mod 4) / 2); the other slot
+    is 0."""
+    kn = np.arange(4)[:, None, None] + np.arange(M)[:, None]
+    signs = np.where(kn % 2 == np.arange(2), 1 - (kn & 2), 0.0)
+    signs.setflags(write=False)
+    return signs.reshape(2, 2, 2 * M)
 
 
 def oqam_preprocess(grid: np.ndarray) -> np.ndarray:
     """(..., M, L) complex QAM grid -> (..., M, 2L) staggered grid with
-    j^(k+n) phases.
+    j^(k+n) phases, a swapped view of C-contiguous (..., 2L, M) rows, the
+    layout the synthesis IFFT reads.
 
     Even sub-channels transmit the real part first, odd ones the imaginary
-    part; the half-symbol stagger doubles the time axis.
+    part; the half-symbol stagger doubles the time axis.  Each column is a
+    signed copy of one slot of each symbol (_stagger_signs).
     """
-    *lead, M, L = grid.shape
-    d = np.empty((*lead, M, 2 * L))
-    d[..., 0::2, 0::2] = grid[..., 0::2, :].real
-    d[..., 0::2, 1::2] = grid[..., 0::2, :].imag
-    d[..., 1::2, 0::2] = grid[..., 1::2, :].imag
-    d[..., 1::2, 1::2] = grid[..., 1::2, :].real
-    return d * theta(M, 2 * L)
+    rows = np.swapaxes(np.asarray(grid, dtype=complex), -1, -2)
+    *lead, L, M = rows.shape
+    slots = rows[..., None].view(float).reshape(*lead, L, 1, 2 * M)
+    signs = _stagger_signs(M)
+    out = np.empty((*lead, L, 2, 2 * M))
+    for lp in (0, 1):
+        np.multiply(slots[..., lp::2, :, :], signs[lp],
+                    out=out[..., lp::2, :, :])
+    return np.swapaxes(out.view(complex).reshape(*lead, 2 * L, M), -1, -2)
 
 
 def oqam_postprocess(grid: np.ndarray) -> np.ndarray:
-    """Inverse of oqam_preprocess: conjugate phases, take the real part,
-    recombine staggered pairs into complex QAM estimates."""
+    """Inverse of oqam_preprocess: (..., M, 2L) staggered grid -> (..., M, L)
+    complex QAM estimates, a swapped view of C-contiguous (..., L, M) rows.
+    Each slot of symbol (k, l) is the same slot of column 2l + t, t = (k +
+    slot) mod 2, times that column's sign: the real part of conj(j^(k+n))
+    times the column."""
     *lead, M, n_half = grid.shape
-    d = (grid * np.conj(theta(M, n_half))).real
-    out = np.empty((*lead, M, n_half // 2), dtype=complex)
-    out[..., 0::2, :] = d[..., 0::2, 0::2] + 1j * d[..., 0::2, 1::2]
-    out[..., 1::2, :] = d[..., 1::2, 1::2] + 1j * d[..., 1::2, 0::2]
-    return out
+    if n_half % 2:
+        raise LengthMismatch(f"odd half-symbol column count {n_half}: "
+                             f"columns pair into symbols")
+    rows = np.swapaxes(np.asarray(grid, dtype=complex), -1, -2)
+    pairs = rows[..., None].view(float).reshape(*lead, n_half // 2, 4 * M)
+    j = np.arange(2 * M)  # 2k + slot
+    t = (j // 2 + j) % 2
+    out = pairs.take(t * 2 * M + j, axis=-1)
+    signs = _stagger_signs(M)[:, t, j]
+    out[..., 0::2, :] *= signs[0]
+    out[..., 1::2, :] *= signs[1]
+    return np.swapaxes(out.view(complex), -1, -2)
 
 
 def synthesis(grid: np.ndarray, cfg: ModemConfig) -> np.ndarray:

@@ -42,6 +42,24 @@ FRAMES_SHA256 = \
 # re-captured with PAPR_SHA256 (max |delta| 1.8e-15 dB)
 KSWEEP_SHA256 = \
     "b7a55638956820c892196088e1174c919a12b01b4ba37833a124beed6c1823c1"
+# PAPR samples of bursts longer than CHUNK_FRAMES, master seed 1, captured
+# before such bursts were measured in blocks:
+# (scheme, companding, load, frames_per_burst, frames) -> sha256
+LONG_BURST_SHA256 = {
+    ("none", False, "random", 1000, 2500):
+        "78c3669d599c36ee9edd13fb67baca735560d4806801d3e2d216e71a12401962",
+    ("crs31_19", False, "random", 250, 600):
+        "652a0d0801d5e2a8ba2eb1934cd68e061512e2698a760e60c789c6b157abd27a",
+    ("crs31_19", True, "random", 250, 600):
+        "2f5e48835f61b49d26190a7e8e4c855543eb7796cc8d6e279be4c3031e011b7a",
+    ("rs2516", False, "full", 250, 600):
+        "caf73b47b98ccb4ec3b3558e5cddaa65601b1dc7f91d43740e9f1df4ee5b94ab",
+}
+# the k-sweep rows at 150-frame bursts, captured with LONG_BURST_SHA256;
+# full load repeats one frame (CRS) or frame pair (RS), so they equal the
+# rows of 10-frame bursts
+KSWEEP_150_SHA256 = \
+    "b7a55638956820c892196088e1174c919a12b01b4ba37833a124beed6c1823c1"
 # the 10 conventional RS(31,k) full-load frames of each k-sweep point; an
 # all-ones message encodes to the all-ones word at every k
 RS_FULLLOAD_SHA256 = dict.fromkeys(
@@ -92,3 +110,20 @@ def test_rs_fullload_frames(k):
     frames = harness._rs_fullload_frames(k, 10)
     assert hashlib.sha256(frames.tobytes()).hexdigest() == \
         RS_FULLLOAD_SHA256[k]
+
+
+@pytest.mark.parametrize("point", list(LONG_BURST_SHA256))
+def test_long_burst_papr_samples(point):
+    scheme, companding, load, fpb, frames = point
+    cfg = harness.SimConfig(scheme=scheme, companding=companding, mu=25.0,
+                            load=load, frames_per_burst=fpb, frames=frames,
+                            master_seed=1)
+    samples = harness.run_papr_experiment(cfg).samples_db
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == \
+        LONG_BURST_SHA256[point]
+
+
+def test_ksweep_rows_long_bursts():
+    cfg = harness.SimConfig(load="full", frames_per_burst=150)
+    rows = np.array(harness.run_crs_k_sweep(cfg=cfg))
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == KSWEEP_150_SHA256

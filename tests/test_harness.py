@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from papr_lab import harness
+from papr_lab import harness, metrics
 from papr_lab.fec import bch, crs, rs
 from papr_lab.harness import SimConfig
 
@@ -289,3 +290,69 @@ class TestChunks:
                 tracemalloc.stop()
         one, eight = peak(1), peak(8)
         assert eight < 1.1 * one + 64 * 2**10
+
+
+class TestBlocks:
+    """A PAPR burst longer than CHUNK_FRAMES goes in blocks; the payloads
+    of a long burst are drawn in pieces.  Neither may change an output."""
+
+    LENGTHS = (3, 99, 100, 101, 103, 199, 201, 1000)
+    SCHEMES = ("none", "bch", "rs2516", "crs31_19", "crs31_25")
+
+    @staticmethod
+    def one_block(cfg, payloads, encode):
+        """The whole burst modulated as one stack, every frame measured."""
+        mcfg = cfg.modem_config()
+        sig, _ = harness._tx_burst(cfg, mcfg, encode(payloads))
+        return metrics.frame_paprs(sig, cfg.M, mcfg.Lp,
+                                   cfg.frames_per_burst)[..., 1:-1]
+
+    @pytest.mark.parametrize("name", SCHEMES)
+    @pytest.mark.parametrize("load", ["random", "full"])
+    @given(fpb=st.sampled_from(LENGTHS), compand=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=16, deadline=None)
+    def test_blocks_equal_one_block(self, name, load, fpb, compand,
+                                    seed):
+        cfg = SimConfig(scheme=name, load=load, companding=compand,
+                        frames_per_burst=fpb, master_seed=seed)
+        scheme = harness.get_scheme(name)
+        if load == "full":
+            payloads = np.ones((fpb, scheme.payload_bits), np.uint8)
+        else:
+            payloads = harness._payloads(
+                scheme, cfg, 0, range(max(1, harness.CHUNK_FRAMES // fpb)))
+        got = harness._measured_paprs(cfg, cfg.modem_config(), payloads,
+                                      scheme.encode)
+        want = self.one_block(cfg, payloads, scheme.encode)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(3, 450), st.sampled_from((64, 80, 85, 128)),
+           st.integers(1, 3), st.integers(0, 2**64 - 1), st.integers(0, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_payloads_equal_one_draw_per_burst(self, fpb, bits, n, seed,
+                                               first):
+        scheme = harness.Scheme("any", bits, np.asarray, np.asarray)
+        cfg = SimConfig(frames_per_burst=fpb, master_seed=seed)
+        bursts = range(first, first + n)
+        want = np.stack([
+            harness._rng(seed, 5, b, harness._ROLE_PAYLOAD).integers(
+                0, 2, (fpb, bits)) for b in bursts]).astype(np.uint8)
+        got = harness._payloads(scheme, cfg, 5, bursts)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["none", "bch", "rs2516", "crs31_19"])
+    def test_memory_bounded_in_burst_length(self, name):
+        """Without mu-law a 10,000-frame burst is measured in blocks; in one
+        stack its modem arrays peaked at 60 MiB."""
+        harness.run_papr_experiment(SimConfig(scheme=name, frames=8))
+        cfg = SimConfig(scheme=name, frames_per_burst=10_000, frames=9_998)
+        tracemalloc.start()
+        try:
+            harness.run_papr_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

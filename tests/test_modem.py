@@ -105,7 +105,7 @@ class TestQam:
 
 class TestOqam:
     def test_theta_values(self):
-        th = modem.theta(4, 4)
+        th = theta(4, 4)
         assert th[0, 0] == 1
         assert th[1, 0] == 1j
         assert th[0, 1] == 1j
@@ -120,6 +120,19 @@ class TestOqam:
         assert staggered.shape == (64, 12)
         back = modem.oqam_postprocess(staggered)
         assert np.allclose(back, grid)
+
+    def test_row_layout(self):
+        # the synthesis IFFT and the demapper read contiguous rows
+        grid = np.ones((2, 64, 3), dtype=complex)
+        staggered = modem.oqam_preprocess(grid)
+        assert staggered.shape == (2, 64, 6)
+        assert np.swapaxes(staggered, -1, -2).flags.c_contiguous
+        back = modem.oqam_postprocess(staggered)
+        assert np.swapaxes(back, -1, -2).flags.c_contiguous
+
+    def test_odd_column_count_rejected(self):
+        with pytest.raises(modem.LengthMismatch, match="odd .* 5"):
+            modem.oqam_postprocess(np.zeros((64, 5), dtype=complex))
 
     def test_stagger_order(self):
         # even sub-channels send the real part in the first half-slot,
@@ -375,3 +388,89 @@ def test_banks_keep_inputs_and_take_strided_stacks(bursts, n_half, M, K,
     assert np.array_equal(wide, before)
     assert np.array_equal(rx, np.stack([modem.analysis(s, cfg, n_half)
                                         for s in wide]))
+
+
+# --- the complex-arithmetic QAM and OQAM stages the row layout replaced -----
+
+_J_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def theta(M, n_half):
+    """(M, n_half) phase grid j^(k+n) = j^k j^n, looked up mod 4."""
+    return np.outer(_J_POWERS[np.arange(M) % 4],
+                    _J_POWERS[np.arange(n_half) % 4])
+
+
+def qam_map_ref(bits):
+    re = 1.0 - 2.0 * bits[..., 0::2]
+    im = 1.0 - 2.0 * bits[..., 1::2]
+    return (re + 1j * im) / np.sqrt(2)
+
+
+def qam_demap_ref(symbols):
+    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],),
+                    dtype=np.uint8)
+    bits[..., 0::2] = symbols.real < 0
+    bits[..., 1::2] = symbols.imag < 0
+    return bits
+
+
+def oqam_preprocess_ref(grid):
+    *lead, M, L = grid.shape
+    d = np.empty((*lead, M, 2 * L))
+    d[..., 0::2, 0::2] = grid[..., 0::2, :].real
+    d[..., 0::2, 1::2] = grid[..., 0::2, :].imag
+    d[..., 1::2, 0::2] = grid[..., 1::2, :].imag
+    d[..., 1::2, 1::2] = grid[..., 1::2, :].real
+    return d * theta(M, 2 * L)
+
+
+def oqam_postprocess_ref(grid):
+    *lead, M, n_half = grid.shape
+    d = (grid * np.conj(theta(M, n_half))).real
+    out = np.empty((*lead, M, n_half // 2), dtype=complex)
+    out[..., 0::2, :] = d[..., 0::2, 0::2] + 1j * d[..., 0::2, 1::2]
+    out[..., 1::2, :] = d[..., 1::2, 1::2] + 1j * d[..., 1::2, 0::2]
+    return out
+
+
+def _laid_out(a, layout):
+    """a as a C-contiguous stack, as the swapped view of its transpose's
+    copy, or as a [..., 1:] view of a wider array."""
+    if layout == "transposed":
+        return np.swapaxes(np.ascontiguousarray(np.swapaxes(a, -1, -2)),
+                           -1, -2)
+    if layout == "offset":
+        wide = np.concatenate([np.ones_like(a[..., :1]), a], axis=-1)
+        return wide[..., 1:]
+    return a
+
+
+@given(st.integers(1, 3), st.integers(1, 12), st.sampled_from((4, 16, 64)),
+       st.sampled_from(("stacked", "transposed", "offset")),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_row_layout_stages_equal_complex_formulas(bursts, n_frames, M,
+                                                  layout, seed):
+    rng = np.random.default_rng(seed)
+
+    def normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    cases = (
+        (modem.qam_map, qam_map_ref, rng.integers(
+            0, 2, (bursts, n_frames, 2 * M)).astype(np.uint8)),
+        (modem.qam_demap, qam_demap_ref, normal(bursts, n_frames, M)),
+        (modem.oqam_preprocess, oqam_preprocess_ref,
+         normal(bursts, M, n_frames)),
+        (modem.oqam_postprocess, oqam_postprocess_ref,
+         normal(bursts, M, 2 * n_frames)),
+    )
+    for fn, ref, x in cases:
+        x = _laid_out(x, layout)
+        before = x.copy()
+        got = fn(x)
+        assert np.array_equal(x, before)
+        want = ref(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
