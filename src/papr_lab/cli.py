@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -44,9 +45,17 @@ def _parse_snr(text: str) -> tuple:
     return tuple(start + i * step for i in range(n))
 
 
+def _open(path: str, mode: str, flag: str):
+    """open(path, mode); an OSError names the flag that gave the path."""
+    try:
+        return open(path, mode)
+    except OSError as ex:
+        raise OSError(f"{flag} {path}: {ex.strerror}") from None
+
+
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(path) as fh:
+    with _open(path, "r", "--config") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -81,7 +90,7 @@ def _coerce(key: str, val: str, template):
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicit CLI flags."""
+    """defaults <- config file <- CLI flags; --out's directory must exist."""
     merged = dict(defaults)
     if getattr(args, "config", None):
         for key, val in _read_config_file(args.config).items():
@@ -92,6 +101,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             merged[key] = cli_val
+    out_dir = os.path.dirname(merged["out"]) or "."
+    if not os.path.isdir(out_dir):
+        raise harness.ConfigError(f"--out: no directory {out_dir}")
     return merged
 
 
@@ -170,7 +182,7 @@ def _cmd_fec(args: argparse.Namespace) -> int:
         scheme = harness.get_scheme(args.scheme)
     except ValueError as ex:
         raise ValueError(f"--scheme: {ex}") from None
-    with open(args.infile, "rb") as fh:
+    with _open(args.infile, "rb", "--in") as fh:
         data = fh.read()
     if len(data) % FRAME_BYTES:
         raise ValueError(f"{args.infile}: size {len(data)} is not a multiple "
@@ -183,7 +195,7 @@ def _cmd_fec(args: argparse.Namespace) -> int:
         out_bits = scheme.decode(frames)
     padded = np.zeros_like(frames)
     padded[:, :out_bits.shape[1]] = out_bits
-    with open(args.outfile, "wb") as fh:
+    with _open(args.outfile, "wb", "--out") as fh:
         fh.write(np.packbits(padded, axis=1).tobytes())
     print(f"{args.mode}d {len(frames)} frame(s) with {args.scheme} "
           f"-> {args.outfile}")

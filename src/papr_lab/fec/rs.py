@@ -31,9 +31,8 @@ frame goes straight to Berlekamp-Massey.  BM and poly_mul run on the
 field's cached multiplication table.  Only a locator within BM's degree
 bound goes on: the Chien search and both Forney polynomials are evaluated
 at every position at once, one XOR of a packed table entry per coefficient
-(_evaluation_tables), and the residual check adds the packed syndromes of
-each correction (_correction_syndromes) to those of the frame instead of
-re-evaluating the corrected word.
+(_evaluation_tables).  The residual check requires the syndromes of the
+corrections' error word (_syndromes, one gather) to equal the frame's.
 """
 from __future__ import annotations
 
@@ -106,10 +105,13 @@ def _syndromes(fs: FieldSpec, received: Sequence[int],
     return np.bitwise_xor.reduce(terms, axis=0).tolist()
 
 
+@functools.cache
 def _syndrome_powers(fs: FieldSpec, n: int, count: int) -> np.ndarray:
-    """(n, count) array of alpha^((n-1-pos) j), j = 1..count: row pos
-    holds the syndrome terms of a unit symbol at position pos."""
-    return _powers(fs, n - 1 - np.arange(n), np.arange(1, count + 1))
+    """(n, count) read-only array of alpha^((n-1-pos) j), j = 1..count: row
+    pos holds the syndrome terms of a unit symbol at position pos."""
+    powers = _powers(fs, n - 1 - np.arange(n), np.arange(1, count + 1))
+    powers.setflags(write=False)
+    return powers
 
 
 def _powers(fs: FieldSpec, logs: np.ndarray,
@@ -138,8 +140,9 @@ def _evaluation_tables(fs: FieldSpec, n: int,
     of every position pos of a length-n word, symbol pos.  A polynomial of
     degree <= `degree` evaluated at every position is then the XOR of one
     entry per coefficient (_evaluate)."""
-    log_x = np.arange(n) + 1 - n
-    return _product_tables(fs, _powers(fs, np.arange(degree + 1), log_x))
+    rows = _powers(fs, np.arange(degree + 1), np.arange(n) + 1 - n)
+    return tuple([_pack(p) for p in gf2m.mul_table(fs)[:, row].tolist()]
+                 for row in rows)
 
 
 def _evaluate(tables: tuple[list[int], ...], poly: Sequence[int],
@@ -163,22 +166,6 @@ def _roots(values: bytes) -> list[int]:
         roots.append(pos)
         pos = values.find(0, pos + 1)
     return roots
-
-
-@functools.cache
-def _correction_syndromes(fs: FieldSpec, n: int,
-                          count: int) -> tuple[list[int], ...]:
-    """table[pos][v] packs S_1..S_count of the length-n word that is v at
-    pos and zero elsewhere."""
-    return _product_tables(fs, _syndrome_powers(fs, n, count))
-
-
-def _product_tables(fs: FieldSpec,
-                    vectors: np.ndarray) -> tuple[list[int], ...]:
-    """table[i][v] packs v times row i of vectors, for every field
-    element v."""
-    mul = gf2m.mul_table(fs)
-    return tuple([_pack(p) for p in mul[:, row].tolist()] for row in vectors)
 
 
 def _berlekamp_massey(fs: FieldSpec, syndromes: Sequence[int],
@@ -243,12 +230,12 @@ def _error_locator(fs: FieldSpec, modified: list[int],
     return lam
 
 
-def _corrections(fs: FieldSpec, n: int, synd: list[int], lam: list[int],
+def _corrections(fs: FieldSpec, n: int, synd: Sequence[int], lam: list[int],
                  gamma: Sequence[int]) -> list[tuple[int, int]]:
     """Chien search and Forney on the combined locator Lambda * Gamma:
     (position, magnitude) of every nonzero correction of a length-n word
     with syndromes synd.  DecodeFailure unless the corrections cancel
-    every syndrome, which is checked on the corrections alone."""
+    every syndrome, i.e. their error word has the word's syndromes."""
     r = len(synd)
     psi = poly_mul(fs, lam, gamma)  # combined locator, degree <= r
     tables = _evaluation_tables(fs, n, r)
@@ -260,20 +247,14 @@ def _corrections(fs: FieldSpec, n: int, synd: list[int], lam: list[int],
     omega = _evaluate(tables, poly_mul(fs, synd, psi, r), n)
     psi_prime = _evaluate(tables, [c if i % 2 == 0 else 0
                                    for i, c in enumerate(psi[1:])], n)
-    correction = _correction_syndromes(fs, n, r)
-    fixes = []
-    residual = _pack(synd)
+    error = [0] * n
     for pos in roots_pos:
         if psi_prime[pos] == 0:
             raise DecodeFailure("Forney denominator vanished")
-        mag = gf2m.div(fs, omega[pos], psi_prime[pos])
-        if mag:
-            fixes.append((pos, mag))
-            residual ^= correction[pos][mag]
-    # the corrected word's syndromes: synd plus those of the corrections
-    if residual:
+        error[pos] = gf2m.div(fs, omega[pos], psi_prime[pos])
+    if _syndromes(fs, error, r) != list(synd):
         raise DecodeFailure("residual syndromes after correction")
-    return fixes
+    return [(pos, error[pos]) for pos in roots_pos if error[pos]]
 
 
 def rs_decode(spec: RsCodeSpec, received: Sequence[int],
@@ -283,13 +264,6 @@ def rs_decode(spec: RsCodeSpec, received: Sequence[int],
     Returns (message, corrected symbol count); raises DecodeFailure when the
     syndromes are inconsistent with the bound.
     """
-    word, positions = decode_word(spec, received, erasures)
-    return word[:spec.k], len(positions)
-
-
-def decode_word(spec: RsCodeSpec, received: Sequence[int],
-                erasures: Iterable[int] = ()) -> tuple[list[int], list[int]]:
-    """Full-codeword decode returning (corrected word, corrected positions)."""
     if len(received) != spec.n:
         raise LengthMismatch(f"received length {len(received)} != n = {spec.n}")
     fs = spec.field
@@ -303,13 +277,13 @@ def decode_word(spec: RsCodeSpec, received: Sequence[int],
     word = [int(c) for c in received]
     synd = _syndromes(fs, word, r)
     if not any(synd) and not erasures:
-        return word, []
+        return word[:spec.k], 0
     gamma = _erasure_locator(fs, n, erasures)
     lam = _error_locator(fs, _modified_syndromes(fs, synd, gamma, r))
     fixes = _corrections(fs, n, synd, lam, gamma)
     for pos, mag in fixes:
         word[pos] ^= mag
-    return word, [pos for pos, _ in fixes]
+    return word[:spec.k], len(fixes)
 
 
 # --- bit frames: packing, encoder input checks, binary-image encoding --------

@@ -36,10 +36,6 @@ class ConfigMismatch(ValueError):
     pass
 
 
-class SignalTooShort(ValueError):
-    pass
-
-
 # frequency-sampling target values per overlap factor
 _FREQ_SAMPLES = {
     2: [1.0, np.sqrt(2) / 2],
@@ -211,7 +207,7 @@ def analysis(signal: np.ndarray, cfg: ModemConfig, n_half: int) -> np.ndarray:
         raise DegenerateSignal(f"empty grid: {n_half} half-symbol columns")
     need = (n_half - 1) * cfg.M // 2 + cfg.Lp
     if size < need:
-        raise SignalTooShort(f"need {need} samples, got {size}")
+        raise LengthMismatch(f"need {need} samples, got {size}")
     x = np.zeros((*lead, n_half - 1 + 2 * cfg.K, cfg.M))
     x.reshape(*lead, -1).view(complex)[..., 1:need + 1] = signal[..., :need]
     # half h of window n sums weight [i, h] times half-row n + 2i + h

@@ -160,6 +160,10 @@ def test_fec_bad_size(tmp_path, capsys):
      "--scheme"),
     (["papr", "--scheme", "crs31_5", "--frames", 150], "--scheme"),
     (["fec", "encode", "--scheme", "foo", "--in", "unread.bin"], "--scheme"),
+    (["papr", "--config", "no_such_dir/papr.cfg", "--frames", 150],
+     "--config"),
+    (["fec", "decode", "--scheme", "bch", "--in", "no_such_dir/in.bin"],
+     "--in"),
 ])
 def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
     rc = run(argv + ["--out", tmp_path / "x.csv"])
@@ -180,3 +184,28 @@ def test_too_few_papr_frames_rejected_before_running(tmp_path, capsys,
     assert ("papr-lab: error: too few frames for a CCDF; use --frames >= 100"
             in capsys.readouterr().err)
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv,runner", [
+    (["papr", "--frames", 150], "run_papr_experiment"),
+    (["ber", "--bits", 1000, "--snr", "10"], "run_ber_sweep"),
+    (["ksweep"], "run_crs_k_sweep"),
+])
+def test_missing_out_directory_rejected_before_running(
+        tmp_path, capsys, monkeypatch, argv, runner):
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"{runner} called")
+    monkeypatch.setattr(harness, runner, no_run)
+    out = tmp_path / "missing" / "x.csv"
+    assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"papr-lab: error: --out: no directory {out.parent}" in err
+
+
+def test_fec_unwritable_out_names_the_flag(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(16))
+    out = tmp_path / "missing" / "x.bin"
+    assert run(["fec", "encode", "--scheme", "bch",
+                "--in", src, "--out", out]) == 1
+    assert f"papr-lab: error: --out {out}:" in capsys.readouterr().err

@@ -8,15 +8,16 @@ from the syndromes of each unit frame, and skip BM when the erasures alone
 explain the syndromes.  Berlekamp-Massey and poly_mul use the field's
 multiplication table; the Chien search and Forney evaluate each
 polynomial at every position at once from packed per-coefficient tables;
-the residual check adds the syndromes of the corrections to those of the
-frame.  The references below are the original per-point loops: Horner
-evaluation, syndromes one power of alpha at a time, products and BM one
-gf2m.mul per term, the log-domain evaluator poly_eval_many, the Chien
-search one position at a time, the per-bit symbol packing, the modified
-syndromes through poly_mul, the frame decoders that built the whole word
-and ran the full erasure path, and the conventional RS(31,k) framing of the
-k-sweep through rs_encode.  scalar_poly_eval (Horner, one gf2m.mul per
-step) is also the polynomial evaluator of test_rs and test_bch.
+the RS residual check compares the syndromes of the error word the
+corrections make with those of the frame.  The references below are the
+original per-point loops: Horner evaluation, syndromes one power of alpha
+at a time, products and BM one gf2m.mul per term, the log-domain evaluator
+poly_eval_many, the Chien search one position at a time, the per-bit
+symbol packing, the modified syndromes through poly_mul, the frame
+decoders that built the whole word and ran the full erasure path, and the
+conventional RS(31,k) framing of the k-sweep through rs_encode.
+scalar_poly_eval (Horner, one gf2m.mul per step) is also the polynomial
+evaluator of test_rs and test_bch.
 Decoders are compared on whole outcomes (message, corrected count,
 constraint flag, or the DecodeFailure raised), past the correction radius
 on purpose, since the failure path is most of what a faded RS(25,16) link
@@ -36,12 +37,13 @@ from papr_lab.fec import bch, crs, rs
 
 CODES = ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP]
 
-# every cache of the FEC core; gf2m.cached_field stays warm, because tests
-# hold its field instances by identity
-FEC_CACHES = (rs.rs_spec, rs._punctured_locator, rs._frame_generator,
-              rs._syndrome_tables, rs._evaluation_tables,
-              rs._correction_syndromes, bch.bch_spec, bch._generator,
-              bch._syndrome_tables, gf2m.mul_table, gf2m.mul_rows)
+# every cache the FEC core defines; gf2m.cached_field stays warm, because
+# tests hold its field instances by identity
+FEC_CACHES = tuple(
+    cached for module in (gf2m, rs, bch, crs)
+    for cached in vars(module).values()
+    if hasattr(cached, "cache_clear") and cached.__module__ == module.__name__
+    and cached is not gf2m.cached_field)
 
 
 def clear_fec_caches():
@@ -158,10 +160,11 @@ def scalar_berlekamp_massey(fs, syndromes):
     return C
 
 
-def scalar_decode_word(spec, received, erasures=()):
-    """rs.decode_word with Horner syndromes, scalar BM and products, the
-    erasure locator rebuilt per call and a per-position Chien search (the
-    input checks left out)."""
+def scalar_correct_word(spec, received, erasures=()):
+    """rs.rs_decode's correction of the whole word with Horner syndromes,
+    scalar BM and products, the erasure locator rebuilt per call and a
+    per-position Chien search (the input checks left out): (corrected
+    word, corrected positions)."""
     fs = spec.field
     n, r = spec.n, spec.r
     erasures = sorted(set(int(e) for e in erasures))
@@ -209,6 +212,12 @@ def scalar_decode_word(spec, received, erasures=()):
     return word, touched
 
 
+def scalar_rs_decode(spec, received, erasures=()):
+    """rs.rs_decode through scalar_correct_word."""
+    word, touched = scalar_correct_word(spec, received, erasures)
+    return word[:spec.k], len(touched)
+
+
 def rs2516_word(frame):
     return [0] * 3 + loop_bits_to_symbols(frame[:125], 5) + [0] * 3
 
@@ -217,8 +226,8 @@ def scalar_rs2516_decode(frame):
     """rs.rs2516_decode through the whole word and the full erasure path."""
     frame = np.asarray(frame, dtype=np.uint8)
     spec = rs.rs_spec(5, 19)
-    decoded, positions = scalar_decode_word(spec, rs2516_word(frame),
-                                            range(28, 31))
+    decoded, positions = scalar_correct_word(spec, rs2516_word(frame),
+                                             range(28, 31))
     if any(decoded[:3]):
         raise rs.DecodeFailure("shortened prefix decoded nonzero")
     return decoded[3:19], sum(1 for p in positions if p < 28)
@@ -233,10 +242,10 @@ def crs_word(layout, frame):
 
 
 def scalar_crs_decode(layout, frame):
-    """crs.crs_decode through the whole word and the scalar decode_word."""
+    """crs.crs_decode through the whole word and scalar_correct_word."""
     frame = np.asarray(frame, dtype=np.uint8)
     spec = rs.rs_spec(layout.q, layout.k)
-    decoded, positions = scalar_decode_word(spec, crs_word(layout, frame))
+    decoded, positions = scalar_correct_word(spec, crs_word(layout, frame))
     if any(decoded[:layout.k - layout.k_prime]):
         raise rs.DecodeFailure("shortened prefix decoded nonzero")
     out_syms = decoded[layout.k - layout.k_prime:layout.k]
@@ -402,22 +411,30 @@ def test_racing_first_encodes_agree(cold_fec_caches):
 
 # --- vectorized decode == scalar decode --------------------------------------
 
-@given(seed=st.integers(0, 2**32 - 1), data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_decode_word_matches_scalar(seed, data):
-    spec = rs.rs_spec(5, data.draw(st.sampled_from(harness.DEFAULT_KSWEEP)))
-    f = data.draw(st.integers(0, spec.r))
-    e = data.draw(st.integers(0, (spec.r - f) // 2 + 3))
+def _rs_word(seed, k, f, e):
+    """(spec, sent message, received word, erasures) of a random RS(31,k)
+    codeword with e symbol errors and f erased symbols refilled at random."""
+    spec = rs.rs_spec(5, k)
     rng = np.random.default_rng(seed)
-    word = rs.rs_encode(spec, [int(v) for v in rng.integers(0, 32, spec.k)])
+    message = [int(v) for v in rng.integers(0, 32, spec.k)]
+    word = rs.rs_encode(spec, message)
     pos = rng.choice(spec.n, size=e + f, replace=False)
     for p in pos[:e]:
         word[p] ^= int(rng.integers(1, 32))
     for p in pos[e:]:
         word[p] = int(rng.integers(0, 32))
-    erasures = pos[e:].tolist()
-    assert (outcome(rs.decode_word, spec, word, erasures)
-            == outcome(scalar_decode_word, spec, word, erasures))
+    return spec, message, word, pos[e:].tolist()
+
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_rs_decode_matches_scalar(seed, data):
+    k = data.draw(st.sampled_from(harness.DEFAULT_KSWEEP))
+    f = data.draw(st.integers(0, 31 - k))
+    e = data.draw(st.integers(0, (31 - k - f) // 2 + 3))
+    spec, _, word, erasures = _rs_word(seed, k, f, e)
+    assert (outcome(rs.rs_decode, spec, word, erasures)
+            == outcome(scalar_rs_decode, spec, word, erasures))
 
 
 def _symbol_errors(rng, frame, widths, e):
@@ -615,8 +632,8 @@ def test_cached_matrices_are_read_only(code):
         G[0, 0] = 1
 
 
-DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, rs._syndrome_tables,
-                 rs._evaluation_tables, rs._correction_syndromes,
+DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, rs._syndrome_powers,
+                 rs._syndrome_tables, rs._evaluation_tables,
                  bch._syndrome_tables)
 
 
@@ -744,20 +761,21 @@ def test_packed_chien_equals_poly_eval_many(m, data):
        k=st.sampled_from(harness.DEFAULT_KSWEEP))
 @settings(max_examples=100, deadline=None)
 def test_correction_residual_equals_word_syndromes(seed, fixes, k):
-    """A word's syndromes plus those of some corrections are the syndromes
-    of the corrected word."""
+    """A word's syndromes plus those of an error word are the syndromes of
+    the corrected word, so the corrections leave no residual exactly when
+    their error word has the word's syndromes."""
     spec = rs.rs_spec(5, k)
     fs, n, r = spec.field, spec.n, spec.r
     rng = np.random.default_rng(seed)
     word = [int(v) for v in rng.integers(0, 32, n)]
-    assert rs._syndromes(fs, word, r) == horner_syndromes(fs, word, r)
-    table = rs._correction_syndromes(fs, n, r)
-    packed = rs._pack(rs._syndromes(fs, word, r))
+    error = [0] * n
     for pos in rng.choice(n, size=fixes, replace=False):
-        mag = int(rng.integers(1, 32))
-        word[pos] ^= mag
-        packed ^= table[pos][mag]
-    assert rs._unpack(packed, r) == bytes(horner_syndromes(fs, word, r))
+        error[pos] = int(rng.integers(1, 32))
+    corrected = [w ^ v for w, v in zip(word, error)]
+    synd = rs._syndromes(fs, word, r)
+    assert synd == horner_syndromes(fs, word, r)
+    assert ([a ^ b for a, b in zip(synd, rs._syndromes(fs, error, r))]
+            == horner_syndromes(fs, corrected, r))
 
 
 def test_bch_byte_table_bit_images_equal_parity_check_rows():
@@ -783,6 +801,35 @@ RS2516_RARE = {
     "shortened prefix decoded nonzero": [(2059, 7)],
     None: [(712, 6), (2647, 7)],
 }
+
+
+# RS(31,k) words of test_rs_decode_matches_scalar's construction,
+# (seed, k, f, e), one reason of rs_decode each.  "more erasures than
+# parity symbols" is out of the construction's reach (f <= r), and so is
+# "Forney denominator vanished" (a locator with as many distinct roots as
+# its degree has a nonzero derivative at each)
+RS_DECODE_RARE = {
+    "error locator exceeds capability": [(4, 19, 0, 7), (32, 21, 0, 6),
+                                         (0, 19, 1, 6)],
+    "locator degree does not match root count": [(0, 19, 0, 7),
+                                                 (0, 25, 0, 4),
+                                                 (38, 23, 1, 4)],
+    "residual syndromes after correction": [(105, 19, 5, 4), (32, 21, 4, 4),
+                                            (57, 23, 0, 7), (22, 29, 0, 2)],
+    None: [(10, 19, 2, 6), (6, 21, 2, 5), (2, 23, 0, 5), (0, 29, 0, 2)],
+}
+
+
+@pytest.mark.parametrize("message,seed,k,f,e", [
+    (msg, *case) for msg, cases in RS_DECODE_RARE.items() for case in cases])
+def test_rs_decode_rare_outcomes_match_scalar(message, seed, k, f, e):
+    spec, sent, word, erasures = _rs_word(seed, k, f, e)
+    got = outcome(rs.rs_decode, spec, word, erasures)
+    assert got == outcome(scalar_rs_decode, spec, word, erasures)
+    if message:
+        assert got == ("DecodeFailure", message)
+    else:  # decoded to another codeword
+        assert got[0] != "DecodeFailure" and got[0] != sent
 
 
 @pytest.mark.parametrize("message,seed,e", [

@@ -188,7 +188,7 @@ class TestFilterBank:
 
     def test_signal_too_short(self):
         cfg = modem.ModemConfig()
-        with pytest.raises(modem.SignalTooShort):
+        with pytest.raises(modem.LengthMismatch):
             modem.analysis(np.zeros(10, dtype=complex), cfg, 4)
 
     def test_equal_configs_compare_and_hash_equal(self):
