@@ -3,18 +3,22 @@ plus the one-tap zero-forcing sub-channel equalizer.
 
 Tap tables follow the standard ITU-R M.1225 Pedestrian B / Vehicular A
 definitions.  Fading is quasi-static per burst: one complex Gaussian gain
-per tap, power profile normalized to unit total average power.
+per tap, power profile normalized to unit total average power.  A
+realization is a plain complex array of sample-spaced taps at SAMPLE_RATE,
+(span,) for one burst or (..., span) for a stack of bursts.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-DEFAULT_SAMPLE_RATE = 10e6  # 100 ns resolution: all ITU delays land cleanly
+from .metrics import LengthMismatch
+
+SAMPLE_RATE = 10e6  # 100 ns ticks: each ITU delay lands on its own sample
 
 
 class UnknownProfile(ValueError):
@@ -53,45 +57,26 @@ def make_profile(name: str) -> ChannelProfile:
         raise UnknownProfile(f"unknown channel profile {name!r}") from None
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    # complex, at the simulation sample rate; (bursts, span) stacks the
-    # realizations of several bursts for equalize
-    fir_taps: np.ndarray
-    merged_taps: bool = False  # True when delays collided onto one sample
-
-    def __post_init__(self):
-        self.fir_taps.setflags(write=False)
-
-
 @functools.cache
-def _tap_powers(profile: ChannelProfile,
-                sample_rate: float) -> tuple[np.ndarray, bool]:
-    """Average power per sample-spaced tap, normalized to unit total, and
-    whether delays collided onto one sample.  Fixed per (profile, rate)."""
+def _tap_powers(profile: ChannelProfile) -> np.ndarray:
+    """Average power per sample-spaced tap at SAMPLE_RATE, normalized to
+    unit total.  Fixed per profile."""
     powers_lin = 10.0 ** (np.asarray(profile.tap_powers_db) / 10.0)
     powers_lin = powers_lin / powers_lin.sum()  # unit average channel power
-    idx = np.rint(np.asarray(profile.tap_delays_ns) * 1e-9 * sample_rate)
-    idx = idx.astype(int)
-    span = int(idx.max()) + 1
-    merged = len(np.unique(idx)) != len(idx)
-    tap_power = np.zeros(span)
-    for i, p in zip(idx, powers_lin):
-        tap_power[i] += p
+    idx = np.rint(np.asarray(profile.tap_delays_ns) * 1e-9 * SAMPLE_RATE)
+    tap_power = np.zeros(int(idx.max()) + 1)
+    np.add.at(tap_power, idx.astype(int), powers_lin)
     tap_power.setflags(write=False)
-    return tap_power, merged
+    return tap_power
 
 
-def realize(profile: ChannelProfile, sample_rate: float,
-            rng: np.random.Generator | None = None) -> ChannelRealization:
-    """Draw one quasi-static realization of the profile.
-
-    Block-Rayleigh profiles need an rng; tap delays are rounded to the
-    nearest sample, colliding taps merge with power addition.
+def realize(profile: ChannelProfile,
+            rng: np.random.Generator | None = None) -> np.ndarray:
+    """Draw one quasi-static realization of the profile: read-only complex
+    taps (span,).  Block-Rayleigh profiles need an rng; tap delays are
+    rounded to the nearest sample, colliding taps add their powers.
     """
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
-    tap_power, merged = _tap_powers(profile, sample_rate)
+    tap_power = _tap_powers(profile)
     if profile.fading == "none":
         taps = np.sqrt(tap_power).astype(complex)
     else:
@@ -102,16 +87,17 @@ def realize(profile: ChannelProfile, sample_rate: float,
         taps = np.sqrt(tap_power / 2.0) * g
     if not np.any(taps):
         taps[0] = 1.0  # degenerate all-zero draw is measure-zero but fatal
-    return ChannelRealization(fir_taps=taps, merged_taps=merged)
+    taps.setflags(write=False)
+    return taps
 
 
-def apply(signal: np.ndarray, ch: ChannelRealization, snr_db: float,
+def apply(signal: np.ndarray, taps: np.ndarray, snr_db: float,
           rng: np.random.Generator | Sequence[np.random.Generator] | None
           = None) -> np.ndarray:
     """Convolve with the channel taps and add complex white Gaussian noise.
 
-    signal is one burst (samples,) or a stack (..., samples), and ch holds
-    the matching taps, (span,) or (..., span) as in equalize; the output is
+    signal is one burst (samples,) or a stack (..., samples), and taps
+    are the matching (span,) or (..., span) as in equalize; the output is
     the full convolution (..., samples + span - 1), one multiply-add per
     nonzero tap delay over the whole stack.  Noise power is set per burst
     against the empirical power of its faded signal, so each burst's
@@ -123,7 +109,6 @@ def apply(signal: np.ndarray, ch: ChannelRealization, snr_db: float,
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db {snr_db} is not a dB value or +inf")
     signal = np.asarray(signal, dtype=complex)
-    taps = ch.fir_taps
     n, span = signal.shape[-1], taps.shape[-1]
     lead = np.broadcast_shapes(signal.shape[:-1], taps.shape[:-1])
     faded = np.zeros(lead + (n + span - 1,), dtype=complex)
@@ -161,25 +146,25 @@ def _dft_kernel(M: int, span: int) -> np.ndarray:
     return kernel
 
 
-def frequency_response(ch: ChannelRealization, M: int) -> np.ndarray:
+def frequency_response(taps: np.ndarray, M: int) -> np.ndarray:
     """Channel response at the M sub-channel center frequencies 2 pi k / M,
     (..., M) for taps (..., span)."""
-    taps = ch.fir_taps[..., None, :]
-    return (taps * _dft_kernel(M, taps.shape[-1])).sum(axis=-1)
+    return (taps[..., None, :] * _dft_kernel(M, taps.shape[-1])).sum(axis=-1)
 
 
-def equalize(grid: np.ndarray, ch: ChannelRealization,
+def equalize(grid: np.ndarray, taps: np.ndarray,
              M: int) -> tuple[np.ndarray, np.ndarray]:
     """One-tap zero-forcing per sub-channel with genie channel knowledge.
 
-    grid is (..., M, n) and ch holds the matching (..., span) taps.  Returns
+    grid is (..., M, n) and taps are the matching (..., span).  Returns
     (equalized grid, singular-subchannel mask (..., M)); sub-channels whose
     response magnitude is below the threshold pass through unequalized and
     are flagged.
     """
     if grid.shape[-2] != M:
-        raise ValueError(f"grid has {grid.shape[-2]} sub-channels, expected {M}")
-    H = frequency_response(ch, M)
+        raise LengthMismatch(
+            f"grid has {grid.shape[-2]} sub-channels, expected {M}")
+    H = frequency_response(taps, M)
     singular = np.abs(H) < SINGULAR_THRESHOLD
     Hsafe = np.where(singular, 1.0, H)
     return grid / Hsafe[..., None], singular

@@ -90,7 +90,8 @@ def _coerce(key: str, val: str, template):
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- CLI flags; --out's directory must exist."""
+    """defaults <- config file <- CLI flags; --out's directory must exist
+    and --out must not name one."""
     merged = dict(defaults)
     if getattr(args, "config", None):
         for key, val in _read_config_file(args.config).items():
@@ -104,6 +105,8 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     out_dir = os.path.dirname(merged["out"]) or "."
     if not os.path.isdir(out_dir):
         raise harness.ConfigError(f"--out: no directory {out_dir}")
+    if os.path.isdir(merged["out"]):
+        raise harness.ConfigError(f"--out: {merged['out']} is a directory")
     return merged
 
 

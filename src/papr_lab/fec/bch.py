@@ -10,10 +10,11 @@ _generator, built on first use from the systematic division rs_encode runs
 (gf2m.poly_divmod), with the generator's 0/1 coefficients taken as elements
 of GF(128).  A frame is (message @ G) mod 2.  Its syndromes are one lookup
 per frame byte in XOR tables (rs._byte_tables) built from the syndromes of
-each unit word; the decoder shares BM, its error bound and the packed Chien
-search with the RS codec, skipping the steps of BM whose discrepancy is zero
-for a binary word, and checks the residual by adding the syndromes of each
-flipped bit to the frame's.
+each unit word, the powers alpha^((n-1-i) j) of rs._powers; the decoder
+shares BM, its error bound and the packed Chien search with the RS codec,
+skipping the steps of BM whose discrepancy is zero for a binary word, and
+checks the residual by adding the syndromes of each flipped bit to the
+frame's.
 """
 from __future__ import annotations
 
@@ -26,8 +27,7 @@ from .. import gf2m
 from ..gf2m import FieldSpec
 from .rs import (DecodeFailure, LengthMismatch, _binary_matrix,
                  _byte_tables, _checked_message, _error_locator, _evaluate,
-                 _evaluation_tables, _gf2, _lookup, _roots, _syndrome_powers,
-                 _unpack)
+                 _evaluation_tables, _gf2, _lookup, _powers, _roots, _unpack)
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,11 @@ def bch_encode(message: np.ndarray) -> np.ndarray:
 @functools.cache
 def _syndrome_tables() -> tuple[list[int], ...]:
     """rs._byte_tables of S_1..S_2t over the 128-bit frame: the syndromes
-    of the unit word at position i are row i of rs._syndrome_powers; the
+    of the unit word at position i are alpha^((n-1-i) j), j = 1..2t; the
     pad bit's image is zero."""
     spec = bch_spec()
-    return _byte_tables(
-        _syndrome_powers(spec.field, spec.n, 2 * spec.t).tolist())
+    return _byte_tables(_powers(spec.field, np.arange(spec.n)[::-1],
+                                np.arange(1, 2 * spec.t + 1)).tolist())
 
 
 def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:

@@ -32,7 +32,8 @@ field's cached multiplication table.  Only a locator within BM's degree
 bound goes on: the Chien search and both Forney polynomials are evaluated
 at every position at once, one XOR of a packed table entry per coefficient
 (_evaluation_tables).  The residual check requires the syndromes of the
-corrections' error word (_syndromes, one gather) to equal the frame's.
+corrections' error word (_syndromes, the same packed evaluation) to equal
+the frame's.
 """
 from __future__ import annotations
 
@@ -98,20 +99,12 @@ def rs_encode(spec: RsCodeSpec, message: Sequence[int]) -> list[int]:
 
 def _syndromes(fs: FieldSpec, received: Sequence[int],
                count: int) -> list[int]:
-    """S_j = received(alpha^j), j = 1..count; position i has degree n-1-i.
-    All terms received[i] alpha^((n-1-i) j) are one gather."""
-    terms = gf2m.mul_table(fs)[np.asarray(received, dtype=np.intp)[:, None],
-                               _syndrome_powers(fs, len(received), count)]
-    return np.bitwise_xor.reduce(terms, axis=0).tolist()
-
-
-@functools.cache
-def _syndrome_powers(fs: FieldSpec, n: int, count: int) -> np.ndarray:
-    """(n, count) read-only array of alpha^((n-1-pos) j), j = 1..count: row
-    pos holds the syndrome terms of a unit symbol at position pos."""
-    powers = _powers(fs, n - 1 - np.arange(n), np.arange(1, count + 1))
-    powers.setflags(write=False)
-    return powers
+    """S_j = received(alpha^j), j = 1..count, of a word of length
+    n = fs.order; position i has degree n-1-i.  As alpha^n = 1, S_j is the
+    reversed word evaluated at the inverse locator of position j - 1."""
+    n = len(received)
+    return list(_evaluate(_evaluation_tables(fs, n, n - 1), received[::-1],
+                          n)[:count])
 
 
 def _powers(fs: FieldSpec, logs: np.ndarray,

@@ -344,12 +344,11 @@ def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
     # each burst has its own fading and noise streams; without fading, one
     # (span,) realization broadcasts over the chunk in apply and equalize
     if profile.fading == "none":
-        taps = chan.realize(profile, chan.DEFAULT_SAMPLE_RATE)
+        taps = chan.realize(profile)
     else:
-        taps = chan.ChannelRealization(np.stack([
-            chan.realize(profile, chan.DEFAULT_SAMPLE_RATE,
-                         _rng(cfg.master_seed, key, b, _ROLE_FADING)).fir_taps
-            for b in bursts]))
+        taps = np.stack([
+            chan.realize(profile, _rng(cfg.master_seed, key, b, _ROLE_FADING))
+            for b in bursts])
     noise = (None if np.isinf(snr_db) else
              [_rng(cfg.master_seed, key, b, _ROLE_NOISE) for b in bursts])
     rx = chan.apply(sig, taps, snr_db, noise)

@@ -179,7 +179,7 @@ def synthesis(grid: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     M/2."""
     *lead, M, n_half = grid.shape
     if M != cfg.M:
-        raise ConfigMismatch(f"grid has {M} sub-channels, config {cfg.M}")
+        raise LengthMismatch(f"grid has {M} sub-channels, config {cfg.M}")
     if n_half < 1:
         raise DegenerateSignal(f"empty grid: {n_half} half-symbol columns")
     pad = 2 * cfg.K - 1

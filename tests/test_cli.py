@@ -200,6 +200,10 @@ def test_missing_out_directory_rejected_before_running(
     assert run(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
     assert f"papr-lab: error: --out: no directory {out.parent}" in err
+    # an existing directory is no output file either
+    assert run(argv + ["--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert f"papr-lab: error: --out: {tmp_path} is a directory" in err
 
 
 def test_fec_unwritable_out_names_the_flag(tmp_path, capsys):

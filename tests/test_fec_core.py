@@ -632,9 +632,8 @@ def test_cached_matrices_are_read_only(code):
         G[0, 0] = 1
 
 
-DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, rs._syndrome_powers,
-                 rs._syndrome_tables, rs._evaluation_tables,
-                 bch._syndrome_tables)
+DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, rs._syndrome_tables,
+                 rs._evaluation_tables, bch._syndrome_tables)
 
 
 def test_schemes_build_no_decode_table(cold_fec_caches):

@@ -198,7 +198,7 @@ class TestFilterBank:
 
     def test_grid_size_mismatch(self):
         cfg = modem.ModemConfig(M=64)
-        with pytest.raises(modem.ConfigMismatch):
+        with pytest.raises(modem.LengthMismatch):
             modem.synthesis(np.zeros((32, 4), dtype=complex), cfg)
 
 

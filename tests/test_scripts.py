@@ -25,7 +25,10 @@ def test_run_table2(tmp_path, monkeypatch):
 
 def test_run_ber_curves(tmp_path, monkeypatch):
     run_script(monkeypatch, "run_ber_curves.py", "--channels", "awgn",
-               "--snr", 10, "--bits", 2000, "--prefix", tmp_path / "ber")
-    lines = csv_lines(tmp_path / "ber_awgn.csv")
-    assert lines[0] == "snr_db,scheme,channel,companding,bits,errors,ber"
-    assert len(lines) == 1 + 3  # one SNR point for each of three schemes
+               "pedestrian_b", "--snr", 10, "--bits", 2000,
+               "--prefix", tmp_path / "ber")
+    for channel in ("awgn", "pedestrian_b"):
+        lines = csv_lines(tmp_path / f"ber_{channel}.csv")
+        assert lines[0] == "snr_db,scheme,channel,companding,bits,errors,ber"
+        assert len(lines) == 1 + 3  # one SNR point for each of three schemes
+        assert all(f",{channel}," in line for line in lines[1:])
