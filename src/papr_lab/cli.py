@@ -91,7 +91,7 @@ def _coerce(key: str, val: str, template):
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults <- config file <- CLI flags; --out's directory must exist
-    and --out must not name one."""
+    and be writable, and --out must not name a directory."""
     merged = dict(defaults)
     if getattr(args, "config", None):
         for key, val in _read_config_file(args.config).items():
@@ -105,6 +105,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     out_dir = os.path.dirname(merged["out"]) or "."
     if not os.path.isdir(out_dir):
         raise harness.ConfigError(f"--out: no directory {out_dir}")
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        raise harness.ConfigError(f"--out: directory {out_dir} is not "
+                                  f"writable")
     if os.path.isdir(merged["out"]):
         raise harness.ConfigError(f"--out: {merged['out']} is a directory")
     return merged

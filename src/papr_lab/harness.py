@@ -214,15 +214,25 @@ class PaprResult:
 def _payloads(scheme: Scheme, cfg: SimConfig, key: int,
               bursts: range) -> np.ndarray:
     """(bursts, frames_per_burst, payload bits), each burst drawn from its
-    own payload stream in draws of at most CHUNK_FRAMES frames, which
-    continue the stream as one draw would."""
+    own payload stream: bit i of a burst is the top bit of 32-bit half i
+    (low half first) of the stream's raw 64-bit words.  That is the value
+    Generator.integers(0, 2) would draw, since a range of 2 never rejects
+    (Lemire, ACM TOMACS 29(1), 2019).  A burst is drawn in pieces of
+    CHUNK_FRAMES frames' bits, rounded up to even so that each piece starts
+    on a whole word."""
     out = np.empty((len(bursts), cfg.frames_per_burst, scheme.payload_bits),
                    np.uint8)
+    step = CHUNK_FRAMES * scheme.payload_bits
+    step += step % 2
     for burst, b in zip(out, bursts):
-        rng = _rng(cfg.master_seed, key, b, _ROLE_PAYLOAD)
-        for s in range(0, cfg.frames_per_burst, CHUNK_FRAMES):
-            draw = burst[s:s + CHUNK_FRAMES]
-            draw[:] = rng.integers(0, 2, draw.shape)
+        burst = burst.reshape(-1)
+        gen = _rng(cfg.master_seed, key, b, _ROLE_PAYLOAD).bit_generator
+        for s in range(0, burst.size, step):
+            piece = burst[s:s + step]
+            raw = gen.random_raw(-(-piece.size // 2))
+            halves = raw.astype("<u8", copy=False).view("<u4")
+            np.right_shift(halves[:piece.size], 31, out=piece,
+                           casting="unsafe")
     return out
 
 

@@ -36,14 +36,20 @@ def frame_paprs(signal: np.ndarray, M: int, Lp: int,
                 n_frames: int) -> np.ndarray:
     """Per-frame PAPR of a burst (..., samples) -> (..., n_frames): one
     M-sample window centered on each frame's steady-state span (group delay
-    (Lp-1)/2 accounted for).  Leading axes stack bursts."""
+    (Lp-1)/2 accounted for).  Leading axes stack bursts.  The windows tile
+    the burst from sample (Lp-1)//2 - M//2, which is (K-1)M/2 - 1 >= 0 for
+    a bank of Lp = K M - 1, so they are one reshaped view of it."""
     signal = np.asarray(signal)
-    starts = np.maximum((Lp - 1) // 2 + M * np.arange(n_frames) - M // 2, 0)
-    if starts.size and starts[-1] + M > signal.shape[-1]:
-        raise LengthMismatch(f"{n_frames} frame windows need "
-                             f"{starts[-1] + M} samples, "
-                             f"got {signal.shape[-1]}")
-    return papr_db(signal[..., starts[:, None] + np.arange(M)])
+    start = (Lp - 1) // 2 - M // 2
+    stop = start + n_frames * M
+    if start < 0:
+        raise LengthMismatch(f"a prototype of length {Lp} puts the first "
+                             f"{M}-sample window at sample {start}")
+    if stop > signal.shape[-1]:
+        raise LengthMismatch(f"{n_frames} frame windows need {stop} "
+                             f"samples, got {signal.shape[-1]}")
+    return papr_db(signal[..., start:stop].reshape(
+        *signal.shape[:-1], n_frames, M))
 
 
 @dataclass(frozen=True)

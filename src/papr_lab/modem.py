@@ -176,7 +176,10 @@ def oqam_postprocess(grid: np.ndarray) -> np.ndarray:
 def synthesis(grid: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Staggered grid (..., M, n_half) -> (..., (n_half - 1) M/2 + Lp)
     baseband samples: IFFT, prototype weighting and overlap-add with hop
-    M/2."""
+    M/2.  Each output half-row takes one K-tap weighted sum over the first
+    halves of the IFFT rows that reach it and one over the second halves,
+    then adds the two, which einsum runs in about half the time of one sum
+    over both the tap and the half axis."""
     *lead, M, n_half = grid.shape
     if M != cfg.M:
         raise LengthMismatch(f"grid has {M} sub-channels, config {cfg.M}")
@@ -192,8 +195,9 @@ def synthesis(grid: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     *s, row, half, tap = x.strides
     x = as_strided(x, (*lead, n_half + pad, cfg.K, 2, M),
                    (*s, row, -2 * row, half - row, tap), writeable=False)
-    out = np.einsum("...rihj,ihj->...rj", x, cfg.blocks).view(complex)
-    return out.reshape(*lead, -1)[..., 1:]
+    out = np.einsum("...rij,ij->...rj", x[..., 0, :], cfg.blocks[:, 0])
+    out += np.einsum("...rij,ij->...rj", x[..., 1, :], cfg.blocks[:, 1])
+    return out.view(complex).reshape(*lead, -1)[..., 1:]
 
 
 def analysis(signal: np.ndarray, cfg: ModemConfig, n_half: int) -> np.ndarray:

@@ -204,6 +204,16 @@ def test_missing_out_directory_rejected_before_running(
     assert run(argv + ["--out", tmp_path]) == 1
     err = capsys.readouterr().err
     assert f"papr-lab: error: --out: {tmp_path} is a directory" in err
+    # nor is a directory it may not write in; root may write anywhere, so
+    # os.access, not chmod, makes tmp_path unwritable here
+    access = cli.os.access
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: (
+        str(path) != str(tmp_path) and access(path, mode)))
+    assert run(argv + ["--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert (f"papr-lab: error: --out: directory {tmp_path} is not writable"
+            in err)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_fec_unwritable_out_names_the_flag(tmp_path, capsys):

@@ -329,17 +329,23 @@ class TestBlocks:
         assert got.tobytes() == want.tobytes()
 
     @given(st.integers(3, 450), st.sampled_from((64, 80, 85, 128)),
-           st.integers(1, 3), st.integers(0, 2**64 - 1), st.integers(0, 9))
+           st.integers(1, 3), st.integers(0, 2**64 - 1), st.integers(0, 9),
+           st.sampled_from((7, 33, harness.CHUNK_FRAMES)))
     @settings(max_examples=60, deadline=None)
     def test_payloads_equal_one_draw_per_burst(self, fpb, bits, n, seed,
-                                               first):
+                                               first, chunk):
+        """Payloads from raw words equal one Generator.integers(0, 2) draw
+        per burst, also where CHUNK_FRAMES frames of 85 bits end a piece
+        mid-word (odd CHUNK_FRAMES)."""
         scheme = harness.Scheme("any", bits, np.asarray, np.asarray)
         cfg = SimConfig(frames_per_burst=fpb, master_seed=seed)
         bursts = range(first, first + n)
         want = np.stack([
             harness._rng(seed, 5, b, harness._ROLE_PAYLOAD).integers(
                 0, 2, (fpb, bits)) for b in bursts]).astype(np.uint8)
-        got = harness._payloads(scheme, cfg, 5, bursts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "CHUNK_FRAMES", chunk)
+            got = harness._payloads(scheme, cfg, 5, bursts)
         assert got.dtype == np.uint8
         assert np.array_equal(got, want)
 

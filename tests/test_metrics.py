@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from papr_lab import metrics
+from papr_lab import metrics, modem
 
 
 class TestPapr:
@@ -21,7 +21,6 @@ class TestPapr:
 
     def test_frame_windows_cover_steady_state(self):
         # burst of identical frames -> identical interior PAPR values
-        from papr_lab import modem
         rng = np.random.default_rng(0)
         cfg = modem.ModemConfig()
         frame = rng.integers(0, 2, 128).astype(np.uint8)
@@ -47,6 +46,28 @@ class TestPapr:
             power = np.abs(sig[start:start + M]) ** 2
             ref.append(10.0 * np.log10(power.max() / power.mean()))
         assert np.array_equal(metrics.frame_paprs(sig, M, Lp, n_frames), ref)
+
+    @pytest.mark.parametrize("M", [2 ** e for e in range(1, 9)])
+    @pytest.mark.parametrize("K", sorted(modem._FREQ_SAMPLES))
+    def test_frame_windows_tile_the_burst(self, M, K):
+        """frame_paprs reshapes its windows out of the burst: the first
+        starts at (K-1)M/2 - 1 >= 0, each next one where the last ended,
+        and all lie inside the burst that synthesis makes of the frames."""
+        cfg = modem.ModemConfig(M=M, K=K)
+        start = (cfg.Lp - 1) // 2 - M // 2
+        assert start == (K - 1) * M // 2 - 1 >= 0
+        n = 5
+        frames = np.random.default_rng(M * K).integers(0, 2, (n, 2 * M))
+        sig = modem.modulate_frames(frames, cfg)
+        assert start + n * M <= sig.size
+        ref = [metrics.papr_db(sig[start + l * M:start + (l + 1) * M])
+               for l in range(n)]
+        assert np.array_equal(metrics.frame_paprs(sig, M, cfg.Lp, n), ref)
+
+    def test_frame_paprs_reject_window_before_the_burst(self):
+        # Lp = 1 would put frame 0's 64-sample window at sample -32
+        with pytest.raises(metrics.LengthMismatch):
+            metrics.frame_paprs(np.ones(1000), 64, 1, 4)
 
     def test_frame_paprs_reject_zero_window(self):
         sig = np.ones(64 * 6)
