@@ -1,16 +1,20 @@
 """Scenario runner: PAPR/CCDF experiments, the CRS k-sweep, BER-vs-SNR
 sweeps, and CSV emission.
 
-Reproducibility: every burst gets its own RNG streams derived from
-(master_seed, scenario key, burst index, role), role in {payload, fading,
-noise}.  Paired comparisons across schemes therefore share payload and
-channel randomness.  Bursts run in fixed chunks of consecutive bursts, each
-chunk stacked through encoder, modem, compander and equalizer as one array,
-one chunk after another on the calling thread, in burst order.  An
-uncompanded PAPR burst longer than a chunk is measured in blocks of frames.
+Reproducibility: every burst gets its own RNG streams, the PCG64 streams of
+SeedSequence([master_seed, scenario key, burst index, role]), role in
+{payload, fading, noise}.  Paired comparisons across schemes therefore share
+payload and channel randomness.  A run derives the seed words of many
+streams in one vectorized pass (_seed_words): a PAPR run those of all its
+bursts before the first chunk, a BER run those of each chunk's bursts.
+Bursts run in fixed chunks of consecutive bursts, each chunk stacked
+through encoder, modem, compander and equalizer as one array, one chunk
+after another on the calling thread, in burst order.  An uncompanded PAPR
+burst longer than a chunk is measured in blocks of frames.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence
 
@@ -26,6 +30,10 @@ class ConfigError(ValueError):
     pass
 
 
+# one filter bank per (M, K): designing its prototype takes about 60 us
+_modem_config = functools.cache(modem.ModemConfig)
+
+
 # A BER burst peaks at about 10 KiB per frame (tracemalloc: 10.6 KiB in
 # 10-frame bursts, 9.2 KiB in one 1,000-frame burst, rs2516 + mu-law).
 # Frames per chunk of bursts: a 10-frame burst costs about 100 us of numpy
@@ -36,6 +44,9 @@ CHUNK_FRAMES = 100
 # A BER burst and a companded PAPR burst are one stack, so this bounds their
 # working set at about 100 MiB; a whole other PAPR run peaks under 4 MiB.
 MAX_FRAMES_PER_BURST = 10_000
+# |SNR| in dB at a finite point: its stream key, _snr_key, stays in
+# 0..2,000,000, below the noiseless sentinel and inside a uint32 word
+MAX_SNR_DB = 1000
 
 
 @dataclass(frozen=True)
@@ -56,7 +67,7 @@ class SimConfig:
     K: ClassVar[int] = 4
 
     def modem_config(self) -> modem.ModemConfig:
-        return modem.ModemConfig(M=self.M, K=self.K)
+        return _modem_config(self.M, self.K)
 
     def validate(self) -> None:
         if not 3 <= self.frames_per_burst <= MAX_FRAMES_PER_BURST:
@@ -71,10 +82,14 @@ class SimConfig:
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ConfigError(f"--mu must be finite and positive, "
                               f"got {self.mu}")
-        # +inf is the noiseless point; channel.apply would take -inf for it
+        # +inf is the noiseless point; channel.apply would take -inf for it,
+        # and a finite point keys its streams by its value in milli-dB
         for snr in self.snr_list_db:
             if np.isnan(snr) or snr == -np.inf:
                 raise ConfigError(f"--snr {snr} is not a dB value or inf")
+            if np.isfinite(snr) and abs(snr) > MAX_SNR_DB:
+                raise ConfigError(f"--snr {snr} is outside "
+                                  f"-{MAX_SNR_DB}..{MAX_SNR_DB} dB")
         if self.load not in ("random", "full"):
             raise ConfigError(f"--load: unknown load {self.load!r}")
         try:
@@ -170,19 +185,114 @@ def get_scheme(name: str, M: int = 64) -> Scheme:
 
 # --- seeding -----------------------------------------------------------------
 
-_ROLE_PAYLOAD, _ROLE_FADING, _ROLE_NOISE = 0, 1, 2
+# a burst's stream roles, in the order _seed_words returns them by default
+_ROLE_PAYLOAD, _ROLE_FADING, _ROLE_NOISE = _ROLES = (0, 1, 2)
 
 
-def _rng(master_seed: int, scenario_key: int, burst: int,
-         role: int) -> np.random.Generator:
-    """The stream of SeedSequence([master_seed mod 2^64, scenario_key,
-    burst, role]), built from the uint32 words numpy makes of that list
-    (about 3x cheaper than from the list): the master seed is one word, or
-    two, lowest first, when it exceeds 2^32 - 1; the others are one each."""
+def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
+    """(2, n) uint32: for n successive hashes from hash constant h, the
+    constant each input is XORed with and, once multiplied by mult, the
+    one it is then multiplied by."""
+    pairs = []
+    for _ in range(n):
+        pairs.append((h, h := h * mult & 0xFFFFFFFF))
+    return np.array(pairs, np.uint32).T
+
+
+# SeedSequence's constants (numpy.random.bit_generator, pool size 4):
+# mixing a 4- or 5-word entropy into the pool takes 16 or 20 hashes
+_ENTROPY_HASHES = _hash_consts(0x43B0D7E5, 0x931E8875, 20)
+# the hashes of pool word s mixed into the other three words, as
+# per-column constants (column s is not mixed)
+_CROSS_HASHES = [np.insert(_ENTROPY_HASHES[:, 4 + 3 * s:7 + 3 * s], s, 0,
+                           axis=1) for s in range(4)]
+# generate_state(4, uint64): eight output words, two passes over the pool
+_STATE_HASHES = _hash_consts(0x8B51F9DD, 0x58F38DED, 8).reshape(2, 2, 4)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of words, at the hash constants consts."""
+    h = words ^ consts[0]
+    h *= consts[1]
+    h ^= h >> 16
+    return h
+
+
+def _mix(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix: r ^ (r >> 16), r = L x - R h; h is clobbered."""
+    r = x * _MIX_L
+    h *= _MIX_R
+    r -= h
+    r ^= r >> 16
+    return r
+
+
+def _seed_words(master_seed: int, key: int, bursts: range,
+                roles: Sequence[int] = _ROLES) -> np.ndarray:
+    """(roles, bursts, 4) uint64: row [r, b] is
+    SeedSequence([master_seed mod 2^64, key, bursts[b], roles[r]])
+    .generate_state(4, np.uint64), the words PCG64 is seeded from, for every
+    lane in one pass of uint32 arithmetic (wrapping mod 2^32) instead of one
+    SeedSequence per stream.  The entropy is the uint32 words numpy makes of
+    that list: the master seed's low word, its high word only when nonzero,
+    then one word each.  Its first four words are hashed into the pool,
+    each pool word's hashes are mixed into the other three in turn, and a
+    fifth word's hashes into all four; the state is two passes of hashes
+    over the pool, as little-endian word pairs."""
     master = master_seed & 0xFFFFFFFFFFFFFFFF
-    words = [master & 0xFFFFFFFF] + ([master >> 32] if master >> 32 else [])
-    return np.random.default_rng(np.random.SeedSequence(np.array(
-        words + [scenario_key, burst, role], dtype=np.uint32)))
+    head = ([master & 0xFFFFFFFF] + ([master >> 32] if master >> 32 else [])
+            + [key])
+    entropy = np.empty((len(roles), len(bursts), len(head) + 2), np.uint32)
+    entropy[..., :len(head)] = head
+    entropy[..., -2] = np.arange(bursts.start, bursts.stop, bursts.step,
+                                 dtype=np.uint32)
+    entropy[..., -1] = np.array(roles, np.uint32)[:, None]
+    entropy = entropy.reshape(-1, len(head) + 2)
+    pool = _hashmix(entropy[:, :4], _ENTROPY_HASHES[:, :4])
+    for s, consts in enumerate(_CROSS_HASHES):
+        mixed = _mix(pool, _hashmix(pool[:, s, None], consts))
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    if len(head) == 3:
+        pool = _mix(pool, _hashmix(entropy[:, 4, None],
+                                   _ENTROPY_HASHES[:, 16:]))
+    state = _hashmix(pool[:, None], _STATE_HASHES).astype("<u4", copy=False)
+    return state.view("<u8").astype(np.uint64, copy=False).reshape(
+        len(roles), len(bursts), 4)
+
+
+@functools.cache
+def _seeded() -> type:
+    """The seed of a stream whose state is already generated: one row of
+    _seed_words as an ISeedSequence.  Defined on first use, since its base
+    class imports numpy.random (about 11 ms), which a run otherwise first
+    imports at its first draw, after set-up."""
+
+    class Seeded(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 reads the words through a raw pointer
+            words = self.words
+            if not (words.dtype == dtype and words.shape == (n_words,)
+                    and words.flags.c_contiguous):
+                raise ValueError(
+                    f"seed words {words.dtype}{words.shape} are not "
+                    f"{n_words} contiguous {np.dtype(dtype)}")
+            return words
+    return Seeded
+
+
+def _stream(words: np.ndarray) -> np.random.PCG64:
+    """The PCG64 SeedSequence seeds from its state words, without it."""
+    return np.random.PCG64(_seeded()(words))
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """default_rng(SeedSequence), from the SeedSequence's state words."""
+    return np.random.Generator(_stream(words))
 
 
 def _snr_key(snr_db: float) -> int:
@@ -211,22 +321,22 @@ class PaprResult:
         return metrics.papr_at_probability(self.curve, prob)
 
 
-def _payloads(scheme: Scheme, cfg: SimConfig, key: int,
-              bursts: range) -> np.ndarray:
+def _payloads(scheme: Scheme, cfg: SimConfig,
+              seeds: np.ndarray) -> np.ndarray:
     """(bursts, frames_per_burst, payload bits), each burst drawn from its
-    own payload stream: bit i of a burst is the top bit of 32-bit half i
-    (low half first) of the stream's raw 64-bit words.  That is the value
-    Generator.integers(0, 2) would draw, since a range of 2 never rejects
-    (Lemire, ACM TOMACS 29(1), 2019).  A burst is drawn in pieces of
-    CHUNK_FRAMES frames' bits, rounded up to even so that each piece starts
-    on a whole word."""
-    out = np.empty((len(bursts), cfg.frames_per_burst, scheme.payload_bits),
+    own payload stream, seeded from its row of seeds (_seed_words): bit i
+    of a burst is the top bit of 32-bit half i (low half first) of the
+    stream's raw 64-bit words.  That is the value Generator.integers(0, 2)
+    would draw, since a range of 2 never rejects (Lemire, ACM TOMACS 29(1),
+    2019).  A burst is drawn in pieces of CHUNK_FRAMES frames' bits, rounded
+    up to even so that each piece starts on a whole word."""
+    out = np.empty((len(seeds), cfg.frames_per_burst, scheme.payload_bits),
                    np.uint8)
     step = CHUNK_FRAMES * scheme.payload_bits
     step += step % 2
-    for burst, b in zip(out, bursts):
+    for burst, words in zip(out, seeds):
         burst = burst.reshape(-1)
-        gen = _rng(cfg.master_seed, key, b, _ROLE_PAYLOAD).bit_generator
+        gen = _stream(words)
         for s in range(0, burst.size, step):
             piece = burst[s:s + step]
             raw = gen.random_raw(-(-piece.size // 2))
@@ -302,8 +412,11 @@ def run_papr_experiment(cfg: SimConfig) -> PaprResult:
         samples = np.tile(_full_load_paprs(cfg, scheme, mcfg),
                           n_bursts)[:cfg.frames]
     else:
+        (seeds,) = _seed_words(cfg.master_seed, 0, range(n_bursts),
+                               (_ROLE_PAYLOAD,))
         chunks = _run_bursts(n_bursts, cfg, lambda c: _measured_paprs(
-            cfg, mcfg, _payloads(scheme, cfg, 0, c), scheme.encode).ravel())
+            cfg, mcfg, _payloads(scheme, cfg, seeds[c.start:c.stop]),
+            scheme.encode).ravel())
         samples = np.concatenate(chunks)[:cfg.frames]
     curve = (metrics.ccdf(samples)
              if samples.size >= metrics.CCDF_MIN_SAMPLES else None)
@@ -347,8 +460,9 @@ def run_crs_k_sweep(k_list: Sequence[int] = DEFAULT_KSWEEP,
 def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
                profile: chan.ChannelProfile, snr_db: float,
                bursts: range) -> tuple[int, int]:
-    key = _snr_key(snr_db)
-    payloads = _payloads(scheme, cfg, key, bursts)
+    payload, fading, noise = _seed_words(cfg.master_seed, _snr_key(snr_db),
+                                         bursts)
+    payloads = _payloads(scheme, cfg, payload)
     sig, scale = _tx_burst(cfg, mcfg, scheme.encode(payloads))
 
     # each burst has its own fading and noise streams; without fading, one
@@ -356,12 +470,10 @@ def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
     if profile.fading == "none":
         taps = chan.realize(profile)
     else:
-        taps = np.stack([
-            chan.realize(profile, _rng(cfg.master_seed, key, b, _ROLE_FADING))
-            for b in bursts])
-    noise = (None if np.isinf(snr_db) else
-             [_rng(cfg.master_seed, key, b, _ROLE_NOISE) for b in bursts])
-    rx = chan.apply(sig, taps, snr_db, noise)
+        taps = np.stack([chan.realize(profile, _generator(words))
+                         for words in fading])
+    rngs = None if np.isinf(snr_db) else [_generator(w) for w in noise]
+    rx = chan.apply(sig, taps, snr_db, rngs)
     del sig  # each chunk-sized array is dropped once used
 
     if cfg.companding:

@@ -164,6 +164,12 @@ def test_fec_bad_size(tmp_path, capsys):
      "--config"),
     (["fec", "decode", "--scheme", "bch", "--in", "no_such_dir/in.bin"],
      "--in"),
+    # finite points beyond +-1000 dB: their stream keys would leave a
+    # uint32 word or reach the noiseless sentinel
+    (["ber", "--snr", "-1500", "--bits", 1000], "--snr"),
+    (["ber", "--snr", "5e6", "--bits", 1000], "--snr"),
+    (["ber", "--snr", "1e300", "--bits", 1000], "--snr"),
+    (["ber", "--snr", "1999000", "--bits", 1000], "--snr"),
 ])
 def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
     rc = run(argv + ["--out", tmp_path / "x.csv"])

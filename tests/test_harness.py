@@ -12,6 +12,23 @@ from papr_lab.fec import bch, crs, rs
 from papr_lab.harness import SimConfig
 
 
+def _rng(master_seed, scenario_key, burst, role):
+    """Oracle of the seeded streams: one SeedSequence per stream, built
+    from the uint32 words numpy makes of [master_seed mod 2^64,
+    scenario_key, burst, role] (the master seed is one word, or two, lowest
+    first, when it exceeds 2^32 - 1)."""
+    master = master_seed & 0xFFFFFFFFFFFFFFFF
+    words = [master & 0xFFFFFFFF] + ([master >> 32] if master >> 32 else [])
+    return np.random.default_rng(np.random.SeedSequence(np.array(
+        words + [scenario_key, burst, role], dtype=np.uint32)))
+
+
+def payload_seeds(master_seed, key, bursts):
+    """The payload streams' seed rows of bursts, one per burst."""
+    return harness._seed_words(master_seed, key, bursts,
+                               (harness._ROLE_PAYLOAD,))[0]
+
+
 class TestSchemes:
     @pytest.mark.parametrize("name,payload", [("none", 128), ("bch", 85),
                                               ("rs2516", 80), ("crs31_19", 64)])
@@ -45,6 +62,9 @@ class TestConfig:
             with pytest.raises(harness.ConfigError):
                 SimConfig(**bad).validate()
         SimConfig(snr_list_db=(np.inf,)).validate()  # the noiseless point
+        SimConfig(snr_list_db=(-1000.0, 1000.0)).validate()
+        with pytest.raises(harness.ConfigError, match="--snr"):
+            SimConfig(snr_list_db=(1000.001,)).validate()
         with pytest.raises(harness.ConfigError):
             SimConfig(frames_per_burst=2).validate()
         with pytest.raises(harness.ConfigError):
@@ -112,9 +132,12 @@ class TestBerSweep:
         # the payload stream at a given (seed, snr, burst) is scheme-blind
         cfg = SimConfig(master_seed=5)
         key = harness._snr_key(10.0)
-        p1 = harness._rng(cfg.master_seed, key, 0, harness._ROLE_PAYLOAD)
-        p2 = harness._rng(cfg.master_seed, key, 0, harness._ROLE_PAYLOAD)
-        assert np.array_equal(p1.integers(0, 2, 64), p2.integers(0, 2, 64))
+        want = _rng(cfg.master_seed, key, 0, harness._ROLE_PAYLOAD).integers(
+            0, 2, 64)
+        seeds = payload_seeds(cfg.master_seed, key, range(1))
+        for name in ("crs31_19", "none"):
+            got = harness._payloads(harness.get_scheme(name), cfg, seeds)
+            assert np.array_equal(got[0].ravel()[:64], want)
 
     def test_empty_snr_list_rejected(self):
         with pytest.raises(harness.ConfigError):
@@ -165,9 +188,10 @@ class TestCsv:
 
 
 class TestRng:
-    """_rng builds its SeedSequence from uint32 entropy words; the streams
-    must be those of the SeedSequence of the int list, whose master seed
-    numpy splits into one or two words."""
+    """The _rng oracle builds its SeedSequence from uint32 entropy words,
+    _seed_words computes SeedSequence's state of many streams at once; the
+    streams of both must be those of the SeedSequence of the int list,
+    whose master seed numpy splits into one or two words."""
 
     @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
                                         -1])
@@ -175,13 +199,55 @@ class TestRng:
                                      harness._snr_key(np.inf)])
     def test_streams_equal_int_list_seed_sequence(self, master, key):
         for burst, role in ((0, 0), (7, 2), (2**31, 1)):
-            want = np.random.default_rng(np.random.SeedSequence(
-                [master & (2**64 - 1), key, burst, role]))
-            got = harness._rng(master, key, burst, role)
-            assert np.array_equal(got.integers(0, 2**63, 8),
-                                  want.integers(0, 2**63, 8))
-            assert np.array_equal(got.standard_normal(8),
-                                  want.standard_normal(8))
+            seed = [master & (2**64 - 1), key, burst, role]
+            ((words,),) = harness._seed_words(
+                master, key, range(burst, burst + 1), (role,))
+            for got in (_rng(master, key, burst, role),
+                        harness._generator(words)):
+                want = np.random.default_rng(np.random.SeedSequence(seed))
+                assert np.array_equal(got.integers(0, 2**63, 8),
+                                      want.integers(0, 2**63, 8))
+                assert np.array_equal(got.standard_normal(8),
+                                      want.standard_normal(8))
+
+    def test_seeded_rejects_words_pcg64_cannot_read(self):
+        words = harness._seed_words(5, 7, range(4))[0]
+        for bad in (words[0, :3], words[:, 0], words[0].astype(np.int64),
+                    words[0].view(np.uint32)):
+            with pytest.raises(ValueError, match="seed words"):
+                harness._generator(bad)
+
+    @given(master=st.one_of(st.sampled_from((0, 2**32 - 1, 2**32,
+                                             2**64 - 1, -1)),
+                            st.integers(0, 2**64 - 1)),
+           key=st.one_of(st.sampled_from((0, 2**32 - 1)),
+                         st.integers(0, 2**32 - 1)),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_seed_words_equal_seed_sequence_state(self, master, key, data):
+        n = data.draw(st.integers(1, 40))
+        first = data.draw(st.one_of(st.just(2**32 - n),
+                                    st.integers(0, 2**32 - n)))
+        roles = data.draw(st.permutations(harness._ROLES))
+        roles = roles[:data.draw(st.integers(1, 3))]
+        bursts = range(first, first + n)
+        words = harness._seed_words(master, key, bursts, roles)
+        assert words.shape == (len(roles), n, 4)
+        assert words.dtype == np.uint64
+        for r, role in enumerate(roles):
+            for b, burst in enumerate(bursts):
+                seed = np.random.SeedSequence(
+                    [master & (2**64 - 1), key, burst, role])
+                assert np.array_equal(words[r, b],
+                                      seed.generate_state(4, np.uint64))
+                got = harness._generator(words[r, b])
+                want = np.random.default_rng(seed)
+                assert np.array_equal(got.bit_generator.random_raw(5),
+                                      want.bit_generator.random_raw(5))
+                assert np.array_equal(got.integers(0, 2, 70),
+                                      want.integers(0, 2, 70))
+                assert np.array_equal(got.standard_normal(5),
+                                      want.standard_normal(5))
 
 
 class TestBenchmarkContract:
@@ -320,8 +386,8 @@ class TestBlocks:
         if load == "full":
             payloads = np.ones((fpb, scheme.payload_bits), np.uint8)
         else:
-            payloads = harness._payloads(
-                scheme, cfg, 0, range(max(1, harness.CHUNK_FRAMES // fpb)))
+            payloads = harness._payloads(scheme, cfg, payload_seeds(
+                seed, 0, range(max(1, harness.CHUNK_FRAMES // fpb))))
         got = harness._measured_paprs(cfg, cfg.modem_config(), payloads,
                                       scheme.encode)
         want = self.one_block(cfg, payloads, scheme.encode)
@@ -341,11 +407,12 @@ class TestBlocks:
         cfg = SimConfig(frames_per_burst=fpb, master_seed=seed)
         bursts = range(first, first + n)
         want = np.stack([
-            harness._rng(seed, 5, b, harness._ROLE_PAYLOAD).integers(
+            _rng(seed, 5, b, harness._ROLE_PAYLOAD).integers(
                 0, 2, (fpb, bits)) for b in bursts]).astype(np.uint8)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "CHUNK_FRAMES", chunk)
-            got = harness._payloads(scheme, cfg, 5, bursts)
+            got = harness._payloads(scheme, cfg,
+                                    payload_seeds(seed, 5, bursts))
         assert got.dtype == np.uint8
         assert np.array_equal(got, want)
 
