@@ -128,8 +128,9 @@ def apply(signal: np.ndarray, taps: np.ndarray, snr_db: float,
     for burst_rng, burst in zip(rngs, noise):
         burst_rng.standard_normal(out=burst)
     noise *= np.sqrt(noise_power / 2.0).reshape(-1, 1, 1)
-    parts = faded.view(float).reshape(len(rngs), -1, 2)  # re, im per sample
-    parts += noise.transpose(0, 2, 1)
+    rows = faded.reshape(len(rngs), -1)  # a view: faded is contiguous
+    rows.real += noise[:, 0]
+    rows.imag += noise[:, 1]
     return faded
 
 

@@ -36,9 +36,12 @@ def _parse_snr(text: str) -> tuple:
     if len(values) != 3:
         raise ValueError(f"--snr {text!r}: expected start:step:stop")
     start, step, stop = values
-    if not (np.isfinite(start) and np.isfinite(stop) and step > 0):
-        raise ValueError(f"--snr {text!r}: start and stop must be finite "
-                         f"and step positive")
+    # refused before any point is built: SimConfig.validate bounds each
+    # point, and points closer than a milli-dB share one stream key
+    bound = harness.MAX_SNR_DB
+    if not (abs(start) <= bound and abs(stop) <= bound and step >= 0.001):
+        raise ValueError(f"--snr {text!r}: start and stop must be within "
+                         f"-{bound}..{bound} dB and step at least 0.001 dB")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
     if n < 1:
         raise ValueError(f"--snr range {text!r} is empty")

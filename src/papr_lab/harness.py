@@ -9,8 +9,11 @@ streams in one vectorized pass (_seed_words): a PAPR run those of all its
 bursts before the first chunk, a BER run those of each chunk's bursts.
 Bursts run in fixed chunks of consecutive bursts, each chunk stacked
 through encoder, modem, compander and equalizer as one array, one chunk
-after another on the calling thread, in burst order.  An uncompanded PAPR
-burst longer than a chunk is measured in blocks of frames.
+after another on the calling thread, in burst order.  A BER chunk holds
+about BER_CHUNK_FRAMES = 400 frames, so that its fixed cost through the
+receive chain is paid less often; a PAPR chunk about CHUNK_FRAMES = 100,
+since larger ones measured slower.  An uncompanded PAPR burst longer than
+a chunk is measured in blocks of frames.
 """
 from __future__ import annotations
 
@@ -34,13 +37,27 @@ class ConfigError(ValueError):
 _modem_config = functools.cache(modem.ModemConfig)
 
 
-# A BER burst peaks at about 10 KiB per frame (tracemalloc: 10.6 KiB in
-# 10-frame bursts, 9.2 KiB in one 1,000-frame burst, rs2516 + mu-law).
-# Frames per chunk of bursts: a 10-frame burst costs about 100 us of numpy
-# and Python call overhead alone, so bursts run stacked, in chunks that keep
-# the working set near 1 MiB.  A burst longer than this is a chunk of one,
-# and an uncompanded PAPR burst goes in blocks of this many measured frames.
+# A chunk of bursts costs 100 us or more of numpy and Python call overhead
+# whatever its size, so bursts run stacked, in chunks of consecutive bursts
+# of at most a budget of frames; a burst longer than that is a chunk of one.
+#
+# Frames per chunk of PAPR bursts; also the measured frames per block of an
+# uncompanded PAPR burst, and the frames per piece of a payload draw.  At
+# 400 frames, papr_crs19_mu lost 12-25 % of its frames/s and
+# papr_none_longburst 1-18 % (perfbench, 4 seeds, 2 vCPUs).
 CHUNK_FRAMES = 100
+# Frames per chunk of BER bursts.  A BER chunk's fixed cost, 100-170 us
+# (two 1-burst chunks against one 2-burst chunk), is seed words for three
+# roles, a generator per burst and stream, and about 50 numpy calls through
+# the receive chain.  In us per measured frame of a 160-burst point on
+# 2 vCPUs, at chunks of 100 / 200 / 400 / 800 / 1600 frames:
+#   rs2516 + mu-law, Pedestrian B:  23.2 / 20.9 / 20.9 / 21.4 / 22.3
+#   uncoded, AWGN:                  7.72 / 6.68 / 6.30 / 6.42 / 8.25
+#   BCH, AWGN:                      18.5 / 16.9 / 15.4 / 16.2 / 17.8
+# A BER burst peaks at about 10 KiB per frame in tracemalloc (10.6 KiB in
+# 10-frame bursts, 9.2 KiB in one 1,000-frame burst, rs2516 + mu-law); a
+# point at this budget peaked at 3.36 MiB at 40 and at 80 bursts.
+BER_CHUNK_FRAMES = 400
 # A BER burst and a companded PAPR burst are one stack, so this bounds their
 # working set at about 100 MiB; a whole other PAPR run peaks under 4 MiB.
 MAX_FRAMES_PER_BURST = 10_000
@@ -390,11 +407,12 @@ def _full_load_paprs(cfg: SimConfig, scheme: Scheme,
     return _measured_paprs(cfg, mcfg, ones, scheme.encode)
 
 
-def _run_bursts(n_bursts: int, cfg: SimConfig,
+def _run_bursts(n_bursts: int, cfg: SimConfig, chunk_frames: int,
                 worker: Callable[[range], object]) -> list:
-    """worker(chunk) for each chunk of consecutive bursts, in burst order, on
-    the calling thread; the layout depends on frames_per_burst alone."""
-    size = max(1, CHUNK_FRAMES // cfg.frames_per_burst)
+    """worker(chunk) for each chunk of consecutive bursts of at most
+    chunk_frames frames, in burst order, on the calling thread; the layout
+    depends on frames_per_burst and chunk_frames alone."""
+    size = max(1, chunk_frames // cfg.frames_per_burst)
     return [worker(range(b, min(b + size, n_bursts)))
             for b in range(0, n_bursts, size)]
 
@@ -414,9 +432,10 @@ def run_papr_experiment(cfg: SimConfig) -> PaprResult:
     else:
         (seeds,) = _seed_words(cfg.master_seed, 0, range(n_bursts),
                                (_ROLE_PAYLOAD,))
-        chunks = _run_bursts(n_bursts, cfg, lambda c: _measured_paprs(
-            cfg, mcfg, _payloads(scheme, cfg, seeds[c.start:c.stop]),
-            scheme.encode).ravel())
+        chunks = _run_bursts(n_bursts, cfg, CHUNK_FRAMES, lambda c: (
+            _measured_paprs(cfg, mcfg,
+                            _payloads(scheme, cfg, seeds[c.start:c.stop]),
+                            scheme.encode).ravel()))
         samples = np.concatenate(chunks)[:cfg.frames]
     curve = (metrics.ccdf(samples)
              if samples.size >= metrics.CCDF_MIN_SAMPLES else None)
@@ -501,7 +520,7 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     records = []
     for snr_db in cfg.snr_list_db:
         results = _run_bursts(
-            n_bursts, cfg,
+            n_bursts, cfg, BER_CHUNK_FRAMES,
             lambda c: _ber_chunk(cfg, scheme, mcfg, profile, snr_db, c))
         errs = sum(r[0] for r in results)
         total = sum(r[1] for r in results)

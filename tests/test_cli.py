@@ -15,6 +15,11 @@ def test_snr_parsing():
         cli._parse_snr("0:2")
     with pytest.raises(ValueError):
         cli._parse_snr("0:-1:5")
+    # the smallest step keeps one stream key per point
+    assert len(cli._parse_snr("0:0.001:1")) == 1001
+    # a range past the SNR bound is refused before its points are built
+    with pytest.raises(ValueError, match="--snr"):
+        cli._parse_snr("0:1:1e9")
 
 
 def test_papr_subcommand(tmp_path, capsys):
@@ -170,6 +175,9 @@ def test_fec_bad_size(tmp_path, capsys):
     (["ber", "--snr", "5e6", "--bits", 1000], "--snr"),
     (["ber", "--snr", "1e300", "--bits", 1000], "--snr"),
     (["ber", "--snr", "1999000", "--bits", 1000], "--snr"),
+    # ranges refused before their points are built
+    (["ber", "--snr", "0:1:1001", "--bits", 1000], "--snr"),
+    (["ber", "--snr", "0:0.0005:1", "--bits", 1000], "--snr"),
 ])
 def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
     rc = run(argv + ["--out", tmp_path / "x.csv"])

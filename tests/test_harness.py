@@ -291,10 +291,12 @@ class TestChunks:
 
     BURSTS = 5
 
-    def _all_layouts(self, monkeypatch, run, cfg):
+    def _all_layouts(self, monkeypatch, budget, run, cfg):
+        """run(cfg) at 1..BURSTS bursts a chunk, the chunk frame budget
+        named budget patched to match, and at two worker counts."""
         outs = []
         for per_chunk in range(1, self.BURSTS + 1):
-            monkeypatch.setattr(harness, "CHUNK_FRAMES",
+            monkeypatch.setattr(harness, budget,
                                 per_chunk * cfg.frames_per_burst)
             for workers in (1, 3):
                 outs.append(run(replace(cfg, workers=workers)))
@@ -304,34 +306,53 @@ class TestChunks:
         cfg = SimConfig(scheme="rs2516", companding=True,
                         channel="pedestrian_b", snr_list_db=(16.0, np.inf),
                         bits=self.BURSTS * 8 * 80, master_seed=2)
-        first, *rest = self._all_layouts(monkeypatch, harness.run_ber_sweep,
-                                         cfg)
+        first, *rest = self._all_layouts(monkeypatch, "BER_CHUNK_FRAMES",
+                                         harness.run_ber_sweep, cfg)
         assert first[0].bits_total == self.BURSTS * 8 * 80
         assert all(out == first for out in rest)
+
+    def test_ber_sweep_at_budget_edge(self, monkeypatch):
+        """One burst past a full BER chunk runs as a full chunk and a chunk
+        of one, with the same records as chunks of one burst."""
+        size = harness.BER_CHUNK_FRAMES // 10
+        cfg = SimConfig(scheme="rs2516", companding=True,
+                        channel="pedestrian_b", snr_list_db=(16.0, np.inf),
+                        bits=(size + 1) * 8 * 80, master_seed=4)
+        layout = harness._run_bursts(size + 1, cfg, harness.BER_CHUNK_FRAMES,
+                                     len)
+        assert layout == [size, 1]
+        edge = harness.run_ber_sweep(cfg)
+        monkeypatch.setattr(harness, "BER_CHUNK_FRAMES", 10)
+        assert harness.run_ber_sweep(cfg) == edge
+        assert edge[0].bits_total == (size + 1) * 8 * 80
 
     def test_papr_experiment(self, monkeypatch):
         cfg = SimConfig(scheme="crs31_19", companding=True, frames_per_burst=7,
                         frames=self.BURSTS * 5, master_seed=2)
         first, *rest = self._all_layouts(
-            monkeypatch, lambda c: harness.run_papr_experiment(c).samples_db,
-            cfg)
+            monkeypatch, "CHUNK_FRAMES",
+            lambda c: harness.run_papr_experiment(c).samples_db, cfg)
         assert first.size == self.BURSTS * 5
         assert all(np.array_equal(out, first) for out in rest)
 
     def test_layout_ignores_workers(self):
-        size = harness.CHUNK_FRAMES // 10
-        for workers in (1, 3):
-            seen = harness._run_bursts(2 * size + 3, SimConfig(workers=workers),
-                                       lambda c: (c.start, c.stop))
-            assert seen == [(0, size), (size, 2 * size),
-                            (2 * size, 2 * size + 3)]
+        for frames in (harness.CHUNK_FRAMES, harness.BER_CHUNK_FRAMES):
+            size = frames // 10
+            for workers in (1, 3):
+                seen = harness._run_bursts(
+                    2 * size + 3, SimConfig(workers=workers), frames,
+                    lambda c: (c.start, c.stop))
+                assert seen == [(0, size), (size, 2 * size),
+                                (2 * size, 2 * size + 3)]
 
     def test_chunks_run_on_calling_thread(self, monkeypatch):
         """Any worker count runs every chunk on the calling thread."""
         def refuse(thread):
             raise AssertionError(f"thread {thread.name} started")
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        monkeypatch.setattr(harness, "CHUNK_FRAMES", 20)  # 2 bursts a chunk
+        # 2 bursts a chunk
+        monkeypatch.setattr(harness, "CHUNK_FRAMES", 20)
+        monkeypatch.setattr(harness, "BER_CHUNK_FRAMES", 20)
         ber = SimConfig(scheme="bch", channel="awgn", snr_list_db=(4.0,),
                         bits=self.BURSTS * 8 * 85, master_seed=3, workers=4)
         assert harness.run_ber_sweep(ber)[0].bits_total == self.BURSTS * 8 * 85
@@ -346,7 +367,8 @@ class TestChunks:
         def peak(chunks):
             cfg = SimConfig(scheme="rs2516", companding=True,
                             channel="pedestrian_b", snr_list_db=(16.0,),
-                            bits=chunks * harness.CHUNK_FRAMES // 10 * 8 * 80)
+                            bits=chunks * harness.BER_CHUNK_FRAMES // 10
+                            * 8 * 80)
             harness.run_ber_sweep(cfg)  # builds the codec matrices
             tracemalloc.start()
             try:
@@ -356,6 +378,9 @@ class TestChunks:
                 tracemalloc.stop()
         one, eight = peak(1), peak(8)
         assert eight < 1.1 * one + 64 * 2**10
+        # a full BER chunk of rs2516 + mu-law over Pedestrian B measured
+        # 3.36 MiB
+        assert one < 4 * 2**20
 
 
 class TestBlocks:
