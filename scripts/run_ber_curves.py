@@ -2,6 +2,7 @@
 """BER-vs-SNR curves for coded + companded transmission over the ITU
 fading profiles (and an AWGN reference), one CSV per channel."""
 import argparse
+import sys
 
 from papr_lab import cli, harness
 
@@ -18,7 +19,15 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--prefix", default="ber")
     args = ap.parse_args()
+    try:
+        run(args)
+    except (ValueError, OSError) as ex:
+        print(f"{ap.prog}: error: {ex}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def run(args):
     snrs = cli._parse_snr(args.snr)
 
     for channel in args.channels:
@@ -38,4 +47,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

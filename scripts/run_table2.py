@@ -2,6 +2,7 @@
 """Max-PAPR methodology matrix: {uncoded, bch, rs2516, crs31_19} x
 {plain, mu-law}, each at full and random load."""
 import argparse
+import sys
 
 from papr_lab import harness
 
@@ -17,7 +18,15 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="table2.csv")
     args = ap.parse_args()
+    try:
+        run(args)
+    except (ValueError, OSError) as ex:
+        print(f"{ap.prog}: error: {ex}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def run(args):
     results = []
     print(f"{'scheme':>10} {'mu':>3} {'full_db':>8} {'random_db':>10} "
           f"{'gap_db':>7}")
@@ -39,4 +48,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

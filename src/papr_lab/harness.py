@@ -7,13 +7,13 @@ SeedSequence([master_seed, scenario key, burst index, role]), role in
 payload and channel randomness.  A run derives the seed words of many
 streams in one vectorized pass (_seed_words): a PAPR run those of all its
 bursts before the first chunk, a BER run those of each chunk's bursts.
-Bursts run in fixed chunks of consecutive bursts, each chunk stacked
-through encoder, modem, compander and equalizer as one array, one chunk
-after another on the calling thread, in burst order.  A BER chunk holds
-about BER_CHUNK_FRAMES = 400 frames, so that its fixed cost through the
-receive chain is paid less often; a PAPR chunk about CHUNK_FRAMES = 100,
-since larger ones measured slower.  An uncompanded PAPR burst longer than
-a chunk is measured in blocks of frames.
+Bursts run in the fewest near-equal chunks of consecutive bursts within a
+budget of frames, each chunk stacked through encoder, modem, compander and
+equalizer as one array, one chunk after another on the calling thread, in
+burst order.  A BER chunk holds at most BER_CHUNK_FRAMES = 400 frames, so
+that its fixed cost through the receive chain is paid less often; a PAPR
+chunk at most CHUNK_FRAMES = 100, since larger ones measured slower.  An
+uncompanded PAPR burst longer than a chunk is measured in blocks of frames.
 """
 from __future__ import annotations
 
@@ -101,12 +101,16 @@ class SimConfig:
                               f"got {self.mu}")
         # +inf is the noiseless point; channel.apply would take -inf for it,
         # and a finite point keys its streams by its value in milli-dB
-        for snr in self.snr_list_db:
+        first = {}  # stream key -> index of the first point with it
+        for i, snr in enumerate(self.snr_list_db):
             if np.isnan(snr) or snr == -np.inf:
                 raise ConfigError(f"--snr {snr} is not a dB value or inf")
             if np.isfinite(snr) and abs(snr) > MAX_SNR_DB:
                 raise ConfigError(f"--snr {snr} is outside "
                                   f"-{MAX_SNR_DB}..{MAX_SNR_DB} dB")
+            if (j := first.setdefault(_snr_key(snr), i)) != i:
+                raise ConfigError(f"--snr {self.snr_list_db[j]} and {snr} "
+                                  f"share one stream key")
         if self.load not in ("random", "full"):
             raise ConfigError(f"--load: unknown load {self.load!r}")
         try:
@@ -123,80 +127,60 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Scheme:
-    """One frame-level coding scheme: encode maps (..., payload bits) to
-    (..., 2M-bit frames) in one call; decode maps (..., 2M) frames to
-    (..., payload bits), calling the frame decoder once per frame."""
+    """A frame-level coding scheme, its codec as data: encode maps (...,
+    payload bits) to (..., 2M-bit frames) in one call, decode_frame one
+    frame to its message (None: frames are the payload bits), and unpack a
+    list of messages to (messages, payload bits)."""
     name: str
     payload_bits: int
     encode: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    decode: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    decode_frame: Callable | None = field(default=None, repr=False)
+    unpack: Callable[[list], np.ndarray] = field(default=np.asarray,
+                                                 repr=False)
 
-
-def _none_scheme(frame_bits: int) -> Scheme:
-    ident = lambda b: np.asarray(b, dtype=np.uint8)
-    return Scheme("none", frame_bits, ident, ident)
-
-
-def _decode_each(frames: np.ndarray, decode: Callable, k: int,
-                 unpack: Callable = np.asarray) -> np.ndarray:
-    """decode(frame) for each frame of (..., frame bits), the results
-    stacked through unpack into k payload bits each; a frame whose decode
-    fails keeps its k raw systematic bits."""
-    frames = np.asarray(frames, dtype=np.uint8)
-    out = frames[..., :k].copy()
-    flat = out.reshape(-1, k)  # a view: rows written below land in out
-    done, decoded = [], []
-    for i, frame in enumerate(frames.reshape(-1, frames.shape[-1])):
-        try:
-            decoded.append(decode(frame))
-        except rs.DecodeFailure:
-            continue
-        done.append(i)
-    if done:
-        flat[done] = unpack(decoded)
-    return out
-
-
-def _bch_scheme() -> Scheme:
-    k = bch.bch_spec().k
-    return Scheme("bch", k, bch.bch_encode, lambda frames: _decode_each(
-        frames, lambda f: bch.bch_decode(f)[0], k))
-
-
-def _rs2516_scheme() -> Scheme:
-    # payload bits <-> message symbols once per chunk
-    def encode(payload):
-        return rs.rs2516_frame(rs._pack_symbols(payload, 5))
-
-    def decode(frames):
-        return _decode_each(frames, lambda f: rs.rs2516_decode(f)[0], 80,
-                            lambda syms: rs._symbols_to_bits(syms, 5))
-    return Scheme("rs2516", 80, encode, decode)
-
-
-def _crs_scheme(k: int, M: int) -> Scheme:
-    N = int(np.log2(M))
-    layout = crs.crs_layout(N, 31, k)
-    return Scheme(f"crs31_{k}", layout.message_bits,
-                  lambda b: crs.crs_encode(layout, b),
-                  lambda frames: _decode_each(
-                      frames, lambda f: crs.crs_decode(layout, f)[0],
-                      layout.message_bits))
+    def decode(self, frames: np.ndarray) -> np.ndarray:
+        """(..., 2M) frames -> (..., payload bits), decode_frame called once
+        per frame; a frame whose decode fails keeps its systematic bits."""
+        frames = np.asarray(frames, dtype=np.uint8)
+        decode_frame, k = self.decode_frame, self.payload_bits
+        if decode_frame is None:
+            return frames
+        out = frames[..., :k].copy()
+        flat = out.reshape(-1, k)  # a view: rows written below land in out
+        done, decoded = [], []
+        for i, frame in enumerate(frames.reshape(-1, frames.shape[-1])):
+            try:
+                decoded.append(decode_frame(frame))
+            except rs.DecodeFailure:
+                continue
+            done.append(i)
+        if done:
+            flat[done] = self.unpack(decoded)
+        return out
 
 
 def get_scheme(name: str, M: int = 64) -> Scheme:
+    # only bch_encode is bound here; other codec names are looked up per call
     if name == "none":
-        return _none_scheme(2 * M)
+        return Scheme("none", 2 * M, lambda b: np.asarray(b, dtype=np.uint8))
     if name == "bch":
-        return _bch_scheme()
+        return Scheme("bch", bch.bch_spec().k, bch.bch_encode,
+                      lambda f: bch.bch_decode(f)[0])
     if name == "rs2516":
-        return _rs2516_scheme()
+        # payload bits <-> message symbols once per chunk
+        return Scheme("rs2516", 80,
+                      lambda b: rs.rs2516_frame(rs._pack_symbols(b, 5)),
+                      lambda f: rs.rs2516_decode(f)[0],
+                      lambda syms: rs._symbols_to_bits(syms, 5))
     if name.startswith("crs31_"):
         try:
             k = int(name.split("_", 1)[1])
         except ValueError:
             raise crs.UnknownScheme(f"bad scheme name {name!r}") from None
-        return _crs_scheme(k, M)
+        layout = crs.crs_layout(int(np.log2(M)), 31, k)
+        return Scheme(f"crs31_{k}", layout.message_bits,
+                      lambda b: crs.crs_encode(layout, b),
+                      lambda f: crs.crs_decode(layout, f)[0])
     raise crs.UnknownScheme(f"unknown scheme {name!r}")
 
 
@@ -409,12 +393,15 @@ def _full_load_paprs(cfg: SimConfig, scheme: Scheme,
 
 def _run_bursts(n_bursts: int, cfg: SimConfig, chunk_frames: int,
                 worker: Callable[[range], object]) -> list:
-    """worker(chunk) for each chunk of consecutive bursts of at most
-    chunk_frames frames, in burst order, on the calling thread; the layout
-    depends on frames_per_burst and chunk_frames alone."""
+    """worker(chunk) for each of the fewest chunks of consecutive bursts of
+    at most chunk_frames frames, sizes within one burst of each other, in
+    burst order, on the calling thread; the layout depends on
+    frames_per_burst and chunk_frames alone."""
     size = max(1, chunk_frames // cfg.frames_per_burst)
-    return [worker(range(b, min(b + size, n_bursts)))
-            for b in range(0, n_bursts, size)]
+    n_chunks = -(-n_bursts // size)
+    # near-equal chunks, larger first: no small tail pays a chunk's fixed cost
+    bounds = [-(-n_bursts * c // n_chunks) for c in range(n_chunks + 1)]
+    return [worker(range(b, e)) for b, e in zip(bounds, bounds[1:])]
 
 
 def run_papr_experiment(cfg: SimConfig) -> PaprResult:

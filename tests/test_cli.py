@@ -178,6 +178,9 @@ def test_fec_bad_size(tmp_path, capsys):
     # ranges refused before their points are built
     (["ber", "--snr", "0:1:1001", "--bits", 1000], "--snr"),
     (["ber", "--snr", "0:0.0005:1", "--bits", 1000], "--snr"),
+    # points that share one milli-dB stream key
+    (["ber", "--snr", "0,0.0004", "--bits", 1000], "--snr"),
+    (["ber", "--snr", "10,10", "--bits", 1000], "--snr"),
 ])
 def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
     rc = run(argv + ["--out", tmp_path / "x.csv"])

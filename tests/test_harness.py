@@ -47,6 +47,46 @@ class TestSchemes:
         with pytest.raises(crs.UnknownScheme):
             harness.get_scheme("crs31_x")
 
+    @staticmethod
+    def decode_oracle(name, frame):
+        """One frame through its codec, as payload bits; a failed decode
+        gives the frame's systematic bits."""
+        k = harness.get_scheme(name).payload_bits
+        try:
+            if name == "none":
+                return frame
+            if name == "bch":
+                return bch.bch_decode(frame)[0]
+            if name == "rs2516":
+                symbols = rs.rs2516_decode(frame)[0]
+                return np.array([s >> (4 - j) & 1 for s in symbols
+                                 for j in range(5)], np.uint8)
+            layout = crs.crs_layout(6, 31, int(name.split("_")[1]))
+            return crs.crs_decode(layout, frame)[0]
+        except rs.DecodeFailure:
+            return frame[:k]
+
+    @given(st.sampled_from(("none", "bch", "rs2516", "crs31_19", "crs31_29")),
+           st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_decode_equals_one_codec_call_per_frame(self, name, bursts,
+                                                    frames, seed):
+        """Scheme.decode of a (bursts, frames, 128) stack with 0-20 bit
+        flips a frame equals decoding each frame on its own."""
+        scheme = harness.get_scheme(name)
+        rng = np.random.default_rng(seed)
+        payloads = rng.integers(0, 2, (bursts, frames, scheme.payload_bits),
+                                dtype=np.uint8)
+        stack = scheme.encode(payloads).copy()
+        for frame in stack.reshape(-1, 128):
+            frame[rng.choice(128, rng.integers(0, 21), replace=False)] ^= 1
+        want = np.stack([self.decode_oracle(name, f)
+                         for f in stack.reshape(-1, 128)])
+        got = scheme.decode(stack)
+        assert got.dtype == np.uint8
+        assert got.shape == (bursts, frames, scheme.payload_bits)
+        assert np.array_equal(got.reshape(want.shape), want)
+
     def test_decode_failure_falls_back_to_systematic_bits(self):
         scheme = harness.get_scheme("bch")
         garbage = np.random.default_rng(1).integers(0, 2, 128).astype(np.uint8)
@@ -58,7 +98,8 @@ class TestConfig:
     def test_validation(self):
         for bad in (dict(frames=0), dict(bits=0), dict(workers=0),
                     dict(snr_list_db=(4.0, float("nan"))),
-                    dict(snr_list_db=(-np.inf,))):
+                    dict(snr_list_db=(-np.inf,)),
+                    dict(snr_list_db=(np.inf, 4.0, np.inf))):
             with pytest.raises(harness.ConfigError):
                 SimConfig(**bad).validate()
         SimConfig(snr_list_db=(np.inf,)).validate()  # the noiseless point
@@ -312,15 +353,15 @@ class TestChunks:
         assert all(out == first for out in rest)
 
     def test_ber_sweep_at_budget_edge(self, monkeypatch):
-        """One burst past a full BER chunk runs as a full chunk and a chunk
-        of one, with the same records as chunks of one burst."""
+        """One burst past a full BER chunk runs as two near-equal chunks,
+        with the same records as chunks of one burst."""
         size = harness.BER_CHUNK_FRAMES // 10
         cfg = SimConfig(scheme="rs2516", companding=True,
                         channel="pedestrian_b", snr_list_db=(16.0, np.inf),
                         bits=(size + 1) * 8 * 80, master_seed=4)
         layout = harness._run_bursts(size + 1, cfg, harness.BER_CHUNK_FRAMES,
                                      len)
-        assert layout == [size, 1]
+        assert layout == [size // 2 + 1, size // 2]
         edge = harness.run_ber_sweep(cfg)
         monkeypatch.setattr(harness, "BER_CHUNK_FRAMES", 10)
         assert harness.run_ber_sweep(cfg) == edge
@@ -337,13 +378,16 @@ class TestChunks:
 
     def test_layout_ignores_workers(self):
         for frames in (harness.CHUNK_FRAMES, harness.BER_CHUNK_FRAMES):
-            size = frames // 10
+            n = 2 * frames // 10 + 3
+            # three chunks of ceil(n / 3) bursts, the last one burst fewer
+            third = -(-n // 3)
             for workers in (1, 3):
                 seen = harness._run_bursts(
-                    2 * size + 3, SimConfig(workers=workers), frames,
+                    n, SimConfig(workers=workers), frames,
                     lambda c: (c.start, c.stop))
-                assert seen == [(0, size), (size, 2 * size),
-                                (2 * size, 2 * size + 3)]
+                assert seen == [(0, third), (third, 2 * third),
+                                (2 * third, n)]
+                assert n - 2 * third == third - 1
 
     def test_chunks_run_on_calling_thread(self, monkeypatch):
         """Any worker count runs every chunk on the calling thread."""

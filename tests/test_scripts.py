@@ -3,12 +3,14 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_script(monkeypatch, name, *args):
     monkeypatch.setattr(sys, "argv", [name, *map(str, args)])
-    runpy.run_path(str(SCRIPTS / name))["main"]()
+    return runpy.run_path(str(SCRIPTS / name))["main"]()
 
 
 def csv_lines(path):
@@ -17,18 +19,35 @@ def csv_lines(path):
 
 def test_run_table2(tmp_path, monkeypatch):
     out = tmp_path / "table2.csv"
-    run_script(monkeypatch, "run_table2.py", "--frames", 100, "--out", out)
+    assert run_script(monkeypatch, "run_table2.py", "--frames", 100,
+                      "--out", out) == 0
     lines = csv_lines(out)
     assert lines[0] == "scheme,companding,load,max_papr_db,papr_at_1e3_db"
     assert len(lines) == 1 + 8 * 2  # 8 rows of the matrix at two loads
 
 
 def test_run_ber_curves(tmp_path, monkeypatch):
-    run_script(monkeypatch, "run_ber_curves.py", "--channels", "awgn",
-               "pedestrian_b", "--snr", 10, "--bits", 2000,
-               "--prefix", tmp_path / "ber")
+    assert run_script(monkeypatch, "run_ber_curves.py", "--channels", "awgn",
+                      "pedestrian_b", "--snr", 10, "--bits", 2000,
+                      "--prefix", tmp_path / "ber") == 0
     for channel in ("awgn", "pedestrian_b"):
         lines = csv_lines(tmp_path / f"ber_{channel}.csv")
         assert lines[0] == "snr_db,scheme,channel,companding,bits,errors,ber"
         assert len(lines) == 1 + 3  # one SNR point for each of three schemes
         assert all(f",{channel}," in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("name,args,flag", [
+    ("run_table2.py", ("--frames", 0), "--frames"),
+    ("run_ber_curves.py", ("--snr", "0:0:1"), "--snr"),
+])
+def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, name,
+                                     args, flag):
+    """Refused input ends in one '<script>: error:' line naming the flag,
+    as in papr-lab, not in a traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert run_script(monkeypatch, name, *args) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert err[0].startswith(f"{name}: error:") and flag in err[0]
+    assert not list(tmp_path.iterdir())  # no CSV written
