@@ -16,7 +16,8 @@ def main():
     ap.add_argument("--snr", default="0:2:20",
                     help="start:step:stop (inclusive) or comma list")
     ap.add_argument("--bits", type=int, default=1_000_000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="master RNG seed, 0..2^64 - 1")
     ap.add_argument("--prefix", default="ber")
     args = ap.parse_args()
     try:

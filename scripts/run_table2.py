@@ -15,7 +15,8 @@ ROWS = [("none", False), ("none", True),
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--frames", type=int, default=2000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="master RNG seed, 0..2^64 - 1")
     ap.add_argument("--out", default="table2.csv")
     args = ap.parse_args()
     try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import os
 import sys
 
@@ -58,15 +59,21 @@ def _open(path: str, mode: str, flag: str):
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with _open(path, "r", "--config") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (s.strip() for s in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+    with _open(path, "rb", "--config") as fh:
+        data = fh.read()
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as ex:
+        raise ValueError(f"--config {path}: not UTF-8 text ({ex.reason} at "
+                         f"byte {ex.start})") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, val = (s.strip() for s in line.split("=", 1))
+        values[key.replace("-", "_")] = val
     return values
 
 
@@ -120,7 +127,7 @@ def _add_common(p: argparse.ArgumentParser, draws: bool = True) -> None:
     p.add_argument("--config", help="flat key = value config file")
     if draws:  # only subcommands that draw random bursts
         p.add_argument("--seed", type=int, dest="master_seed",
-                       help="master RNG seed")
+                       help="master RNG seed, 0..2^64 - 1")
         p.add_argument("--workers", type=int, help="no effect (at least 1)")
     p.add_argument("--frames-per-burst", type=int, dest="frames_per_burst")
     p.add_argument("--out", help="output CSV path")

@@ -8,13 +8,14 @@ codeword bits are suffixed with one zero pad bit to fill a 128-bit frame.
 The code's binary generator matrix G (85, 128) is a cached function,
 _generator, built on first use from the systematic division rs_encode runs
 (gf2m.poly_divmod), with the generator's 0/1 coefficients taken as elements
-of GF(128).  A frame is (message @ G) mod 2.  Its syndromes are one lookup
-per frame byte in XOR tables (rs._byte_tables) built from the syndromes of
-each unit word, the powers alpha^((n-1-i) j) of rs._powers; the decoder
-shares BM, its error bound and the packed Chien search with the RS codec,
-skipping the steps of BM whose discrepancy is zero for a binary word, and
-checks the residual by adding the syndromes of each flipped bit to the
-frame's.
+of GF(128).  A frame is (message @ G) mod 2.  The decoder reads one record,
+an rs._Decoder cached by _decoder and built at the first decode: its
+syndromes are one lookup per frame byte in XOR tables (rs._byte_tables)
+built from the syndromes of each unit word, the powers alpha^((n-1-i) j) of
+rs._powers.  It shares BM (with its table of inverses), the error bound and
+the packed Chien search with the RS codec, skipping the steps of BM whose
+discrepancy is zero for a binary word, and checks the residual by adding
+the syndromes of each flipped bit, a table entry, to the frame's.
 """
 from __future__ import annotations
 
@@ -26,8 +27,9 @@ import numpy as np
 from .. import gf2m
 from ..gf2m import FieldSpec
 from .rs import (DecodeFailure, LengthMismatch, _binary_matrix,
-                 _byte_tables, _checked_message, _error_locator, _evaluate,
-                 _evaluation_tables, _gf2, _lookup, _powers, _roots, _unpack)
+                 _byte_tables, _checked_message, _Decoder, _error_locator,
+                 _evaluate, _evaluation_tables, _gf2, _lookup, _powers,
+                 _roots, _unpack)
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,16 @@ def bch_encode(message: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _syndrome_tables() -> tuple[list[int], ...]:
-    """rs._byte_tables of S_1..S_2t over the 128-bit frame: the syndromes
+def _decoder() -> _Decoder:
+    """The code's rs._Decoder, built at its first decode.  Its tables are
+    the rs._byte_tables of S_1..S_2t over the 128-bit frame: the syndromes
     of the unit word at position i are alpha^((n-1-i) j), j = 1..2t; the
-    pad bit's image is zero."""
+    pad bit's image is zero.  No position is erased, so Gamma is 1."""
     spec = bch_spec()
-    return _byte_tables(_powers(spec.field, np.arange(spec.n)[::-1],
-                                np.arange(1, 2 * spec.t + 1)).tolist())
+    tables = _byte_tables(_powers(spec.field, np.arange(spec.n)[::-1],
+                                  np.arange(1, 2 * spec.t + 1)).tolist())
+    return _Decoder(spec.field, spec.n, 2 * spec.t, spec.n + 1, spec.k,
+                    tables, (1,))
 
 
 def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
@@ -105,21 +110,16 @@ def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
     Corrects any pattern of <= t bit errors in the 127 codeword bits; the pad
     bit is ignored.  Raises DecodeFailure when the syndromes are inconsistent.
     """
-    spec = bch_spec()
-    fs = spec.field
     frame = np.asarray(frame, dtype=np.uint8)
-    if frame.size != spec.n + 1:
-        raise LengthMismatch(f"frame length {frame.size} != {spec.n + 1}")
-    tables = _syndrome_tables()
+    fs, n, r, frame_bits, k, tables, _ = _decoder()
+    if frame.size != frame_bits:
+        raise LengthMismatch(f"frame length {frame.size} != {frame_bits}")
     value = _lookup(tables, frame)
-    message = frame[:spec.k].copy()
     if not value:
-        return message, 0
+        return frame[:k].copy(), 0
 
-    lam = _error_locator(fs, _unpack(value, 2 * spec.t),
-                         binary=True)  # degree bound t
-    flips = _roots(_evaluate(_evaluation_tables(fs, spec.n, spec.t), lam,
-                             spec.n))
+    lam = _error_locator(fs, _unpack(value, r), binary=True)  # degree <= t
+    flips = _roots(_evaluate(_evaluation_tables(fs, n, r // 2), lam, n))
     if len(flips) != gf2m.poly_deg(lam):
         raise DecodeFailure("locator degree does not match root count")
     # the flipped word's syndromes: those of the frame plus those of the
@@ -128,5 +128,6 @@ def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
         value ^= tables[i >> 3][0x80 >> (i & 7)]
     if value:
         raise DecodeFailure("residual syndromes after correction")
-    message[[i for i in flips if i < spec.k]] ^= 1
+    message = frame[:k].copy()
+    message[[i for i in flips if i < k]] ^= 1
     return message, len(flips)

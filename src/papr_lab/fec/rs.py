@@ -21,23 +21,24 @@ message.  A frame is (message bits @ G) mod 2, through _gf2.
 Decoding is table-driven (syndrome table lookup, Lin & Costello, Error
 Control Coding, ch. 6-7).  Vectors of field symbols travel packed in one
 Python int, one byte per symbol (_pack), so adding two vectors is one XOR.
-From the syndromes of each unit frame each code builds per-byte XOR tables
-(_byte_tables, cached as _syndrome_tables): a frame's syndromes are
-np.packbits of the frame and one lookup per byte.  A punctured layout's
-tables also give its modified syndromes, the syndromes composed with the
-fixed erasure locator Gamma of the punctured positions, so a frame whose
-modified syndromes are zero is clean and returns at once, and every other
-frame goes straight to Berlekamp-Massey.  BM and poly_mul run on the
-field's cached multiplication table.  Only a locator within BM's degree
-bound goes on: the Chien search and both Forney polynomials are evaluated
-at every position at once, one XOR of a packed table entry per coefficient
-(_evaluation_tables).  The residual check requires the syndromes of the
-corrections' error word (_syndromes, the same packed evaluation) to equal
-the frame's.
+A frame code's decoder reads one record per frame, its _Decoder, cached
+and built at the first decode.  Its per-byte XOR tables (_byte_tables) give
+a frame's syndromes as np.packbits of the frame and one lookup per byte.  A
+punctured layout's tables also give its modified syndromes, the syndromes
+composed with the fixed erasure locator Gamma of the punctured positions,
+so a frame whose modified syndromes are zero is clean and returns at once,
+and every other frame goes straight to Berlekamp-Massey.  BM and poly_mul
+run on the field's cached multiplication table and table of inverses.
+Only a locator within BM's degree bound goes on: the Chien search and both
+Forney polynomials are evaluated at every position at once, one XOR of a
+packed table entry per coefficient (_evaluation_tables).  The residual
+check is linear: the corrections' error word must have the frame's
+syndromes, the XOR of one _residual_tables entry per correction.
 """
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -138,6 +139,15 @@ def _evaluation_tables(fs: FieldSpec, n: int,
                  for row in rows)
 
 
+@functools.cache
+def _residual_tables(fs: FieldSpec, n: int, r: int) -> tuple[list[int], ...]:
+    """table[pos][mag] packs the r syndromes mag alpha^((n-1-pos) j) of the
+    length-n word whose one nonzero symbol is mag at pos."""
+    powers = _powers(fs, np.arange(n)[::-1], np.arange(1, r + 1))
+    products = gf2m.mul_table(fs)[:, powers].swapaxes(0, 1).tolist()
+    return tuple([_pack(s) for s in by_mag] for by_mag in products)
+
+
 def _evaluate(tables: tuple[list[int], ...], poly: Sequence[int],
               n: int) -> bytes:
     """poly at the inverse locator of every position of a length-n word,
@@ -167,8 +177,10 @@ def _berlekamp_massey(fs: FieldSpec, syndromes: Sequence[int],
     binary: the syndromes are S_1..S_2t of a binary word, whose every
     second discrepancy (at S_2, S_4, ...) is zero, so those steps are
     skipped."""
-    rows = gf2m.mul_rows(fs)
-    C = [1]  # holds at least L + 1 coefficients
+    rows, inverse = gf2m.mul_rows(fs), gf2m.inverses(fs)
+    # C += (d / b) x^shift B, in place but at a length change (the old C
+    # becomes B); x^shift B keeps C at L + 1 or more coefficients
+    C = [1]
     B = [1]
     L = 0
     shift = 1
@@ -178,21 +190,24 @@ def _berlekamp_massey(fs: FieldSpec, syndromes: Sequence[int],
         for j in range(1, L + 1):
             d ^= rows[C[j]][syndromes[i - j]]
         if d:
-            # C += (d / b) x^shift B; trailing zeros of C and B only add
-            # zero terms
             times_coef = rows[rows[d][b_inv]]
-            T = C
-            C = C + [0] * (shift + len(B) - len(C))
-            for j, c in enumerate(B, shift):
-                C[j] ^= times_coef[c]
             if 2 * L <= i:
-                L = i + 1 - L
-                C += [0] * (L + 1 - len(C))
+                T, C = C, C + [0] * (shift + len(B) - len(C))
+                for j, c in enumerate(B, shift):
+                    C[j] ^= times_coef[c]
                 B = T
-                b_inv = gf2m.inv(fs, d)
+                L = i + 1 - L
+                b_inv = inverse[d]
                 shift = 0
+            else:
+                if len(C) < shift + len(B):
+                    C += [0] * (shift + len(B) - len(C))
+                for j, c in enumerate(B, shift):
+                    C[j] ^= times_coef[c]
         shift += 1 + binary
-    return gf2m.poly_trim(C)
+    while C[-1] == 0:  # C[0] stays 1
+        C.pop()
+    return C
 
 
 def _erasure_locator(fs: FieldSpec, n: int,
@@ -236,18 +251,23 @@ def _corrections(fs: FieldSpec, n: int, synd: Sequence[int], lam: list[int],
     if len(roots_pos) != gf2m.poly_deg(psi):
         raise DecodeFailure("locator degree does not match root count")
 
-    # Forney: Omega = S * psi mod x^r; e_j = Omega(X_j^-1) / psi'(X_j^-1)
+    # Forney: Omega = S * psi mod x^r; e_j = Omega(X_j^-1) / psi'(X_j^-1),
+    # psi' having coefficient psi_(2i+1) at degree 2i
     omega = _evaluate(tables, poly_mul(fs, synd, psi, r), n)
-    psi_prime = _evaluate(tables, [c if i % 2 == 0 else 0
-                                   for i, c in enumerate(psi[1:])], n)
-    error = [0] * n
+    psi_prime = _evaluate(tables[::2], psi[1::2], n)
+    rows, inverse = gf2m.mul_rows(fs), gf2m.inverses(fs)
+    residual = _residual_tables(fs, n, r)
+    fixes, error_synd = [], 0
     for pos in roots_pos:
         if psi_prime[pos] == 0:
             raise DecodeFailure("Forney denominator vanished")
-        error[pos] = gf2m.div(fs, omega[pos], psi_prime[pos])
-    if _syndromes(fs, error, r) != list(synd):
+        mag = rows[omega[pos]][inverse[psi_prime[pos]]]
+        error_synd ^= residual[pos][mag]
+        if mag:
+            fixes.append((pos, mag))
+    if error_synd != _pack(synd):
         raise DecodeFailure("residual syndromes after correction")
-    return [(pos, error[pos]) for pos in roots_pos if error[pos]]
+    return fixes
 
 
 def rs_decode(spec: RsCodeSpec, received: Sequence[int],
@@ -368,7 +388,7 @@ def _byte_tables(symbols: list[list[int]]) -> tuple[list[int], ...]:
 def _lookup(tables: tuple[list[int], ...], frame: np.ndarray) -> int:
     """The packed image of a frame under _byte_tables."""
     value = 0
-    for table, byte in zip(tables, np.packbits(frame).tolist()):
+    for table, byte in zip(tables, np.packbits(frame).tobytes()):
         value ^= table[byte]
     return value
 
@@ -468,29 +488,30 @@ def _frame_word(layout: RsFrameLayout, frame: np.ndarray) -> list[int]:
             + [0] * layout.punctured)
 
 
-@functools.cache
-def _punctured_locator(layout: RsFrameLayout) -> tuple:
-    """Erasure locator of the punctured positions, which never change."""
-    return tuple(_erasure_locator(layout.spec.field, layout.n,
-                                  range(layout.n - layout.punctured,
-                                        layout.n)))
+# What a frame decoder reads of its code per frame: the field, n word
+# symbols, r syndromes, the frame and message bits, the _byte_tables of a
+# frame's syndromes and Gamma, the erasure locator of the punctured positions
+_Decoder = namedtuple("_Decoder",
+                      "fs n r frame_bits message_bits tables gamma")
 
 
 @functools.cache
-def _syndrome_tables(layout: RsFrameLayout) -> tuple[list[int], ...]:
-    """_byte_tables of the r syndromes of each unit frame's word followed,
-    when the layout punctures, by its r - f modified syndromes: these are
-    GF(2)-linear in the syndromes, since the punctured locator Gamma is
-    fixed.  Pad bits are not in the word, so their images are zero."""
-    fs, r = layout.spec.field, layout.r
+def _decoder(layout: RsFrameLayout) -> _Decoder:
+    """A layout's _Decoder.  Its tables are the _byte_tables of the r
+    syndromes of each unit frame's word followed, when the layout
+    punctures, by its r - f modified syndromes: these are GF(2)-linear in
+    the syndromes, since the punctured locator Gamma never changes.  Pad
+    bits are not in the word, so their images are zero."""
+    fs, n, r = layout.spec.field, layout.n, layout.r
+    gamma = tuple(_erasure_locator(fs, n, range(n - layout.punctured, n)))
     rows = []
     for unit in np.eye(layout.frame_bits, dtype=np.uint8):
         synd = _syndromes(fs, _frame_word(layout, unit), r)
         if layout.punctured:
-            synd += _modified_syndromes(fs, synd, _punctured_locator(layout),
-                                        r)
+            synd += _modified_syndromes(fs, synd, gamma, r)
         rows.append(synd)
-    return _byte_tables(rows)
+    return _Decoder(fs, n, r, layout.frame_bits, layout.message_bits,
+                    _byte_tables(rows), gamma)
 
 
 def frame_decode(layout: RsFrameLayout,
@@ -503,33 +524,30 @@ def frame_decode(layout: RsFrameLayout,
     constrained alphabet; the low p bits are still returned.
     """
     frame = np.asarray(frame, dtype=np.uint8)
-    if frame.size != layout.frame_bits:
-        raise LengthMismatch(
-            f"frame length {frame.size} != {layout.frame_bits}")
-    r, f, p = layout.r, layout.punctured, layout.p
-    symbols = _unpack(_lookup(_syndrome_tables(layout), frame),
-                      2 * r - f if f else r)
-    synd, modified = symbols[:r], symbols[r:] if f else symbols
-    if not any(modified):
+    fs, n, r, frame_bits, message_bits, tables, gamma = _decoder(layout)
+    if frame.size != frame_bits:
+        raise LengthMismatch(f"frame length {frame.size} != {frame_bits}")
+    value, f = _lookup(tables, frame), layout.punctured
+    modified = value >> 8 * r if f else value
+    if not modified:
         # the erasures alone explain the syndromes: correction would only
         # fill the punctured parity, so the message arrived intact
-        return frame[:layout.message_bits].copy(), 0, True
-    fs = layout.spec.field
-    lam = _error_locator(fs, modified)
-    fixes = _corrections(fs, layout.n, synd, lam, _punctured_locator(layout))
-    shortened = layout.k - layout.k_prime
+        return frame[:message_bits].copy(), 0, True
+    lam = _error_locator(fs, _unpack(modified, r - f))
+    fixes = _corrections(fs, n, _unpack(value, 2 * r - f)[:r], lam, gamma)
+    shortened, k, p = layout.k - layout.k_prime, layout.k, layout.p
     if any(pos < shortened for pos, _ in fixes):
         raise DecodeFailure("shortened prefix decoded nonzero")
     # message symbols arrive as p-bit fields: a correction flips the bits
     # of its low p, and it keeps the alphabet exactly when its magnitude
     # has no higher bits
-    message = [(pos, mag) for pos, mag in fixes if pos < layout.k]
+    message = [(pos, mag) for pos, mag in fixes if pos < k]
     flips = [(pos - shortened) * p + b for pos, mag in message
              for b in range(p) if mag >> (p - 1 - b) & 1]
-    bits = frame[:layout.message_bits].copy()
+    bits = frame[:message_bits].copy()
     bits[flips] ^= 1
     constraint_ok = all(mag >> p == 0 for _, mag in message)
-    corrected = sum(1 for pos, _ in fixes if pos < layout.n - f)
+    corrected = sum(1 for pos, _ in fixes if pos < n - f)
     return bits, corrected, constraint_ok
 
 
@@ -543,4 +561,5 @@ def rs2516_frame(message: Sequence[int]) -> np.ndarray:
 def rs2516_decode(frame: np.ndarray) -> tuple[list[int], int]:
     """frame_decode of one RS2516 frame, its message as 16 symbols."""
     bits, corrected, _ = frame_decode(RS2516, frame)
-    return _bits_to_symbols(bits, 5), corrected
+    value = int.from_bytes(np.packbits(bits).tobytes(), "big")  # 80 bits
+    return [value >> s & 31 for s in range(75, -1, -5)], corrected

@@ -7,8 +7,8 @@ the zero polynomial is the empty list (degree -1).
 The scalar operations (mul, inv, div, pow_alpha) go through the log/antilog
 tables one element at a time.  The polynomial routines the decoders run per
 frame use the field's full multiplication table, cached and built on first
-use (mul_table, and mul_rows as Python ints); building a code's generator
-(poly_from_roots) does not need it.
+use (mul_table, and mul_rows as Python ints), and a cached table of
+inverses; building a code's generator (poly_from_roots) needs neither.
 """
 from __future__ import annotations
 
@@ -166,6 +166,12 @@ def mul_rows(fs: FieldSpec) -> tuple:
     """mul_table as Python ints, one list per row: mul_rows(fs)[a] is the
     map b -> a * b, for loops that multiply by one element many times."""
     return tuple(mul_table(fs).tolist())
+
+
+@functools.cache
+def inverses(fs: FieldSpec) -> tuple:
+    """inverses(fs)[a] is 1 / a as a Python int; entry 0 is 0."""
+    return (0,) + tuple(inv(fs, a) for a in range(1, fs.size))
 
 
 def poly_mul(fs: FieldSpec, p: Sequence[int], q: Sequence[int],

@@ -14,6 +14,8 @@ burst order.  A BER chunk holds at most BER_CHUNK_FRAMES = 400 frames, so
 that its fixed cost through the receive chain is paid less often; a PAPR
 chunk at most CHUNK_FRAMES = 100, since larger ones measured slower.  An
 uncompanded PAPR burst longer than a chunk is measured in blocks of frames.
+A BER burst's warm-up frames, its first and last, are sent, but the
+receiver analyses, equalizes and decodes only the frames between them.
 """
 from __future__ import annotations
 
@@ -96,6 +98,9 @@ class SimConfig:
                             ("--workers", self.workers)):
             if value < 1:
                 raise ConfigError(f"{flag} must be at least 1, got {value}")
+        if not 0 <= self.master_seed < 2 ** 64:  # one uint64 seed word
+            raise ConfigError(f"--seed must be in 0..2^64 - 1, "
+                              f"got {self.master_seed}")
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ConfigError(f"--mu must be finite and positive, "
                               f"got {self.mu}")
@@ -173,12 +178,11 @@ def get_scheme(name: str, M: int = 64) -> Scheme:
                       lambda f: rs.rs2516_decode(f)[0],
                       lambda syms: rs._symbols_to_bits(syms, 5))
     if name.startswith("crs31_"):
-        try:
-            k = int(name.split("_", 1)[1])
-        except ValueError:
-            raise crs.UnknownScheme(f"bad scheme name {name!r}") from None
-        layout = crs.crs_layout(int(np.log2(M)), 31, k)
-        return Scheme(f"crs31_{k}", layout.message_bits,
+        k = name[len("crs31_"):]
+        if not (k.isdecimal() and k == str(int(k))):  # one name per scheme
+            raise crs.UnknownScheme(f"bad scheme name {name!r}")
+        layout = crs.crs_layout(int(np.log2(M)), 31, int(k))
+        return Scheme(name, layout.message_bits,
                       lambda b: crs.crs_encode(layout, b),
                       lambda f: crs.crs_decode(layout, f)[0])
     raise crs.UnknownScheme(f"unknown scheme {name!r}")
@@ -485,12 +489,15 @@ def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
     if cfg.companding:
         rx, _ = compander.mu_expand(rx, scale,
                                     compander.CompanderConfig(mu=cfg.mu))
-    grid = modem.analysis(rx, mcfg, 2 * cfg.frames_per_burst)
+    # frames 1..L - 2 alone, from frame 1's first sample: their columns are
+    # bit for bit those of the whole burst, but counted from frame 1 each
+    # column's OQAM phase j^(k+n) lacks a factor j^2 = -1: negate the symbols
+    grid = modem.analysis(rx[..., cfg.M:], mcfg,
+                          2 * (cfg.frames_per_burst - 2))
     del rx
     grid, _ = chan.equalize(grid, taps, cfg.M)
-    rx_frames = modem.grid_to_frames(modem.oqam_postprocess(grid))
-    # warm-up frames are neither decoded nor counted
-    return metrics.ber(payloads[:, 1:-1], scheme.decode(rx_frames[:, 1:-1]))
+    rx_frames = modem.grid_to_frames(-modem.oqam_postprocess(grid))
+    return metrics.ber(payloads[:, 1:-1], scheme.decode(rx_frames))
 
 
 def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:

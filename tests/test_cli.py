@@ -87,6 +87,24 @@ def test_bad_config_value_names_the_flag(tmp_path, capsys, command, line,
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_config_file_not_utf8_names_the_flag_and_path(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"scheme = \xff\n")
+    rc = run(["papr", "--config", cfg, "--out", tmp_path / "x.csv"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert err[0].startswith("papr-lab: error: --config")
+    assert str(cfg) in err[0] and "not UTF-8" in err[0]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_seed_range_in_help(capsys):
+    with pytest.raises(SystemExit):
+        run(["ber", "--help"])
+    assert "0..2^64 - 1" in capsys.readouterr().out
+
+
 def test_bad_scheme_exit_code(capsys):
     rc = run(["papr", "--scheme", "nope", "--frames", 120])
     assert rc == 1
@@ -181,6 +199,19 @@ def test_fec_bad_size(tmp_path, capsys):
     # points that share one milli-dB stream key
     (["ber", "--snr", "0,0.0004", "--bits", 1000], "--snr"),
     (["ber", "--snr", "10,10", "--bits", 1000], "--snr"),
+    # spellings of k that int() takes but that are not crs31_<k>
+    (["ber", "--scheme", "crs31_1_9", "--bits", 1000, "--snr", "10"],
+     "--scheme"),
+    (["ber", "--scheme", "crs31_+19", "--bits", 1000, "--snr", "10"],
+     "--scheme"),
+    (["ber", "--scheme", "crs31_019", "--bits", 1000, "--snr", "10"],
+     "--scheme"),
+    (["ber", "--scheme", "crs31_ 19", "--bits", 1000, "--snr", "10"],
+     "--scheme"),
+    # seeds outside one uint64 word, which would wrap onto other seeds
+    (["ber", "--seed", -5, "--bits", 1000, "--snr", "10"], "--seed"),
+    (["ber", "--seed", 2 ** 64, "--bits", 1000, "--snr", "10"], "--seed"),
+    (["ber", "--seed", 10 ** 23, "--bits", 1000, "--snr", "10"], "--seed"),
 ])
 def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
     rc = run(argv + ["--out", tmp_path / "x.csv"])

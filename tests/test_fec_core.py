@@ -429,9 +429,11 @@ def _rs_word(seed, k, f, e):
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_rs_decode_matches_scalar(seed, data):
-    k = data.draw(st.sampled_from(harness.DEFAULT_KSWEEP))
+    """f erasures and up to r - f + 2 symbol errors, far past the bound
+    2e + f <= r."""
+    k = data.draw(st.integers(19, 29))
     f = data.draw(st.integers(0, 31 - k))
-    e = data.draw(st.integers(0, (31 - k - f) // 2 + 3))
+    e = data.draw(st.integers(0, 31 - k - f + 2))
     spec, _, word, erasures = _rs_word(seed, k, f, e)
     assert (outcome(rs.rs_decode, spec, word, erasures)
             == outcome(scalar_rs_decode, spec, word, erasures))
@@ -552,7 +554,7 @@ def test_rs2516_clean_shortcut_equals_erasure_path(seed):
     spec = rs.rs_spec(5, 19)
     modified = rs._modified_syndromes(
         spec.field, frame_syndromes(rs.RS2516, frame),
-        rs._punctured_locator(rs.RS2516), spec.r)
+        rs._decoder(rs.RS2516).gamma, spec.r)
     assert not any(modified)
     assert outcome(rs.rs2516_decode, frame) == outcome(scalar_rs2516_decode,
                                                        frame)
@@ -632,8 +634,8 @@ def test_cached_matrices_are_read_only(code):
         G[0, 0] = 1
 
 
-DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, rs._syndrome_tables,
-                 rs._evaluation_tables, bch._syndrome_tables)
+DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, gf2m.inverses, rs._decoder,
+                 rs._evaluation_tables, rs._residual_tables, bch._decoder)
 
 
 def test_schemes_build_no_decode_table(cold_fec_caches):
@@ -644,8 +646,8 @@ def test_schemes_build_no_decode_table(cold_fec_caches):
     assert all(t.cache_info().currsize == 0 for t in DECODE_TABLES)
     bch.bch_decode(np.zeros(128, dtype=np.uint8))
     rs.rs2516_decode(np.zeros(128, dtype=np.uint8))
-    assert bch._syndrome_tables.cache_info().currsize == 1
-    assert rs._syndrome_tables.cache_info().currsize == 1
+    assert bch._decoder.cache_info().currsize == 1
+    assert rs._decoder.cache_info().currsize == 1
 
 
 def test_racing_first_decodes_agree(cold_fec_caches):
@@ -698,7 +700,7 @@ def test_byte_table_syndromes_equal_parity_check(code, seed, errors):
     if code == "bch":
         frame = bch.bch_encode(rng.integers(0, 2, 85, dtype=np.uint8))
         frame ^= (rng.random(128) < errors / 128).astype(np.uint8)
-        got = rs._lookup(bch._syndrome_tables(), frame)
+        got = rs._lookup(bch._decoder().tables, frame)
         assert rs._unpack(got, 12) == bytes(bch_syndromes(frame[:127]))
         return
     layout = _layout(code)
@@ -709,8 +711,8 @@ def test_byte_table_syndromes_equal_parity_check(code, seed, errors):
     want = synd
     if layout.punctured:
         want = synd + rs._modified_syndromes(
-            layout.spec.field, synd, rs._punctured_locator(layout), layout.r)
-    got = rs._lookup(rs._syndrome_tables(layout), frame)
+            layout.spec.field, synd, rs._decoder(layout).gamma, layout.r)
+    got = rs._lookup(rs._decoder(layout).tables, frame)
     assert rs._unpack(got, len(want)) == bytes(want)
 
 
@@ -777,10 +779,53 @@ def test_correction_residual_equals_word_syndromes(seed, fixes, k):
             == horner_syndromes(fs, corrected, r))
 
 
+@pytest.mark.parametrize("k", sorted({rs.RS2516.k, *harness.DEFAULT_KSWEEP}))
+def test_residual_table_rows_equal_unit_word_syndromes(k):
+    """Entry [pos][mag] of the residual table packs the syndromes of the
+    word whose one nonzero symbol is mag at pos, for every pos and mag."""
+    spec = rs.rs_spec(5, k)
+    fs, n, r = spec.field, spec.n, spec.r
+    table = rs._residual_tables(fs, n, r)
+    assert len(table) == n and all(len(row) == fs.size for row in table)
+    for pos in range(n):
+        for mag in range(fs.size):
+            word = [0] * n
+            word[pos] = mag
+            assert (rs._unpack(table[pos][mag], r)
+                    == bytes(rs._syndromes(fs, word, r)))
+
+
+FRAME_CODES = ["bch", "rs2516"] + [f"crs31_{k}" for k in range(19, 30)]
+
+
+@pytest.mark.parametrize("code", FRAME_CODES)
+@given(seed=st.integers(0, 2**32 - 1), flips=st.integers(0, 24))
+@settings(max_examples=40, deadline=None)
+def test_frame_decoders_equal_scalar_past_the_radius(code, seed, flips):
+    """Random bit flips anywhere in the frame, up to far past each code's
+    radius: every frame decoder gives its scalar oracle's message,
+    corrected count (and constraint flag) or failure reason."""
+    rng = np.random.default_rng(seed)
+    if code == "bch":
+        frame = bch.bch_encode(rng.integers(0, 2, 85, dtype=np.uint8))
+        decode, oracle = bch.bch_decode, scalar_bch_decode
+    elif code == "rs2516":
+        frame = rs.rs2516_frame(rng.integers(0, 32, 16))
+        decode, oracle = rs.rs2516_decode, scalar_rs2516_decode
+    else:
+        layout = _layout(code)
+        frame = crs.crs_encode(layout, rng.integers(
+            0, 2, layout.message_bits, dtype=np.uint8))
+        decode = lambda f: crs.crs_decode(layout, f)  # noqa: E731
+        oracle = lambda f: scalar_crs_decode(layout, f)  # noqa: E731
+    frame[rng.choice(frame.size, size=flips, replace=False)] ^= 1
+    assert outcome(decode, frame) == outcome(oracle, frame)
+
+
 def test_bch_byte_table_bit_images_equal_parity_check_rows():
     """bch_decode's residual adds the image of each flipped bit alone: the
     syndromes of the unit word, a row of the code's parity-check matrix."""
-    tables = bch._syndrome_tables()
+    tables = bch._decoder().tables
     for i, unit in enumerate(np.eye(127, dtype=np.uint8)):
         got = tables[i >> 3][0x80 >> (i & 7)]
         assert rs._unpack(got, 12) == bytes(bch_syndromes(unit))

@@ -474,3 +474,33 @@ def test_row_layout_stages_equal_complex_formulas(bursts, n_frames, M,
         want = ref(x)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@given(st.integers(1, 6), st.integers(3, 12), st.sampled_from((4, 16, 64)),
+       st.sampled_from((2, 3, 4)), st.integers(0, 2 * 64),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_measured_columns_equal_full_analysis(bursts, n_frames, M, K, tail,
+                                              seed):
+    """A BER burst's receiver analyses only the measured frames 1..L - 2:
+    their 2(L - 2) half-symbol columns from frame 1's first sample, M
+    samples in.  Those columns equal the full analysis's columns 2..2L - 3
+    bit for bit.  Counted from frame 1, every column's phase j^(k+n) lacks
+    a factor j^2 = -1, so negated, their symbols and frames are the full
+    path's of frames 1..L - 2."""
+    cfg = modem.ModemConfig(M=M, K=K)
+    rng = np.random.default_rng(seed)
+    frames = rng.integers(0, 2, (bursts, n_frames, 2 * M)).astype(np.uint8)
+    sig = modem.modulate_frames(frames, cfg)
+    sig = np.concatenate([sig, np.zeros((bursts, tail))], axis=-1)
+    rx = sig + 0.3 * (rng.standard_normal(sig.shape)
+                      + 1j * rng.standard_normal(sig.shape))
+    full = modem.analysis(rx, cfg, 2 * n_frames)
+    measured = modem.analysis(rx[..., M:], cfg, 2 * (n_frames - 2))
+    assert np.array_equal(measured, full[..., 2:-2])
+    qam = -modem.oqam_postprocess(measured)
+    assert np.array_equal(qam, modem.oqam_postprocess(full)[..., 1:-1])
+    assert np.array_equal(modem.grid_to_frames(qam),
+                          modem.grid_to_frames(
+                              modem.oqam_postprocess(full))[..., 1:-1, :])
+

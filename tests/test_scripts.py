@@ -40,6 +40,8 @@ def test_run_ber_curves(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name,args,flag", [
     ("run_table2.py", ("--frames", 0), "--frames"),
     ("run_ber_curves.py", ("--snr", "0:0:1"), "--snr"),
+    ("run_table2.py", ("--seed", -1), "--seed"),
+    ("run_ber_curves.py", ("--seed", -1), "--seed"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, name,
                                      args, flag):
