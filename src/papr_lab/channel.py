@@ -71,10 +71,15 @@ def _tap_powers(profile: ChannelProfile) -> np.ndarray:
 
 
 def realize(profile: ChannelProfile,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Draw one quasi-static realization of the profile: read-only complex
-    taps (span,).  Block-Rayleigh profiles need an rng; tap delays are
-    rounded to the nearest sample, colliding taps add their powers.
+            rng: np.random.Generator | Sequence[np.random.Generator] | None
+            = None) -> np.ndarray:
+    """Draw quasi-static realizations of the profile: read-only complex
+    taps (span,) for one Generator, or (bursts, span) for a sequence of
+    Generators, one per burst, as in apply.  Each burst draws span real
+    parts, then span imaginary parts, from its own Generator.  Block-Rayleigh
+    profiles need an rng; without fading the taps are (span,) and fixed.
+    Tap delays are rounded to the nearest sample, colliding taps add their
+    powers.
     """
     tap_power = _tap_powers(profile)
     if profile.fading == "none":
@@ -82,11 +87,16 @@ def realize(profile: ChannelProfile,
     else:
         if rng is None:
             raise ValueError("fading profile requires an rng")
-        span = tap_power.size
-        g = rng.standard_normal(span) + 1j * rng.standard_normal(span)
-        taps = np.sqrt(tap_power / 2.0) * g
-    if not np.any(taps):
-        taps[0] = 1.0  # degenerate all-zero draw is measure-zero but fatal
+        one = isinstance(rng, np.random.Generator)
+        rngs = [rng] if one else rng
+        g = np.empty((len(rngs), 2, tap_power.size))
+        for burst_rng, burst in zip(rngs, g):
+            burst_rng.standard_normal(out=burst)
+        taps = np.sqrt(tap_power / 2.0) * (g[:, 0] + 1j * g[:, 1])
+        taps = taps[0] if one else taps
+    rows = taps.reshape(-1, taps.shape[-1])  # a view: taps are contiguous
+    # a degenerate all-zero draw is measure-zero but fatal
+    rows[~np.any(rows, axis=1), 0] = 1.0
     taps.setflags(write=False)
     return taps
 

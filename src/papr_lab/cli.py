@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="companding", default=None)
     p.add_argument("--mu", type=float)
     p.add_argument("--load", choices=("random", "full"))
-    p.add_argument("--frames", type=int)
+    p.add_argument("--frames", type=int,
+                   help="measured frames, at most 2^32 bursts' worth")
     _add_common(p)
     p.set_defaults(func=_cmd_papr)
 
@@ -244,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel",
                    choices=("awgn", "pedestrian_b", "vehicular_a"))
     p.add_argument("--snr", help="start:step:stop (inclusive) or comma list")
-    p.add_argument("--bits", type=int, help="payload bits per SNR point")
+    p.add_argument("--bits", type=int,
+                   help="payload bits per SNR point, at most 2^32 "
+                   "bursts' worth")
     _add_common(p)
     p.set_defaults(func=_cmd_ber)
 

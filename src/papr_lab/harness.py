@@ -12,7 +12,7 @@ budget of frames, each chunk stacked through encoder, modem, compander and
 equalizer as one array, one chunk after another on the calling thread, in
 burst order.  A BER chunk holds at most BER_CHUNK_FRAMES = 400 frames, so
 that its fixed cost through the receive chain is paid less often; a PAPR
-chunk at most CHUNK_FRAMES = 100, since larger ones measured slower.  An
+chunk at most CHUNK_FRAMES = 200, the fastest budget measured.  An
 uncompanded PAPR burst longer than a chunk is measured in blocks of frames.
 A BER burst's warm-up frames, its first and last, are sent, but the
 receiver analyses, equalizes and decodes only the frames between them.
@@ -20,6 +20,7 @@ receiver analyses, equalizes and decodes only the frames between them.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence
 
@@ -44,10 +45,12 @@ _modem_config = functools.cache(modem.ModemConfig)
 # of at most a budget of frames; a burst longer than that is a chunk of one.
 #
 # Frames per chunk of PAPR bursts; also the measured frames per block of an
-# uncompanded PAPR burst, and the frames per piece of a payload draw.  At
-# 400 frames, papr_crs19_mu lost 12-25 % of its frames/s and
-# papr_none_longburst 1-18 % (perfbench, 4 seeds, 2 vCPUs).
-CHUNK_FRAMES = 100
+# uncompanded PAPR burst, and the frames per piece of a payload draw.  In
+# us per perfbench operation (yardstick-normalised medians of 40
+# alternations, 2 vCPUs), at budgets of 100 / 200 / 300 / 400 / 500 frames:
+#   papr_crs19_mu:        5036 / 4678 / 4824 / 4832 / 6042
+#   papr_none_longburst:  4863 / 4479 / 4805 / 4861 / 5028
+CHUNK_FRAMES = 200
 # Frames per chunk of BER bursts.  A BER chunk's fixed cost, 100-170 us
 # (two 1-burst chunks against one 2-burst chunk), is seed words for three
 # roles, a generator per burst and stream, and about 50 numpy calls through
@@ -119,9 +122,18 @@ class SimConfig:
         if self.load not in ("random", "full"):
             raise ConfigError(f"--load: unknown load {self.load!r}")
         try:
-            get_scheme(self.scheme, self.M)
+            scheme = get_scheme(self.scheme, self.M)
         except ValueError as ex:  # unknown name, k out of range, infeasible
             raise ConfigError(f"--scheme: {ex}") from None
+        # a burst's index is one uint32 seed word (_seed_words)
+        measured = self.frames_per_burst - 2
+        for flag, size, per_burst in (
+                ("--frames", self.frames, measured),
+                ("--bits", self.bits, measured * scheme.payload_bits)):
+            if -(-size // per_burst) > 2 ** 32:
+                raise ConfigError(f"{flag} must be at most "
+                                  f"{2 ** 32 * per_burst} (2^32 bursts of "
+                                  f"{per_burst}), got {size}")
         try:
             chan.make_profile(self.channel)
         except chan.UnknownProfile as ex:
@@ -333,21 +345,24 @@ def _payloads(scheme: Scheme, cfg: SimConfig,
     of a burst is the top bit of 32-bit half i (low half first) of the
     stream's raw 64-bit words.  That is the value Generator.integers(0, 2)
     would draw, since a range of 2 never rejects (Lemire, ACM TOMACS 29(1),
-    2019).  A burst is drawn in pieces of CHUNK_FRAMES frames' bits, rounded
-    up to even so that each piece starts on a whole word."""
+    2019).  Bursts are drawn side by side in pieces of CHUNK_FRAMES frames'
+    bits, rounded up to even so that each piece starts on a whole word:
+    every stream fills its row of one buffer of raw words, and one shift
+    writes the piece of every burst.  A burst of at most CHUNK_FRAMES
+    frames is one piece."""
     out = np.empty((len(seeds), cfg.frames_per_burst, scheme.payload_bits),
                    np.uint8)
+    flat = out.reshape(len(seeds), -1)  # a view: pieces land in out
     step = CHUNK_FRAMES * scheme.payload_bits
     step += step % 2
-    for burst, words in zip(out, seeds):
-        burst = burst.reshape(-1)
-        gen = _stream(words)
-        for s in range(0, burst.size, step):
-            piece = burst[s:s + step]
-            raw = gen.random_raw(-(-piece.size // 2))
-            halves = raw.astype("<u8", copy=False).view("<u4")
-            np.right_shift(halves[:piece.size], 31, out=piece,
-                           casting="unsafe")
+    gens = [_stream(words) for words in seeds]
+    for s in range(0, flat.shape[1], step):
+        piece = flat[:, s:s + step]
+        raw = np.empty((len(gens), -(-piece.shape[1] // 2)), "<u8")
+        for gen, row in zip(gens, raw):
+            row[:] = gen.random_raw(row.size)
+        np.right_shift(raw.view("<u4")[:, :piece.shape[1]], 31, out=piece,
+                       casting="unsafe")
     return out
 
 
@@ -403,9 +418,10 @@ def _run_bursts(n_bursts: int, cfg: SimConfig, chunk_frames: int,
     frames_per_burst and chunk_frames alone."""
     size = max(1, chunk_frames // cfg.frames_per_burst)
     n_chunks = -(-n_bursts // size)
-    # near-equal chunks, larger first: no small tail pays a chunk's fixed cost
-    bounds = [-(-n_bursts * c // n_chunks) for c in range(n_chunks + 1)]
-    return [worker(range(b, e)) for b, e in zip(bounds, bounds[1:])]
+    # near-equal chunks, larger first: no small tail pays a chunk's fixed
+    # cost; bounds are computed as chunks run, not listed up front
+    bounds = (-(-n_bursts * c // n_chunks) for c in range(n_chunks + 1))
+    return [worker(range(b, e)) for b, e in itertools.pairwise(bounds)]
 
 
 def run_papr_experiment(cfg: SimConfig) -> PaprResult:
@@ -480,8 +496,7 @@ def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
     if profile.fading == "none":
         taps = chan.realize(profile)
     else:
-        taps = np.stack([chan.realize(profile, _generator(words))
-                         for words in fading])
+        taps = chan.realize(profile, [_generator(w) for w in fading])
     rngs = None if np.isinf(snr_db) else [_generator(w) for w in noise]
     rx = chan.apply(sig, taps, snr_db, rngs)
     del sig  # each chunk-sized array is dropped once used

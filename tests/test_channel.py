@@ -168,6 +168,50 @@ def test_memoized_constants_are_bit_identical(name, M, seed):
                           direct_frequency_response(direct, M))
 
 
+@given(st.sampled_from(("pedestrian_b", "vehicular_a")), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_stacked_realize_equals_per_burst(name, bursts, seed):
+    """realize over one Generator per burst equals realize, and
+    direct_realize, called per burst with generators seeded alike."""
+    profile = chan.make_profile(name)
+    seeds = np.random.SeedSequence(seed).spawn(bursts)
+    got = chan.realize(profile, [np.random.default_rng(s) for s in seeds])
+    alone = [chan.realize(profile, np.random.default_rng(s)) for s in seeds]
+    direct = [direct_realize(profile, np.random.default_rng(s))
+              for s in seeds]
+    span = alone[0].size
+    assert alone[0].shape == (span,)
+    assert got.shape == (bursts, span)
+    assert not got.flags.writeable
+    assert got.tobytes() == np.stack(alone).tobytes()
+    assert got.tobytes() == np.stack(direct).tobytes()
+
+
+class ZeroGenerator(np.random.Generator):
+    """A Generator whose normal draws are all zero."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        out[...] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("name", ["pedestrian_b", "vehicular_a"])
+def test_all_zero_draw_falls_back_per_burst(name):
+    """An all-zero draw becomes the identity tap in its own row only."""
+    profile = chan.make_profile(name)
+    zero = ZeroGenerator(np.random.PCG64(0))
+    taps = chan.realize(profile, zero)
+    assert taps[0] == 1.0 and not np.any(taps[1:])
+    rows = chan.realize(profile, [np.random.default_rng(1), zero,
+                                  np.random.default_rng(2)])
+    assert np.array_equal(rows[1], taps)
+    for row, seed in ((rows[0], 1), (rows[2], 2)):
+        assert np.array_equal(
+            row, chan.realize(profile, np.random.default_rng(seed)))
+        assert np.count_nonzero(row) == len(profile.tap_delays_ns)
+
+
 @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf])
 def test_apply_rejects_nan_and_minus_inf_snr(snr_db):
     """Only +inf (or None) is the noiseless point; NaN and -inf used to run

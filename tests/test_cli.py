@@ -212,6 +212,12 @@ def test_fec_bad_size(tmp_path, capsys):
     (["ber", "--seed", -5, "--bits", 1000, "--snr", "10"], "--seed"),
     (["ber", "--seed", 2 ** 64, "--bits", 1000, "--snr", "10"], "--seed"),
     (["ber", "--seed", 10 ** 23, "--bits", 1000, "--snr", "10"], "--seed"),
+    # more than 2^32 bursts a point: a burst's index is one uint32 seed word
+    (["ber", "--bits", 10 ** 20, "--snr", "10"], "--bits"),
+    (["papr", "--frames", 10 ** 20], "--frames"),
+    # one burst past the bound: 2^32 bursts of 8 measured 128-bit frames
+    (["ber", "--bits", 2 ** 32 * 8 * 128 + 1, "--snr", "10"], "--bits"),
+    (["papr", "--frames", 2 ** 32 * 8 + 1], "--frames"),
 ])
 def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
     rc = run(argv + ["--out", tmp_path / "x.csv"])

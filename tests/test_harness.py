@@ -2,6 +2,7 @@ import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -379,15 +380,15 @@ class TestChunks:
     def test_layout_ignores_workers(self):
         for frames in (harness.CHUNK_FRAMES, harness.BER_CHUNK_FRAMES):
             n = 2 * frames // 10 + 3
-            # three chunks of ceil(n / 3) bursts, the last one burst fewer
-            third = -(-n // 3)
+            # three contiguous chunks covering 0..n in order, sizes within
+            # one burst of each other, the larger first
+            q, r = divmod(n, 3)
+            bounds = list(accumulate([q + 1] * r + [q] * (3 - r), initial=0))
             for workers in (1, 3):
                 seen = harness._run_bursts(
                     n, SimConfig(workers=workers), frames,
                     lambda c: (c.start, c.stop))
-                assert seen == [(0, third), (third, 2 * third),
-                                (2 * third, n)]
-                assert n - 2 * third == third - 1
+                assert seen == list(zip(bounds, bounds[1:]))
 
     def test_chunks_run_on_calling_thread(self, monkeypatch):
         """Any worker count runs every chunk on the calling thread."""
@@ -431,7 +432,7 @@ class TestBlocks:
     """A PAPR burst longer than CHUNK_FRAMES goes in blocks; the payloads
     of a long burst are drawn in pieces.  Neither may change an output."""
 
-    LENGTHS = (3, 99, 100, 101, 103, 199, 201, 1000)
+    LENGTHS = (3, 99, 100, 101, 103, 199, 200, 201, 399, 401, 1000)
     SCHEMES = ("none", "bch", "rs2516", "crs31_19", "crs31_25")
 
     @staticmethod

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from papr_lab import harness
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -42,6 +44,9 @@ def test_run_ber_curves(tmp_path, monkeypatch):
     ("run_ber_curves.py", ("--snr", "0:0:1"), "--snr"),
     ("run_table2.py", ("--seed", -1), "--seed"),
     ("run_ber_curves.py", ("--seed", -1), "--seed"),
+    # more than 2^32 bursts a point
+    ("run_table2.py", ("--frames", 10 ** 20), "--frames"),
+    ("run_ber_curves.py", ("--bits", 10 ** 20), "--bits"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, name,
                                      args, flag):
@@ -53,3 +58,24 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, name,
     assert len(err) == 1
     assert err[0].startswith(f"{name}: error:") and flag in err[0]
     assert not list(tmp_path.iterdir())  # no CSV written
+
+
+@pytest.mark.parametrize("name,args,flag", [
+    ("run_table2.py", ("--frames", 2 ** 32 * 8 + 1), "--frames"),
+    ("run_ber_curves.py", ("--bits", 2 ** 32 * 8 * 128 + 1), "--bits"),
+])
+def test_too_many_bursts_refused_before_any_burst(tmp_path, monkeypatch,
+                                                   capsys, name, args, flag):
+    """One burst past 2^32 bursts a point (8 measured frames a burst, 128
+    bits a frame uncoded) is refused before any stream is seeded or any
+    burst is sent."""
+    def no_burst(*args, **kwargs):
+        raise AssertionError("a burst ran")
+    monkeypatch.setattr(harness, "_seed_words", no_burst)
+    monkeypatch.setattr(harness, "_tx_burst", no_burst)
+    monkeypatch.chdir(tmp_path)
+    assert run_script(monkeypatch, name, *args) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert err[0].startswith(f"{name}: error:") and flag in err[0]
+    assert not list(tmp_path.iterdir())
