@@ -16,13 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import LengthMismatch
+from .metrics import ConfigError, LengthMismatch
 
 SAMPLE_RATE = 10e6  # 100 ns ticks: each ITU delay lands on its own sample
-
-
-class UnknownProfile(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ def make_profile(name: str) -> ChannelProfile:
     try:
         return _PROFILES[name]
     except KeyError:
-        raise UnknownProfile(f"unknown channel profile {name!r}") from None
+        raise ConfigError(f"unknown channel profile {name!r}") from None
 
 
 @functools.cache

@@ -19,10 +19,12 @@ import sys
 
 import numpy as np
 
-from . import harness, metrics
+from . import compander, harness, metrics
+from .metrics import ConfigError
 from .fec import rs
 
 FRAME_BYTES = 16  # 128-bit frames on disk
+MU_HELP = f"mu-law parameter, {compander.MU_MIN:g}..{compander.MU_MAX:g}"
 
 
 def _parse_snr(text: str) -> tuple:
@@ -31,21 +33,21 @@ def _parse_snr(text: str) -> tuple:
     try:
         values = [float(p) for p in text.split(":" if is_range else ",")]
     except ValueError as ex:
-        raise ValueError(f"--snr {text!r}: {ex}") from None
+        raise ConfigError(f"--snr {text!r}: {ex}") from None
     if not is_range:
         return tuple(values)
     if len(values) != 3:
-        raise ValueError(f"--snr {text!r}: expected start:step:stop")
+        raise ConfigError(f"--snr {text!r}: expected start:step:stop")
     start, step, stop = values
     # refused before any point is built: SimConfig.validate bounds each
     # point, and points closer than a milli-dB share one stream key
     bound = harness.MAX_SNR_DB
     if not (abs(start) <= bound and abs(stop) <= bound and step >= 0.001):
-        raise ValueError(f"--snr {text!r}: start and stop must be within "
-                         f"-{bound}..{bound} dB and step at least 0.001 dB")
+        raise ConfigError(f"--snr {text!r}: start and stop must be within "
+                          f"-{bound}..{bound} dB and step at least 0.001 dB")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
     if n < 1:
-        raise ValueError(f"--snr range {text!r} is empty")
+        raise ConfigError(f"--snr range {text!r} is empty")
     return tuple(start + i * step for i in range(n))
 
 
@@ -57,23 +59,30 @@ def _open(path: str, mode: str, flag: str):
         raise OSError(f"{flag} {path}: {ex.strerror}") from None
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, defaults: dict) -> dict:
+    """The values a flat `key = value` file sets, each of the type of its
+    key's default; a line's error names --config, the file and the line."""
     values = {}
     with _open(path, "rb", "--config") as fh:
         data = fh.read()
     try:
         lines = io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as ex:
-        raise ValueError(f"--config {path}: not UTF-8 text ({ex.reason} at "
-                         f"byte {ex.start})") from None
+        raise ConfigError(f"--config {path}: not UTF-8 text ({ex.reason} "
+                          f"at byte {ex.start})") from None
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"--config {path}:{lineno}"
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{where}: expected 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
-        values[key.replace("-", "_")] = val
+        key = key.replace("-", "_")
+        if key not in defaults:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        values[key] = _coerce(f"{where}: config key {key}", val,
+                              defaults[key])
     return values
 
 
@@ -81,21 +90,21 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(key: str, val: str, template):
+def _coerce(name: str, val: str, template):
     if isinstance(template, bool):
         low = val.lower()
         if low in _BOOL_TRUE:
             return True
         if low in _BOOL_FALSE:
             return False
-        raise ValueError(f"config key {key}: bad boolean {val!r}")
+        raise ConfigError(f"{name}: bad boolean {val!r}")
     if isinstance(template, (int, float)):
         kind = type(template)
         try:
             return kind(val)
         except ValueError:
-            raise ValueError(f"config key {key}: bad {kind.__name__} "
-                             f"{val!r}") from None
+            raise ConfigError(f"{name}: bad {kind.__name__} "
+                              f"{val!r}") from None
     return val
 
 
@@ -104,22 +113,18 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     and be writable, and --out must not name a directory."""
     merged = dict(defaults)
     if getattr(args, "config", None):
-        for key, val in _read_config_file(args.config).items():
-            if key not in defaults:
-                raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _coerce(key, val, defaults[key])
+        merged.update(_read_config_file(args.config, defaults))
     for key in defaults:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             merged[key] = cli_val
     out_dir = os.path.dirname(merged["out"]) or "."
     if not os.path.isdir(out_dir):
-        raise harness.ConfigError(f"--out: no directory {out_dir}")
+        raise ConfigError(f"--out: no directory {out_dir}")
     if not os.access(out_dir, os.W_OK | os.X_OK):
-        raise harness.ConfigError(f"--out: directory {out_dir} is not "
-                                  f"writable")
+        raise ConfigError(f"--out: directory {out_dir} is not writable")
     if os.path.isdir(merged["out"]):
-        raise harness.ConfigError(f"--out: {merged['out']} is a directory")
+        raise ConfigError(f"--out: {merged['out']} is a directory")
     return merged
 
 
@@ -162,8 +167,8 @@ def _cmd_papr(args: argparse.Namespace) -> int:
     cfg_vals = _merge_config(args, _PAPR_DEFAULTS)
     out = cfg_vals["out"]
     if cfg_vals["frames"] < metrics.CCDF_MIN_SAMPLES:
-        raise harness.ConfigError(f"too few frames for a CCDF; use "
-                                  f"--frames >= {metrics.CCDF_MIN_SAMPLES}")
+        raise ConfigError(f"too few frames for a CCDF; use "
+                          f"--frames >= {metrics.CCDF_MIN_SAMPLES}")
     result = harness.run_papr_experiment(_sim_config(cfg_vals))
     harness.emit_ccdf_csv(result.curve, out)
     print(f"{result.scheme} load={result.load} compand={int(result.companding)}"
@@ -196,8 +201,8 @@ def _cmd_ksweep(args: argparse.Namespace) -> int:
 def _cmd_fec(args: argparse.Namespace) -> int:
     try:
         scheme = harness.get_scheme(args.scheme)
-    except ValueError as ex:
-        raise ValueError(f"--scheme: {ex}") from None
+    except ConfigError as ex:
+        raise ConfigError(f"--scheme: {ex}") from None
     with _open(args.infile, "rb", "--in") as fh:
         data = fh.read()
     if len(data) % FRAME_BYTES:
@@ -230,10 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="none | bch | rs2516 | crs31_<k>")
     p.add_argument("--compand", action="store_const", const=True,
                    dest="companding", default=None)
-    p.add_argument("--mu", type=float)
+    p.add_argument("--mu", type=float, help=MU_HELP)
     p.add_argument("--load", choices=("random", "full"))
-    p.add_argument("--frames", type=int,
-                   help="measured frames, at most 2^32 bursts' worth")
+    p.add_argument("--frames", type=int, help=f"measured frames, at most "
+                   f"{harness.MAX_PAPR_FRAMES:,}")
     _add_common(p)
     p.set_defaults(func=_cmd_papr)
 
@@ -241,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme")
     p.add_argument("--compand", action="store_const", const=True,
                    dest="companding", default=None)
-    p.add_argument("--mu", type=float)
+    p.add_argument("--mu", type=float, help=MU_HELP)
     p.add_argument("--channel",
                    choices=("awgn", "pedestrian_b", "vehicular_a"))
     p.add_argument("--snr", help="start:step:stop (inclusive) or comma list")

@@ -11,19 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..metrics import ConfigError
 from .bch import bch_spec
 # re-exported: callers catch crs.ConstraintViolation
 from .rs import (RS2516, ConstraintViolation, RsFrameLayout,  # noqa: F401
                  frame_decode, frame_encode)
-
-
-class LayoutInfeasible(ValueError):
-    pass
-
-
-class UnknownScheme(ValueError):
-    pass
-
 
 DEFAULT_K_PRIME = 16  # transmitted message symbols for the N = 6 frame
 
@@ -38,19 +30,19 @@ def crs_layout(N: int, n: int, k: int,
     """
     q = n.bit_length()
     if n != (1 << q) - 1:
-        raise LayoutInfeasible(f"n = {n} is not 2^q - 1")
+        raise ConfigError(f"n = {n} is not 2^q - 1")
     if not 0 < k < n:
-        raise LayoutInfeasible(f"k = {k} outside (0, {n})")
+        raise ConfigError(f"k = {k} outside (0, {n})")
     if k_prime > k:
-        raise LayoutInfeasible(f"k' = {k_prime} exceeds k = {k}")
+        raise ConfigError(f"k' = {k_prime} exceeds k = {k}")
     r = n - k
     frame_bits = 1 << (N + 1)
     if r * q > (1 << N):
-        raise LayoutInfeasible(
+        raise ConfigError(
             f"parity bits r*q = {r * q} exceed half frame 2^N = {1 << N}")
     p = min(q - 1, int(np.floor((frame_bits - r * q) / k_prime)))
     if p < 1:
-        raise LayoutInfeasible("no integer p >= 1 fits the frame")
+        raise ConfigError("no integer p >= 1 fits the frame")
     return RsFrameLayout(q=q, k=k, k_prime=k_prime, p=p, punctured=0,
                          frame_bits=frame_bits)
 
@@ -74,5 +66,5 @@ def codeword_density(scheme: str) -> int:
     layouts = {"rs31_19_raw": RsFrameLayout(5, 19, 19, 5, 0, 155),
                "rs2516": RS2516, "crs31_19": crs_layout(6, 31, 19)}
     if scheme not in layouts:
-        raise UnknownScheme(f"unknown scheme {scheme!r}")
+        raise ConfigError(f"unknown scheme {scheme!r}")
     return layouts[scheme].message_bits - layouts[scheme].frame_bits

@@ -306,7 +306,7 @@ def _symbols_to_bits(symbols: Sequence[int], q: int) -> np.ndarray:
     give (..., n q) bits."""
     s = np.asarray(symbols, dtype=np.int64)
     bits = (s[..., None] >> np.arange(q - 1, -1, -1)) & 1
-    return bits.astype(np.uint8).reshape(*s.shape[:-1], -1)
+    return bits.astype(np.uint8).reshape(*s.shape[:-1], s.shape[-1] * q)
 
 
 def _pack_symbols(bits: np.ndarray, q: int) -> np.ndarray:

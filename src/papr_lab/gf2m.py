@@ -4,7 +4,7 @@ Field elements are plain ints in [0, 2^m), interpreted as GF(2) coefficient
 vectors.  Polynomials over the field are lists of ints, lowest degree first;
 the zero polynomial is the empty list (degree -1).
 
-The scalar operations (mul, inv, div, pow_alpha) go through the log/antilog
+The scalar operations (mul, inv, pow_alpha) go through the log/antilog
 tables one element at a time.  The polynomial routines the decoders run per
 frame use the field's full multiplication table, cached and built on first
 use (mul_table, and mul_rows as Python ints), and a cached table of
@@ -18,21 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-
-class GfError(ValueError):
-    pass
-
-
-class NonPrimitivePolynomial(GfError):
-    """The supplied modulus does not generate the full multiplicative group."""
-
-
-class DegreeMismatch(GfError):
-    pass
-
-
-class DivisionByZero(GfError):
-    pass
+from .metrics import ConfigError
 
 
 @dataclass(frozen=True)
@@ -70,14 +56,14 @@ class FieldSpec:
 def field_new(m: int, primitive_poly: int) -> FieldSpec:
     """Build a GF(2^m) field from a degree-m primitive polynomial.
 
-    Raises NonPrimitivePolynomial if x does not have multiplicative order
-    2^m - 1 modulo the polynomial, DegreeMismatch if the polynomial degree
-    is not m.
+    Raises ConfigError if m is outside 2..16, if the polynomial degree is
+    not m, or if x does not have multiplicative order 2^m - 1 modulo it.
     """
     if not 2 <= m <= 16:
-        raise GfError(f"extension degree {m} outside supported range 2..16")
+        raise ConfigError(f"extension degree {m} outside supported range "
+                          f"2..16")
     if primitive_poly.bit_length() - 1 != m:
-        raise DegreeMismatch(
+        raise ConfigError(
             f"modulus degree {primitive_poly.bit_length() - 1} != m = {m}")
     size = 1 << m
     order = size - 1
@@ -87,7 +73,7 @@ def field_new(m: int, primitive_poly: int) -> FieldSpec:
     for i in range(order):
         if log[cur] != -1:
             # revisited an element before exhausting the group
-            raise NonPrimitivePolynomial(
+            raise ConfigError(
                 f"x has order {i} < {order} modulo {primitive_poly:#x}")
         exp[i] = cur
         log[cur] = i
@@ -95,8 +81,7 @@ def field_new(m: int, primitive_poly: int) -> FieldSpec:
         if cur & size:
             cur ^= primitive_poly
     if cur != 1:
-        raise NonPrimitivePolynomial(
-            f"x^{order} != 1 modulo {primitive_poly:#x}")
+        raise ConfigError(f"x^{order} != 1 modulo {primitive_poly:#x}")
     exp[order] = 1  # wrap entry so exp[log a + log b] works without mod
     return FieldSpec(m=m, primitive_poly=primitive_poly, exp_table=exp,
                      log_table=log)
@@ -110,16 +95,8 @@ def mul(fs: FieldSpec, a: int, b: int) -> int:
 
 def inv(fs: FieldSpec, a: int) -> int:
     if a == 0:
-        raise DivisionByZero("inverse of 0")
+        raise ZeroDivisionError("inverse of 0")
     return fs.exp_ints[fs.order - fs.log_ints[a]]
-
-
-def div(fs: FieldSpec, a: int, b: int) -> int:
-    if b == 0:
-        raise DivisionByZero("division by 0")
-    if a == 0:
-        return 0
-    return fs.exp_ints[fs.log_ints[a] - fs.log_ints[b] + fs.order]
 
 
 def pow_alpha(fs: FieldSpec, e: int) -> int:
@@ -206,7 +183,7 @@ def poly_divmod(fs: FieldSpec, p: list[int],
     """(quotient, remainder) with deg(remainder) < deg(divisor)."""
     q = poly_trim(list(q))
     if not q:
-        raise DivisionByZero("polynomial division by zero polynomial")
+        raise ZeroDivisionError("polynomial division by zero polynomial")
     rem = list(poly_trim(list(p)))
     dq = poly_deg(q)
     lead_inv = inv(fs, q[-1])

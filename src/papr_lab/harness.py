@@ -29,12 +29,7 @@ import numpy as np
 from . import channel as chan
 from . import compander, metrics, modem
 from .fec import bch, crs, rs
-from .metrics import BerRecord, CcdfCurve
-
-
-class ConfigError(ValueError):
-    pass
-
+from .metrics import BerRecord, CcdfCurve, ConfigError
 
 # one filter bank per (M, K): designing its prototype takes about 60 us
 _modem_config = functools.cache(modem.ModemConfig)
@@ -66,6 +61,10 @@ BER_CHUNK_FRAMES = 400
 # A BER burst and a companded PAPR burst are one stack, so this bounds their
 # working set at about 100 MiB; a whole other PAPR run peaks under 4 MiB.
 MAX_FRAMES_PER_BURST = 10_000
+# Measured frames of a PAPR run, which keeps every sample and burst seed:
+# its tracemalloc peak is 96 B a frame at 3 frames per burst (deriving the
+# seeds, the worst case) and 20 B at 10, measured at 80,000-640,000 frames.
+MAX_PAPR_FRAMES = 10_000_000  # under 1 GiB
 # |SNR| in dB at a finite point: its stream key, _snr_key, stays in
 # 0..2,000,000, below the noiseless sentinel and inside a uint32 word
 MAX_SNR_DB = 1000
@@ -101,12 +100,16 @@ class SimConfig:
                             ("--workers", self.workers)):
             if value < 1:
                 raise ConfigError(f"{flag} must be at least 1, got {value}")
+        if self.frames > MAX_PAPR_FRAMES:
+            raise ConfigError(f"--frames must be at most {MAX_PAPR_FRAMES:,}"
+                              f", got {self.frames}")
         if not 0 <= self.master_seed < 2 ** 64:  # one uint64 seed word
             raise ConfigError(f"--seed must be in 0..2^64 - 1, "
                               f"got {self.master_seed}")
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise ConfigError(f"--mu must be finite and positive, "
-                              f"got {self.mu}")
+        try:
+            compander.CompanderConfig(mu=self.mu)
+        except ConfigError as ex:
+            raise ConfigError(f"--mu: {ex}") from None
         # +inf is the noiseless point; channel.apply would take -inf for it,
         # and a finite point keys its streams by its value in milli-dB
         first = {}  # stream key -> index of the first point with it
@@ -123,20 +126,16 @@ class SimConfig:
             raise ConfigError(f"--load: unknown load {self.load!r}")
         try:
             scheme = get_scheme(self.scheme, self.M)
-        except ValueError as ex:  # unknown name, k out of range, infeasible
+        except ConfigError as ex:  # unknown name, k out of range, infeasible
             raise ConfigError(f"--scheme: {ex}") from None
         # a burst's index is one uint32 seed word (_seed_words)
-        measured = self.frames_per_burst - 2
-        for flag, size, per_burst in (
-                ("--frames", self.frames, measured),
-                ("--bits", self.bits, measured * scheme.payload_bits)):
-            if -(-size // per_burst) > 2 ** 32:
-                raise ConfigError(f"{flag} must be at most "
-                                  f"{2 ** 32 * per_burst} (2^32 bursts of "
-                                  f"{per_burst}), got {size}")
+        per_burst = (self.frames_per_burst - 2) * scheme.payload_bits
+        if -(-self.bits // per_burst) > 2 ** 32:
+            raise ConfigError(f"--bits must be at most {2 ** 32 * per_burst} "
+                              f"(2^32 bursts of {per_burst}), got {self.bits}")
         try:
             chan.make_profile(self.channel)
-        except chan.UnknownProfile as ex:
+        except ConfigError as ex:
             raise ConfigError(f"--channel: {ex}") from None
 
 
@@ -192,12 +191,12 @@ def get_scheme(name: str, M: int = 64) -> Scheme:
     if name.startswith("crs31_"):
         k = name[len("crs31_"):]
         if not (k.isdecimal() and k == str(int(k))):  # one name per scheme
-            raise crs.UnknownScheme(f"bad scheme name {name!r}")
+            raise ConfigError(f"bad scheme name {name!r}")
         layout = crs.crs_layout(int(np.log2(M)), 31, int(k))
         return Scheme(name, layout.message_bits,
                       lambda b: crs.crs_encode(layout, b),
                       lambda f: crs.crs_decode(layout, f)[0])
-    raise crs.UnknownScheme(f"unknown scheme {name!r}")
+    raise ConfigError(f"unknown scheme {name!r}")
 
 
 # --- seeding -----------------------------------------------------------------
@@ -439,11 +438,12 @@ def run_papr_experiment(cfg: SimConfig) -> PaprResult:
     else:
         (seeds,) = _seed_words(cfg.master_seed, 0, range(n_bursts),
                                (_ROLE_PAYLOAD,))
-        chunks = _run_bursts(n_bursts, cfg, CHUNK_FRAMES, lambda c: (
-            _measured_paprs(cfg, mcfg,
-                            _payloads(scheme, cfg, seeds[c.start:c.stop]),
-                            scheme.encode).ravel()))
-        samples = np.concatenate(chunks)[:cfg.frames]
+        samples = np.empty((n_bursts, per_burst))  # bursts' rows in order
+        _run_bursts(n_bursts, cfg, CHUNK_FRAMES, lambda c: np.copyto(
+            samples[c.start:c.stop], _measured_paprs(
+                cfg, mcfg, _payloads(scheme, cfg, seeds[c.start:c.stop]),
+                scheme.encode)))
+        samples = samples.ravel()[:cfg.frames]
     curve = (metrics.ccdf(samples)
              if samples.size >= metrics.CCDF_MIN_SAMPLES else None)
     return PaprResult(scheme=cfg.scheme, companding=cfg.companding,

@@ -1,7 +1,7 @@
 """Measurement helpers: PAPR, empirical CCDF, BER counting.
 
-LengthMismatch and DegenerateSignal are defined here once; modem, compander
-and fec.rs re-export them."""
+The shared error kinds ConfigError, DegenerateSignal and LengthMismatch are
+defined here once and re-exported where raised; fec.rs defines the codecs'."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,16 +9,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class ConfigError(ValueError):
+    """A parameter or name the package cannot use."""
+
+
 class DegenerateSignal(ValueError):
-    pass
-
-
-class TooFewSamples(ValueError):
-    pass
+    """A signal or sample set with nothing to measure."""
 
 
 class LengthMismatch(ValueError):
-    pass
+    """Arrays whose lengths or shapes do not fit together."""
 
 
 def papr_db(window: np.ndarray) -> float | np.ndarray:
@@ -66,7 +66,7 @@ def ccdf(samples_db: np.ndarray) -> CcdfCurve:
     """Empirical complementary CDF of PAPR samples on a 0.1 dB grid."""
     samples_db = np.asarray(samples_db, dtype=float)
     if samples_db.size < CCDF_MIN_SAMPLES:
-        raise TooFewSamples(f"need >= {CCDF_MIN_SAMPLES} samples, "
+        raise DegenerateSignal(f"need >= {CCDF_MIN_SAMPLES} samples, "
                             f"got {samples_db.size}")
     lo = np.floor(samples_db.min() / CCDF_GRID_STEP_DB) * CCDF_GRID_STEP_DB
     hi = np.ceil(samples_db.max() / CCDF_GRID_STEP_DB) * CCDF_GRID_STEP_DB

@@ -25,16 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .metrics import DegenerateSignal, LengthMismatch  # noqa: F401  (re-exported)
-
-
-class UnsupportedOverlap(ValueError):
-    pass
-
-
-class ConfigMismatch(ValueError):
-    pass
-
+from .metrics import ConfigError, DegenerateSignal, LengthMismatch
 
 # frequency-sampling target values per overlap factor
 _FREQ_SAMPLES = {
@@ -47,9 +38,9 @@ _FREQ_SAMPLES = {
 def design_prototype(M: int, K: int) -> np.ndarray:
     """Length K*M - 1 real symmetric prototype, unit center tap."""
     if K not in _FREQ_SAMPLES:
-        raise UnsupportedOverlap(f"no coefficient table for K = {K}")
+        raise ConfigError(f"no coefficient table for K = {K}")
     if M < 2 or M & (M - 1):
-        raise ConfigMismatch(f"M = {M} is not a power of two")
+        raise ConfigError(f"M = {M} is not a power of two")
     A = _FREQ_SAMPLES[K]
     L = K * M - 1
     m = np.arange(L)

@@ -14,7 +14,8 @@ def test_profile_tables():
     assert va.tap_delays_ns == (0.0, 310.0, 710.0, 1090.0, 1730.0, 2510.0)
     assert va.tap_powers_db == (0.0, -1.0, -9.0, -10.0, -15.0, -20.0)
     assert chan.make_profile("awgn").fading == "none"
-    with pytest.raises(chan.UnknownProfile):
+    with pytest.raises(chan.ConfigError,
+                       match="unknown channel profile 'rayleigh_flat'"):
         chan.make_profile("rayleigh_flat")
 
 

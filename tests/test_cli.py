@@ -75,6 +75,12 @@ def test_config_file_unknown_key(tmp_path, capsys):
     ("papr", "load = half", "--load"),
     ("papr", "frames = abc", "config key frames"),
     ("papr", "mu = x", "config key mu"),
+    # each error of a line names --config, the file and the line
+    ("papr", "bogus = 1", "bad.cfg:1: unknown config key 'bogus'"),
+    ("papr", "frames = 1e3", "bad.cfg:1: config key frames: bad int '1e3'"),
+    ("papr", "companding = maybe",
+     "bad.cfg:1: config key companding: bad boolean 'maybe'"),
+    ("ber", "scheme rs2516", "bad.cfg:1: expected 'key = value'"),
 ])
 def test_bad_config_value_names_the_flag(tmp_path, capsys, command, line,
                                          flag):
@@ -218,6 +224,19 @@ def test_fec_bad_size(tmp_path, capsys):
     # one burst past the bound: 2^32 bursts of 8 measured 128-bit frames
     (["ber", "--bits", 2 ** 32 * 8 * 128 + 1, "--snr", "10"], "--bits"),
     (["papr", "--frames", 2 ** 32 * 8 + 1], "--frames"),
+    # mu values that passed a check for finite and positive but break the
+    # compander: 1 / log1p(mu) or scale / mu overflows
+    (["papr", "--compand", "--mu", "5e-324", "--frames", 150], "--mu"),
+    (["ber", "--compand", "--mu", "5e-324", "--bits", 1000, "--snr", "10"],
+     "--mu"),
+    (["papr", "--compand", "--mu", "3e-308", "--frames", 150], "--mu"),
+    (["ber", "--compand", "--mu", "3e-308", "--bits", 1000, "--snr", "10"],
+     "--mu"),
+    # the largest float: the compressor's peak rounds up to inf
+    (["papr", "--compand", "--mu", "1.7976931348623157e308",
+      "--frames", 150], "--mu"),
+    # a PAPR run that would keep more than about 1 GiB
+    (["papr", "--frames", harness.MAX_PAPR_FRAMES + 1], "--frames"),
 ])
 def test_bad_run_size_names_the_flag(tmp_path, capsys, argv, flag):
     rc = run(argv + ["--out", tmp_path / "x.csv"])
@@ -277,3 +296,41 @@ def test_fec_unwritable_out_names_the_flag(tmp_path, capsys):
     assert run(["fec", "encode", "--scheme", "bch",
                 "--in", src, "--out", out]) == 1
     assert f"papr-lab: error: --out {out}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("bogus = 1", "unknown config key 'bogus'"),
+    ("frames = 1e3", "config key frames: bad int '1e3'"),
+    ("scheme rs2516", "expected 'key = value'"),
+])
+def test_config_file_error_names_the_flag_path_and_line(tmp_path, capsys,
+                                                        line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment\nscheme = none\n{line}\nframes = 150\n")
+    rc = run(["papr", "--config", cfg, "--out", tmp_path / "x.csv"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == [f"papr-lab: error: --config {cfg}:3: {message}"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_mu_and_papr_frames_bounds(capsys):
+    """Each bound is accepted at its value and refused just past it, and
+    --help states it."""
+    from papr_lab import compander
+    for mu in (compander.MU_MIN, compander.MU_MAX):
+        harness.SimConfig(mu=mu).validate()
+    for mu in (np.nextafter(compander.MU_MIN, 0),
+               np.nextafter(compander.MU_MAX, np.inf)):
+        with pytest.raises(harness.ConfigError, match="^--mu: "):
+            harness.SimConfig(mu=float(mu)).validate()
+    harness.SimConfig(frames=harness.MAX_PAPR_FRAMES).validate()
+    with pytest.raises(harness.ConfigError, match="^--frames must be at most"):
+        harness.SimConfig(frames=harness.MAX_PAPR_FRAMES + 1).validate()
+    for command in ("papr", "ber"):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        assert "1e-306..1e+308" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        run(["papr", "--help"])
+    assert f"at most {harness.MAX_PAPR_FRAMES:,}" in capsys.readouterr().out

@@ -28,11 +28,11 @@ def test_sweep_layouts(k, pad):
 
 
 def test_infeasible_layouts():
-    with pytest.raises(crs.LayoutInfeasible):
+    with pytest.raises(crs.ConfigError, match=r"parity bits r\*q = 60"):
         crs.crs_layout(2, 31, 19)  # parity alone overflows an 8-bit frame
-    with pytest.raises(crs.LayoutInfeasible):
+    with pytest.raises(crs.ConfigError, match=r"n = 30 is not 2\^q - 1"):
         crs.crs_layout(6, 30, 19)  # n not of the form 2^q - 1
-    with pytest.raises(crs.LayoutInfeasible):
+    with pytest.raises(crs.ConfigError, match="k' = 16 exceeds k = 15"):
         crs.crs_layout(6, 31, 15)  # k' exceeds k
 
 
@@ -120,5 +120,5 @@ def test_density_ordering():
 
 
 def test_density_unknown_scheme():
-    with pytest.raises(crs.UnknownScheme):
+    with pytest.raises(crs.ConfigError, match="unknown scheme 'hamming'"):
         crs.codeword_density("hamming")

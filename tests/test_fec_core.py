@@ -33,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from papr_lab import gf2m, harness
 from papr_lab.fec import bch, crs, rs
+from test_gf2m import div
 
 
 CODES = ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP]
@@ -203,7 +204,7 @@ def scalar_correct_word(spec, received, erasures=()):
         denom = scalar_poly_eval(fs, psi_prime, xi)
         if denom == 0:
             raise rs.DecodeFailure("Forney denominator vanished")
-        mag = gf2m.div(fs, scalar_poly_eval(fs, omega, xi), denom)
+        mag = div(fs, scalar_poly_eval(fs, omega, xi), denom)
         if mag:
             word[pos] ^= mag
             touched.append(pos)

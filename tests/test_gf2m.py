@@ -15,6 +15,16 @@ def elems(fs):
     return st.integers(min_value=0, max_value=fs.order)
 
 
+def div(fs, a, b):
+    """a / b through the log/antilog tables, as gf2m.inv is: the scalar
+    division the decoders no longer call, kept as an oracle."""
+    if b == 0:
+        raise ZeroDivisionError("division by 0")
+    if a == 0:
+        return 0
+    return fs.exp_ints[fs.log_ints[a] - fs.log_ints[b] + fs.order]
+
+
 def poly_add(p, q):
     """Trimmed coefficient-wise sum of two polynomials."""
     return gf2m.poly_trim([a ^ b for a, b in zip_longest(p, q, fillvalue=0)])
@@ -54,25 +64,25 @@ def test_field_axioms(fs, data):
     assert gf2m.mul(fs, a, b ^ c) == gf2m.mul(fs, a, b) ^ gf2m.mul(fs, a, c)
     if a:
         assert gf2m.mul(fs, a, gf2m.inv(fs, a)) == 1
-        assert gf2m.div(fs, gf2m.mul(fs, a, b), a) == b
+        assert div(fs, gf2m.mul(fs, a, b), a) == b
 
 
 @pytest.mark.parametrize("fs", FIELDS, ids=["gf32", "gf128"])
 def test_division_by_zero(fs):
-    with pytest.raises(gf2m.DivisionByZero):
+    with pytest.raises(ZeroDivisionError, match="inverse of 0"):
         gf2m.inv(fs, 0)
-    with pytest.raises(gf2m.DivisionByZero):
-        gf2m.div(fs, 3, 0)
+    with pytest.raises(ZeroDivisionError, match="division by 0"):
+        div(fs, 3, 0)
 
 
 def test_non_primitive_rejected():
     # x^4 + x^3 + x^2 + x + 1 divides x^5 - 1: order 5, not primitive
-    with pytest.raises(gf2m.NonPrimitivePolynomial):
+    with pytest.raises(gf2m.ConfigError, match="x has order 5 < 15"):
         gf2m.field_new(4, 0b11111)
 
 
 def test_degree_mismatch_rejected():
-    with pytest.raises(gf2m.DegreeMismatch):
+    with pytest.raises(gf2m.ConfigError, match="modulus degree 3 != m = 5"):
         gf2m.field_new(5, 0b1011)
 
 

@@ -43,9 +43,11 @@ class TestSchemes:
         assert np.array_equal(scheme.decode(frame), bits)
 
     def test_unknown_scheme(self):
-        with pytest.raises(crs.UnknownScheme):
+        with pytest.raises(harness.ConfigError,
+                           match="unknown scheme 'turbo'"):
             harness.get_scheme("turbo")
-        with pytest.raises(crs.UnknownScheme):
+        with pytest.raises(harness.ConfigError,
+                           match="bad scheme name 'crs31_x'"):
             harness.get_scheme("crs31_x")
 
     @staticmethod
@@ -499,3 +501,19 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def test_papr_peak_memory_within_the_frames_bound():
+    """At 3 frames per burst, the worst case, a PAPR run's tracemalloc peak
+    per frame (96 B, deriving one seed per measured frame) times
+    MAX_PAPR_FRAMES stays under 1 GiB."""
+    harness.run_papr_experiment(SimConfig(frames=8, frames_per_burst=3))
+    frames = 80_000  # the peak is linear in frames from about here
+    tracemalloc.start()
+    try:
+        harness.run_papr_experiment(SimConfig(frames=frames,
+                                              frames_per_burst=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / frames * harness.MAX_PAPR_FRAMES < 2 ** 30

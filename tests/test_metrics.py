@@ -102,7 +102,8 @@ class TestCcdf:
         assert curve.probabilities[-1] == 0.0  # ceil of the maximum
 
     def test_too_few_samples(self):
-        with pytest.raises(metrics.TooFewSamples):
+        with pytest.raises(metrics.DegenerateSignal,
+                           match="need >= 100 samples, got 99"):
             metrics.ccdf(np.ones(99))
 
     def test_papr_at_probability(self):

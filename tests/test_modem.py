@@ -79,9 +79,11 @@ class TestPrototype:
             assert got == pytest.approx(a, abs=1e-4)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(modem.UnsupportedOverlap):
+        with pytest.raises(modem.ConfigError,
+                           match="no coefficient table for K = 5"):
             modem.design_prototype(64, 5)
-        with pytest.raises(modem.ConfigMismatch):
+        with pytest.raises(modem.ConfigError,
+                           match="M = 48 is not a power of two"):
             modem.design_prototype(48, 4)
 
 
