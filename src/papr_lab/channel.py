@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import ConfigError, LengthMismatch
+from .metrics import ConfigError
 
 SAMPLE_RATE = 10e6  # 100 ns ticks: each ITU delay lands on its own sample
 
@@ -159,8 +159,8 @@ def frequency_response(taps: np.ndarray, M: int) -> np.ndarray:
     return (taps[..., None, :] * _dft_kernel(M, taps.shape[-1])).sum(axis=-1)
 
 
-def equalize(grid: np.ndarray, taps: np.ndarray,
-             M: int) -> tuple[np.ndarray, np.ndarray]:
+def equalize(grid: np.ndarray,
+             taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-tap zero-forcing per sub-channel with genie channel knowledge.
 
     grid is (..., M, n) and taps are the matching (..., span).  Returns
@@ -168,10 +168,7 @@ def equalize(grid: np.ndarray, taps: np.ndarray,
     response magnitude is below the threshold pass through unequalized and
     are flagged.
     """
-    if grid.shape[-2] != M:
-        raise LengthMismatch(
-            f"grid has {grid.shape[-2]} sub-channels, expected {M}")
-    H = frequency_response(taps, M)
+    H = frequency_response(taps, grid.shape[-2])
     singular = np.abs(H) < SINGULAR_THRESHOLD
     Hsafe = np.where(singular, 1.0, H)
     return grid / Hsafe[..., None], singular

@@ -61,7 +61,8 @@ def _open(path: str, mode: str, flag: str):
 
 def _read_config_file(path: str, defaults: dict) -> dict:
     """The values a flat `key = value` file sets, each of the type of its
-    key's default; a line's error names --config, the file and the line."""
+    key's default and range-checked alone as its flag is; a line's error
+    names --config, the file and the line."""
     values = {}
     with _open(path, "rb", "--config") as fh:
         data = fh.read()
@@ -83,6 +84,13 @@ def _read_config_file(path: str, defaults: dict) -> dict:
             raise ConfigError(f"{where}: unknown config key {key!r}")
         values[key] = _coerce(f"{where}: config key {key}", val,
                               defaults[key])
+        try:
+            if key == "snr":
+                harness.SimConfig(snr_list_db=_parse_snr(val)).validate()
+            elif key in _SIM_DEFAULTS:
+                harness.SimConfig(**{key: values[key]}).validate()
+        except ConfigError as ex:
+            raise ConfigError(f"{where}: {ex}") from None
     return values
 
 
@@ -206,8 +214,8 @@ def _cmd_fec(args: argparse.Namespace) -> int:
     with _open(args.infile, "rb", "--in") as fh:
         data = fh.read()
     if len(data) % FRAME_BYTES:
-        raise ValueError(f"{args.infile}: size {len(data)} is not a multiple "
-                         f"of the {FRAME_BYTES}-byte frame size")
+        raise ValueError(f"--in {args.infile}: size {len(data)} is not a "
+                         f"multiple of the {FRAME_BYTES}-byte frame size")
     frames = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).reshape(
         -1, 8 * FRAME_BYTES)
     if args.mode == "encode":

@@ -17,11 +17,10 @@ from .bch import bch_spec
 from .rs import (RS2516, ConstraintViolation, RsFrameLayout,  # noqa: F401
                  frame_decode, frame_encode)
 
-DEFAULT_K_PRIME = 16  # transmitted message symbols for the N = 6 frame
+K_PRIME = 16  # transmitted message symbols for the N = 6 frame
 
 
-def crs_layout(N: int, n: int, k: int,
-               k_prime: int = DEFAULT_K_PRIME) -> RsFrameLayout:
+def crs_layout(N: int, n: int, k: int) -> RsFrameLayout:
     """Solve the frame-fitting constraints for an RS(n, k) code.
 
     q is the field symbol width (n = 2^q - 1); p is the largest integer with
@@ -33,17 +32,17 @@ def crs_layout(N: int, n: int, k: int,
         raise ConfigError(f"n = {n} is not 2^q - 1")
     if not 0 < k < n:
         raise ConfigError(f"k = {k} outside (0, {n})")
-    if k_prime > k:
-        raise ConfigError(f"k' = {k_prime} exceeds k = {k}")
+    if K_PRIME > k:
+        raise ConfigError(f"k' = {K_PRIME} exceeds k = {k}")
     r = n - k
     frame_bits = 1 << (N + 1)
     if r * q > (1 << N):
         raise ConfigError(
             f"parity bits r*q = {r * q} exceed half frame 2^N = {1 << N}")
-    p = min(q - 1, int(np.floor((frame_bits - r * q) / k_prime)))
+    p = min(q - 1, int(np.floor((frame_bits - r * q) / K_PRIME)))
     if p < 1:
         raise ConfigError("no integer p >= 1 fits the frame")
-    return RsFrameLayout(q=q, k=k, k_prime=k_prime, p=p, punctured=0,
+    return RsFrameLayout(q=q, k=k, k_prime=K_PRIME, p=p, punctured=0,
                          frame_bits=frame_bits)
 
 

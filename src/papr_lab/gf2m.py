@@ -4,11 +4,11 @@ Field elements are plain ints in [0, 2^m), interpreted as GF(2) coefficient
 vectors.  Polynomials over the field are lists of ints, lowest degree first;
 the zero polynomial is the empty list (degree -1).
 
-The scalar operations (mul, inv, pow_alpha) go through the log/antilog
-tables one element at a time.  The polynomial routines the decoders run per
-frame use the field's full multiplication table, cached and built on first
-use (mul_table, and mul_rows as Python ints), and a cached table of
-inverses; building a code's generator (poly_from_roots) needs neither.
+The polynomial routines the codecs run per frame, and the systematic
+division behind every encoder, use the field's full multiplication table,
+cached and built on first use (mul_table, and mul_rows as Python ints), and
+a cached table of inverses.  Building a code's generator (poly_from_roots)
+takes its products in the log domain and builds no table.
 """
 from __future__ import annotations
 
@@ -31,10 +31,6 @@ class FieldSpec:
     exp_table: np.ndarray = field(compare=False, repr=False)
     # log_table[alpha^i] = i, log_table[0] = -1
     log_table: np.ndarray = field(compare=False, repr=False)
-    # Python-int copies for the scalar operations, which index one element at
-    # a time; exp_ints runs over two periods so a sum of two logs needs no mod
-    exp_ints: tuple = field(init=False, repr=False, compare=False)
-    log_ints: tuple = field(init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -48,9 +44,6 @@ class FieldSpec:
     def __post_init__(self):
         self.exp_table.setflags(write=False)
         self.log_table.setflags(write=False)
-        exp = self.exp_table[:self.order].tolist()
-        object.__setattr__(self, "exp_ints", tuple(exp + exp))
-        object.__setattr__(self, "log_ints", tuple(self.log_table.tolist()))
 
 
 def field_new(m: int, primitive_poly: int) -> FieldSpec:
@@ -87,21 +80,9 @@ def field_new(m: int, primitive_poly: int) -> FieldSpec:
                      log_table=log)
 
 
-def mul(fs: FieldSpec, a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return fs.exp_ints[fs.log_ints[a] + fs.log_ints[b]]
-
-
-def inv(fs: FieldSpec, a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("inverse of 0")
-    return fs.exp_ints[fs.order - fs.log_ints[a]]
-
-
 def pow_alpha(fs: FieldSpec, e: int) -> int:
     """alpha^e for any integer exponent."""
-    return fs.exp_ints[e % fs.order]
+    return int(fs.exp_table[e % fs.order])
 
 
 def arr_mul(fs: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,7 +129,7 @@ def mul_rows(fs: FieldSpec) -> tuple:
 @functools.cache
 def inverses(fs: FieldSpec) -> tuple:
     """inverses(fs)[a] is 1 / a as a Python int; entry 0 is 0."""
-    return (0,) + tuple(inv(fs, a) for a in range(1, fs.size))
+    return (0,) + tuple(fs.exp_table[fs.order - fs.log_table[1:]].tolist())
 
 
 def poly_mul(fs: FieldSpec, p: Sequence[int], q: Sequence[int],
@@ -170,12 +151,17 @@ def poly_mul(fs: FieldSpec, p: Sequence[int], q: Sequence[int],
 
 
 def poly_from_roots(fs: FieldSpec, roots: Sequence[int]) -> list[int]:
-    """prod (x + a) over the roots a, through the scalar operations, so
-    that building a code's generator builds no table."""
-    p = [1]
-    for a in roots:
-        p = [mul(fs, a, c) ^ prev for c, prev in zip(p + [0], [0] + p)]
-    return p
+    """prod (x + a) over the roots a, its products taken in the log domain
+    from the field's tables, so that building a code's generator builds no
+    table."""
+    exp, log = fs.exp_table, fs.log_table
+    p = np.array([1] + [0] * len(roots))
+    for a in roots:  # p <- (x + a) p
+        times_a = np.where((p != 0) & (a != 0),
+                           exp[(log[p] + log[a]) % fs.order], 0)
+        times_a[1:] ^= p[:-1]
+        p = times_a
+    return p.tolist()
 
 
 def poly_divmod(fs: FieldSpec, p: list[int],
@@ -186,14 +172,16 @@ def poly_divmod(fs: FieldSpec, p: list[int],
         raise ZeroDivisionError("polynomial division by zero polynomial")
     rem = list(poly_trim(list(p)))
     dq = poly_deg(q)
-    lead_inv = inv(fs, q[-1])
+    rows = mul_rows(fs)
+    lead_inv = inverses(fs)[q[-1]]
     quot = [0] * max(len(rem) - dq, 0)
     while poly_deg(rem) >= dq:
         shift = poly_deg(rem) - dq
-        coef = mul(fs, rem[-1], lead_inv)
+        coef = rows[rem[-1]][lead_inv]
         quot[shift] = coef
+        times_coef = rows[coef]
         for i, c in enumerate(q):
-            rem[shift + i] ^= mul(fs, c, coef)
+            rem[shift + i] ^= times_coef[c]
         rem = poly_trim(rem)
     return poly_trim(quot), rem
 

@@ -510,7 +510,7 @@ def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
     grid = modem.analysis(rx[..., cfg.M:], mcfg,
                           2 * (cfg.frames_per_burst - 2))
     del rx
-    grid, _ = chan.equalize(grid, taps, cfg.M)
+    grid, _ = chan.equalize(grid, taps)
     rx_frames = modem.grid_to_frames(-modem.oqam_postprocess(grid))
     return metrics.ber(payloads[:, 1:-1], scheme.decode(rx_frames))
 

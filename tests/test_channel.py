@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from papr_lab import channel as chan
-from papr_lab import metrics
 
 
 def test_profile_tables():
@@ -108,7 +107,7 @@ def test_frequency_response_flat_for_identity():
 def test_equalizer_undoes_scalar_gain():
     gain = 0.5 - 0.25j
     grid = np.arange(64 * 3, dtype=complex).reshape(64, 3) * gain
-    eq, singular = chan.equalize(grid, np.array([gain]), 64)
+    eq, singular = chan.equalize(grid, np.array([gain]))
     assert not singular.any()
     assert np.allclose(eq, grid / gain)
 
@@ -116,15 +115,9 @@ def test_equalizer_undoes_scalar_gain():
 def test_equalizer_flags_singular_subchannel():
     # degenerate all-zero channel: every sub-channel response is 0
     grid = np.ones((64, 2), dtype=complex)
-    eq, singular = chan.equalize(grid, np.array([0.0 + 0j]), 64)
+    eq, singular = chan.equalize(grid, np.array([0.0 + 0j]))
     assert singular.all()
     assert np.allclose(eq, grid)  # passes through unequalized
-
-
-def test_equalizer_shape_check():
-    taps = chan.realize(chan.make_profile("awgn"))
-    with pytest.raises(metrics.LengthMismatch):
-        chan.equalize(np.ones((32, 2), dtype=complex), taps, 64)
 
 
 # --- memoized constants against the expressions they replaced ---------------
@@ -233,8 +226,8 @@ def test_equalize_stacked_taps_equals_per_burst(name, bursts, M, seed):
     chans = [chan.realize(profile, rng) for _ in range(bursts)]
     grid = (rng.standard_normal((bursts, M, 6))
             + 1j * rng.standard_normal((bursts, M, 6)))
-    eq, singular = chan.equalize(grid, np.stack(chans), M)
-    alone = [chan.equalize(g, c, M) for g, c in zip(grid, chans)]
+    eq, singular = chan.equalize(grid, np.stack(chans))
+    alone = [chan.equalize(g, c) for g, c in zip(grid, chans)]
     assert np.array_equal(eq, np.stack([e for e, _ in alone]))
     assert np.array_equal(singular, np.stack([s for _, s in alone]))
 

@@ -81,6 +81,12 @@ def test_config_file_unknown_key(tmp_path, capsys):
     ("papr", "companding = maybe",
      "bad.cfg:1: config key companding: bad boolean 'maybe'"),
     ("ber", "scheme rs2516", "bad.cfg:1: expected 'key = value'"),
+    # a value out of range is refused as its line is read
+    ("papr", "mu = 0", "bad.cfg:1: --mu"),
+    ("papr", "frames_per_burst = 2", "bad.cfg:1: --frames-per-burst"),
+    ("papr", "master_seed = -1", "bad.cfg:1: --seed"),
+    ("papr", "scheme = crs31_40", "bad.cfg:1: --scheme"),
+    ("ber", "snr = nan", "bad.cfg:1: --snr"),
 ])
 def test_bad_config_value_names_the_flag(tmp_path, capsys, command, line,
                                          flag):
@@ -163,7 +169,8 @@ def test_fec_bad_size(tmp_path, capsys):
     rc = run(["fec", "encode", "--scheme", "bch",
               "--in", src, "--out", tmp_path / "x.bin"])
     assert rc == 1
-    assert "frame size" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"--in {src}" in err and "frame size" in err
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -11,12 +11,12 @@ polynomial at every position at once from packed per-coefficient tables;
 the RS residual check compares the syndromes of the error word the
 corrections make with those of the frame.  The references below are the
 original per-point loops: Horner evaluation, syndromes one power of alpha
-at a time, products and BM one gf2m.mul per term, the log-domain evaluator
+at a time, products and BM one scalar mul per term, the log-domain evaluator
 poly_eval_many, the Chien search one position at a time, the per-bit
 symbol packing, the modified syndromes through poly_mul, the frame
 decoders that built the whole word and ran the full erasure path, and the
 conventional RS(31,k) framing of the k-sweep through rs_encode.
-scalar_poly_eval (Horner, one gf2m.mul per step) is also the polynomial
+scalar_poly_eval (Horner, one scalar mul per step) is also the polynomial
 evaluator of test_rs and test_bch.
 Decoders are compared on whole outcomes (message, corrected count,
 constraint flag, or the DecodeFailure raised), past the correction radius
@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from papr_lab import gf2m, harness
 from papr_lab.fec import bch, crs, rs
-from test_gf2m import div
+from test_gf2m import div, inv, mul
 
 
 CODES = ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP]
@@ -84,10 +84,10 @@ def poly_eval_many(fs, p, xs):
 
 
 def scalar_poly_eval(fs, p, x):
-    """Horner evaluation with one gf2m.mul per step."""
+    """Horner evaluation with one scalar mul per step."""
     acc = 0
     for c in reversed(p):
-        acc = gf2m.mul(fs, acc, x) ^ c
+        acc = mul(fs, acc, x) ^ c
     return acc
 
 
@@ -119,7 +119,7 @@ def scalar_syndromes(spec, received):
 
 
 def scalar_poly_mul(fs, p, q):
-    """gf2m.poly_mul with one gf2m.mul call per term."""
+    """gf2m.poly_mul with one scalar mul call per term."""
     if not p or not q:
         return []
     out = [0] * (len(p) + len(q) - 1)
@@ -127,12 +127,12 @@ def scalar_poly_mul(fs, p, q):
         if a == 0:
             continue
         for j, b in enumerate(q):
-            out[i + j] ^= gf2m.mul(fs, a, b)
+            out[i + j] ^= mul(fs, a, b)
     return gf2m.poly_trim(out)
 
 
 def scalar_berlekamp_massey(fs, syndromes):
-    """rs._berlekamp_massey with one gf2m.mul call per term and a trimmed
+    """rs._berlekamp_massey with one scalar mul call per term and a trimmed
     poly_add per update."""
     C = [1]
     B = [1]
@@ -143,13 +143,13 @@ def scalar_berlekamp_massey(fs, syndromes):
         d = s
         for j in range(1, L + 1):
             if j < len(C):
-                d ^= gf2m.mul(fs, C[j], syndromes[i - j])
+                d ^= mul(fs, C[j], syndromes[i - j])
         if d == 0:
             shift += 1
             continue
-        coef = gf2m.mul(fs, d, gf2m.inv(fs, b))
+        coef = mul(fs, d, inv(fs, b))
         T = list(C)
-        adj = [0] * shift + [gf2m.mul(fs, coef, c) for c in B]
+        adj = [0] * shift + [mul(fs, coef, c) for c in B]
         C = poly_add(C, adj)
         if 2 * L <= i:
             L = i + 1 - L
@@ -191,7 +191,7 @@ def scalar_correct_word(spec, received, erasures=()):
     roots_pos, roots_x = [], []
     for pos in range(n):
         x = gf2m.pow_alpha(fs, n - 1 - pos)
-        if scalar_poly_eval(fs, psi, gf2m.inv(fs, x)) == 0:
+        if scalar_poly_eval(fs, psi, inv(fs, x)) == 0:
             roots_pos.append(pos)
             roots_x.append(x)
     if len(roots_pos) != gf2m.poly_deg(psi):
@@ -200,7 +200,7 @@ def scalar_correct_word(spec, received, erasures=()):
     psi_prime = [c if i % 2 == 0 else 0 for i, c in enumerate(psi[1:])]
     touched = []
     for pos, x in zip(roots_pos, roots_x):
-        xi = gf2m.inv(fs, x)
+        xi = inv(fs, x)
         denom = scalar_poly_eval(fs, psi_prime, xi)
         if denom == 0:
             raise rs.DecodeFailure("Forney denominator vanished")
@@ -279,7 +279,7 @@ def scalar_bch_decode(frame):
     if nerr > spec.t:
         raise rs.DecodeFailure("error locator exceeds capability")
     flips = [pos for pos in range(spec.n)
-             if scalar_poly_eval(fs, lam, gf2m.inv(
+             if scalar_poly_eval(fs, lam, inv(
                  fs, gf2m.pow_alpha(fs, spec.n - 1 - pos))) == 0]
     if len(flips) != nerr:
         raise rs.DecodeFailure("locator degree does not match root count")

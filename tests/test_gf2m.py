@@ -15,14 +15,31 @@ def elems(fs):
     return st.integers(min_value=0, max_value=fs.order)
 
 
+# Scalar product, inverse and quotient through the log/antilog tables, one
+# element at a time: the arithmetic the codecs no longer call, kept as
+# oracles for the cached tables and for the scalar references of
+# test_fec_core.
+
+def mul(fs, a, b):
+    if a == 0 or b == 0:
+        return 0
+    return fs.exp_table.item((fs.log_table.item(a) + fs.log_table.item(b))
+                             % fs.order)
+
+
+def inv(fs, a):
+    if a == 0:
+        raise ZeroDivisionError("inverse of 0")
+    return fs.exp_table.item(fs.order - fs.log_table.item(a))
+
+
 def div(fs, a, b):
-    """a / b through the log/antilog tables, as gf2m.inv is: the scalar
-    division the decoders no longer call, kept as an oracle."""
     if b == 0:
         raise ZeroDivisionError("division by 0")
     if a == 0:
         return 0
-    return fs.exp_ints[fs.log_ints[a] - fs.log_ints[b] + fs.order]
+    return fs.exp_table.item((fs.log_table.item(a) - fs.log_table.item(b))
+                             % fs.order)
 
 
 def poly_add(p, q):
@@ -56,21 +73,21 @@ def test_field_axioms(fs, data):
     b = data.draw(elems(fs))
     c = data.draw(elems(fs))
     # multiplicative structure
-    assert gf2m.mul(fs, a, b) == gf2m.mul(fs, b, a)
-    assert gf2m.mul(fs, gf2m.mul(fs, a, b), c) == \
-        gf2m.mul(fs, a, gf2m.mul(fs, b, c))
-    assert gf2m.mul(fs, a, 1) == a
+    assert mul(fs, a, b) == mul(fs, b, a)
+    assert mul(fs, mul(fs, a, b), c) == \
+        mul(fs, a, mul(fs, b, c))
+    assert mul(fs, a, 1) == a
     # distributivity
-    assert gf2m.mul(fs, a, b ^ c) == gf2m.mul(fs, a, b) ^ gf2m.mul(fs, a, c)
+    assert mul(fs, a, b ^ c) == mul(fs, a, b) ^ mul(fs, a, c)
     if a:
-        assert gf2m.mul(fs, a, gf2m.inv(fs, a)) == 1
-        assert div(fs, gf2m.mul(fs, a, b), a) == b
+        assert mul(fs, a, inv(fs, a)) == 1
+        assert div(fs, mul(fs, a, b), a) == b
 
 
 @pytest.mark.parametrize("fs", FIELDS, ids=["gf32", "gf128"])
 def test_division_by_zero(fs):
     with pytest.raises(ZeroDivisionError, match="inverse of 0"):
-        gf2m.inv(fs, 0)
+        inv(fs, 0)
     with pytest.raises(ZeroDivisionError, match="division by 0"):
         div(fs, 3, 0)
 
@@ -86,13 +103,24 @@ def test_degree_mismatch_rejected():
         gf2m.field_new(5, 0b1011)
 
 
+@pytest.mark.parametrize("fs", FIELDS, ids=["gf32", "gf128"])
+def test_cached_tables_match_scalar(fs):
+    """mul_rows and inverses, the tables the codecs divide and multiply
+    through, against the scalar oracles on every pair of elements."""
+    rows, inverse = gf2m.mul_rows(fs), gf2m.inverses(fs)
+    assert all(rows[a][b] == mul(fs, a, b)
+               for a in range(fs.size) for b in range(fs.size))
+    assert inverse[0] == 0
+    assert all(inverse[a] == inv(fs, a) for a in range(1, fs.size))
+
+
 def test_arr_mul_matches_scalar():
     rng = np.random.default_rng(0)
     for fs in FIELDS:
         a = rng.integers(0, fs.size, 200)
         b = rng.integers(0, fs.size, 200)
         out = gf2m.arr_mul(fs, a, b)
-        assert all(out[i] == gf2m.mul(fs, int(a[i]), int(b[i]))
+        assert all(out[i] == mul(fs, int(a[i]), int(b[i]))
                    for i in range(a.size))
 
 
