@@ -61,7 +61,7 @@ def _tap_powers(profile: ChannelProfile) -> np.ndarray:
     powers_lin = powers_lin / powers_lin.sum()  # unit average channel power
     idx = np.rint(np.asarray(profile.tap_delays_ns) * 1e-9 * SAMPLE_RATE)
     tap_power = np.zeros(int(idx.max()) + 1)
-    np.add.at(tap_power, idx.astype(int), powers_lin)
+    tap_power[idx.astype(int)] = powers_lin  # delays land on distinct samples
     tap_power.setflags(write=False)
     return tap_power
 
@@ -74,8 +74,7 @@ def realize(profile: ChannelProfile,
     Generators, one per burst, as in apply.  Each burst draws span real
     parts, then span imaginary parts, from its own Generator.  Block-Rayleigh
     profiles need an rng; without fading the taps are (span,) and fixed.
-    Tap delays are rounded to the nearest sample, colliding taps add their
-    powers.
+    Tap delays are rounded to the nearest sample.
     """
     tap_power = _tap_powers(profile)
     if profile.fading == "none":
@@ -143,20 +142,12 @@ def apply(signal: np.ndarray, taps: np.ndarray, snr_db: float,
 SINGULAR_THRESHOLD = 1e-6
 
 
-@functools.cache
-def _dft_kernel(M: int, span: int) -> np.ndarray:
-    """exp(-2 pi i k t / M) for M sub-channels k and span taps t."""
-    t = np.arange(span)
-    k = np.arange(M)[:, None]
-    kernel = np.exp(-2j * np.pi * k * t / M)
-    kernel.setflags(write=False)
-    return kernel
-
-
 def frequency_response(taps: np.ndarray, M: int) -> np.ndarray:
     """Channel response at the M sub-channel center frequencies 2 pi k / M,
-    (..., M) for taps (..., span)."""
-    return (taps[..., None, :] * _dft_kernel(M, taps.shape[-1])).sum(axis=-1)
+    (..., M) for taps (..., span): every n-th bin of the n*M-point DFT, n =
+    ceil(span / M), so taps past M alias as in the M-point sum."""
+    n = -(-taps.shape[-1] // M)
+    return np.fft.fft(taps, n * M)[..., ::n]
 
 
 def equalize(grid: np.ndarray,

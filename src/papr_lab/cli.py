@@ -142,8 +142,17 @@ def _add_common(p: argparse.ArgumentParser, draws: bool = True) -> None:
         p.add_argument("--seed", type=int, dest="master_seed",
                        help="master RNG seed, 0..2^64 - 1")
         p.add_argument("--workers", type=int, help="no effect (at least 1)")
-    p.add_argument("--frames-per-burst", type=int, dest="frames_per_burst")
+    p.add_argument("--frames-per-burst", type=int, dest="frames_per_burst",
+                   help=f"3..{harness.MAX_FRAMES_PER_BURST}, the first and "
+                   "last are warm-up")
     p.add_argument("--out", help="output CSV path")
+
+
+def _add_coding(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scheme", help="none | bch | rs2516 | crs31_<k>")
+    p.add_argument("--compand", action="store_const", const=True,
+                   dest="companding", default=None)
+    p.add_argument("--mu", type=float, help=MU_HELP)
 
 
 _SIM_DEFAULTS = dataclasses.asdict(harness.SimConfig())
@@ -239,11 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("papr", help="PAPR experiment, emits CCDF CSV")
-    p.add_argument("--scheme",
-                   help="none | bch | rs2516 | crs31_<k>")
-    p.add_argument("--compand", action="store_const", const=True,
-                   dest="companding", default=None)
-    p.add_argument("--mu", type=float, help=MU_HELP)
+    _add_coding(p)
     p.add_argument("--load", choices=("random", "full"))
     p.add_argument("--frames", type=int, help=f"measured frames, at most "
                    f"{harness.MAX_PAPR_FRAMES:,}")
@@ -251,10 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_papr)
 
     p = sub.add_parser("ber", help="BER-vs-SNR sweep, emits BER CSV")
-    p.add_argument("--scheme")
-    p.add_argument("--compand", action="store_const", const=True,
-                   dest="companding", default=None)
-    p.add_argument("--mu", type=float, help=MU_HELP)
+    _add_coding(p)
     p.add_argument("--channel",
                    choices=("awgn", "pedestrian_b", "vehicular_a"))
     p.add_argument("--snr", help="start:step:stop (inclusive) or comma list")

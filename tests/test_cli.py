@@ -117,6 +117,15 @@ def test_seed_range_in_help(capsys):
     assert "0..2^64 - 1" in capsys.readouterr().out
 
 
+def test_scheme_names_and_burst_range_in_help(capsys):
+    for command in ("papr", "ber"):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        out = capsys.readouterr().out
+        assert "none | bch | rs2516 | crs31_<k>" in out
+        assert f"3..{harness.MAX_FRAMES_PER_BURST}" in out
+
+
 def test_bad_scheme_exit_code(capsys):
     rc = run(["papr", "--scheme", "nope", "--frames", 120])
     assert rc == 1
