@@ -6,16 +6,17 @@ polynomial step as the RS generators, with t grown until its degree reaches
 n - k = 42 (which happens at t = 6).  Encoding is systematic; the 127
 codeword bits are suffixed with one zero pad bit to fill a 128-bit frame.
 The code's binary generator matrix G (85, 128) is a cached function,
-_generator, built on first use from the systematic division rs_encode runs
-(gf2m.poly_divmod), with the generator's 0/1 coefficients taken as elements
-of GF(128).  A frame is (message @ G) mod 2.  The decoder reads one record,
-an rs._Decoder cached by _decoder and built at the first decode: its
-syndromes are one lookup per frame byte in XOR tables (rs._byte_tables)
-built from the syndromes of each unit word, the powers alpha^((n-1-i) j) of
-rs._powers.  It shares BM (with its table of inverses), the error bound and
-the packed Chien search with the RS codec, skipping the steps of BM whose
-discrepancy is zero for a binary word, and checks the residual by adding
-the syndromes of each flipped bit, a table entry, to the frame's.
+_generator, built on first use from the RS codec's parity table
+(rs._parity_table), with the generator's 0/1 coefficients taken as
+elements of GF(128).  A frame is (message @ G) mod 2.  The decoder reads
+one record, an rs._Decoder cached by _decoder and built at the first
+decode: its syndromes are one lookup per frame byte in XOR tables
+(rs._byte_tables) built from the syndromes of each bit, the entries of the
+RS codec's syndrome table (rs._syndrome_tables) at the value 1.  It shares
+BM (with its table of inverses), the error bound and the packed Chien
+search with the RS codec, skipping the steps of BM whose discrepancy is
+zero for a binary word, and checks the residual by adding the syndromes of
+each flipped bit, a table entry, to the frame's.
 """
 from __future__ import annotations
 
@@ -26,10 +27,10 @@ import numpy as np
 
 from .. import gf2m
 from ..gf2m import FieldSpec
-from .rs import (DecodeFailure, LengthMismatch, _binary_matrix,
-                 _byte_tables, _checked_message, _Decoder, _error_locator,
-                 _evaluate, _evaluation_tables, _gf2, _lookup, _powers,
-                 _roots, _unpack)
+from .rs import (DecodeFailure, LengthMismatch, _byte_tables,
+                 _checked_message, _Decoder, _error_locator, _evaluate,
+                 _evaluation_tables, _gf2, _lookup, _parity_table, _roots,
+                 _syndrome_tables, _systematic, _unpack)
 
 
 @dataclass(frozen=True)
@@ -64,24 +65,15 @@ def bch_spec() -> BchCodeSpec:
                        generator=sum(c << d for d, c in enumerate(poly)))
 
 
-def _bch_encode_algebraic(message: np.ndarray) -> np.ndarray:
-    """bch_encode of one message by gf2m.poly_divmod, the systematic
-    division of rs_encode: the generator's coefficients are 0 and 1 in
-    GF(128), so the remainder's are too.  message[0] has degree n - 1."""
-    spec = bch_spec()
-    generator = [(spec.generator >> d) & 1 for d in range(spec.r + 1)]
-    shifted = [0] * spec.r + message[::-1].tolist()
-    _, rem = gf2m.poly_divmod(spec.field, shifted, generator)
-    frame = np.zeros(spec.n + 1, dtype=np.uint8)
-    frame[:spec.k] = message
-    frame[spec.k:spec.n] = (rem + [0] * (spec.r - len(rem)))[::-1]
-    return frame
-
-
 @functools.cache
 def _generator() -> np.ndarray:
-    """The (k, n + 1) generator matrix G of the 128-bit frame."""
-    return _binary_matrix(_bch_encode_algebraic, bch_spec().k)
+    """The (k, n + 1) generator matrix G of the 128-bit frame: [I | the
+    _parity_table rows in codeword order | pad].  The generator's
+    coefficients are 0 and 1 in GF(128), so the rows' are too."""
+    spec = bch_spec()
+    generator = tuple((spec.generator >> d) & 1 for d in range(spec.r + 1))
+    rows = _parity_table(spec.field, generator, spec.n)
+    return _systematic(rows[:, ::-1], spec.n + 1)
 
 
 def bch_encode(message: np.ndarray) -> np.ndarray:
@@ -95,13 +87,13 @@ def bch_encode(message: np.ndarray) -> np.ndarray:
 def _decoder() -> _Decoder:
     """The code's rs._Decoder, built at its first decode.  Its tables are
     the rs._byte_tables of S_1..S_2t over the 128-bit frame: the syndromes
-    of the unit word at position i are alpha^((n-1-i) j), j = 1..2t; the
-    pad bit's image is zero.  No position is erased, so Gamma is 1."""
+    of bit i are the _syndrome_tables entry [i][1]; the pad bit's image is
+    zero.  No position is erased, so Gamma is 1."""
     spec = bch_spec()
-    tables = _byte_tables(_powers(spec.field, np.arange(spec.n)[::-1],
-                                  np.arange(1, 2 * spec.t + 1)).tolist())
-    return _Decoder(spec.field, spec.n, 2 * spec.t, spec.n + 1, spec.k,
-                    tables, (1,))
+    r = 2 * spec.t
+    tables = _byte_tables([row[1] for row in
+                           _syndrome_tables(spec.field, spec.n, r)])
+    return _Decoder(spec.field, spec.n, r, spec.n + 1, spec.k, tables, (1,))
 
 
 def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:

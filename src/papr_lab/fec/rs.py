@@ -12,18 +12,21 @@ punctures RS(31,19) by three symbols each; the constrained RS layouts of
 fec.crs and the conventional RS(31,k) framing of the k-sweep are further
 instances.  One encoder and one decoder serve them all.
 
-Every frame codec here (RS frame layouts, BCH) is GF(2)-linear on its bits,
-so each code encodes through a binary generator matrix G, a cached function
-of the code (_frame_generator of a layout, bch._generator) built on first
-use by _binary_matrix: row i of G is the algebraic encoding of the i-th unit
-message.  A frame is (message bits @ G) mod 2, through _gf2.
+Each code is two cached linear maps (Lin & Costello, Error Control
+Coding, ch. 6-7), and no polynomial is divided: _parity_table, the parity
+of each message symbol, and _syndrome_tables, the syndromes of each word
+symbol.  rs_encode XORs one parity row per message symbol.  Every frame
+codec here (RS layouts, BCH) is GF(2)-linear on its bits and encodes
+through a binary generator matrix G, cached per code (_frame_generator,
+bch._generator) and built by _systematic from the binary image of the
+parity rows: a frame is (message bits @ G) mod 2, through _gf2.
 
-Decoding is table-driven (syndrome table lookup, Lin & Costello, Error
-Control Coding, ch. 6-7).  Vectors of field symbols travel packed in one
+Decoding is table-driven.  Vectors of field symbols travel packed in one
 Python int, one byte per symbol (_pack), so adding two vectors is one XOR.
 A frame code's decoder reads one record per frame, its _Decoder, cached
-and built at the first decode.  Its per-byte XOR tables (_byte_tables) give
-a frame's syndromes as np.packbits of the frame and one lookup per byte.  A
+and built at the first decode.  Its per-byte XOR tables (_byte_tables),
+built from the syndrome entry of each sent frame bit, give a frame's
+syndromes as np.packbits of the frame and one lookup per byte.  A
 punctured layout's tables also give its modified syndromes, the syndromes
 composed with the fixed erasure locator Gamma of the punctured positions,
 so a frame whose modified syndromes are zero is clean and returns at once,
@@ -33,19 +36,19 @@ Only a locator within BM's degree bound goes on: the Chien search and both
 Forney polynomials are evaluated at every position at once, one XOR of a
 packed table entry per coefficient (_evaluation_tables).  The residual
 check is linear: the corrections' error word must have the frame's
-syndromes, the XOR of one _residual_tables entry per correction.
+syndromes, the XOR of one _syndrome_tables entry per correction.
 """
 from __future__ import annotations
 
 import functools
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .. import gf2m
-from ..gf2m import FieldSpec, poly_mul, poly_divmod
+from ..gf2m import FieldSpec, poly_mul
 from ..metrics import LengthMismatch  # noqa: F401  (re-exported)
 
 
@@ -54,7 +57,7 @@ class DecodeFailure(Exception):
 
 
 class ConstraintViolation(ValueError):
-    """An encoder input outside its alphabet."""
+    """A codec input outside its alphabet."""
 
 
 @dataclass(frozen=True)
@@ -86,26 +89,41 @@ def rs_spec(m: int, k: int) -> RsCodeSpec:
 
 
 def rs_encode(spec: RsCodeSpec, message: Sequence[int]) -> list[int]:
-    """Systematic encode: codeword = [message | parity]."""
-    if len(message) != spec.k:
-        raise LengthMismatch(f"message length {len(message)} != k = {spec.k}")
+    """Systematic encode: codeword = [message | parity], the parity the XOR
+    of each message symbol times its _parity_table row; a (..., k) stack
+    gives nested lists of codewords.  ConstraintViolation names the first
+    symbol outside the field."""
     fs = spec.field
-    r = spec.r
-    # message poly * x^r, lowest degree first; message[0] is degree n-1
-    shifted = [0] * r + [int(s) for s in reversed(message)]
-    _, rem = poly_divmod(fs, shifted, list(spec.generator))
-    parity = list(rem) + [0] * (r - len(rem))  # degrees 0..r-1
-    return [int(s) for s in message] + parity[::-1]
+    msg = _checked_message(message, spec.k, fs.size, "message symbol")
+    products = gf2m.mul_table(fs)[msg[..., None],
+                                  _parity_table(fs, spec.generator, spec.n)]
+    parity = np.bitwise_xor.reduce(products, axis=-2)  # degrees 0..r-1
+    return np.concatenate([msg, parity[..., ::-1]], axis=-1).tolist()
+
+
+@functools.cache
+def _parity_table(fs: FieldSpec, generator: tuple, n: int) -> np.ndarray:
+    """(k, r) read-only table: row i, x^(n-1-i) mod g lowest degree first,
+    is the parity of the unit message at position i.  The last row is g
+    less its leading term, and each row above is the one below times x,
+    its x^r term reduced by g."""
+    r = len(generator) - 1
+    mul, g = gf2m.mul_table(fs), np.array(generator[:r])
+    rows = [g]
+    for _ in range(n - r - 1):
+        row = rows[-1]
+        rows.append(np.concatenate([[0], row[:-1]]) ^ mul[row[-1], g])
+    table = np.array(rows[::-1])
+    table.setflags(write=False)
+    return table
 
 
 def _syndromes(fs: FieldSpec, received: Sequence[int],
                count: int) -> list[int]:
-    """S_j = received(alpha^j), j = 1..count, of a word of length
-    n = fs.order; position i has degree n-1-i.  As alpha^n = 1, S_j is the
-    reversed word evaluated at the inverse locator of position j - 1."""
-    n = len(received)
-    return list(_evaluate(_evaluation_tables(fs, n, n - 1), received[::-1],
-                          n)[:count])
+    """S_j = received(alpha^j), j = 1..count, position i of degree
+    len(received)-1-i: the XOR of one _syndrome_tables entry per symbol."""
+    table = _syndrome_tables(fs, len(received), count)
+    return list(_evaluate(table, received, count))
 
 
 def _powers(fs: FieldSpec, logs: np.ndarray,
@@ -140,18 +158,23 @@ def _evaluation_tables(fs: FieldSpec, n: int,
 
 
 @functools.cache
-def _residual_tables(fs: FieldSpec, n: int, r: int) -> tuple[list[int], ...]:
-    """table[pos][mag] packs the r syndromes mag alpha^((n-1-pos) j) of the
-    length-n word whose one nonzero symbol is mag at pos."""
+def _syndrome_tables(fs: FieldSpec, n: int, r: int) -> tuple[list[int], ...]:
+    """table[pos][mag] packs the r syndromes mag alpha^((n-1-pos) j),
+    j = 1..r, of the length-n word whose one nonzero symbol is mag at pos."""
     powers = _powers(fs, np.arange(n)[::-1], np.arange(1, r + 1))
-    products = gf2m.mul_table(fs)[:, powers].swapaxes(0, 1).tolist()
-    return tuple([_pack(s) for s in by_mag] for by_mag in products)
+    products = gf2m.mul_table(fs).astype(np.uint8)[:, powers]
+    data = products.swapaxes(0, 1).tobytes()  # [pos][mag], r bytes each
+    entries = [int.from_bytes(data[i:i + r], "little")
+               for i in range(0, len(data), r)]
+    return tuple(entries[i:i + fs.size]
+                 for i in range(0, len(entries), fs.size))
 
 
 def _evaluate(tables: tuple[list[int], ...], poly: Sequence[int],
               n: int) -> bytes:
-    """poly at the inverse locator of every position of a length-n word,
-    one symbol per position, through _evaluation_tables(fs, n, degree)."""
+    """The n symbols of the XOR of tables[d][c] over the coefficients c of
+    poly; through _evaluation_tables(fs, n, degree), poly at the inverse
+    locator of every position of a length-n word."""
     if len(poly) > len(tables):
         raise ValueError(f"degree {len(poly) - 1} above the tables' "
                          f"{len(tables) - 1}")
@@ -256,7 +279,7 @@ def _corrections(fs: FieldSpec, n: int, synd: Sequence[int], lam: list[int],
     omega = _evaluate(tables, poly_mul(fs, synd, psi, r), n)
     psi_prime = _evaluate(tables[::2], psi[1::2], n)
     rows, inverse = gf2m.mul_rows(fs), gf2m.inverses(fs)
-    residual = _residual_tables(fs, n, r)
+    residual = _syndrome_tables(fs, n, r)
     fixes, error_synd = [], 0
     for pos in roots_pos:
         if psi_prime[pos] == 0:
@@ -275,19 +298,18 @@ def rs_decode(spec: RsCodeSpec, received: Sequence[int],
     """Correct e errors and f erasures whenever 2e + f <= r.
 
     Returns (message, corrected symbol count); raises DecodeFailure when the
-    syndromes are inconsistent with the bound.
+    syndromes are inconsistent with the bound, and ConstraintViolation
+    naming the first received symbol outside the field.
     """
-    if len(received) != spec.n:
-        raise LengthMismatch(f"received length {len(received)} != n = {spec.n}")
     fs = spec.field
     n, r = spec.n, spec.r
+    word = _checked_message(received, n, fs.size, "received symbol").tolist()
     erasures = sorted(set(int(e) for e in erasures))
     if erasures and not 0 <= erasures[0] <= erasures[-1] < n:
         raise LengthMismatch("erasure position out of range")
     if len(erasures) > r:
         raise DecodeFailure("more erasures than parity symbols")
 
-    word = [int(c) for c in received]
     synd = _syndromes(fs, word, r)
     if not any(synd) and not erasures:
         return word[:spec.k], 0
@@ -325,14 +347,14 @@ def _bits_to_symbols(bits: np.ndarray, q: int) -> list[int]:
 
 def _checked_message(values, count: int, size: int,
                      what: str) -> np.ndarray:
-    """An encoder's message, or a (..., count) stack of them, as uint8.
+    """A codec's input, or a (..., count) stack of them, as uint8.
     LengthMismatch unless the last axis has count entries;
     ConstraintViolation names the first entry that is not an integer in
     [0, size) and its index in the message (and in the stack)."""
     a = np.asarray(values)
     if a.shape[-1:] != (count,):
         raise LengthMismatch(
-            f"message length {a.shape[-1] if a.ndim else a.size} != {count}")
+            f"{what} count {a.shape[-1] if a.ndim else a.size} != {count}")
     v = a.astype(np.uint8)
     bad = np.argwhere((v != a) | (v >= size))
     if bad.size:
@@ -343,19 +365,19 @@ def _checked_message(values, count: int, size: int,
     return v
 
 
-def _binary_matrix(linear: Callable[[np.ndarray], np.ndarray],
-                   n: int) -> np.ndarray:
-    """The binary matrix A of a GF(2)-linear map on n bits, so that
-    linear(bits) = _gf2(bits, A): row i is the image of the i-th unit
-    vector.  A is read-only, since every caller of a cached A shares it,
-    and float32, so the product runs through BLAS; its sums count at most
-    one per row of A, and no G here has more than 150 rows (the message
-    bits of a conventional RS(31,30) frame), so they are exact and fit a
-    uint8."""
-    A = np.stack([linear(e) for e in np.eye(n, dtype=np.uint8)]
-                 ).astype(np.float32)
-    A.setflags(write=False)
-    return A
+def _systematic(parity_bits: np.ndarray, frame_bits: int) -> np.ndarray:
+    """The generator matrix G = [I | parity_bits | zero pad] of a
+    systematic code of frame_bits-bit frames, one row per message bit.  G
+    is read-only, since every caller of a cached G shares it, and float32,
+    so the product runs through BLAS; its sums count at most one per row of
+    G, and no G here has more than 150 rows (the message bits of a
+    conventional RS(31,30) frame), so they are exact and fit a uint8."""
+    k = len(parity_bits)
+    G = np.zeros((k, frame_bits), dtype=np.float32)
+    G[:, :k] = np.eye(k)
+    G[:, k:k + parity_bits.shape[1]] = parity_bits
+    G.setflags(write=False)
+    return G
 
 
 def _gf2(bits: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -366,16 +388,15 @@ def _gf2(bits: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (bits @ A).astype(np.uint8) & 1
 
 
-def _byte_tables(symbols: list[list[int]]) -> tuple[list[int], ...]:
+def _byte_tables(images: list[int]) -> tuple[list[int], ...]:
     """Per-byte XOR tables of a GF(2)-linear map from frame bits to field
-    symbols, given as the symbol image of each unit frame, one row per
-    frame bit; missing trailing rows are zero.  Table j maps packed byte j
-    of a frame (np.packbits order) to the _pack of the XOR of the images of
-    the bits it sets, so the frame's image is the XOR of one lookup per byte
+    symbols, given as the packed symbol image of each unit frame, one per
+    frame bit; missing trailing images are zero.  Table j maps packed byte
+    j of a frame (np.packbits order) to the XOR of the images of the bits
+    it sets, so the frame's image is the XOR of one lookup per byte
     (_lookup), and the image of frame bit i alone is
     tables[i // 8][0x80 >> i % 8]."""
-    rows = [_pack(row) for row in symbols]
-    rows += [0] * (-len(rows) % 8)
+    rows = images + [0] * (-len(images) % 8)
     tables = []
     for j in range(0, len(rows), 8):
         table = [0]
@@ -450,23 +471,19 @@ RS2516 = RsFrameLayout(q=5, k=19, k_prime=16, p=5, punctured=3,
                        frame_bits=128)
 
 
-def _frame_algebraic(layout: RsFrameLayout, bits: np.ndarray) -> np.ndarray:
-    """frame_encode of one message bit vector through rs_encode."""
-    codeword = rs_encode(layout.spec, [0] * (layout.k - layout.k_prime)
-                         + _bits_to_symbols(bits, layout.p))
-    parity = _symbols_to_bits(codeword[layout.k:layout.n - layout.punctured],
-                              layout.q)
-    frame = np.zeros(layout.frame_bits, dtype=np.uint8)
-    frame[:bits.size] = bits
-    frame[bits.size:bits.size + parity.size] = parity
-    return frame
-
-
 @functools.cache
 def _frame_generator(layout: RsFrameLayout) -> np.ndarray:
-    """The layout's (message bits, frame bits) generator matrix G."""
-    return _binary_matrix(lambda b: _frame_algebraic(layout, b),
-                          layout.message_bits)
+    """The layout's (message bits, frame bits) generator matrix G: bit b of
+    a sent message symbol has the value 2^(p-1-b), so its parity is that
+    times the symbol's _parity_table row, less the punctured symbols."""
+    spec = layout.spec
+    rows = _parity_table(spec.field, spec.generator, spec.n)
+    values = 1 << np.arange(layout.p - 1, -1, -1)
+    parity = gf2m.mul_table(spec.field)[  # (k', p, r), codeword order
+        values[:, None], rows[layout.k - layout.k_prime:, None, ::-1]]
+    sent = parity[..., :layout.r - layout.punctured]
+    return _systematic(_symbols_to_bits(sent, layout.q).reshape(
+        layout.message_bits, layout.parity_bits), layout.frame_bits)
 
 
 def frame_encode(layout: RsFrameLayout,
@@ -478,16 +495,6 @@ def frame_encode(layout: RsFrameLayout,
     return _gf2(bits, _frame_generator(layout))
 
 
-def _frame_word(layout: RsFrameLayout, frame: np.ndarray) -> list[int]:
-    """The RS(n, k) word of a frame: shortened zeros, the k' p-bit message
-    fields, the sent q-bit parity, zero fills at the punctured positions."""
-    nm = layout.message_bits
-    return ([0] * (layout.k - layout.k_prime)
-            + _bits_to_symbols(frame[:nm], layout.p)
-            + _bits_to_symbols(frame[nm:nm + layout.parity_bits], layout.q)
-            + [0] * layout.punctured)
-
-
 # What a frame decoder reads of its code per frame: the field, n word
 # symbols, r syndromes, the frame and message bits, the _byte_tables of a
 # frame's syndromes and Gamma, the erasure locator of the punctured positions
@@ -497,21 +504,25 @@ _Decoder = namedtuple("_Decoder",
 
 @functools.cache
 def _decoder(layout: RsFrameLayout) -> _Decoder:
-    """A layout's _Decoder.  Its tables are the _byte_tables of the r
-    syndromes of each unit frame's word followed, when the layout
-    punctures, by its r - f modified syndromes: these are GF(2)-linear in
-    the syndromes, since the punctured locator Gamma never changes.  Pad
-    bits are not in the word, so their images are zero."""
+    """A layout's _Decoder.  Its tables are the _byte_tables of each sent
+    frame bit's syndromes, the _syndrome_tables entry of its value 2^b at
+    its word position, followed, when the layout punctures, by its r - f
+    modified syndromes: these are GF(2)-linear in the syndromes, since the
+    punctured locator Gamma never changes.  Pad bits are not in the word,
+    so their images are zero."""
     fs, n, r = layout.spec.field, layout.n, layout.r
     gamma = tuple(_erasure_locator(fs, n, range(n - layout.punctured, n)))
-    rows = []
-    for unit in np.eye(layout.frame_bits, dtype=np.uint8):
-        synd = _syndromes(fs, _frame_word(layout, unit), r)
-        if layout.punctured:
-            synd += _modified_syndromes(fs, synd, gamma, r)
-        rows.append(synd)
+    table = _syndrome_tables(fs, n, r)
+    shortened, p, q = layout.k - layout.k_prime, layout.p, layout.q
+    sent = ([table[shortened + i // p][1 << (p - 1 - i % p)]
+             for i in range(layout.message_bits)]
+            + [table[layout.k + i // q][1 << (q - 1 - i % q)]
+               for i in range(layout.parity_bits)])
+    if layout.punctured:  # the modified syndromes in bytes r..2r-f-1
+        sent = [v ^ _pack(_modified_syndromes(fs, _unpack(v, r), gamma, r))
+                << 8 * r for v in sent]
     return _Decoder(fs, n, r, layout.frame_bits, layout.message_bits,
-                    _byte_tables(rows), gamma)
+                    _byte_tables(sent), gamma)
 
 
 def frame_decode(layout: RsFrameLayout,

@@ -4,11 +4,12 @@ Field elements are plain ints in [0, 2^m), interpreted as GF(2) coefficient
 vectors.  Polynomials over the field are lists of ints, lowest degree first;
 the zero polynomial is the empty list (degree -1).
 
-The polynomial routines the codecs run per frame, and the systematic
-division behind every encoder, use the field's full multiplication table,
-cached and built on first use (mul_table, and mul_rows as Python ints), and
-a cached table of inverses.  Building a code's generator (poly_from_roots)
-takes its products in the log domain and builds no table.
+The polynomial routines the codecs run per frame, and the parity and
+syndrome tables every encoder and decoder is built from, use the field's
+full multiplication table, cached and built on first use (mul_table, and
+mul_rows as Python ints), and a cached table of inverses.  No polynomial
+is divided.  Building a code's generator (poly_from_roots) takes its
+products in the log domain and builds no table.
 """
 from __future__ import annotations
 
@@ -162,28 +163,6 @@ def poly_from_roots(fs: FieldSpec, roots: Sequence[int]) -> list[int]:
         times_a[1:] ^= p[:-1]
         p = times_a
     return p.tolist()
-
-
-def poly_divmod(fs: FieldSpec, p: list[int],
-                q: list[int]) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) with deg(remainder) < deg(divisor)."""
-    q = poly_trim(list(q))
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero polynomial")
-    rem = list(poly_trim(list(p)))
-    dq = poly_deg(q)
-    rows = mul_rows(fs)
-    lead_inv = inverses(fs)[q[-1]]
-    quot = [0] * max(len(rem) - dq, 0)
-    while poly_deg(rem) >= dq:
-        shift = poly_deg(rem) - dq
-        coef = rows[rem[-1]][lead_inv]
-        quot[shift] = coef
-        times_coef = rows[coef]
-        for i, c in enumerate(q):
-            rem[shift + i] ^= times_coef[c]
-        rem = poly_trim(rem)
-    return poly_trim(quot), rem
 
 
 # canonical moduli used by the codecs: GF(32) <- x^5+x^2+1,

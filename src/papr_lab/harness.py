@@ -63,7 +63,8 @@ BER_CHUNK_FRAMES = 400
 MAX_FRAMES_PER_BURST = 10_000
 # Measured frames of a PAPR run, which keeps every sample and burst seed:
 # its tracemalloc peak is 96 B a frame at 3 frames per burst (deriving the
-# seeds, the worst case) and 20 B at 10, measured at 80,000-640,000 frames.
+# seeds, the worst case) with a master seed of 2^32 or more, 80 B with a
+# smaller one, and 20 B at 10, measured at 80,000-640,000 frames.
 MAX_PAPR_FRAMES = 10_000_000  # under 1 GiB
 # |SNR| in dB at a finite point: its stream key, _snr_key, stays in
 # 0..2,000,000, below the noiseless sentinel and inside a uint32 word
@@ -201,8 +202,10 @@ def get_scheme(name: str, M: int = 64) -> Scheme:
 
 # --- seeding -----------------------------------------------------------------
 
-# a burst's stream roles, in the order _seed_words returns them by default
-_ROLE_PAYLOAD, _ROLE_FADING, _ROLE_NOISE = _ROLES = (0, 1, 2)
+# a burst's stream roles, payload, fading and noise, in the order
+# _seed_words returns them by default
+_ROLES = (0, 1, 2)
+_ROLE_PAYLOAD = _ROLES[0]
 
 
 def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
@@ -273,6 +276,7 @@ def _seed_words(master_seed: int, key: int, bursts: range,
     if len(head) == 3:
         pool = _mix(pool, _hashmix(entropy[:, 4, None],
                                    _ENTROPY_HASHES[:, 16:]))
+    del entropy  # freed before the state's hashes, the peak
     state = _hashmix(pool[:, None], _STATE_HASHES).astype("<u4", copy=False)
     return state.view("<u8").astype(np.uint64, copy=False).reshape(
         len(roles), len(bursts), 4)

@@ -1,0 +1,132 @@
+"""Scalar references for code that the package no longer runs.
+
+Field arithmetic one element at a time through the log/antilog tables
+(mul, inv, div), polynomial long division (poly_divmod), and the algebraic
+encoders built on it: rs_encode divides the shifted message by the
+generator, frame_encode and bch_encode frame its parity bits as the
+package's RS layouts and BCH frame do, and generator_matrix stacks an
+encoder's images of the unit messages.  frame_word rebuilds the RS(n, k)
+word a layout's frame carries.  The package builds the same maps from one
+parity table and one syndrome table per code (rs._parity_table,
+rs._syndrome_tables); the tests compare the two.
+"""
+import numpy as np
+
+from papr_lab import gf2m
+
+
+def mul(fs, a, b):
+    if a == 0 or b == 0:
+        return 0
+    return fs.exp_table.item((fs.log_table.item(a) + fs.log_table.item(b))
+                             % fs.order)
+
+
+def inv(fs, a):
+    if a == 0:
+        raise ZeroDivisionError("inverse of 0")
+    return fs.exp_table.item(fs.order - fs.log_table.item(a))
+
+
+def div(fs, a, b):
+    if b == 0:
+        raise ZeroDivisionError("division by 0")
+    if a == 0:
+        return 0
+    return fs.exp_table.item((fs.log_table.item(a) - fs.log_table.item(b))
+                             % fs.order)
+
+
+def loop_symbols_to_bits(symbols, q):
+    bits = np.zeros(len(symbols) * q, dtype=np.uint8)
+    for i, s in enumerate(symbols):
+        for j in range(q):
+            bits[i * q + j] = (s >> (q - 1 - j)) & 1
+    return bits
+
+
+def loop_bits_to_symbols(bits, q):
+    out = []
+    for i in range(len(bits) // q):
+        v = 0
+        for j in range(q):
+            v = (v << 1) | int(bits[i * q + j])
+        out.append(v)
+    return out
+
+
+def poly_divmod(fs, p, q):
+    """(quotient, remainder) of p / q with deg(remainder) < deg(q),
+    polynomials lowest degree first, one scalar mul per term."""
+    q = gf2m.poly_trim(list(q))
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero polynomial")
+    rem = gf2m.poly_trim(list(p))
+    dq = gf2m.poly_deg(q)
+    quot = [0] * max(len(rem) - dq, 0)
+    while gf2m.poly_deg(rem) >= dq:
+        shift = gf2m.poly_deg(rem) - dq
+        coef = div(fs, rem[-1], q[-1])
+        quot[shift] = coef
+        for i, c in enumerate(q):
+            rem[shift + i] ^= mul(fs, coef, c)
+        rem = gf2m.poly_trim(rem)
+    return gf2m.poly_trim(quot), rem
+
+
+def rs_encode(spec, message):
+    """Systematic RS codeword [message | parity]: the parity is the
+    remainder of message(x) x^r by the generator, and message[0] has
+    degree n - 1."""
+    r = spec.r
+    shifted = [0] * r + [int(s) for s in reversed(message)]
+    _, rem = poly_divmod(spec.field, shifted, list(spec.generator))
+    parity = rem + [0] * (r - len(rem))  # degrees 0..r-1
+    return [int(s) for s in message] + parity[::-1]
+
+
+def frame_encode(layout, bits):
+    """One RS layout frame of a message bit vector: the message fields, the
+    rs_encode parity of the shortened word less its punctured symbols as
+    q-bit fields, then zero pad."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    codeword = rs_encode(layout.spec, [0] * (layout.k - layout.k_prime)
+                         + loop_bits_to_symbols(bits, layout.p))
+    parity = loop_symbols_to_bits(
+        codeword[layout.k:layout.n - layout.punctured], layout.q)
+    frame = np.zeros(layout.frame_bits, dtype=np.uint8)
+    frame[:bits.size] = bits
+    frame[bits.size:bits.size + parity.size] = parity
+    return frame
+
+
+def bch_encode(spec, message):
+    """One BCH frame of a message bit vector by poly_divmod, the generator's
+    0/1 coefficients taken as field elements: the message, the parity, one
+    zero pad bit.  message[0] has degree n - 1."""
+    message = np.asarray(message, dtype=np.uint8)
+    generator = [(spec.generator >> d) & 1 for d in range(spec.r + 1)]
+    shifted = [0] * spec.r + message[::-1].tolist()
+    _, rem = poly_divmod(spec.field, shifted, generator)
+    frame = np.zeros(spec.n + 1, dtype=np.uint8)
+    frame[:spec.k] = message
+    frame[spec.k:spec.n] = (rem + [0] * (spec.r - len(rem)))[::-1]
+    return frame
+
+
+def generator_matrix(encode, k):
+    """The binary generator matrix of a GF(2)-linear encoder of k bits: row
+    i is the encoding of the i-th unit message."""
+    return np.stack([encode(e) for e in np.eye(k, dtype=np.uint8)])
+
+
+def frame_word(layout, frame):
+    """The RS(n, k) word of a layout's frame: shortened zeros, the k' p-bit
+    message fields, the sent q-bit parity, zero fills at the punctured
+    positions."""
+    nm = layout.message_bits
+    return ([0] * (layout.k - layout.k_prime)
+            + loop_bits_to_symbols(frame[:nm], layout.p)
+            + loop_bits_to_symbols(frame[nm:nm + layout.parity_bits],
+                                   layout.q)
+            + [0] * layout.punctured)

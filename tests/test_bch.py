@@ -10,7 +10,7 @@ SPEC = bch.bch_spec()
 
 
 # GF(2) polynomials as Python ints (bit d = coefficient of x^d): the
-# reference the encoder's division in GF(128)[x] is checked against
+# reference the encoder's parity table in GF(128) is checked against
 
 def gf2_poly_mod(a: int, m: int) -> int:
     dm = m.bit_length() - 1

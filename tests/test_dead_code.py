@@ -1,0 +1,100 @@
+"""Every private module-level name of the package is used by the package.
+
+A function, class or constant whose name starts with one underscore must
+be read somewhere in src/papr_lab other than its own definition: in its
+module, or in another through `from .mod import _name` or `mod._name`.
+Code the package no longer runs belongs in the tests (tests/oracles.py)
+or nowhere.  ALLOWED lists the exceptions, each with its reason.
+"""
+import ast
+import importlib.util
+from pathlib import Path
+
+import papr_lab
+
+SRC = Path(papr_lab.__file__).parent
+
+# (module, name) -> why nothing in src/ needs to read it
+ALLOWED = {
+    ("papr_lab.fec.rs", "_bits_to_symbols"):
+        "criterion 1 (tests/test_acceptance.py, kept as written) packs "
+        "RS(25,16) frames to symbols with it",
+}
+
+
+def _module_name(path):
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _defined(stmt):
+    """The module-level names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {node.id for t in targets for node in ast.walk(t)
+            if isinstance(node, ast.Name)}
+
+
+def _is_module(name):
+    path = SRC.parent.joinpath(*name.split("."))
+    return path.is_dir() or path.with_suffix(".py").exists()
+
+
+def _bindings(path, tree):
+    """Local name -> the module it names, or the (module, name) it is, for
+    every `from ... import` of a module."""
+    package = ".".join(path.relative_to(SRC.parent).parent.parts)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), package)
+            for alias in node.names:
+                target = f"{base}.{alias.name}"
+                bound[alias.asname or alias.name] = (
+                    target if _is_module(target) else (base, alias.name))
+    return bound
+
+
+def _definitions_and_reads():
+    """({(module, private name)}, {(module, name) read outside its own
+    definition})."""
+    defined, reads = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = _module_name(path)
+        tree = ast.parse(path.read_text())
+        bound = _bindings(path, tree)
+        for stmt in tree.body:
+            own = _defined(stmt)
+            defined |= {(module, n) for n in own if _is_private(n)}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    ref = bound.get(node.id, (module, node.id))
+                    if isinstance(ref, tuple) and not (
+                            ref[0] == module and ref[1] in own):
+                        reads.add(ref)
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and isinstance(bound.get(node.value.id), str)):
+                    reads.add((bound[node.value.id], node.attr))
+    return defined, reads
+
+
+def test_every_private_name_is_read_in_src():
+    defined, reads = _definitions_and_reads()
+    unused = sorted(defined - reads - ALLOWED.keys())
+    assert not unused, f"private names nothing in src/ reads: {unused}"
+
+
+def test_allow_list_is_current():
+    """Each allowed name still exists and is still unread in src/."""
+    defined, reads = _definitions_and_reads()
+    assert ALLOWED.keys() <= defined - reads

@@ -1,21 +1,26 @@
 """The GF(2)-linear codec core against the scalar algorithms it replaced.
 
-The encoders multiply message bits by a binary generator matrix G, cached
-per code, read-only and in float32 through BLAS.  The frame decoders take
-their syndromes (and, for a punctured RS layout, the modified syndromes of
-its fixed erasure locator) as one lookup per frame byte in XOR tables built
-from the syndromes of each unit frame, and skip BM when the erasures alone
+Each code's encoder and decoder tables are built from two tables: the
+parity of each message symbol (rs._parity_table) and the syndromes of each
+word symbol (rs._syndrome_tables).  The encoders multiply message bits by
+a binary generator matrix G, cached per code, read-only and in float32
+through BLAS, and checked here, whole and per frame, against the
+long-division encoders of tests/oracles.py; rs_encode is checked against
+the oracle's rs_encode.  The frame decoders take their syndromes (and, for
+a punctured RS layout, the modified syndromes of its fixed erasure
+locator) as one lookup per frame byte in XOR tables built from the
+syndromes of each sent frame bit, and skip BM when the erasures alone
 explain the syndromes.  Berlekamp-Massey and poly_mul use the field's
 multiplication table; the Chien search and Forney evaluate each
 polynomial at every position at once from packed per-coefficient tables;
 the RS residual check compares the syndromes of the error word the
 corrections make with those of the frame.  The references below are the
 original per-point loops: Horner evaluation, syndromes one power of alpha
-at a time, products and BM one scalar mul per term, the log-domain evaluator
-poly_eval_many, the Chien search one position at a time, the per-bit
-symbol packing, the modified syndromes through poly_mul, the frame
-decoders that built the whole word and ran the full erasure path, and the
-conventional RS(31,k) framing of the k-sweep through rs_encode.
+at a time, products and BM one scalar mul per term (oracles.mul), the
+log-domain evaluator poly_eval_many, the Chien search one position at a
+time, the modified syndromes through poly_mul, the frame decoders that
+built the whole word and ran the full erasure path, and the conventional
+RS(31,k) framing of the k-sweep through the oracle's rs_encode.
 scalar_poly_eval (Horner, one scalar mul per step) is also the polynomial
 evaluator of test_rs and test_bch.
 Decoders are compared on whole outcomes (message, corrected count,
@@ -31,9 +36,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from oracles import div, inv, loop_bits_to_symbols, loop_symbols_to_bits, mul
 from papr_lab import gf2m, harness
 from papr_lab.fec import bch, crs, rs
-from test_gf2m import div, inv, mul
 
 
 CODES = ["bch", "rs2516"] + [f"crs31_{k}" for k in harness.DEFAULT_KSWEEP]
@@ -58,9 +64,18 @@ def cold_fec_caches():
     clear_fec_caches()
 
 
+# the k-sweep's conventional RS(31,k) framing, one codeword in two frames
+CONVENTIONAL = [f"rs31_{k}_256" for k in harness.DEFAULT_KSWEEP]
+
+
 def _layout(code):
-    return (rs.RS2516 if code == "rs2516"
-            else crs.crs_layout(6, 31, int(code.split("_")[1])))
+    if code == "rs2516":
+        return rs.RS2516
+    k = int(code.split("_")[1])
+    if code in CONVENTIONAL:
+        return rs.RsFrameLayout(q=5, k=k, k_prime=k, p=5, punctured=0,
+                                frame_bits=256)
+    return crs.crs_layout(6, 31, k)
 
 
 def _generator(code):
@@ -109,9 +124,8 @@ def bch_syndromes(word):
 
 def frame_syndromes(layout, frame):
     """The r syndromes of an RS layout's frame by Horner on its word."""
-    word = (rs2516_word(frame) if layout == rs.RS2516
-            else crs_word(layout, frame))
-    return horner_syndromes(layout.spec.field, word, layout.r)
+    return horner_syndromes(layout.spec.field,
+                            oracles.frame_word(layout, frame), layout.r)
 
 
 def scalar_syndromes(spec, received):
@@ -219,34 +233,23 @@ def scalar_rs_decode(spec, received, erasures=()):
     return word[:spec.k], len(touched)
 
 
-def rs2516_word(frame):
-    return [0] * 3 + loop_bits_to_symbols(frame[:125], 5) + [0] * 3
-
-
 def scalar_rs2516_decode(frame):
     """rs.rs2516_decode through the whole word and the full erasure path."""
     frame = np.asarray(frame, dtype=np.uint8)
     spec = rs.rs_spec(5, 19)
-    decoded, positions = scalar_correct_word(spec, rs2516_word(frame),
-                                             range(28, 31))
+    decoded, positions = scalar_correct_word(
+        spec, oracles.frame_word(rs.RS2516, frame), range(28, 31))
     if any(decoded[:3]):
         raise rs.DecodeFailure("shortened prefix decoded nonzero")
     return decoded[3:19], sum(1 for p in positions if p < 28)
-
-
-def crs_word(layout, frame):
-    nm = layout.message_bits
-    return ([0] * (layout.k - layout.k_prime)
-            + loop_bits_to_symbols(frame[:nm], layout.p)
-            + loop_bits_to_symbols(frame[nm:nm + layout.r * layout.q],
-                                   layout.q))
 
 
 def scalar_crs_decode(layout, frame):
     """crs.crs_decode through the whole word and scalar_correct_word."""
     frame = np.asarray(frame, dtype=np.uint8)
     spec = rs.rs_spec(layout.q, layout.k)
-    decoded, positions = scalar_correct_word(spec, crs_word(layout, frame))
+    decoded, positions = scalar_correct_word(
+        spec, oracles.frame_word(layout, frame))
     if any(decoded[:layout.k - layout.k_prime]):
         raise rs.DecodeFailure("shortened prefix decoded nonzero")
     out_syms = decoded[layout.k - layout.k_prime:layout.k]
@@ -290,24 +293,6 @@ def scalar_bch_decode(frame):
     return word[:spec.k], len(flips)
 
 
-def loop_symbols_to_bits(symbols, q):
-    bits = np.zeros(len(symbols) * q, dtype=np.uint8)
-    for i, s in enumerate(symbols):
-        for j in range(q):
-            bits[i * q + j] = (s >> (q - 1 - j)) & 1
-    return bits
-
-
-def loop_bits_to_symbols(bits, q):
-    out = []
-    for i in range(len(bits) // q):
-        v = 0
-        for j in range(q):
-            v = (v << 1) | int(bits[i * q + j])
-        out.append(v)
-    return out
-
-
 def outcome(decode, *args):
     """A decode's result with arrays as lists, or the failure it raised."""
     try:
@@ -344,15 +329,17 @@ def test_symbol_packing_matches_loops(q, data):
 # --- matrix encode == algebraic encode ---------------------------------------
 
 def _encoders(code):
-    """(public matrix encoder on bits, algebraic builder on bits, k bits)."""
+    """(public matrix encoder on bits, oracle encoder on bits, k bits)."""
     if code == "bch":
-        return bch.bch_encode, bch._bch_encode_algebraic, bch.bch_spec().k
+        spec = bch.bch_spec()
+        return (bch.bch_encode, lambda b: oracles.bch_encode(spec, b),
+                spec.k)
+    layout = _layout(code)
     if code == "rs2516":
         return (lambda b: rs.rs2516_frame(rs._bits_to_symbols(b, 5)),
-                lambda b: rs._frame_algebraic(rs.RS2516, b), 80)
-    layout = _layout(code)
-    return (lambda b: crs.crs_encode(layout, b),
-            lambda b: rs._frame_algebraic(layout, b),
+                lambda b: oracles.frame_encode(rs.RS2516, b), 80)
+    return (lambda b: rs.frame_encode(layout, b),
+            lambda b: oracles.frame_encode(layout, b),
             layout.message_bits)
 
 
@@ -365,12 +352,32 @@ def test_matrix_encode_equals_algebraic(code, seed):
     assert np.array_equal(matrix(bits), algebraic(bits))
 
 
+@pytest.mark.parametrize("code", CODES + CONVENTIONAL)
+def test_generator_equals_oracle_generator(code):
+    """Each code's G, built from its parity table, is the matrix of the
+    oracle's long-division encoder, row for row."""
+    _, algebraic, k_bits = _encoders(code)
+    assert np.array_equal(_generator(code),
+                          oracles.generator_matrix(algebraic, k_bits))
+
+
+@given(k=st.integers(1, 30), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_rs_encode_equals_oracle(k, data):
+    """rs_encode, one parity-table row per message symbol, gives the
+    oracle's long-division codeword for every RS(31,k)."""
+    spec = rs.rs_spec(5, k)
+    message = data.draw(st.lists(st.integers(0, 31), min_size=k,
+                                 max_size=k))
+    assert rs.rs_encode(spec, message) == oracles.rs_encode(spec, message)
+
+
 def scalar_conventional_frames(message, fpb):
     """fpb 128-bit frames of the conventional RS(31,k) framing: the
-    rs_encode codeword of k message symbols, packed to bits, zero padded
-    to 256 bits and tiled."""
+    oracle's codeword of k message symbols, packed to bits, zero padded to
+    256 bits and tiled."""
     spec = rs.rs_spec(5, len(message))
-    bits = rs._symbols_to_bits(rs.rs_encode(spec, message), 5)
+    bits = loop_symbols_to_bits(oracles.rs_encode(spec, message), 5)
     block = np.zeros(256, dtype=np.uint8)
     block[:bits.size] = bits
     reps = -(-fpb // 2)
@@ -394,7 +401,7 @@ def test_conventional_layout_equals_rs_encode(k, seed, fpb):
 
 def test_racing_first_encodes_agree(cold_fec_caches):
     """Burst threads may build the same generator matrix at once; every
-    frame must still equal the algebraic encoding."""
+    frame must still equal the oracle's encoding."""
     layout = crs.crs_layout(6, 31, 21)
     msgs = np.random.default_rng(3).integers(
         0, 2, (64, layout.message_bits), dtype=np.uint8)
@@ -407,7 +414,7 @@ def test_racing_first_encodes_agree(cold_fec_caches):
     finally:
         sys.setswitchinterval(old)
     for frame, m in zip(got, msgs):
-        assert np.array_equal(frame, rs._frame_algebraic(layout, m))
+        assert np.array_equal(frame, oracles.frame_encode(layout, m))
 
 
 # --- vectorized decode == scalar decode --------------------------------------
@@ -487,9 +494,9 @@ def test_bch_decode_matches_scalar(seed, e):
 # --- word syndromes, table-local BM, the clean-frame shortcut ----------------
 
 def _frames(rng, code, errors):
-    """(word, field, syndrome count, rs._syndromes of rs._frame_word) of a
-    random frame of `code` with `errors` corrupted bits (BCH) or symbol
-    fields (RS); the word is built by the loops above."""
+    """(word, field, syndrome count, rs._syndromes of the word) of a random
+    frame of `code` with `errors` corrupted bits (BCH) or symbol fields
+    (RS); an RS word is built by oracles.frame_word."""
     if code == "bch":
         spec = bch.bch_spec()
         frame = bch.bch_encode(rng.integers(0, 2, spec.k, dtype=np.uint8))
@@ -502,25 +509,22 @@ def _frames(rng, code, errors):
         frame = rs.rs2516_frame([int(v) for v in rng.integers(0, 32, 16)])
         frame = _symbol_errors(rng, frame, [5] * 25, min(errors, 25))
         frame[125:] = rng.integers(0, 2, 3)  # the pad is not part of the word
-        word = rs2516_word(frame)
     else:
         layout = _layout(code)
         frame = crs.crs_encode(
             layout, rng.integers(0, 2, layout.message_bits, dtype=np.uint8))
         widths = [layout.p] * layout.k_prime + [layout.q] * layout.r
         frame = _symbol_errors(rng, frame, widths, min(errors, len(widths)))
-        word = crs_word(layout, frame)
-    fs = layout.spec.field
-    return (word, fs, layout.r,
-            rs._syndromes(fs, rs._frame_word(layout, frame), layout.r))
+    word, fs = oracles.frame_word(layout, frame), layout.spec.field
+    return word, fs, layout.r, rs._syndromes(fs, word, layout.r)
 
 
 @pytest.mark.parametrize("code", CODES)
 @given(seed=st.integers(0, 2**32 - 1), errors=st.integers(0, 40))
 @settings(max_examples=40, deadline=None)
 def test_parity_check_syndromes_equal_horner(code, seed, errors):
-    """rs._syndromes of rs._frame_word, from which the byte tables are
-    built, equal Horner's syndromes of the word the loops build."""
+    """rs._syndromes, the XOR of one syndrome-table entry per symbol, equal
+    Horner's syndromes of the word the loops build."""
     word, fs, count, got = _frames(np.random.default_rng(seed), code, errors)
     assert got == horner_syndromes(fs, word, count)
 
@@ -590,7 +594,8 @@ def rs2516_modified(frame):
     for pos in range(28, 31):
         gamma = scalar_poly_mul(fs, gamma, [1, gf2m.pow_alpha(fs, 30 - pos)])
     product = scalar_poly_mul(
-        fs, horner_syndromes(fs, rs2516_word(frame), 12), gamma)
+        fs, horner_syndromes(fs, oracles.frame_word(rs.RS2516, frame), 12),
+        gamma)
     return (product + [0] * 12)[3:12]
 
 
@@ -636,12 +641,13 @@ def test_cached_matrices_are_read_only(code):
 
 
 DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, gf2m.inverses, rs._decoder,
-                 rs._evaluation_tables, rs._residual_tables, bch._decoder)
+                 rs._evaluation_tables, rs._syndrome_tables, rs._parity_table,
+                 bch._decoder)
 
 
 def test_schemes_build_no_decode_table(cold_fec_caches):
-    """The decoders' tables are built on the first decode, not when a run
-    builds its scheme."""
+    """The decoders' tables, and the parity tables the encoders are built
+    from, are built on first use, not when a run builds its scheme."""
     for name in ["none"] + CODES:
         harness.get_scheme(name)
     assert all(t.cache_info().currsize == 0 for t in DECODE_TABLES)
@@ -782,18 +788,20 @@ def test_correction_residual_equals_word_syndromes(seed, fixes, k):
 
 @pytest.mark.parametrize("k", sorted({rs.RS2516.k, *harness.DEFAULT_KSWEEP}))
 def test_residual_table_rows_equal_unit_word_syndromes(k):
-    """Entry [pos][mag] of the residual table packs the syndromes of the
-    word whose one nonzero symbol is mag at pos, for every pos and mag."""
+    """Entry [pos][mag] of the syndrome table, which the residual check,
+    rs._syndromes and the frame decoders' byte tables read, packs Horner's
+    syndromes of the word whose one nonzero symbol is mag at pos, for
+    every pos and mag."""
     spec = rs.rs_spec(5, k)
     fs, n, r = spec.field, spec.n, spec.r
-    table = rs._residual_tables(fs, n, r)
+    table = rs._syndrome_tables(fs, n, r)
     assert len(table) == n and all(len(row) == fs.size for row in table)
     for pos in range(n):
         for mag in range(fs.size):
             word = [0] * n
             word[pos] = mag
             assert (rs._unpack(table[pos][mag], r)
-                    == bytes(rs._syndromes(fs, word, r)))
+                    == bytes(horner_syndromes(fs, word, r)))
 
 
 FRAME_CODES = ["bch", "rs2516"] + [f"crs31_{k}" for k in range(19, 30)]

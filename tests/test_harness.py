@@ -517,3 +517,20 @@ def test_papr_peak_memory_within_the_frames_bound():
     finally:
         tracemalloc.stop()
     assert peak / frames * harness.MAX_PAPR_FRAMES < 2 ** 30
+
+
+def test_papr_peak_memory_per_frame_at_a_64_bit_seed():
+    """A master seed of 2^32 or more adds a fifth entropy word to every
+    burst's seed, the worst case for _seed_words.  With the entropy words
+    freed before the state's hashes, a run at 3 frames per burst peaks at
+    no more than 96 B a frame, beside a fixed 4 KiB, which keeps
+    MAX_PAPR_FRAMES frames under 1 GiB."""
+    cfg = SimConfig(frames=80_000, frames_per_burst=3, master_seed=2**40)
+    harness.run_papr_experiment(replace(cfg, frames=8))
+    tracemalloc.start()
+    try:
+        harness.run_papr_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * cfg.frames + 4 * 2**10

@@ -103,6 +103,34 @@ def test_too_many_erasures():
         rs.rs_decode(SPEC, cw, erasures=range(SPEC.r + 1))
 
 
+# an entry that is not a GF(32) element: out of range, or not an integer
+NON_SYMBOLS = st.one_of(
+    st.integers(-2**63, -1), st.integers(32, 2**63 - 1),
+    st.floats(-1e6, 1e6).filter(lambda x: x != int(x)))
+
+
+@given(k=st.integers(1, 30), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_codec_rejects_entries_outside_the_field(k, data):
+    """rs_encode and rs_decode refuse an entry outside GF(32) with a
+    ConstraintViolation that names its index, instead of looping, indexing
+    out of range or truncating it."""
+    spec = rs.rs_spec(5, k)
+    bad = data.draw(NON_SYMBOLS)
+    at = data.draw(st.integers(0, k - 1))
+    message = [0] * k
+    message[at] = bad
+    with pytest.raises(rs.ConstraintViolation,
+                       match=f"message symbol .* at index {at} outside"):
+        rs.rs_encode(spec, message)
+    at = data.draw(st.integers(0, spec.n - 1))
+    word = rs.rs_encode(spec, [0] * k)
+    word[at] = bad
+    with pytest.raises(rs.ConstraintViolation,
+                       match=f"received symbol .* at index {at} outside"):
+        rs.rs_decode(spec, word)
+
+
 def test_length_checks():
     with pytest.raises(rs.LengthMismatch):
         rs.rs_encode(SPEC, [0] * (SPEC.k - 1))
