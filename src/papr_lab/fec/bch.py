@@ -11,8 +11,9 @@ _generator, built on first use from the RS codec's parity table
 elements of GF(128).  A frame is (message @ G) mod 2.  The decoder reads
 one record, an rs._Decoder cached by _decoder and built at the first
 decode: its syndromes are one lookup per frame byte in XOR tables
-(rs._byte_tables) built from the syndromes of each bit, the entries of the
-RS codec's syndrome table (rs._syndrome_tables) at the value 1.  It shares
+(rs._byte_tables) built from the syndromes of each bit, the rows of the
+code's one syndrome map (rs._syndrome_rows), packed; a binary word has no
+other magnitude, so no (position, magnitude) table is built.  It shares
 BM (with its table of inverses), the error bound and the packed Chien
 search with the RS codec, skipping the steps of BM whose discrepancy is
 zero for a binary word, and checks the residual by adding the syndromes of
@@ -27,10 +28,10 @@ import numpy as np
 
 from .. import gf2m
 from ..gf2m import FieldSpec
-from .rs import (DecodeFailure, LengthMismatch, _byte_tables,
+from .rs import (DecodeFailure, _byte_tables, _checked_frame,
                  _checked_message, _Decoder, _error_locator, _evaluate,
-                 _evaluation_tables, _gf2, _lookup, _parity_table, _roots,
-                 _syndrome_tables, _systematic, _unpack)
+                 _evaluation_tables, _gf2, _lookup, _pack, _parity_table,
+                 _roots, _syndrome_rows, _systematic, _unpack)
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,12 @@ def bch_encode(message: np.ndarray) -> np.ndarray:
 def _decoder() -> _Decoder:
     """The code's rs._Decoder, built at its first decode.  Its tables are
     the rs._byte_tables of S_1..S_2t over the 128-bit frame: the syndromes
-    of bit i are the _syndrome_tables entry [i][1]; the pad bit's image is
+    of bit i are row i of _syndrome_rows, packed; the pad bit's image is
     zero.  No position is erased, so Gamma is 1."""
     spec = bch_spec()
     r = 2 * spec.t
-    tables = _byte_tables([row[1] for row in
-                           _syndrome_tables(spec.field, spec.n, r)])
+    rows = _syndrome_rows(spec.field, spec.n, r).tolist()
+    tables = _byte_tables(list(map(_pack, rows)))
     return _Decoder(spec.field, spec.n, r, spec.n + 1, spec.k, tables, (1,))
 
 
@@ -100,12 +101,12 @@ def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
     """128-bit frame -> (85 message bits, corrected bit count).
 
     Corrects any pattern of <= t bit errors in the 127 codeword bits; the pad
-    bit is ignored.  Raises DecodeFailure when the syndromes are inconsistent.
+    bit is ignored.  Raises DecodeFailure when the syndromes are
+    inconsistent, and ConstraintViolation naming the first frame entry that
+    is not a bit.
     """
-    frame = np.asarray(frame, dtype=np.uint8)
     fs, n, r, frame_bits, k, tables, _ = _decoder()
-    if frame.size != frame_bits:
-        raise LengthMismatch(f"frame length {frame.size} != {frame_bits}")
+    frame = _checked_frame(frame, frame_bits)
     value = _lookup(tables, frame)
     if not value:
         return frame[:k].copy(), 0

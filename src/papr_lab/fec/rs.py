@@ -14,19 +14,26 @@ instances.  One encoder and one decoder serve them all.
 
 Each code is two cached linear maps (Lin & Costello, Error Control
 Coding, ch. 6-7), and no polynomial is divided: _parity_table, the parity
-of each message symbol, and _syndrome_tables, the syndromes of each word
-symbol.  rs_encode XORs one parity row per message symbol.  Every frame
-codec here (RS layouts, BCH) is GF(2)-linear on its bits and encodes
-through a binary generator matrix G, cached per code (_frame_generator,
-bch._generator) and built by _systematic from the binary image of the
-parity rows: a frame is (message bits @ G) mod 2, through _gf2.
+of each message symbol, and _syndrome_rows, the syndromes of the unit
+symbol at each word position, one uint8 row each.  A binary code (BCH)
+reads the rows as they are; the RS paths, which read symbols of every
+magnitude, read them times each field element, packed in
+_syndrome_tables.  rs_encode XORs one parity row per message symbol.
+Every frame codec here (RS layouts, BCH) is GF(2)-linear on its bits and
+encodes through a binary generator matrix G, cached per code
+(_frame_generator, bch._generator) and built by _systematic from the
+binary image of the parity rows: a frame is (message bits @ G) mod 2,
+through _gf2.
 
 Decoding is table-driven.  Vectors of field symbols travel packed in one
 Python int, one byte per symbol (_pack), so adding two vectors is one XOR.
-A frame code's decoder reads one record per frame, its _Decoder, cached
-and built at the first decode.  Its per-byte XOR tables (_byte_tables),
-built from the syndrome entry of each sent frame bit, give a frame's
-syndromes as np.packbits of the frame and one lookup per byte.  A
+Every cached table is immutable (read-only arrays, tuples), since every
+later decode in the process shares it.  A frame code's decoder refuses a
+frame entry that is not a bit (_checked_frame), and reads one record per
+frame, its _Decoder, cached and built at the first decode.  Its per-byte
+XOR tables (_byte_tables), built from the syndrome entry of each sent
+frame bit, give a frame's syndromes as np.packbits of the frame and one
+lookup per byte.  A
 punctured layout's tables also give its modified syndromes, the syndromes
 composed with the fixed erasure locator Gamma of the punctured positions,
 so a frame whose modified syndromes are zero is clean and returns at once,
@@ -147,30 +154,42 @@ def _unpack(value: int, count: int) -> bytes:
 
 @functools.cache
 def _evaluation_tables(fs: FieldSpec, n: int,
-                       degree: int) -> tuple[list[int], ...]:
+                       degree: int) -> tuple[tuple[int, ...], ...]:
     """table[d][c] packs c x^d at the inverse locator x = alpha^-(n-1-pos)
     of every position pos of a length-n word, symbol pos.  A polynomial of
     degree <= `degree` evaluated at every position is then the XOR of one
     entry per coefficient (_evaluate)."""
     rows = _powers(fs, np.arange(degree + 1), np.arange(n) + 1 - n)
-    return tuple([_pack(p) for p in gf2m.mul_table(fs)[:, row].tolist()]
+    return tuple(tuple(map(_pack, gf2m.mul_table(fs)[:, row].tolist()))
                  for row in rows)
 
 
 @functools.cache
-def _syndrome_tables(fs: FieldSpec, n: int, r: int) -> tuple[list[int], ...]:
-    """table[pos][mag] packs the r syndromes mag alpha^((n-1-pos) j),
-    j = 1..r, of the length-n word whose one nonzero symbol is mag at pos."""
-    powers = _powers(fs, np.arange(n)[::-1], np.arange(1, r + 1))
-    products = gf2m.mul_table(fs).astype(np.uint8)[:, powers]
+def _syndrome_rows(fs: FieldSpec, n: int, r: int) -> np.ndarray:
+    """(n, r) read-only uint8 table, the code's one syndrome map: row pos
+    holds the syndromes alpha^((n-1-pos) j), j = 1..r, of the length-n word
+    whose one nonzero symbol is 1 at pos.  A binary code reads it as is."""
+    rows = _powers(fs, np.arange(n)[::-1],
+                   np.arange(1, r + 1)).astype(np.uint8)
+    rows.setflags(write=False)
+    return rows
+
+
+@functools.cache
+def _syndrome_tables(fs: FieldSpec, n: int,
+                     r: int) -> tuple[tuple[int, ...], ...]:
+    """table[pos][mag] packs the r syndromes of the length-n word whose one
+    nonzero symbol is mag at pos: mag times _syndrome_rows row pos.  Built
+    for the RS paths only, which read symbols of every magnitude."""
+    products = gf2m.mul_table(fs)[:, _syndrome_rows(fs, n, r)]
     data = products.swapaxes(0, 1).tobytes()  # [pos][mag], r bytes each
     entries = [int.from_bytes(data[i:i + r], "little")
                for i in range(0, len(data), r)]
-    return tuple(entries[i:i + fs.size]
+    return tuple(tuple(entries[i:i + fs.size])
                  for i in range(0, len(entries), fs.size))
 
 
-def _evaluate(tables: tuple[list[int], ...], poly: Sequence[int],
+def _evaluate(tables: tuple[tuple[int, ...], ...], poly: Sequence[int],
               n: int) -> bytes:
     """The n symbols of the XOR of tables[d][c] over the coefficients c of
     poly; through _evaluation_tables(fs, n, degree), poly at the inverse
@@ -299,14 +318,15 @@ def rs_decode(spec: RsCodeSpec, received: Sequence[int],
 
     Returns (message, corrected symbol count); raises DecodeFailure when the
     syndromes are inconsistent with the bound, and ConstraintViolation
-    naming the first received symbol outside the field.
+    naming the first received symbol outside the field or the first
+    erasure position that is not an integer in 0..n-1.
     """
     fs = spec.field
     n, r = spec.n, spec.r
     word = _checked_message(received, n, fs.size, "received symbol").tolist()
-    erasures = sorted(set(int(e) for e in erasures))
-    if erasures and not 0 <= erasures[0] <= erasures[-1] < n:
-        raise LengthMismatch("erasure position out of range")
+    positions = list(erasures)
+    erasures = sorted(set(_checked_message(
+        positions, len(positions), n, "erasure position").tolist()))
     if len(erasures) > r:
         raise DecodeFailure("more erasures than parity symbols")
 
@@ -365,6 +385,20 @@ def _checked_message(values, count: int, size: int,
     return v
 
 
+def _checked_frame(frame, frame_bits: int) -> np.ndarray:
+    """A frame decoder's input as uint8 bits.  LengthMismatch unless it has
+    frame_bits entries; ConstraintViolation names the first entry that is
+    not 0 or 1, which np.packbits would read as 1.  A uint8 frame, the one
+    the receive chain passes, is checked by one bytes.translate, and
+    any other through _checked_message."""
+    a = np.asarray(frame)
+    if a.size != frame_bits:
+        raise LengthMismatch(f"frame length {a.size} != {frame_bits}")
+    if a.dtype.char == "B" and not a.tobytes().translate(None, b"\0\1"):
+        return a
+    return _checked_message(a.reshape(frame_bits), frame_bits, 2, "frame bit")
+
+
 def _systematic(parity_bits: np.ndarray, frame_bits: int) -> np.ndarray:
     """The generator matrix G = [I | parity_bits | zero pad] of a
     systematic code of frame_bits-bit frames, one row per message bit.  G
@@ -388,7 +422,7 @@ def _gf2(bits: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (bits @ A).astype(np.uint8) & 1
 
 
-def _byte_tables(images: list[int]) -> tuple[list[int], ...]:
+def _byte_tables(images: list[int]) -> tuple[tuple[int, ...], ...]:
     """Per-byte XOR tables of a GF(2)-linear map from frame bits to field
     symbols, given as the packed symbol image of each unit frame, one per
     frame bit; missing trailing images are zero.  Table j maps packed byte
@@ -402,11 +436,11 @@ def _byte_tables(images: list[int]) -> tuple[list[int], ...]:
         table = [0]
         for row in rows[j:j + 8]:  # first bit of the byte is its MSB
             table = [v ^ w for v in table for w in (0, row)]
-        tables.append(table)
+        tables.append(tuple(table))
     return tuple(tables)
 
 
-def _lookup(tables: tuple[list[int], ...], frame: np.ndarray) -> int:
+def _lookup(tables: tuple[tuple[int, ...], ...], frame: np.ndarray) -> int:
     """The packed image of a frame under _byte_tables."""
     value = 0
     for table, byte in zip(tables, np.packbits(frame).tobytes()):
@@ -533,11 +567,10 @@ def frame_decode(layout: RsFrameLayout,
     a correction.  constraint_ok is False when a corrected message symbol
     has nonzero bits above its low p, i.e. the error pattern left the
     constrained alphabet; the low p bits are still returned.
+    ConstraintViolation names the first frame entry that is not a bit.
     """
-    frame = np.asarray(frame, dtype=np.uint8)
     fs, n, r, frame_bits, message_bits, tables, gamma = _decoder(layout)
-    if frame.size != frame_bits:
-        raise LengthMismatch(f"frame length {frame.size} != {frame_bits}")
+    frame = _checked_frame(frame, frame_bits)
     value, f = _lookup(tables, frame), layout.punctured
     modified = value >> 8 * r if f else value
     if not modified:

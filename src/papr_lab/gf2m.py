@@ -6,10 +6,13 @@ the zero polynomial is the empty list (degree -1).
 
 The polynomial routines the codecs run per frame, and the parity and
 syndrome tables every encoder and decoder is built from, use the field's
-full multiplication table, cached and built on first use (mul_table, and
-mul_rows as Python ints), and a cached table of inverses.  No polynomial
-is divided.  Building a code's generator (poly_from_roots) takes its
-products in the log domain and builds no table.
+full multiplication table, cached and built on first use: mul_table holds
+each product in the narrowest unsigned type that holds an element (uint8
+for the codecs' GF(32) and GF(128)), and mul_rows holds it as one tuple
+of Python ints per row.  Inverses are one cached tuple.  Every cached
+table is read-only.  No polynomial is divided.  Building a code's
+generator (poly_from_roots) takes its products in the log domain and
+builds no table.
 """
 from __future__ import annotations
 
@@ -113,18 +116,19 @@ def poly_deg(p: list[int]) -> int:
 @functools.cache
 def mul_table(fs: FieldSpec) -> np.ndarray:
     """(size, size) read-only table of every product: mul_table(fs)[a, b] is
-    a * b, so an array of products is one gather."""
+    a * b, so an array of products is one gather.  Its entries are the
+    narrowest unsigned integers that hold an element (uint8 for m <= 8)."""
     e = np.arange(fs.size)
-    table = arr_mul(fs, e[:, None], e)
+    table = arr_mul(fs, e[:, None], e).astype(np.min_scalar_type(fs.order))
     table.setflags(write=False)
     return table
 
 
 @functools.cache
 def mul_rows(fs: FieldSpec) -> tuple:
-    """mul_table as Python ints, one list per row: mul_rows(fs)[a] is the
+    """mul_table as Python ints, one tuple per row: mul_rows(fs)[a] is the
     map b -> a * b, for loops that multiply by one element many times."""
-    return tuple(mul_table(fs).tolist())
+    return tuple(map(tuple, mul_table(fs).tolist()))
 
 
 @functools.cache

@@ -68,7 +68,9 @@ class ModemConfig:
 
     def __post_init__(self):
         p = design_prototype(self.M, self.K)
-        blocks = np.repeat(np.append(0.0, p), 2).reshape(self.K, 2, self.M)
+        # a copy, not a view: read-only must hold through .base too
+        blocks = np.repeat(np.append(0.0, p), 2).reshape(
+            self.K, 2, self.M).copy()
         for name, value in (("prototype", p), ("blocks", blocks),
                             ("analysis_blocks", blocks / np.sum(p ** 2))):
             value.setflags(write=False)

@@ -1,8 +1,10 @@
 """The GF(2)-linear codec core against the scalar algorithms it replaced.
 
 Each code's encoder and decoder tables are built from two tables: the
-parity of each message symbol (rs._parity_table) and the syndromes of each
-word symbol (rs._syndrome_tables).  The encoders multiply message bits by
+parity of each message symbol (rs._parity_table) and the syndromes of the
+unit symbol at each word position (rs._syndrome_rows, uint8), which BCH
+reads as they are and the RS paths times every magnitude
+(rs._syndrome_tables).  The encoders multiply message bits by
 a binary generator matrix G, cached per code, read-only and in float32
 through BLAS, and checked here, whole and per frame, against the
 long-division encoders of tests/oracles.py; rs_encode is checked against
@@ -26,9 +28,13 @@ evaluator of test_rs and test_bch.
 Decoders are compared on whole outcomes (message, corrected count,
 constraint flag, or the DecodeFailure raised), past the correction radius
 on purpose, since the failure path is most of what a faded RS(25,16) link
-decodes.
+decodes.  The frame decoders must refuse a frame entry that is not a bit,
+and a cold decoder build must keep its tables within a memory bound
+(tracemalloc), which a full (position, magnitude) table of GF(128) would
+break.
 """
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import zip_longest
 
@@ -494,16 +500,19 @@ def test_bch_decode_matches_scalar(seed, e):
 # --- word syndromes, table-local BM, the clean-frame shortcut ----------------
 
 def _frames(rng, code, errors):
-    """(word, field, syndrome count, rs._syndromes of the word) of a random
+    """(word, field, syndrome count, syndromes of the word) of a random
     frame of `code` with `errors` corrupted bits (BCH) or symbol fields
-    (RS); an RS word is built by oracles.frame_word."""
+    (RS); an RS word is built by oracles.frame_word and its syndromes are
+    rs._syndromes, a BCH word's are the XOR of the rs._syndrome_rows rows
+    of its set bits."""
     if code == "bch":
         spec = bch.bch_spec()
         frame = bch.bch_encode(rng.integers(0, 2, spec.k, dtype=np.uint8))
         frame[rng.choice(spec.n, size=errors, replace=False)] ^= 1
-        word = frame[:spec.n]
-        return (word, spec.field, 2 * spec.t,
-                rs._syndromes(spec.field, word, 2 * spec.t))
+        word, r = frame[:spec.n], 2 * spec.t
+        rows = rs._syndrome_rows(spec.field, spec.n, r)[word == 1]
+        return (word, spec.field, r,
+                np.bitwise_xor.reduce(rows, axis=0, initial=0).tolist())
     if code == "rs2516":
         layout = rs.RS2516
         frame = rs.rs2516_frame([int(v) for v in rng.integers(0, 32, 16)])
@@ -523,8 +532,8 @@ def _frames(rng, code, errors):
 @given(seed=st.integers(0, 2**32 - 1), errors=st.integers(0, 40))
 @settings(max_examples=40, deadline=None)
 def test_parity_check_syndromes_equal_horner(code, seed, errors):
-    """rs._syndromes, the XOR of one syndrome-table entry per symbol, equal
-    Horner's syndromes of the word the loops build."""
+    """The syndrome map, one row or syndrome-table entry XORed per word
+    symbol, gives Horner's syndromes of the word the loops build."""
     word, fs, count, got = _frames(np.random.default_rng(seed), code, errors)
     assert got == horner_syndromes(fs, word, count)
 
@@ -641,8 +650,8 @@ def test_cached_matrices_are_read_only(code):
 
 
 DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, gf2m.inverses, rs._decoder,
-                 rs._evaluation_tables, rs._syndrome_tables, rs._parity_table,
-                 bch._decoder)
+                 rs._evaluation_tables, rs._syndrome_rows,
+                 rs._syndrome_tables, rs._parity_table, bch._decoder)
 
 
 def test_schemes_build_no_decode_table(cold_fec_caches):
@@ -655,6 +664,70 @@ def test_schemes_build_no_decode_table(cold_fec_caches):
     rs.rs2516_decode(np.zeros(128, dtype=np.uint8))
     assert bch._decoder.cache_info().currsize == 1
     assert rs._decoder.cache_info().currsize == 1
+
+
+# what the three decoders' first decode of a frame may keep, its cached
+# tables: BCH 199, rs2516 283 and crs31_19 240 KiB measured (tracemalloc,
+# Python 3.11, numpy 2.4); BCH kept 1,085 KiB with the GF(128) table
+COLD_BUILD_KIB = 320
+FRAME_DECODERS = {
+    "bch": bch.bch_decode,
+    "rs2516": rs.rs2516_decode,
+    "crs31_19": lambda f: crs.crs_decode(crs.crs_layout(6, 31, 19), f),
+}
+
+
+@pytest.mark.parametrize("code", FRAME_DECODERS)
+def test_cold_decoder_build_retains_bounded_memory(code):
+    """The first decode builds the decoder's tables at the size it reads
+    them: BCH packs only its unit syndrome rows, not the (position,
+    magnitude) table of GF(128)."""
+    decode, frame = FRAME_DECODERS[code], np.zeros(128, dtype=np.uint8)
+    clear_fec_caches()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        decode(frame)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= COLD_BUILD_KIB * 1024
+
+
+# a frame entry that is not a bit, by dtype: a uint8 frame is checked by
+# bytes.translate, any other (bool is always bits) through _checked_message
+NON_BITS = {
+    "uint8": st.integers(2, 255),
+    "int64": st.one_of(st.integers(-2**63, -1), st.integers(2, 2**63 - 1)),
+    "float64": st.floats(-1e6, 1e6).filter(lambda x: x not in (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("code", FRAME_DECODERS)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_frame_decoders_reject_entries_that_are_not_bits(code, data):
+    """np.packbits reads any nonzero entry as 1 and the message is copied
+    from the frame as is, so a frame entry outside {0, 1} would decode to
+    output outside the alphabet; every frame decoder refuses it with a
+    ConstraintViolation that names its index."""
+    dtype = data.draw(st.sampled_from(sorted(NON_BITS)))
+    frame = np.zeros(128, dtype=dtype)
+    at = data.draw(st.integers(0, 127))
+    frame[at] = data.draw(NON_BITS[dtype])
+    with pytest.raises(rs.ConstraintViolation,
+                       match=f"frame bit .* at index {at} outside 0..1"):
+        FRAME_DECODERS[code](frame)
+
+
+@pytest.mark.parametrize("code", FRAME_DECODERS)
+def test_frame_decoders_take_bits_of_any_dtype(code):
+    """A frame of bits decodes the same as bool, uint8, int64 or float64."""
+    frame = np.zeros(128, dtype=np.uint8)
+    frame[[3, 50]] = 1  # two bit errors in the zero codeword
+    want = outcome(FRAME_DECODERS[code], frame)
+    for dtype in (bool, np.int64, np.float64):
+        assert outcome(FRAME_DECODERS[code], frame.astype(dtype)) == want
 
 
 def test_racing_first_decodes_agree(cold_fec_caches):
@@ -802,6 +875,22 @@ def test_residual_table_rows_equal_unit_word_syndromes(k):
             word[pos] = mag
             assert (rs._unpack(table[pos][mag], r)
                     == bytes(horner_syndromes(fs, word, r)))
+
+
+@pytest.mark.parametrize("code", ["bch", "rs2516"])
+def test_syndrome_rows_equal_unit_word_syndromes(code):
+    """Row pos of rs._syndrome_rows, the one syndrome map, holds Horner's
+    syndromes of the word whose one nonzero symbol is 1 at pos; it is
+    read-only uint8, one byte per syndrome."""
+    spec = bch.bch_spec() if code == "bch" else rs.RS2516.spec
+    fs, n, r = spec.field, spec.n, 2 * spec.t  # 12 syndromes each
+    rows = rs._syndrome_rows(fs, n, r)
+    assert rows.shape == (n, r) and rows.dtype == np.uint8
+    assert not rows.flags.writeable
+    for pos in range(n):
+        word = [0] * n
+        word[pos] = 1
+        assert rows[pos].tolist() == horner_syndromes(fs, word, r)
 
 
 FRAME_CODES = ["bch", "rs2516"] + [f"crs31_{k}" for k in range(19, 30)]

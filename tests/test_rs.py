@@ -131,6 +131,21 @@ def test_codec_rejects_entries_outside_the_field(k, data):
         rs.rs_decode(spec, word)
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_decode_rejects_erasures_that_are_not_positions(data):
+    """rs_decode refuses an erasure position that is not an integer in
+    0..n-1 with a ConstraintViolation that names its index in the list,
+    instead of truncating it to a position."""
+    positions = data.draw(st.lists(st.integers(0, SPEC.n - 1), max_size=6))
+    at = data.draw(st.integers(0, len(positions)))
+    positions.insert(at, data.draw(st.one_of(NON_SYMBOLS, st.just(SPEC.n))))
+    with pytest.raises(rs.ConstraintViolation,
+                       match=f"erasure position .* at index {at} outside "
+                             f"0..{SPEC.n - 1}"):
+        rs.rs_decode(SPEC, rs.rs_encode(SPEC, [0] * SPEC.k), positions)
+
+
 def test_length_checks():
     with pytest.raises(rs.LengthMismatch):
         rs.rs_encode(SPEC, [0] * (SPEC.k - 1))
