@@ -5,14 +5,14 @@ Tap tables follow the standard ITU-R M.1225 Pedestrian B / Vehicular A
 definitions.  Fading is quasi-static per burst: one complex Gaussian gain
 per tap, power profile normalized to unit total average power.  A
 realization is a plain complex array of sample-spaced taps at SAMPLE_RATE,
-(span,) for one burst or (..., span) for a stack of bursts.
+(bursts, span), or without fading the fixed (span,), which broadcasts.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -66,29 +66,32 @@ def _tap_powers(profile: ChannelProfile) -> np.ndarray:
     return tap_power
 
 
+def _normals(rngs: Iterable[np.random.Generator], n: int) -> np.ndarray:
+    """(bursts, 2, n) standard normals, one burst per Generator of rngs:
+    its n real parts, then its n imaginary parts, from its own Generator."""
+    rngs = list(rngs)
+    g = np.empty((len(rngs), 2, n))
+    for rng, burst in zip(rngs, g):
+        rng.standard_normal(out=burst)
+    return g
+
+
 def realize(profile: ChannelProfile,
-            rng: np.random.Generator | Sequence[np.random.Generator] | None
-            = None) -> np.ndarray:
+            rngs: Iterable[np.random.Generator] = ()) -> np.ndarray:
     """Draw quasi-static realizations of the profile: read-only complex
-    taps (span,) for one Generator, or (bursts, span) for a sequence of
-    Generators, one per burst, as in apply.  Each burst draws span real
-    parts, then span imaginary parts, from its own Generator.  Block-Rayleigh
-    profiles need an rng; without fading the taps are (span,) and fixed.
-    Tap delays are rounded to the nearest sample.
+    taps (bursts, span), one row per Generator of rngs (_normals).  Without
+    fading, rngs is not read and the taps are the fixed (span,); a fading
+    profile with no rngs raises ValueError.  Tap delays are rounded to the
+    nearest sample.
     """
     tap_power = _tap_powers(profile)
     if profile.fading == "none":
         taps = np.sqrt(tap_power).astype(complex)
     else:
-        if rng is None:
-            raise ValueError("fading profile requires an rng")
-        one = isinstance(rng, np.random.Generator)
-        rngs = [rng] if one else rng
-        g = np.empty((len(rngs), 2, tap_power.size))
-        for burst_rng, burst in zip(rngs, g):
-            burst_rng.standard_normal(out=burst)
+        g = _normals(rngs, tap_power.size)
+        if not len(g):
+            raise ValueError("fading profile requires rngs")
         taps = np.sqrt(tap_power / 2.0) * (g[:, 0] + 1j * g[:, 1])
-        taps = taps[0] if one else taps
     rows = taps.reshape(-1, taps.shape[-1])  # a view: taps are contiguous
     # a degenerate all-zero draw is measure-zero but fatal
     rows[~np.any(rows, axis=1), 0] = 1.0
@@ -97,8 +100,7 @@ def realize(profile: ChannelProfile,
 
 
 def apply(signal: np.ndarray, taps: np.ndarray, snr_db: float,
-          rng: np.random.Generator | Sequence[np.random.Generator] | None
-          = None) -> np.ndarray:
+          rngs: Iterable[np.random.Generator] = ()) -> np.ndarray:
     """Convolve with the channel taps and add complex white Gaussian noise.
 
     signal is one burst (samples,) or a stack (..., samples), and taps
@@ -106,10 +108,10 @@ def apply(signal: np.ndarray, taps: np.ndarray, snr_db: float,
     the full convolution (..., samples + span - 1), one multiply-add per
     nonzero tap delay over the whole stack.  Noise power is set per burst
     against the empirical power of its faded signal, so each burst's
-    received SNR over the full band equals snr_db; rng is a Generator per
-    burst (a sequence over the flattened leading axes; one Generator for
-    one burst), and each burst's noise is drawn from its own.  snr_db =
-    +inf skips the noise entirely; NaN and -inf raise ValueError.
+    received SNR over the full band equals snr_db; rngs holds a Generator
+    per burst over the flattened leading axes (_normals), and another count
+    raises ValueError.  snr_db = +inf reads no rngs and adds no noise; NaN
+    and -inf raise ValueError.
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db {snr_db} is not a dB value or +inf")
@@ -121,19 +123,13 @@ def apply(signal: np.ndarray, taps: np.ndarray, snr_db: float,
         faded[..., d:d + n] += taps[..., d, None] * signal
     if snr_db == math.inf:
         return faded
-    if rng is None:
-        raise ValueError("finite snr requires an rng")
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    if len(rngs) != math.prod(lead):
-        raise ValueError(f"{len(rngs)} rngs for {math.prod(lead)} bursts")
+    noise = _normals(rngs, faded.shape[-1])
+    if len(noise) != math.prod(lead):
+        raise ValueError(f"{len(noise)} rngs for {math.prod(lead)} bursts")
     sig_power = np.mean(np.abs(faded) ** 2, axis=-1)
     noise_power = sig_power / (10.0 ** (snr_db / 10.0))
-    # per burst: faded.shape[-1] real parts, then as many imaginary parts
-    noise = np.empty((len(rngs), 2, faded.shape[-1]))
-    for burst_rng, burst in zip(rngs, noise):
-        burst_rng.standard_normal(out=burst)
     noise *= np.sqrt(noise_power / 2.0).reshape(-1, 1, 1)
-    rows = faded.reshape(len(rngs), -1)  # a view: faded is contiguous
+    rows = faded.reshape(len(noise), -1)  # a view: faded is contiguous
     rows.real += noise[:, 0]
     rows.imag += noise[:, 1]
     return faded

@@ -370,15 +370,22 @@ def _checked_message(values, count: int, size: int,
     """A codec's input, or a (..., count) stack of them, as uint8.
     LengthMismatch unless the last axis has count entries;
     ConstraintViolation names the first entry that is not an integer in
-    [0, size) and its index in the message (and in the stack)."""
+    [0, size) and its index in the message (and in the stack).  Input that
+    is not integer is never cast, where NaN, 2^70 or "a" would warn or
+    raise: each entry, as given, is compared with range(size)."""
     a = np.asarray(values)
     if a.shape[-1:] != (count,):
         raise LengthMismatch(
             f"{what} count {a.shape[-1] if a.ndim else a.size} != {count}")
-    v = a.astype(np.uint8)
+    if a.dtype.kind in "biu":
+        v = a.astype(np.uint8)
+    else:  # 1.0 is in range(2); NaN, "1" or 2^70 is not, and reads 0 != it
+        alphabet, a = range(size), np.asarray(values, object)
+        v = np.array([alphabet.index(x) if x in alphabet else 0
+                      for x in a.flat], np.uint8).reshape(a.shape)
     bad = np.argwhere((v != a) | (v >= size))
     if bad.size:
-        i = tuple(bad[0])
+        i = tuple(bad[0].tolist())
         where = i[0] if len(i) == 1 else i
         raise ConstraintViolation(
             f"{what} {a[i]} at index {where} outside 0..{size - 1}")
@@ -396,6 +403,8 @@ def _checked_frame(frame, frame_bits: int) -> np.ndarray:
         raise LengthMismatch(f"frame length {a.size} != {frame_bits}")
     if a.dtype.char == "B" and not a.tobytes().translate(None, b"\0\1"):
         return a
+    if a.dtype.kind not in "biu":  # its entries as given, not as str
+        a = np.asarray(frame, object)
     return _checked_message(a.reshape(frame_bits), frame_bits, 2, "frame bit")
 
 

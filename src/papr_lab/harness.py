@@ -4,7 +4,8 @@ sweeps, and CSV emission.
 Reproducibility: every burst gets its own RNG streams, the PCG64 streams of
 SeedSequence([master_seed, scenario key, burst index, role]), role in
 {payload, fading, noise}.  Paired comparisons across schemes therefore share
-payload and channel randomness.  A run derives the seed words of many
+payload and channel randomness.  The channel builds a BER chunk's fading and
+noise Generators only where it draws.  A run derives the seed words of many
 streams in one vectorized pass (_seed_words): a PAPR run those of all its
 bursts before the first chunk, a BER run those of each chunk's bursts.
 Bursts run in the fewest near-equal chunks of consecutive bursts within a
@@ -421,8 +422,9 @@ def _run_bursts(n_bursts: int, cfg: SimConfig, chunk_frames: int,
     frames_per_burst and chunk_frames alone."""
     size = max(1, chunk_frames // cfg.frames_per_burst)
     n_chunks = -(-n_bursts // size)
-    # near-equal chunks, larger first: no small tail pays a chunk's fixed
-    # cost; bounds are computed as chunks run, not listed up front
+    # the chunk count of size-burst chunks, ceil(n_bursts / size), but
+    # sizes within one burst of each other, larger first; bounds are
+    # computed as chunks run, not listed up front
     bounds = (-(-n_bursts * c // n_chunks) for c in range(n_chunks + 1))
     return [worker(range(b, e)) for b, e in itertools.pairwise(bounds)]
 
@@ -468,15 +470,14 @@ def _rs_fullload_frames(k: int, fpb: int) -> np.ndarray:
     return np.tile(block, -(-fpb // 2))[:fpb * 128].reshape(fpb, 128)
 
 
-def run_crs_k_sweep(k_list: Sequence[int] = DEFAULT_KSWEEP,
-                    cfg: SimConfig | None = None) -> list[tuple[int, float, float]]:
-    """Full-load max PAPR at the modem output for CRS(31,k) and for
-    conventional RS(31,k) framing.  Returns rows (k, crs_db, rs_db)."""
+def run_crs_k_sweep(cfg: SimConfig | None = None) -> list[tuple[int, float, float]]:
+    """Full-load max PAPR at the modem output for CRS(31,k) and conventional
+    RS(31,k) framing, k in DEFAULT_KSWEEP.  Returns rows (k, crs_db, rs_db)."""
     cfg = cfg or SimConfig(load="full")
     cfg.validate()
     mcfg = cfg.modem_config()
     rows = []
-    for k in k_list:
+    for k in DEFAULT_KSWEEP:
         crs_paprs = _full_load_paprs(cfg, get_scheme(f"crs31_{k}", cfg.M),
                                      mcfg)
         rs_paprs = _measured_paprs(
@@ -494,15 +495,8 @@ def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
                                          bursts)
     payloads = _payloads(scheme, cfg, payload)
     sig, scale = _tx_burst(cfg, mcfg, scheme.encode(payloads))
-
-    # each burst has its own fading and noise streams; without fading, one
-    # (span,) realization broadcasts over the chunk in apply and equalize
-    if profile.fading == "none":
-        taps = chan.realize(profile)
-    else:
-        taps = chan.realize(profile, [_generator(w) for w in fading])
-    rngs = None if np.isinf(snr_db) else [_generator(w) for w in noise]
-    rx = chan.apply(sig, taps, snr_db, rngs)
+    taps = chan.realize(profile, map(_generator, fading))
+    rx = chan.apply(sig, taps, snr_db, map(_generator, noise))
     del sig  # each chunk-sized array is dropped once used
 
     if cfg.companding:

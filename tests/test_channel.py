@@ -7,6 +7,11 @@ from hypothesis import given, settings, strategies as st
 from papr_lab import channel as chan
 
 
+def realize_one(profile, rng):
+    """One burst's (span,) taps: realize over a stack of one."""
+    return chan.realize(profile, [rng]).reshape(-1)
+
+
 def test_profile_tables():
     pb = chan.make_profile("pedestrian_b")
     assert pb.tap_delays_ns == (0.0, 200.0, 800.0, 1200.0, 2300.0, 3700.0)
@@ -29,7 +34,7 @@ def test_awgn_realization_is_identity_tap():
 def test_delay_quantization():
     # at 10 MHz (100 ns ticks) PedB spans 0..37 samples
     rng = np.random.default_rng(0)
-    taps = chan.realize(chan.make_profile("pedestrian_b"), rng)
+    taps = chan.realize(chan.make_profile("pedestrian_b"), [rng])[0]
     assert taps.size == 38
     nz = np.flatnonzero(taps)
     assert set(nz) <= {0, 2, 8, 12, 23, 37}
@@ -40,13 +45,13 @@ def test_delays_land_on_distinct_samples(name):
     """At SAMPLE_RATE no two taps of a profile share a sample, so realize
     never merges taps by power addition."""
     profile = chan.make_profile(name)
-    taps = chan.realize(profile, np.random.default_rng(0))
+    taps = chan.realize(profile, [np.random.default_rng(0)])
     assert np.count_nonzero(taps) == len(profile.tap_delays_ns)
 
 
 @pytest.mark.parametrize("name", ["awgn", "pedestrian_b", "vehicular_a"])
 def test_realization_is_read_only(name):
-    taps = chan.realize(chan.make_profile(name), np.random.default_rng(0))
+    taps = chan.realize(chan.make_profile(name), [np.random.default_rng(0)])
     assert not taps.flags.writeable
     with pytest.raises(ValueError):
         taps[0] = 0.0
@@ -54,15 +59,15 @@ def test_realization_is_read_only(name):
 
 def test_fading_determinism():
     prof = chan.make_profile("vehicular_a")
-    a = chan.realize(prof, np.random.default_rng(42))
-    b = chan.realize(prof, np.random.default_rng(42))
+    a = chan.realize(prof, [np.random.default_rng(42)])
+    b = chan.realize(prof, [np.random.default_rng(42)])
     assert np.array_equal(a, b)
 
 
 def test_unit_average_channel_power():
     prof = chan.make_profile("pedestrian_b")
     rng = np.random.default_rng(1)
-    powers = [np.sum(np.abs(chan.realize(prof, rng)) ** 2)
+    powers = [np.sum(np.abs(chan.realize(prof, [rng])[0]) ** 2)
               for _ in range(4000)]
     assert np.mean(powers) == pytest.approx(1.0, rel=0.02)
 
@@ -79,7 +84,7 @@ def test_snr_calibration():
            + 1j * rng.standard_normal(2_000_000)) * 0.3
     taps = chan.realize(chan.make_profile("awgn"))
     for snr_db in (0.0, 10.0):
-        rx = chan.apply(sig, taps, snr_db, np.random.default_rng(3))
+        rx = chan.apply(sig, taps, snr_db, [np.random.default_rng(3)])
         noise = rx[:sig.size] - sig
         got = 10 * np.log10(np.mean(np.abs(sig) ** 2)
                             / np.mean(np.abs(noise) ** 2))
@@ -96,7 +101,7 @@ def test_infinite_snr_skips_noise():
 
 def test_convolution_length():
     rng = np.random.default_rng(4)
-    taps = chan.realize(chan.make_profile("pedestrian_b"), rng)
+    taps = chan.realize(chan.make_profile("pedestrian_b"), [rng])[0]
     out = chan.apply(np.ones(500, dtype=complex), taps, np.inf)
     assert out.size == 500 + taps.size - 1
 
@@ -169,7 +174,7 @@ def assert_matches_direct_sum(taps, M):
 @settings(max_examples=15, deadline=None)
 def test_memoized_constants_are_bit_identical(name, M, seed):
     profile = chan.make_profile(name)
-    taps = chan.realize(profile, np.random.default_rng(seed))
+    taps = realize_one(profile, np.random.default_rng(seed))
     direct = direct_realize(profile, np.random.default_rng(seed))
     assert np.array_equal(taps, direct)
     assert_matches_direct_sum(taps, M)
@@ -208,12 +213,14 @@ def test_equalize_peak_memory_is_about_one_grid():
        st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_stacked_realize_equals_per_burst(name, bursts, seed):
-    """realize over one Generator per burst equals realize, and
-    direct_realize, called per burst with generators seeded alike."""
+    """realize over one Generator per burst equals realize over a stack
+    of one, and direct_realize, called per burst with generators seeded
+    alike."""
     profile = chan.make_profile(name)
     seeds = np.random.SeedSequence(seed).spawn(bursts)
     got = chan.realize(profile, [np.random.default_rng(s) for s in seeds])
-    alone = [chan.realize(profile, np.random.default_rng(s)) for s in seeds]
+    alone = [chan.realize(profile, [np.random.default_rng(s)])[0]
+             for s in seeds]
     direct = [direct_realize(profile, np.random.default_rng(s))
               for s in seeds]
     span = alone[0].size
@@ -237,25 +244,25 @@ def test_all_zero_draw_falls_back_per_burst(name):
     """An all-zero draw becomes the identity tap in its own row only."""
     profile = chan.make_profile(name)
     zero = ZeroGenerator(np.random.PCG64(0))
-    taps = chan.realize(profile, zero)
+    taps = chan.realize(profile, [zero])[0]
     assert taps[0] == 1.0 and not np.any(taps[1:])
     rows = chan.realize(profile, [np.random.default_rng(1), zero,
                                   np.random.default_rng(2)])
     assert np.array_equal(rows[1], taps)
     for row, seed in ((rows[0], 1), (rows[2], 2)):
         assert np.array_equal(
-            row, chan.realize(profile, np.random.default_rng(seed)))
+            row, chan.realize(profile, [np.random.default_rng(seed)])[0])
         assert np.count_nonzero(row) == len(profile.tap_delays_ns)
 
 
 @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf])
 def test_apply_rejects_nan_and_minus_inf_snr(snr_db):
-    """Only +inf (or None) is the noiseless point; NaN and -inf used to run
+    """Only +inf is the noiseless point; NaN and -inf used to run
     noiseless as well."""
     taps = chan.realize(chan.make_profile("awgn"))
     with pytest.raises(ValueError, match="snr"):
         chan.apply(np.ones(8, dtype=complex), taps, snr_db,
-                   np.random.default_rng(0))
+                   [np.random.default_rng(0)])
 
 
 @given(st.sampled_from(("awgn", "pedestrian_b", "vehicular_a")),
@@ -265,7 +272,7 @@ def test_apply_rejects_nan_and_minus_inf_snr(snr_db):
 def test_equalize_stacked_taps_equals_per_burst(name, bursts, M, seed):
     rng = np.random.default_rng(seed)
     profile = chan.make_profile(name)
-    chans = [chan.realize(profile, rng) for _ in range(bursts)]
+    chans = [realize_one(profile, rng) for _ in range(bursts)]
     grid = (rng.standard_normal((bursts, M, 6))
             + 1j * rng.standard_normal((bursts, M, 6)))
     eq, singular = chan.equalize(grid, np.stack(chans))
@@ -294,7 +301,7 @@ def test_stacked_apply_equals_per_burst_convolve(name, bursts, samples,
                                                  snr_db, seed):
     rng = np.random.default_rng(seed)
     profile = chan.make_profile(name)
-    taps = np.stack([chan.realize(profile, rng) for _ in range(bursts)])
+    taps = np.stack([realize_one(profile, rng) for _ in range(bursts)])
     sig = (rng.standard_normal((bursts, samples))
            + 1j * rng.standard_normal((bursts, samples)))
     seeds = rng.integers(0, 2**32, bursts)
@@ -307,10 +314,37 @@ def test_stacked_apply_equals_per_burst_convolve(name, bursts, samples,
                                atol=1e-12 * np.abs(want).max())
 
 
+def unread():
+    """Streams that fail the test when the channel reads them."""
+    raise AssertionError("streams read where nothing is drawn")
+    yield
+
+
+def test_streams_are_read_only_to_draw():
+    """realize reads its streams only for a fading profile and apply only
+    at a finite SNR; with no streams to draw from, or the wrong number of
+    them, each refuses."""
+    awgn, pedb = chan.make_profile("awgn"), chan.make_profile("pedestrian_b")
+    taps = chan.realize(awgn, unread())
+    assert np.array_equal(taps, [1.0])
+    sig = np.ones((3, 8), dtype=complex)
+    assert np.array_equal(chan.apply(sig, taps, np.inf, unread()), sig)
+    with pytest.raises(ValueError, match="rngs"):
+        chan.realize(pedb, [])
+    taps = chan.realize(pedb, map(np.random.default_rng, range(3)))
+    assert taps.shape == (3, 38)
+    for count in (0, 1, 4):
+        with pytest.raises(ValueError, match="rngs"):
+            chan.apply(sig, taps, 10.0, map(np.random.default_rng,
+                                            range(count)))
+
+
 def test_stacked_apply_needs_one_rng_per_burst():
     taps = np.ones((3, 1), dtype=complex)
     sig = np.ones((3, 8), dtype=complex)
     with pytest.raises(ValueError, match="rngs"):
         chan.apply(sig, taps, 10.0, [np.random.default_rng(0)] * 2)
     with pytest.raises(ValueError, match="rngs"):
-        chan.apply(sig, taps, 10.0, np.random.default_rng(0))
+        chan.apply(sig, taps, 10.0, [np.random.default_rng(0)] * 4)
+    with pytest.raises(ValueError, match="rngs"):
+        chan.apply(sig, taps, 10.0)

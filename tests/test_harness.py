@@ -187,6 +187,30 @@ class TestBerSweep:
         with pytest.raises(harness.ConfigError):
             harness.run_ber_sweep(SimConfig(scheme="none"))
 
+    @pytest.mark.parametrize("channel,snr_db,roles", [
+        ("awgn", 4.0, ("noise",)),
+        ("pedestrian_b", np.inf, ("fading",)),
+        ("pedestrian_b", 16.0, ("fading", "noise"))])
+    def test_channel_builds_only_the_generators_it_draws(
+            self, monkeypatch, channel, snr_db, roles):
+        """A BER point builds one Generator per burst for each stream the
+        channel draws from: fading for a fading profile, noise at a finite
+        SNR, and no other."""
+        built = []
+        monkeypatch.setattr(harness, "_generator", lambda words, _g=(
+            harness._generator): built.append(words.tobytes()) or _g(words))
+        bursts = 5
+        cfg = SimConfig(scheme="none", channel=channel, snr_list_db=(snr_db,),
+                        bits=bursts * 8 * 128, master_seed=3)
+        harness.run_ber_sweep(cfg)
+        seeds = harness._seed_words(cfg.master_seed, harness._snr_key(snr_db),
+                                    range(bursts))
+        stream = {words.tobytes(): (role, b) for role, rows in
+                  zip(("payload", "fading", "noise"), seeds)
+                  for b, words in enumerate(rows)}
+        assert sorted(stream[w] for w in built) == sorted(
+            (role, b) for role in roles for b in range(bursts))
+
 
 class TestCsv:
     def test_ccdf_roundtrip(self, tmp_path):
