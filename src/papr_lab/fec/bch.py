@@ -12,12 +12,12 @@ elements of GF(128).  A frame is (message @ G) mod 2.  The decoder reads
 one record, an rs._Decoder cached by _decoder and built at the first
 decode: its syndromes are one lookup per frame byte in XOR tables
 (rs._byte_tables) built from the syndromes of each bit, the rows of the
-code's one syndrome map (rs._syndrome_rows), packed; a binary word has no
-other magnitude, so no (position, magnitude) table is built.  It shares
-BM (with its table of inverses), the error bound and the packed Chien
-search with the RS codec, skipping the steps of BM whose discrepancy is
-zero for a binary word, and checks the residual by adding the syndromes of
-each flipped bit, a table entry, to the frame's.
+code's one syndrome map (rs._syndrome_rows), packed.  It shares BM (with
+its table of inverses), the error bound, the packed Chien search and the
+acceptance test with the RS codec, skipping the steps of BM whose
+discrepancy is zero for a binary word: a locator with as many roots as
+its degree, and that degree BM's LFSR length L, flips bits whose
+syndromes are the frame's.
 """
 from __future__ import annotations
 
@@ -111,15 +111,14 @@ def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
     if not value:
         return frame[:k].copy(), 0
 
-    lam = _error_locator(fs, _unpack(value, r), binary=True)  # degree <= t
+    lam, length = _error_locator(fs, _unpack(value, r), binary=True)
     flips = _roots(_evaluate(_evaluation_tables(fs, n, r // 2), lam, n))
     if len(flips) != gf2m.poly_deg(lam):
         raise DecodeFailure("locator degree does not match root count")
-    # the flipped word's syndromes: those of the frame plus those of the
-    # flipped bits alone
-    for i in flips:
-        value ^= tables[i >> 3][0x80 >> (i & 7)]
-    if value:
+    # rs._corrections' length test: with deg Lambda = L the syndromes are
+    # those of a pattern on Lambda's roots, and S_2j = S_j^2 of a binary
+    # word makes every Forney value 1, so flipping the roots cancels them
+    if gf2m.poly_deg(lam) != length:
         raise DecodeFailure("residual syndromes after correction")
     message = frame[:k].copy()
     message[[i for i in flips if i < k]] ^= 1

@@ -17,8 +17,8 @@ Coding, ch. 6-7), and no polynomial is divided: _parity_table, the parity
 of each message symbol, and _syndrome_rows, the syndromes of the unit
 symbol at each word position, one uint8 row each.  A binary code (BCH)
 reads the rows as they are; the RS paths, which read symbols of every
-magnitude, read them times each field element, packed in
-_syndrome_tables.  rs_encode XORs one parity row per message symbol.
+magnitude, read them times the symbol through the field's multiplication
+table.  rs_encode XORs one parity row per message symbol.
 Every frame codec here (RS layouts, BCH) is GF(2)-linear on its bits and
 encodes through a binary generator matrix G, cached per code
 (_frame_generator, bch._generator) and built by _systematic from the
@@ -41,9 +41,9 @@ and every other frame goes straight to Berlekamp-Massey.  BM and poly_mul
 run on the field's cached multiplication table and table of inverses.
 Only a locator within BM's degree bound goes on: the Chien search and both
 Forney polynomials are evaluated at every position at once, one XOR of a
-packed table entry per coefficient (_evaluation_tables).  The residual
-check is linear: the corrections' error word must have the frame's
-syndromes, the XOR of one _syndrome_tables entry per correction.
+packed table entry per coefficient (_evaluation_tables).  The corrections
+are accepted by BM's own length test, never by their syndromes: the
+combined locator has as many roots as its degree, and Lambda's is L.
 """
 from __future__ import annotations
 
@@ -128,9 +128,10 @@ def _parity_table(fs: FieldSpec, generator: tuple, n: int) -> np.ndarray:
 def _syndromes(fs: FieldSpec, received: Sequence[int],
                count: int) -> list[int]:
     """S_j = received(alpha^j), j = 1..count, position i of degree
-    len(received)-1-i: the XOR of one _syndrome_tables entry per symbol."""
-    table = _syndrome_tables(fs, len(received), count)
-    return list(_evaluate(table, received, count))
+    len(received)-1-i: the XOR of each symbol times its _syndrome_rows row."""
+    rows = _syndrome_rows(fs, len(received), count)
+    products = gf2m.mul_table(fs)[np.array(received)[:, None], rows]
+    return np.bitwise_xor.reduce(products, axis=0).tolist()
 
 
 def _powers(fs: FieldSpec, logs: np.ndarray,
@@ -175,20 +176,6 @@ def _syndrome_rows(fs: FieldSpec, n: int, r: int) -> np.ndarray:
     return rows
 
 
-@functools.cache
-def _syndrome_tables(fs: FieldSpec, n: int,
-                     r: int) -> tuple[tuple[int, ...], ...]:
-    """table[pos][mag] packs the r syndromes of the length-n word whose one
-    nonzero symbol is mag at pos: mag times _syndrome_rows row pos.  Built
-    for the RS paths only, which read symbols of every magnitude."""
-    products = gf2m.mul_table(fs)[:, _syndrome_rows(fs, n, r)]
-    data = products.swapaxes(0, 1).tobytes()  # [pos][mag], r bytes each
-    entries = [int.from_bytes(data[i:i + r], "little")
-               for i in range(0, len(data), r)]
-    return tuple(tuple(entries[i:i + fs.size])
-                 for i in range(0, len(entries), fs.size))
-
-
 def _evaluate(tables: tuple[tuple[int, ...], ...], poly: Sequence[int],
               n: int) -> bytes:
     """The n symbols of the XOR of tables[d][c] over the coefficients c of
@@ -214,11 +201,11 @@ def _roots(values: bytes) -> list[int]:
 
 
 def _berlekamp_massey(fs: FieldSpec, syndromes: Sequence[int],
-                      binary: bool = False) -> list[int]:
-    """Error locator from a (possibly erasure-modified) syndrome sequence.
-    binary: the syndromes are S_1..S_2t of a binary word, whose every
-    second discrepancy (at S_2, S_4, ...) is zero, so those steps are
-    skipped."""
+                      binary: bool = False) -> tuple[list[int], int]:
+    """(locator, L) of a (possibly erasure-modified) syndrome sequence: the
+    shortest LFSR that generates it, of length L >= deg locator.  binary:
+    the syndromes are S_1..S_2t of a binary word, whose every second
+    discrepancy (at S_2, S_4, ...) is zero, so those steps are skipped."""
     rows, inverse = gf2m.mul_rows(fs), gf2m.inverses(fs)
     # C += (d / b) x^shift B, in place but at a length change (the old C
     # becomes B); x^shift B keeps C at L + 1 or more coefficients
@@ -249,7 +236,7 @@ def _berlekamp_massey(fs: FieldSpec, syndromes: Sequence[int],
         shift += 1 + binary
     while C[-1] == 0:  # C[0] stays 1
         C.pop()
-    return C
+    return C, L
 
 
 def _erasure_locator(fs: FieldSpec, n: int,
@@ -272,43 +259,50 @@ def _modified_syndromes(fs: FieldSpec, synd: list[int],
 
 
 def _error_locator(fs: FieldSpec, modified: list[int],
-                   binary: bool = False) -> list[int]:
-    """BM on the modified syndromes; DecodeFailure past the error bound."""
-    lam = _berlekamp_massey(fs, modified, binary)
+                   binary: bool = False) -> tuple[list[int], int]:
+    """BM's (locator, L) on the modified syndromes; DecodeFailure past the
+    error bound."""
+    lam, length = _berlekamp_massey(fs, modified, binary)
     if gf2m.poly_deg(lam) > len(modified) // 2:
         raise DecodeFailure("error locator exceeds capability")
-    return lam
+    return lam, length
 
 
-def _corrections(fs: FieldSpec, n: int, synd: Sequence[int], lam: list[int],
+def _corrections(fs: FieldSpec, n: int, synd: Sequence[int],
+                 locator: tuple[list[int], int],
                  gamma: Sequence[int]) -> list[tuple[int, int]]:
-    """Chien search and Forney on the combined locator Lambda * Gamma:
-    (position, magnitude) of every nonzero correction of a length-n word
-    with syndromes synd.  DecodeFailure unless the corrections cancel
-    every syndrome, i.e. their error word has the word's syndromes."""
+    """Chien search and Forney on psi = Lambda * Gamma, (Lambda, L) from
+    _error_locator: (position, magnitude) of every nonzero correction of a
+    length-n word with syndromes synd.  DecodeFailure unless psi has as
+    many roots as its degree and deg Lambda = L."""
     r = len(synd)
+    lam, length = locator
     psi = poly_mul(fs, lam, gamma)  # combined locator, degree <= r
     tables = _evaluation_tables(fs, n, r)
     roots_pos = _roots(_evaluate(tables, psi, n))
     if len(roots_pos) != gf2m.poly_deg(psi):
         raise DecodeFailure("locator degree does not match root count")
+    # The corrections cancel every syndrome exactly when deg Lambda = L
+    # (Massey 1969).  If so, L being minimal and the erasure-only patterns
+    # the kernel of the map to modified syndromes, the syndromes are those
+    # of an error-and-erasure pattern on psi's roots, which Forney returns.
+    # If deg Lambda < L, no pattern on deg Lambda positions (besides the
+    # erasures) gives the modified syndromes, so no correction cancels.
+    if gf2m.poly_deg(lam) != length:
+        raise DecodeFailure("residual syndromes after correction")
 
     # Forney: Omega = S * psi mod x^r; e_j = Omega(X_j^-1) / psi'(X_j^-1),
     # psi' having coefficient psi_(2i+1) at degree 2i
     omega = _evaluate(tables, poly_mul(fs, synd, psi, r), n)
     psi_prime = _evaluate(tables[::2], psi[1::2], n)
     rows, inverse = gf2m.mul_rows(fs), gf2m.inverses(fs)
-    residual = _syndrome_tables(fs, n, r)
-    fixes, error_synd = [], 0
+    fixes = []
     for pos in roots_pos:
         if psi_prime[pos] == 0:
             raise DecodeFailure("Forney denominator vanished")
         mag = rows[omega[pos]][inverse[psi_prime[pos]]]
-        error_synd ^= residual[pos][mag]
         if mag:
             fixes.append((pos, mag))
-    if error_synd != _pack(synd):
-        raise DecodeFailure("residual syndromes after correction")
     return fixes
 
 
@@ -334,8 +328,8 @@ def rs_decode(spec: RsCodeSpec, received: Sequence[int],
     if not any(synd) and not erasures:
         return word[:spec.k], 0
     gamma = _erasure_locator(fs, n, erasures)
-    lam = _error_locator(fs, _modified_syndromes(fs, synd, gamma, r))
-    fixes = _corrections(fs, n, synd, lam, gamma)
+    locator = _error_locator(fs, _modified_syndromes(fs, synd, gamma, r))
+    fixes = _corrections(fs, n, synd, locator, gamma)
     for pos, mag in fixes:
         word[pos] ^= mag
     return word[:spec.k], len(fixes)
@@ -393,19 +387,20 @@ def _checked_message(values, count: int, size: int,
 
 
 def _checked_frame(frame, frame_bits: int) -> np.ndarray:
-    """A frame decoder's input as uint8 bits.  LengthMismatch unless it has
-    frame_bits entries; ConstraintViolation names the first entry that is
-    not 0 or 1, which np.packbits would read as 1.  A uint8 frame, the one
-    the receive chain passes, is checked by one bytes.translate, and
-    any other through _checked_message."""
-    a = np.asarray(frame)
+    """A frame decoder's input, flattened, as uint8 bits.  LengthMismatch
+    unless it has frame_bits entries; ConstraintViolation names the first
+    entry that is not 0 or 1, which np.packbits would read as 1, by its
+    index in the flattened frame.  A uint8 frame, the one the receive
+    chain passes, is checked by one bytes.translate, and any other through
+    _checked_message."""
+    a = np.asarray(frame).ravel()
     if a.size != frame_bits:
         raise LengthMismatch(f"frame length {a.size} != {frame_bits}")
     if a.dtype.char == "B" and not a.tobytes().translate(None, b"\0\1"):
         return a
     if a.dtype.kind not in "biu":  # its entries as given, not as str
-        a = np.asarray(frame, object)
-    return _checked_message(a.reshape(frame_bits), frame_bits, 2, "frame bit")
+        a = np.asarray(frame, object).ravel()
+    return _checked_message(a, frame_bits, 2, "frame bit")
 
 
 def _systematic(parity_bits: np.ndarray, frame_bits: int) -> np.ndarray:
@@ -548,19 +543,20 @@ _Decoder = namedtuple("_Decoder",
 @functools.cache
 def _decoder(layout: RsFrameLayout) -> _Decoder:
     """A layout's _Decoder.  Its tables are the _byte_tables of each sent
-    frame bit's syndromes, the _syndrome_tables entry of its value 2^b at
+    frame bit's syndromes, its value 2^b times the _syndrome_rows row of
     its word position, followed, when the layout punctures, by its r - f
     modified syndromes: these are GF(2)-linear in the syndromes, since the
     punctured locator Gamma never changes.  Pad bits are not in the word,
     so their images are zero."""
     fs, n, r = layout.spec.field, layout.n, layout.r
     gamma = tuple(_erasure_locator(fs, n, range(n - layout.punctured, n)))
-    table = _syndrome_tables(fs, n, r)
     shortened, p, q = layout.k - layout.k_prime, layout.p, layout.q
-    sent = ([table[shortened + i // p][1 << (p - 1 - i % p)]
-             for i in range(layout.message_bits)]
-            + [table[layout.k + i // q][1 << (q - 1 - i % q)]
-               for i in range(layout.parity_bits)])
+    i, j = np.arange(layout.message_bits), np.arange(layout.parity_bits)
+    positions = np.concatenate([shortened + i // p, layout.k + j // q])
+    values = np.concatenate([1 << (p - 1 - i % p), 1 << (q - 1 - j % q)])
+    images = gf2m.mul_table(fs)[values[:, None],
+                                _syndrome_rows(fs, n, r)[positions]]
+    sent = list(map(_pack, images.tolist()))
     if layout.punctured:  # the modified syndromes in bytes r..2r-f-1
         sent = [v ^ _pack(_modified_syndromes(fs, _unpack(v, r), gamma, r))
                 << 8 * r for v in sent]
@@ -586,8 +582,9 @@ def frame_decode(layout: RsFrameLayout,
         # the erasures alone explain the syndromes: correction would only
         # fill the punctured parity, so the message arrived intact
         return frame[:message_bits].copy(), 0, True
-    lam = _error_locator(fs, _unpack(modified, r - f))
-    fixes = _corrections(fs, n, _unpack(value, 2 * r - f)[:r], lam, gamma)
+    locator = _error_locator(fs, _unpack(modified, r - f))
+    fixes = _corrections(fs, n, _unpack(value, 2 * r - f)[:r], locator,
+                         gamma)
     shortened, k, p = layout.k - layout.k_prime, layout.k, layout.p
     if any(pos < shortened for pos, _ in fixes):
         raise DecodeFailure("shortened prefix decoded nonzero")

@@ -8,7 +8,7 @@ package's RS layouts and BCH frame do, and generator_matrix stacks an
 encoder's images of the unit messages.  frame_word rebuilds the RS(n, k)
 word a layout's frame carries.  The package builds the same maps from one
 parity table and one syndrome table per code (rs._parity_table,
-rs._syndrome_tables); the tests compare the two.
+rs._syndrome_rows); the tests compare the two.
 """
 import numpy as np
 

@@ -46,7 +46,6 @@ CALLS = {
                        (GF128, BCH_GENERATOR, 127)],
     rs._evaluation_tables: [(GF32, 31, 12), (GF128, 127, 6)],
     rs._syndrome_rows: [(GF32, 31, 12), (GF128, 127, 12)],
-    rs._syndrome_tables: [(GF32, 31, 12)],
     rs._frame_generator: [(layout,) for layout in LAYOUTS],
     rs._decoder: [(layout,) for layout in LAYOUTS],
     bch.bch_spec: [()],
