@@ -12,12 +12,11 @@ elements of GF(128).  A frame is (message @ G) mod 2.  The decoder reads
 one record, an rs._Decoder cached by _decoder and built at the first
 decode: its syndromes are one lookup per frame byte in XOR tables
 (rs._byte_tables) built from the syndromes of each bit, the rows of the
-code's one syndrome map (rs._syndrome_rows), packed.  It shares BM (with
-its table of inverses), the error bound, the packed Chien search and the
-acceptance test with the RS codec, skipping the steps of BM whose
-discrepancy is zero for a binary word: a locator with as many roots as
-its degree, and that degree BM's LFSR length L, flips bits whose
-syndromes are the frame's.
+code's one syndrome map (rs._syndrome_rows), packed.  A frame with
+nonzero syndromes goes to the RS codec's one correction routine,
+rs._corrections, as a binary word: BM skips the steps whose discrepancy
+is zero, the Chien search reads the degree-t tables, and the positions
+it accepts are the bits to flip.
 """
 from __future__ import annotations
 
@@ -28,10 +27,9 @@ import numpy as np
 
 from .. import gf2m
 from ..gf2m import FieldSpec
-from .rs import (DecodeFailure, _byte_tables, _checked_frame,
-                 _checked_message, _Decoder, _error_locator, _evaluate,
-                 _evaluation_tables, _gf2, _lookup, _pack, _parity_table,
-                 _roots, _syndrome_rows, _systematic, _unpack)
+from .rs import (_byte_tables, _checked_frame, _checked_message,
+                 _corrections, _Decoder, _gf2, _lookup, _pack, _parity_table,
+                 _syndrome_rows, _systematic, _unpack)
 
 
 @dataclass(frozen=True)
@@ -105,21 +103,13 @@ def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
     inconsistent, and ConstraintViolation naming the first frame entry that
     is not a bit.
     """
-    fs, n, r, frame_bits, k, tables, _ = _decoder()
+    fs, n, r, frame_bits, k, tables, gamma = _decoder()
     frame = _checked_frame(frame, frame_bits)
     value = _lookup(tables, frame)
     if not value:
         return frame[:k].copy(), 0
-
-    lam, length = _error_locator(fs, _unpack(value, r), binary=True)
-    flips = _roots(_evaluate(_evaluation_tables(fs, n, r // 2), lam, n))
-    if len(flips) != gf2m.poly_deg(lam):
-        raise DecodeFailure("locator degree does not match root count")
-    # rs._corrections' length test: with deg Lambda = L the syndromes are
-    # those of a pattern on Lambda's roots, and S_2j = S_j^2 of a binary
-    # word makes every Forney value 1, so flipping the roots cancels them
-    if gf2m.poly_deg(lam) != length:
-        raise DecodeFailure("residual syndromes after correction")
-    message = frame[:k].copy()
-    message[[i for i in flips if i < k]] ^= 1
-    return message, len(flips)
+    flips = _corrections(fs, n, value, _unpack(value, r), gamma, binary=True)
+    word = frame.copy()
+    for i in flips:  # at most t: a scalar XOR each beats a fancy index
+        word[i] ^= 1
+    return word[:k], len(flips)

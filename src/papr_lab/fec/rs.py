@@ -33,17 +33,16 @@ frame entry that is not a bit (_checked_frame), and reads one record per
 frame, its _Decoder, cached and built at the first decode.  Its per-byte
 XOR tables (_byte_tables), built from the syndrome entry of each sent
 frame bit, give a frame's syndromes as np.packbits of the frame and one
-lookup per byte.  A
-punctured layout's tables also give its modified syndromes, the syndromes
-composed with the fixed erasure locator Gamma of the punctured positions,
-so a frame whose modified syndromes are zero is clean and returns at once,
-and every other frame goes straight to Berlekamp-Massey.  BM and poly_mul
-run on the field's cached multiplication table and table of inverses.
-Only a locator within BM's degree bound goes on: the Chien search and both
-Forney polynomials are evaluated at every position at once, one XOR of a
-packed table entry per coefficient (_evaluation_tables).  The corrections
-are accepted by BM's own length test, never by their syndromes: the
-combined locator has as many roots as its degree, and Lambda's is L.
+lookup per byte.  A punctured layout's tables also give its modified
+syndromes, the syndromes composed with the fixed erasure locator Gamma of
+the punctured positions, so a frame whose modified syndromes are zero is
+clean and returns at once.  Every other word goes to _corrections, the one
+correction routine of every decoder here, BCH's too: Berlekamp-Massey and
+its degree bound, the Chien search, BM's own length test and, for a
+non-binary word, Forney, all on the field's cached multiplication table
+and table of inverses and on packed evaluation tables (_evaluation_tables):
+a polynomial at every position is one XOR of a table entry per coefficient.
+The corrections are accepted by the length test, never by their syndromes.
 """
 from __future__ import annotations
 
@@ -258,29 +257,25 @@ def _modified_syndromes(fs: FieldSpec, synd: list[int],
     return product[len(gamma) - 1:r]
 
 
-def _error_locator(fs: FieldSpec, modified: list[int],
-                   binary: bool = False) -> tuple[list[int], int]:
-    """BM's (locator, L) on the modified syndromes; DecodeFailure past the
-    error bound."""
+def _corrections(fs: FieldSpec, n: int, synd: int, modified: Sequence[int],
+                 gamma: Sequence[int], binary: bool = False) -> dict[int, int]:
+    """{position: magnitude} of every nonzero correction of a length-n word:
+    BM's (Lambda, L) on its modified syndromes, then the Chien search and
+    Forney on psi = Lambda * Gamma, Gamma its erasure locator.  Its r
+    syndromes are the low r bytes of the packed int synd, unpacked by
+    Forney alone.  DecodeFailure past the error bound, and unless psi has
+    as many roots as its degree and deg Lambda = L.  binary: the word is
+    binary, its syndromes S_1..S_2t, and Gamma is 1."""
     lam, length = _berlekamp_massey(fs, modified, binary)
-    if gf2m.poly_deg(lam) > len(modified) // 2:
+    degree = len(lam) - 1  # trimmed by BM, as psi is by poly_mul
+    if degree > len(modified) // 2:
         raise DecodeFailure("error locator exceeds capability")
-    return lam, length
-
-
-def _corrections(fs: FieldSpec, n: int, synd: Sequence[int],
-                 locator: tuple[list[int], int],
-                 gamma: Sequence[int]) -> list[tuple[int, int]]:
-    """Chien search and Forney on psi = Lambda * Gamma, (Lambda, L) from
-    _error_locator: (position, magnitude) of every nonzero correction of a
-    length-n word with syndromes synd.  DecodeFailure unless psi has as
-    many roots as its degree and deg Lambda = L."""
-    r = len(synd)
-    lam, length = locator
-    psi = poly_mul(fs, lam, gamma)  # combined locator, degree <= r
-    tables = _evaluation_tables(fs, n, r)
+    r = len(modified) + len(gamma) - 1
+    # combined locator, degree <= r: Lambda itself when Gamma is 1
+    psi = lam if len(gamma) == 1 else poly_mul(fs, lam, gamma)
+    tables = _evaluation_tables(fs, n, r // 2 if binary else r)
     roots_pos = _roots(_evaluate(tables, psi, n))
-    if len(roots_pos) != gf2m.poly_deg(psi):
+    if len(roots_pos) != len(psi) - 1:
         raise DecodeFailure("locator degree does not match root count")
     # The corrections cancel every syndrome exactly when deg Lambda = L
     # (Massey 1969).  If so, L being minimal and the erasure-only patterns
@@ -288,21 +283,24 @@ def _corrections(fs: FieldSpec, n: int, synd: Sequence[int],
     # of an error-and-erasure pattern on psi's roots, which Forney returns.
     # If deg Lambda < L, no pattern on deg Lambda positions (besides the
     # erasures) gives the modified syndromes, so no correction cancels.
-    if gf2m.poly_deg(lam) != length:
+    if degree != length:
         raise DecodeFailure("residual syndromes after correction")
+    if binary:  # S_2j = S_j^2 makes every Forney value 1
+        return dict.fromkeys(roots_pos, 1)
 
     # Forney: Omega = S * psi mod x^r; e_j = Omega(X_j^-1) / psi'(X_j^-1),
     # psi' having coefficient psi_(2i+1) at degree 2i
+    synd = _unpack(synd & ~(-1 << 8 * r), r)
     omega = _evaluate(tables, poly_mul(fs, synd, psi, r), n)
     psi_prime = _evaluate(tables[::2], psi[1::2], n)
     rows, inverse = gf2m.mul_rows(fs), gf2m.inverses(fs)
-    fixes = []
+    fixes = {}
     for pos in roots_pos:
         if psi_prime[pos] == 0:
             raise DecodeFailure("Forney denominator vanished")
         mag = rows[omega[pos]][inverse[psi_prime[pos]]]
         if mag:
-            fixes.append((pos, mag))
+            fixes[pos] = mag
     return fixes
 
 
@@ -328,9 +326,9 @@ def rs_decode(spec: RsCodeSpec, received: Sequence[int],
     if not any(synd) and not erasures:
         return word[:spec.k], 0
     gamma = _erasure_locator(fs, n, erasures)
-    locator = _error_locator(fs, _modified_syndromes(fs, synd, gamma, r))
-    fixes = _corrections(fs, n, synd, locator, gamma)
-    for pos, mag in fixes:
+    fixes = _corrections(fs, n, _pack(synd),
+                         _modified_syndromes(fs, synd, gamma, r), gamma)
+    for pos, mag in fixes.items():
         word[pos] ^= mag
     return word[:spec.k], len(fixes)
 
@@ -582,22 +580,21 @@ def frame_decode(layout: RsFrameLayout,
         # the erasures alone explain the syndromes: correction would only
         # fill the punctured parity, so the message arrived intact
         return frame[:message_bits].copy(), 0, True
-    locator = _error_locator(fs, _unpack(modified, r - f))
-    fixes = _corrections(fs, n, _unpack(value, 2 * r - f)[:r], locator,
-                         gamma)
+    fixes = _corrections(fs, n, value, _unpack(modified, r - f), gamma)
     shortened, k, p = layout.k - layout.k_prime, layout.k, layout.p
-    if any(pos < shortened for pos, _ in fixes):
+    if any(pos < shortened for pos in fixes):
         raise DecodeFailure("shortened prefix decoded nonzero")
     # message symbols arrive as p-bit fields: a correction flips the bits
     # of its low p, and it keeps the alphabet exactly when its magnitude
     # has no higher bits
-    message = [(pos, mag) for pos, mag in fixes if pos < k]
+    message = [(pos, mag) for pos, mag in fixes.items() if pos < k]
     flips = [(pos - shortened) * p + b for pos, mag in message
              for b in range(p) if mag >> (p - 1 - b) & 1]
     bits = frame[:message_bits].copy()
-    bits[flips] ^= 1
+    for i in flips:  # a few: a scalar XOR each beats a fancy index
+        bits[i] ^= 1
     constraint_ok = all(mag >> p == 0 for _, mag in message)
-    corrected = sum(1 for pos, _ in fixes if pos < n - f)
+    corrected = sum(1 for pos in fixes if pos < n - f)
     return bits, corrected, constraint_ok
 
 

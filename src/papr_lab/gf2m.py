@@ -156,14 +156,12 @@ def poly_mul(fs: FieldSpec, p: Sequence[int], q: Sequence[int],
 
 
 def poly_from_roots(fs: FieldSpec, roots: Sequence[int]) -> list[int]:
-    """prod (x + a) over the roots a, its products taken in the log domain
-    from the field's tables, so that building a code's generator builds no
-    table."""
-    exp, log = fs.exp_table, fs.log_table
+    """prod (x + a) over the roots a, its products arr_mul's, taken in the
+    log domain from the field's tables, so that building a code's generator
+    builds no table."""
     p = np.array([1] + [0] * len(roots))
     for a in roots:  # p <- (x + a) p
-        times_a = np.where((p != 0) & (a != 0),
-                           exp[(log[p] + log[a]) % fs.order], 0)
+        times_a = arr_mul(fs, p, a)
         times_a[1:] ^= p[:-1]
         p = times_a
     return p.tolist()

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -88,11 +89,23 @@ class SimConfig:
     # the chain's filter bank: sub-channels and overlap factor
     M: ClassVar[int] = 64
     K: ClassVar[int] = 4
+    # the types each annotation admits, a bool being no number
+    _TYPES: ClassVar[dict] = {"int": Integral, "float": Real, "bool": bool,
+                              "str": str, "tuple": (tuple, list)}
+    _FLAGS: ClassVar[dict] = {  # the flags not named after their field
+        "companding": "--compand", "snr_list_db": "--snr",
+        "master_seed": "--seed", "frames_per_burst": "--frames-per-burst"}
 
     def modem_config(self) -> modem.ModemConfig:
         return _modem_config(self.M, self.K)
 
     def validate(self) -> None:
+        for f in fields(self):  # types first: 10.0 frames pass the rest
+            value, kind = getattr(self, f.name), self._TYPES[f.type]
+            if not isinstance(value, kind) or (isinstance(value, bool)
+                                               and kind is not bool):
+                raise ConfigError(f"{self._FLAGS.get(f.name, '--' + f.name)} "
+                                  f"must be of type {f.type}, got {value!r}")
         if not 3 <= self.frames_per_burst <= MAX_FRAMES_PER_BURST:
             raise ConfigError(
                 f"--frames-per-burst must be in 3..{MAX_FRAMES_PER_BURST} "
@@ -116,8 +129,9 @@ class SimConfig:
         # and a finite point keys its streams by its value in milli-dB
         first = {}  # stream key -> index of the first point with it
         for i, snr in enumerate(self.snr_list_db):
-            if np.isnan(snr) or snr == -np.inf:
-                raise ConfigError(f"--snr {snr} is not a dB value or inf")
+            if (not isinstance(snr, Real) or isinstance(snr, bool)
+                    or np.isnan(snr) or snr == -np.inf):
+                raise ConfigError(f"--snr {snr!r} is not a dB value or inf")
             if np.isfinite(snr) and abs(snr) > MAX_SNR_DB:
                 raise ConfigError(f"--snr {snr} is outside "
                                   f"-{MAX_SNR_DB}..{MAX_SNR_DB} dB")
@@ -186,10 +200,11 @@ def get_scheme(name: str, M: int = 64) -> Scheme:
                       lambda f: bch.bch_decode(f)[0])
     if name == "rs2516":
         # payload bits <-> message symbols once per chunk
-        return Scheme("rs2516", 80,
-                      lambda b: rs.rs2516_frame(rs._pack_symbols(b, 5)),
+        p = rs.RS2516.p
+        return Scheme("rs2516", rs.RS2516.message_bits,
+                      lambda b: rs.rs2516_frame(rs._pack_symbols(b, p)),
                       lambda f: rs.rs2516_decode(f)[0],
-                      lambda syms: rs._symbols_to_bits(syms, 5))
+                      lambda syms: rs._symbols_to_bits(syms, p))
     if name.startswith("crs31_"):
         k = name[len("crs31_"):]
         if not (k.isdecimal() and k == str(int(k))):  # one name per scheme

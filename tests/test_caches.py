@@ -101,3 +101,29 @@ def test_shared_product_rows_refuse_writes():
         gf2m.mul_rows(GF32)[3][5] = 0
     with pytest.raises(ValueError):
         gf2m.mul_table(GF32)[3, 5] = 0
+
+
+def test_calls_are_the_calls_the_schemes_build():
+    """From cleared caches, a PAPR run and an errored BER run of each
+    scheme on each channel leave every cache holding exactly its CALLS:
+    each listed call is a hit, and no other call was cached.  The field
+    instances stay, since callers share them by identity (GF32 is
+    cached_field(5)), and cached_field caches no other m."""
+    for cached in CALLS:
+        if cached is not gf2m.cached_field:
+            cached.cache_clear()
+    for scheme in ("none", "bch", "rs2516", "crs31_19"):
+        harness.run_papr_experiment(
+            harness.SimConfig(scheme=scheme, frames=16, master_seed=1))
+        for name in ("awgn", "pedestrian_b", "vehicular_a"):
+            harness.run_ber_sweep(harness.SimConfig(
+                scheme=scheme, channel=name, snr_list_db=(4.0,), bits=2000,
+                master_seed=1))
+    for cached, calls in CALLS.items():
+        before = cached.cache_info()
+        for args in calls:
+            cached(*args)
+        after = cached.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses,
+                after.currsize) == (len(calls), 0, len(calls)), \
+            cached.__name__

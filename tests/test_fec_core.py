@@ -693,8 +693,10 @@ def test_schemes_build_no_decode_table(cold_fec_caches):
 COLD_BUILD_KIB = 320
 # the same for a frame with three bit errors, whose decode also builds the
 # Chien and Forney tables: rs2516 267 and crs31_19 234 KiB measured, and
-# 311 and 278 KiB with the packed (position, magnitude) syndrome table
-COLD_CORRECTION_KIB = 272
+# 311 and 278 KiB with the packed (position, magnitude) syndrome table;
+# BCH, which also builds GF(128)'s product rows and inverses, 500 KiB
+# measured, and 768 KiB with the Chien tables of degree 12, not t = 6
+COLD_CORRECTION_KIB = {"bch": 560, "rs2516": 272, "crs31_19": 272}
 FRAME_DECODERS = {
     "bch": bch.bch_decode,
     "rs2516": rs.rs2516_decode,
@@ -723,13 +725,14 @@ def test_cold_decoder_build_retains_bounded_memory(code):
     assert _cold_decode_bytes(code, frame) <= COLD_BUILD_KIB * 1024
 
 
-@pytest.mark.parametrize("code", ["rs2516", "crs31_19"])
+@pytest.mark.parametrize("code", FRAME_DECODERS)
 def test_cold_correction_retains_bounded_memory(code):
     """A first decode that corrects builds no syndrome table beside the
-    unit rows: the decoder accepts its corrections by BM's length test."""
+    unit rows: the decoder accepts its corrections by BM's length test,
+    and BCH's Chien search reads tables of degree t."""
     frame = np.zeros(128, dtype=np.uint8)
     frame[[3, 50, 90]] = 1
-    assert _cold_decode_bytes(code, frame) <= COLD_CORRECTION_KIB * 1024
+    assert _cold_decode_bytes(code, frame) <= COLD_CORRECTION_KIB[code] * 1024
 
 
 # a frame entry that is not a bit, by dtype: a uint8 frame is checked by
@@ -1003,6 +1006,7 @@ def test_bch_byte_table_bit_images_equal_parity_check_rows():
 BCH_RARE = {
     "error locator exceeds capability": [(33, 7), (245, 7), (127, 8),
                                          (153, 8)],
+    "locator degree does not match root count": [(0, 7), (1, 7)],
     None: [(546, 7), (1701, 8), (185, 9)],  # decoded to another codeword
 }
 RS2516_RARE = {

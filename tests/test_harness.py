@@ -1,7 +1,7 @@
 import threading
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import accumulate
 
 import numpy as np
@@ -116,6 +116,41 @@ class TestConfig:
         with pytest.raises(harness.ConfigError):
             SimConfig(scheme="nope").validate()
         SimConfig().validate()
+
+    # field -> (its flag, values of a wrong type): a float count, a bool
+    # where a number goes, a string for a bool or a number, None for a name
+    WRONG_TYPES = {
+        "scheme": ("--scheme", [None, 19]),
+        "companding": ("--compand", ["no", 1, None]),
+        "mu": ("--mu", ["25", True, None]),
+        "channel": ("--channel", [None, 0]),
+        "snr_list_db": ("--snr", [5.0, "5", ("5",), (True,), [None]]),
+        "frames": ("--frames", [150.5, 150.0, True, "150"]),
+        "bits": ("--bits", [1000.5, True]),
+        "load": ("--load", [None, 1]),
+        "master_seed": ("--seed", [1.5, False, "1"]),
+        "frames_per_burst": ("--frames-per-burst", [10.0, True]),
+        "workers": ("--workers", [2.5, True]),
+    }
+
+    def test_wrong_types_cover_every_field(self):
+        assert [f.name for f in fields(SimConfig)] == list(self.WRONG_TYPES)
+
+    @pytest.mark.parametrize("name,flag,value", [
+        (name, flag, value) for name, (flag, values) in WRONG_TYPES.items()
+        for value in values])
+    def test_wrong_type_names_the_flag(self, name, flag, value):
+        """Each field refuses a value of the wrong type with a ConfigError
+        that names its flag, where a range check would pass it (10.0
+        frames per burst, companding "no") or fail with a bare TypeError."""
+        with pytest.raises(harness.ConfigError, match=f"^{flag} "):
+            SimConfig(**{name: value}).validate()
+
+    def test_numpy_scalars_and_lists_pass(self):
+        SimConfig(frames=np.int64(150), bits=np.int32(1000),
+                  master_seed=np.uint64(2**63), frames_per_burst=np.int64(10),
+                  workers=np.int64(1), mu=np.float64(25.0),
+                  snr_list_db=[np.float64(5.0), 6, np.inf]).validate()
 
 
 class TestPaprExperiment:
