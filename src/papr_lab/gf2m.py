@@ -109,10 +109,6 @@ def poly_trim(p: list[int]) -> list[int]:
     return p
 
 
-def poly_deg(p: list[int]) -> int:
-    return len(p) - 1
-
-
 @functools.cache
 def mul_table(fs: FieldSpec) -> np.ndarray:
     """(size, size) read-only table of every product: mul_table(fs)[a, b] is

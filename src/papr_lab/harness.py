@@ -5,23 +5,21 @@ Reproducibility: every burst gets its own RNG streams, the PCG64 streams of
 SeedSequence([master_seed, scenario key, burst index, role]), role in
 {payload, fading, noise}.  Paired comparisons across schemes therefore share
 payload and channel randomness.  The channel builds a BER chunk's fading and
-noise Generators only where it draws.  A run derives the seed words of many
-streams in one vectorized pass (_seed_words): a PAPR run those of all its
-bursts before the first chunk, a BER run those of each chunk's bursts.
-Bursts run in the fewest near-equal chunks of consecutive bursts within a
-budget of frames, each chunk stacked through encoder, modem, compander and
-equalizer as one array, one chunk after another on the calling thread, in
-burst order.  A BER chunk holds at most BER_CHUNK_FRAMES = 400 frames, so
-that its fixed cost through the receive chain is paid less often; a PAPR
-chunk at most CHUNK_FRAMES = 200, the fastest budget measured.  An
+noise Generators only where it draws.  PAPR and BER runs share one chunk
+loop (_run_bursts): fixed slices of as many consecutive bursts as fit a
+budget of frames, the last one shorter, run in burst order on the calling
+thread.  A chunk derives its bursts' seed words in one vectorized pass
+(_seed_words) and goes through encoder, modem, compander and equalizer as
+one stacked array.  A BER chunk holds at most BER_CHUNK_FRAMES = 400
+frames, so that its fixed cost through the receive chain is paid less often;
+a PAPR chunk at most CHUNK_FRAMES = 200, the fastest budget measured.  An
 uncompanded PAPR burst longer than a chunk is measured in blocks of frames.
-A BER burst's warm-up frames, its first and last, are sent, but the
-receiver analyses, equalizes and decodes only the frames between them.
+A BER burst's warm-up frames, its first and last, are sent, but the receiver
+analyses, equalizes and decodes only the frames between them.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from typing import Callable, ClassVar, Sequence
@@ -44,7 +42,7 @@ _modem_config = functools.cache(modem.ModemConfig)
 # Frames per chunk of PAPR bursts; also the measured frames per block of an
 # uncompanded PAPR burst, and the frames per piece of a payload draw.  In
 # us per perfbench operation (yardstick-normalised medians of 40
-# alternations, 2 vCPUs), at budgets of 100 / 200 / 300 / 400 / 500 frames:
+# alternations, 2 vCPUs, near-equal chunks) at budgets of 100..500 by 100:
 #   papr_crs19_mu:        5036 / 4678 / 4824 / 4832 / 6042
 #   papr_none_longburst:  4863 / 4479 / 4805 / 4861 / 5028
 CHUNK_FRAMES = 200
@@ -63,11 +61,10 @@ BER_CHUNK_FRAMES = 400
 # A BER burst and a companded PAPR burst are one stack, so this bounds their
 # working set at about 100 MiB; a whole other PAPR run peaks under 4 MiB.
 MAX_FRAMES_PER_BURST = 10_000
-# Measured frames of a PAPR run, which keeps every sample and burst seed:
-# its tracemalloc peak is 96 B a frame at 3 frames per burst (deriving the
-# seeds, the worst case) with a master seed of 2^32 or more, 80 B with a
-# smaller one, and 20 B at 10, measured at 80,000-640,000 frames.
-MAX_PAPR_FRAMES = 10_000_000  # under 1 GiB
+# Measured frames of a PAPR run, which keeps every sample: its tracemalloc
+# peak grows by about 10 B a frame (3 and 10 frames per burst, master seed
+# 2^40, between 80,000 and 240,000 frames) beside one chunk's 2.6 MiB.
+MAX_PAPR_FRAMES = 10_000_000  # about 100 MiB
 # |SNR| in dB at a finite point: its stream key, _snr_key, stays in
 # 0..2,000,000, below the noiseless sentinel and inside a uint32 word
 MAX_SNR_DB = 1000
@@ -89,12 +86,24 @@ class SimConfig:
     # the chain's filter bank: sub-channels and overlap factor
     M: ClassVar[int] = 64
     K: ClassVar[int] = 4
-    # the types each annotation admits, a bool being no number
-    _TYPES: ClassVar[dict] = {"int": Integral, "float": Real, "bool": bool,
-                              "str": str, "tuple": (tuple, list)}
+    # the types each annotation admits after __post_init__; a bool is no number
+    _TYPES: ClassVar[dict] = {"int": int, "float": (int, float),
+                              "bool": bool, "str": str, "tuple": tuple}
     _FLAGS: ClassVar[dict] = {  # the flags not named after their field
         "companding": "--compand", "snr_list_db": "--snr",
         "master_seed": "--seed", "frames_per_burst": "--frames-per-burst"}
+
+    def __post_init__(self):
+        # hold builtin numbers: numpy scalars wrap, overflow or warn in the
+        # arithmetic below.  A value of another type is left for validate.
+        def builtin(x):
+            return (x if isinstance(x, bool) or not isinstance(x, Real)
+                    else int(x) if isinstance(x, Integral) else float(x))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (tuple, list)):
+                value = tuple(map(builtin, value))
+            object.__setattr__(self, f.name, builtin(value))
 
     def modem_config(self) -> modem.ModemConfig:
         return _modem_config(self.M, self.K)
@@ -129,8 +138,7 @@ class SimConfig:
         # and a finite point keys its streams by its value in milli-dB
         first = {}  # stream key -> index of the first point with it
         for i, snr in enumerate(self.snr_list_db):
-            if (not isinstance(snr, Real) or isinstance(snr, bool)
-                    or np.isnan(snr) or snr == -np.inf):
+            if type(snr) not in (int, float) or not snr > -np.inf:  # or nan
                 raise ConfigError(f"--snr {snr!r} is not a dB value or inf")
             if np.isfinite(snr) and abs(snr) > MAX_SNR_DB:
                 raise ConfigError(f"--snr {snr} is outside "
@@ -431,17 +439,19 @@ def _full_load_paprs(cfg: SimConfig, scheme: Scheme,
 
 def _run_bursts(n_bursts: int, cfg: SimConfig, chunk_frames: int,
                 worker: Callable[[range], object]) -> list:
-    """worker(chunk) for each of the fewest chunks of consecutive bursts of
-    at most chunk_frames frames, sizes within one burst of each other, in
-    burst order, on the calling thread; the layout depends on
-    frames_per_burst and chunk_frames alone."""
+    """worker(chunk) for each slice of chunk_frames // frames_per_burst
+    consecutive bursts (at least one), the last one shorter, in burst order
+    on the calling thread."""
     size = max(1, chunk_frames // cfg.frames_per_burst)
-    n_chunks = -(-n_bursts // size)
-    # the chunk count of size-burst chunks, ceil(n_bursts / size), but
-    # sizes within one burst of each other, larger first; bounds are
-    # computed as chunks run, not listed up front
-    bounds = (-(-n_bursts * c // n_chunks) for c in range(n_chunks + 1))
-    return [worker(range(b, e)) for b, e in itertools.pairwise(bounds)]
+    return [worker(range(b, min(b + size, n_bursts)))
+            for b in range(0, n_bursts, size)]
+
+
+def _papr_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
+                bursts: range) -> np.ndarray:
+    (seeds,) = _seed_words(cfg.master_seed, 0, bursts, (_ROLE_PAYLOAD,))
+    return _measured_paprs(cfg, mcfg, _payloads(scheme, cfg, seeds),
+                           scheme.encode)
 
 
 def run_papr_experiment(cfg: SimConfig) -> PaprResult:
@@ -450,21 +460,15 @@ def run_papr_experiment(cfg: SimConfig) -> PaprResult:
     cfg.validate()
     scheme = get_scheme(cfg.scheme, cfg.M)
     mcfg = cfg.modem_config()
-    per_burst = cfg.frames_per_burst - 2
-    n_bursts = -(-cfg.frames // per_burst)
+    n_bursts = -(-cfg.frames // (cfg.frames_per_burst - 2))
     if cfg.load == "full":
         # full load is deterministic: one burst, repeated
-        samples = np.tile(_full_load_paprs(cfg, scheme, mcfg),
-                          n_bursts)[:cfg.frames]
+        samples = np.tile(_full_load_paprs(cfg, scheme, mcfg), n_bursts)
     else:
-        (seeds,) = _seed_words(cfg.master_seed, 0, range(n_bursts),
-                               (_ROLE_PAYLOAD,))
-        samples = np.empty((n_bursts, per_burst))  # bursts' rows in order
-        _run_bursts(n_bursts, cfg, CHUNK_FRAMES, lambda c: np.copyto(
-            samples[c.start:c.stop], _measured_paprs(
-                cfg, mcfg, _payloads(scheme, cfg, seeds[c.start:c.stop]),
-                scheme.encode)))
-        samples = samples.ravel()[:cfg.frames]
+        samples = np.concatenate(_run_bursts(
+            n_bursts, cfg, CHUNK_FRAMES,
+            lambda c: _papr_chunk(cfg, scheme, mcfg, c)), axis=None)
+    samples = samples[:cfg.frames]
     curve = (metrics.ccdf(samples)
              if samples.size >= metrics.CCDF_MIN_SAMPLES else None)
     return PaprResult(scheme=cfg.scheme, companding=cfg.companding,
@@ -541,11 +545,9 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     n_bursts = -(-cfg.bits // per_burst)
     records = []
     for snr_db in cfg.snr_list_db:
-        results = _run_bursts(
+        errs, total = map(sum, zip(*_run_bursts(
             n_bursts, cfg, BER_CHUNK_FRAMES,
-            lambda c: _ber_chunk(cfg, scheme, mcfg, profile, snr_db, c))
-        errs = sum(r[0] for r in results)
-        total = sum(r[1] for r in results)
+            lambda c: _ber_chunk(cfg, scheme, mcfg, profile, snr_db, c))))
         records.append(BerRecord(snr_db=snr_db, scheme=cfg.scheme,
                                  channel=cfg.channel,
                                  companding=cfg.companding,

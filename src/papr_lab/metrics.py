@@ -27,8 +27,8 @@ def papr_db(window: np.ndarray) -> float | np.ndarray:
     # windows were gathered or stacked
     power = np.abs(np.ascontiguousarray(window)) ** 2
     mean = power.mean(axis=-1)
-    if not np.all(mean):
-        raise DegenerateSignal("all-zero window")
+    if not (np.all(mean) and np.isfinite(mean).all()):  # NaN, inf reach it
+        raise DegenerateSignal("all-zero or non-finite window")
     return 10.0 * np.log10(power.max(axis=-1) / mean)
 
 
@@ -68,12 +68,14 @@ def ccdf(samples_db: np.ndarray) -> CcdfCurve:
     if samples_db.size < CCDF_MIN_SAMPLES:
         raise DegenerateSignal(f"need >= {CCDF_MIN_SAMPLES} samples, "
                             f"got {samples_db.size}")
-    lo = np.floor(samples_db.min() / CCDF_GRID_STEP_DB) * CCDF_GRID_STEP_DB
-    hi = np.ceil(samples_db.max() / CCDF_GRID_STEP_DB) * CCDF_GRID_STEP_DB
+    ordered = np.sort(samples_db)  # a NaN sorts last
+    lo = np.floor(ordered[0] / CCDF_GRID_STEP_DB) * CCDF_GRID_STEP_DB
+    hi = np.ceil(ordered[-1] / CCDF_GRID_STEP_DB) * CCDF_GRID_STEP_DB
+    if not np.isfinite((lo, hi)).all():
+        raise DegenerateSignal("non-finite PAPR samples")
     grid = np.arange(lo, hi + CCDF_GRID_STEP_DB / 2, CCDF_GRID_STEP_DB)
     # the share of samples above g: those right of g in sorted order
-    above = samples_db.size - np.searchsorted(np.sort(samples_db), grid,
-                                              side="right")
+    above = samples_db.size - np.searchsorted(ordered, grid, side="right")
     probs = above / samples_db.size
     return CcdfCurve(thresholds_db=grid, probabilities=probs)
 

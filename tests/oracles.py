@@ -1,14 +1,14 @@
 """Scalar references for code that the package no longer runs.
 
 Field arithmetic one element at a time through the log/antilog tables
-(mul, inv, div), polynomial long division (poly_divmod), and the algebraic
-encoders built on it: rs_encode divides the shifted message by the
-generator, frame_encode and bch_encode frame its parity bits as the
-package's RS layouts and BCH frame do, and generator_matrix stacks an
-encoder's images of the unit messages.  frame_word rebuilds the RS(n, k)
-word a layout's frame carries.  The package builds the same maps from one
-parity table and one syndrome table per code (rs._parity_table,
-rs._syndrome_rows); the tests compare the two.
+(mul, inv, div), the degree of a polynomial and its long division
+(poly_deg, poly_divmod), and the algebraic encoders built on it: rs_encode
+divides the shifted message by the generator, frame_encode and bch_encode
+frame its parity bits as the package's RS layouts and BCH frame do, and
+generator_matrix stacks an encoder's images of the unit messages.
+frame_word rebuilds the RS(n, k) word a layout's frame carries.  The
+package builds the same maps from one parity table and one syndrome table
+per code (rs._parity_table, rs._syndrome_rows); the tests compare the two.
 """
 import numpy as np
 
@@ -55,6 +55,11 @@ def loop_bits_to_symbols(bits, q):
     return out
 
 
+def poly_deg(p):
+    """The degree of a trimmed polynomial, -1 for the zero polynomial."""
+    return len(p) - 1
+
+
 def poly_divmod(fs, p, q):
     """(quotient, remainder) of p / q with deg(remainder) < deg(q),
     polynomials lowest degree first, one scalar mul per term."""
@@ -62,10 +67,10 @@ def poly_divmod(fs, p, q):
     if not q:
         raise ZeroDivisionError("polynomial division by zero polynomial")
     rem = gf2m.poly_trim(list(p))
-    dq = gf2m.poly_deg(q)
+    dq = poly_deg(q)
     quot = [0] * max(len(rem) - dq, 0)
-    while gf2m.poly_deg(rem) >= dq:
-        shift = gf2m.poly_deg(rem) - dq
+    while poly_deg(rem) >= dq:
+        shift = poly_deg(rem) - dq
         coef = div(fs, rem[-1], q[-1])
         quot[shift] = coef
         for i, c in enumerate(q):

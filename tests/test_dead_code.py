@@ -1,10 +1,12 @@
-"""Every private module-level name of the package is used by the package.
+"""Every module-level name of the package is used outside the tests.
 
 A function, class or constant whose name starts with one underscore must
 be read somewhere in src/papr_lab other than its own definition: in its
-module, or in another through `from .mod import _name` or `mod._name`.
-Code the package no longer runs belongs in the tests (tests/oracles.py)
-or nowhere.  ALLOWED lists the exceptions, each with its reason.
+module, or in another through `from .mod import _name` or `mod._name`.  A
+public name may also be read by scripts/ or by perfbench/'s non-test
+modules, the package's other users.  Code that only tests run belongs in
+the tests (tests/oracles.py) or nowhere.  ALLOWED lists the exceptions,
+each with its reason.
 """
 import ast
 import importlib.util
@@ -13,22 +15,42 @@ from pathlib import Path
 import papr_lab
 
 SRC = Path(papr_lab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+# the package's users besides src/ itself, which may read its public names
+USERS = sorted([*ROOT.glob("scripts/*.py"),
+                *(path for path in ROOT.glob("perfbench/*.py")
+                  if not path.name.startswith("test_"))])
 
-# (module, name) -> why nothing in src/ needs to read it
+# (module, name) -> why nothing in src/, or for a public name nothing in
+# src/ or USERS, needs to read it
 ALLOWED = {
     ("papr_lab.fec.rs", "_bits_to_symbols"):
         "criterion 1 (tests/test_acceptance.py, kept as written) packs "
         "RS(25,16) frames to symbols with it",
+    ("papr_lab.fec.rs", "rs_encode"):
+        "criterion 1 (tests/test_acceptance.py, kept as written) encodes "
+        "RS(25,16) messages with it",
+    ("papr_lab.fec.rs", "rs_decode"):
+        "criterion 1 (tests/test_acceptance.py, kept as written) decodes "
+        "RS(25,16) words with it",
+    ("papr_lab.fec.crs", "codeword_density"):
+        "criterion 3 (tests/test_acceptance.py, kept as written) measures "
+        "the CRS constraint with it",
 }
 
 
 def _module_name(path):
-    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    parts = path.relative_to(
+        SRC.parent if path.is_relative_to(SRC) else ROOT).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
 def _is_private(name):
     return name.startswith("_") and not name.startswith("__")
+
+
+def _is_public(name):
+    return not name.startswith("_")
 
 
 def _defined(stmt):
@@ -50,7 +72,7 @@ def _is_module(name):
 def _bindings(path, tree):
     """Local name -> the module it names, or the (module, name) it is, for
     every `from ... import` of a module."""
-    package = ".".join(path.relative_to(SRC.parent).parent.parts)
+    package = _module_name(path.parent / "__init__.py")
     bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -63,17 +85,17 @@ def _bindings(path, tree):
     return bound
 
 
-def _definitions_and_reads():
-    """({(module, private name)}, {(module, name) read outside its own
-    definition})."""
+def _definitions_and_reads(paths):
+    """({(module, name) defined at module level}, {(module, name) read
+    outside its own definition}) of the modules at paths."""
     defined, reads = set(), set()
-    for path in sorted(SRC.rglob("*.py")):
+    for path in paths:
         module = _module_name(path)
         tree = ast.parse(path.read_text())
         bound = _bindings(path, tree)
         for stmt in tree.body:
             own = _defined(stmt)
-            defined |= {(module, n) for n in own if _is_private(n)}
+            defined |= {(module, n) for n in own}
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx,
                                                              ast.Load):
@@ -88,13 +110,28 @@ def _definitions_and_reads():
     return defined, reads
 
 
+def _unread():
+    """{(module, name)} of the private names nothing in src/ reads and the
+    public names nothing in src/ or USERS reads."""
+    defined, reads = _definitions_and_reads(sorted(SRC.rglob("*.py")))
+    used = reads | _definitions_and_reads(USERS)[1]
+    return ({(m, n) for m, n in defined if _is_private(n)} - reads
+            | {(m, n) for m, n in defined if _is_public(n)} - used)
+
+
 def test_every_private_name_is_read_in_src():
-    defined, reads = _definitions_and_reads()
-    unused = sorted(defined - reads - ALLOWED.keys())
+    unused = sorted({(m, n) for m, n in _unread() - ALLOWED.keys()
+                     if _is_private(n)})
     assert not unused, f"private names nothing in src/ reads: {unused}"
 
 
+def test_every_public_name_is_read_outside_the_tests():
+    unused = sorted({(m, n) for m, n in _unread() - ALLOWED.keys()
+                     if _is_public(n)})
+    assert not unused, (f"public names nothing in src/, scripts/ or "
+                        f"perfbench/ reads: {unused}")
+
+
 def test_allow_list_is_current():
-    """Each allowed name still exists and is still unread in src/."""
-    defined, reads = _definitions_and_reads()
-    assert ALLOWED.keys() <= defined - reads
+    """Each allowed name still exists and is still unread."""
+    assert ALLOWED.keys() <= _unread()

@@ -207,7 +207,7 @@ def scalar_correct_word(spec, received, erasures=()):
     product = scalar_poly_mul(fs, synd, gamma)
     product += [0] * (r - len(product))
     lam, _ = scalar_berlekamp_massey(fs, product[f:r])
-    if gf2m.poly_deg(lam) > (r - f) // 2:
+    if oracles.poly_deg(lam) > (r - f) // 2:
         raise rs.DecodeFailure("error locator exceeds capability")
     psi = scalar_poly_mul(fs, lam, gamma)
     if not psi:
@@ -218,7 +218,7 @@ def scalar_correct_word(spec, received, erasures=()):
         if scalar_poly_eval(fs, psi, inv(fs, x)) == 0:
             roots_pos.append(pos)
             roots_x.append(x)
-    if len(roots_pos) != gf2m.poly_deg(psi):
+    if len(roots_pos) != oracles.poly_deg(psi):
         raise rs.DecodeFailure("locator degree does not match root count")
     omega = scalar_poly_mul(fs, synd, psi)[:r]
     psi_prime = [c if i % 2 == 0 else 0 for i, c in enumerate(psi[1:])]
@@ -288,7 +288,7 @@ def scalar_bch_decode(frame):
     if not any(synd):
         return word[:spec.k], 0
     lam, _ = scalar_berlekamp_massey(fs, synd)
-    nerr = gf2m.poly_deg(lam)
+    nerr = oracles.poly_deg(lam)
     if nerr > spec.t:
         raise rs.DecodeFailure("error locator exceeds capability")
     flips = [pos for pos in range(spec.n)

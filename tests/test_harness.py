@@ -2,7 +2,7 @@ import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
-from itertools import accumulate
+from itertools import product
 
 import numpy as np
 import pytest
@@ -147,10 +147,35 @@ class TestConfig:
             SimConfig(**{name: value}).validate()
 
     def test_numpy_scalars_and_lists_pass(self):
+        """A config of numpy numbers holds builtin ones, so it runs as its
+        builtin twin: a narrow integer neither overflows nor wraps in the
+        run's arithmetic, nor a float32 mu in the compander's checks."""
         SimConfig(frames=np.int64(150), bits=np.int32(1000),
                   master_seed=np.uint64(2**63), frames_per_burst=np.int64(10),
                   workers=np.int64(1), mu=np.float64(25.0),
                   snr_list_db=[np.float64(5.0), 6, np.inf]).validate()
+        counts = dict(frames=100, bits=100, master_seed=5,
+                      frames_per_burst=10, workers=1)
+        twin = SimConfig(scheme="bch", companding=True, mu=25.0,
+                         snr_list_db=(4.0, np.inf), **counts)
+        samples = harness.run_papr_experiment(twin).samples_db
+        records = harness.run_ber_sweep(twin)
+        for int_type, float_type in product(
+                [np.int8, np.int16, np.int32, np.int64,
+                 np.uint8, np.uint16, np.uint32, np.uint64],
+                [np.float32, np.float64]):
+            cfg = replace(twin, mu=float_type(25),
+                          snr_list_db=[float_type(4), float_type(np.inf)],
+                          **{name: int_type(n) for name, n in counts.items()})
+            assert cfg == twin
+            assert [type(getattr(cfg, f.name)) for f in fields(cfg)] == [
+                type(getattr(twin, f.name)) for f in fields(twin)]
+            got = harness.run_papr_experiment(cfg).samples_db
+            assert got.dtype == samples.dtype
+            assert np.array_equal(got, samples)
+            got = harness.run_ber_sweep(cfg)
+            assert got == records
+            assert all(type(r.snr_db) is float for r in got)
 
 
 class TestPaprExperiment:
@@ -415,15 +440,15 @@ class TestChunks:
         assert all(out == first for out in rest)
 
     def test_ber_sweep_at_budget_edge(self, monkeypatch):
-        """One burst past a full BER chunk runs as two near-equal chunks,
-        with the same records as chunks of one burst."""
+        """One burst past a full BER chunk runs as a full chunk and a chunk
+        of one, with the same records as chunks of one burst."""
         size = harness.BER_CHUNK_FRAMES // 10
         cfg = SimConfig(scheme="rs2516", companding=True,
                         channel="pedestrian_b", snr_list_db=(16.0, np.inf),
                         bits=(size + 1) * 8 * 80, master_seed=4)
         layout = harness._run_bursts(size + 1, cfg, harness.BER_CHUNK_FRAMES,
                                      len)
-        assert layout == [size // 2 + 1, size // 2]
+        assert layout == [size, 1]
         edge = harness.run_ber_sweep(cfg)
         monkeypatch.setattr(harness, "BER_CHUNK_FRAMES", 10)
         assert harness.run_ber_sweep(cfg) == edge
@@ -440,16 +465,36 @@ class TestChunks:
 
     def test_layout_ignores_workers(self):
         for frames in (harness.CHUNK_FRAMES, harness.BER_CHUNK_FRAMES):
-            n = 2 * frames // 10 + 3
-            # three contiguous chunks covering 0..n in order, sizes within
-            # one burst of each other, the larger first
-            q, r = divmod(n, 3)
-            bounds = list(accumulate([q + 1] * r + [q] * (3 - r), initial=0))
+            size = frames // 10
+            n = 2 * size + 3
+            # contiguous chunks of size bursts covering 0..n in order, the
+            # last one shorter
+            bounds = [0, size, 2 * size, n]
             for workers in (1, 3):
                 seen = harness._run_bursts(
                     n, SimConfig(workers=workers), frames,
                     lambda c: (c.start, c.stop))
                 assert seen == list(zip(bounds, bounds[1:]))
+
+    def test_each_chunk_seeds_its_own_bursts(self, monkeypatch):
+        """_seed_words is called once per chunk, with exactly that chunk's
+        bursts, in a PAPR run and at a BER point alike."""
+        seed_words, calls = harness._seed_words, []
+
+        def record(master_seed, key, bursts, *roles):
+            calls.append(bursts)
+            return seed_words(master_seed, key, bursts, *roles)
+        monkeypatch.setattr(harness, "_seed_words", record)
+        # 2 bursts a chunk: 2 + 2 + 1
+        monkeypatch.setattr(harness, "CHUNK_FRAMES", 20)
+        monkeypatch.setattr(harness, "BER_CHUNK_FRAMES", 20)
+        chunks = [range(0, 2), range(2, 4), range(4, 5)]
+        harness.run_papr_experiment(SimConfig(frames=self.BURSTS * 8))
+        assert calls == chunks
+        calls.clear()
+        harness.run_ber_sweep(SimConfig(scheme="bch", snr_list_db=(4.0,),
+                                        bits=self.BURSTS * 8 * 85))
+        assert calls == chunks
 
     def test_chunks_run_on_calling_thread(self, monkeypatch):
         """Any worker count runs every chunk on the calling thread."""
@@ -564,8 +609,7 @@ class TestBlocks:
 
 def test_papr_peak_memory_within_the_frames_bound():
     """At 3 frames per burst, the worst case, a PAPR run's tracemalloc peak
-    per frame (96 B, deriving one seed per measured frame) times
-    MAX_PAPR_FRAMES stays under 1 GiB."""
+    per frame times MAX_PAPR_FRAMES stays under 1 GiB."""
     harness.run_papr_experiment(SimConfig(frames=8, frames_per_burst=3))
     frames = 80_000  # the peak is linear in frames from about here
     tracemalloc.start()
@@ -580,16 +624,24 @@ def test_papr_peak_memory_within_the_frames_bound():
 
 def test_papr_peak_memory_per_frame_at_a_64_bit_seed():
     """A master seed of 2^32 or more adds a fifth entropy word to every
-    burst's seed, the worst case for _seed_words.  With the entropy words
-    freed before the state's hashes, a run at 3 frames per burst peaks at
-    no more than 96 B a frame, beside a fixed 4 KiB, which keeps
-    MAX_PAPR_FRAMES frames under 1 GiB."""
-    cfg = SimConfig(frames=80_000, frames_per_burst=3, master_seed=2**40)
+    burst's seed, the worst case for _seed_words.  Each chunk derives the
+    seed words of its own bursts alone, so a run at 3 frames per burst
+    grows by at most 16 B a frame (its chunks' samples) beside one chunk's
+    working set; deriving every burst's words up front grew it by 96 B a
+    frame.  A peak is counted less what the run leaves allocated once its
+    result is dropped: now and then a table of string keys outside the
+    program (the interpreter's or numpy's) grows past 21,845 keys during a
+    run, one 0.92 MiB block that outlives it, allocated under numpy's
+    as_strided."""
+    cfg = SimConfig(frames_per_burst=3, master_seed=2**40)
     harness.run_papr_experiment(replace(cfg, frames=8))
-    tracemalloc.start()
-    try:
-        harness.run_papr_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 96 * cfg.frames + 4 * 2**10
+    peaks = []
+    for frames in (80_000, 240_000):
+        tracemalloc.start()
+        try:
+            harness.run_papr_experiment(replace(cfg, frames=frames))
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - left)
+    assert (peaks[1] - peaks[0]) / (240_000 - 80_000) <= 16

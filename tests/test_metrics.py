@@ -19,6 +19,16 @@ class TestPapr:
         with pytest.raises(metrics.DegenerateSignal):
             metrics.papr_db(np.zeros(8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(np.nan, 0), complex(0, np.inf)])
+    def test_non_finite_window_rejected(self, bad):
+        """A window holding a NaN or an infinity has no PAPR; its stacked
+        neighbours are fine."""
+        windows = np.ones((3, 8), dtype=type(bad))
+        windows[1, 5] = bad
+        with pytest.raises(metrics.DegenerateSignal, match="non-finite"):
+            metrics.papr_db(windows)
+
     def test_frame_windows_cover_steady_state(self):
         # burst of identical frames -> identical interior PAPR values
         rng = np.random.default_rng(0)
@@ -105,6 +115,11 @@ class TestCcdf:
         with pytest.raises(metrics.DegenerateSignal,
                            match="need >= 100 samples, got 99"):
             metrics.ccdf(np.ones(99))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(metrics.DegenerateSignal, match="non-finite"):
+            metrics.ccdf(np.append(np.ones(150), bad))
 
     def test_papr_at_probability(self):
         rng = np.random.default_rng(4)
