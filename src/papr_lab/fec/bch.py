@@ -10,13 +10,14 @@ _generator, built on first use from the RS codec's parity table
 (rs._parity_table), with the generator's 0/1 coefficients taken as
 elements of GF(128).  A frame is (message @ G) mod 2.  The decoder reads
 one record, an rs._Decoder cached by _decoder and built at the first
-decode: its syndromes are one lookup per frame byte in XOR tables
-(rs._byte_tables) built from the syndromes of each bit, the rows of the
-code's one syndrome map (rs._syndrome_rows), packed.  A frame with
-nonzero syndromes goes to the RS codec's one correction routine,
-rs._corrections, as a binary word: BM skips the steps whose discrepancy
-is zero, the Chien search reads the degree-t tables, and the positions
-it accepts are the bits to flip.
+decode.  Its byte tables (rs._frame_tables) hold the syndromes of each
+frame bit, the rows of the code's one syndrome map (rs._syndrome_rows), so
+a stack of frames gets its syndromes from one gather, and the frames with
+nonzero syndromes go through the stacked binary Berlekamp-Massey of
+rs._frame_rows, which skips the steps whose discrepancy is zero.  Each
+frame then goes to the RS codec's one correction routine, rs._corrections,
+as a binary word: the Chien search reads the degree-t tables, and the
+positions it accepts are the bits to flip.
 """
 from __future__ import annotations
 
@@ -27,9 +28,9 @@ import numpy as np
 
 from .. import gf2m
 from ..gf2m import FieldSpec
-from .rs import (_byte_tables, _checked_frame, _checked_message,
-                 _corrections, _Decoder, _gf2, _lookup, _pack, _parity_table,
-                 _syndrome_rows, _systematic, _unpack)
+from .rs import (_checked_frame, _checked_message, _corrections, _Decoder,
+                 _frame_rows, _frame_tables, _gf2, _parity_table,
+                 _syndrome_rows, _systematic)
 
 
 @dataclass(frozen=True)
@@ -85,30 +86,35 @@ def bch_encode(message: np.ndarray) -> np.ndarray:
 @functools.cache
 def _decoder() -> _Decoder:
     """The code's rs._Decoder, built at its first decode.  Its tables are
-    the rs._byte_tables of S_1..S_2t over the 128-bit frame: the syndromes
-    of bit i are row i of _syndrome_rows, packed; the pad bit's image is
-    zero.  No position is erased, so Gamma is 1."""
+    the rs._frame_tables of S_1..S_2t over the 128-bit frame: the syndromes
+    of bit i are row i of _syndrome_rows; the pad bit's image is zero.  No
+    position is erased, so Gamma is 1."""
     spec = bch_spec()
     r = 2 * spec.t
-    rows = _syndrome_rows(spec.field, spec.n, r).tolist()
-    tables = _byte_tables(list(map(_pack, rows)))
-    return _Decoder(spec.field, spec.n, r, spec.n + 1, spec.k, tables, (1,))
+    tables = _frame_tables(_syndrome_rows(spec.field, spec.n, r))
+    return _Decoder(spec.field, spec.n, r, spec.n + 1, spec.k, tables, (1,),
+                    True)
 
 
-def bch_decode(frame: np.ndarray) -> tuple[np.ndarray, int]:
+def bch_decode(frame: np.ndarray, *,
+               row: tuple | None = None) -> tuple[np.ndarray, int]:
     """128-bit frame -> (85 message bits, corrected bit count).
 
     Corrects any pattern of <= t bit errors in the 127 codeword bits; the pad
     bit is ignored.  Raises DecodeFailure when the syndromes are
     inconsistent, and ConstraintViolation naming the first frame entry that
-    is not a bit.
+    is not a bit.  row: the frame's row of rs._frame_rows, when a stack of
+    frames has been through it; without one, the frame goes through it
+    alone.
     """
-    fs, n, r, frame_bits, k, tables, gamma = _decoder()
+    decoder = _decoder()
+    fs, n, _, frame_bits, k, _, gamma, _ = decoder
     frame = _checked_frame(frame, frame_bits)
-    value = _lookup(tables, frame)
-    if not value:
+    synd, lam, length = (row if row is not None
+                         else _frame_rows(decoder, frame[None])[0])
+    if lam is None:
         return frame[:k].copy(), 0
-    flips = _corrections(fs, n, value, _unpack(value, r), gamma, binary=True)
+    flips = _corrections(fs, n, synd, lam, length, gamma, binary=True)
     word = frame.copy()
     for i in flips:  # at most t: a scalar XOR each beats a fancy index
         word[i] ^= 1

@@ -25,24 +25,27 @@ encodes through a binary generator matrix G, cached per code
 binary image of the parity rows: a frame is (message bits @ G) mod 2,
 through _gf2.
 
-Decoding is table-driven.  Vectors of field symbols travel packed in one
-Python int, one byte per symbol (_pack), so adding two vectors is one XOR.
-Every cached table is immutable (read-only arrays, tuples), since every
-later decode in the process shares it.  A frame code's decoder refuses a
-frame entry that is not a bit (_checked_frame), and reads one record per
-frame, its _Decoder, cached and built at the first decode.  Its per-byte
-XOR tables (_byte_tables), built from the syndrome entry of each sent
-frame bit, give a frame's syndromes as np.packbits of the frame and one
-lookup per byte.  A punctured layout's tables also give its modified
-syndromes, the syndromes composed with the fixed erasure locator Gamma of
-the punctured positions, so a frame whose modified syndromes are zero is
-clean and returns at once.  Every other word goes to _corrections, the one
-correction routine of every decoder here, BCH's too: Berlekamp-Massey and
-its degree bound, the Chien search, BM's own length test and, for a
-non-binary word, Forney, all on the field's cached multiplication table
-and table of inverses and on packed evaluation tables (_evaluation_tables):
-a polynomial at every position is one XOR of a table entry per coefficient.
-The corrections are accepted by the length test, never by their syndromes.
+Decoding is table-driven and stacked.  A frame code's decoder refuses a
+frame entry that is not a bit (_checked_frame) and reads one record, its
+_Decoder, cached and built at the first decode.  Its read-only uint8 XOR
+tables (_frame_tables), one (256, width) table per frame byte built from
+the syndromes of each sent frame bit, give a stack of frames its
+syndromes, and a punctured layout's its modified syndromes too (composed
+with the fixed erasure locator Gamma), in one gather (_frame_syndromes).
+The stacked pass (_frame_rows) gives every frame a row: a frame whose
+modified syndromes are zero is clean, and Berlekamp-Massey runs on all the
+others at once (_locators), giving each its locator and LFSR length L.  A
+frame decoder given its row runs only the per-frame tail, and without one
+runs the pass on a one-row stack; rs_decode runs the same BM on one row.
+The tail is _corrections, the one correction routine of every decoder
+here, BCH's too: BM's degree bound, the Chien search, BM's own length
+test and, for a non-binary word, Forney, on the field's cached products
+and inverses and on evaluation tables of symbols packed one byte each in
+a Python int (_pack, _evaluation_tables), so that a polynomial at every
+position is one XOR of a table entry per coefficient.  Corrections are
+accepted by the length test, never by their syndromes.  Every cached
+table is immutable (read-only arrays, tuples), since every later decode
+in the process shares it.
 """
 from __future__ import annotations
 
@@ -199,43 +202,46 @@ def _roots(values: bytes) -> list[int]:
     return roots
 
 
-def _berlekamp_massey(fs: FieldSpec, syndromes: Sequence[int],
-                      binary: bool = False) -> tuple[list[int], int]:
-    """(locator, L) of a (possibly erasure-modified) syndrome sequence: the
-    shortest LFSR that generates it, of length L >= deg locator.  binary:
-    the syndromes are S_1..S_2t of a binary word, whose every second
-    discrepancy (at S_2, S_4, ...) is zero, so those steps are skipped."""
-    rows, inverse = gf2m.mul_rows(fs), gf2m.inverses(fs)
-    # C += (d / b) x^shift B, in place but at a length change (the old C
-    # becomes B); x^shift B keeps C at L + 1 or more coefficients
-    C = [1]
-    B = [1]
-    L = 0
-    shift = 1
-    b_inv = 1  # inverse of the discrepancy at the last length change
-    for i in range(0, len(syndromes), 1 + binary):
-        d = syndromes[i]
-        for j in range(1, L + 1):
-            d ^= rows[C[j]][syndromes[i - j]]
-        if d:
-            times_coef = rows[rows[d][b_inv]]
-            if 2 * L <= i:
-                T, C = C, C + [0] * (shift + len(B) - len(C))
-                for j, c in enumerate(B, shift):
-                    C[j] ^= times_coef[c]
-                B = T
-                L = i + 1 - L
-                b_inv = inverse[d]
-                shift = 0
-            else:
-                if len(C) < shift + len(B):
-                    C += [0] * (shift + len(B) - len(C))
-                for j, c in enumerate(B, shift):
-                    C[j] ^= times_coef[c]
-        shift += 1 + binary
-    while C[-1] == 0:  # C[0] stays 1
-        C.pop()
-    return C, L
+def _locators(fs: FieldSpec, syndromes,
+              binary: bool = False) -> tuple[list[list[int]], list[int]]:
+    """(locators, L) of each row of a (frames, m) stack of (possibly
+    erasure-modified) syndrome sequences, by Berlekamp-Massey run on every
+    row at once (Massey 1969): each row's locator, trimmed, is the shortest
+    LFSR that generates the row, of length L >= its degree.  binary: the
+    rows are S_1..S_2t of binary words, whose every second discrepancy (at
+    S_2, S_4, ...) is zero, so those steps are skipped."""
+    S = np.asarray(syndromes, dtype=np.uint8)
+    frames, m = S.shape
+    # products[a << m | b] is a * b: a flat gather beats a 2-D one
+    products, step = gf2m.mul_table(fs).ravel(), 1 + binary
+    inverse = fs.exp_table[-fs.log_table % fs.order]  # entry 0 is not read
+    # C[:, 0] is the locator and C[:, 1] its product with S mod x^m, whose
+    # coefficient i is the discrepancy at step i.  B[:, 0] is x^shift times
+    # the locator before the last length change, and B[:, 1] that times S:
+    # a nonzero discrepancy adds a multiple of B to C.  No degree of a
+    # locator ever read passes m (deg C <= L <= m)
+    C = np.zeros((frames, 2, m + 1), np.uint8)
+    C[:, 0, 0] = 1
+    C[:, 1, :m] = S
+    B = np.zeros_like(C)
+    B[..., 1:] = C[..., :-1]  # shift 1
+    L = np.zeros(frames, np.intp)
+    b_inv = np.ones(frames, np.uint8)  # 1 / discrepancy at the last change
+    for i in range(0, m, step):
+        d = C[:, 1, i]
+        grow = (d != 0) & (2 * L <= i)
+        coef = products.take(d.astype(np.intp) << fs.m | b_inv)
+        b_inv = np.where(grow, inverse[d], b_inv)
+        L = np.where(grow, i + 1 - L, L)
+        old = np.where(grow[:, None, None], C, B)
+        # d = 0 adds nothing
+        C ^= products.take(coef.astype(np.intp)[:, None, None] << fs.m | B)
+        B[..., :step] = 0  # the old C or B, times x^step
+        B[..., step:] = old[..., :-step]
+    C = C[:, 0]
+    degrees = m - np.argmax(C[:, ::-1] != 0, axis=1)  # C_0 = 1
+    return ([c[:d + 1] for c, d in zip(C.tolist(), degrees.tolist())],
+            L.tolist())
 
 
 def _erasure_locator(fs: FieldSpec, n: int,
@@ -246,31 +252,33 @@ def _erasure_locator(fs: FieldSpec, n: int,
         fs, [gf2m.pow_alpha(fs, n - 1 - pos) for pos in erasures])[::-1]
 
 
-def _modified_syndromes(fs: FieldSpec, synd: list[int],
-                        gamma: Sequence[int], r: int) -> list[int]:
-    """Coefficients f..r-1 of S(x)*Gamma(x), f = deg Gamma.  They form a pure
+def _modified_syndromes(fs: FieldSpec, synd, gamma: Sequence[int],
+                        r: int) -> np.ndarray:
+    """Coefficients f..r-1 of S(x)*Gamma(x), f = deg Gamma, for a list of r
+    syndromes or each (..., r) row of a stack, as uint8.  They form a pure
     exponential sum over the error locators (erasure terms cancel), so BM on
     this length r-f sequence recovers the error locator alone; they are all
     zero exactly when the erasures alone explain the syndromes."""
-    product = poly_mul(fs, synd, gamma, r)
-    product += [0] * (r - len(product))
-    return product[len(gamma) - 1:r]
+    synd, f = np.asarray(synd, dtype=np.uint8), len(gamma) - 1
+    mul = gf2m.mul_table(fs)
+    out = np.zeros((*synd.shape[:-1], r - f), np.uint8)
+    for b, g in enumerate(gamma):  # S_a Gamma_b lands on degree a + b
+        out ^= mul[synd[..., f - b:r - b], g]
+    return out
 
 
-def _corrections(fs: FieldSpec, n: int, synd: int, modified: Sequence[int],
-                 gamma: Sequence[int], binary: bool = False) -> dict[int, int]:
-    """{position: magnitude} of every nonzero correction of a length-n word:
-    BM's (Lambda, L) on its modified syndromes, then the Chien search and
-    Forney on psi = Lambda * Gamma, Gamma its erasure locator.  Its r
-    syndromes are the low r bytes of the packed int synd, unpacked by
-    Forney alone.  DecodeFailure past the error bound, and unless psi has
-    as many roots as its degree and deg Lambda = L.  binary: the word is
-    binary, its syndromes S_1..S_2t, and Gamma is 1."""
-    lam, length = _berlekamp_massey(fs, modified, binary)
-    degree = len(lam) - 1  # trimmed by BM, as psi is by poly_mul
-    if degree > len(modified) // 2:
+def _corrections(fs: FieldSpec, n: int, synd: Sequence[int],
+                 lam: Sequence[int], length: int, gamma: Sequence[int],
+                 binary: bool = False) -> dict[int, int]:
+    """{position: magnitude} of every nonzero correction of a length-n word
+    with the r syndromes synd, from BM's (Lambda, L) on its modified
+    syndromes (_locators): the Chien search and Forney on psi = Lambda *
+    Gamma, Gamma its erasure locator.  DecodeFailure past the error bound,
+    and unless psi has as many roots as its degree and deg Lambda = L.
+    binary: the word is binary, its syndromes S_1..S_2t, and Gamma is 1."""
+    r, degree = len(synd), len(lam) - 1  # lam trimmed, as psi by poly_mul
+    if degree > (r - len(gamma) + 1) // 2:
         raise DecodeFailure("error locator exceeds capability")
-    r = len(modified) + len(gamma) - 1
     # combined locator, degree <= r: Lambda itself when Gamma is 1
     psi = lam if len(gamma) == 1 else poly_mul(fs, lam, gamma)
     tables = _evaluation_tables(fs, n, r // 2 if binary else r)
@@ -290,7 +298,6 @@ def _corrections(fs: FieldSpec, n: int, synd: int, modified: Sequence[int],
 
     # Forney: Omega = S * psi mod x^r; e_j = Omega(X_j^-1) / psi'(X_j^-1),
     # psi' having coefficient psi_(2i+1) at degree 2i
-    synd = _unpack(synd & ~(-1 << 8 * r), r)
     omega = _evaluate(tables, poly_mul(fs, synd, psi, r), n)
     psi_prime = _evaluate(tables[::2], psi[1::2], n)
     rows, inverse = gf2m.mul_rows(fs), gf2m.inverses(fs)
@@ -326,8 +333,9 @@ def rs_decode(spec: RsCodeSpec, received: Sequence[int],
     if not any(synd) and not erasures:
         return word[:spec.k], 0
     gamma = _erasure_locator(fs, n, erasures)
-    fixes = _corrections(fs, n, _pack(synd),
-                         _modified_syndromes(fs, synd, gamma, r), gamma)
+    (lam,), (length,) = _locators(
+        fs, _modified_syndromes(fs, synd, gamma, r)[None])
+    fixes = _corrections(fs, n, synd, lam, length, gamma)
     for pos, mag in fixes.items():
         word[pos] ^= mag
     return word[:spec.k], len(fixes)
@@ -424,30 +432,24 @@ def _gf2(bits: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (bits @ A).astype(np.uint8) & 1
 
 
-def _byte_tables(images: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Per-byte XOR tables of a GF(2)-linear map from frame bits to field
-    symbols, given as the packed symbol image of each unit frame, one per
-    frame bit; missing trailing images are zero.  Table j maps packed byte
-    j of a frame (np.packbits order) to the XOR of the images of the bits
-    it sets, so the frame's image is the XOR of one lookup per byte
-    (_lookup), and the image of frame bit i alone is
-    tables[i // 8][0x80 >> i % 8]."""
-    rows = images + [0] * (-len(images) % 8)
-    tables = []
-    for j in range(0, len(rows), 8):
-        table = [0]
-        for row in rows[j:j + 8]:  # first bit of the byte is its MSB
-            table = [v ^ w for v in table for w in (0, row)]
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-def _lookup(tables: tuple[tuple[int, ...], ...], frame: np.ndarray) -> int:
-    """The packed image of a frame under _byte_tables."""
-    value = 0
-    for table, byte in zip(tables, np.packbits(frame).tobytes()):
-        value ^= table[byte]
-    return value
+def _frame_tables(images: np.ndarray) -> np.ndarray:
+    """(bytes, 256, width) read-only uint8 XOR tables of a GF(2)-linear map
+    from frame bits to field symbols, given the (bits, width) symbol image
+    of each unit frame; images past the given bits are zero.  Table j maps
+    byte j of a frame (np.packbits order) to the XOR of the images of the
+    bits it sets, so the frame's image is the XOR of one entry per byte
+    (_frame_syndromes), and the image of frame bit i alone is
+    tables[i // 8, 0x80 >> i % 8]."""
+    bits, width = images.shape
+    rows = np.zeros((-(-bits // 8) * 8, width), np.uint8)
+    rows[:bits] = images
+    # sets[v, b]: byte value v sets its bit b, the first bit its MSB
+    sets = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    tables = np.bitwise_xor.reduce(
+        np.where(sets[:, :, None] == 1, rows.reshape(-1, 1, 8, width), 0),
+        axis=2)
+    tables.setflags(write=False)
+    return tables
 
 
 # --- RS bit frames: shortened, punctured, constrained -------------------------
@@ -531,21 +533,22 @@ def frame_encode(layout: RsFrameLayout,
     return _gf2(bits, _frame_generator(layout))
 
 
-# What a frame decoder reads of its code per frame: the field, n word
-# symbols, r syndromes, the frame and message bits, the _byte_tables of a
-# frame's syndromes and Gamma, the erasure locator of the punctured positions
+# What a frame decoder reads of its code: the field, n word symbols, r
+# syndromes, the frame and message bits, the _frame_tables of a frame's
+# syndromes, Gamma, the erasure locator of the punctured positions, and
+# whether the code is binary (BCH)
 _Decoder = namedtuple("_Decoder",
-                      "fs n r frame_bits message_bits tables gamma")
+                      "fs n r frame_bits message_bits tables gamma binary")
 
 
 @functools.cache
 def _decoder(layout: RsFrameLayout) -> _Decoder:
-    """A layout's _Decoder.  Its tables are the _byte_tables of each sent
+    """A layout's _Decoder.  Its tables are the _frame_tables of each sent
     frame bit's syndromes, its value 2^b times the _syndrome_rows row of
     its word position, followed, when the layout punctures, by its r - f
     modified syndromes: these are GF(2)-linear in the syndromes, since the
     punctured locator Gamma never changes.  Pad bits are not in the word,
-    so their images are zero."""
+    so the tables stop at the last parity bit's byte."""
     fs, n, r = layout.spec.field, layout.n, layout.r
     gamma = tuple(_erasure_locator(fs, n, range(n - layout.punctured, n)))
     shortened, p, q = layout.k - layout.k_prime, layout.p, layout.q
@@ -554,16 +557,50 @@ def _decoder(layout: RsFrameLayout) -> _Decoder:
     values = np.concatenate([1 << (p - 1 - i % p), 1 << (q - 1 - j % q)])
     images = gf2m.mul_table(fs)[values[:, None],
                                 _syndrome_rows(fs, n, r)[positions]]
-    sent = list(map(_pack, images.tolist()))
-    if layout.punctured:  # the modified syndromes in bytes r..2r-f-1
-        sent = [v ^ _pack(_modified_syndromes(fs, _unpack(v, r), gamma, r))
-                << 8 * r for v in sent]
+    if layout.punctured:  # the modified syndromes in columns r..2r-f-1
+        images = np.concatenate(
+            [images, _modified_syndromes(fs, images, gamma, r)], axis=1)
     return _Decoder(fs, n, r, layout.frame_bits, layout.message_bits,
-                    _byte_tables(sent), gamma)
+                    _frame_tables(images), gamma, False)
 
 
-def frame_decode(layout: RsFrameLayout,
-                 frame: np.ndarray) -> tuple[np.ndarray, int, bool]:
+def _frame_syndromes(decoder: _Decoder, frames: np.ndarray) -> np.ndarray:
+    """(frames, width) uint8 images of a (frames, frame_bits) stack of bits
+    under the decoder's tables: each frame's r syndromes, then, for a
+    punctured layout, its r - f modified syndromes."""
+    count, size, width = decoder.tables.shape
+    packed = np.packbits(frames, axis=-1)[:, :count]
+    # one (count, frames, width) gather, XORed over its first axis
+    entries = decoder.tables.reshape(-1, width).take(
+        packed.T + size * np.arange(count)[:, None], axis=0)
+    return np.bitwise_xor.reduce(entries, axis=0)
+
+
+def _frame_rows(decoder: _Decoder, frames: np.ndarray) -> list[tuple]:
+    """The stacked pass of a frame decoder: one row (syndromes, locator, L)
+    per frame of a (frames, frame_bits) stack of bits, the r syndromes as a
+    list.  A clean frame, whose modified syndromes (its syndromes when
+    nothing is punctured) are all zero, has locator None and L 0; the
+    others have Berlekamp-Massey's locator and L on their modified
+    syndromes, run on all of them at once (_locators).  A frame decoder
+    given its frame's row runs only its per-frame tail."""
+    if frames.shape[-1] != decoder.frame_bits:
+        raise LengthMismatch(f"frame length {frames.shape[-1]} != "
+                             f"{decoder.frame_bits}")
+    values, r = _frame_syndromes(decoder, frames), decoder.r
+    modified = values[:, r:] if len(decoder.gamma) > 1 else values
+    dirty = np.flatnonzero(modified.any(axis=1))
+    rows = [(synd, None, 0) for synd in values[:, :r].tolist()]
+    if dirty.size:
+        lams, lengths = _locators(decoder.fs, modified[dirty],
+                                  decoder.binary)
+        for i, lam, length in zip(dirty.tolist(), lams, lengths):
+            rows[i] = (rows[i][0], lam, length)
+    return rows
+
+
+def frame_decode(layout: RsFrameLayout, frame: np.ndarray, *,
+                 row: tuple | None = None) -> tuple[np.ndarray, int, bool]:
     """Decode one frame -> (message bits, corrected symbols, constraint_ok).
 
     Punctured parity decodes as erasures, and filling it is not counted as
@@ -571,16 +608,19 @@ def frame_decode(layout: RsFrameLayout,
     has nonzero bits above its low p, i.e. the error pattern left the
     constrained alphabet; the low p bits are still returned.
     ConstraintViolation names the first frame entry that is not a bit.
+    row: the frame's row of _frame_rows, when a stack of frames has been
+    through it; without one, the frame goes through it alone.
     """
-    fs, n, r, frame_bits, message_bits, tables, gamma = _decoder(layout)
+    decoder = _decoder(layout)
+    fs, n, _, frame_bits, message_bits, _, gamma, _ = decoder
     frame = _checked_frame(frame, frame_bits)
-    value, f = _lookup(tables, frame), layout.punctured
-    modified = value >> 8 * r if f else value
-    if not modified:
+    synd, lam, length = (row if row is not None
+                         else _frame_rows(decoder, frame[None])[0])
+    if lam is None:
         # the erasures alone explain the syndromes: correction would only
         # fill the punctured parity, so the message arrived intact
         return frame[:message_bits].copy(), 0, True
-    fixes = _corrections(fs, n, value, _unpack(modified, r - f), gamma)
+    fixes = _corrections(fs, n, synd, lam, length, gamma)
     shortened, k, p = layout.k - layout.k_prime, layout.k, layout.p
     if any(pos < shortened for pos in fixes):
         raise DecodeFailure("shortened prefix decoded nonzero")
@@ -594,7 +634,7 @@ def frame_decode(layout: RsFrameLayout,
     for i in flips:  # a few: a scalar XOR each beats a fancy index
         bits[i] ^= 1
     constraint_ok = all(mag >> p == 0 for _, mag in message)
-    corrected = sum(1 for pos in fixes if pos < n - f)
+    corrected = sum(1 for pos in fixes if pos < n - layout.punctured)
     return bits, corrected, constraint_ok
 
 
@@ -605,8 +645,9 @@ def rs2516_frame(message: Sequence[int]) -> np.ndarray:
     return frame_encode(RS2516, _symbols_to_bits(symbols, 5))
 
 
-def rs2516_decode(frame: np.ndarray) -> tuple[list[int], int]:
+def rs2516_decode(frame: np.ndarray, *,
+                  row: tuple | None = None) -> tuple[list[int], int]:
     """frame_decode of one RS2516 frame, its message as 16 symbols."""
-    bits, corrected, _ = frame_decode(RS2516, frame)
+    bits, corrected, _ = frame_decode(RS2516, frame, row=row)
     value = int.from_bytes(np.packbits(bits).tobytes(), "big")  # 80 bits
     return [value >> s & 31 for s in range(75, -1, -5)], corrected

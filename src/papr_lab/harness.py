@@ -168,29 +168,39 @@ class SimConfig:
 @dataclass(frozen=True)
 class Scheme:
     """A frame-level coding scheme, its codec as data: encode maps (...,
-    payload bits) to (..., 2M-bit frames) in one call, decode_frame one
-    frame to its message (None: frames are the payload bits), and unpack a
-    list of messages to (messages, payload bits)."""
+    payload bits) to (..., 2M-bit frames) in one call; decode_frame maps
+    one frame and its row to its message (None: frames are the payload
+    bits), rows a (frames, 2M) stack to one row per frame, its decoder's
+    stacked syndrome and Berlekamp-Massey pass (rs._frame_rows); and
+    unpack a list of messages to (messages, payload bits)."""
     name: str
     payload_bits: int
     encode: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     decode_frame: Callable | None = field(default=None, repr=False)
+    rows: Callable[[np.ndarray], list] | None = field(default=None,
+                                                       repr=False)
     unpack: Callable[[list], np.ndarray] = field(default=np.asarray,
                                                  repr=False)
 
     def decode(self, frames: np.ndarray) -> np.ndarray:
-        """(..., 2M) frames -> (..., payload bits), decode_frame called once
-        per frame; a frame whose decode fails keeps its systematic bits."""
+        """(..., 2M) frames -> (..., payload bits).  The whole stack goes
+        through rows once: every frame's syndromes, and Berlekamp-Massey
+        on the frames that are not clean, in numpy.  decode_frame is then
+        called once per frame with its row, and runs only what is left:
+        at once for a clean frame or one past BM's degree bound, else the
+        Chien search, Forney and the bit flips.  A frame whose decode
+        fails keeps its systematic bits."""
         frames = np.asarray(frames, dtype=np.uint8)
         decode_frame, k = self.decode_frame, self.payload_bits
         if decode_frame is None:
             return frames
         out = frames[..., :k].copy()
         flat = out.reshape(-1, k)  # a view: rows written below land in out
+        stack = frames.reshape(-1, frames.shape[-1])
         done, decoded = [], []
-        for i, frame in enumerate(frames.reshape(-1, frames.shape[-1])):
+        for i, (frame, row) in enumerate(zip(stack, self.rows(stack))):
             try:
-                decoded.append(decode_frame(frame))
+                decoded.append(decode_frame(frame, row))
             except rs.DecodeFailure:
                 continue
             done.append(i)
@@ -200,18 +210,22 @@ class Scheme:
 
 
 def get_scheme(name: str, M: int = 64) -> Scheme:
-    # only bch_encode is bound here; other codec names are looked up per call
+    # only bch_encode is bound here; other codec names, and the decoders'
+    # tables, are looked up per call
     if name == "none":
         return Scheme("none", 2 * M, lambda b: np.asarray(b, dtype=np.uint8))
     if name == "bch":
         return Scheme("bch", bch.bch_spec().k, bch.bch_encode,
-                      lambda f: bch.bch_decode(f)[0])
+                      lambda f, row: bch.bch_decode(f, row=row)[0],
+                      lambda frames: rs._frame_rows(bch._decoder(), frames))
     if name == "rs2516":
         # payload bits <-> message symbols once per chunk
         p = rs.RS2516.p
         return Scheme("rs2516", rs.RS2516.message_bits,
                       lambda b: rs.rs2516_frame(rs._pack_symbols(b, p)),
-                      lambda f: rs.rs2516_decode(f)[0],
+                      lambda f, row: rs.rs2516_decode(f, row=row)[0],
+                      lambda frames: rs._frame_rows(rs._decoder(rs.RS2516),
+                                                    frames),
                       lambda syms: rs._symbols_to_bits(syms, p))
     if name.startswith("crs31_"):
         k = name[len("crs31_"):]
@@ -220,7 +234,9 @@ def get_scheme(name: str, M: int = 64) -> Scheme:
         layout = crs.crs_layout(int(np.log2(M)), 31, int(k))
         return Scheme(name, layout.message_bits,
                       lambda b: crs.crs_encode(layout, b),
-                      lambda f: crs.crs_decode(layout, f)[0])
+                      lambda f, row: crs.crs_decode(layout, f, row=row)[0],
+                      lambda frames: rs._frame_rows(rs._decoder(layout),
+                                                    frames))
     raise ConfigError(f"unknown scheme {name!r}")
 
 

@@ -23,7 +23,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .metrics import ConfigError, DegenerateSignal, LengthMismatch
 
@@ -179,15 +179,21 @@ def synthesis(grid: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     if n_half < 1:
         raise DegenerateSignal(f"empty grid: {n_half} half-symbol columns")
     pad = 2 * cfg.K - 1
-    x = np.zeros((*lead, n_half + 2 * pad, M), dtype=complex)
+    buf = np.zeros((*lead, n_half + 2 * pad, M), dtype=complex)
     np.fft.ifft(np.swapaxes(grid, -1, -2), axis=-1, norm="forward",
-                out=x[..., pad:pad + n_half, :])
-    x = x[..., pad:, :].view(float).reshape(*lead, -1, 2, M)[
-        ..., ::(-1) ** cfg.K, :]  # odd K swaps the halves
-    # output half-row r sums weight [i, h] times half h of x row r - 2i - h
-    *s, row, half, tap = x.strides
-    x = as_strided(x, (*lead, n_half + pad, cfg.K, 2, M),
-                   (*s, row, -2 * row, half - row, tap), writeable=False)
+                out=buf[..., pad:pad + n_half, :])
+    # as float half-rows from row pad on, the halves swapped for odd K:
+    # output half-row r sums weight [i, h] times half h of row r - 2i - h.
+    # The view is made on buf's memory by np.ndarray, not as_strided, whose
+    # __array_interface__ call grows numpy's memory once a process has made
+    # about 10,000 of them
+    *s, row, _ = buf.strides  # a row is M complex samples, 2M floats
+    tap, odd = buf.itemsize // 2, cfg.K % 2
+    half = tap * M
+    x = np.ndarray((*lead, n_half + pad, cfg.K, 2, M), float, buf,
+                   pad * row + odd * half,
+                   (*s, row, -2 * row, (1 - 2 * odd) * half - row, tap))
+    x.flags.writeable = False
     out = np.einsum("...rij,ij->...rj", x[..., 0, :], cfg.blocks[:, 0])
     out += np.einsum("...rij,ij->...rj", x[..., 1, :], cfg.blocks[:, 1])
     return out.view(complex).reshape(*lead, -1)[..., 1:]

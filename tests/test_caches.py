@@ -39,8 +39,10 @@ BCH_GENERATOR = tuple((bch.bch_spec().generator >> d) & 1 for d in range(43))
 CALLS = {
     gf2m.cached_field: [(5,), (7,)],
     gf2m.mul_table: [(GF32,), (GF128,)],
-    gf2m.mul_rows: [(GF32,), (GF128,)],
-    gf2m.inverses: [(GF32,), (GF128,)],
+    # BCH reads GF(128) products only through mul_table: its BM runs
+    # stacked in numpy, and a binary word needs no Forney
+    gf2m.mul_rows: [(GF32,)],
+    gf2m.inverses: [(GF32,)],
     rs.rs_spec: [(5, 19)],
     rs._parity_table: [(GF32, RS_SPEC.generator, 31),
                        (GF128, BCH_GENERATOR, 127)],

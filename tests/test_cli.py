@@ -172,6 +172,38 @@ def test_fec_roundtrip(tmp_path, scheme, payload_bytes):
             bytes(raw[i * 16:i * 16 + payload_bytes])
 
 
+# per scheme, one noisy frame (a seeded payload's codeword with bits 5 and
+# 90 flipped) and its decoded payload bits, packed, captured before the
+# decoders ran a stacked syndrome and BM pass
+ONE_FRAME = {
+    "bch": ("bd9f531a0e2b70a92d0e54d98098679a", "b99f531a0e2b70a92d0e50"),
+    "rs2516": ("bd9f531a0e2b70a92d0e3c60ea93d4d8", "b99f531a0e2b70a92d0e"),
+    "crs31_19": ("bd9f531a0e2b70a9f5ba779625ee5700", "b99f531a0e2b70a9"),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(ONE_FRAME))
+def test_fec_decode_of_empty_and_one_frame_files(tmp_path, scheme):
+    """A stack of no frame and one of a single frame go through the stacked
+    decode pass: a 0-frame file decodes to an empty file and a 1-frame
+    file to its pinned payload, zero padded to the frame, and
+    Scheme.decode gives the same."""
+    frame_hex, payload_hex = ONE_FRAME[scheme]
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    padded = bytes.fromhex(payload_hex).ljust(16, b"\0")
+    for raw, want in ((b"", b""), (bytes.fromhex(frame_hex), padded)):
+        src.write_bytes(raw)
+        assert run(["fec", "decode", "--scheme", scheme,
+                    "--in", src, "--out", dst]) == 0
+        assert dst.read_bytes() == want
+    codec = harness.get_scheme(scheme)
+    frame = np.unpackbits(np.frombuffer(bytes.fromhex(frame_hex), np.uint8))
+    got = codec.decode(frame[None])
+    assert np.packbits(got, axis=1).tobytes() == bytes.fromhex(payload_hex)
+    empty = codec.decode(np.zeros((0, 128), np.uint8))
+    assert empty.shape == (0, codec.payload_bits) and empty.dtype == np.uint8
+
+
 def test_fec_bad_size(tmp_path, capsys):
     src = tmp_path / "odd.bin"
     src.write_bytes(b"\x00" * 17)

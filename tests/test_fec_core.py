@@ -8,13 +8,16 @@ multiplication table.  The encoders multiply message bits by
 a binary generator matrix G, cached per code, read-only and in float32
 through BLAS, and checked here, whole and per frame, against the
 long-division encoders of tests/oracles.py; rs_encode is checked against
-the oracle's rs_encode.  The frame decoders take their syndromes (and, for
-a punctured RS layout, the modified syndromes of its fixed erasure
-locator) as one lookup per frame byte in XOR tables built from the
-syndromes of each sent frame bit, and skip BM when the erasures alone
-explain the syndromes.  Berlekamp-Massey and poly_mul use the field's
-multiplication table; the Chien search and Forney evaluate each
-polynomial at every position at once from packed per-coefficient tables;
+the oracle's rs_encode.  The frame decoders' stacked pass takes a stack of
+frames' syndromes (and, for a punctured RS layout, the modified syndromes
+of its fixed erasure locator) as one gather of XOR table entries per frame
+byte, built from the syndromes of each sent frame bit, skips BM for the
+frames the erasures alone explain, and runs Berlekamp-Massey on all the
+others at once; each is checked here, per frame and on stacks of 0, 1 and
+many frames, against Horner, scalar products and the scalar BM.
+poly_mul uses the field's multiplication table; the Chien search and
+Forney evaluate each polynomial at every position at once from packed
+per-coefficient tables;
 every decoder accepts its corrections by BM's length test (the error
 locator's degree is the LFSR length L), where the scalar decoders below
 recompute the syndromes of the corrected word, and a seeded heavy-error
@@ -562,10 +565,17 @@ def test_parity_check_syndromes_equal_horner(code, seed, errors):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_table_berlekamp_massey_equals_scalar(m, data):
-    """The same locator and LFSR length L."""
+    """The stacked BM gives each row of a stack of 0 to 6 syndrome
+    sequences the same locator and LFSR length L as the scalar BM."""
     fs = gf2m.cached_field(m)
-    synd = data.draw(st.lists(st.integers(0, fs.order), max_size=16))
-    assert rs._berlekamp_massey(fs, synd) == scalar_berlekamp_massey(fs, synd)
+    length = data.draw(st.integers(0, 16))
+    stack = data.draw(st.lists(st.lists(st.integers(0, fs.order),
+                                         min_size=length, max_size=length),
+                               max_size=6))
+    lams, lengths = rs._locators(fs, np.array(stack, np.uint8).reshape(
+        len(stack), length))
+    assert ([list(pair) for pair in zip(lams, lengths)]
+            == [list(scalar_berlekamp_massey(fs, synd)) for synd in stack])
 
 
 @pytest.mark.parametrize("m", [5, 7])
@@ -677,12 +687,12 @@ DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, gf2m.inverses, rs._decoder,
 
 def test_schemes_build_no_decode_table(cold_fec_caches):
     """The decoders' tables, and the parity tables the encoders are built
-    from, are built on first use, not when a run builds its scheme."""
-    for name in ["none"] + CODES:
-        harness.get_scheme(name)
+    from, are built on first use, not when a run builds its scheme; the
+    first stacked pass of a scheme's decode builds its decoder's."""
+    schemes = [harness.get_scheme(name) for name in ["none"] + CODES]
     assert all(t.cache_info().currsize == 0 for t in DECODE_TABLES)
-    bch.bch_decode(np.zeros(128, dtype=np.uint8))
-    rs.rs2516_decode(np.zeros(128, dtype=np.uint8))
+    for scheme in schemes[:3]:  # none, bch, rs2516
+        scheme.decode(np.zeros((1, 128), dtype=np.uint8))
     assert bch._decoder.cache_info().currsize == 1
     assert rs._decoder.cache_info().currsize == 1
 
@@ -838,27 +848,117 @@ def test_stacked_products_on_cold_cache_equal_per_row(code, seed, rows):
 @given(seed=st.integers(0, 2**32 - 1), errors=st.integers(0, 40))
 @settings(max_examples=40, deadline=None)
 def test_byte_table_syndromes_equal_parity_check(code, seed, errors):
-    """One lookup per frame byte gives the syndromes of the frame's word
-    and, for a punctured layout, the modified syndromes of its erasure
-    locator."""
+    """One table entry per frame byte gives the syndromes of the frame's
+    word and, for a punctured layout, the modified syndromes of its erasure
+    locator, as written out by Horner and scalar products."""
     rng = np.random.default_rng(seed)
     if code == "bch":
         frame = bch.bch_encode(rng.integers(0, 2, 85, dtype=np.uint8))
         frame ^= (rng.random(128) < errors / 128).astype(np.uint8)
-        got = rs._lookup(bch._decoder().tables, frame)
-        assert rs._unpack(got, 12) == bytes(bch_syndromes(frame[:127]))
+        got = rs._frame_syndromes(bch._decoder(), frame[None])
+        assert got.tolist() == [bch_syndromes(frame[:127])]
         return
     layout = _layout(code)
     frame = rs.frame_encode(layout, rng.integers(
         0, 2, layout.message_bits, dtype=np.uint8))
     frame ^= (rng.random(frame.size) < errors / 128).astype(np.uint8)
-    synd = frame_syndromes(layout, frame)
-    want = synd
+    want = frame_syndromes(layout, frame)
     if layout.punctured:
-        want = synd + rs._modified_syndromes(
-            layout.spec.field, synd, rs._decoder(layout).gamma, layout.r)
-    got = rs._lookup(rs._decoder(layout).tables, frame)
-    assert rs._unpack(got, len(want)) == bytes(want)
+        want += rs2516_modified(frame)
+    got = rs._frame_syndromes(rs._decoder(layout), frame[None])
+    assert got.tolist() == [want]
+
+
+def scalar_verdict(fs, modified):
+    """What the stacked pass makes of a frame's modified syndromes, by the
+    scalar BM: ("clean",) when they are all zero, else ("exceeds",) past
+    the degree bound, else (locator, L)."""
+    if not any(modified):
+        return ("clean",)
+    lam, length = scalar_berlekamp_massey(fs, modified)
+    if oracles.poly_deg(lam) > len(modified) // 2:
+        return ("exceeds",)
+    return (lam, length)
+
+
+def pass_verdict(lam, length, bound):
+    """The same of a row of rs._frame_rows."""
+    if lam is None:
+        return ("clean",)
+    return ("exceeds",) if len(lam) - 1 > bound else (lam, length)
+
+
+# stacks of no frame, one frame and many
+STACK_SIZES = st.one_of(st.just(0), st.just(1), st.integers(2, 12))
+
+
+@pytest.mark.parametrize("code", CODES)
+@given(seed=st.integers(0, 2**32 - 1), size=STACK_SIZES)
+@settings(max_examples=15, deadline=None)
+def test_stacked_pass_equals_scalar_oracles(code, seed, size):
+    """rs._frame_rows over a stack of frames with 0-40 random bit flips
+    each gives every frame the syndromes, modified syndromes, locator, L
+    and verdict that Horner, scalar products and the scalar BM give it
+    alone; its frame decoder given that row decodes as without one."""
+    rng = np.random.default_rng(seed)
+    codecs = [_frame_codec(code, rng) for _ in range(size)]
+    frames = np.zeros((size, 128), np.uint8)
+    for frame, (sent, _, _) in zip(frames, codecs):
+        frame[:] = sent
+        frame[rng.choice(128, int(rng.integers(0, 41)), replace=False)] ^= 1
+    if code == "bch":
+        decoder, fs = bch._decoder(), bch.bch_spec().field
+        synd = [bch_syndromes(frame[:127]) for frame in frames]
+    else:
+        layout = _layout(code)
+        decoder, fs = rs._decoder(layout), layout.spec.field
+        synd = [frame_syndromes(layout, frame) for frame in frames]
+    values = synd
+    modified = synd
+    if code == "rs2516":  # the one punctured layout
+        modified = [rs2516_modified(frame) for frame in frames]
+        values = [s + m for s, m in zip(synd, modified)]
+    assert rs._frame_syndromes(decoder, frames).tolist() == values
+    rows = rs._frame_rows(decoder, frames)
+    assert [row[0] for row in rows] == synd
+    assert ([pass_verdict(lam, length, len(m) // 2)
+             for (_, lam, length), m in zip(rows, modified)]
+            == [scalar_verdict(fs, m) for m in modified])
+    for frame, row, (_, decode, _) in zip(frames, rows, codecs):
+        assert outcome(partial(decode, row=row), frame) == outcome(decode,
+                                                                   frame)
+
+
+@given(seed=st.integers(0, 2**32 - 1), size=STACK_SIZES,
+       k=st.integers(19, 29), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_stacked_pass_of_erased_words_equals_scalar(seed, size, k, data):
+    """rs_decode's pass, the modified syndromes of one erasure locator and
+    the stacked BM, on a stack of RS(31,k) words with 0-31 symbol errors
+    and f erasures: each word's modified syndromes, locator and L are the
+    scalar products' and the scalar BM's."""
+    f = data.draw(st.integers(0, 31 - k))
+    spec, fs = rs.rs_spec(5, k), gf2m.cached_field(5)
+    rng = np.random.default_rng(seed)
+    erasures = rng.choice(31, f, replace=False).tolist()
+    words = []
+    for _ in range(size):
+        word = rs.rs_encode(spec, rng.integers(0, 32, k).tolist())
+        for pos in rng.choice(31, int(rng.integers(0, 32)), replace=False):
+            word[pos] ^= int(rng.integers(1, 32))
+        words.append(word)
+    gamma = rs._erasure_locator(fs, 31, erasures)
+    synd = [scalar_syndromes(spec, word) for word in words]
+    want = []
+    for s in synd:
+        product = scalar_poly_mul(fs, s, gamma) + [0] * spec.r
+        want.append(product[f:spec.r])
+    modified = rs._modified_syndromes(
+        fs, np.array(synd, np.uint8).reshape(size, spec.r), gamma, spec.r)
+    assert modified.tolist() == want
+    lams, lengths = rs._locators(fs, modified)
+    assert ([list(pair) for pair in zip(lams, lengths)]
+            == [list(scalar_berlekamp_massey(fs, m)) for m in want])
 
 
 @pytest.mark.parametrize("m", [5, 7])
@@ -882,8 +982,8 @@ def test_binary_berlekamp_massey_equals_scalar(seed, errors):
     word[np.random.default_rng(seed).choice(127, errors, replace=False)] = 1
     synd = bch_syndromes(word)
     fs = bch.bch_spec().field
-    assert (rs._berlekamp_massey(fs, synd, binary=True)
-            == scalar_berlekamp_massey(fs, synd))
+    (lam,), (length,) = rs._locators(fs, [synd], binary=True)
+    assert (lam, length) == scalar_berlekamp_massey(fs, synd)
 
 
 @pytest.mark.parametrize("m", [5, 7])
@@ -996,9 +1096,10 @@ def test_bch_byte_table_bit_images_equal_parity_check_rows():
     """The byte tables' image of each frame bit alone is the syndromes of
     the unit word, a row of the code's parity-check matrix."""
     tables = bch._decoder().tables
+    assert tables.shape == (16, 256, 12) and tables.dtype == np.uint8
     for i, unit in enumerate(np.eye(127, dtype=np.uint8)):
-        got = tables[i >> 3][0x80 >> (i & 7)]
-        assert rs._unpack(got, 12) == bytes(bch_syndromes(unit))
+        got = tables[i >> 3, 0x80 >> (i & 7)]
+        assert got.tolist() == bch_syndromes(unit)
 
 
 # frames of the hypothesis tests' constructions, (seed, errors), found by a

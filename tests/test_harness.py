@@ -384,7 +384,9 @@ class TestBenchmarkContract:
     bypassed them would silently drop those counts, so every frame must
     reach them: the encoders take a whole chunk of bursts as one stack, and
     the frames they see are counted as rows; the decoders are called once
-    per frame."""
+    per frame, after the chunk's stacked syndrome and BM pass, with the
+    frame's row as a keyword (perfbench's radius check unpacks a
+    decoder's positional arguments)."""
 
     CODEC = {"bch": ("bch_encode", "bch_decode", 85),
              "rs2516": ("rs2516_frame", "rs2516_decode", 80),
@@ -396,12 +398,13 @@ class TestBenchmarkContract:
         for mod, name in ((bch, "bch_encode"), (rs, "rs2516_frame"),
                           (crs, "crs_encode"), (bch, "bch_decode"),
                           (rs, "rs2516_decode"), (crs, "crs_decode")):
-            def counted(*args, _fn=getattr(mod, name), _name=name):
+            def counted(*args, _fn=getattr(mod, name), _name=name,
+                        **kwargs):
                 # an encoder's messages are its last argument, one per row;
-                # a decoder call is one frame
+                # a decoder call is one frame, its row a keyword
                 frames[_name] += (1 if _name.endswith("_decode")
                                   else np.asarray(args[-1])[..., 0].size)
-                return _fn(*args)
+                return _fn(*args, **kwargs)
             monkeypatch.setattr(mod, name, counted)
         encode, decode, payload = self.CODEC[scheme]
         bursts = 2

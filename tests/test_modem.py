@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,3 +510,32 @@ def test_measured_columns_equal_full_analysis(bursts, n_frames, M, K, tail,
                           modem.grid_to_frames(
                               modem.oqam_postprocess(full))[..., 1:-1, :])
 
+
+
+# Repeated synthesis calls in a fresh interpreter, after a few warm-up calls
+# build the bank's one-time state.  numpy 2.4's __array_interface__, which
+# as_strided calls, makes one allocation of about 0.92 MiB (0.5 MiB resident)
+# at about its 10,235th call in a process, so a tap view built through it
+# would show here.
+_SYNTHESIS_GROWTH = """
+import tracemalloc
+import numpy as np
+from papr_lab import modem
+cfg = modem.ModemConfig()
+grid = np.ones((64, 2), complex)
+for _ in range(100):
+    modem.synthesis(grid, cfg)
+tracemalloc.start()
+for _ in range(12_000):
+    modem.synthesis(grid, cfg)
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_repeated_synthesis_keeps_no_memory():
+    """12,000 synthesis calls leave less than 16 KiB behind."""
+    src = str(Path(modem.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _SYNTHESIS_GROWTH],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert int(out.stdout) < 16 * 1024
