@@ -13,11 +13,10 @@ one record, an rs._Decoder cached by _decoder and built at the first
 decode.  Its byte tables (rs._frame_tables) hold the syndromes of each
 frame bit, the rows of the code's one syndrome map (rs._syndrome_rows), so
 a stack of frames gets its syndromes from one gather, and the frames with
-nonzero syndromes go through the stacked binary Berlekamp-Massey of
-rs._frame_rows, which skips the steps whose discrepancy is zero.  Each
-frame then goes to the RS codec's one correction routine, rs._corrections,
-as a binary word: the Chien search reads the degree-t tables, and the
-positions it accepts are the bits to flip.
+nonzero syndromes go through the RS codec's one correction routine,
+rs._outcomes, as binary words, all at once: its Berlekamp-Massey skips
+the steps whose discrepancy is zero, its Chien search reads the degree-t
+power table, and the positions it accepts are the bits to flip.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .. import gf2m
 from ..gf2m import FieldSpec
-from .rs import (_checked_frame, _checked_message, _corrections, _Decoder,
+from .rs import (_checked_frame, _checked_message, _checked_row, _Decoder,
                  _frame_rows, _frame_tables, _gf2, _parity_table,
                  _syndrome_rows, _systematic)
 
@@ -97,7 +96,7 @@ def _decoder() -> _Decoder:
 
 
 def bch_decode(frame: np.ndarray, *,
-               row: tuple | None = None) -> tuple[np.ndarray, int]:
+               row: dict | str | None = None) -> tuple[np.ndarray, int]:
     """128-bit frame -> (85 message bits, corrected bit count).
 
     Corrects any pattern of <= t bit errors in the 127 codeword bits; the pad
@@ -108,14 +107,10 @@ def bch_decode(frame: np.ndarray, *,
     alone.
     """
     decoder = _decoder()
-    fs, n, _, frame_bits, k, _, gamma, _ = decoder
-    frame = _checked_frame(frame, frame_bits)
-    synd, lam, length = (row if row is not None
+    frame = _checked_frame(frame, decoder.frame_bits)
+    flips = _checked_row(row if row is not None
                          else _frame_rows(decoder, frame[None])[0])
-    if lam is None:
-        return frame[:k].copy(), 0
-    flips = _corrections(fs, n, synd, lam, length, gamma, binary=True)
     word = frame.copy()
     for i in flips:  # at most t: a scalar XOR each beats a fancy index
         word[i] ^= 1
-    return word[:k], len(flips)
+    return word[:decoder.message_bits], len(flips)

@@ -32,20 +32,21 @@ tables (_frame_tables), one (256, width) table per frame byte built from
 the syndromes of each sent frame bit, give a stack of frames its
 syndromes, and a punctured layout's its modified syndromes too (composed
 with the fixed erasure locator Gamma), in one gather (_frame_syndromes).
-The stacked pass (_frame_rows) gives every frame a row: a frame whose
-modified syndromes are zero is clean, and Berlekamp-Massey runs on all the
-others at once (_locators), giving each its locator and LFSR length L.  A
-frame decoder given its row runs only the per-frame tail, and without one
-runs the pass on a one-row stack; rs_decode runs the same BM on one row.
-The tail is _corrections, the one correction routine of every decoder
-here, BCH's too: BM's degree bound, the Chien search, BM's own length
-test and, for a non-binary word, Forney, on the field's cached products
-and inverses and on evaluation tables of symbols packed one byte each in
-a Python int (_pack, _evaluation_tables), so that a polynomial at every
-position is one XOR of a table entry per coefficient.  Corrections are
-accepted by the length test, never by their syndromes.  Every cached
-table is immutable (read-only arrays, tuples), since every later decode
-in the process shares it.
+The stacked pass (_frame_rows) gives every frame its row, its outcome: a
+frame whose modified syndromes are zero is clean, and all the others are
+decoded at once by _outcomes, the one correction routine of every decoder
+here, BCH's too.  On the whole stack, in numpy: Berlekamp-Massey
+(_locators), BM's degree bound, psi = Lambda * Gamma (_product), the Chien
+search at every position, the root count, BM's own length test and, for
+a non-binary word, Forney at each root.  A polynomial at every position
+is one gather of a row per coefficient from a cached power table
+(_power_table, _values), and the products are flat gathers on the
+field's multiplication table.  A row is a failure reason or the
+{position: magnitude} fixes; a frame decoder given its row only applies
+it, and without one runs the pass on a one-row stack, as rs_decode runs
+_outcomes on its one word.  Corrections are accepted by the length test,
+never by their syndromes.  Every cached table is immutable (read-only
+arrays, tuples), since every later decode in the process shares it.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .. import gf2m
-from ..gf2m import FieldSpec, poly_mul
+from ..gf2m import FieldSpec
 from ..metrics import LengthMismatch  # noqa: F401  (re-exported)
 
 
@@ -142,29 +143,41 @@ def _powers(fs: FieldSpec, logs: np.ndarray,
     return fs.exp_table[np.multiply.outer(logs, exponents) % fs.order]
 
 
-# --- packed symbols: one Python int holds a vector of field symbols ----------
-# Symbol i is byte i (little-endian), which holds a symbol of every field
-# here (m <= 8).  XOR of two packed ints adds their vectors.
-
-def _pack(symbols: Iterable[int]) -> int:
-    return int.from_bytes(bytes(symbols), "little")
-
-
-def _unpack(value: int, count: int) -> bytes:
-    """The count symbols of a packed value; indexing gives ints."""
-    return value.to_bytes(count, "little")
-
-
 @functools.cache
-def _evaluation_tables(fs: FieldSpec, n: int,
-                       degree: int) -> tuple[tuple[int, ...], ...]:
-    """table[d][c] packs c x^d at the inverse locator x = alpha^-(n-1-pos)
-    of every position pos of a length-n word, symbol pos.  A polynomial of
-    degree <= `degree` evaluated at every position is then the XOR of one
-    entry per coefficient (_evaluate)."""
-    rows = _powers(fs, np.arange(degree + 1), np.arange(n) + 1 - n)
-    return tuple(tuple(map(_pack, gf2m.mul_table(fs)[:, row].tolist()))
-                 for row in rows)
+def _power_table(fs: FieldSpec, n: int, degree: int) -> np.ndarray:
+    """(degree + 1, size, n) read-only uint8 table: [d, c, pos] is c x^d at
+    the inverse locator x = alpha^-(n-1-pos) of each position pos of a
+    length-n word.  A polynomial of degree <= `degree` at every position
+    is then the XOR of one row per coefficient (_values)."""
+    powers = _powers(fs, np.arange(degree + 1), np.arange(n) + 1 - n)
+    table = gf2m.mul_table(fs)[powers[:, None], np.arange(fs.size)[:, None]]
+    table.setflags(write=False)
+    return table
+
+
+def _values(table: np.ndarray, polys: np.ndarray, *at) -> np.ndarray:
+    """Each row of a (rows, width) stack of polynomials at the inverse
+    locator of every position, (rows, n), from its _power_table; given
+    positions, (rows,), row i at positions[i] alone."""
+    index = np.arange(polys.shape[1]), polys, *(pos[:, None] for pos in at)
+    return np.bitwise_xor.reduce(table[index], axis=1)
+
+
+def _product(fs: FieldSpec, p: np.ndarray, q: np.ndarray,
+             size: int) -> np.ndarray:
+    """Coefficients 0..size-1 of p q, as uint8, for each row of a (..., P)
+    stack p and a (..., Q) stack q, broadcast: the XOR over b of q_b times
+    p shifted by x^b, one flat gather of every product."""
+    Q = q.shape[-1]
+    padded = np.zeros((*p.shape[:-1], Q - 1 + size), np.intp)
+    width = min(p.shape[-1], size)
+    padded[..., Q - 1:Q - 1 + width] = p[..., :width]
+    # shifted[..., b, j] is p_(j-b), zero outside p
+    shifted = padded[..., np.arange(Q - 1, Q - 1 + size)
+                     - np.arange(Q)[:, None]]
+    shifted |= np.left_shift(q, fs.m, dtype=np.intp)[..., None]
+    return np.bitwise_xor.reduce(gf2m.mul_table(fs).ravel().take(shifted),
+                                 axis=-2)
 
 
 @functools.cache
@@ -178,70 +191,50 @@ def _syndrome_rows(fs: FieldSpec, n: int, r: int) -> np.ndarray:
     return rows
 
 
-def _evaluate(tables: tuple[tuple[int, ...], ...], poly: Sequence[int],
-              n: int) -> bytes:
-    """The n symbols of the XOR of tables[d][c] over the coefficients c of
-    poly; through _evaluation_tables(fs, n, degree), poly at the inverse
-    locator of every position of a length-n word."""
-    if len(poly) > len(tables):
-        raise ValueError(f"degree {len(poly) - 1} above the tables' "
-                         f"{len(tables) - 1}")
-    value = 0
-    for table, c in zip(tables, poly):
-        value ^= table[c]
-    return _unpack(value, n)
-
-
-def _roots(values: bytes) -> list[int]:
-    """Positions of the zero symbols of an _evaluate result."""
-    roots = []
-    pos = values.find(0)
-    while pos >= 0:
-        roots.append(pos)
-        pos = values.find(0, pos + 1)
-    return roots
-
-
-def _locators(fs: FieldSpec, syndromes,
-              binary: bool = False) -> tuple[list[list[int]], list[int]]:
-    """(locators, L) of each row of a (frames, m) stack of (possibly
-    erasure-modified) syndrome sequences, by Berlekamp-Massey run on every
-    row at once (Massey 1969): each row's locator, trimmed, is the shortest
-    LFSR that generates the row, of length L >= its degree.  binary: the
-    rows are S_1..S_2t of binary words, whose every second discrepancy (at
-    S_2, S_4, ...) is zero, so those steps are skipped."""
+def _locators(fs: FieldSpec, syndromes, binary: bool = False
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C, degrees, L) of a (frames, m) stack of (possibly erasure-modified)
+    syndrome sequences, by Berlekamp-Massey run on every row at once
+    (Massey 1969): row i of the (frames, m + 1) uint8 C is the shortest
+    LFSR that generates row i, of degree degrees[i] <= its length L[i].
+    binary: the rows are S_1..S_2t of binary words, whose every second
+    discrepancy (at S_2, S_4, ...) is zero, so those steps are skipped."""
     S = np.asarray(syndromes, dtype=np.uint8)
     frames, m = S.shape
-    # products[a << m | b] is a * b: a flat gather beats a 2-D one
+    # products[a << m | b] is a * b, a flat gather; offsets[a] is a << m,
+    # and inverse[a] the offset of 1 / a
     products, step = gf2m.mul_table(fs).ravel(), 1 + binary
-    inverse = fs.exp_table[-fs.log_table % fs.order]  # entry 0 is not read
-    # C[:, 0] is the locator and C[:, 1] its product with S mod x^m, whose
-    # coefficient i is the discrepancy at step i.  B[:, 0] is x^shift times
-    # the locator before the last length change, and B[:, 1] that times S:
-    # a nonzero discrepancy adds a multiple of B to C.  No degree of a
-    # locator ever read passes m (deg C <= L <= m)
-    C = np.zeros((frames, 2, m + 1), np.uint8)
-    C[:, 0, 0] = 1
-    C[:, 1, :m] = S
-    B = np.zeros_like(C)
-    B[..., 1:] = C[..., :-1]  # shift 1
+    offsets = np.arange(fs.size) << fs.m
+    inverse = offsets[gf2m.inverses(fs)]
+    # C[0] is the locator and C[1] its product with S mod x^m, whose
+    # coefficient i is the discrepancy at step i, frames last so that each
+    # step's arrays are long and contiguous.  B is x^shift times the
+    # locator before the last length change, and that times S: a nonzero
+    # discrepancy adds a multiple of B to C.  B is a window of `past`, kept
+    # as offsets' index type, that moves step entries left a step, which
+    # multiplies it by x^step, since nothing left of it is ever written.
+    # No degree of a locator ever read passes m (deg C <= L <= m)
+    C = np.zeros((2, m + 1, frames), np.uint8)
+    C[0, 0] = 1
+    C[1, :m] = S.T
+    start = -(-m // step) * step
+    past = np.zeros((2, start + m + 1, frames), np.intp)
+    past[:, start + 1:start + m + 1] = C[:, :m]  # B = x C
     L = np.zeros(frames, np.intp)
-    b_inv = np.ones(frames, np.uint8)  # 1 / discrepancy at the last change
+    b_inv = np.full(frames, offsets[1])  # of 1 / the last change's d
     for i in range(0, m, step):
-        d = C[:, 1, i]
-        grow = (d != 0) & (2 * L <= i)
-        coef = products.take(d.astype(np.intp) << fs.m | b_inv)
-        b_inv = np.where(grow, inverse[d], b_inv)
-        L = np.where(grow, i + 1 - L, L)
-        old = np.where(grow[:, None, None], C, B)
-        # d = 0 adds nothing
-        C ^= products.take(coef.astype(np.intp)[:, None, None] << fs.m | B)
-        B[..., :step] = 0  # the old C or B, times x^step
-        B[..., step:] = old[..., :-step]
-    C = C[:, 0]
-    degrees = m - np.argmax(C[:, ::-1] != 0, axis=1)  # C_0 = 1
-    return ([c[:d + 1] for c, d in zip(C.tolist(), degrees.tolist())],
-            L.tolist())
+        B = past[:, start:start + m + 1]
+        d = C[1, i]
+        grow = (d != 0) & (L <= i // 2)
+        coef = offsets.take(products.take(b_inv | d))  # d = 0 adds nothing
+        change = products.take(coef | B)
+        np.copyto(B, C, where=grow)
+        np.copyto(b_inv, inverse.take(d), where=grow)
+        np.copyto(L, i + 1 - L, where=grow)
+        C ^= change
+        start -= step
+    degrees = m - np.argmax(C[0, ::-1] != 0, axis=0)  # C_0 = 1
+    return C[0].T, degrees, L
 
 
 def _erasure_locator(fs: FieldSpec, n: int,
@@ -259,56 +252,75 @@ def _modified_syndromes(fs: FieldSpec, synd, gamma: Sequence[int],
     exponential sum over the error locators (erasure terms cancel), so BM on
     this length r-f sequence recovers the error locator alone; they are all
     zero exactly when the erasures alone explain the syndromes."""
-    synd, f = np.asarray(synd, dtype=np.uint8), len(gamma) - 1
-    mul = gf2m.mul_table(fs)
-    out = np.zeros((*synd.shape[:-1], r - f), np.uint8)
-    for b, g in enumerate(gamma):  # S_a Gamma_b lands on degree a + b
-        out ^= mul[synd[..., f - b:r - b], g]
-    return out
+    synd = np.asarray(synd, dtype=np.uint8)
+    return _product(fs, synd, np.asarray(gamma), r)[..., len(gamma) - 1:]
 
 
-def _corrections(fs: FieldSpec, n: int, synd: Sequence[int],
-                 lam: Sequence[int], length: int, gamma: Sequence[int],
-                 binary: bool = False) -> dict[int, int]:
-    """{position: magnitude} of every nonzero correction of a length-n word
-    with the r syndromes synd, from BM's (Lambda, L) on its modified
-    syndromes (_locators): the Chien search and Forney on psi = Lambda *
-    Gamma, Gamma its erasure locator.  DecodeFailure past the error bound,
-    and unless psi has as many roots as its degree and deg Lambda = L.
-    binary: the word is binary, its syndromes S_1..S_2t, and Gamma is 1."""
-    r, degree = len(synd), len(lam) - 1  # lam trimmed, as psi by poly_mul
-    if degree > (r - len(gamma) + 1) // 2:
-        raise DecodeFailure("error locator exceeds capability")
-    # combined locator, degree <= r: Lambda itself when Gamma is 1
-    psi = lam if len(gamma) == 1 else poly_mul(fs, lam, gamma)
-    tables = _evaluation_tables(fs, n, r // 2 if binary else r)
-    roots_pos = _roots(_evaluate(tables, psi, n))
-    if len(roots_pos) != len(psi) - 1:
-        raise DecodeFailure("locator degree does not match root count")
+# why a decode fails, by the check of _outcomes that finds it
+_FAILURES = (None, "error locator exceeds capability",
+             "locator degree does not match root count",
+             "residual syndromes after correction",
+             "Forney denominator vanished")
+
+
+def _outcomes(fs: FieldSpec, n: int, synd: np.ndarray, modified: np.ndarray,
+              gamma: Sequence[int], binary: bool = False) -> list:
+    """The outcome of each length-n word of a stack, given its r syndromes
+    and its r - f modified syndromes, (words, r) and (words, r - f) uint8:
+    its failure reason, or the {position: magnitude} of every nonzero
+    correction.  Berlekamp-Massey (_locators) gives each word its (Lambda,
+    L); then, on the whole stack: BM's degree bound, psi = Lambda * Gamma,
+    Gamma the erasure locator, the Chien search at every position, the
+    root count, BM's own length test and, for a non-binary word, Forney.
+    binary: the words are binary, their syndromes S_1..S_2t, and Gamma
+    is 1."""
+    r, f = synd.shape[1], len(gamma) - 1
+    bound = (r - f) // 2
+    lam, degrees, lengths = _locators(fs, modified, binary)
+    reason = np.where(degrees > bound, 1, 0)  # an index into _FAILURES
+    live = np.flatnonzero(degrees <= bound)
+    # combined locator, degree deg Lambda + f <= r
+    psi = _product(fs, lam[live, :bound + 1], np.asarray(gamma),
+                   bound + f + 1)
+    table = _power_table(fs, n, r // 2 if binary else r)
+    roots = _values(table, psi) == 0
     # The corrections cancel every syndrome exactly when deg Lambda = L
     # (Massey 1969).  If so, L being minimal and the erasure-only patterns
     # the kernel of the map to modified syndromes, the syndromes are those
     # of an error-and-erasure pattern on psi's roots, which Forney returns.
     # If deg Lambda < L, no pattern on deg Lambda positions (besides the
     # erasures) gives the modified syndromes, so no correction cancels.
-    if degree != length:
-        raise DecodeFailure("residual syndromes after correction")
-    if binary:  # S_2j = S_j^2 makes every Forney value 1
-        return dict.fromkeys(roots_pos, 1)
+    degrees, residual = degrees[live], (degrees != lengths)[live]
+    reason[live] = np.where(np.count_nonzero(roots, axis=1) != degrees + f,
+                            2, 3 * residual)
+    passed = reason[live] == 0
+    live, psi = live[passed], psi[passed]
+    words, positions = np.nonzero(roots[passed])  # every root of the stack
+    if binary:  # S_2j = S_j^2 makes every Forney value of a binary word 1
+        magnitudes = np.ones(len(words), np.uint8)
+    else:
+        # Forney at each root: Omega = S * psi mod x^r; e_j =
+        # Omega(X_j^-1) / psi'(X_j^-1), psi' having coefficient psi_(2i+1)
+        # at degree 2i
+        omega = _product(fs, synd[live], psi, r)[words]
+        slope = _values(table[::2], psi[words, 1::2], positions)
+        reason[live[words[slope == 0]]] = 4
+        magnitudes = gf2m.mul_table(fs)[_values(table, omega, positions),
+                                        gf2m.inverses(fs)[slope]]
+    out = [_FAILURES[i] or {} for i in reason.tolist()]
+    words = live[words]
+    fixed = (magnitudes != 0) & (reason[words] == 0)
+    for i, pos, mag in zip(words[fixed].tolist(), positions[fixed].tolist(),
+                           magnitudes[fixed].tolist()):
+        out[i][pos] = mag
+    return out
 
-    # Forney: Omega = S * psi mod x^r; e_j = Omega(X_j^-1) / psi'(X_j^-1),
-    # psi' having coefficient psi_(2i+1) at degree 2i
-    omega = _evaluate(tables, poly_mul(fs, synd, psi, r), n)
-    psi_prime = _evaluate(tables[::2], psi[1::2], n)
-    rows, inverse = gf2m.mul_rows(fs), gf2m.inverses(fs)
-    fixes = {}
-    for pos in roots_pos:
-        if psi_prime[pos] == 0:
-            raise DecodeFailure("Forney denominator vanished")
-        mag = rows[omega[pos]][inverse[psi_prime[pos]]]
-        if mag:
-            fixes[pos] = mag
-    return fixes
+
+def _checked_row(row) -> dict[int, int]:
+    """The fixes of a decode's outcome (_outcomes), or its DecodeFailure."""
+    if isinstance(row, str):
+        raise DecodeFailure(row)
+    return row
 
 
 def rs_decode(spec: RsCodeSpec, received: Sequence[int],
@@ -333,10 +345,10 @@ def rs_decode(spec: RsCodeSpec, received: Sequence[int],
     if not any(synd) and not erasures:
         return word[:spec.k], 0
     gamma = _erasure_locator(fs, n, erasures)
-    (lam,), (length,) = _locators(
-        fs, _modified_syndromes(fs, synd, gamma, r)[None])
-    fixes = _corrections(fs, n, synd, lam, length, gamma)
-    for pos, mag in fixes.items():
+    synd = np.array(synd, np.uint8)[None]
+    (fixes,) = _outcomes(fs, n, synd,
+                         _modified_syndromes(fs, synd, gamma, r), gamma)
+    for pos, mag in _checked_row(fixes).items():
         word[pos] ^= mag
     return word[:spec.k], len(fixes)
 
@@ -576,31 +588,33 @@ def _frame_syndromes(decoder: _Decoder, frames: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(entries, axis=0)
 
 
-def _frame_rows(decoder: _Decoder, frames: np.ndarray) -> list[tuple]:
-    """The stacked pass of a frame decoder: one row (syndromes, locator, L)
-    per frame of a (frames, frame_bits) stack of bits, the r syndromes as a
-    list.  A clean frame, whose modified syndromes (its syndromes when
-    nothing is punctured) are all zero, has locator None and L 0; the
-    others have Berlekamp-Massey's locator and L on their modified
-    syndromes, run on all of them at once (_locators).  A frame decoder
-    given its frame's row runs only its per-frame tail."""
+def _frame_rows(decoder: _Decoder, frames: np.ndarray) -> list:
+    """The stacked decode of a frame decoder: the row of each frame of a
+    (frames, frame_bits) stack of bits, its outcome.  A clean frame, whose
+    modified syndromes (its syndromes when nothing is punctured) are all
+    zero, has no fixes, {}: correction would at most fill the punctured
+    parity, so the message arrived intact.  Every other frame's row is
+    its _outcomes, all of them found at once: a failure reason, or the
+    {position: magnitude} of its corrections.  A frame decoder given its
+    frame's row only applies it."""
     if frames.shape[-1] != decoder.frame_bits:
         raise LengthMismatch(f"frame length {frames.shape[-1]} != "
                              f"{decoder.frame_bits}")
     values, r = _frame_syndromes(decoder, frames), decoder.r
     modified = values[:, r:] if len(decoder.gamma) > 1 else values
     dirty = np.flatnonzero(modified.any(axis=1))
-    rows = [(synd, None, 0) for synd in values[:, :r].tolist()]
+    rows = [{} for _ in range(len(values))]
     if dirty.size:
-        lams, lengths = _locators(decoder.fs, modified[dirty],
-                                  decoder.binary)
-        for i, lam, length in zip(dirty.tolist(), lams, lengths):
-            rows[i] = (rows[i][0], lam, length)
+        outcomes = _outcomes(decoder.fs, decoder.n, values[dirty, :r],
+                             modified[dirty], decoder.gamma, decoder.binary)
+        for i, row in zip(dirty.tolist(), outcomes):
+            rows[i] = row
     return rows
 
 
 def frame_decode(layout: RsFrameLayout, frame: np.ndarray, *,
-                 row: tuple | None = None) -> tuple[np.ndarray, int, bool]:
+                 row: dict | str | None = None
+                 ) -> tuple[np.ndarray, int, bool]:
     """Decode one frame -> (message bits, corrected symbols, constraint_ok).
 
     Punctured parity decodes as erasures, and filling it is not counted as
@@ -611,16 +625,9 @@ def frame_decode(layout: RsFrameLayout, frame: np.ndarray, *,
     row: the frame's row of _frame_rows, when a stack of frames has been
     through it; without one, the frame goes through it alone.
     """
-    decoder = _decoder(layout)
-    fs, n, _, frame_bits, message_bits, _, gamma, _ = decoder
-    frame = _checked_frame(frame, frame_bits)
-    synd, lam, length = (row if row is not None
-                         else _frame_rows(decoder, frame[None])[0])
-    if lam is None:
-        # the erasures alone explain the syndromes: correction would only
-        # fill the punctured parity, so the message arrived intact
-        return frame[:message_bits].copy(), 0, True
-    fixes = _corrections(fs, n, synd, lam, length, gamma)
+    frame = _checked_frame(frame, layout.frame_bits)
+    fixes = _checked_row(row if row is not None
+                         else _frame_rows(_decoder(layout), frame[None])[0])
     shortened, k, p = layout.k - layout.k_prime, layout.k, layout.p
     if any(pos < shortened for pos in fixes):
         raise DecodeFailure("shortened prefix decoded nonzero")
@@ -630,11 +637,11 @@ def frame_decode(layout: RsFrameLayout, frame: np.ndarray, *,
     message = [(pos, mag) for pos, mag in fixes.items() if pos < k]
     flips = [(pos - shortened) * p + b for pos, mag in message
              for b in range(p) if mag >> (p - 1 - b) & 1]
-    bits = frame[:message_bits].copy()
+    bits = frame[:layout.message_bits].copy()
     for i in flips:  # a few: a scalar XOR each beats a fancy index
         bits[i] ^= 1
     constraint_ok = all(mag >> p == 0 for _, mag in message)
-    corrected = sum(1 for pos in fixes if pos < n - layout.punctured)
+    corrected = sum(1 for pos in fixes if pos < layout.n - layout.punctured)
     return bits, corrected, constraint_ok
 
 
@@ -646,7 +653,7 @@ def rs2516_frame(message: Sequence[int]) -> np.ndarray:
 
 
 def rs2516_decode(frame: np.ndarray, *,
-                  row: tuple | None = None) -> tuple[list[int], int]:
+                  row: dict | str | None = None) -> tuple[list[int], int]:
     """frame_decode of one RS2516 frame, its message as 16 symbols."""
     bits, corrected, _ = frame_decode(RS2516, frame, row=row)
     value = int.from_bytes(np.packbits(bits).tobytes(), "big")  # 80 bits

@@ -1,18 +1,16 @@
 """GF(2^m) arithmetic backed by log/antilog tables.
 
 Field elements are plain ints in [0, 2^m), interpreted as GF(2) coefficient
-vectors.  Polynomials over the field are lists of ints, lowest degree first;
-the zero polynomial is the empty list (degree -1).
+vectors.  Polynomials over the field are lists of ints, lowest degree first.
 
-The polynomial routines the codecs run per frame, and the parity and
-syndrome tables every encoder and decoder is built from, use the field's
-full multiplication table, cached and built on first use: mul_table holds
-each product in the narrowest unsigned type that holds an element (uint8
-for the codecs' GF(32) and GF(128)), and mul_rows holds it as one tuple
-of Python ints per row.  Inverses are one cached tuple.  Every cached
-table is read-only.  No polynomial is divided.  Building a code's
-generator (poly_from_roots) takes its products in the log domain and
-builds no table.
+The parity and syndrome tables every encoder and decoder is built from,
+and the decoders' stacked arithmetic, read the field's full
+multiplication table, cached and built on first use: mul_table holds each
+product in the narrowest unsigned type that holds an element (uint8 for
+the codecs' GF(32) and GF(128)), and inverses each element's inverse in
+the same type.  Every cached table is read-only.  No polynomial is
+divided.  Building a code's generator (poly_from_roots) takes its products
+in the log domain and builds no table.
 """
 from __future__ import annotations
 
@@ -101,14 +99,6 @@ def arr_mul(fs: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- polynomials, lowest degree first ---------------------------------------
-
-def poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
 @functools.cache
 def mul_table(fs: FieldSpec) -> np.ndarray:
     """(size, size) read-only table of every product: mul_table(fs)[a, b] is
@@ -121,34 +111,13 @@ def mul_table(fs: FieldSpec) -> np.ndarray:
 
 
 @functools.cache
-def mul_rows(fs: FieldSpec) -> tuple:
-    """mul_table as Python ints, one tuple per row: mul_rows(fs)[a] is the
-    map b -> a * b, for loops that multiply by one element many times."""
-    return tuple(map(tuple, mul_table(fs).tolist()))
-
-
-@functools.cache
-def inverses(fs: FieldSpec) -> tuple:
-    """inverses(fs)[a] is 1 / a as a Python int; entry 0 is 0."""
-    return (0,) + tuple(fs.exp_table[fs.order - fs.log_table[1:]].tolist())
-
-
-def poly_mul(fs: FieldSpec, p: Sequence[int], q: Sequence[int],
-             limit: int | None = None) -> list[int]:
-    """p q, or with a limit only its coefficients below degree limit."""
-    if not p or not q:
-        return []
-    size = len(p) + len(q) - 1
-    if limit is not None:
-        size = min(size, limit)
-    rows = mul_rows(fs)
-    out = [0] * size
-    for i, a in enumerate(p[:size]):
-        if a:
-            row = rows[a]
-            for j, b in enumerate(q[:size - i], i):
-                out[j] ^= row[b]
-    return poly_trim(out)
+def inverses(fs: FieldSpec) -> np.ndarray:
+    """(size,) read-only table of inverses, in mul_table's type:
+    inverses(fs)[a] is 1 / a, and entry 0 is 0."""
+    table = np.zeros(fs.size, np.min_scalar_type(fs.order))
+    table[1:] = fs.exp_table[fs.order - fs.log_table[1:]]
+    table.setflags(write=False)
+    return table
 
 
 def poly_from_roots(fs: FieldSpec, roots: Sequence[int]) -> list[int]:

@@ -170,9 +170,9 @@ class Scheme:
     """A frame-level coding scheme, its codec as data: encode maps (...,
     payload bits) to (..., 2M-bit frames) in one call; decode_frame maps
     one frame and its row to its message (None: frames are the payload
-    bits), rows a (frames, 2M) stack to one row per frame, its decoder's
-    stacked syndrome and Berlekamp-Massey pass (rs._frame_rows); and
-    unpack a list of messages to (messages, payload bits)."""
+    bits), rows a (frames, 2M) stack to one row per frame, its outcome
+    from its decoder's stacked pass (rs._frame_rows); and unpack a list
+    of messages to (messages, payload bits)."""
     name: str
     payload_bits: int
     encode: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -184,12 +184,12 @@ class Scheme:
 
     def decode(self, frames: np.ndarray) -> np.ndarray:
         """(..., 2M) frames -> (..., payload bits).  The whole stack goes
-        through rows once: every frame's syndromes, and Berlekamp-Massey
-        on the frames that are not clean, in numpy.  decode_frame is then
-        called once per frame with its row, and runs only what is left:
-        at once for a clean frame or one past BM's degree bound, else the
-        Chien search, Forney and the bit flips.  A frame whose decode
-        fails keeps its systematic bits."""
+        through rows once, which decodes every frame in numpy: its
+        syndromes and, for the frames that are not clean, Berlekamp-Massey,
+        the Chien search, the length test and Forney.  decode_frame is then
+        called once per frame with its row, its outcome: it checks the
+        frame, then raises the row's DecodeFailure or applies its fixes.
+        A frame whose decode fails keeps its systematic bits."""
         frames = np.asarray(frames, dtype=np.uint8)
         decode_frame, k = self.decode_frame, self.payload_bits
         if decode_frame is None:

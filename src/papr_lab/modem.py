@@ -23,7 +23,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .metrics import ConfigError, DegenerateSignal, LengthMismatch
 
@@ -213,9 +212,12 @@ def analysis(signal: np.ndarray, cfg: ModemConfig, n_half: int) -> np.ndarray:
         raise LengthMismatch(f"need {need} samples, got {size}")
     x = np.zeros((*lead, n_half - 1 + 2 * cfg.K, cfg.M))
     x.reshape(*lead, -1).view(complex)[..., 1:need + 1] = signal[..., :need]
-    # half h of window n sums weight [i, h] times half-row n + 2i + h
-    x = sliding_window_view(x, 2 * cfg.K, axis=-2)
-    x = x.reshape(*lead, n_half, cfg.M, cfg.K, 2)
+    # half h of window n sums weight [i, h] times half-row n + 2i + h; the
+    # view is made by np.ndarray, as in synthesis
+    *s, row, tap = x.strides
+    x = np.ndarray((*lead, n_half, cfg.M, cfg.K, 2), float, x, 0,
+                   (*s, row, tap, 2 * row, row))
+    x.flags.writeable = False
     y = np.einsum("...njih,ihj->...nhj", x, cfg.analysis_blocks)
     y = y[..., ::(-1) ** cfg.K, :].view(complex)  # odd K swaps the halves
     y = np.fft.fft(y.reshape(*lead, n_half, cfg.M), axis=-1)

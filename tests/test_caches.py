@@ -1,7 +1,7 @@
 """Every cached result of the package is immutable all the way down.
 
 A functools.cache result is shared by every later caller in the process,
-so one write to it (say gf2m.mul_rows(fs)[3][5] = 0) would corrupt every
+so one write to it (say gf2m.mul_table(fs)[3, 5] = 0) would corrupt every
 later decode.  CALLS reaches every cache in src/papr_lab with the
 arguments the four schemes (none, bch, rs2516, crs31_19) build, and each
 result must be a read-only ndarray, a tuple, an int, bytes, a frozen
@@ -39,14 +39,12 @@ BCH_GENERATOR = tuple((bch.bch_spec().generator >> d) & 1 for d in range(43))
 CALLS = {
     gf2m.cached_field: [(5,), (7,)],
     gf2m.mul_table: [(GF32,), (GF128,)],
-    # BCH reads GF(128) products only through mul_table: its BM runs
-    # stacked in numpy, and a binary word needs no Forney
-    gf2m.mul_rows: [(GF32,)],
-    gf2m.inverses: [(GF32,)],
+    gf2m.inverses: [(GF32,), (GF128,)],
     rs.rs_spec: [(5, 19)],
     rs._parity_table: [(GF32, RS_SPEC.generator, 31),
                        (GF128, BCH_GENERATOR, 127)],
-    rs._evaluation_tables: [(GF32, 31, 12), (GF128, 127, 6)],
+    # the Chien search reads degree r, BCH's degree t = r / 2
+    rs._power_table: [(GF32, 31, 12), (GF128, 127, 6)],
     rs._syndrome_rows: [(GF32, 31, 12), (GF128, 127, 12)],
     rs._frame_generator: [(layout,) for layout in LAYOUTS],
     rs._decoder: [(layout,) for layout in LAYOUTS],
@@ -97,12 +95,12 @@ def test_cached_results_are_immutable(cached):
 
 
 def test_shared_product_rows_refuse_writes():
-    """The example a mutable table would allow: one product row rewritten
-    for every later decode."""
-    with pytest.raises(TypeError):
-        gf2m.mul_rows(GF32)[3][5] = 0
+    """The example a mutable table would allow: one product or inverse
+    rewritten for every later decode."""
     with pytest.raises(ValueError):
         gf2m.mul_table(GF32)[3, 5] = 0
+    with pytest.raises(ValueError):
+        gf2m.inverses(GF32)[3] = 0
 
 
 def test_calls_are_the_calls_the_schemes_build():

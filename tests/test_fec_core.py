@@ -11,25 +11,26 @@ long-division encoders of tests/oracles.py; rs_encode is checked against
 the oracle's rs_encode.  The frame decoders' stacked pass takes a stack of
 frames' syndromes (and, for a punctured RS layout, the modified syndromes
 of its fixed erasure locator) as one gather of XOR table entries per frame
-byte, built from the syndromes of each sent frame bit, skips BM for the
-frames the erasures alone explain, and runs Berlekamp-Massey on all the
-others at once; each is checked here, per frame and on stacks of 0, 1 and
-many frames, against Horner, scalar products and the scalar BM.
-poly_mul uses the field's multiplication table; the Chien search and
-Forney evaluate each polynomial at every position at once from packed
-per-coefficient tables;
-every decoder accepts its corrections by BM's length test (the error
-locator's degree is the LFSR length L), where the scalar decoders below
-recompute the syndromes of the corrected word, and a seeded heavy-error
-sweep holds the two to the same outcomes.  The references below are the
-original per-point loops: Horner evaluation, syndromes one power of alpha
-at a time, products and BM one scalar mul per term (oracles.mul), the
-log-domain evaluator poly_eval_many, the Chien search one position at a
-time, the modified syndromes through poly_mul, the frame decoders that
-built the whole word and ran the full erasure path, and the conventional
-RS(31,k) framing of the k-sweep through the oracle's rs_encode.
-scalar_poly_eval (Horner, one scalar mul per step) is also the polynomial
-evaluator of test_rs and test_bch.
+byte, built from the syndromes of each sent frame bit, skips the frames
+the erasures alone explain, and decodes all the others at once
+(rs._outcomes): Berlekamp-Massey, the degree bound, the stacked product
+psi = Lambda Gamma, the Chien search from a power table, the root count,
+BM's length test and Forney.  Each piece is checked here, per frame and on
+stacks of 0, 1 and many frames, against Horner, scalar products, the
+scalar BM and oracles.corrections, the per-word tail the package ran
+before (packed-int Chien search and Forney); every stacked row must equal
+the frame's one-row pass.  Every decoder accepts its corrections by BM's
+length test (the error locator's degree is the LFSR length L), where the
+scalar decoders below recompute the syndromes of the corrected word, and
+a seeded heavy-error sweep holds the two to the same outcomes.  The
+references below are the original per-point loops: Horner evaluation,
+syndromes one power of alpha at a time, products and BM one scalar mul
+per term (oracles.mul, oracles.poly_mul), the log-domain evaluator
+poly_eval_many, the Chien search one position at a time, the frame
+decoders that built the whole word and ran the full erasure path, and the
+conventional RS(31,k) framing of the k-sweep through the oracle's
+rs_encode.  scalar_poly_eval (Horner, one scalar mul per step) is also the
+polynomial evaluator of test_rs and test_bch.
 Decoders are compared on whole outcomes (message, corrected count,
 constraint flag, or the DecodeFailure raised), past the correction radius
 on purpose, since the failure path is most of what a faded RS(25,16) link
@@ -50,7 +51,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import div, inv, loop_bits_to_symbols, loop_symbols_to_bits, mul
+from oracles import (div, inv, loop_bits_to_symbols, loop_symbols_to_bits, mul,
+                     poly_mul, poly_trim)
 from papr_lab import gf2m, harness
 from papr_lab.fec import bch, crs, rs
 
@@ -121,7 +123,7 @@ def scalar_poly_eval(fs, p, x):
 
 def poly_add(p, q):
     """Trimmed coefficient-wise sum of two polynomials."""
-    return gf2m.poly_trim([a ^ b for a, b in zip_longest(p, q, fillvalue=0)])
+    return poly_trim([a ^ b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def horner_syndromes(fs, received, count):
@@ -143,19 +145,6 @@ def frame_syndromes(layout, frame):
 
 def scalar_syndromes(spec, received):
     return horner_syndromes(spec.field, received, spec.r)
-
-
-def scalar_poly_mul(fs, p, q):
-    """gf2m.poly_mul with one scalar mul call per term."""
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] ^= mul(fs, a, b)
-    return gf2m.poly_trim(out)
 
 
 def scalar_berlekamp_massey(fs, syndromes):
@@ -188,6 +177,30 @@ def scalar_berlekamp_massey(fs, syndromes):
     return C, L
 
 
+def locator_rows(C, degrees, lengths):
+    """rs._locators' arrays as one [trimmed locator, L] per row."""
+    return [[c[:d + 1], length] for c, d, length
+            in zip(C.tolist(), degrees.tolist(), lengths.tolist())]
+
+
+def oracle_row(fs, n, synd, modified, gamma, binary=False):
+    """What rs._outcomes makes of one word, by the scalar BM and
+    oracles.corrections: its failure reason or its fixes."""
+    lam, length = scalar_berlekamp_massey(fs, [int(v) for v in modified])
+    try:
+        return oracles.corrections(fs, n, [int(v) for v in synd], lam,
+                                   length, list(gamma), binary)
+    except rs.DecodeFailure as ex:
+        return str(ex)
+
+
+def stacked_product(fs, p, q, size):
+    """rs._product of two polynomials as one-row stacks, trimmed."""
+    got = rs._product(fs, np.array([p or [0]], np.uint8),
+                      np.array([q or [0]], np.uint8), size)
+    return poly_trim(got[0].tolist())
+
+
 def scalar_correct_word(spec, received, erasures=()):
     """rs.rs_decode's correction of the whole word with Horner syndromes,
     scalar BM and products, the erasure locator rebuilt per call and a
@@ -204,15 +217,14 @@ def scalar_correct_word(spec, received, erasures=()):
         return word, []
     gamma = [1]
     for pos in erasures:
-        gamma = scalar_poly_mul(fs, gamma,
-                                [1, gf2m.pow_alpha(fs, n - 1 - pos)])
+        gamma = poly_mul(fs, gamma, [1, gf2m.pow_alpha(fs, n - 1 - pos)])
     f = len(erasures)
-    product = scalar_poly_mul(fs, synd, gamma)
+    product = poly_mul(fs, synd, gamma)
     product += [0] * (r - len(product))
     lam, _ = scalar_berlekamp_massey(fs, product[f:r])
     if oracles.poly_deg(lam) > (r - f) // 2:
         raise rs.DecodeFailure("error locator exceeds capability")
-    psi = scalar_poly_mul(fs, lam, gamma)
+    psi = poly_mul(fs, lam, gamma)
     if not psi:
         raise rs.DecodeFailure("degenerate locator")
     roots_pos, roots_x = [], []
@@ -223,7 +235,7 @@ def scalar_correct_word(spec, received, erasures=()):
             roots_x.append(x)
     if len(roots_pos) != oracles.poly_deg(psi):
         raise rs.DecodeFailure("locator degree does not match root count")
-    omega = scalar_poly_mul(fs, synd, psi)[:r]
+    omega = poly_mul(fs, synd, psi)[:r]
     psi_prime = [c if i % 2 == 0 else 0 for i, c in enumerate(psi[1:])]
     touched = []
     for pos, x in zip(roots_pos, roots_x):
@@ -572,9 +584,9 @@ def test_table_berlekamp_massey_equals_scalar(m, data):
     stack = data.draw(st.lists(st.lists(st.integers(0, fs.order),
                                          min_size=length, max_size=length),
                                max_size=6))
-    lams, lengths = rs._locators(fs, np.array(stack, np.uint8).reshape(
-        len(stack), length))
-    assert ([list(pair) for pair in zip(lams, lengths)]
+    got = rs._locators(fs, np.array(stack, np.uint8).reshape(len(stack),
+                                                              length))
+    assert (locator_rows(*got)
             == [list(scalar_berlekamp_massey(fs, synd)) for synd in stack])
 
 
@@ -582,10 +594,13 @@ def test_table_berlekamp_massey_equals_scalar(m, data):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_table_poly_mul_equals_scalar(m, data):
+    """rs._product, one gather of every product, gives the scalar product
+    (the zero polynomial [] as the one coefficient 0)."""
     fs = gf2m.cached_field(m)
     p, q = (data.draw(st.lists(st.integers(0, fs.order), max_size=14))
             for _ in range(2))
-    assert gf2m.poly_mul(fs, p, q) == scalar_poly_mul(fs, p, q)
+    got = stacked_product(fs, p, q, max(len(p) + len(q) - 1, 1))
+    assert got == poly_mul(fs, p, q)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -632,8 +647,8 @@ def rs2516_modified(frame):
     fs = rs.rs_spec(5, 19).field
     gamma = [1]
     for pos in range(28, 31):
-        gamma = scalar_poly_mul(fs, gamma, [1, gf2m.pow_alpha(fs, 30 - pos)])
-    product = scalar_poly_mul(
+        gamma = poly_mul(fs, gamma, [1, gf2m.pow_alpha(fs, 30 - pos)])
+    product = poly_mul(
         fs, horner_syndromes(fs, oracles.frame_word(rs.RS2516, frame), 12),
         gamma)
     return (product + [0] * 12)[3:12]
@@ -680,9 +695,8 @@ def test_cached_matrices_are_read_only(code):
         G[0, 0] = 1
 
 
-DECODE_TABLES = (gf2m.mul_table, gf2m.mul_rows, gf2m.inverses, rs._decoder,
-                 rs._evaluation_tables, rs._syndrome_rows, rs._parity_table,
-                 bch._decoder)
+DECODE_TABLES = (gf2m.mul_table, gf2m.inverses, rs._decoder, rs._power_table,
+                 rs._syndrome_rows, rs._parity_table, bch._decoder)
 
 
 def test_schemes_build_no_decode_table(cold_fec_caches):
@@ -705,7 +719,10 @@ COLD_BUILD_KIB = 320
 # Chien and Forney tables: rs2516 267 and crs31_19 234 KiB measured, and
 # 311 and 278 KiB with the packed (position, magnitude) syndrome table;
 # BCH, which also builds GF(128)'s product rows and inverses, 500 KiB
-# measured, and 768 KiB with the Chien tables of degree 12, not t = 6
+# measured, and 768 KiB with the Chien tables of degree 12, not t = 6.
+# With the numpy power tables of the stacked Chien search, measured as
+# the test does: bch 180, rs2516 100 and crs31_19 64 KiB (218, 124 and 89
+# with the packed evaluation tables)
 COLD_CORRECTION_KIB = {"bch": 560, "rs2516": 272, "crs31_19": 272}
 FRAME_DECODERS = {
     "bch": bch.bch_decode,
@@ -869,25 +886,6 @@ def test_byte_table_syndromes_equal_parity_check(code, seed, errors):
     assert got.tolist() == [want]
 
 
-def scalar_verdict(fs, modified):
-    """What the stacked pass makes of a frame's modified syndromes, by the
-    scalar BM: ("clean",) when they are all zero, else ("exceeds",) past
-    the degree bound, else (locator, L)."""
-    if not any(modified):
-        return ("clean",)
-    lam, length = scalar_berlekamp_massey(fs, modified)
-    if oracles.poly_deg(lam) > len(modified) // 2:
-        return ("exceeds",)
-    return (lam, length)
-
-
-def pass_verdict(lam, length, bound):
-    """The same of a row of rs._frame_rows."""
-    if lam is None:
-        return ("clean",)
-    return ("exceeds",) if len(lam) - 1 > bound else (lam, length)
-
-
 # stacks of no frame, one frame and many
 STACK_SIZES = st.one_of(st.just(0), st.just(1), st.integers(2, 12))
 
@@ -897,9 +895,12 @@ STACK_SIZES = st.one_of(st.just(0), st.just(1), st.integers(2, 12))
 @settings(max_examples=15, deadline=None)
 def test_stacked_pass_equals_scalar_oracles(code, seed, size):
     """rs._frame_rows over a stack of frames with 0-40 random bit flips
-    each gives every frame the syndromes, modified syndromes, locator, L
-    and verdict that Horner, scalar products and the scalar BM give it
-    alone; its frame decoder given that row decodes as without one."""
+    each gives every frame the syndromes and modified syndromes that Horner
+    and scalar products give it alone, and the row, its fixes or failure
+    reason, that the scalar BM and oracles.corrections give it; the row
+    equals the frame's one-row pass, and its frame decoder given that row
+    gives its scalar oracle's message, corrected count, constraint flag or
+    failure reason."""
     rng = np.random.default_rng(seed)
     codecs = [_frame_codec(code, rng) for _ in range(size)]
     frames = np.zeros((size, 128), np.uint8)
@@ -920,13 +921,13 @@ def test_stacked_pass_equals_scalar_oracles(code, seed, size):
         values = [s + m for s, m in zip(synd, modified)]
     assert rs._frame_syndromes(decoder, frames).tolist() == values
     rows = rs._frame_rows(decoder, frames)
-    assert [row[0] for row in rows] == synd
-    assert ([pass_verdict(lam, length, len(m) // 2)
-             for (_, lam, length), m in zip(rows, modified)]
-            == [scalar_verdict(fs, m) for m in modified])
-    for frame, row, (_, decode, _) in zip(frames, rows, codecs):
-        assert outcome(partial(decode, row=row), frame) == outcome(decode,
-                                                                   frame)
+    assert rows == [oracle_row(fs, decoder.n, s, m, decoder.gamma,
+                               decoder.binary) if any(m) else {}
+                    for s, m in zip(synd, modified)]
+    for frame, row, (_, decode, oracle) in zip(frames, rows, codecs):
+        assert rs._frame_rows(decoder, frame[None]) == [row]
+        assert (outcome(partial(decode, row=row), frame)
+                == outcome(decode, frame) == outcome(oracle, frame))
 
 
 @given(seed=st.integers(0, 2**32 - 1), size=STACK_SIZES,
@@ -951,14 +952,16 @@ def test_stacked_pass_of_erased_words_equals_scalar(seed, size, k, data):
     synd = [scalar_syndromes(spec, word) for word in words]
     want = []
     for s in synd:
-        product = scalar_poly_mul(fs, s, gamma) + [0] * spec.r
+        product = poly_mul(fs, s, gamma) + [0] * spec.r
         want.append(product[f:spec.r])
     modified = rs._modified_syndromes(
         fs, np.array(synd, np.uint8).reshape(size, spec.r), gamma, spec.r)
     assert modified.tolist() == want
-    lams, lengths = rs._locators(fs, modified)
-    assert ([list(pair) for pair in zip(lams, lengths)]
+    assert (locator_rows(*rs._locators(fs, modified))
             == [list(scalar_berlekamp_massey(fs, m)) for m in want])
+    synd = np.array(synd, np.uint8).reshape(size, spec.r)
+    assert (rs._outcomes(fs, 31, synd, modified, gamma)
+            == [oracle_row(fs, 31, s, m, gamma) for s, m in zip(synd, want)])
 
 
 @pytest.mark.parametrize("m", [5, 7])
@@ -969,8 +972,8 @@ def test_truncated_poly_mul_equals_scalar_prefix(m, data):
     p, q = (data.draw(st.lists(st.integers(0, fs.order), max_size=14))
             for _ in range(2))
     limit = data.draw(st.integers(0, 30))
-    want = gf2m.poly_trim(scalar_poly_mul(fs, p, q)[:limit])
-    assert gf2m.poly_mul(fs, p, q, limit) == want
+    want = poly_trim(poly_mul(fs, p, q)[:limit])
+    assert stacked_product(fs, p, q, limit) == want
 
 
 @given(seed=st.integers(0, 2**32 - 1), errors=st.integers(0, 40))
@@ -982,25 +985,47 @@ def test_binary_berlekamp_massey_equals_scalar(seed, errors):
     word[np.random.default_rng(seed).choice(127, errors, replace=False)] = 1
     synd = bch_syndromes(word)
     fs = bch.bch_spec().field
-    (lam,), (length,) = rs._locators(fs, [synd], binary=True)
-    assert (lam, length) == scalar_berlekamp_massey(fs, synd)
+    assert (locator_rows(*rs._locators(fs, [synd], binary=True))
+            == [list(scalar_berlekamp_massey(fs, synd))])
 
 
 @pytest.mark.parametrize("m", [5, 7])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_packed_chien_equals_poly_eval_many(m, data):
-    """_evaluate gives the polynomial at every position's inverse locator,
-    and _roots its zeros, as the log-domain evaluator finds them."""
+    """The oracle's packed evaluate gives the polynomial at every
+    position's inverse locator, and roots its zeros, as the log-domain
+    evaluator finds them."""
     fs = gf2m.cached_field(m)
     n = fs.order
     degree = data.draw(st.integers(0, 12))
     p = data.draw(st.lists(st.integers(0, fs.order), max_size=degree + 1))
     xinv = fs.exp_table[(np.arange(n) + 1 - n) % fs.order]
     want = poly_eval_many(fs, p, xinv)
-    got = rs._evaluate(rs._evaluation_tables(fs, n, degree), p, n)
+    got = oracles.evaluate(oracles.evaluation_tables(fs, n, degree), p, n)
     assert list(got) == want.tolist()
-    assert rs._roots(got) == np.flatnonzero(want == 0).tolist()
+    assert oracles.roots(got) == np.flatnonzero(want == 0).tolist()
+
+
+@pytest.mark.parametrize("m", [5, 7])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_stacked_chien_equals_poly_eval_many(m, data):
+    """_values gives each polynomial of a stack at every position's inverse
+    locator, through the _power_table, as the log-domain evaluator finds
+    it."""
+    fs = gf2m.cached_field(m)
+    n = fs.order
+    degree = data.draw(st.integers(0, 12))
+    width = data.draw(st.integers(0, degree + 1))
+    polys = data.draw(st.lists(st.lists(st.integers(0, fs.order),
+                                        min_size=width, max_size=width),
+                               max_size=4))
+    xinv = fs.exp_table[(np.arange(n) + 1 - n) % fs.order]
+    got = rs._values(rs._power_table(fs, n, degree),
+                     np.array(polys, np.uint8).reshape(len(polys), width))
+    assert got.tolist() == [poly_eval_many(fs, p, xinv).tolist()
+                            for p in polys]
 
 
 @given(seed=st.integers(0, 2**32 - 1), fixes=st.integers(0, 12),

@@ -512,30 +512,43 @@ def test_measured_columns_equal_full_analysis(bursts, n_frames, M, K, tail,
 
 
 
-# Repeated synthesis calls in a fresh interpreter, after a few warm-up calls
+# Repeated bank calls in a fresh interpreter, after a few warm-up calls
 # build the bank's one-time state.  numpy 2.4's __array_interface__, which
-# as_strided calls, makes one allocation of about 0.92 MiB (0.5 MiB resident)
-# at about its 10,235th call in a process, so a tap view built through it
-# would show here.
-_SYNTHESIS_GROWTH = """
+# as_strided and sliding_window_view call, makes one allocation of about
+# 0.92 MiB (0.5 MiB resident) at about its 10,235th call in a process, so a
+# window view built through it would show here.
+_BANK_GROWTH = """
 import tracemalloc
 import numpy as np
 from papr_lab import modem
 cfg = modem.ModemConfig()
-grid = np.ones((64, 2), complex)
+bank = lambda: {call}
 for _ in range(100):
-    modem.synthesis(grid, cfg)
+    bank()
 tracemalloc.start()
 for _ in range(12_000):
-    modem.synthesis(grid, cfg)
+    bank()
 print(tracemalloc.get_traced_memory()[0])
 """
 
 
-def test_repeated_synthesis_keeps_no_memory():
-    """12,000 synthesis calls leave less than 16 KiB behind."""
+def _bank_growth(call):
+    """What 12,000 calls of a bank leave behind, in bytes."""
     src = str(Path(modem.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", _SYNTHESIS_GROWTH],
+    out = subprocess.run([sys.executable, "-c", _BANK_GROWTH.format(
+                              call=call)],
                          capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert int(out.stdout) < 16 * 1024
+    return int(out.stdout)
+
+
+def test_repeated_synthesis_keeps_no_memory():
+    """12,000 synthesis calls leave less than 16 KiB behind."""
+    assert _bank_growth("modem.synthesis(np.ones((64, 2), complex), cfg)") \
+        < 16 * 1024
+
+
+def test_repeated_analysis_keeps_no_memory():
+    """12,000 analysis calls leave less than 16 KiB behind."""
+    assert _bank_growth("modem.analysis(np.ones(cfg.Lp + 32), cfg, 2)") \
+        < 16 * 1024
