@@ -15,7 +15,7 @@ from ..metrics import ConfigError
 from .bch import bch_spec
 # re-exported: callers catch crs.ConstraintViolation
 from .rs import (RS2516, ConstraintViolation, RsFrameLayout,  # noqa: F401
-                 frame_decode, frame_encode)
+                 frame_decode, frame_encode, rs_spec)
 
 K_PRIME = 16  # transmitted message symbols for the N = 6 frame
 
@@ -58,11 +58,12 @@ crs_decode = frame_decode
 def codeword_density(scheme: str) -> int:
     """log2 of the probability that a random transmitted frame is a valid
     codeword: message bits minus transmitted bits.  rs31_19_raw is the
-    unshortened RS(31,19) codeword sent as its 155 bits."""
+    code itself, rs_spec(5, 19): the unshortened RS(31,19) codeword sent as
+    its 155 bits."""
     if scheme == "bch":
         spec = bch_spec()
         return spec.k - (spec.n + 1)  # the frame's pad bit is sent too
-    layouts = {"rs31_19_raw": RsFrameLayout(5, 19, 19, 5, 0, 155),
+    layouts = {"rs31_19_raw": rs_spec(5, 19),
                "rs2516": RS2516, "crs31_19": crs_layout(6, 31, 19)}
     if scheme not in layouts:
         raise ConfigError(f"unknown scheme {scheme!r}")

@@ -7,10 +7,13 @@ locator of position i is alpha^(n-1-i).  Generator roots are alpha^1..alpha^r.
 Every RS frame scheme is one RsFrameLayout: the binary image of an
 RS(2^q - 1, k) codeword in a bit frame, with some leading message symbols
 shortened, some trailing parity symbols punctured (decoded as erasures) and
-message symbols restricted to p <= q bits.  RS(25,16) (RS2516) shortens and
-punctures RS(31,19) by three symbols each; the constrained RS layouts of
-fec.crs and the conventional RS(31,k) framing of the k-sweep are further
-instances.  One encoder and one decoder serve them all.
+message symbols restricted to p <= q bits.  The code itself, rs_spec, is
+the layout that sends the whole codeword as its n q bits; RS(25,16)
+(RS2516) shortens and punctures RS(31,19) by three symbols each; the
+constrained RS layouts of fec.crs and the conventional RS(31,k) framing of
+the k-sweep are further instances.  One encoder and one decoder serve them
+all; the symbol codec, rs_encode and rs_decode, runs on rs_spec's frame
+codec through the codeword's bits.
 
 Each code is two cached linear maps (Lin & Costello, Error Control
 Coding, ch. 6-7), and no polynomial is divided: _parity_table, the parity
@@ -18,7 +21,7 @@ of each message symbol, and _syndrome_rows, the syndromes of the unit
 symbol at each word position, one uint8 row each.  A binary code (BCH)
 reads the rows as they are; the RS paths, which read symbols of every
 magnitude, read them times the symbol through the field's multiplication
-table.  rs_encode XORs one parity row per message symbol.
+table.
 Every frame codec here (RS layouts, BCH) is GF(2)-linear on its bits and
 encodes through a binary generator matrix G, cached per code
 (_frame_generator, bch._generator) and built by _systematic from the
@@ -70,47 +73,6 @@ class ConstraintViolation(ValueError):
     """A codec input outside its alphabet."""
 
 
-@dataclass(frozen=True)
-class RsCodeSpec:
-    field: FieldSpec
-    n: int
-    k: int
-    generator: tuple  # lowest degree first, degree r
-
-    @property
-    def r(self) -> int:
-        return self.n - self.k
-
-    @property
-    def t(self) -> int:
-        return self.r // 2
-
-
-@functools.cache
-def rs_spec(m: int, k: int) -> RsCodeSpec:
-    """RS(2^m - 1, k) over the canonical GF(2^m), roots alpha^1..alpha^r."""
-    fs = gf2m.cached_field(m)
-    n = fs.order
-    if not 0 < k < n:
-        raise LengthMismatch(f"k = {k} outside (0, {n})")
-    g = gf2m.poly_from_roots(fs, [gf2m.pow_alpha(fs, j)
-                                  for j in range(1, n - k + 1)])
-    return RsCodeSpec(field=fs, n=n, k=k, generator=tuple(g))
-
-
-def rs_encode(spec: RsCodeSpec, message: Sequence[int]) -> list[int]:
-    """Systematic encode: codeword = [message | parity], the parity the XOR
-    of each message symbol times its _parity_table row; a (..., k) stack
-    gives nested lists of codewords.  ConstraintViolation names the first
-    symbol outside the field."""
-    fs = spec.field
-    msg = _checked_message(message, spec.k, fs.size, "message symbol")
-    products = gf2m.mul_table(fs)[msg[..., None],
-                                  _parity_table(fs, spec.generator, spec.n)]
-    parity = np.bitwise_xor.reduce(products, axis=-2)  # degrees 0..r-1
-    return np.concatenate([msg, parity[..., ::-1]], axis=-1).tolist()
-
-
 @functools.cache
 def _parity_table(fs: FieldSpec, generator: tuple, n: int) -> np.ndarray:
     """(k, r) read-only table: row i, x^(n-1-i) mod g lowest degree first,
@@ -126,15 +88,6 @@ def _parity_table(fs: FieldSpec, generator: tuple, n: int) -> np.ndarray:
     table = np.array(rows[::-1])
     table.setflags(write=False)
     return table
-
-
-def _syndromes(fs: FieldSpec, received: Sequence[int],
-               count: int) -> list[int]:
-    """S_j = received(alpha^j), j = 1..count, position i of degree
-    len(received)-1-i: the XOR of each symbol times its _syndrome_rows row."""
-    rows = _syndrome_rows(fs, len(received), count)
-    products = gf2m.mul_table(fs)[np.array(received)[:, None], rows]
-    return np.bitwise_xor.reduce(products, axis=0).tolist()
 
 
 def _powers(fs: FieldSpec, logs: np.ndarray,
@@ -259,8 +212,7 @@ def _modified_syndromes(fs: FieldSpec, synd, gamma: Sequence[int],
 # why a decode fails, by the check of _outcomes that finds it
 _FAILURES = (None, "error locator exceeds capability",
              "locator degree does not match root count",
-             "residual syndromes after correction",
-             "Forney denominator vanished")
+             "residual syndromes after correction")
 
 
 def _outcomes(fs: FieldSpec, n: int, synd: np.ndarray, modified: np.ndarray,
@@ -301,15 +253,14 @@ def _outcomes(fs: FieldSpec, n: int, synd: np.ndarray, modified: np.ndarray,
     else:
         # Forney at each root: Omega = S * psi mod x^r; e_j =
         # Omega(X_j^-1) / psi'(X_j^-1), psi' having coefficient psi_(2i+1)
-        # at degree 2i
+        # at degree 2i.  A word here has as many distinct roots as psi has
+        # degree, so each root is simple and psi' is nonzero there
         omega = _product(fs, synd[live], psi, r)[words]
         slope = _values(table[::2], psi[words, 1::2], positions)
-        reason[live[words[slope == 0]]] = 4
         magnitudes = gf2m.mul_table(fs)[_values(table, omega, positions),
                                         gf2m.inverses(fs)[slope]]
     out = [_FAILURES[i] or {} for i in reason.tolist()]
-    words = live[words]
-    fixed = (magnitudes != 0) & (reason[words] == 0)
+    words, fixed = live[words], magnitudes != 0
     for i, pos, mag in zip(words[fixed].tolist(), positions[fixed].tolist(),
                            magnitudes[fixed].tolist()):
         out[i][pos] = mag
@@ -321,36 +272,6 @@ def _checked_row(row) -> dict[int, int]:
     if isinstance(row, str):
         raise DecodeFailure(row)
     return row
-
-
-def rs_decode(spec: RsCodeSpec, received: Sequence[int],
-              erasures: Iterable[int] = ()) -> tuple[list[int], int]:
-    """Correct e errors and f erasures whenever 2e + f <= r.
-
-    Returns (message, corrected symbol count); raises DecodeFailure when the
-    syndromes are inconsistent with the bound, and ConstraintViolation
-    naming the first received symbol outside the field or the first
-    erasure position that is not an integer in 0..n-1.
-    """
-    fs = spec.field
-    n, r = spec.n, spec.r
-    word = _checked_message(received, n, fs.size, "received symbol").tolist()
-    positions = list(erasures)
-    erasures = sorted(set(_checked_message(
-        positions, len(positions), n, "erasure position").tolist()))
-    if len(erasures) > r:
-        raise DecodeFailure("more erasures than parity symbols")
-
-    synd = _syndromes(fs, word, r)
-    if not any(synd) and not erasures:
-        return word[:spec.k], 0
-    gamma = _erasure_locator(fs, n, erasures)
-    synd = np.array(synd, np.uint8)[None]
-    (fixes,) = _outcomes(fs, n, synd,
-                         _modified_syndromes(fs, synd, gamma, r), gamma)
-    for pos, mag in _checked_row(fixes).items():
-        word[pos] ^= mag
-    return word[:spec.k], len(fixes)
 
 
 # --- bit frames: packing, encoder input checks, binary-image encoding --------
@@ -426,8 +347,8 @@ def _systematic(parity_bits: np.ndarray, frame_bits: int) -> np.ndarray:
     systematic code of frame_bits-bit frames, one row per message bit.  G
     is read-only, since every caller of a cached G shares it, and float32,
     so the product runs through BLAS; its sums count at most one per row of
-    G, and no G here has more than 150 rows (the message bits of a
-    conventional RS(31,30) frame), so they are exact and fit a uint8."""
+    G, and no G here has more than 882 rows (the message bits of
+    rs_spec(7, 126)), so they are exact and fit a uint16 (_gf2)."""
     k = len(parity_bits)
     G = np.zeros((k, frame_bits), dtype=np.float32)
     G[:, :k] = np.eye(k)
@@ -441,7 +362,7 @@ def _gf2(bits: np.ndarray, A: np.ndarray) -> np.ndarray:
     (bursts, frames, n) stack goes to BLAS as one product per burst; for
     10-frame bursts each is small enough that BLAS stays on the calling
     thread."""
-    return (bits @ A).astype(np.uint8) & 1
+    return ((bits @ A).astype(np.uint16) & 1).astype(np.uint8)
 
 
 def _frame_tables(images: np.ndarray) -> np.ndarray:
@@ -489,8 +410,12 @@ class RsFrameLayout:
         return self.n - self.k
 
     @property
-    def spec(self) -> RsCodeSpec:
-        return rs_spec(self.q, self.k)
+    def field(self) -> FieldSpec:
+        return gf2m.cached_field(self.q)
+
+    @property
+    def generator(self) -> tuple:
+        return _generator_poly(self.q, self.k)
 
     @property
     def message_bits(self) -> int:
@@ -499,10 +424,6 @@ class RsFrameLayout:
     @property
     def parity_bits(self) -> int:
         return (self.r - self.punctured) * self.q
-
-    @property
-    def pad_bits(self) -> int:
-        return self.frame_bits - self.message_bits - self.parity_bits
 
     @property
     def p_lower(self) -> float:
@@ -522,14 +443,33 @@ RS2516 = RsFrameLayout(q=5, k=19, k_prime=16, p=5, punctured=3,
 
 
 @functools.cache
+def rs_spec(m: int, k: int) -> RsFrameLayout:
+    """RS(2^m - 1, k) over the canonical GF(2^m), roots alpha^1..alpha^r:
+    the layout that sends the whole codeword as its n m bits."""
+    n = gf2m.cached_field(m).order
+    if not 0 < k < n:
+        raise LengthMismatch(f"k = {k} outside (0, {n})")
+    return RsFrameLayout(q=m, k=k, k_prime=k, p=m, punctured=0,
+                         frame_bits=n * m)
+
+
+@functools.cache
+def _generator_poly(q: int, k: int) -> tuple:
+    """The generator of RS(2^q - 1, k), lowest degree first: the monic
+    prod (x + alpha^j), j = 1..r."""
+    fs = gf2m.cached_field(q)
+    return tuple(gf2m.poly_from_roots(
+        fs, [gf2m.pow_alpha(fs, j) for j in range(1, fs.order - k + 1)]))
+
+
+@functools.cache
 def _frame_generator(layout: RsFrameLayout) -> np.ndarray:
     """The layout's (message bits, frame bits) generator matrix G: bit b of
     a sent message symbol has the value 2^(p-1-b), so its parity is that
     times the symbol's _parity_table row, less the punctured symbols."""
-    spec = layout.spec
-    rows = _parity_table(spec.field, spec.generator, spec.n)
+    rows = _parity_table(layout.field, layout.generator, layout.n)
     values = 1 << np.arange(layout.p - 1, -1, -1)
-    parity = gf2m.mul_table(spec.field)[  # (k', p, r), codeword order
+    parity = gf2m.mul_table(layout.field)[  # (k', p, r), codeword order
         values[:, None], rows[layout.k - layout.k_prime:, None, ::-1]]
     sent = parity[..., :layout.r - layout.punctured]
     return _systematic(_symbols_to_bits(sent, layout.q).reshape(
@@ -561,7 +501,7 @@ def _decoder(layout: RsFrameLayout) -> _Decoder:
     modified syndromes: these are GF(2)-linear in the syndromes, since the
     punctured locator Gamma never changes.  Pad bits are not in the word,
     so the tables stop at the last parity bit's byte."""
-    fs, n, r = layout.spec.field, layout.n, layout.r
+    fs, n, r = layout.field, layout.n, layout.r
     gamma = tuple(_erasure_locator(fs, n, range(n - layout.punctured, n)))
     shortened, p, q = layout.k - layout.k_prime, layout.p, layout.q
     i, j = np.arange(layout.message_bits), np.arange(layout.parity_bits)
@@ -658,3 +598,49 @@ def rs2516_decode(frame: np.ndarray, *,
     bits, corrected, _ = frame_decode(RS2516, frame, row=row)
     value = int.from_bytes(np.packbits(bits).tobytes(), "big")  # 80 bits
     return [value >> s & 31 for s in range(75, -1, -5)], corrected
+
+
+# --- the RS(2^q - 1, k) symbol codec ------------------------------------------
+
+def rs_encode(spec: RsFrameLayout, message: Sequence[int]) -> list[int]:
+    """Systematic encode: codeword = [message | parity], the frame_encode
+    of rs_spec(q, k) read back as symbols; a (..., k) stack gives nested
+    lists of codewords.  ConstraintViolation names the first symbol
+    outside the field."""
+    code = rs_spec(spec.q, spec.k)
+    msg = _checked_message(message, code.k, code.field.size,
+                           "message symbol")
+    return _pack_symbols(frame_encode(code, _symbols_to_bits(msg, code.q)),
+                         code.q).tolist()
+
+
+def rs_decode(spec: RsFrameLayout, received: Sequence[int],
+              erasures: Iterable[int] = ()) -> tuple[list[int], int]:
+    """Correct e errors and f erasures whenever 2e + f <= r.
+
+    Returns (message, corrected symbol count); raises DecodeFailure when the
+    syndromes are inconsistent with the bound, and ConstraintViolation
+    naming the first received symbol outside the field or the first
+    erasure position that is not an integer in 0..n-1.  The syndromes are
+    those of the word's bits under rs_spec(q, k)'s frame tables.
+    """
+    code = rs_spec(spec.q, spec.k)
+    fs, n, r = code.field, code.n, code.r
+    word = _checked_message(received, n, fs.size, "received symbol")
+    positions = list(erasures)
+    erasures = sorted(set(_checked_message(
+        positions, len(positions), n, "erasure position").tolist()))
+    if len(erasures) > r:
+        raise DecodeFailure("more erasures than parity symbols")
+
+    synd = _frame_syndromes(_decoder(code),
+                            _symbols_to_bits(word, code.q)[None])
+    word = word.tolist()
+    if not synd.any() and not erasures:
+        return word[:code.k], 0
+    gamma = _erasure_locator(fs, n, erasures)
+    (fixes,) = _outcomes(fs, n, synd,
+                         _modified_syndromes(fs, synd, gamma, r), gamma)
+    for pos, mag in _checked_row(fixes).items():
+        word[pos] ^= mag
+    return word[:code.k], len(fixes)

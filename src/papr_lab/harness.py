@@ -20,7 +20,7 @@ analyses, equalizes and decodes only the frames between them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from typing import Callable, ClassVar, Sequence
 
@@ -498,9 +498,10 @@ DEFAULT_KSWEEP = (19, 21, 23, 25, 27, 29)
 
 def _rs_fullload_frames(k: int, fpb: int) -> np.ndarray:
     """Conventional RS(31,k) framing under full load: each codeword's 5 * 31
-    bits, zero padded, span two 128-bit frames."""
-    layout = rs.RsFrameLayout(q=5, k=k, k_prime=k, p=5, punctured=0,
-                              frame_bits=256)
+    bits, zero padded, span two 128-bit frames.  The all-ones message
+    encodes to the all-ones word at every k (every nonzero power of alpha
+    is a root of 1 + x + ... + x^30), so the column is one frame pair."""
+    layout = replace(rs.rs_spec(5, k), frame_bits=256)
     block = rs.frame_encode(layout, np.ones(layout.message_bits, np.uint8))
     return np.tile(block, -(-fpb // 2))[:fpb * 128].reshape(fpb, 128)
 

@@ -124,7 +124,7 @@ def frame_encode(layout, bits):
     rs_encode parity of the shortened word less its punctured symbols as
     q-bit fields, then zero pad."""
     bits = np.asarray(bits, dtype=np.uint8)
-    codeword = rs_encode(layout.spec, [0] * (layout.k - layout.k_prime)
+    codeword = rs_encode(layout, [0] * (layout.k - layout.k_prime)
                          + loop_bits_to_symbols(bits, layout.p))
     parity = loop_symbols_to_bits(
         codeword[layout.k:layout.n - layout.punctured], layout.q)

@@ -3,9 +3,10 @@
 A functools.cache result is shared by every later caller in the process,
 so one write to it (say gf2m.mul_table(fs)[3, 5] = 0) would corrupt every
 later decode.  CALLS reaches every cache in src/papr_lab with the
-arguments the four schemes (none, bch, rs2516, crs31_19) build, and each
-result must be a read-only ndarray, a tuple, an int, bytes, a frozen
-dataclass of such values, or a class that carries no data.
+arguments the four schemes (none, bch, rs2516, crs31_19) build, UNBUILT
+every cache no scheme builds, and each result must be a read-only
+ndarray, a tuple, an int, bytes, a frozen dataclass of such values, or a
+class that carries no data.
 """
 import dataclasses
 import importlib
@@ -20,13 +21,15 @@ from papr_lab.fec import bch, crs, rs
 
 
 def _caches():
-    """Every functools.cache of the package, once each."""
+    """Every functools.cache of the package, once each, by the name it
+    is defined under, however many modules import it."""
     found = {}
     for info in pkgutil.walk_packages(papr_lab.__path__, "papr_lab."):
         module = importlib.import_module(info.name)
         for name, value in vars(module).items():
             if hasattr(value, "cache_clear"):
-                found.setdefault(value, f"{info.name}.{name}")
+                found.setdefault(value,
+                                 f"{value.__module__}.{value.__name__}")
     return found
 
 
@@ -40,7 +43,7 @@ CALLS = {
     gf2m.cached_field: [(5,), (7,)],
     gf2m.mul_table: [(GF32,), (GF128,)],
     gf2m.inverses: [(GF32,), (GF128,)],
-    rs.rs_spec: [(5, 19)],
+    rs._generator_poly: [(5, 19)],
     rs._parity_table: [(GF32, RS_SPEC.generator, 31),
                        (GF128, BCH_GENERATOR, 127)],
     # the Chien search reads degree r, BCH's degree t = r / 2
@@ -57,6 +60,10 @@ CALLS = {
     channel._tap_powers: [(channel.make_profile(name),) for name in
                           ("awgn", "pedestrian_b", "vehicular_a")],
 }
+# caches no scheme builds -> the argument tuples their other callers use:
+# criterion 1, the k-sweep's conventional column and codeword_density
+UNBUILT = {rs.rs_spec: [(5, 19)]}
+CACHES = CALLS | UNBUILT
 
 
 def _immutable(value) -> bool:
@@ -82,14 +89,14 @@ def _immutable(value) -> bool:
 
 def test_calls_reach_every_cache():
     found = _caches()
-    assert [name for cached, name in found.items() if cached not in CALLS] \
-        == []
-    assert set(CALLS) <= set(found)
+    assert [name for cached, name in found.items()
+            if cached not in CACHES] == []
+    assert set(CACHES) <= set(found)
 
 
-@pytest.mark.parametrize("cached", list(CALLS), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cached", list(CACHES), ids=lambda c: c.__name__)
 def test_cached_results_are_immutable(cached):
-    for args in CALLS[cached]:
+    for args in CACHES[cached]:
         result = cached(*args)
         assert _immutable(result), (cached.__name__, args)
 
@@ -108,8 +115,9 @@ def test_calls_are_the_calls_the_schemes_build():
     scheme on each channel leave every cache holding exactly its CALLS:
     each listed call is a hit, and no other call was cached.  The field
     instances stay, since callers share them by identity (GF32 is
-    cached_field(5)), and cached_field caches no other m."""
-    for cached in CALLS:
+    cached_field(5)), and cached_field caches no other m.  No UNBUILT
+    cache holds anything."""
+    for cached in CACHES:
         if cached is not gf2m.cached_field:
             cached.cache_clear()
     for scheme in ("none", "bch", "rs2516", "crs31_19"):
@@ -127,3 +135,5 @@ def test_calls_are_the_calls_the_schemes_build():
         assert (after.hits - before.hits, after.misses - before.misses,
                 after.currsize) == (len(calls), 0, len(calls)), \
             cached.__name__
+    assert [cached.cache_info().currsize for cached in UNBUILT] \
+        == [0] * len(UNBUILT)

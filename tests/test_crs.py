@@ -15,7 +15,7 @@ def test_reference_layout():
     assert LAYOUT.p_upper == pytest.approx(4.25, abs=0.005)
     assert LAYOUT.frame_bits == 128
     assert LAYOUT.message_bits == 64
-    assert LAYOUT.pad_bits == 4
+    assert LAYOUT.frame_bits - LAYOUT.message_bits - LAYOUT.parity_bits == 4
 
 
 @pytest.mark.parametrize("k,pad", [(19, 4), (21, 14), (23, 24), (25, 34),
@@ -23,7 +23,7 @@ def test_reference_layout():
 def test_sweep_layouts(k, pad):
     lay = crs.crs_layout(6, 31, k)
     assert lay.p == 4
-    assert lay.pad_bits == pad
+    assert lay.frame_bits - lay.message_bits - lay.parity_bits == pad
     assert lay.message_bits + lay.r * lay.q + pad == 128
 
 

@@ -1,12 +1,15 @@
-"""Every module-level name of the package is used outside the tests.
+"""Every module-level name and class member of the package is used
+outside the tests.
 
 A function, class or constant whose name starts with one underscore must
 be read somewhere in src/papr_lab other than its own definition: in its
 module, or in another through `from .mod import _name` or `mod._name`.  A
 public name may also be read by scripts/ or by perfbench/'s non-test
-modules, the package's other users.  Code that only tests run belongs in
-the tests (tests/oracles.py) or nowhere.  ALLOWED lists the exceptions,
-each with its reason.
+modules, the package's other users.  A method or property of a class in
+src/papr_lab, other than a dunder, must have its name loaded as an
+attribute (`x.name`) somewhere in src/ or those users.  Code that only
+tests run belongs in the tests (tests/oracles.py) or nowhere.  ALLOWED
+lists the exceptions, each with its reason.
 """
 import ast
 import importlib.util
@@ -21,8 +24,8 @@ USERS = sorted([*ROOT.glob("scripts/*.py"),
                 *(path for path in ROOT.glob("perfbench/*.py")
                   if not path.name.startswith("test_"))])
 
-# (module, name) -> why nothing in src/, or for a public name nothing in
-# src/ or USERS, needs to read it
+# (module, name) or (module, "Class.member") -> why nothing in src/, or
+# for a public name or a member nothing in src/ or USERS, needs to read it
 ALLOWED = {
     ("papr_lab.fec.rs", "_bits_to_symbols"):
         "criterion 1 (tests/test_acceptance.py, kept as written) packs "
@@ -36,6 +39,12 @@ ALLOWED = {
     ("papr_lab.fec.crs", "codeword_density"):
         "criterion 3 (tests/test_acceptance.py, kept as written) measures "
         "the CRS constraint with it",
+    ("papr_lab.fec.rs", "RsFrameLayout.p_lower"):
+        "criterion 2 (tests/test_acceptance.py, kept as written) checks "
+        "the CRS layout's p against it",
+    ("papr_lab.fec.rs", "RsFrameLayout.p_upper"):
+        "criterion 2 (tests/test_acceptance.py, kept as written) checks "
+        "the CRS layout's p against it",
 }
 
 
@@ -119,6 +128,26 @@ def _unread():
             | {(m, n) for m, n in defined if _is_public(n)} - used)
 
 
+def _unread_members():
+    """{(module, "Class.member")} of the methods and properties of the
+    classes in src/ whose name no attribute load in src/ or USERS reads."""
+    members, loaded = set(), set()
+    for path in [*sorted(SRC.rglob("*.py")), *USERS]:
+        tree = ast.parse(path.read_text())
+        loaded |= {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load)}
+        if path.is_relative_to(SRC):
+            members |= {(_module_name(path), f"{cls.name}.{stmt.name}")
+                        for cls in tree.body if isinstance(cls, ast.ClassDef)
+                        for stmt in cls.body
+                        if isinstance(stmt, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef))
+                        and not stmt.name.startswith("__")}
+    return {(m, member) for m, member in members
+            if member.split(".")[1] not in loaded}
+
+
 def test_every_private_name_is_read_in_src():
     unused = sorted({(m, n) for m, n in _unread() - ALLOWED.keys()
                      if _is_private(n)})
@@ -132,6 +161,12 @@ def test_every_public_name_is_read_outside_the_tests():
                         f"perfbench/ reads: {unused}")
 
 
+def test_every_class_member_is_read_outside_the_tests():
+    unused = sorted(_unread_members() - ALLOWED.keys())
+    assert not unused, (f"methods and properties nothing in src/, scripts/ "
+                        f"or perfbench/ reads: {unused}")
+
+
 def test_allow_list_is_current():
     """Each allowed name still exists and is still unread."""
-    assert ALLOWED.keys() <= _unread()
+    assert ALLOWED.keys() <= _unread() | _unread_members()

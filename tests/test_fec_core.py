@@ -139,12 +139,20 @@ def bch_syndromes(word):
 
 def frame_syndromes(layout, frame):
     """The r syndromes of an RS layout's frame by Horner on its word."""
-    return horner_syndromes(layout.spec.field,
+    return horner_syndromes(layout.field,
                             oracles.frame_word(layout, frame), layout.r)
 
 
 def scalar_syndromes(spec, received):
     return horner_syndromes(spec.field, received, spec.r)
+
+
+def table_syndromes(k, word):
+    """The r syndromes of an RS(31,k) word from the frame tables of
+    rs_spec(5, k), the ones rs_decode reads."""
+    frame = rs._symbols_to_bits(word, 5)[None]
+    return rs._frame_syndromes(rs._decoder(rs.rs_spec(5, k)),
+                               frame)[0].tolist()
 
 
 def scalar_berlekamp_massey(fs, syndromes):
@@ -386,14 +394,17 @@ def test_generator_equals_oracle_generator(code):
                           oracles.generator_matrix(algebraic, k_bits))
 
 
-@given(k=st.integers(1, 30), data=st.data())
+@given(code=st.one_of(st.tuples(st.just(5), st.integers(1, 30)),
+                      st.tuples(st.just(7), st.sampled_from([1, 37, 126]))),
+       data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_rs_encode_equals_oracle(k, data):
-    """rs_encode, one parity-table row per message symbol, gives the
-    oracle's long-division codeword for every RS(31,k)."""
-    spec = rs.rs_spec(5, k)
-    message = data.draw(st.lists(st.integers(0, 31), min_size=k,
-                                 max_size=k))
+def test_rs_encode_equals_oracle(code, data):
+    """rs_encode, the frame encoder of rs_spec(m, k), gives the oracle's
+    long-division codeword for every RS(31,k) and for RS(127,k) codes
+    whose G has up to 882 rows, past a uint8's range of sums."""
+    spec = rs.rs_spec(*code)
+    message = data.draw(st.lists(st.integers(0, spec.n), min_size=spec.k,
+                                 max_size=spec.k))
     assert rs.rs_encode(spec, message) == oracles.rs_encode(spec, message)
 
 
@@ -537,9 +548,9 @@ def test_bch_decode_matches_scalar(seed, e):
 def _frames(rng, code, errors):
     """(word, field, syndrome count, syndromes of the word) of a random
     frame of `code` with `errors` corrupted bits (BCH) or symbol fields
-    (RS); an RS word is built by oracles.frame_word and its syndromes are
-    rs._syndromes, a BCH word's are the XOR of the rs._syndrome_rows rows
-    of its set bits."""
+    (RS); an RS word is built by oracles.frame_word and its syndromes
+    come from table_syndromes, a BCH word's are the XOR of the
+    rs._syndrome_rows rows of its set bits."""
     if code == "bch":
         spec = bch.bch_spec()
         frame = bch.bch_encode(rng.integers(0, 2, spec.k, dtype=np.uint8))
@@ -559,8 +570,8 @@ def _frames(rng, code, errors):
             layout, rng.integers(0, 2, layout.message_bits, dtype=np.uint8))
         widths = [layout.p] * layout.k_prime + [layout.q] * layout.r
         frame = _symbol_errors(rng, frame, widths, min(errors, len(widths)))
-    word, fs = oracles.frame_word(layout, frame), layout.spec.field
-    return word, fs, layout.r, rs._syndromes(fs, word, layout.r)
+    word = oracles.frame_word(layout, frame)
+    return word, layout.field, layout.r, table_syndromes(layout.k, word)
 
 
 @pytest.mark.parametrize("code", CODES)
@@ -696,7 +707,8 @@ def test_cached_matrices_are_read_only(code):
 
 
 DECODE_TABLES = (gf2m.mul_table, gf2m.inverses, rs._decoder, rs._power_table,
-                 rs._syndrome_rows, rs._parity_table, bch._decoder)
+                 rs._syndrome_rows, rs._parity_table, rs._generator_poly,
+                 bch._decoder)
 
 
 def test_schemes_build_no_decode_table(cold_fec_caches):
@@ -912,7 +924,7 @@ def test_stacked_pass_equals_scalar_oracles(code, seed, size):
         synd = [bch_syndromes(frame[:127]) for frame in frames]
     else:
         layout = _layout(code)
-        decoder, fs = rs._decoder(layout), layout.spec.field
+        decoder, fs = rs._decoder(layout), layout.field
         synd = [frame_syndromes(layout, frame) for frame in frames]
     values = synd
     modified = synd
@@ -1032,9 +1044,9 @@ def test_stacked_chien_equals_poly_eval_many(m, data):
        k=st.sampled_from(harness.DEFAULT_KSWEEP))
 @settings(max_examples=100, deadline=None)
 def test_correction_residual_equals_word_syndromes(seed, fixes, k):
-    """rs._syndromes, one _syndrome_rows row times each symbol, gives
-    Horner's syndromes and is linear: a word's syndromes plus those of an
-    error word are the syndromes of the corrected word."""
+    """The frame tables of rs_spec(5, k) give a word Horner's syndromes
+    and are linear: a word's syndromes plus those of an error word are the
+    syndromes of the corrected word."""
     spec = rs.rs_spec(5, k)
     fs, n, r = spec.field, spec.n, spec.r
     rng = np.random.default_rng(seed)
@@ -1043,9 +1055,9 @@ def test_correction_residual_equals_word_syndromes(seed, fixes, k):
     for pos in rng.choice(n, size=fixes, replace=False):
         error[pos] = int(rng.integers(1, 32))
     corrected = [w ^ v for w, v in zip(word, error)]
-    synd = rs._syndromes(fs, word, r)
+    synd = table_syndromes(k, word)
     assert synd == horner_syndromes(fs, word, r)
-    assert ([a ^ b for a, b in zip(synd, rs._syndromes(fs, error, r))]
+    assert ([a ^ b for a, b in zip(synd, table_syndromes(k, error))]
             == horner_syndromes(fs, corrected, r))
 
 
@@ -1054,8 +1066,8 @@ def test_syndrome_rows_equal_unit_word_syndromes(code):
     """Row pos of rs._syndrome_rows, the one syndrome map, holds Horner's
     syndromes of the word whose one nonzero symbol is 1 at pos; it is
     read-only uint8, one byte per syndrome."""
-    spec = bch.bch_spec() if code == "bch" else rs.RS2516.spec
-    fs, n, r = spec.field, spec.n, 2 * spec.t  # 12 syndromes each
+    spec = bch.bch_spec() if code == "bch" else rs.RS2516
+    fs, n, r = spec.field, spec.n, 12  # BCH's 2t, RS(31,19)'s r
     rows = rs._syndrome_rows(fs, n, r)
     assert rows.shape == (n, r) and rows.dtype == np.uint8
     assert not rows.flags.writeable
@@ -1146,9 +1158,7 @@ RS2516_RARE = {
 
 # RS(31,k) words of test_rs_decode_matches_scalar's construction,
 # (seed, k, f, e), one reason of rs_decode each.  "more erasures than
-# parity symbols" is out of the construction's reach (f <= r), and so is
-# "Forney denominator vanished" (a locator with as many distinct roots as
-# its degree has a nonzero derivative at each)
+# parity symbols" is out of the construction's reach (f <= r)
 RS_DECODE_RARE = {
     "error locator exceeds capability": [(4, 19, 0, 7), (32, 21, 0, 6),
                                          (0, 19, 1, 6)],

@@ -10,7 +10,7 @@ SPEC = rs.rs_spec(5, 19)
 
 
 def test_spec_parameters():
-    assert (SPEC.n, SPEC.k, SPEC.r, SPEC.t) == (31, 19, 12, 6)
+    assert (SPEC.n, SPEC.k, SPEC.r, SPEC.r // 2) == (31, 19, 12, 6)
     assert len(SPEC.generator) == SPEC.r + 1
     assert SPEC.generator[-1] == 1  # monic
 
@@ -36,6 +36,16 @@ def test_encode_is_systematic_and_valid():
         cw_poly = list(reversed(cw))
         for j in range(1, SPEC.r + 1):
             assert scalar_poly_eval(fs, cw_poly, gf2m.pow_alpha(fs, j)) == 0
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (0,)])
+def test_encode_stack_equals_row_by_row(shape):
+    """A (..., k) stack of messages (2-D, 3-D or empty) encodes to the
+    nested lists of each message's codeword."""
+    messages = np.random.default_rng(8).integers(0, 32, (*shape, SPEC.k))
+    want = [rs.rs_encode(SPEC, m) for m in messages.reshape(-1, SPEC.k)]
+    assert rs.rs_encode(SPEC, messages) == np.reshape(
+        np.array(want, dtype=int), (*shape, SPEC.n)).tolist()
 
 
 def test_linearity():
@@ -207,8 +217,8 @@ def test_bit_symbol_packing_roundtrip():
 
 def test_equal_specs_compare_and_hash_equal():
     a = rs.rs_spec(5, 19)
-    b = rs.RsCodeSpec(field=gf2m.field_new(5, 37), n=31, k=19,
-                      generator=a.generator)
+    b = rs.RsFrameLayout(q=5, k=19, k_prime=19, p=5, punctured=0,
+                         frame_bits=155)
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert a != rs.rs_spec(5, 21)
