@@ -62,7 +62,7 @@ import numpy as np
 
 from .. import gf2m
 from ..gf2m import FieldSpec
-from ..metrics import LengthMismatch  # noqa: F401  (re-exported)
+from ..metrics import ConfigError, LengthMismatch  # noqa: F401  (re-exported)
 
 
 class DecodeFailure(Exception):
@@ -294,7 +294,7 @@ def _pack_symbols(bits: np.ndarray, q: int) -> np.ndarray:
 
 
 def _bits_to_symbols(bits: np.ndarray, q: int) -> list[int]:
-    """_pack_symbols of one bit vector, as a list."""
+    """_pack_symbols of a bit vector or a stack of them, as lists."""
     return _pack_symbols(bits, q).tolist()
 
 
@@ -347,8 +347,7 @@ def _systematic(parity_bits: np.ndarray, frame_bits: int) -> np.ndarray:
     systematic code of frame_bits-bit frames, one row per message bit.  G
     is read-only, since every caller of a cached G shares it, and float32,
     so the product runs through BLAS; its sums count at most one per row of
-    G, and no G here has more than 882 rows (the message bits of
-    rs_spec(7, 126)), so they are exact and fit a uint16 (_gf2)."""
+    G, so they are exact."""
     k = len(parity_bits)
     G = np.zeros((k, frame_bits), dtype=np.float32)
     G[:, :k] = np.eye(k)
@@ -361,8 +360,11 @@ def _gf2(bits: np.ndarray, A: np.ndarray) -> np.ndarray:
     """(bits @ A) mod 2 for one bit vector or a (..., n) stack of them.  A
     (bursts, frames, n) stack goes to BLAS as one product per burst; for
     10-frame bursts each is small enough that BLAS stays on the calling
-    thread."""
-    return ((bits @ A).astype(np.uint16) & 1).astype(np.uint8)
+    thread.  The sums fit a uint8 unless A has over 255 rows, as only the
+    G of rs_spec(7, k), k >= 37, does (882 rows at k = 126)."""
+    if len(A) > 255:
+        return ((bits @ A).astype(np.uint16) & 1).astype(np.uint8)
+    return (bits @ A).astype(np.uint8) & 1
 
 
 def _frame_tables(images: np.ndarray) -> np.ndarray:
@@ -602,16 +604,23 @@ def rs2516_decode(frame: np.ndarray, *,
 
 # --- the RS(2^q - 1, k) symbol codec ------------------------------------------
 
+def _symbol_code(spec: RsFrameLayout) -> RsFrameLayout:
+    """spec if it is rs_spec(q, k), which sends the whole codeword."""
+    if spec != rs_spec(spec.q, spec.k):
+        raise ConfigError(f"{spec}: the symbol codec takes rs_spec(q, k)")
+    return spec
+
+
 def rs_encode(spec: RsFrameLayout, message: Sequence[int]) -> list[int]:
     """Systematic encode: codeword = [message | parity], the frame_encode
     of rs_spec(q, k) read back as symbols; a (..., k) stack gives nested
     lists of codewords.  ConstraintViolation names the first symbol
-    outside the field."""
-    code = rs_spec(spec.q, spec.k)
+    outside the field, and ConfigError any other layout."""
+    code = _symbol_code(spec)
     msg = _checked_message(message, code.k, code.field.size,
                            "message symbol")
-    return _pack_symbols(frame_encode(code, _symbols_to_bits(msg, code.q)),
-                         code.q).tolist()
+    return _bits_to_symbols(
+        frame_encode(code, _symbols_to_bits(msg, code.q)), code.q)
 
 
 def rs_decode(spec: RsFrameLayout, received: Sequence[int],
@@ -624,7 +633,7 @@ def rs_decode(spec: RsFrameLayout, received: Sequence[int],
     erasure position that is not an integer in 0..n-1.  The syndromes are
     those of the word's bits under rs_spec(q, k)'s frame tables.
     """
-    code = rs_spec(spec.q, spec.k)
+    code = _symbol_code(spec)
     fs, n, r = code.field, code.n, code.r
     word = _checked_message(received, n, fs.size, "received symbol")
     positions = list(erasures)

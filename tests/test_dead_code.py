@@ -27,9 +27,6 @@ USERS = sorted([*ROOT.glob("scripts/*.py"),
 # (module, name) or (module, "Class.member") -> why nothing in src/, or
 # for a public name or a member nothing in src/ or USERS, needs to read it
 ALLOWED = {
-    ("papr_lab.fec.rs", "_bits_to_symbols"):
-        "criterion 1 (tests/test_acceptance.py, kept as written) packs "
-        "RS(25,16) frames to symbols with it",
     ("papr_lab.fec.rs", "rs_encode"):
         "criterion 1 (tests/test_acceptance.py, kept as written) encodes "
         "RS(25,16) messages with it",

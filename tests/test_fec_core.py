@@ -395,13 +395,14 @@ def test_generator_equals_oracle_generator(code):
 
 
 @given(code=st.one_of(st.tuples(st.just(5), st.integers(1, 30)),
-                      st.tuples(st.just(7), st.sampled_from([1, 37, 126]))),
+                      st.just((7, 126))),
        data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_rs_encode_equals_oracle(code, data):
     """rs_encode, the frame encoder of rs_spec(m, k), gives the oracle's
-    long-division codeword for every RS(31,k) and for RS(127,k) codes
-    whose G has up to 882 rows, past a uint8's range of sums."""
+    long-division codeword for every RS(31,k) and for RS(127,126), whose
+    G has 882 rows, past a uint8's range of sums.  No other code builds an
+    RS(127,k) table: its G is 882 x 889 float32, about 3.1 MB."""
     spec = rs.rs_spec(*code)
     message = data.draw(st.lists(st.integers(0, spec.n), min_size=spec.k,
                                  max_size=spec.k))

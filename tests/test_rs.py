@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from papr_lab import gf2m
-from papr_lab.fec import rs
+from papr_lab.fec import crs, rs
+from papr_lab.metrics import ConfigError
 from test_fec_core import scalar_poly_eval
 
 SPEC = rs.rs_spec(5, 19)
@@ -223,3 +226,16 @@ def test_equal_specs_compare_and_hash_equal():
     assert a == b and hash(a) == hash(b)
     assert a != rs.rs_spec(5, 21)
     assert {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize("layout", [
+    rs.RS2516, crs.crs_layout(6, 31, 19),
+    dataclasses.replace(SPEC, frame_bits=256)], ids=["rs2516", "crs", "pad"])
+def test_symbol_codec_refuses_a_frame_layout(layout):
+    """rs_encode and rs_decode take only rs_spec(q, k); a shortened,
+    punctured, constrained or padded layout of the same code is refused,
+    not decoded as the whole code."""
+    with pytest.raises(ConfigError, match="the symbol codec takes rs_spec"):
+        rs.rs_encode(layout, [0] * layout.k)
+    with pytest.raises(ConfigError, match="the symbol codec takes rs_spec"):
+        rs.rs_decode(layout, [0] * layout.n)
