@@ -16,7 +16,9 @@ a stack of frames gets its syndromes from one gather, and the frames with
 nonzero syndromes go through the RS codec's one correction routine,
 rs._outcomes, as binary words, all at once: its Berlekamp-Massey skips
 the steps whose discrepancy is zero, its Chien search reads the degree-t
-power table, and the positions it accepts are the bits to flip.
+power table, and the positions it accepts are the bits to flip, which
+rs._frame_rows flips as it finishes a layout's frames, each message
+symbol one bit.
 """
 from __future__ import annotations
 
@@ -87,16 +89,17 @@ def _decoder() -> _Decoder:
     """The code's rs._Decoder, built at its first decode.  Its tables are
     the rs._frame_tables of S_1..S_2t over the 128-bit frame: the syndromes
     of bit i are row i of _syndrome_rows; the pad bit's image is zero.  No
-    position is erased, so Gamma is 1."""
+    position is erased, so Gamma is 1.  Its word is binary and unshortened:
+    a message symbol is one bit, and every position is sent."""
     spec = bch_spec()
     r = 2 * spec.t
     tables = _frame_tables(_syndrome_rows(spec.field, spec.n, r))
     return _Decoder(spec.field, spec.n, r, spec.n + 1, spec.k, tables, (1,),
-                    True)
+                    True, 0, spec.k, 1, spec.n)
 
 
 def bch_decode(frame: np.ndarray, *,
-               row: dict | str | None = None) -> tuple[np.ndarray, int]:
+               row: tuple | str | None = None) -> tuple[np.ndarray, int]:
     """128-bit frame -> (85 message bits, corrected bit count).
 
     Corrects any pattern of <= t bit errors in the 127 codeword bits; the pad
@@ -108,9 +111,5 @@ def bch_decode(frame: np.ndarray, *,
     """
     decoder = _decoder()
     frame = _checked_frame(frame, decoder.frame_bits)
-    flips = _checked_row(row if row is not None
-                         else _frame_rows(decoder, frame[None])[0])
-    word = frame.copy()
-    for i in flips:  # at most t: a scalar XOR each beats a fancy index
-        word[i] ^= 1
-    return word[:decoder.message_bits], len(flips)
+    return _checked_row(row if row is not None
+                        else _frame_rows(decoder, frame[None])[0])[:2]

@@ -35,21 +35,27 @@ tables (_frame_tables), one (256, width) table per frame byte built from
 the syndromes of each sent frame bit, give a stack of frames its
 syndromes, and a punctured layout's its modified syndromes too (composed
 with the fixed erasure locator Gamma), in one gather (_frame_syndromes).
-The stacked pass (_frame_rows) gives every frame its row, its outcome: a
+The stacked pass (_frame_rows) decodes a whole stack in numpy: a
 frame whose modified syndromes are zero is clean, and all the others are
 decoded at once by _outcomes, the one correction routine of every decoder
-here, BCH's too.  On the whole stack, in numpy: Berlekamp-Massey
-(_locators), BM's degree bound, psi = Lambda * Gamma (_product), the Chien
-search at every position, the root count, BM's own length test and, for
-a non-binary word, Forney at each root.  A polynomial at every position
-is one gather of a row per coefficient from a cached power table
-(_power_table, _values), and the products are flat gathers on the
-field's multiplication table.  A row is a failure reason or the
-{position: magnitude} fixes; a frame decoder given its row only applies
-it, and without one runs the pass on a one-row stack, as rs_decode runs
-_outcomes on its one word.  Corrections are accepted by the length test,
-never by their syndromes.  Every cached table is immutable (read-only
-arrays, tuples), since every later decode in the process shares it.
+here, BCH's too: Berlekamp-Massey (_locators), BM's degree bound, psi =
+Lambda * Gamma (_product), the Chien search at every position, the root
+count, BM's own length test and, for a non-binary word, Forney at each
+root.  A polynomial at every position is one gather of a row per
+coefficient from a cached power table (_power_table, _values), and the
+products are flat gathers on the field's multiplication table.
+_outcomes returns arrays, a failure reason per word and the flat (word,
+position, magnitude) of every correction, and the pass finishes every
+frame from them: the shortened-prefix check, the corrected count and the
+constraint flag are per-frame reductions, and the corrections flip the
+message bits of one copy of the stack's in one scatter.  A frame's row
+is its finished outcome: its failure reason, or what its frame decoder
+returns.  A frame decoder given its row only checks the frame and
+returns or raises the row; without one it runs the pass on a one-row
+stack, as rs_decode runs _outcomes on its one word.  Corrections are
+accepted by the length test, never by their syndromes.  Every cached
+table is immutable (read-only arrays, tuples), since every later decode
+in the process shares it.
 """
 from __future__ import annotations
 
@@ -173,17 +179,21 @@ def _locators(fs: FieldSpec, syndromes, binary: bool = False
     start = -(-m // step) * step
     past = np.zeros((2, start + m + 1, frames), np.intp)
     past[:, start + 1:start + m + 1] = C[:, :m]  # B = x C
-    L = np.zeros(frames, np.intp)
-    b_inv = np.full(frames, offsets[1])  # of 1 / the last change's d
+    # state's rows: the offset of 1 / the last change's d, and L; a length
+    # change writes update over both at once
+    state = np.zeros((2, frames), np.intp)
+    state[0], update = inverse[1], np.empty_like(state)
+    b_inv, L = state
     for i in range(0, m, step):
         B = past[:, start:start + m + 1]
         d = C[1, i]
-        grow = (d != 0) & (L <= i // 2)
+        grow = np.logical_and(d, L <= i // 2)
         coef = offsets.take(products.take(b_inv | d))  # d = 0 adds nothing
         change = products.take(coef | B)
         np.copyto(B, C, where=grow)
-        np.copyto(b_inv, inverse.take(d), where=grow)
-        np.copyto(L, i + 1 - L, where=grow)
+        update[0] = inverse.take(d)
+        np.subtract(i + 1, L, out=update[1])
+        np.copyto(state, update, where=grow)
         C ^= change
         start -= step
     degrees = m - np.argmax(C[0, ::-1] != 0, axis=0)  # C_0 = 1
@@ -209,18 +219,23 @@ def _modified_syndromes(fs: FieldSpec, synd, gamma: Sequence[int],
     return _product(fs, synd, np.asarray(gamma), r)[..., len(gamma) - 1:]
 
 
-# why a decode fails, by the check of _outcomes that finds it
+# why a decode fails, by the check that finds it: the first three in
+# _outcomes, the last in _frame_rows
 _FAILURES = (None, "error locator exceeds capability",
              "locator degree does not match root count",
-             "residual syndromes after correction")
+             "residual syndromes after correction",
+             "shortened prefix decoded nonzero")
 
 
 def _outcomes(fs: FieldSpec, n: int, synd: np.ndarray, modified: np.ndarray,
-              gamma: Sequence[int], binary: bool = False) -> list:
+              gamma: Sequence[int], binary: bool = False
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The outcome of each length-n word of a stack, given its r syndromes
     and its r - f modified syndromes, (words, r) and (words, r - f) uint8:
-    its failure reason, or the {position: magnitude} of every nonzero
-    correction.  Berlekamp-Massey (_locators) gives each word its (Lambda,
+    (reason, words, positions, magnitudes).  reason[i] indexes _FAILURES,
+    0 where word i decodes; the other three are flat, one entry per
+    nonzero correction of a decoded word: its word, its position and its
+    magnitude.  Berlekamp-Massey (_locators) gives each word its (Lambda,
     L); then, on the whole stack: BM's degree bound, psi = Lambda * Gamma,
     Gamma the erasure locator, the Chien search at every position, the
     root count, BM's own length test and, for a non-binary word, Forney.
@@ -229,7 +244,7 @@ def _outcomes(fs: FieldSpec, n: int, synd: np.ndarray, modified: np.ndarray,
     r, f = synd.shape[1], len(gamma) - 1
     bound = (r - f) // 2
     lam, degrees, lengths = _locators(fs, modified, binary)
-    reason = np.where(degrees > bound, 1, 0)  # an index into _FAILURES
+    reason = np.where(degrees > bound, 1, 0)
     live = np.flatnonzero(degrees <= bound)
     # combined locator, degree deg Lambda + f <= r
     psi = _product(fs, lam[live, :bound + 1], np.asarray(gamma),
@@ -249,26 +264,23 @@ def _outcomes(fs: FieldSpec, n: int, synd: np.ndarray, modified: np.ndarray,
     live, psi = live[passed], psi[passed]
     words, positions = np.nonzero(roots[passed])  # every root of the stack
     if binary:  # S_2j = S_j^2 makes every Forney value of a binary word 1
-        magnitudes = np.ones(len(words), np.uint8)
-    else:
-        # Forney at each root: Omega = S * psi mod x^r; e_j =
-        # Omega(X_j^-1) / psi'(X_j^-1), psi' having coefficient psi_(2i+1)
-        # at degree 2i.  A word here has as many distinct roots as psi has
-        # degree, so each root is simple and psi' is nonzero there
-        omega = _product(fs, synd[live], psi, r)[words]
-        slope = _values(table[::2], psi[words, 1::2], positions)
-        magnitudes = gf2m.mul_table(fs)[_values(table, omega, positions),
-                                        gf2m.inverses(fs)[slope]]
-    out = [_FAILURES[i] or {} for i in reason.tolist()]
-    words, fixed = live[words], magnitudes != 0
-    for i, pos, mag in zip(words[fixed].tolist(), positions[fixed].tolist(),
-                           magnitudes[fixed].tolist()):
-        out[i][pos] = mag
-    return out
+        return reason, live[words], positions, np.ones(len(words), np.uint8)
+    # Forney at each root: Omega = S * psi mod x^r; e_j = Omega(X_j^-1) /
+    # psi'(X_j^-1), psi' having coefficient psi_(2i+1) at degree 2i.  A
+    # word here has as many distinct roots as psi has degree, so each root
+    # is simple and psi' is nonzero there; a zero value is an erasure that
+    # arrived intact
+    omega = _product(fs, synd[live], psi, r)[words]
+    slope = _values(table[::2], psi[words, 1::2], positions)
+    magnitudes = gf2m.mul_table(fs)[_values(table, omega, positions),
+                                    gf2m.inverses(fs)[slope]]
+    fixed = magnitudes != 0
+    return reason, live[words[fixed]], positions[fixed], magnitudes[fixed]
 
 
-def _checked_row(row) -> dict[int, int]:
-    """The fixes of a decode's outcome (_outcomes), or its DecodeFailure."""
+def _checked_row(row):
+    """A frame's row: its outcome, or, given its failure reason, that
+    reason's DecodeFailure."""
     if isinstance(row, str):
         raise DecodeFailure(row)
     return row
@@ -490,9 +502,12 @@ def frame_encode(layout: RsFrameLayout,
 # What a frame decoder reads of its code: the field, n word symbols, r
 # syndromes, the frame and message bits, the _frame_tables of a frame's
 # syndromes, Gamma, the erasure locator of the punctured positions, and
-# whether the code is binary (BCH)
-_Decoder = namedtuple("_Decoder",
-                      "fs n r frame_bits message_bits tables gamma binary")
+# whether the code is binary (BCH); and where its word sits in the frame:
+# the shortened symbols before the first sent one, the message symbols of
+# p bits each up to position k, and the sent positions, those before the
+# first punctured one
+_Decoder = namedtuple("_Decoder", "fs n r frame_bits message_bits tables "
+                                  "gamma binary shortened k p sent")
 
 
 @functools.cache
@@ -515,7 +530,8 @@ def _decoder(layout: RsFrameLayout) -> _Decoder:
         images = np.concatenate(
             [images, _modified_syndromes(fs, images, gamma, r)], axis=1)
     return _Decoder(fs, n, r, layout.frame_bits, layout.message_bits,
-                    _frame_tables(images), gamma, False)
+                    _frame_tables(images), gamma, False, shortened, layout.k,
+                    p, n - layout.punctured)
 
 
 def _frame_syndromes(decoder: _Decoder, frames: np.ndarray) -> np.ndarray:
@@ -530,32 +546,58 @@ def _frame_syndromes(decoder: _Decoder, frames: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(entries, axis=0)
 
 
-def _frame_rows(decoder: _Decoder, frames: np.ndarray) -> list:
+def _frame_rows(decoder: _Decoder, frames: np.ndarray,
+                symbols: int = 0) -> list:
     """The stacked decode of a frame decoder: the row of each frame of a
-    (frames, frame_bits) stack of bits, its outcome.  A clean frame, whose
-    modified syndromes (its syndromes when nothing is punctured) are all
-    zero, has no fixes, {}: correction would at most fill the punctured
-    parity, so the message arrived intact.  Every other frame's row is
-    its _outcomes, all of them found at once: a failure reason, or the
-    {position: magnitude} of its corrections.  A frame decoder given its
-    frame's row only applies it."""
+    (frames, frame_bits) stack of bits, its failure reason or (message
+    bits, corrected symbols, constraint_ok); given symbols = q, (message
+    as q-bit symbols, corrected symbols).  A clean frame, whose modified
+    syndromes (its syndromes when nothing is punctured) are all zero,
+    keeps its systematic bits: correction would at most fill the punctured
+    parity.  The others go through _outcomes at once and are finished on
+    the whole stack: a correction in the shortened prefix fails a frame,
+    one at a sent position counts, and one of a message symbol flips the
+    bits of its low p and leaves the constrained alphabet when its
+    magnitude has higher bits."""
     if frames.shape[-1] != decoder.frame_bits:
         raise LengthMismatch(f"frame length {frames.shape[-1]} != "
                              f"{decoder.frame_bits}")
     values, r = _frame_syndromes(decoder, frames), decoder.r
     modified = values[:, r:] if len(decoder.gamma) > 1 else values
     dirty = np.flatnonzero(modified.any(axis=1))
-    rows = [{} for _ in range(len(values))]
+    count, s, p = len(frames), decoder.shortened, decoder.p
+    reason = np.zeros(count, np.intp)  # an index into _FAILURES
+    messages = frames[:, :decoder.message_bits].copy()
+    corrected, constraint_ok = np.zeros(count, np.intp), np.ones(count, bool)
     if dirty.size:
-        outcomes = _outcomes(decoder.fs, decoder.n, values[dirty, :r],
-                             modified[dirty], decoder.gamma, decoder.binary)
-        for i, row in zip(dirty.tolist(), outcomes):
-            rows[i] = row
+        reason[dirty], words, positions, magnitudes = _outcomes(
+            decoder.fs, decoder.n, values[dirty, :r], modified[dirty],
+            decoder.gamma, decoder.binary)
+        words = dirty[words]
+        reason[words[positions < s]] = 4
+        corrected = np.bincount(words[positions < decoder.sent],
+                                minlength=count)
+        message = (positions >= s) & (positions < decoder.k)
+        words, positions = words[message], positions[message] - s
+        magnitudes = magnitudes[message]
+        constraint_ok[words[magnitudes >> p != 0]] = False
+        # bit b of each message correction's low p, MSB first
+        fix, bit = np.nonzero(magnitudes[:, None]
+                              >> np.arange(p - 1, -1, -1) & 1)
+        messages[words[fix], positions[fix] * p + bit] ^= 1
+    done = reason == 0
+    corrected = corrected[done].tolist()
+    columns = ((_bits_to_symbols(messages[done], symbols), corrected)
+               if symbols else
+               (messages[done], corrected, constraint_ok[done].tolist()))
+    rows = [_FAILURES[i] for i in reason.tolist()]
+    for i, row in zip(np.flatnonzero(done).tolist(), zip(*columns)):
+        rows[i] = row
     return rows
 
 
 def frame_decode(layout: RsFrameLayout, frame: np.ndarray, *,
-                 row: dict | str | None = None
+                 row: tuple | str | None = None
                  ) -> tuple[np.ndarray, int, bool]:
     """Decode one frame -> (message bits, corrected symbols, constraint_ok).
 
@@ -568,38 +610,34 @@ def frame_decode(layout: RsFrameLayout, frame: np.ndarray, *,
     through it; without one, the frame goes through it alone.
     """
     frame = _checked_frame(frame, layout.frame_bits)
-    fixes = _checked_row(row if row is not None
-                         else _frame_rows(_decoder(layout), frame[None])[0])
-    shortened, k, p = layout.k - layout.k_prime, layout.k, layout.p
-    if any(pos < shortened for pos in fixes):
-        raise DecodeFailure("shortened prefix decoded nonzero")
-    # message symbols arrive as p-bit fields: a correction flips the bits
-    # of its low p, and it keeps the alphabet exactly when its magnitude
-    # has no higher bits
-    message = [(pos, mag) for pos, mag in fixes.items() if pos < k]
-    flips = [(pos - shortened) * p + b for pos, mag in message
-             for b in range(p) if mag >> (p - 1 - b) & 1]
-    bits = frame[:layout.message_bits].copy()
-    for i in flips:  # a few: a scalar XOR each beats a fancy index
-        bits[i] ^= 1
-    constraint_ok = all(mag >> p == 0 for _, mag in message)
-    corrected = sum(1 for pos in fixes if pos < layout.n - layout.punctured)
-    return bits, corrected, constraint_ok
+    return _checked_row(row if row is not None
+                        else _frame_rows(_decoder(layout), frame[None])[0])
+
+
+# _SYMBOL_BITS[s] is the 5 bits of a GF(32) symbol s, most significant first
+_SYMBOL_BITS = _symbols_to_bits(np.arange(32)[:, None], 5)
+_SYMBOL_BITS.setflags(write=False)
 
 
 def rs2516_frame(message: Sequence[int]) -> np.ndarray:
     """16 GF(32) message symbols -> one RS2516 frame; a (..., 16) stack of
-    messages gives (..., 128) frames."""
+    messages gives (..., 128) frames.  The symbols are checked once, and
+    their bits, one gather, go to the generator matrix as they are."""
     symbols = _checked_message(message, RS2516.k_prime, 32, "message symbol")
-    return frame_encode(RS2516, _symbols_to_bits(symbols, 5))
+    bits = _SYMBOL_BITS.take(symbols, axis=0).reshape(
+        *symbols.shape[:-1], RS2516.message_bits)
+    return _gf2(bits, _frame_generator(RS2516))
 
 
 def rs2516_decode(frame: np.ndarray, *,
-                  row: dict | str | None = None) -> tuple[list[int], int]:
-    """frame_decode of one RS2516 frame, its message as 16 symbols."""
-    bits, corrected, _ = frame_decode(RS2516, frame, row=row)
-    value = int.from_bytes(np.packbits(bits).tobytes(), "big")  # 80 bits
-    return [value >> s & 31 for s in range(75, -1, -5)], corrected
+                  row: tuple | str | None = None) -> tuple[list[int], int]:
+    """frame_decode of one RS2516 frame, its message as 16 symbols.  row:
+    the frame's row of _frame_rows(_decoder(RS2516), frames, 5), when a
+    stack of frames has been through it; without one, the frame goes
+    through it alone."""
+    frame = _checked_frame(frame, RS2516.frame_bits)
+    return _checked_row(row if row is not None else _frame_rows(
+        _decoder(RS2516), frame[None], RS2516.q)[0])
 
 
 # --- the RS(2^q - 1, k) symbol codec ------------------------------------------
@@ -644,12 +682,12 @@ def rs_decode(spec: RsFrameLayout, received: Sequence[int],
 
     synd = _frame_syndromes(_decoder(code),
                             _symbols_to_bits(word, code.q)[None])
-    word = word.tolist()
     if not synd.any() and not erasures:
-        return word[:code.k], 0
+        return word[:code.k].tolist(), 0
     gamma = _erasure_locator(fs, n, erasures)
-    (fixes,) = _outcomes(fs, n, synd,
-                         _modified_syndromes(fs, synd, gamma, r), gamma)
-    for pos, mag in _checked_row(fixes).items():
-        word[pos] ^= mag
-    return word[:code.k], len(fixes)
+    (reason,), _, positions, magnitudes = _outcomes(
+        fs, n, synd, _modified_syndromes(fs, synd, gamma, r), gamma)
+    if reason:
+        raise DecodeFailure(_FAILURES[reason])
+    word[positions] ^= magnitudes
+    return word[:code.k].tolist(), len(positions)

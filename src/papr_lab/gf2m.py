@@ -136,9 +136,14 @@ def poly_from_roots(fs: FieldSpec, roots: Sequence[int]) -> list[int]:
 # GF(128) <- x^7+x^3+1
 PRIM_POLY_GF32 = 0b100101
 PRIM_POLY_GF128 = 0b10001001
+_CANONICAL = {5: PRIM_POLY_GF32, 7: PRIM_POLY_GF128}
 
 
 @functools.cache
 def cached_field(m: int) -> FieldSpec:
-    """Shared immutable field instances for the standard moduli."""
-    return field_new(m, {5: PRIM_POLY_GF32, 7: PRIM_POLY_GF128}[m])
+    """Shared immutable field instances for the standard moduli.
+    ConfigError for any other m, naming the fields there are."""
+    if m not in _CANONICAL:
+        raise ConfigError(f"no canonical field GF(2^{m}): the codecs run "
+                          f"over GF(2^5) and GF(2^7)")
+    return field_new(m, _CANONICAL[m])

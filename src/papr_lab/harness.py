@@ -169,10 +169,11 @@ class SimConfig:
 class Scheme:
     """A frame-level coding scheme, its codec as data: encode maps (...,
     payload bits) to (..., 2M-bit frames) in one call; decode_frame maps
-    one frame and its row to its message (None: frames are the payload
-    bits), rows a (frames, 2M) stack to one row per frame, its outcome
-    from its decoder's stacked pass (rs._frame_rows); and unpack a list
-    of messages to (messages, payload bits)."""
+    one frame and its row to its message through the scheme's public
+    frame decoder (None: frames are the payload bits), rows a (frames, 2M)
+    stack to one row per frame, its finished outcome from its decoder's
+    stacked pass (rs._frame_rows); and unpack a list of messages to
+    (messages, payload bits)."""
     name: str
     payload_bits: int
     encode: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -184,12 +185,13 @@ class Scheme:
 
     def decode(self, frames: np.ndarray) -> np.ndarray:
         """(..., 2M) frames -> (..., payload bits).  The whole stack goes
-        through rows once, which decodes every frame in numpy: its
-        syndromes and, for the frames that are not clean, Berlekamp-Massey,
-        the Chien search, the length test and Forney.  decode_frame is then
-        called once per frame with its row, its outcome: it checks the
-        frame, then raises the row's DecodeFailure or applies its fixes.
-        A frame whose decode fails keeps its systematic bits."""
+        through rows once, which decodes and finishes every frame in
+        numpy: its syndromes and, for the frames that are not clean,
+        Berlekamp-Massey, the Chien search, the length test, Forney and
+        the bit flips.  decode_frame is then called once per frame with its
+        row, its finished outcome: the public decoder checks the frame,
+        then returns the row or raises its DecodeFailure.  A frame whose
+        decode fails keeps its systematic bits."""
         frames = np.asarray(frames, dtype=np.uint8)
         decode_frame, k = self.decode_frame, self.payload_bits
         if decode_frame is None:
@@ -210,8 +212,9 @@ class Scheme:
 
 
 def get_scheme(name: str, M: int = 64) -> Scheme:
-    # only bch_encode is bound here; other codec names, and the decoders'
-    # tables, are looked up per call
+    # only bch_encode is bound here: the other encoders and the public
+    # frame decoders, which perfbench wraps, and the decoders' tables are
+    # looked up per call
     if name == "none":
         return Scheme("none", 2 * M, lambda b: np.asarray(b, dtype=np.uint8))
     if name == "bch":
@@ -225,7 +228,7 @@ def get_scheme(name: str, M: int = 64) -> Scheme:
                       lambda b: rs.rs2516_frame(rs._pack_symbols(b, p)),
                       lambda f, row: rs.rs2516_decode(f, row=row)[0],
                       lambda frames: rs._frame_rows(rs._decoder(rs.RS2516),
-                                                    frames),
+                                                    frames, rs.RS2516.q),
                       lambda syms: rs._symbols_to_bits(syms, p))
     if name.startswith("crs31_"):
         k = name[len("crs31_"):]

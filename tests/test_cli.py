@@ -72,6 +72,9 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,line,flag", [
     ("ber", "channel = foo", "--channel"),
+    # a line splits at its first "=": the rest, "=" and all, is the value
+    ("ber", "channel = awgn=1", "bad.cfg:1: --channel: unknown channel "
+                                "profile 'awgn=1'"),
     ("papr", "load = half", "--load"),
     ("papr", "frames = abc", "config key frames"),
     ("papr", "mu = x", "config key mu"),

@@ -202,6 +202,23 @@ def oracle_row(fs, n, synd, modified, gamma, binary=False):
         return str(ex)
 
 
+def outcome_rows(reason, words, positions, magnitudes):
+    """rs._outcomes' arrays as one row per word, in oracle_row's form: its
+    failure reason, or the {position: magnitude} of its corrections."""
+    rows = [rs._FAILURES[i] or {} for i in reason.tolist()]
+    for word, pos, mag in zip(words.tolist(), positions.tolist(),
+                              magnitudes.tolist()):
+        assert pos not in rows[word] and mag != 0
+        rows[word][pos] = mag
+    return rows
+
+
+def listed(row):
+    """A frame's row with its arrays as lists, comparable with ==."""
+    return row if isinstance(row, str) else tuple(
+        np.asarray(v).tolist() for v in row)
+
+
 def stacked_product(fs, p, q, size):
     """rs._product of two polynomials as one-row stacks, trimmed."""
     got = rs._product(fs, np.array([p or [0]], np.uint8),
@@ -907,13 +924,15 @@ STACK_SIZES = st.one_of(st.just(0), st.just(1), st.integers(2, 12))
 @given(seed=st.integers(0, 2**32 - 1), size=STACK_SIZES)
 @settings(max_examples=15, deadline=None)
 def test_stacked_pass_equals_scalar_oracles(code, seed, size):
-    """rs._frame_rows over a stack of frames with 0-40 random bit flips
-    each gives every frame the syndromes and modified syndromes that Horner
-    and scalar products give it alone, and the row, its fixes or failure
-    reason, that the scalar BM and oracles.corrections give it; the row
-    equals the frame's one-row pass, and its frame decoder given that row
-    gives its scalar oracle's message, corrected count, constraint flag or
-    failure reason."""
+    """The stacked pass over a stack of frames with 0-40 random bit flips
+    each gives every frame the syndromes and modified syndromes that
+    Horner and scalar products give it alone; rs._outcomes gives every
+    frame that is not clean the failure reason or fixes that the scalar BM
+    and oracles.corrections give it; and the scheme's rows (rs._frame_rows,
+    with the message as symbols for rs2516) give every frame the finished
+    outcome of its scalar oracle, its message, corrected count and
+    constraint flag or its failure reason, as one-row passes do.  The
+    frame decoder given a row returns or raises it."""
     rng = np.random.default_rng(seed)
     codecs = [_frame_codec(code, rng) for _ in range(size)]
     frames = np.zeros((size, 128), np.uint8)
@@ -933,14 +952,85 @@ def test_stacked_pass_equals_scalar_oracles(code, seed, size):
         modified = [rs2516_modified(frame) for frame in frames]
         values = [s + m for s, m in zip(synd, modified)]
     assert rs._frame_syndromes(decoder, frames).tolist() == values
-    rows = rs._frame_rows(decoder, frames)
-    assert rows == [oracle_row(fs, decoder.n, s, m, decoder.gamma,
-                               decoder.binary) if any(m) else {}
-                    for s, m in zip(synd, modified)]
+    dirty = [i for i, m in enumerate(modified) if any(m)]
+    r, f = decoder.r, len(decoder.gamma) - 1
+    got = rs._outcomes(fs, decoder.n,
+                       np.array([synd[i] for i in dirty], np.uint8
+                                ).reshape(len(dirty), r),
+                       np.array([modified[i] for i in dirty], np.uint8
+                                ).reshape(len(dirty), r - f),
+                       decoder.gamma, decoder.binary)
+    assert outcome_rows(*got) == [
+        oracle_row(fs, decoder.n, synd[i], modified[i], decoder.gamma,
+                   decoder.binary) for i in dirty]
+    rows_of = harness.get_scheme(code).rows
+    rows = rows_of(frames)
     for frame, row, (_, decode, oracle) in zip(frames, rows, codecs):
-        assert rs._frame_rows(decoder, frame[None]) == [row]
+        assert list(map(listed, rows_of(frame[None]))) == [listed(row)]
         assert (outcome(partial(decode, row=row), frame)
                 == outcome(decode, frame) == outcome(oracle, frame))
+
+
+# each scheme's public frame decoder, by the module attribute perfbench
+# wraps to count and radius-check decodes
+PUBLIC_DECODERS = {"bch": (bch, "bch_decode"), "rs2516": (rs, "rs2516_decode"),
+                   "crs": (crs, "crs_decode")}
+
+
+@pytest.mark.parametrize("code", CODES)
+@given(seed=st.integers(0, 2**32 - 1), size=STACK_SIZES)
+@settings(max_examples=10, deadline=None)
+def test_scheme_decode_calls_its_public_decoder_once_per_frame(code, seed,
+                                                               size):
+    """Scheme.decode, on a stack of frames with 0-40 random bit flips each,
+    calls its scheme's public frame decoder, and no other, once per frame
+    with the frame's row as a keyword; the clean, corrected and failed
+    tallies of those calls are the scalar oracles', and a frame keeps its
+    oracle's message, or its systematic bits where the oracle fails.
+    perfbench's decode counts are these calls."""
+    rng = np.random.default_rng(seed)
+    codecs = [_frame_codec(code, rng) for _ in range(size)]
+    frames = np.zeros((size, 128), np.uint8)
+    for frame, (sent, _, _) in zip(frames, codecs):
+        frame[:] = sent
+        frame[rng.choice(128, int(rng.integers(0, 41)), replace=False)] ^= 1
+    scheme = harness.get_scheme(code)
+    tallies = Counter()
+
+    def counting(name, decode):
+        def counted(*args, **kwargs):
+            assert list(kwargs) == ["row"] and kwargs["row"] is not None
+            tallies[name] += 1
+            try:
+                out = decode(*args, **kwargs)
+            except rs.DecodeFailure:
+                tallies["failed"] += 1
+                raise
+            tallies["corrected" if out[1] else "clean"] += 1
+            return out
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in PUBLIC_DECODERS.values():
+            patch.setattr(module, name,
+                          counting(name, getattr(module, name)))
+        got = scheme.decode(frames)
+    _, name = PUBLIC_DECODERS.get(code, PUBLIC_DECODERS["crs"])
+    want = Counter({name: size})
+    messages = []
+    for frame, (_, _, oracle) in zip(frames, codecs):
+        result = outcome(oracle, frame)
+        if result[0] == "DecodeFailure":
+            want["failed"] += 1
+            messages.append(frame[:scheme.payload_bits].tolist())
+            continue
+        want["corrected" if result[1] else "clean"] += 1
+        message = result[0]
+        if code == "rs2516":
+            message = loop_symbols_to_bits(message, 5).tolist()
+        messages.append(message)
+    assert +tallies == +want
+    assert got.tolist() == messages
 
 
 @given(seed=st.integers(0, 2**32 - 1), size=STACK_SIZES,
@@ -973,7 +1063,7 @@ def test_stacked_pass_of_erased_words_equals_scalar(seed, size, k, data):
     assert (locator_rows(*rs._locators(fs, modified))
             == [list(scalar_berlekamp_massey(fs, m)) for m in want])
     synd = np.array(synd, np.uint8).reshape(size, spec.r)
-    assert (rs._outcomes(fs, 31, synd, modified, gamma)
+    assert (outcome_rows(*rs._outcomes(fs, 31, synd, modified, gamma))
             == [oracle_row(fs, 31, s, m, gamma) for s, m in zip(synd, want)])
 
 

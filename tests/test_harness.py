@@ -117,6 +117,24 @@ class TestConfig:
             SimConfig(scheme="nope").validate()
         SimConfig().validate()
 
+    @pytest.mark.parametrize("scheme,frames_per_burst",
+                             [("none", 10), ("rs2516", 3), ("bch", 10_000)])
+    def test_bits_bound_is_the_one_it_states(self, scheme, frames_per_burst):
+        """--bits is refused past 2^32 bursts a point, a burst's index being
+        one uint32 seed word: 2**32 bursts of per_burst measured payload
+        bits validate, one bit more does not, and the refusal states the
+        bound exactly.  Only validate runs."""
+        per_burst = ((frames_per_burst - 2)
+                     * harness.get_scheme(scheme).payload_bits)
+        cfg = SimConfig(scheme=scheme, frames_per_burst=frames_per_burst,
+                        bits=2**32 * per_burst)
+        cfg.validate()
+        with pytest.raises(harness.ConfigError,
+                           match=f"^--bits must be at most {2**32 * per_burst}"
+                                 f" \\(2\\^32 bursts of {per_burst}\\), got "
+                                 f"{2**32 * per_burst + 1}$"):
+            replace(cfg, bits=cfg.bits + 1).validate()
+
     # field -> (its flag, values of a wrong type): a float count, a bool
     # where a number goes, a string for a bool or a number, None for a name
     WRONG_TYPES = {

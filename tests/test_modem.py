@@ -202,6 +202,14 @@ class TestFilterBank:
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != modem.ModemConfig(M=16) and len({a, b}) == 1
 
+    @pytest.mark.parametrize("M", [4, 64])
+    def test_frame_length_mismatch_states_two_m(self, M):
+        """A frame holds 2M bits, two per QAM symbol: frames_to_grid states
+        that length when it refuses another."""
+        with pytest.raises(modem.LengthMismatch,
+                           match=f"^frame length {2 * M + 1} != {2 * M}$"):
+            modem.frames_to_grid(np.zeros((3, 2 * M + 1), np.uint8), M)
+
     def test_grid_size_mismatch(self):
         cfg = modem.ModemConfig(M=64)
         with pytest.raises(modem.LengthMismatch):

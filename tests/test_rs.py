@@ -166,6 +166,17 @@ def test_length_checks():
         rs.rs_decode(SPEC, [0] * (SPEC.n + 1))
 
 
+@pytest.mark.parametrize("m", [1, 2, 6, 8, 16])
+def test_code_over_a_field_without_a_canonical_modulus(m):
+    """Only GF(2^5) and GF(2^7) have the codecs' canonical moduli: a code
+    over any other field is refused with a ConfigError that names them,
+    not a bare KeyError."""
+    with pytest.raises(ConfigError, match=rf"^no canonical field GF\(2\^{m}\)"
+                                          r": the codecs run over GF\(2\^5\) "
+                                          r"and GF\(2\^7\)$"):
+        rs.rs_spec(m, 10)
+
+
 # --- punctured/shortened RS(25,16) -------------------------------------------
 
 def test_rs2516_shape():
