@@ -5,10 +5,11 @@ over the cyclotomic cosets of alpha^1..alpha^(2t), the same roots-to-
 polynomial step as the RS generators, with t grown until its degree reaches
 n - k = 42 (which happens at t = 6).  Encoding is systematic; the 127
 codeword bits are suffixed with one zero pad bit to fill a 128-bit frame.
-The code's binary generator matrix G (85, 128) is a cached function,
-_generator, built on first use from the RS codec's parity table
-(rs._parity_table), with the generator's 0/1 coefficients taken as
-elements of GF(128).  A frame is (message @ G) mod 2.  The decoder reads
+The encoder's byte XOR tables (rs._frame_tables, the decoder's form too)
+are a cached function, _encoder_tables, built on first use from the RS
+codec's parity table (rs._parity_table), with the generator's 0/1
+coefficients taken as elements of GF(128).  A frame is [message | parity
+| pad] (rs._encoded).  The decoder reads
 one record, an rs._Decoder cached by _decoder and built at the first
 decode.  Its byte tables (rs._frame_tables) hold the syndromes of each
 frame bit, the rows of the code's one syndrome map (rs._syndrome_rows), so
@@ -30,8 +31,8 @@ import numpy as np
 from .. import gf2m
 from ..gf2m import FieldSpec
 from .rs import (_checked_frame, _checked_message, _checked_row, _Decoder,
-                 _frame_rows, _frame_tables, _gf2, _parity_table,
-                 _syndrome_rows, _systematic)
+                 _encoded, _frame_rows, _frame_tables, _parity_table,
+                 _syndrome_rows)
 
 
 @dataclass(frozen=True)
@@ -67,21 +68,21 @@ def bch_spec() -> BchCodeSpec:
 
 
 @functools.cache
-def _generator() -> np.ndarray:
-    """The (k, n + 1) generator matrix G of the 128-bit frame: [I | the
-    _parity_table rows in codeword order | pad].  The generator's
-    coefficients are 0 and 1 in GF(128), so the rows' are too."""
+def _encoder_tables() -> np.ndarray:
+    """The rs._frame_tables of the message bits' packed parity: the
+    _parity_table rows in codeword order.  The generator's coefficients
+    are 0 and 1 in GF(128), so the rows' are too."""
     spec = bch_spec()
     generator = tuple((spec.generator >> d) & 1 for d in range(spec.r + 1))
     rows = _parity_table(spec.field, generator, spec.n)
-    return _systematic(rows[:, ::-1], spec.n + 1)
+    return _frame_tables(np.packbits(rows[:, ::-1], axis=1))
 
 
 def bch_encode(message: np.ndarray) -> np.ndarray:
     """85 message bits -> 128-bit frame (127 codeword bits + 1 zero pad);
     a (..., 85) stack gives (..., 128) frames."""
     bits = _checked_message(message, bch_spec().k, 2, "message bit")
-    return _gf2(bits, _generator())
+    return _encoded(_encoder_tables(), bits, bch_spec().n + 1)
 
 
 @functools.cache

@@ -22,19 +22,19 @@ symbol at each word position, one uint8 row each.  A binary code (BCH)
 reads the rows as they are; the RS paths, which read symbols of every
 magnitude, read them times the symbol through the field's multiplication
 table.
-Every frame codec here (RS layouts, BCH) is GF(2)-linear on its bits and
-encodes through a binary generator matrix G, cached per code
-(_frame_generator, bch._generator) and built by _systematic from the
-binary image of the parity rows: a frame is (message bits @ G) mod 2,
-through _gf2.
+Every frame codec here (RS layouts, BCH) is GF(2)-linear on its bits, and
+encodes and takes syndromes through one form of map (Sarwate, CACM 31(8),
+1988): read-only uint8 XOR tables (_frame_tables), one (256, width) table
+per input byte, and one gather of an entry per byte (_frame_images).  The
+encoder's tables (_encoder_tables, bch._encoder_tables, cached) give the
+packed sent parity: a frame is [message bits | parity | pad] (_encoded).
 
 Decoding is table-driven and stacked.  A frame code's decoder refuses a
 frame entry that is not a bit (_checked_frame) and reads one record, its
-_Decoder, cached and built at the first decode.  Its read-only uint8 XOR
-tables (_frame_tables), one (256, width) table per frame byte built from
-the syndromes of each sent frame bit, give a stack of frames its
+_Decoder, cached and built at the first decode.  Its _frame_tables, built
+from the syndromes of each sent frame bit, give a stack of frames its
 syndromes, and a punctured layout's its modified syndromes too (composed
-with the fixed erasure locator Gamma), in one gather (_frame_syndromes).
+with the fixed erasure locator Gamma), in one gather (_frame_images).
 The stacked pass (_frame_rows) decodes a whole stack in numpy: a
 frame whose modified syndromes are zero is clean, and all the others are
 decoded at once by _outcomes, the one correction routine of every decoder
@@ -288,12 +288,20 @@ def _checked_row(row):
 
 # --- bit frames: packing, encoder input checks, binary-image encoding --------
 
+@functools.cache
+def _symbol_bits(q: int) -> np.ndarray:
+    """(2^q, q) read-only uint8 table: row s is the bits of s, MSB first."""
+    shifts = np.arange(q, dtype=np.uint8)[::-1]
+    table = np.arange(1 << q, dtype=np.uint8)[:, None] >> shifts & 1
+    table.setflags(write=False)
+    return table
+
+
 def _symbols_to_bits(symbols: Sequence[int], q: int) -> np.ndarray:
-    """Low q bits of each symbol, most significant first; (..., n) symbols
-    give (..., n q) bits."""
-    s = np.asarray(symbols, dtype=np.int64)
-    bits = (s[..., None] >> np.arange(q - 1, -1, -1)) & 1
-    return bits.astype(np.uint8).reshape(*s.shape[:-1], s.shape[-1] * q)
+    """The q bits of each symbol in 0..2^q - 1, most significant first, one
+    gather of _symbol_bits; (..., n) symbols give (..., n q) bits."""
+    s = np.asarray(symbols, dtype=np.intp)  # an empty list is float64
+    return _symbol_bits(q).take(s, 0).reshape(*s.shape[:-1], s.shape[-1] * q)
 
 
 def _pack_symbols(bits: np.ndarray, q: int) -> np.ndarray:
@@ -354,39 +362,14 @@ def _checked_frame(frame, frame_bits: int) -> np.ndarray:
     return _checked_message(a, frame_bits, 2, "frame bit")
 
 
-def _systematic(parity_bits: np.ndarray, frame_bits: int) -> np.ndarray:
-    """The generator matrix G = [I | parity_bits | zero pad] of a
-    systematic code of frame_bits-bit frames, one row per message bit.  G
-    is read-only, since every caller of a cached G shares it, and float32,
-    so the product runs through BLAS; its sums count at most one per row of
-    G, so they are exact."""
-    k = len(parity_bits)
-    G = np.zeros((k, frame_bits), dtype=np.float32)
-    G[:, :k] = np.eye(k)
-    G[:, k:k + parity_bits.shape[1]] = parity_bits
-    G.setflags(write=False)
-    return G
-
-
-def _gf2(bits: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """(bits @ A) mod 2 for one bit vector or a (..., n) stack of them.  A
-    (bursts, frames, n) stack goes to BLAS as one product per burst; for
-    10-frame bursts each is small enough that BLAS stays on the calling
-    thread.  The sums fit a uint8 unless A has over 255 rows, as only the
-    G of rs_spec(7, k), k >= 37, does (882 rows at k = 126)."""
-    if len(A) > 255:
-        return ((bits @ A).astype(np.uint16) & 1).astype(np.uint8)
-    return (bits @ A).astype(np.uint8) & 1
-
-
 def _frame_tables(images: np.ndarray) -> np.ndarray:
     """(bytes, 256, width) read-only uint8 XOR tables of a GF(2)-linear map
-    from frame bits to field symbols, given the (bits, width) symbol image
-    of each unit frame; images past the given bits are zero.  Table j maps
-    byte j of a frame (np.packbits order) to the XOR of the images of the
-    bits it sets, so the frame's image is the XOR of one entry per byte
-    (_frame_syndromes), and the image of frame bit i alone is
-    tables[i // 8, 0x80 >> i % 8]."""
+    from frame bits to bytes (field symbols, or packed parity bits), given
+    the (bits, width) image of each unit frame; images past the given bits
+    are zero.  Table j maps byte j of a frame (np.packbits order) to the
+    XOR of the images of the bits it sets, so the frame's image is the XOR
+    of one entry per byte (_frame_images), and the image of frame bit i
+    alone is tables[i // 8, 0x80 >> i % 8]."""
     bits, width = images.shape
     rows = np.zeros((-(-bits // 8) * 8, width), np.uint8)
     rows[:bits] = images
@@ -397,6 +380,27 @@ def _frame_tables(images: np.ndarray) -> np.ndarray:
         axis=2)
     tables.setflags(write=False)
     return tables
+
+
+def _frame_images(tables: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """(..., width) uint8 images of a (..., bits) stack of bits under a
+    map's _frame_tables; bits past the tables' bytes are not read."""
+    count, size, width = tables.shape
+    packed = np.packbits(bits, axis=-1)[..., :count]
+    # one (count, rows, width) gather, XORed over its first axis
+    index = packed.reshape(-1, count).T + size * np.arange(count)[:, None]
+    entries = tables.reshape(-1, width).take(index, axis=0)
+    return np.bitwise_xor.reduce(entries, axis=0).reshape(
+        *packed.shape[:-1], width)
+
+
+def _encoded(tables: np.ndarray, bits: np.ndarray,
+             frame_bits: int) -> np.ndarray:
+    """The frame_bits-bit frames of a (..., message bits) stack of uint8
+    bits under an encoder's tables: [bits | their parity | zero pad]."""
+    parity = np.unpackbits(_frame_images(tables, bits), axis=-1,
+                           count=frame_bits - bits.shape[-1])
+    return np.concatenate([bits, parity], axis=-1)
 
 
 # --- RS bit frames: shortened, punctured, constrained -------------------------
@@ -477,17 +481,18 @@ def _generator_poly(q: int, k: int) -> tuple:
 
 
 @functools.cache
-def _frame_generator(layout: RsFrameLayout) -> np.ndarray:
-    """The layout's (message bits, frame bits) generator matrix G: bit b of
-    a sent message symbol has the value 2^(p-1-b), so its parity is that
-    times the symbol's _parity_table row, less the punctured symbols."""
+def _encoder_tables(layout: RsFrameLayout) -> np.ndarray:
+    """The _frame_tables of the layout's encoder, from its message bits to
+    the packed bits of its sent parity: bit b of a sent message symbol has
+    the value 2^(p-1-b), so its parity is that times the symbol's
+    _parity_table row, less the punctured symbols."""
     rows = _parity_table(layout.field, layout.generator, layout.n)
     values = 1 << np.arange(layout.p - 1, -1, -1)
     parity = gf2m.mul_table(layout.field)[  # (k', p, r), codeword order
         values[:, None], rows[layout.k - layout.k_prime:, None, ::-1]]
     sent = parity[..., :layout.r - layout.punctured]
-    return _systematic(_symbols_to_bits(sent, layout.q).reshape(
-        layout.message_bits, layout.parity_bits), layout.frame_bits)
+    return _frame_tables(np.packbits(_symbols_to_bits(sent, layout.q).reshape(
+        layout.message_bits, layout.parity_bits), axis=1))
 
 
 def frame_encode(layout: RsFrameLayout,
@@ -496,7 +501,7 @@ def frame_encode(layout: RsFrameLayout,
     gives (..., frame_bits) frames."""
     bits = _checked_message(message_bits, layout.message_bits, 2,
                             "message bit")
-    return _gf2(bits, _frame_generator(layout))
+    return _encoded(_encoder_tables(layout), bits, layout.frame_bits)
 
 
 # What a frame decoder reads of its code: the field, n word symbols, r
@@ -534,18 +539,6 @@ def _decoder(layout: RsFrameLayout) -> _Decoder:
                     p, n - layout.punctured)
 
 
-def _frame_syndromes(decoder: _Decoder, frames: np.ndarray) -> np.ndarray:
-    """(frames, width) uint8 images of a (frames, frame_bits) stack of bits
-    under the decoder's tables: each frame's r syndromes, then, for a
-    punctured layout, its r - f modified syndromes."""
-    count, size, width = decoder.tables.shape
-    packed = np.packbits(frames, axis=-1)[:, :count]
-    # one (count, frames, width) gather, XORed over its first axis
-    entries = decoder.tables.reshape(-1, width).take(
-        packed.T + size * np.arange(count)[:, None], axis=0)
-    return np.bitwise_xor.reduce(entries, axis=0)
-
-
 def _frame_rows(decoder: _Decoder, frames: np.ndarray,
                 symbols: int = 0) -> list:
     """The stacked decode of a frame decoder: the row of each frame of a
@@ -562,7 +555,7 @@ def _frame_rows(decoder: _Decoder, frames: np.ndarray,
     if frames.shape[-1] != decoder.frame_bits:
         raise LengthMismatch(f"frame length {frames.shape[-1]} != "
                              f"{decoder.frame_bits}")
-    values, r = _frame_syndromes(decoder, frames), decoder.r
+    values, r = _frame_images(decoder.tables, frames), decoder.r
     modified = values[:, r:] if len(decoder.gamma) > 1 else values
     dirty = np.flatnonzero(modified.any(axis=1))
     count, s, p = len(frames), decoder.shortened, decoder.p
@@ -614,19 +607,13 @@ def frame_decode(layout: RsFrameLayout, frame: np.ndarray, *,
                         else _frame_rows(_decoder(layout), frame[None])[0])
 
 
-# _SYMBOL_BITS[s] is the 5 bits of a GF(32) symbol s, most significant first
-_SYMBOL_BITS = _symbols_to_bits(np.arange(32)[:, None], 5)
-_SYMBOL_BITS.setflags(write=False)
-
-
 def rs2516_frame(message: Sequence[int]) -> np.ndarray:
     """16 GF(32) message symbols -> one RS2516 frame; a (..., 16) stack of
     messages gives (..., 128) frames.  The symbols are checked once, and
-    their bits, one gather, go to the generator matrix as they are."""
+    their bits, one gather, go to the encoder's tables as they are."""
     symbols = _checked_message(message, RS2516.k_prime, 32, "message symbol")
-    bits = _SYMBOL_BITS.take(symbols, axis=0).reshape(
-        *symbols.shape[:-1], RS2516.message_bits)
-    return _gf2(bits, _frame_generator(RS2516))
+    return _encoded(_encoder_tables(RS2516),
+                    _symbols_to_bits(symbols, RS2516.q), RS2516.frame_bits)
 
 
 def rs2516_decode(frame: np.ndarray, *,
@@ -680,8 +667,8 @@ def rs_decode(spec: RsFrameLayout, received: Sequence[int],
     if len(erasures) > r:
         raise DecodeFailure("more erasures than parity symbols")
 
-    synd = _frame_syndromes(_decoder(code),
-                            _symbols_to_bits(word, code.q)[None])
+    synd = _frame_images(_decoder(code).tables,
+                         _symbols_to_bits(word, code.q)[None])
     if not synd.any() and not erasures:
         return word[:code.k].tolist(), 0
     gamma = _erasure_locator(fs, n, erasures)

@@ -213,8 +213,8 @@ class Scheme:
 
 def get_scheme(name: str, M: int = 64) -> Scheme:
     # only bch_encode is bound here: the other encoders and the public
-    # frame decoders, which perfbench wraps, and the decoders' tables are
-    # looked up per call
+    # frame decoders, which perfbench wraps, and the codecs' byte XOR
+    # tables, which encode and syndromes both read, are looked up per call
     if name == "none":
         return Scheme("none", 2 * M, lambda b: np.asarray(b, dtype=np.uint8))
     if name == "bch":

@@ -49,10 +49,11 @@ CALLS = {
     # the Chien search reads degree r, BCH's degree t = r / 2
     rs._power_table: [(GF32, 31, 12), (GF128, 127, 6)],
     rs._syndrome_rows: [(GF32, 31, 12), (GF128, 127, 12)],
-    rs._frame_generator: [(layout,) for layout in LAYOUTS],
+    rs._encoder_tables: [(layout,) for layout in LAYOUTS],
+    rs._symbol_bits: [(5,)],
     rs._decoder: [(layout,) for layout in LAYOUTS],
     bch.bch_spec: [()],
-    bch._generator: [()],
+    bch._encoder_tables: [()],
     bch._decoder: [()],
     harness._modem_config: [(64, 4)],
     harness._seeded: [()],

@@ -4,23 +4,25 @@ Each code's encoder and decoder tables are built from two tables: the
 parity of each message symbol (rs._parity_table) and the syndromes of the
 unit symbol at each word position (rs._syndrome_rows, uint8), which BCH
 reads as they are and the RS paths times the symbol through the field's
-multiplication table.  The encoders multiply message bits by
-a binary generator matrix G, cached per code, read-only and in float32
-through BLAS, and checked here, whole and per frame, against the
+multiplication table.  Encode and syndromes are one form of GF(2)-linear
+map: one gather of XOR table entries per input byte.  The encoders' tables,
+cached per code and read-only, give the packed parity of the message
+bits, and the encoders are checked here, on unit messages, on single
+messages and on stacks of every leading shape, against the
 long-division encoders of tests/oracles.py; rs_encode is checked against
 the oracle's rs_encode.  The frame decoders' stacked pass takes a stack of
 frames' syndromes (and, for a punctured RS layout, the modified syndromes
-of its fixed erasure locator) as one gather of XOR table entries per frame
-byte, built from the syndromes of each sent frame bit, skips the frames
-the erasures alone explain, and decodes all the others at once
-(rs._outcomes): Berlekamp-Massey, the degree bound, the stacked product
-psi = Lambda Gamma, the Chien search from a power table, the root count,
-BM's length test and Forney.  Each piece is checked here, per frame and on
-stacks of 0, 1 and many frames, against Horner, scalar products, the
-scalar BM and oracles.corrections, the per-word tail the package ran
-before (packed-int Chien search and Forney); every stacked row must equal
-the frame's one-row pass.  Every decoder accepts its corrections by BM's
-length test (the error locator's degree is the LFSR length L), where the
+of its fixed erasure locator) from tables built from the syndromes of each
+sent frame bit, skips the frames the erasures alone explain, and decodes
+all the others at once (rs._outcomes): Berlekamp-Massey, the degree bound,
+the stacked product psi = Lambda Gamma, the Chien search from a power
+table, the root count, BM's length test and Forney.  Each piece is checked
+here, per frame and on stacks of 0, 1 and many frames, against Horner,
+scalar products, the scalar BM and oracles.corrections, the per-word tail
+the package ran before (packed-int Chien search and Forney); every stacked
+row must equal the frame's one-row pass.  Every decoder accepts its
+corrections by BM's length test (the error locator's degree is the LFSR
+length L), where the
 scalar decoders below recompute the syndromes of the corrected word, and
 a seeded heavy-error sweep holds the two to the same outcomes.  The
 references below are the original per-point loops: Horner evaluation,
@@ -93,10 +95,10 @@ def _layout(code):
     return crs.crs_layout(6, 31, k)
 
 
-def _generator(code):
-    """The cached generator matrix G of a code."""
-    return (bch._generator() if code == "bch"
-            else rs._frame_generator(_layout(code)))
+def _encoder_tables(code):
+    """The cached encoder tables of a code."""
+    return (bch._encoder_tables() if code == "bch"
+            else rs._encoder_tables(_layout(code)))
 
 
 # --- scalar references -------------------------------------------------------
@@ -150,9 +152,9 @@ def scalar_syndromes(spec, received):
 def table_syndromes(k, word):
     """The r syndromes of an RS(31,k) word from the frame tables of
     rs_spec(5, k), the ones rs_decode reads."""
-    frame = rs._symbols_to_bits(word, 5)[None]
-    return rs._frame_syndromes(rs._decoder(rs.rs_spec(5, k)),
-                               frame)[0].tolist()
+    frame = rs._symbols_to_bits(word, 5)
+    return rs._frame_images(rs._decoder(rs.rs_spec(5, k)).tables,
+                            frame).tolist()
 
 
 def scalar_berlekamp_massey(fs, syndromes):
@@ -376,10 +378,10 @@ def test_symbol_packing_matches_loops(q, data):
     assert rs._bits_to_symbols(bits, q) == loop_bits_to_symbols(bits, q)
 
 
-# --- matrix encode == algebraic encode ---------------------------------------
+# --- table encode == algebraic encode ----------------------------------------
 
 def _encoders(code):
-    """(public matrix encoder on bits, oracle encoder on bits, k bits)."""
+    """(public encoder on bits, oracle encoder on bits, k bits)."""
     if code == "bch":
         spec = bch.bch_spec()
         return (bch.bch_encode, lambda b: oracles.bch_encode(spec, b),
@@ -404,11 +406,52 @@ def test_matrix_encode_equals_algebraic(code, seed):
 
 @pytest.mark.parametrize("code", CODES + CONVENTIONAL)
 def test_generator_equals_oracle_generator(code):
-    """Each code's G, built from its parity table, is the matrix of the
-    oracle's long-division encoder, row for row."""
-    _, algebraic, k_bits = _encoders(code)
-    assert np.array_equal(_generator(code),
+    """Each code's encoder, on the stack of its k unit messages, gives the
+    generator matrix of the oracle's long-division encoder, row for
+    row."""
+    encode, algebraic, k_bits = _encoders(code)
+    assert np.array_equal(encode(np.eye(k_bits, dtype=np.uint8)),
                           oracles.generator_matrix(algebraic, k_bits))
+
+
+def _message_encoders(code):
+    """(public encoder of a (..., k) stack of messages, oracle encoder of
+    one, k, message alphabet size); rs127_126 is rs_encode of RS(127,126),
+    whose encoder tables read 882 message bits."""
+    if code == "rs2516":
+        return (rs.rs2516_frame,
+                lambda m: oracles.frame_encode(rs.RS2516,
+                                               loop_symbols_to_bits(m, 5)),
+                rs.RS2516.k_prime, 32)
+    if code == "rs127_126":
+        spec = rs.rs_spec(7, 126)
+        return (partial(rs.rs_encode, spec),
+                partial(oracles.rs_encode, spec), spec.k, spec.field.size)
+    return (*_encoders(code), 2)
+
+
+@pytest.mark.parametrize("code", CODES + CONVENTIONAL + ["rs127_126"])
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.one_of(st.just(()), st.just((0,)),
+                       st.tuples(st.integers(1, 6)),
+                       st.tuples(st.integers(1, 3), st.integers(1, 4))))
+@settings(max_examples=10, deadline=None)
+def test_stacked_encode_equals_oracle(code, seed, shape):
+    """Each encoder maps a stack of messages of shape (k,), (0, k),
+    (n, k) or (b, f, k) to the oracle's long-division encoding of each
+    message, in the stack's shape: uint8 frames, or, from rs_encode,
+    nested lists of codewords."""
+    encode, oracle, k, size = _message_encoders(code)
+    width = len(oracle(np.zeros(k, np.intp)))
+    messages = np.random.default_rng(seed).integers(0, size, (*shape, k))
+    want = np.array([oracle(m) for m in messages.reshape(-1, k)],
+                    np.uint8).reshape(*shape, width)
+    got = encode(messages)
+    if isinstance(got, list):
+        assert got == want.tolist()
+    else:
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 @given(code=st.one_of(st.tuples(st.just(5), st.integers(1, 30)),
@@ -418,8 +461,7 @@ def test_generator_equals_oracle_generator(code):
 def test_rs_encode_equals_oracle(code, data):
     """rs_encode, the frame encoder of rs_spec(m, k), gives the oracle's
     long-division codeword for every RS(31,k) and for RS(127,126), whose
-    G has 882 rows, past a uint8's range of sums.  No other code builds an
-    RS(127,k) table: its G is 882 x 889 float32, about 3.1 MB."""
+    encoder tables read 882 message bits, 111 bytes."""
     spec = rs.rs_spec(*code)
     message = data.draw(st.lists(st.integers(0, spec.n), min_size=spec.k,
                                  max_size=spec.k))
@@ -454,7 +496,7 @@ def test_conventional_layout_equals_rs_encode(k, seed, fpb):
 
 
 def test_racing_first_encodes_agree(cold_fec_caches):
-    """Burst threads may build the same generator matrix at once; every
+    """Burst threads may build the same encoder tables at once; every
     frame must still equal the oracle's encoding."""
     layout = crs.crs_layout(6, 31, 21)
     msgs = np.random.default_rng(3).integers(
@@ -703,25 +745,13 @@ def test_rs2516_one_modified_syndrome_takes_the_full_path(seed, at, value):
 
 
 @pytest.mark.parametrize("code", CODES)
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_float32_generator_product_equals_uint8(code, seed):
-    matrix, _, k_bits = _encoders(code)
-    bits = np.random.default_rng(seed).integers(0, 2, k_bits, dtype=np.uint8)
-    frame = matrix(bits)
-    G = _generator(code)
-    assert G.dtype == np.float32
-    assert np.array_equal(frame, (bits @ G.astype(np.uint8)) & 1)
-
-
-@pytest.mark.parametrize("code", CODES)
 def test_cached_matrices_are_read_only(code):
-    """Every caller of a code shares its one cached G, so none may write
-    to it."""
-    G = _generator(code)
-    assert G is _generator(code) and not G.flags.writeable
+    """Every caller of a code shares its one cached encoder tables, so none
+    may write to them."""
+    tables = _encoder_tables(code)
+    assert tables is _encoder_tables(code) and not tables.flags.writeable
     with pytest.raises(ValueError):
-        G[0, 0] = 1
+        tables[0, 0, 0] = 1
 
 
 DECODE_TABLES = (gf2m.mul_table, gf2m.inverses, rs._decoder, rs._power_table,
@@ -902,7 +932,7 @@ def test_byte_table_syndromes_equal_parity_check(code, seed, errors):
     if code == "bch":
         frame = bch.bch_encode(rng.integers(0, 2, 85, dtype=np.uint8))
         frame ^= (rng.random(128) < errors / 128).astype(np.uint8)
-        got = rs._frame_syndromes(bch._decoder(), frame[None])
+        got = rs._frame_images(bch._decoder().tables, frame[None])
         assert got.tolist() == [bch_syndromes(frame[:127])]
         return
     layout = _layout(code)
@@ -912,7 +942,7 @@ def test_byte_table_syndromes_equal_parity_check(code, seed, errors):
     want = frame_syndromes(layout, frame)
     if layout.punctured:
         want += rs2516_modified(frame)
-    got = rs._frame_syndromes(rs._decoder(layout), frame[None])
+    got = rs._frame_images(rs._decoder(layout).tables, frame[None])
     assert got.tolist() == [want]
 
 
@@ -951,7 +981,7 @@ def test_stacked_pass_equals_scalar_oracles(code, seed, size):
     if code == "rs2516":  # the one punctured layout
         modified = [rs2516_modified(frame) for frame in frames]
         values = [s + m for s, m in zip(synd, modified)]
-    assert rs._frame_syndromes(decoder, frames).tolist() == values
+    assert rs._frame_images(decoder.tables, frames).tolist() == values
     dirty = [i for i, m in enumerate(modified) if any(m)]
     r, f = decoder.r, len(decoder.gamma) - 1
     got = rs._outcomes(fs, decoder.n,

@@ -591,6 +591,24 @@ class TestBlocks:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    def test_blocks_carry_the_minimum_halo(self, monkeypatch):
+        """Each block of an uncompanded 1,000-frame burst is sent with
+        exactly reach = 2 frames on each side, the frames whose samples
+        meet its windows at K = 4, cut at the burst's ends."""
+        cfg = SimConfig(companding=False, frames_per_burst=1000)
+        payloads = np.random.default_rng(1).integers(0, 2, (1000, 128),
+                                                     dtype=np.uint8)
+        sent, send = [], harness._tx_burst
+        monkeypatch.setattr(harness, "_tx_burst", lambda c, m, frames: (
+            sent.append(frames) or send(c, m, frames)))
+        harness._measured_paprs(cfg, cfg.modem_config(), payloads)
+        ends = [(s, min(s + harness.CHUNK_FRAMES, 999))
+                for s in range(1, 999, harness.CHUNK_FRAMES)]
+        assert len(sent) == len(ends) > 1
+        for frames, (s, e) in zip(sent, ends):
+            assert np.array_equal(frames,
+                                  payloads[max(s - 2, 0):min(e + 2, 1000)])
+
     @given(st.integers(3, 450), st.sampled_from((64, 80, 85, 128)),
            st.integers(1, 3), st.integers(0, 2**64 - 1), st.integers(0, 9),
            st.sampled_from((7, 33, harness.CHUNK_FRAMES)))
