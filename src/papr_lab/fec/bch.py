@@ -13,13 +13,12 @@ coefficients taken as elements of GF(128).  A frame is [message | parity
 one record, an rs._Decoder cached by _decoder and built at the first
 decode.  Its byte tables (rs._frame_tables) hold the syndromes of each
 frame bit, the rows of the code's one syndrome map (rs._syndrome_rows), so
-a stack of frames gets its syndromes from one gather, and the frames with
-nonzero syndromes go through the RS codec's one correction routine,
-rs._outcomes, as binary words, all at once: its Berlekamp-Massey skips
-the steps whose discrepancy is zero, its Chien search reads the degree-t
-power table, and the positions it accepts are the bits to flip, which
-rs._frame_rows flips as it finishes a layout's frames, each message
-symbol one bit.
+a stack of frames gets its syndromes from one gather, and rs._frame_rows
+decodes it as an RS layout's, each message symbol one bit: the frames with
+nonzero syndromes go through rs._outcomes as binary words, whose
+Berlekamp-Massey skips the steps whose discrepancy is zero and whose Chien
+search reads the degree-t power table, and the accepted positions of the
+decoded frames are the message bits the pass flips.
 """
 from __future__ import annotations
 
@@ -31,8 +30,7 @@ import numpy as np
 from .. import gf2m
 from ..gf2m import FieldSpec
 from .rs import (_checked_frame, _checked_message, _checked_row, _Decoder,
-                 _encoded, _frame_rows, _frame_tables, _parity_table,
-                 _syndrome_rows)
+                 _encoded, _frame_tables, _parity_table, _syndrome_rows)
 
 
 @dataclass(frozen=True)
@@ -106,11 +104,7 @@ def bch_decode(frame: np.ndarray, *,
     Corrects any pattern of <= t bit errors in the 127 codeword bits; the pad
     bit is ignored.  Raises DecodeFailure when the syndromes are
     inconsistent, and ConstraintViolation naming the first frame entry that
-    is not a bit.  row: the frame's row of rs._frame_rows, when a stack of
-    frames has been through it; without one, the frame goes through it
-    alone.
+    is not a bit.  row: as rs.frame_decode's.
     """
-    decoder = _decoder()
-    frame = _checked_frame(frame, decoder.frame_bits)
-    return _checked_row(row if row is not None
-                        else _frame_rows(decoder, frame[None])[0])[:2]
+    frame = _checked_frame(frame, _decoder().frame_bits)
+    return _checked_row(frame, row, _decoder)[:2]

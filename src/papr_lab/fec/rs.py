@@ -47,15 +47,16 @@ products are flat gathers on the field's multiplication table.
 _outcomes returns arrays, a failure reason per word and the flat (word,
 position, magnitude) of every correction, and the pass finishes every
 frame from them: the shortened-prefix check, the corrected count and the
-constraint flag are per-frame reductions, and the corrections flip the
-message bits of one copy of the stack's in one scatter.  A frame's row
-is its finished outcome: its failure reason, or what its frame decoder
-returns.  A frame decoder given its row only checks the frame and
-returns or raises the row; without one it runs the pass on a one-row
-stack, as rs_decode runs _outcomes on its one word.  Corrections are
-accepted by the length test, never by their syndromes.  Every cached
-table is immutable (read-only arrays, tuples), since every later decode
-in the process shares it.
+constraint flag are per-frame reductions, and the decoded frames'
+corrections flip a copy of the stack's message bits in one scatter, the
+stack's messages, where a failed frame keeps its systematic bits.  A
+frame's row is its failure reason or (bits, corrected, constraint_ok); a
+frame decoder given its row only checks the frame and returns or raises
+the row, and without one runs the pass on a one-row stack, as rs_decode
+runs _outcomes on its one word.  Corrections are accepted by the length
+test, never by their syndromes.  Every cached table is immutable
+(read-only arrays, tuples), since every later decode in the process
+shares it.
 """
 from __future__ import annotations
 
@@ -276,14 +277,6 @@ def _outcomes(fs: FieldSpec, n: int, synd: np.ndarray, modified: np.ndarray,
                                     gf2m.inverses(fs)[slope]]
     fixed = magnitudes != 0
     return reason, live[words[fixed]], positions[fixed], magnitudes[fixed]
-
-
-def _checked_row(row):
-    """A frame's row: its outcome, or, given its failure reason, that
-    reason's DecodeFailure."""
-    if isinstance(row, str):
-        raise DecodeFailure(row)
-    return row
 
 
 # --- bit frames: packing, encoder input checks, binary-image encoding --------
@@ -539,19 +532,19 @@ def _decoder(layout: RsFrameLayout) -> _Decoder:
                     p, n - layout.punctured)
 
 
-def _frame_rows(decoder: _Decoder, frames: np.ndarray,
-                symbols: int = 0) -> list:
-    """The stacked decode of a frame decoder: the row of each frame of a
-    (frames, frame_bits) stack of bits, its failure reason or (message
-    bits, corrected symbols, constraint_ok); given symbols = q, (message
-    as q-bit symbols, corrected symbols).  A clean frame, whose modified
-    syndromes (its syndromes when nothing is punctured) are all zero,
-    keeps its systematic bits: correction would at most fill the punctured
-    parity.  The others go through _outcomes at once and are finished on
-    the whole stack: a correction in the shortened prefix fails a frame,
-    one at a sent position counts, and one of a message symbol flips the
-    bits of its low p and leaves the constrained alphabet when its
-    magnitude has higher bits."""
+def _frame_rows(decoder: _Decoder, frames: np.ndarray
+                ) -> tuple[np.ndarray, list]:
+    """The stacked decode of a (frames, frame_bits) stack of bits,
+    (messages, rows): messages holds each frame's corrected message bits,
+    or its systematic bits where it fails, and a frame's row is its
+    failure reason or (its messages row, corrected symbols, constraint_ok).
+    A clean frame, whose modified syndromes (its syndromes when nothing is
+    punctured) are all zero, keeps its systematic bits: correction would
+    at most fill the punctured parity.  The others go through _outcomes at
+    once and are finished on the whole stack: a correction in the
+    shortened prefix fails a frame, one at a sent position counts, and one
+    of a message symbol of a decoded frame flips the bits of its low p and
+    leaves the constrained alphabet when its magnitude has higher bits."""
     if frames.shape[-1] != decoder.frame_bits:
         raise LengthMismatch(f"frame length {frames.shape[-1]} != "
                              f"{decoder.frame_bits}")
@@ -571,6 +564,7 @@ def _frame_rows(decoder: _Decoder, frames: np.ndarray,
         corrected = np.bincount(words[positions < decoder.sent],
                                 minlength=count)
         message = (positions >= s) & (positions < decoder.k)
+        message &= reason[words] == 0
         words, positions = words[message], positions[message] - s
         magnitudes = magnitudes[message]
         constraint_ok[words[magnitudes >> p != 0]] = False
@@ -578,15 +572,22 @@ def _frame_rows(decoder: _Decoder, frames: np.ndarray,
         fix, bit = np.nonzero(magnitudes[:, None]
                               >> np.arange(p - 1, -1, -1) & 1)
         messages[words[fix], positions[fix] * p + bit] ^= 1
-    done = reason == 0
-    corrected = corrected[done].tolist()
-    columns = ((_bits_to_symbols(messages[done], symbols), corrected)
-               if symbols else
-               (messages[done], corrected, constraint_ok[done].tolist()))
     rows = [_FAILURES[i] for i in reason.tolist()]
-    for i, row in zip(np.flatnonzero(done).tolist(), zip(*columns)):
-        rows[i] = row
-    return rows
+    corrected, constraint_ok = corrected.tolist(), constraint_ok.tolist()
+    for i in np.flatnonzero(reason == 0).tolist():
+        rows[i] = messages[i], corrected[i], constraint_ok[i]
+    return messages, rows
+
+
+def _checked_row(frame: np.ndarray, row, decoder, *args):
+    """A frame decoder's row of a checked frame: the given one or, without
+    one, the frame's row of a one-row pass over decoder(*args); a failure
+    reason raises its DecodeFailure."""
+    if row is None:
+        row = _frame_rows(decoder(*args), frame[None])[1][0]
+    if isinstance(row, str):
+        raise DecodeFailure(row)
+    return row
 
 
 def frame_decode(layout: RsFrameLayout, frame: np.ndarray, *,
@@ -603,8 +604,7 @@ def frame_decode(layout: RsFrameLayout, frame: np.ndarray, *,
     through it; without one, the frame goes through it alone.
     """
     frame = _checked_frame(frame, layout.frame_bits)
-    return _checked_row(row if row is not None
-                        else _frame_rows(_decoder(layout), frame[None])[0])
+    return _checked_row(frame, row, _decoder, layout)
 
 
 def rs2516_frame(message: Sequence[int]) -> np.ndarray:
@@ -616,15 +616,18 @@ def rs2516_frame(message: Sequence[int]) -> np.ndarray:
                     _symbols_to_bits(symbols, RS2516.q), RS2516.frame_bits)
 
 
+# the values of a 5-bit symbol's bits, MSB first: message bits to symbols
+_RS2516_VALUES = 1 << np.arange(RS2516.q, dtype=np.uint8)[::-1]
+
+
 def rs2516_decode(frame: np.ndarray, *,
                   row: tuple | str | None = None) -> tuple[list[int], int]:
-    """frame_decode of one RS2516 frame, its message as 16 symbols.  row:
-    the frame's row of _frame_rows(_decoder(RS2516), frames, 5), when a
-    stack of frames has been through it; without one, the frame goes
-    through it alone."""
+    """frame_decode of one RS2516 frame, row as there, its message as 16
+    symbols."""
     frame = _checked_frame(frame, RS2516.frame_bits)
-    return _checked_row(row if row is not None else _frame_rows(
-        _decoder(RS2516), frame[None], RS2516.q)[0])
+    bits, corrected, _ = _checked_row(frame, row, _decoder, RS2516)
+    symbols = bits.reshape(RS2516.k_prime, RS2516.q) @ _RS2516_VALUES
+    return symbols.tolist(), corrected
 
 
 # --- the RS(2^q - 1, k) symbol codec ------------------------------------------

@@ -168,68 +168,52 @@ class SimConfig:
 @dataclass(frozen=True)
 class Scheme:
     """A frame-level coding scheme, its codec as data: encode maps (...,
-    payload bits) to (..., 2M-bit frames) in one call; decode_frame maps
-    one frame and its row to its message through the scheme's public
-    frame decoder (None: frames are the payload bits), rows a (frames, 2M)
-    stack to one row per frame, its finished outcome from its decoder's
-    stacked pass (rs._frame_rows); and unpack a list of messages to
-    (messages, payload bits)."""
+    payload bits) to (..., 2M-bit frames) in one call; decode_frame calls
+    the scheme's public frame decoder on one frame and its row, and
+    decoder returns the decoder's cached rs._Decoder (both None: frames
+    are the payload bits)."""
     name: str
     payload_bits: int
     encode: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     decode_frame: Callable | None = field(default=None, repr=False)
-    rows: Callable[[np.ndarray], list] | None = field(default=None,
-                                                       repr=False)
-    unpack: Callable[[list], np.ndarray] = field(default=np.asarray,
-                                                 repr=False)
+    decoder: Callable | None = field(default=None, repr=False)
 
     def decode(self, frames: np.ndarray) -> np.ndarray:
-        """(..., 2M) frames -> (..., payload bits).  The whole stack goes
-        through rows once, which decodes and finishes every frame in
-        numpy: its syndromes and, for the frames that are not clean,
-        Berlekamp-Massey, the Chien search, the length test, Forney and
-        the bit flips.  decode_frame is then called once per frame with its
-        row, its finished outcome: the public decoder checks the frame,
-        then returns the row or raises its DecodeFailure.  A frame whose
-        decode fails keeps its systematic bits."""
+        """(..., 2M) frames -> (..., payload bits), the messages of one
+        stacked pass (rs._frame_rows), where a failed frame keeps its
+        systematic bits.  decode_frame is then called once per frame with
+        its row: the public decoder checks the frame and returns or raises
+        it."""
         frames = np.asarray(frames, dtype=np.uint8)
-        decode_frame, k = self.decode_frame, self.payload_bits
-        if decode_frame is None:
+        if self.decode_frame is None:
             return frames
-        out = frames[..., :k].copy()
-        flat = out.reshape(-1, k)  # a view: rows written below land in out
         stack = frames.reshape(-1, frames.shape[-1])
-        done, decoded = [], []
-        for i, (frame, row) in enumerate(zip(stack, self.rows(stack))):
+        messages, rows = rs._frame_rows(self.decoder(), stack)
+        for frame, row in zip(stack, rows):
             try:
-                decoded.append(decode_frame(frame, row))
+                self.decode_frame(frame, row)
             except rs.DecodeFailure:
-                continue
-            done.append(i)
-        if done:
-            flat[done] = self.unpack(decoded)
-        return out
+                pass
+        return messages.reshape(*frames.shape[:-1], self.payload_bits)
 
 
 def get_scheme(name: str, M: int = 64) -> Scheme:
     # only bch_encode is bound here: the other encoders and the public
-    # frame decoders, which perfbench wraps, and the codecs' byte XOR
-    # tables, which encode and syndromes both read, are looked up per call
+    # frame decoders, which perfbench wraps, are looked up per call; each
+    # decoder's record is built at its first decode
     if name == "none":
         return Scheme("none", 2 * M, lambda b: np.asarray(b, dtype=np.uint8))
     if name == "bch":
         return Scheme("bch", bch.bch_spec().k, bch.bch_encode,
-                      lambda f, row: bch.bch_decode(f, row=row)[0],
-                      lambda frames: rs._frame_rows(bch._decoder(), frames))
+                      lambda f, row: bch.bch_decode(f, row=row),
+                      bch._decoder)
     if name == "rs2516":
-        # payload bits <-> message symbols once per chunk
+        # payload bits -> message symbols once per chunk
         p = rs.RS2516.p
         return Scheme("rs2516", rs.RS2516.message_bits,
                       lambda b: rs.rs2516_frame(rs._pack_symbols(b, p)),
-                      lambda f, row: rs.rs2516_decode(f, row=row)[0],
-                      lambda frames: rs._frame_rows(rs._decoder(rs.RS2516),
-                                                    frames, rs.RS2516.q),
-                      lambda syms: rs._symbols_to_bits(syms, p))
+                      lambda f, row: rs.rs2516_decode(f, row=row),
+                      lambda: rs._decoder(rs.RS2516))
     if name.startswith("crs31_"):
         k = name[len("crs31_"):]
         if not (k.isdecimal() and k == str(int(k))):  # one name per scheme
@@ -237,9 +221,8 @@ def get_scheme(name: str, M: int = 64) -> Scheme:
         layout = crs.crs_layout(int(np.log2(M)), 31, int(k))
         return Scheme(name, layout.message_bits,
                       lambda b: crs.crs_encode(layout, b),
-                      lambda f, row: crs.crs_decode(layout, f, row=row)[0],
-                      lambda frames: rs._frame_rows(rs._decoder(layout),
-                                                    frames))
+                      lambda f, row: crs.crs_decode(layout, f, row=row),
+                      lambda: rs._decoder(layout))
     raise ConfigError(f"unknown scheme {name!r}")
 
 

@@ -74,6 +74,9 @@ def ccdf(samples_db: np.ndarray) -> CcdfCurve:
     if not np.isfinite((lo, hi)).all():
         raise DegenerateSignal("non-finite PAPR samples")
     grid = np.arange(lo, hi + CCDF_GRID_STEP_DB / 2, CCDF_GRID_STEP_DB)
+    # arange can round its top point below the largest sample (7.3 gives
+    # 7.299999999999999), which no sample may exceed
+    grid[-1] = max(grid[-1], ordered[-1])
     # the share of samples above g: those right of g in sorted order
     above = samples_db.size - np.searchsorted(ordered, grid, side="right")
     probs = above / samples_db.size

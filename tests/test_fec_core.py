@@ -958,11 +958,12 @@ def test_stacked_pass_equals_scalar_oracles(code, seed, size):
     each gives every frame the syndromes and modified syndromes that
     Horner and scalar products give it alone; rs._outcomes gives every
     frame that is not clean the failure reason or fixes that the scalar BM
-    and oracles.corrections give it; and the scheme's rows (rs._frame_rows,
-    with the message as symbols for rs2516) give every frame the finished
-    outcome of its scalar oracle, its message, corrected count and
-    constraint flag or its failure reason, as one-row passes do.  The
-    frame decoder given a row returns or raises it."""
+    and oracles.corrections give it; and the pass over the scheme's
+    decoder (rs._frame_rows) gives every frame the row of its scalar
+    oracle, its message, corrected count and constraint flag or its
+    failure reason, as one-row passes do, and the messages its row's bits,
+    or its systematic bits where it fails.  The frame decoder given a row
+    returns or raises it."""
     rng = np.random.default_rng(seed)
     codecs = [_frame_codec(code, rng) for _ in range(size)]
     frames = np.zeros((size, 128), np.uint8)
@@ -993,12 +994,16 @@ def test_stacked_pass_equals_scalar_oracles(code, seed, size):
     assert outcome_rows(*got) == [
         oracle_row(fs, decoder.n, synd[i], modified[i], decoder.gamma,
                    decoder.binary) for i in dirty]
-    rows_of = harness.get_scheme(code).rows
-    rows = rows_of(frames)
-    for frame, row, (_, decode, oracle) in zip(frames, rows, codecs):
-        assert list(map(listed, rows_of(frame[None]))) == [listed(row)]
+    scheme_decoder = harness.get_scheme(code).decoder()
+    messages, rows = rs._frame_rows(scheme_decoder, frames)
+    for frame, message, row, (_, decode, oracle) in zip(frames, messages,
+                                                        rows, codecs):
+        _, one = rs._frame_rows(scheme_decoder, frame[None])
+        assert list(map(listed, one)) == [listed(row)]
         assert (outcome(partial(decode, row=row), frame)
                 == outcome(decode, frame) == outcome(oracle, frame))
+        want = frame[:decoder.message_bits] if isinstance(row, str) else row[0]
+        assert message.tolist() == want.tolist()
 
 
 # each scheme's public frame decoder, by the module attribute perfbench
@@ -1331,3 +1336,28 @@ def test_rs2516_rare_outcomes_match_scalar(message, seed, e):
         assert got == ("DecodeFailure", message)
     else:
         assert got[0] != "DecodeFailure"
+
+
+# frames of the hypothesis tests' constructions, (code, seed, errors), found
+# by a seeded search, whose decode fails on the shortened prefix after
+# _outcomes has corrected some of their message symbols too
+PREFIX_FAILURES = [
+    ("rs2516", *RS2516_RARE["shortened prefix decoded nonzero"][0]),
+    ("crs31_19", 547, 7)]
+
+
+@pytest.mark.parametrize("code,seed,e", PREFIX_FAILURES)
+def test_shortened_prefix_failure_keeps_systematic_bits(code, seed, e):
+    """The pass and Scheme.decode give a frame that fails on the shortened
+    prefix its systematic bits: its message corrections flip none."""
+    rng = np.random.default_rng(seed)
+    frame, _, _ = _frame_codec(code, rng)
+    layout = _layout(code)
+    frame = _symbol_errors(rng, frame, [layout.p] * layout.k_prime
+                           + [layout.q] * (layout.r - layout.punctured), e)
+    scheme = harness.get_scheme(code)
+    messages, rows = rs._frame_rows(scheme.decoder(), frame[None])
+    assert rows == ["shortened prefix decoded nonzero"]
+    systematic = frame[None, :scheme.payload_bits].tolist()
+    assert messages.tolist() == systematic
+    assert scheme.decode(frame[None]).tolist() == systematic

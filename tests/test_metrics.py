@@ -110,6 +110,11 @@ class TestCcdf:
         curve = metrics.ccdf(samples)
         assert curve.probabilities[0] == 1.0  # floor of the minimum
         assert curve.probabilities[-1] == 0.0  # ceil of the maximum
+        # a maximum on the grid, which arange's top point rounds below
+        curve = metrics.ccdf(np.r_[np.full(99, 0.5), 7.3])
+        assert curve.thresholds_db[-1] >= 7.3
+        assert curve.probabilities[-1] == 0.0
+        assert metrics.papr_at_probability(curve, 1e-3) >= 7.3
 
     def test_too_few_samples(self):
         with pytest.raises(metrics.DegenerateSignal,
@@ -129,6 +134,9 @@ class TestCcdf:
         assert (samples > th).mean() <= 1e-1
         # threshold one grid step lower exceeds the probability
         assert (samples > th - 0.1).mean() > 1e-1
+        # the last probability is 0, so only a negative one finds no point
+        assert (metrics.papr_at_probability(curve, -1e-3)
+                == curve.thresholds_db[-1])
 
 
 def loop_ccdf(samples_db):
@@ -138,6 +146,7 @@ def loop_ccdf(samples_db):
     lo = np.floor(samples_db.min() / step) * step
     hi = np.ceil(samples_db.max() / step) * step
     grid = np.arange(lo, hi + step / 2, step)
+    grid[-1] = max(grid[-1], samples_db.max())
     probs = np.array([(samples_db > g).mean() for g in grid])
     return metrics.CcdfCurve(thresholds_db=grid, probabilities=probs)
 
