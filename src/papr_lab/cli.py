@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import io
 import os
+import re
 import sys
 
 import numpy as np
@@ -72,7 +73,8 @@ def _read_config_file(path: str, defaults: dict) -> dict:
         raise ConfigError(f"--config {path}: not UTF-8 text ({ex.reason} "
                           f"at byte {ex.start})") from None
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        # a comment starts at a "#" that begins the line or follows a space
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         where = f"--config {path}:{lineno}"

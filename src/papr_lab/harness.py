@@ -6,16 +6,16 @@ SeedSequence([master_seed, scenario key, burst index, role]), role in
 {payload, fading, noise}.  Paired comparisons across schemes therefore share
 payload and channel randomness.  The channel builds a BER chunk's fading and
 noise Generators only where it draws.  PAPR and BER runs share one chunk
-loop (_run_bursts): fixed slices of as many consecutive bursts as fit a
-budget of frames, the last one shorter, run in burst order on the calling
-thread.  A chunk derives its bursts' seed words in one vectorized pass
-(_seed_words) and goes through encoder, modem, compander and equalizer as
-one stacked array.  A BER chunk holds at most BER_CHUNK_FRAMES = 400
-frames, so that its fixed cost through the receive chain is paid less often;
-a PAPR chunk at most CHUNK_FRAMES = 200, the fastest budget measured.  An
-uncompanded PAPR burst longer than a chunk is measured in blocks of frames.
-A BER burst's warm-up frames, its first and last, are sent, but the receiver
-analyses, equalizes and decodes only the frames between them.
+loop (_run_bursts): one vectorized pass (_seed_words) derives the seed
+words of up to SEED_BURSTS bursts, which then run in burst order on the
+calling thread as near-equal chunks of consecutive bursts, as few as fit a
+budget of frames.  A chunk goes through encoder, modem, compander and
+equalizer as one stacked array.  A BER chunk holds at most BER_CHUNK_FRAMES
+= 400 frames, so that its fixed cost through the receive chain is paid less
+often; a PAPR chunk at most CHUNK_FRAMES = 200, the fastest budget
+measured.  An uncompanded PAPR burst longer than a chunk is measured in
+blocks of frames.  A BER burst's warm-up frames, its first and last, are
+sent, but only the frames between them are analysed, equalized and decoded.
 """
 from __future__ import annotations
 
@@ -46,6 +46,8 @@ _modem_config = functools.cache(modem.ModemConfig)
 #   papr_crs19_mu:        5036 / 4678 / 4824 / 4832 / 6042
 #   papr_none_longburst:  4863 / 4479 / 4805 / 4861 / 5028
 CHUNK_FRAMES = 200
+# Bursts per _seed_words call, 20-60 us at up to 50: 128 KiB of words a role
+SEED_BURSTS = 4096
 # Frames per chunk of BER bursts.  A BER chunk's fixed cost, 100-170 us
 # (two 1-burst chunks against one 2-burst chunk), is seed words for three
 # roles, a generator per burst and stream, and about 50 numpy calls through
@@ -63,7 +65,8 @@ BER_CHUNK_FRAMES = 400
 MAX_FRAMES_PER_BURST = 10_000
 # Measured frames of a PAPR run, which keeps every sample: its tracemalloc
 # peak grows by about 10 B a frame (3 and 10 frames per burst, master seed
-# 2^40, between 80,000 and 240,000 frames) beside one chunk's 2.6 MiB.
+# 2^40, between 80,000 and 240,000 frames) beside one chunk's 2.6 MiB and
+# one group's seed words, 128 KiB (385 KiB while they are derived).
 MAX_PAPR_FRAMES = 10_000_000  # about 100 MiB
 # |SNR| in dB at a finite point: its stream key, _snr_key, stays in
 # 0..2,000,000, below the noiseless sentinel and inside a uint32 word
@@ -439,20 +442,30 @@ def _full_load_paprs(cfg: SimConfig, scheme: Scheme,
     return _measured_paprs(cfg, mcfg, ones, scheme.encode)
 
 
-def _run_bursts(n_bursts: int, cfg: SimConfig, chunk_frames: int,
-                worker: Callable[[range], object]) -> list:
-    """worker(chunk) for each slice of chunk_frames // frames_per_burst
-    consecutive bursts (at least one), the last one shorter, in burst order
-    on the calling thread."""
+def _run_bursts(n_bursts: int, cfg: SimConfig, chunk_frames: int, key: int,
+                roles: Sequence[int],
+                worker: Callable[[np.ndarray], object]) -> list:
+    """worker(seeds) for each chunk of consecutive bursts, in burst order on
+    the calling thread, seeds being the chunk's (roles, bursts, 4) rows of
+    _seed_words(cfg.master_seed, key, ..., roles).  The words are derived
+    in one pass per group of at most SEED_BURSTS bursts, and a group of n
+    runs as ceil(n / size) contiguous chunks whose sizes differ by at most
+    one, size = chunk_frames // frames_per_burst (at least one)."""
     size = max(1, chunk_frames // cfg.frames_per_burst)
-    return [worker(range(b, min(b + size, n_bursts)))
-            for b in range(0, n_bursts, size)]
+    out = []
+    for g in range(0, n_bursts, SEED_BURSTS):
+        group = range(g, min(g + SEED_BURSTS, n_bursts))
+        seeds = _seed_words(cfg.master_seed, key, group, roles)
+        k = -(-len(group) // size)
+        bounds = [-(-len(group) * i // k) for i in range(k + 1)]
+        out += [worker(seeds[:, a:b]) for a, b in zip(bounds, bounds[1:])]
+    return out
 
 
 def _papr_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
-                bursts: range) -> np.ndarray:
-    (seeds,) = _seed_words(cfg.master_seed, 0, bursts, (_ROLE_PAYLOAD,))
-    return _measured_paprs(cfg, mcfg, _payloads(scheme, cfg, seeds),
+                seeds: np.ndarray) -> np.ndarray:
+    """Measured PAPRs of the bursts of payload seed rows seeds[0]."""
+    return _measured_paprs(cfg, mcfg, _payloads(scheme, cfg, seeds[0]),
                            scheme.encode)
 
 
@@ -468,8 +481,8 @@ def run_papr_experiment(cfg: SimConfig) -> PaprResult:
         samples = np.tile(_full_load_paprs(cfg, scheme, mcfg), n_bursts)
     else:
         samples = np.concatenate(_run_bursts(
-            n_bursts, cfg, CHUNK_FRAMES,
-            lambda c: _papr_chunk(cfg, scheme, mcfg, c)), axis=None)
+            n_bursts, cfg, CHUNK_FRAMES, 0, (_ROLE_PAYLOAD,),
+            lambda s: _papr_chunk(cfg, scheme, mcfg, s)), axis=None)
     samples = samples[:cfg.frames]
     curve = (metrics.ccdf(samples)
              if samples.size >= metrics.CCDF_MIN_SAMPLES else None)
@@ -512,9 +525,9 @@ def run_crs_k_sweep(cfg: SimConfig | None = None) -> list[tuple[int, float, floa
 
 def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
                profile: chan.ChannelProfile, snr_db: float,
-               bursts: range) -> tuple[int, int]:
-    payload, fading, noise = _seed_words(cfg.master_seed, _snr_key(snr_db),
-                                         bursts)
+               seeds: np.ndarray) -> tuple[int, int]:
+    """(bit errors, bits) at snr_db of the bursts whose seed rows are seeds."""
+    payload, fading, noise = seeds
     payloads = _payloads(scheme, cfg, payload)
     sig, scale = _tx_burst(cfg, mcfg, scheme.encode(payloads))
     taps = chan.realize(profile, map(_generator, fading))
@@ -549,8 +562,8 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     records = []
     for snr_db in cfg.snr_list_db:
         errs, total = map(sum, zip(*_run_bursts(
-            n_bursts, cfg, BER_CHUNK_FRAMES,
-            lambda c: _ber_chunk(cfg, scheme, mcfg, profile, snr_db, c))))
+            n_bursts, cfg, BER_CHUNK_FRAMES, _snr_key(snr_db), _ROLES,
+            lambda s: _ber_chunk(cfg, scheme, mcfg, profile, snr_db, s))))
         records.append(BerRecord(snr_db=snr_db, scheme=cfg.scheme,
                                  channel=cfg.channel,
                                  companding=cfg.companding,

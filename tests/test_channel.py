@@ -231,6 +231,21 @@ def test_stacked_realize_equals_per_burst(name, bursts, seed):
     assert got.tobytes() == np.stack(direct).tobytes()
 
 
+@given(st.integers(0, 4), st.integers(1, 50), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_normals_draw_two_rows_per_burst(bursts, n, seed):
+    """_normals(gens, n) takes exactly 2 n normals from each Generator:
+    after it, each one's next draw equals that of a twin that drew 2 n."""
+    seeds = np.random.SeedSequence(seed).spawn(bursts)
+    gens = [np.random.default_rng(s) for s in seeds]
+    g = chan._normals(gens, n)
+    assert g.shape == (bursts, 2, n)
+    for gen, s, rows in zip(gens, seeds, g):
+        twin = np.random.default_rng(s)
+        assert np.array_equal(twin.standard_normal(2 * n), rows.ravel())
+        assert gen.standard_normal() == twin.standard_normal()
+
+
 class ZeroGenerator(np.random.Generator):
     """A Generator whose normal draws are all zero."""
 

@@ -62,6 +62,18 @@ def test_config_file_with_cli_override(tmp_path):
     assert out_file.exists()
 
 
+def test_config_comment_starts_at_a_hash_after_space(tmp_path):
+    """A "#" inside a value is part of it; one that begins the line or
+    follows whitespace starts a comment."""
+    cfg, out = tmp_path / "run.cfg", tmp_path / "run#3.csv"
+    cfg.write_text(f"# a run\nframes = 150 # measured\nout = {out}\n"
+                   "master_seed = 3\t# tab\n")
+    values = cli._read_config_file(str(cfg), cli._PAPR_DEFAULTS)
+    assert values == {"frames": 150, "out": str(out), "master_seed": 3}
+    assert run(["papr", "--config", cfg]) == 0
+    assert out.exists() and not (tmp_path / "run").exists()
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wibble = 1\n")

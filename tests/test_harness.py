@@ -435,20 +435,43 @@ class TestBenchmarkContract:
 
 
 class TestChunks:
-    """Bursts run stacked, in chunks of consecutive bursts; neither the chunk
-    size nor the worker count may change an output."""
+    """Bursts run stacked, in chunks of consecutive bursts, seeded a group of
+    chunks at a time; neither the chunk size, the group size nor the worker
+    count may change an output."""
 
     BURSTS = 5
 
+    @staticmethod
+    def burst_seeds(mp):
+        """Patch _seed_words to return each burst's index in its words, and
+        return the list of the ranges it is called with."""
+        calls = []
+
+        def seed_words(master_seed, key, bursts, roles):
+            calls.append(bursts)
+            return np.broadcast_to(np.array(bursts)[:, None],
+                                   (len(roles), len(bursts), 4))
+        mp.setattr(harness, "_seed_words", seed_words)
+        return calls
+
+    @staticmethod
+    def chunks(n, cfg, frames):
+        """The (start, stop) bursts of each chunk of n bursts."""
+        return harness._run_bursts(n, cfg, frames, 0, (0,),
+                                   lambda s: (s[0, 0, 0], s[0, -1, 0] + 1))
+
     def _all_layouts(self, monkeypatch, budget, run, cfg):
         """run(cfg) at 1..BURSTS bursts a chunk, the chunk frame budget
-        named budget patched to match, and at two worker counts."""
+        named budget patched to match, at two worker counts, and at
+        seeding groups of 1, 2 and SEED_BURSTS bursts."""
         outs = []
-        for per_chunk in range(1, self.BURSTS + 1):
+        for per_chunk, workers, group in product(
+                range(1, self.BURSTS + 1), (1, 3),
+                (1, 2, harness.SEED_BURSTS)):
             monkeypatch.setattr(harness, budget,
                                 per_chunk * cfg.frames_per_burst)
-            for workers in (1, 3):
-                outs.append(run(replace(cfg, workers=workers)))
+            monkeypatch.setattr(harness, "SEED_BURSTS", group)
+            outs.append(run(replace(cfg, workers=workers)))
         return outs
 
     def test_ber_sweep(self, monkeypatch):
@@ -461,15 +484,15 @@ class TestChunks:
         assert all(out == first for out in rest)
 
     def test_ber_sweep_at_budget_edge(self, monkeypatch):
-        """One burst past a full BER chunk runs as a full chunk and a chunk
-        of one, with the same records as chunks of one burst."""
+        """One burst past a full BER chunk runs as two near-equal chunks,
+        with the same records as chunks of one burst."""
         size = harness.BER_CHUNK_FRAMES // 10
         cfg = SimConfig(scheme="rs2516", companding=True,
                         channel="pedestrian_b", snr_list_db=(16.0, np.inf),
                         bits=(size + 1) * 8 * 80, master_seed=4)
         layout = harness._run_bursts(size + 1, cfg, harness.BER_CHUNK_FRAMES,
-                                     len)
-        assert layout == [size, 1]
+                                     0, harness._ROLES, lambda s: s.shape[1])
+        assert layout == [size // 2 + 1, size // 2]  # 21 + 20
         edge = harness.run_ber_sweep(cfg)
         monkeypatch.setattr(harness, "BER_CHUNK_FRAMES", 10)
         assert harness.run_ber_sweep(cfg) == edge
@@ -484,38 +507,76 @@ class TestChunks:
         assert first.size == self.BURSTS * 5
         assert all(np.array_equal(out, first) for out in rest)
 
-    def test_layout_ignores_workers(self):
-        for frames in (harness.CHUNK_FRAMES, harness.BER_CHUNK_FRAMES):
-            size = frames // 10
-            n = 2 * size + 3
-            # contiguous chunks of size bursts covering 0..n in order, the
-            # last one shorter
-            bounds = [0, size, 2 * size, n]
+    def test_layout_ignores_workers(self, monkeypatch):
+        self.burst_seeds(monkeypatch)
+        # 2 size + 3 bursts at size a chunk: three contiguous chunks
+        # covering them in order, the larger ones first
+        for frames, bounds in ((harness.CHUNK_FRAMES, [0, 15, 29, 43]),
+                               (harness.BER_CHUNK_FRAMES, [0, 28, 56, 83])):
+            n = bounds[-1]
+            assert n == 2 * frames // 10 + 3
             for workers in (1, 3):
-                seen = harness._run_bursts(
-                    n, SimConfig(workers=workers), frames,
-                    lambda c: (c.start, c.stop))
+                seen = self.chunks(n, SimConfig(workers=workers), frames)
                 assert seen == list(zip(bounds, bounds[1:]))
 
-    def test_each_chunk_seeds_its_own_bursts(self, monkeypatch):
-        """_seed_words is called once per chunk, with exactly that chunk's
-        bursts, in a PAPR run and at a BER point alike."""
-        seed_words, calls = harness._seed_words, []
+    @given(n=st.integers(1, 400), fpb=st.integers(3, 50),
+           frames=st.integers(1, 600), group=st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_layout(self, n, fpb, frames, group):
+        """Chunks cover 0..n in order, each of at most the budget's size,
+        the sizes within a group differing by at most one; no chunk
+        crosses a group, and each group is seeded once."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "SEED_BURSTS", group)
+            calls = self.burst_seeds(mp)
+            seen = self.chunks(n, SimConfig(frames_per_burst=fpb), frames)
+        groups = [range(g, min(g + group, n)) for g in range(0, n, group)]
+        assert calls == groups
+        assert [a for a, _ in seen] == [0] + [b for _, b in seen[:-1]]
+        assert seen[-1][1] == n
+        size = max(1, frames // fpb)
+        for g in groups:
+            sizes = [b - a for a, b in seen if g.start <= a < g.stop]
+            assert sum(sizes) == len(g)  # so no chunk crosses its end
+            assert max(sizes) <= size
+            assert max(sizes) - min(sizes) <= 1
+
+    def test_each_group_seeds_its_bursts_once(self, monkeypatch):
+        """_seed_words is called once per group of SEED_BURSTS bursts, with
+        exactly that group's bursts, in a PAPR run and at a BER point alike,
+        and each chunk gets the rows _seed_words gives its own bursts."""
+        seed_words, calls, got = harness._seed_words, [], []
 
         def record(master_seed, key, bursts, *roles):
             calls.append(bursts)
             return seed_words(master_seed, key, bursts, *roles)
         monkeypatch.setattr(harness, "_seed_words", record)
-        # 2 bursts a chunk: 2 + 2 + 1
+        for name in ("_papr_chunk", "_ber_chunk"):
+            chunk = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, chunk=chunk: (
+                got.append(a[-1]) or chunk(*a)))
+        # 2 bursts a chunk and 3 a group: groups 0..3 and 3..5, chunks of
+        # 2 + 1 and 2
         monkeypatch.setattr(harness, "CHUNK_FRAMES", 20)
         monkeypatch.setattr(harness, "BER_CHUNK_FRAMES", 20)
-        chunks = [range(0, 2), range(2, 4), range(4, 5)]
-        harness.run_papr_experiment(SimConfig(frames=self.BURSTS * 8))
-        assert calls == chunks
-        calls.clear()
-        harness.run_ber_sweep(SimConfig(scheme="bch", snr_list_db=(4.0,),
-                                        bits=self.BURSTS * 8 * 85))
-        assert calls == chunks
+        monkeypatch.setattr(harness, "SEED_BURSTS", 3)
+        groups = [range(0, 3), range(3, 5)]
+        chunks = [range(0, 2), range(2, 3), range(3, 5)]
+        for run, cfg, key, roles in (
+                (harness.run_papr_experiment,
+                 SimConfig(frames=self.BURSTS * 8, master_seed=6), 0,
+                 (harness._ROLE_PAYLOAD,)),
+                (harness.run_ber_sweep,
+                 SimConfig(scheme="bch", snr_list_db=(4.0,), master_seed=6,
+                           bits=self.BURSTS * 8 * 85),
+                 harness._snr_key(4.0), harness._ROLES)):
+            calls.clear()
+            got.clear()
+            run(cfg)
+            assert calls == groups
+            assert len(got) == len(chunks)
+            for seeds, bursts in zip(got, chunks):
+                assert np.array_equal(seeds, seed_words(6, key, bursts, roles))
 
     def test_chunks_run_on_calling_thread(self, monkeypatch):
         """Any worker count runs every chunk on the calling thread."""
@@ -533,14 +594,14 @@ class TestChunks:
         samples = harness.run_papr_experiment(papr).samples_db
         assert samples.size == self.BURSTS * 8
 
-    def test_memory_flat_in_bits(self):
-        """A chunk's arrays are freed before the next chunk runs, so peak
-        memory does not grow with the number of chunks."""
-        def peak(chunks):
+    @staticmethod
+    def ber_peaks(chunks):
+        """tracemalloc peaks of rs2516 + mu-law BER points over Pedestrian
+        B, of one full BER chunk and of chunks of them."""
+        def peak(n):
             cfg = SimConfig(scheme="rs2516", companding=True,
                             channel="pedestrian_b", snr_list_db=(16.0,),
-                            bits=chunks * harness.BER_CHUNK_FRAMES // 10
-                            * 8 * 80)
+                            bits=n * harness.BER_CHUNK_FRAMES // 10 * 8 * 80)
             harness.run_ber_sweep(cfg)  # builds the codec matrices
             tracemalloc.start()
             try:
@@ -548,11 +609,25 @@ class TestChunks:
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        one, eight = peak(1), peak(8)
+        return peak(1), peak(chunks)
+
+    def test_memory_flat_in_bits(self):
+        """A chunk's arrays are freed before the next chunk runs, so peak
+        memory does not grow with the number of chunks."""
+        one, eight = self.ber_peaks(8)
         assert eight < 1.1 * one + 64 * 2**10
         # a full BER chunk of rs2516 + mu-law over Pedestrian B measured
         # 3.36 MiB
         assert one < 4 * 2**20
+
+    def test_memory_flat_in_groups(self, monkeypatch):
+        """A group's seed words are freed before the next group is seeded,
+        so peak memory does not grow with the number of groups either (one
+        chunk a group here)."""
+        monkeypatch.setattr(harness, "SEED_BURSTS",
+                            harness.BER_CHUNK_FRAMES // 10)
+        one, eight = self.ber_peaks(8)
+        assert eight < 1.1 * one + 64 * 2**10
 
 
 class TestBlocks:
@@ -663,15 +738,15 @@ def test_papr_peak_memory_within_the_frames_bound():
 
 def test_papr_peak_memory_per_frame_at_a_64_bit_seed():
     """A master seed of 2^32 or more adds a fifth entropy word to every
-    burst's seed, the worst case for _seed_words.  Each chunk derives the
-    seed words of its own bursts alone, so a run at 3 frames per burst
-    grows by at most 16 B a frame (its chunks' samples) beside one chunk's
-    working set; deriving every burst's words up front grew it by 96 B a
-    frame.  A peak is counted less what the run leaves allocated once its
-    result is dropped: now and then a table of string keys outside the
-    program (the interpreter's or numpy's) grows past 21,845 keys during a
-    run, one 0.92 MiB block that outlives it, allocated under numpy's
-    as_strided."""
+    burst's seed, the worst case for _seed_words.  The words are derived
+    one group of SEED_BURSTS bursts at a time, so a run at 3 frames per
+    burst grows by at most 16 B a frame (its chunks' samples) beside one
+    chunk's working set and one group's words; deriving every burst's
+    words up front grew it by 96 B a frame.  A peak is counted less what
+    the run leaves allocated once its result is dropped: now and then a
+    table of string keys outside the program (the interpreter's or
+    numpy's) grows past 21,845 keys during a run, one 0.92 MiB block that
+    outlives it, allocated under numpy's as_strided."""
     cfg = SimConfig(frames_per_burst=3, master_seed=2**40)
     harness.run_papr_experiment(replace(cfg, frames=8))
     peaks = []
