@@ -3,8 +3,11 @@
 Forward: F(y) = sgn(y) ln(1 + mu |y|) / ln(1 + mu) on peak-normalized
 components; inverse: F^-1(r) = sgn(r) (1/mu) ((1 + mu)^|r| - 1), then the
 peak scale is restored.  The scale is treated as known at the receiver.
-Each row of a stacked signal (..., samples) is one burst with its own scale;
-both directions work in place on the interleaved floats of a copy of it.
+Each row of a stacked signal (..., samples) is one burst with its own scale,
+its largest absolute component (peak_scale).  Once that scale is known the
+law acts on each component alone, so any samples of a burst, companded at
+the whole burst's scale, are byte for byte those samples of the companded
+burst.  Both directions work in place on the interleaved floats of a copy.
 """
 from __future__ import annotations
 
@@ -33,31 +36,65 @@ class CompanderConfig:
                               f"got {self.mu}")
 
 
-def mu_compress(signal: np.ndarray, cfg: CompanderConfig = CompanderConfig()
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Compand a complex signal; returns (companded signal, peak scale).
-
-    The scale of each row (the last axis) is its largest absolute real or
-    imaginary component, a float for a 1-D signal and an array of the
-    leading shape for a stack; both components are normalized by it before
-    the transform, so outputs lie in [-1, 1] per component.  An all-zero row
-    passes through with scale 1; a row with a non-finite component raises
-    DegenerateSignal.
-    """
-    out = np.array(signal, dtype=complex)
-    if out.size == 0:
+def _row_peaks(comp: np.ndarray) -> np.ndarray:
+    """The scale of each row of comp, a signal's interleaved real and
+    imaginary components, with the last axis kept: its largest absolute
+    entry, the larger of its max and minus its min, 1 for an all-zero row.
+    DegenerateSignal for an empty signal or a non-finite component."""
+    if comp.size == 0:
         raise DegenerateSignal("empty signal")
-    comp = out.view(float)
-    mag = np.abs(comp)
-    scale = mag.max(axis=-1, keepdims=True)
+    scale = np.maximum(comp.max(axis=-1, keepdims=True),
+                       -comp.min(axis=-1, keepdims=True))
     if not np.isfinite(scale).all():
         raise DegenerateSignal("non-finite sample in the signal")
     scale[scale == 0.0] = 1.0
-    mag *= cfg.mu / scale
+    return scale
+
+
+def _per_row(scale, signal: np.ndarray) -> np.ndarray:
+    """A scale per row of signal as a (..., 1) float array; LengthMismatch
+    unless its shape is the signal's leading shape."""
+    if np.shape(scale) != signal.shape[:-1]:
+        raise LengthMismatch(f"scale shape {np.shape(scale)} does not match "
+                             f"the signal's leading shape {signal.shape[:-1]}")
+    return np.asarray(scale, dtype=float)[..., None]
+
+
+def peak_scale(signal: np.ndarray) -> float | np.ndarray:
+    """The scale mu_compress takes for each row (the last axis) of a complex
+    signal: its largest absolute real or imaginary component, 1 for an
+    all-zero row; a float for a 1-D signal and an array of the leading
+    shape for a stack.  DegenerateSignal for an empty signal or a
+    non-finite component anywhere in it."""
+    sig = np.asarray(signal, dtype=complex)
+    if sig.strides[-1:] != (sig.itemsize,):  # the float view needs unit steps
+        sig = np.ascontiguousarray(sig)
+    return _row_peaks(sig.view(float))[..., 0][()]
+
+
+def mu_compress(signal: np.ndarray, cfg: CompanderConfig = CompanderConfig(),
+                scale: float | np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Compand a complex signal; returns (companded signal, peak scale).
+
+    Both components of each row (the last axis) are normalized by its scale
+    before the transform, so outputs lie in [-1, 1] per component.  Without
+    a given scale it is peak_scale(signal); an all-zero row passes through
+    with scale 1, and an empty signal or a non-finite component raises
+    DegenerateSignal.  A given scale, one per row (LengthMismatch unless
+    its shape is the signal's leading shape), is used as it is: peak_scale
+    of a whole burst compands any samples of it as the whole burst's
+    compression does.
+    """
+    out = np.array(signal, dtype=complex)
+    comp = out.view(float)
+    peak = _row_peaks(comp) if scale is None else _per_row(scale, out)
+    mag = np.abs(comp)
+    mag *= cfg.mu / peak
     np.log1p(mag, out=mag)
     mag *= 1.0 / np.log1p(cfg.mu)
     np.copysign(mag, comp, out=comp)
-    return out, scale[..., 0][()]
+    return out, peak[..., 0][()]
 
 
 def mu_expand(signal: np.ndarray, scale,
@@ -70,9 +107,7 @@ def mu_expand(signal: np.ndarray, scale,
     rows, is reported.
     """
     out = np.array(signal, dtype=complex)
-    if np.shape(scale) != out.shape[:-1]:
-        raise LengthMismatch(f"scale shape {np.shape(scale)} does not match "
-                             f"the signal's leading shape {out.shape[:-1]}")
+    peak = _per_row(scale, out)
     comp = out.view(float)
     mag = np.abs(comp)
     saturated = int(np.count_nonzero(mag > 1 + CLAMP_TOLERANCE))
@@ -80,5 +115,5 @@ def mu_expand(signal: np.ndarray, scale,
     mag *= np.log1p(cfg.mu)
     np.expm1(mag, out=mag)
     np.copysign(mag, comp, out=comp)
-    comp *= (np.asarray(scale) / cfg.mu)[..., None]
+    comp *= peak / cfg.mu
     return out, saturated

@@ -313,18 +313,24 @@ def _bits_to_symbols(bits: np.ndarray, q: int) -> list[int]:
 
 def _checked_message(values, count: int, size: int,
                      what: str) -> np.ndarray:
-    """A codec's input, or a (..., count) stack of them, as uint8.
-    LengthMismatch unless the last axis has count entries;
+    """A codec's input, or a (..., count) stack of them, as a new uint8
+    array.  LengthMismatch unless the last axis has count entries;
     ConstraintViolation names the first entry that is not an integer in
-    [0, size) and its index in the message (and in the stack).  Input that
-    is not integer is never cast, where NaN, 2^70 or "a" would warn or
-    raise: each entry, as given, is compared with range(size)."""
+    [0, size) and its index in the message (and in the stack).  Integer
+    input in range, the harness's bits, is checked by one max reduction
+    and cast once; any other input goes entry by entry, and input that is
+    not integer is never cast, where NaN, 2^70 or "a" would warn or raise:
+    each entry, as given, is compared with range(size)."""
     a = np.asarray(values)
     if a.shape[-1:] != (count,):
         raise LengthMismatch(
             f"{what} count {a.shape[-1] if a.ndim else a.size} != {count}")
     if a.dtype.kind in "biu":
         v = a.astype(np.uint8)
+        # read as unsigned, a negative entry lies above any size
+        unsigned = a.view(a.dtype.str.replace(a.dtype.kind, "u"))
+        if not a.size or unsigned.max() < size:
+            return v
     else:  # 1.0 is in range(2); NaN, "1" or 2^70 is not, and reads 0 != it
         alphabet, a = range(size), np.asarray(values, object)
         v = np.array([alphabet.index(x) if x in alphabet else 0

@@ -14,7 +14,9 @@ equalizer as one stacked array.  A BER chunk holds at most BER_CHUNK_FRAMES
 = 400 frames, so that its fixed cost through the receive chain is paid less
 often; a PAPR chunk at most CHUNK_FRAMES = 200, the fastest budget
 measured.  An uncompanded PAPR burst longer than a chunk is measured in
-blocks of frames.  A BER burst's warm-up frames, its first and last, are
+blocks of frames, and a PAPR block keeps only the samples its measured
+frames' windows read; a companded block compands those alone, at the
+whole burst's scale.  A BER burst's warm-up frames, its first and last, are
 sent, but only the frames between them are analysed, equalized and decoded.
 """
 from __future__ import annotations
@@ -398,16 +400,21 @@ def _payloads(scheme: Scheme, cfg: SimConfig,
     return out
 
 
-def _tx_burst(cfg: SimConfig, mcfg: modem.ModemConfig,
-              frames: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+def _tx_burst(cfg: SimConfig, mcfg: modem.ModemConfig, frames: np.ndarray,
+              keep: slice | None = None
+              ) -> tuple[np.ndarray, np.ndarray | float]:
     """Frames (..., L, 2M) -> transmitted bursts (..., samples) and their
-    compander scales (1 without companding)."""
+    compander scales (1 without companding).  With keep, only the samples
+    sig[..., keep] of each modulated burst are returned, and companded at
+    the whole burst's mu-law scale; they are byte for byte those samples
+    of the bursts sent without it."""
     sig = modem.modulate_frames(frames, mcfg)
-    scale = 1.0
-    if cfg.companding:
-        sig, scale = compander.mu_compress(
-            sig, compander.CompanderConfig(mu=cfg.mu))
-    return sig, scale
+    kept = sig if keep is None else sig[..., keep]
+    if not cfg.companding:
+        return kept, 1.0
+    scale = None if keep is None else compander.peak_scale(sig)
+    return compander.mu_compress(
+        kept, compander.CompanderConfig(mu=cfg.mu), scale)
 
 
 def _measured_paprs(cfg: SimConfig, mcfg: modem.ModemConfig,
@@ -418,20 +425,25 @@ def _measured_paprs(cfg: SimConfig, mcfg: modem.ModemConfig,
     Uncompanded, a burst goes in blocks of at most CHUNK_FRAMES measured
     frames, each sent with the frames that reach into its windows; the
     mu-law scale is the peak of a whole burst, so a companded one is one
-    block."""
+    block.  Of each block only the samples that its measured frames'
+    windows read are kept (companded at the whole burst's scale) and
+    measured."""
     L = payloads.shape[-2]
     step = L if cfg.companding else CHUNK_FRAMES
     # frame j's samples span [j M, j M + M/2 + Lp), frame l's window
     # [c + l M - M/2, c + l M + M/2), c = (Lp - 1)/2: they meet only for
     # |l - j| <= ceil(c / M) (2 for K = 4)
     reach = -(-(mcfg.Lp - 1) // (2 * cfg.M))
+    # frame_paprs' windows start here, so a block keeps this lead before
+    # the window of its first measured frame
+    start = (mcfg.Lp - 1) // 2 - cfg.M // 2
     blocks = []
     for s in range(1, L - 1, step):
         e = min(s + step, L - 1)
         b0, b1 = max(s - reach, 0), min(e + reach, L)
-        sig, _ = _tx_burst(cfg, mcfg, encode(payloads[..., b0:b1, :]))
-        blocks.append(metrics.frame_paprs(sig, cfg.M, mcfg.Lp,
-                                          e - b0)[..., s - b0:])
+        keep = slice((s - b0) * cfg.M, start + (e - b0) * cfg.M)
+        sig, _ = _tx_burst(cfg, mcfg, encode(payloads[..., b0:b1, :]), keep)
+        blocks.append(metrics.frame_paprs(sig, cfg.M, mcfg.Lp, e - s))
     return np.concatenate(blocks, axis=-1)
 
 

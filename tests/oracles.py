@@ -12,14 +12,16 @@ one syndrome table per code (rs._parity_table, rs._syndrome_rows); the
 tests compare the two.  corrections is the per-word decoding tail the
 package ran before it decoded a whole stack at once (rs._outcomes): BM's
 degree bound, the Chien search, the length test and Forney, on symbols
-packed one byte each in a Python int.
+packed one byte each in a Python int.  checked_message is the codecs'
+input check as it went before integer input was checked in one reduction
+(rs._checked_message): every entry compared with its uint8 cast.
 """
 import functools
 
 import numpy as np
 
 from papr_lab import gf2m
-from papr_lab.fec.rs import DecodeFailure
+from papr_lab.fec.rs import ConstraintViolation, DecodeFailure, LengthMismatch
 
 
 def mul(fs, a, b):
@@ -60,6 +62,26 @@ def loop_bits_to_symbols(bits, q):
             v = (v << 1) | int(bits[i * q + j])
         out.append(v)
     return out
+
+
+def checked_message(values, count, size, what):
+    a = np.asarray(values)
+    if a.shape[-1:] != (count,):
+        raise LengthMismatch(
+            f"{what} count {a.shape[-1] if a.ndim else a.size} != {count}")
+    if a.dtype.kind in "biu":
+        v = a.astype(np.uint8)
+    else:  # 1.0 is in range(2); NaN, "1" or 2^70 is not, and reads 0 != it
+        alphabet, a = range(size), np.asarray(values, object)
+        v = np.array([alphabet.index(x) if x in alphabet else 0
+                      for x in a.flat], np.uint8).reshape(a.shape)
+    bad = np.argwhere((v != a) | (v >= size))
+    if bad.size:
+        i = tuple(bad[0].tolist())
+        where = i[0] if len(i) == 1 else i
+        raise ConstraintViolation(
+            f"{what} {a[i]} at index {where} outside 0..{size - 1}")
+    return v
 
 
 def poly_trim(p):

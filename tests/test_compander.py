@@ -200,3 +200,47 @@ def test_expand_rejects_scale_of_another_shape():
         mu_expand(rows, scale[:, None], CFG)
     with pytest.raises(compander.LengthMismatch):
         mu_expand(rows, 1.0, CFG)
+
+
+@given(st.integers(0, 2), st.integers(1, 4), st.integers(1, 60),
+       st.integers(0, 2**32 - 1), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_given_scale_compands_any_samples_as_the_whole(ndim, rows, n, seed,
+                                                       zero_row, data):
+    """Samples [a, b) companded at the whole signal's peak_scale are byte
+    for byte those samples of the whole signal companded, and the scale
+    returned has mu_compress's shape, so mu_expand still inverts them."""
+    rng = np.random.default_rng(seed)
+    shape = (rows,) * ndim + (n,)
+    sig = 3.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if zero_row and ndim:
+        sig[(0,) * ndim] = 0.0
+    a = data.draw(st.integers(0, n))
+    b = data.draw(st.integers(a, n))
+    whole, whole_scale = mu_compress(sig, CFG)
+    scale = compander.peak_scale(sig)
+    assert np.shape(scale) == np.shape(whole_scale)
+    assert np.array_equal(scale, whole_scale)
+    peaks = np.maximum(abs(sig.real), abs(sig.imag)).max(axis=-1)
+    assert np.array_equal(scale, np.where(peaks == 0.0, 1.0, peaks))
+    stepped = sig[..., ::2]  # no float view: peak_scale reads a copy
+    assert np.array_equal(compander.peak_scale(stepped),
+                          mu_compress(stepped, CFG)[1])
+    part, part_scale = mu_compress(sig[..., a:b], CFG, scale)
+    assert np.shape(part_scale) == np.shape(whole_scale)
+    assert np.array_equal(part_scale, whole_scale)
+    assert part.tobytes() == whole[..., a:b].tobytes()
+    back, _ = mu_expand(part, part_scale, CFG)
+    assert back.tobytes() == mu_expand(whole, whole_scale,
+                                       CFG)[0][..., a:b].tobytes()
+
+
+def test_peak_scale_rejects_what_mu_compress_rejects():
+    with pytest.raises(compander.DegenerateSignal):
+        compander.peak_scale(np.zeros((3, 0), dtype=complex))
+    sig = np.ones((3, 8), dtype=complex)
+    sig[1, 4] = np.nan
+    with pytest.raises(compander.DegenerateSignal):
+        compander.peak_scale(sig)
+    with pytest.raises(compander.LengthMismatch, match=r"\(2,\).*\(3,\)"):
+        mu_compress(np.ones((3, 8), dtype=complex), CFG, np.ones(2))

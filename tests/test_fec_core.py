@@ -39,7 +39,9 @@ on purpose, since the failure path is most of what a faded RS(25,16) link
 decodes.  The frame decoders must refuse a frame entry that is not a bit,
 decode a frame of any shape as its flattened entries, and keep what a
 cold decode builds within a memory bound (tracemalloc), which a packed
-(position, magnitude) syndrome table would break.
+(position, magnitude) syndrome table would break.  The codecs' input
+check, one reduction for integer input, must equal the entry-by-entry
+check of tests/oracles.py, its errors included, and return a new array.
 """
 import sys
 import tracemalloc
@@ -880,6 +882,62 @@ def test_frame_decoders_take_bits_of_any_dtype(code):
     want = outcome(FRAME_DECODERS[code], frame)
     for dtype in (bool, np.int64, np.float64):
         assert outcome(FRAME_DECODERS[code], frame.astype(dtype)) == want
+
+
+# The codecs' input check: integer input in range in one reduction, all
+# else entry by entry; oracles.checked_message is the entry-by-entry check
+# alone.  The planted entries are those of the alphabets' edges and beyond.
+CHECKED_DTYPES = (bool, np.int8, np.uint8, np.int64, np.uint64)
+OUT_OF_ALPHABET = (-1, "size", 255, 256, 2**63 - 1)
+
+
+@given(dtype=st.sampled_from(CHECKED_DTYPES),
+       size=st.sampled_from((2, 32, 128)), k=st.integers(1, 40),
+       lead=st.sampled_from(((), (0,), (5,), (3, 4))),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_input_check_equals_the_entry_by_entry_check(
+        dtype, size, k, lead, seed, data):
+    """rs._checked_message returns the oracle's uint8 array, as a new
+    array, or raises the same ConstraintViolation message, on stacks of
+    every dtype the codecs take as integers, in range or with entries
+    outside the alphabet planted."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, size, (*lead, k)).astype(dtype)
+    for _ in range(data.draw(st.integers(0, 3)) if values.size else 0):
+        bad = data.draw(st.sampled_from(OUT_OF_ALPHABET))
+        bad = size if bad == "size" else bad
+        if dtype is not bool and (np.iinfo(dtype).min <= bad
+                                  <= np.iinfo(dtype).max):
+            at = tuple(data.draw(st.integers(0, n - 1)) for n in values.shape)
+            values[at] = bad
+    if data.draw(st.booleans()):
+        values = np.asfortranarray(values)
+    try:
+        want = oracles.checked_message(values, k, size, "symbol")
+    except rs.ConstraintViolation as e:
+        with pytest.raises(rs.ConstraintViolation) as got:
+            rs._checked_message(values, k, size, "symbol")
+        assert str(got.value) == str(e)
+        return
+    got = rs._checked_message(values, k, size, "symbol")
+    assert got.dtype == np.uint8
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert not np.shares_memory(got, values)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_rs_decode_leaves_the_callers_word_unchanged(dtype):
+    """rs_decode corrects a copy of the received word, never the caller's
+    array, whatever the input check returns."""
+    spec = rs.rs_spec(5, 25)
+    word = np.array(rs.rs_encode(spec, list(range(25))), dtype)
+    word[[2, 30]] ^= 7
+    received = word.copy()
+    message, corrected = rs.rs_decode(spec, received)
+    assert (message, corrected) == (list(range(25)), 2)
+    assert np.array_equal(received, word)
 
 
 def test_racing_first_decodes_agree(cold_fec_caches):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from papr_lab import harness, metrics
+from papr_lab import harness, metrics, modem
 from papr_lab.fec import bch, crs, rs
 from papr_lab.harness import SimConfig
 
@@ -674,8 +674,8 @@ class TestBlocks:
         payloads = np.random.default_rng(1).integers(0, 2, (1000, 128),
                                                      dtype=np.uint8)
         sent, send = [], harness._tx_burst
-        monkeypatch.setattr(harness, "_tx_burst", lambda c, m, frames: (
-            sent.append(frames) or send(c, m, frames)))
+        monkeypatch.setattr(harness, "_tx_burst", lambda c, m, frames, keep: (
+            sent.append(frames) or send(c, m, frames, keep)))
         harness._measured_paprs(cfg, cfg.modem_config(), payloads)
         ends = [(s, min(s + harness.CHUNK_FRAMES, 999))
                 for s in range(1, 999, harness.CHUNK_FRAMES)]
@@ -683,6 +683,32 @@ class TestBlocks:
         for frames, (s, e) in zip(sent, ends):
             assert np.array_equal(frames,
                                   payloads[max(s - 2, 0):min(e + 2, 1000)])
+
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_nan_outside_the_kept_windows_fails_a_companded_burst(
+            self, monkeypatch, at):
+        """The mu-law scale is the peak of the whole burst, so a NaN in a
+        sample that no measured frame's window reads still raises."""
+        cfg = SimConfig(scheme="crs31_19", companding=True)
+        scheme = harness.get_scheme(cfg.scheme)
+        payloads = np.ones((cfg.frames_per_burst, scheme.payload_bits),
+                           np.uint8)
+        modulate = modem.modulate_frames
+
+        def poisoned(frames, mcfg):
+            sig = modulate(frames, mcfg)
+            sig[..., at] = np.nan
+            return sig
+        monkeypatch.setattr(modem, "modulate_frames", poisoned)
+        mcfg = cfg.modem_config()
+        sig, _ = harness._tx_burst(
+            replace(cfg, companding=False), mcfg, scheme.encode(payloads))
+        # the poisoned sample lies outside every measured frame's window
+        windows = metrics.frame_paprs(sig, cfg.M, mcfg.Lp,
+                                      cfg.frames_per_burst)[..., 1:-1]
+        assert np.isfinite(windows).all()
+        with pytest.raises(metrics.DegenerateSignal):
+            harness._measured_paprs(cfg, mcfg, payloads, scheme.encode)
 
     @given(st.integers(3, 450), st.sampled_from((64, 80, 85, 128)),
            st.integers(1, 3), st.integers(0, 2**64 - 1), st.integers(0, 9),
