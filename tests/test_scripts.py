@@ -1,4 +1,5 @@
-"""Smoke runs of the experiment scripts in scripts/ at small sizes."""
+"""Smoke runs of the experiment scripts in scripts/ at small sizes, and of
+src_lines.py's pure functions on in-memory sources."""
 import runpy
 import sys
 from pathlib import Path
@@ -79,3 +80,40 @@ def test_too_many_bursts_refused_before_any_burst(tmp_path, monkeypatch,
     assert len(err) == 1
     assert err[0].startswith(f"{name}: error:") and flag in err[0]
     assert not list(tmp_path.iterdir())
+
+
+SAMPLE = '''"""A module."""
+import os  # a trailing comment is code
+
+# a comment line
+
+
+class A:
+    """A class,
+    on two lines."""
+    X = 1
+
+    def f(self):
+        """A method."""
+        return "# not a comment"
+'''
+
+
+def test_src_lines_splits_a_module():
+    split = runpy.run_path(str(SCRIPTS / "src_lines.py"))["split_lines"]
+    assert split(SAMPLE) == {"code": 5, "docstring": 4, "comment": 1,
+                             "blank": 4}
+
+
+@pytest.mark.parametrize("old,new,same", [
+    ('"""A module."""', '"""Another module,\n\non three lines."""', True),
+    ('"""A method."""', '"""A method."""\n        # a comment', True),
+    ('"""A method."""', '', True),
+    ("# a comment line", "", True),
+    ("X = 1", "X = 2", False),
+    ('"# not a comment"', '"# still not a comment"', False),
+])
+def test_src_lines_compares_code_without_docstrings(old, new, same):
+    dump = runpy.run_path(str(SCRIPTS / "src_lines.py"))["code_dump"]
+    assert SAMPLE.count(old) == 1
+    assert (dump(SAMPLE) == dump(SAMPLE.replace(old, new))) == same
