@@ -5,20 +5,12 @@ over the cyclotomic cosets of alpha^1..alpha^(2t), the same roots-to-
 polynomial step as the RS generators, with t grown until its degree reaches
 n - k = 42 (which happens at t = 6).  Encoding is systematic; the 127
 codeword bits are suffixed with one zero pad bit to fill a 128-bit frame.
-The encoder's byte XOR tables (rs._frame_tables, the decoder's form too)
-are a cached function, _encoder_tables, built on first use from the RS
-codec's parity table (rs._parity_table), with the generator's 0/1
-coefficients taken as elements of GF(128).  A frame is [message | parity
-| pad] (rs._encoded).  The decoder reads
-one record, an rs._Decoder cached by _decoder and built at the first
-decode.  Its byte tables (rs._frame_tables) hold the syndromes of each
-frame bit, the rows of the code's one syndrome map (rs._syndrome_rows), so
-a stack of frames gets its syndromes from one gather, and rs._frame_rows
-decodes it as an RS layout's, each message symbol one bit: the frames with
-nonzero syndromes go through rs._outcomes as binary words, whose
-Berlekamp-Massey skips the steps whose discrepancy is zero and whose Chien
-search reads the degree-t power table, and the accepted positions of the
-decoded frames are the message bits the pass flips.
+The encoder's byte XOR tables (_encoder_tables) come from the RS codec's
+parity table, with the generator's 0/1 coefficients taken as elements of
+GF(128).  The decoder's record (_decoder) holds the code's syndrome map,
+and rs._frame_rows decodes BCH frames as binary words of one-bit message
+symbols: Berlekamp-Massey skips every second step, and the Chien search
+reads the degree-t power table.
 """
 from __future__ import annotations
 

@@ -15,48 +15,21 @@ the k-sweep are further instances.  One encoder and one decoder serve them
 all; the symbol codec, rs_encode and rs_decode, runs on rs_spec's frame
 codec through the codeword's bits.
 
-Each code is two cached linear maps (Lin & Costello, Error Control
-Coding, ch. 6-7), and no polynomial is divided: _parity_table, the parity
-of each message symbol, and _syndrome_rows, the syndromes of the unit
-symbol at each word position, one uint8 row each.  A binary code (BCH)
-reads the rows as they are; the RS paths, which read symbols of every
-magnitude, read them times the symbol through the field's multiplication
-table.
-Every frame codec here (RS layouts, BCH) is GF(2)-linear on its bits, and
-encodes and takes syndromes through one form of map (Sarwate, CACM 31(8),
-1988): read-only uint8 XOR tables (_frame_tables), one (256, width) table
-per input byte, and one gather of an entry per byte (_frame_images).  The
-encoder's tables (_encoder_tables, bch._encoder_tables, cached) give the
-packed sent parity: a frame is [message bits | parity | pad] (_encoded).
+Each code is two cached linear maps, and no polynomial is divided (Lin &
+Costello, Error Control Coding, ch. 6-7): the parity of each message
+symbol (_parity_table) and the syndromes of each word position
+(_syndrome_rows).  Every frame codec here (RS layouts, BCH) is
+GF(2)-linear on its bits, so it encodes and takes syndromes through one
+form of map, byte XOR tables (_frame_tables; Sarwate, CACM 31(8), 1988).
 
-Decoding is table-driven and stacked.  A frame code's decoder refuses a
-frame entry that is not a bit (_checked_frame) and reads one record, its
-_Decoder, cached and built at the first decode.  Its _frame_tables, built
-from the syndromes of each sent frame bit, give a stack of frames its
-syndromes, and a punctured layout's its modified syndromes too (composed
-with the fixed erasure locator Gamma), in one gather (_frame_images).
-The stacked pass (_frame_rows) decodes a whole stack in numpy: a
-frame whose modified syndromes are zero is clean, and all the others are
-decoded at once by _outcomes, the one correction routine of every decoder
-here, BCH's too: Berlekamp-Massey (_locators), BM's degree bound, psi =
-Lambda * Gamma (_product), the Chien search at every position, the root
-count, BM's own length test and, for a non-binary word, Forney at each
-root.  A polynomial at every position is one gather of a row per
-coefficient from a cached power table (_power_table, _values), and the
-products are flat gathers on the field's multiplication table.
-_outcomes returns arrays, a failure reason per word and the flat (word,
-position, magnitude) of every correction, and the pass finishes every
-frame from them: the shortened-prefix check, the corrected count and the
-constraint flag are per-frame reductions, and the decoded frames'
-corrections flip a copy of the stack's message bits in one scatter, the
-stack's messages, where a failed frame keeps its systematic bits.  A
-frame's row is its failure reason or (bits, corrected, constraint_ok); a
-frame decoder given its row only checks the frame and returns or raises
-the row, and without one runs the pass on a one-row stack, as rs_decode
-runs _outcomes on its one word.  Corrections are accepted by the length
-test, never by their syndromes.  Every cached table is immutable
-(read-only arrays, tuples), since every later decode in the process
-shares it.
+Decoding is table-driven and stacked.  A frame code's decoder reads one
+record, its _Decoder, cached and built at the first decode.  _frame_rows
+decodes a whole stack of frames in numpy, through _outcomes, the one
+correction routine of every decoder here, BCH's too; a frame decoder
+given its frame's row of that pass only checks the frame.  Corrections
+are accepted by Berlekamp-Massey's length test, never by their
+syndromes.  Every cached table is immutable (read-only arrays, tuples),
+since every later decode in the process shares it.
 """
 from __future__ import annotations
 

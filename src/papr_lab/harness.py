@@ -37,39 +37,18 @@ from .metrics import BerRecord, CcdfCurve, ConfigError
 _modem_config = functools.cache(modem.ModemConfig)
 
 
-# A chunk of bursts costs 100 us or more of numpy and Python call overhead
-# whatever its size, so bursts run stacked, in chunks of consecutive bursts
-# of at most a budget of frames; a burst longer than that is a chunk of one.
-#
-# Frames per chunk of PAPR bursts; also the measured frames per block of an
-# uncompanded PAPR burst, and the frames per piece of a payload draw.  In
-# us per perfbench operation (yardstick-normalised medians of 40
-# alternations, 2 vCPUs, near-equal chunks) at budgets of 100..500 by 100:
-#   papr_crs19_mu:        5036 / 4678 / 4824 / 4832 / 6042
-#   papr_none_longburst:  4863 / 4479 / 4805 / 4861 / 5028
+# Each budget below is measured in README, "Runs are made of bursts".
+# Frames per chunk of PAPR bursts, per block of an uncompanded PAPR burst
+# and per piece of a payload draw: the fastest PAPR budget measured
 CHUNK_FRAMES = 200
-# Bursts per _seed_words call, 20-60 us at up to 50: 128 KiB of words a role
+# Bursts per _seed_words call: 128 KiB of seed words a role
 SEED_BURSTS = 4096
-# Frames per chunk of BER bursts.  A BER chunk's fixed cost, 100-170 us
-# (two 1-burst chunks against one 2-burst chunk), is seed words for three
-# roles, a generator per burst and stream, and about 50 numpy calls through
-# the receive chain.  In us per measured frame of a 160-burst point on
-# 2 vCPUs, at chunks of 100 / 200 / 400 / 800 / 1600 frames:
-#   rs2516 + mu-law, Pedestrian B:  23.2 / 20.9 / 20.9 / 21.4 / 22.3
-#   uncoded, AWGN:                  7.72 / 6.68 / 6.30 / 6.42 / 8.25
-#   BCH, AWGN:                      18.5 / 16.9 / 15.4 / 16.2 / 17.8
-# A BER burst peaks at about 10 KiB per frame in tracemalloc (10.6 KiB in
-# 10-frame bursts, 9.2 KiB in one 1,000-frame burst, rs2516 + mu-law); a
-# point at this budget peaked at 3.36 MiB at 40 and at 80 bursts.
+# Frames per chunk of BER bursts, within the knee of the BER chunk costs
 BER_CHUNK_FRAMES = 400
-# A BER burst and a companded PAPR burst are one stack, so this bounds their
-# working set at about 100 MiB; a whole other PAPR run peaks under 4 MiB.
+# A BER or companded PAPR burst is one stack: about 100 MiB at this bound
 MAX_FRAMES_PER_BURST = 10_000
-# Measured frames of a PAPR run, which keeps every sample: its tracemalloc
-# peak grows by about 10 B a frame (3 and 10 frames per burst, master seed
-# 2^40, between 80,000 and 240,000 frames) beside one chunk's 2.6 MiB and
-# one group's seed words, 128 KiB (385 KiB while they are derived).
-MAX_PAPR_FRAMES = 10_000_000  # about 100 MiB
+# Measured frames of a PAPR run, which keeps every sample: about 100 MiB
+MAX_PAPR_FRAMES = 10_000_000
 # |SNR| in dB at a finite point: its stream key, _snr_key, stays in
 # 0..2,000,000, below the noiseless sentinel and inside a uint32 word
 MAX_SNR_DB = 1000
