@@ -4,10 +4,12 @@ Forward: F(y) = sgn(y) ln(1 + mu |y|) / ln(1 + mu) on peak-normalized
 components; inverse: F^-1(r) = sgn(r) (1/mu) ((1 + mu)^|r| - 1), then the
 peak scale is restored.  The scale is treated as known at the receiver.
 Each row of a stacked signal (..., samples) is one burst with its own scale,
-its largest absolute component (peak_scale).  Once that scale is known the
-law acts on each component alone, so any samples of a burst, companded at
-the whole burst's scale, are byte for byte those samples of the companded
-burst.  Both directions work in place on the interleaved floats of a copy.
+its largest absolute component, which peak_scale alone computes.  Once that
+scale is known the law acts on each component alone, so any samples of a
+burst, companded at the whole burst's scale, are byte for byte those
+samples of the companded burst: the harness's one send step takes the
+scale of each whole burst and compands only the samples it keeps.  Both
+directions work in place on the interleaved floats of a copy.
 """
 from __future__ import annotations
 
@@ -36,21 +38,6 @@ class CompanderConfig:
                               f"got {self.mu}")
 
 
-def _row_peaks(comp: np.ndarray) -> np.ndarray:
-    """The scale of each row of comp, a signal's interleaved real and
-    imaginary components, with the last axis kept: its largest absolute
-    entry, the larger of its max and minus its min, 1 for an all-zero row.
-    DegenerateSignal for an empty signal or a non-finite component."""
-    if comp.size == 0:
-        raise DegenerateSignal("empty signal")
-    scale = np.maximum(comp.max(axis=-1, keepdims=True),
-                       -comp.min(axis=-1, keepdims=True))
-    if not np.isfinite(scale).all():
-        raise DegenerateSignal("non-finite sample in the signal")
-    scale[scale == 0.0] = 1.0
-    return scale
-
-
 def _per_row(scale, signal: np.ndarray) -> np.ndarray:
     """A scale per row of signal as a (..., 1) float array; LengthMismatch
     unless its shape is the signal's leading shape."""
@@ -61,15 +48,22 @@ def _per_row(scale, signal: np.ndarray) -> np.ndarray:
 
 
 def peak_scale(signal: np.ndarray) -> float | np.ndarray:
-    """The scale mu_compress takes for each row (the last axis) of a complex
-    signal: its largest absolute real or imaginary component, 1 for an
-    all-zero row; a float for a 1-D signal and an array of the leading
-    shape for a stack.  DegenerateSignal for an empty signal or a
-    non-finite component anywhere in it."""
+    """The mu-law scale of each row (the last axis) of a complex signal, the
+    one peak routine: its largest absolute real or imaginary component, the
+    larger of their max and minus their min, 1 for an all-zero row; a float
+    for a 1-D signal and an array of the leading shape for a stack.
+    DegenerateSignal for an empty signal or a non-finite component
+    anywhere in it."""
     sig = np.asarray(signal, dtype=complex)
     if sig.strides[-1:] != (sig.itemsize,):  # the float view needs unit steps
         sig = np.ascontiguousarray(sig)
-    return _row_peaks(sig.view(float))[..., 0][()]
+    comp = sig.view(float)
+    if comp.size == 0:
+        raise DegenerateSignal("empty signal")
+    scale = np.maximum(comp.max(axis=-1), -comp.min(axis=-1))
+    if not np.isfinite(scale).all():
+        raise DegenerateSignal("non-finite sample in the signal")
+    return np.where(scale == 0.0, 1.0, scale)[()]
 
 
 def mu_compress(signal: np.ndarray, cfg: CompanderConfig = CompanderConfig(),
@@ -78,17 +72,15 @@ def mu_compress(signal: np.ndarray, cfg: CompanderConfig = CompanderConfig(),
     """Compand a complex signal; returns (companded signal, peak scale).
 
     Both components of each row (the last axis) are normalized by its scale
-    before the transform, so outputs lie in [-1, 1] per component.  Without
-    a given scale it is peak_scale(signal); an all-zero row passes through
-    with scale 1, and an empty signal or a non-finite component raises
-    DegenerateSignal.  A given scale, one per row (LengthMismatch unless
-    its shape is the signal's leading shape), is used as it is: peak_scale
-    of a whole burst compands any samples of it as the whole burst's
-    compression does.
+    before the transform, so outputs lie in [-1, 1] per component.  The
+    scale is one per row (LengthMismatch unless its shape is the signal's
+    leading shape), peak_scale(signal) when none is given; peak_scale of a
+    whole burst compands any samples of it as the whole burst's compression
+    does.
     """
     out = np.array(signal, dtype=complex)
     comp = out.view(float)
-    peak = _row_peaks(comp) if scale is None else _per_row(scale, out)
+    peak = _per_row(peak_scale(out) if scale is None else scale, out)
     mag = np.abs(comp)
     mag *= cfg.mu / peak
     np.log1p(mag, out=mag)

@@ -14,10 +14,11 @@ equalizer as one stacked array.  A BER chunk holds at most BER_CHUNK_FRAMES
 = 400 frames, so that its fixed cost through the receive chain is paid less
 often; a PAPR chunk at most CHUNK_FRAMES = 200, the fastest budget
 measured.  An uncompanded PAPR burst longer than a chunk is measured in
-blocks of frames, and a PAPR block keeps only the samples its measured
-frames' windows read; a companded block compands those alone, at the
-whole burst's scale.  A BER burst's warm-up frames, its first and last, are
-sent, but only the frames between them are analysed, equalized and decoded.
+blocks of frames.  PAPR and BER bursts share one send step (_tx_burst): a
+PAPR block keeps only the samples its measured frames' windows read, and a
+companded burst compands what it keeps at the whole burst's scale.  A BER
+burst's warm-up frames, its first and last, are sent, but only the frames
+between them are analysed, equalized and decoded.
 """
 from __future__ import annotations
 
@@ -379,58 +380,54 @@ def _payloads(scheme: Scheme, cfg: SimConfig,
     return out
 
 
-def _tx_burst(cfg: SimConfig, mcfg: modem.ModemConfig, frames: np.ndarray,
-              keep: slice | None = None
+def _tx_burst(cfg: SimConfig, frames: np.ndarray, keep: slice = slice(None)
               ) -> tuple[np.ndarray, np.ndarray | float]:
-    """Frames (..., L, 2M) -> transmitted bursts (..., samples) and their
-    compander scales (1 without companding).  With keep, only the samples
-    sig[..., keep] of each modulated burst are returned, and companded at
-    the whole burst's mu-law scale; they are byte for byte those samples
-    of the bursts sent without it."""
-    sig = modem.modulate_frames(frames, mcfg)
-    kept = sig if keep is None else sig[..., keep]
+    """Frames (..., L, 2M) -> the samples sig[..., keep] of each transmitted
+    burst and their compander scales (1 without companding), every burst's
+    one send step.  A companded burst's mu-law scale is the peak of the
+    whole modulated burst (compander.peak_scale), so its kept samples are
+    byte for byte those samples of the whole companded burst, and a
+    non-finite sample anywhere in it raises."""
+    sig = modem.modulate_frames(frames, cfg.modem_config())
     if not cfg.companding:
-        return kept, 1.0
-    scale = None if keep is None else compander.peak_scale(sig)
-    return compander.mu_compress(
-        kept, compander.CompanderConfig(mu=cfg.mu), scale)
+        return sig[..., keep], 1.0
+    return compander.mu_compress(sig[..., keep],
+                                 compander.CompanderConfig(mu=cfg.mu),
+                                 compander.peak_scale(sig))
 
 
-def _measured_paprs(cfg: SimConfig, mcfg: modem.ModemConfig,
-                    payloads: np.ndarray,
+def _measured_paprs(cfg: SimConfig, payloads: np.ndarray,
                     encode: Callable = np.asarray) -> np.ndarray:
     """Payloads (..., L, bits) -> the PAPR of each transmitted frame of
     encode(payloads) but the first and last, which are warm-up, (..., L - 2).
     Uncompanded, a burst goes in blocks of at most CHUNK_FRAMES measured
     frames, each sent with the frames that reach into its windows; the
     mu-law scale is the peak of a whole burst, so a companded one is one
-    block.  Of each block only the samples that its measured frames'
-    windows read are kept (companded at the whole burst's scale) and
-    measured."""
-    L = payloads.shape[-2]
+    block.  _tx_burst keeps of each block only the samples that its
+    measured frames' windows read, which metrics.frame_paprs measures."""
+    L, Lp = payloads.shape[-2], cfg.modem_config().Lp
     step = L if cfg.companding else CHUNK_FRAMES
     # frame j's samples span [j M, j M + M/2 + Lp), frame l's window
     # [c + l M - M/2, c + l M + M/2), c = (Lp - 1)/2: they meet only for
     # |l - j| <= ceil(c / M) (2 for K = 4)
-    reach = -(-(mcfg.Lp - 1) // (2 * cfg.M))
+    reach = -(-(Lp - 1) // (2 * cfg.M))
     # frame_paprs' windows start here, so a block keeps this lead before
     # the window of its first measured frame
-    start = (mcfg.Lp - 1) // 2 - cfg.M // 2
+    start = (Lp - 1) // 2 - cfg.M // 2
     blocks = []
     for s in range(1, L - 1, step):
         e = min(s + step, L - 1)
         b0, b1 = max(s - reach, 0), min(e + reach, L)
         keep = slice((s - b0) * cfg.M, start + (e - b0) * cfg.M)
-        sig, _ = _tx_burst(cfg, mcfg, encode(payloads[..., b0:b1, :]), keep)
-        blocks.append(metrics.frame_paprs(sig, cfg.M, mcfg.Lp, e - s))
+        sig, _ = _tx_burst(cfg, encode(payloads[..., b0:b1, :]), keep)
+        blocks.append(metrics.frame_paprs(sig, cfg.M, Lp, e - s))
     return np.concatenate(blocks, axis=-1)
 
 
-def _full_load_paprs(cfg: SimConfig, scheme: Scheme,
-                     mcfg: modem.ModemConfig) -> np.ndarray:
+def _full_load_paprs(cfg: SimConfig, scheme: Scheme) -> np.ndarray:
     """_measured_paprs of one burst of all-ones payloads."""
     ones = np.ones((cfg.frames_per_burst, scheme.payload_bits), np.uint8)
-    return _measured_paprs(cfg, mcfg, ones, scheme.encode)
+    return _measured_paprs(cfg, ones, scheme.encode)
 
 
 def _run_bursts(n_bursts: int, cfg: SimConfig, chunk_frames: int, key: int,
@@ -453,10 +450,10 @@ def _run_bursts(n_bursts: int, cfg: SimConfig, chunk_frames: int, key: int,
     return out
 
 
-def _papr_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
+def _papr_chunk(cfg: SimConfig, scheme: Scheme,
                 seeds: np.ndarray) -> np.ndarray:
     """Measured PAPRs of the bursts of payload seed rows seeds[0]."""
-    return _measured_paprs(cfg, mcfg, _payloads(scheme, cfg, seeds[0]),
+    return _measured_paprs(cfg, _payloads(scheme, cfg, seeds[0]),
                            scheme.encode)
 
 
@@ -465,15 +462,14 @@ def run_papr_experiment(cfg: SimConfig) -> PaprResult:
     when enabled); the channel is not involved."""
     cfg.validate()
     scheme = get_scheme(cfg.scheme, cfg.M)
-    mcfg = cfg.modem_config()
     n_bursts = -(-cfg.frames // (cfg.frames_per_burst - 2))
     if cfg.load == "full":
         # full load is deterministic: one burst, repeated
-        samples = np.tile(_full_load_paprs(cfg, scheme, mcfg), n_bursts)
+        samples = np.tile(_full_load_paprs(cfg, scheme), n_bursts)
     else:
         samples = np.concatenate(_run_bursts(
             n_bursts, cfg, CHUNK_FRAMES, 0, (_ROLE_PAYLOAD,),
-            lambda s: _papr_chunk(cfg, scheme, mcfg, s)), axis=None)
+            lambda s: _papr_chunk(cfg, scheme, s)), axis=None)
     samples = samples[:cfg.frames]
     curve = (metrics.ccdf(samples)
              if samples.size >= metrics.CCDF_MIN_SAMPLES else None)
@@ -501,26 +497,23 @@ def run_crs_k_sweep(cfg: SimConfig | None = None) -> list[tuple[int, float, floa
     RS(31,k) framing, k in DEFAULT_KSWEEP.  Returns rows (k, crs_db, rs_db)."""
     cfg = cfg or SimConfig(load="full")
     cfg.validate()
-    mcfg = cfg.modem_config()
     rows = []
     for k in DEFAULT_KSWEEP:
-        crs_paprs = _full_load_paprs(cfg, get_scheme(f"crs31_{k}", cfg.M),
-                                     mcfg)
+        crs_paprs = _full_load_paprs(cfg, get_scheme(f"crs31_{k}", cfg.M))
         rs_paprs = _measured_paprs(
-            cfg, mcfg, _rs_fullload_frames(k, cfg.frames_per_burst))
+            cfg, _rs_fullload_frames(k, cfg.frames_per_burst))
         rows.append((k, float(crs_paprs.max()), float(rs_paprs.max())))
     return rows
 
 
 # --- BER sweep ---------------------------------------------------------------
 
-def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
-               profile: chan.ChannelProfile, snr_db: float,
-               seeds: np.ndarray) -> tuple[int, int]:
+def _ber_chunk(cfg: SimConfig, scheme: Scheme, profile: chan.ChannelProfile,
+               snr_db: float, seeds: np.ndarray) -> tuple[int, int]:
     """(bit errors, bits) at snr_db of the bursts whose seed rows are seeds."""
     payload, fading, noise = seeds
     payloads = _payloads(scheme, cfg, payload)
-    sig, scale = _tx_burst(cfg, mcfg, scheme.encode(payloads))
+    sig, scale = _tx_burst(cfg, scheme.encode(payloads))
     taps = chan.realize(profile, map(_generator, fading))
     rx = chan.apply(sig, taps, snr_db, map(_generator, noise))
     del sig  # each chunk-sized array is dropped once used
@@ -531,7 +524,7 @@ def _ber_chunk(cfg: SimConfig, scheme: Scheme, mcfg: modem.ModemConfig,
     # frames 1..L - 2 alone, from frame 1's first sample: their columns are
     # bit for bit those of the whole burst, but counted from frame 1 each
     # column's OQAM phase j^(k+n) lacks a factor j^2 = -1: negate the symbols
-    grid = modem.analysis(rx[..., cfg.M:], mcfg,
+    grid = modem.analysis(rx[..., cfg.M:], cfg.modem_config(),
                           2 * (cfg.frames_per_burst - 2))
     del rx
     grid, _ = chan.equalize(grid, taps)
@@ -546,7 +539,6 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     if not cfg.snr_list_db:
         raise ConfigError("snr_list_db is empty")
     scheme = get_scheme(cfg.scheme, cfg.M)
-    mcfg = cfg.modem_config()
     profile = chan.make_profile(cfg.channel)
     per_burst = (cfg.frames_per_burst - 2) * scheme.payload_bits
     n_bursts = -(-cfg.bits // per_burst)
@@ -554,7 +546,7 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerRecord]:
     for snr_db in cfg.snr_list_db:
         errs, total = map(sum, zip(*_run_bursts(
             n_bursts, cfg, BER_CHUNK_FRAMES, _snr_key(snr_db), _ROLES,
-            lambda s: _ber_chunk(cfg, scheme, mcfg, profile, snr_db, s))))
+            lambda s: _ber_chunk(cfg, scheme, profile, snr_db, s))))
         records.append(BerRecord(snr_db=snr_db, scheme=cfg.scheme,
                                  channel=cfg.channel,
                                  companding=cfg.companding,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from papr_lab import harness, metrics, modem
+from papr_lab import compander, harness, metrics, modem
 from papr_lab.fec import bch, crs, rs
 from papr_lab.harness import SimConfig
 
@@ -639,9 +639,13 @@ class TestBlocks:
 
     @staticmethod
     def one_block(cfg, payloads, encode):
-        """The whole burst modulated as one stack, every frame measured."""
+        """The whole burst modulated and companded as one stack, every frame
+        measured, through none of the harness's send step."""
         mcfg = cfg.modem_config()
-        sig, _ = harness._tx_burst(cfg, mcfg, encode(payloads))
+        sig = modem.modulate_frames(encode(payloads), mcfg)
+        if cfg.companding:
+            sig, _ = compander.mu_compress(
+                sig, compander.CompanderConfig(mu=cfg.mu))
         return metrics.frame_paprs(sig, cfg.M, mcfg.Lp,
                                    cfg.frames_per_burst)[..., 1:-1]
 
@@ -660,8 +664,7 @@ class TestBlocks:
         else:
             payloads = harness._payloads(scheme, cfg, payload_seeds(
                 seed, 0, range(max(1, harness.CHUNK_FRAMES // fpb))))
-        got = harness._measured_paprs(cfg, cfg.modem_config(), payloads,
-                                      scheme.encode)
+        got = harness._measured_paprs(cfg, payloads, scheme.encode)
         want = self.one_block(cfg, payloads, scheme.encode)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -674,9 +677,9 @@ class TestBlocks:
         payloads = np.random.default_rng(1).integers(0, 2, (1000, 128),
                                                      dtype=np.uint8)
         sent, send = [], harness._tx_burst
-        monkeypatch.setattr(harness, "_tx_burst", lambda c, m, frames, keep: (
-            sent.append(frames) or send(c, m, frames, keep)))
-        harness._measured_paprs(cfg, cfg.modem_config(), payloads)
+        monkeypatch.setattr(harness, "_tx_burst", lambda c, frames, keep: (
+            sent.append(frames) or send(c, frames, keep)))
+        harness._measured_paprs(cfg, payloads)
         ends = [(s, min(s + harness.CHUNK_FRAMES, 999))
                 for s in range(1, 999, harness.CHUNK_FRAMES)]
         assert len(sent) == len(ends) > 1
@@ -701,14 +704,14 @@ class TestBlocks:
             return sig
         monkeypatch.setattr(modem, "modulate_frames", poisoned)
         mcfg = cfg.modem_config()
-        sig, _ = harness._tx_burst(
-            replace(cfg, companding=False), mcfg, scheme.encode(payloads))
+        sig, _ = harness._tx_burst(replace(cfg, companding=False),
+                                   scheme.encode(payloads))
         # the poisoned sample lies outside every measured frame's window
         windows = metrics.frame_paprs(sig, cfg.M, mcfg.Lp,
                                       cfg.frames_per_burst)[..., 1:-1]
         assert np.isfinite(windows).all()
         with pytest.raises(metrics.DegenerateSignal):
-            harness._measured_paprs(cfg, mcfg, payloads, scheme.encode)
+            harness._measured_paprs(cfg, payloads, scheme.encode)
 
     @given(st.integers(3, 450), st.sampled_from((64, 80, 85, 128)),
            st.integers(1, 3), st.integers(0, 2**64 - 1), st.integers(0, 9),
