@@ -438,7 +438,7 @@ def rs_spec(m: int, k: int) -> RsFrameLayout:
     the layout that sends the whole codeword as its n m bits."""
     n = gf2m.cached_field(m).order
     if not 0 < k < n:
-        raise LengthMismatch(f"k = {k} outside (0, {n})")
+        raise ConfigError(f"k = {k} outside (0, {n})")
     return RsFrameLayout(q=m, k=k, k_prime=k, p=m, punctured=0,
                          frame_bits=n * m)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from papr_lab import gf2m
+from papr_lab import gf2m, harness
 from papr_lab.fec import bch, rs
 from test_fec_core import scalar_poly_eval
 
@@ -109,6 +109,9 @@ def test_length_checks():
         bch.bch_encode(np.zeros(84, dtype=np.uint8))
     with pytest.raises(rs.LengthMismatch):
         bch.bch_decode(np.zeros(127, dtype=np.uint8))
+    # the stacked decode pass checks a stack's frame length
+    with pytest.raises(rs.LengthMismatch, match="frame length 127 != 128"):
+        harness.get_scheme("bch").decode(np.zeros((2, 127), np.uint8))
 
 
 def test_equal_specs_compare_and_hash_equal():

@@ -34,6 +34,9 @@ def test_infeasible_layouts():
         crs.crs_layout(6, 30, 19)  # n not of the form 2^q - 1
     with pytest.raises(crs.ConfigError, match="k' = 16 exceeds k = 15"):
         crs.crs_layout(6, 31, 15)  # k' exceeds k
+    with pytest.raises(crs.ConfigError,
+                       match="no integer p >= 1 fits the frame"):
+        crs.crs_layout(3, 31, 30)  # 5 parity bits leave 11 for 16 fields
 
 
 def test_encode_layout_and_systematic():

@@ -70,11 +70,19 @@ def test_non_primitive_rejected():
     # x^4 + x^3 + x^2 + x + 1 divides x^5 - 1: order 5, not primitive
     with pytest.raises(gf2m.ConfigError, match="x has order 5 < 15"):
         gf2m.field_new(4, 0b11111)
+    # x^2 is 0 modulo x^2: x^3 is 0, and no element is revisited
+    with pytest.raises(gf2m.ConfigError, match="x\\^3 != 1 modulo 0x4"):
+        gf2m.field_new(2, 0b100)
 
 
 def test_degree_mismatch_rejected():
     with pytest.raises(gf2m.ConfigError, match="modulus degree 3 != m = 5"):
         gf2m.field_new(5, 0b1011)
+    for m in (1, 17):
+        with pytest.raises(gf2m.ConfigError,
+                           match=f"extension degree {m} outside supported "
+                                 f"range 2..16"):
+            gf2m.field_new(m, (1 << m) | 3)
 
 
 @pytest.mark.parametrize("fs", FIELDS, ids=["gf32", "gf128"])

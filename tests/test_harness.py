@@ -219,6 +219,11 @@ class TestPaprExperiment:
     def test_sample_count(self):
         cfg = SimConfig(scheme="rs2516", frames=77, master_seed=1)
         assert harness.run_papr_experiment(cfg).samples_db.size == 77
+        # below CCDF_MIN_SAMPLES a run has no curve, and its PAPR at any
+        # probability is its largest sample
+        res = harness.run_papr_experiment(SimConfig(frames=50))
+        assert res.samples_db.size == 50 and res.curve is None
+        assert res.papr_at(1e-3) == res.max_papr_db
 
 
 class TestKsweep:

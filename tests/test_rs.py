@@ -177,6 +177,15 @@ def test_code_over_a_field_without_a_canonical_modulus(m):
         rs.rs_spec(m, 10)
 
 
+@pytest.mark.parametrize("m,k", [(5, 0), (5, 31), (7, 0), (7, 127)])
+def test_k_outside_the_code_is_a_config_error(m, k):
+    """k = 0 and k = n are parameters outside the code, refused with the
+    ConfigError crs.crs_layout raises for the same check."""
+    n = (1 << m) - 1
+    with pytest.raises(ConfigError, match=rf"^k = {k} outside \(0, {n}\)$"):
+        rs.rs_spec(m, k)
+
+
 # --- punctured/shortened RS(25,16) -------------------------------------------
 
 def test_rs2516_shape():
