@@ -9,8 +9,9 @@ blank lines hold nothing but white space; every other line is code.
 With --against REV, each module's syntax tree with its docstrings removed
 (ast.dump, so comments, layout and line numbers do not count) is compared
 with the module's at the git revision REV, read with `git show`.  Each
-module reads "same code" or "code differs", and the exit code is 1 when
-any module differs.
+module reads "same code" or "code differs" (also one that REV lacks), and
+the exit code is 1 when any module differs.  An unknown REV is refused with
+one error line and exit code 1.
 
     python scripts/src_lines.py
     python scripts/src_lines.py --against HEAD~1
@@ -87,6 +88,13 @@ def main() -> int:
     ap.add_argument("--against", metavar="REV",
                     help="compare each module's code with git revision REV")
     args = ap.parse_args()
+    if args.against and subprocess.run(
+            ["git", "rev-parse", "--verify", "--quiet",
+             f"{args.against}^{{commit}}"],
+            cwd=ROOT, capture_output=True).returncode:
+        print(f"{ap.prog}: error: --against: unknown revision "
+              f"{args.against!r}", file=sys.stderr)
+        return 1
     width = max(len(str(p.relative_to(SRC))) for p in _modules())
     print(f"{'module':<{width}} " + " ".join(f"{k:>9}" for k in KINDS)
           + f" {'total':>6}" + ("  against " + args.against

@@ -38,7 +38,8 @@ from .metrics import BerRecord, CcdfCurve, ConfigError
 _modem_config = functools.cache(modem.ModemConfig)
 
 
-# Each budget below is measured in README, "Runs are made of bursts".
+# The budgets and bounds below are measured in README, "Runs are made of
+# bursts".
 # Frames per chunk of PAPR bursts, per block of an uncompanded PAPR burst
 # and per piece of a payload draw: the fastest PAPR budget measured
 CHUNK_FRAMES = 200
